@@ -3,9 +3,21 @@
 //! [`Engine`] holds everything shared by all files of one mount (backing
 //! store, geometry, crypto contexts, the block-buffer pool, profiler);
 //! [`LamassuFile`] holds the per-object state (logical size, the in-memory
-//! write buffer that batches up to `R` dirty blocks, a decrypted-metadata
-//! cache, and the reusable commit staging buffer). All the mechanics
-//! described in §2.2–§2.5 of the paper live here.
+//! write buffer that is committed once it holds `R` dirty blocks, a
+//! decrypted-metadata cache, and the reusable commit staging). All the
+//! mechanics described in §2.2–§2.5 of the paper live here.
+//!
+//! # The commit pipeline
+//!
+//! A flush commits the whole pending set as one pipeline
+//! ([`Engine::commit_batch`]): stage up to one span of blocks contiguously,
+//! derive every key and encrypt the span with one batch call each, then run
+//! the §2.4 protocol as pure sealing and I/O ([`Engine::commit_rounds`]) —
+//! rounds of at most `R` blocks per segment, round *j* of every touched
+//! segment in the same pair of phases, the metadata write that closes one
+//! round merged with the one that opens the next. Each segment keeps its
+//! metadata → data → metadata order, so recovery is untouched; several
+//! segments can be mid-update at one crash.
 //!
 //! # Zero-allocation steady state
 //!
@@ -19,18 +31,20 @@
 //! * the per-file dirty-block buffer is a sorted `Vec` whose capacity
 //!   persists across commits, and commits stage through one reusable
 //!   contiguous `commit_buf` so batch crypto runs on a span, not a
-//!   ref-vector;
-//! * metadata blocks are updated **in place** in the per-file cache and
-//!   sealed directly into a pooled block ([`MetadataBlock::seal_into`]) —
-//!   no clone, no fresh ciphertext vector;
+//!   ref-vector (it is shrunk back to `2R` blocks after a large write, so
+//!   an `R`-block commit never regrows it);
+//! * metadata blocks are moved out of the per-file cache, updated **in
+//!   place** and sealed directly into a pooled block
+//!   ([`MetadataBlock::seal_into`]) — no clone, no fresh ciphertext vector;
 //! * the variable-length bookkeeping a span read needs (run boundaries,
 //!   per-run keys, re-derived keys) lives in thread-local scratch vectors
 //!   that amortize to zero after first use.
 //!
 //! The remaining allocations are deliberate: cold metadata-cache misses,
-//! recovery/verify sweeps, and the `O(workers)` fan-out of a parallel crypto
-//! batch (absent when the span runs inline — see
-//! [`CryptoPool::runs_inline`]).
+//! recovery/verify sweeps, the staging of a batch larger than `2R` blocks,
+//! and the `O(workers)` fan-out of a parallel crypto batch (absent when the
+//! span runs inline, as every batch short of one 16-block tile per worker
+//! does — see [`CryptoPool::runs_inline`]).
 //!
 //! # Concurrency
 //!
@@ -76,9 +90,10 @@ const META_CACHE_CAP: usize = 8192;
 /// truncate/verify scratch block.
 const POOL_SLACK_BLOCKS: usize = 16;
 
-/// Idle blocks the auto-sized pool keeps for the write path: large
-/// application writes stage up to one span of dirty blocks before the batch
-/// commit drains them back.
+/// One span of dirty blocks: what the auto-sized pool keeps idle for the
+/// write path (large application writes stage this many blocks before the
+/// commit drains them back) and the most one crypto batch of a commit
+/// stages contiguously.
 const POOL_WRITE_BLOCKS: usize = 256;
 
 /// One maximal run of consecutive disk-backed blocks within a span read:
@@ -92,8 +107,8 @@ thread_local! {
     /// borrow, reused so the steady state allocates nothing.
     static RUN_SCRATCH: RefCell<(Vec<RunSpan>, Vec<Key256>, Vec<u64>)> =
         const { RefCell::new((Vec::new(), Vec::new(), Vec::new())) };
-    /// Derived/recomputed key scratch (integrity re-derivation, commit key
-    /// derivation).
+    /// Derived/recomputed key scratch (integrity re-derivation, the keys of
+    /// one commit batch).
     static KEY_SCRATCH: RefCell<Vec<Key256>> = const { RefCell::new(Vec::new()) };
     /// Async-pipeline scratch: the thread's submission queue, the drained
     /// completion staging, and the per-run in-flight records. Thread-local
@@ -103,7 +118,8 @@ thread_local! {
     static ASYNC_SCRATCH: RefCell<AsyncScratch> = RefCell::new(AsyncScratch::default());
 }
 
-/// Reusable state of one thread's submission/completion pipeline.
+/// Reusable state of one thread's submission/completion pipeline (span
+/// reads and commit phases).
 #[derive(Default)]
 struct AsyncScratch {
     queue: SubmitQueue,
@@ -208,12 +224,39 @@ pub(crate) struct LamassuFile {
     /// probe, insert or copy out — never across I/O) so the read path can
     /// populate it under a shared file guard.
     meta_cache: Mutex<HashMap<u64, MetadataBlock>>,
-    /// Contiguous staging for one commit chunk (≤ `R` blocks): plaintext is
-    /// gathered here, encrypted in place as one span, and written out run by
-    /// run. Grown once, reused forever.
+    /// Contiguous staging for one commit batch (≤ [`POOL_WRITE_BLOCKS`]
+    /// blocks): plaintext is gathered here, encrypted in place as one span,
+    /// and written out run by run. Reused across commits; [`Engine::flush`]
+    /// shrinks it back to a few blocks after a large write.
     commit_buf: Vec<u8>,
-    /// Block indices of the chunk staged in `commit_buf` (reused).
-    chunk_ids: Vec<u64>,
+    /// Block indices of the batch staged in `commit_buf`, ascending (reused).
+    commit_ids: Vec<u64>,
+    /// The segments the staged batch touches (reused; empty between commits).
+    commit_segs: Vec<SegCommit>,
+}
+
+/// One segment's share of a staged commit batch.
+struct SegCommit {
+    segment: u64,
+    /// The segment's metadata block, held outside the per-file cache while
+    /// the commit runs: re-inserted on success, dropped on error.
+    mb: MetadataBlock,
+    /// The segment's blocks, as an index range into the batch.
+    blocks: Range<usize>,
+}
+
+impl SegCommit {
+    /// How many rounds of at most `r` blocks the segment's share takes.
+    fn rounds(&self, r: usize) -> usize {
+        self.blocks.len().div_ceil(r)
+    }
+
+    /// Batch indices of the segment's `round`-th group of at most `r` blocks
+    /// (empty once the segment has run out of blocks).
+    fn round(&self, round: usize, r: usize) -> Range<usize> {
+        let start = (self.blocks.start + round * r).min(self.blocks.end);
+        start..(start + r).min(self.blocks.end)
+    }
 }
 
 impl LamassuFile {
@@ -225,7 +268,8 @@ impl LamassuFile {
             pending: Vec::new(),
             meta_cache: Mutex::new(HashMap::new()),
             commit_buf: Vec::new(),
-            chunk_ids: Vec::new(),
+            commit_ids: Vec::new(),
+            commit_segs: Vec::new(),
         }
     }
 
@@ -242,6 +286,15 @@ impl LamassuFile {
     /// Points the state at a new object name after a rename.
     pub(crate) fn set_name(&mut self, name: &str) {
         self.name = name.to_string();
+    }
+
+    /// Puts a decrypted metadata block (back) into the bounded cache.
+    fn cache_meta(&self, segment: u64, mb: MetadataBlock) {
+        let mut cache = self.meta_cache.lock();
+        if cache.len() >= META_CACHE_CAP {
+            cache.clear();
+        }
+        cache.insert(segment, mb);
     }
 
     /// The buffered plaintext for `block`, if it is staged for commit.
@@ -472,6 +525,23 @@ impl Engine {
         self.with_meta(file, segment, |mb| mb.clone())
     }
 
+    /// Seals `mb` as `segment`'s metadata block into `sealed_out` under a
+    /// fresh random nonce.
+    fn seal_meta(&self, segment: u64, mb: &MetadataBlock, sealed_out: &mut [u8]) {
+        let mut nonce = [0u8; 12];
+        rand::thread_rng().fill_bytes(&mut nonce);
+        let crypto = self.crypto.read();
+        self.profiler.time(Category::Encrypt, || {
+            mb.seal_into(
+                &self.geometry,
+                &crypto.gcm,
+                &nonce,
+                &Self::aad(segment),
+                sealed_out,
+            )
+        });
+    }
+
     /// Seals `sealed_out` from `mb` and writes it at `segment`'s offset.
     fn seal_and_write(
         &self,
@@ -480,20 +550,7 @@ impl Engine {
         mb: &MetadataBlock,
         sealed_out: &mut [u8],
     ) -> Result<()> {
-        let mut nonce = [0u8; 12];
-        rand::thread_rng().fill_bytes(&mut nonce);
-        {
-            let crypto = self.crypto.read();
-            self.profiler.time(Category::Encrypt, || {
-                mb.seal_into(
-                    &self.geometry,
-                    &crypto.gcm,
-                    &nonce,
-                    &Self::aad(segment),
-                    sealed_out,
-                )
-            });
-        }
+        self.seal_meta(segment, mb, sealed_out);
         let offset = self.geometry.metadata_block_offset(segment);
         self.io(|| self.store.write_at(&file.name, offset, sealed_out))
     }
@@ -503,12 +560,22 @@ impl Engine {
     fn write_meta(&self, file: &LamassuFile, segment: u64, mb: MetadataBlock) -> Result<()> {
         let mut sealed = self.blocks.take();
         self.seal_and_write(file, segment, &mb, &mut sealed)?;
-        let mut cache = file.meta_cache.lock();
-        if cache.len() >= META_CACHE_CAP {
-            cache.clear();
-        }
-        cache.insert(segment, mb);
+        file.cache_meta(segment, mb);
         Ok(())
+    }
+
+    /// Moves the metadata block for `segment` out of the cache (a move, not a
+    /// clone; loading it on a miss) so a writer can mutate, seal and write it
+    /// without the cache lock — keeping the "never held across I/O or crypto"
+    /// invariant literally true. Only called under the shim's exclusive file
+    /// guard, so the entry's absence is unobservable; the caller puts it back
+    /// once its write has landed and simply drops it on error.
+    fn take_meta(&self, file: &LamassuFile, segment: u64) -> Result<MetadataBlock> {
+        let cached = file.meta_cache.lock().remove(&segment);
+        match cached {
+            Some(mb) => Ok(mb),
+            None => self.load_meta(file, segment),
+        }
     }
 
     /// Mutates the cached metadata block for `segment` **in place** and
@@ -526,25 +593,13 @@ impl Engine {
         segment: u64,
         mutate: impl FnOnce(&mut MetadataBlock) -> Result<()>,
     ) -> Result<()> {
-        // Take the block *out* of the cache (a move, not a clone) so the
-        // mutation, sealing and write all run without the cache lock —
-        // keeping the "never held across I/O or crypto" invariant literally
-        // true. The entry's brief absence is unobservable: update_meta only
-        // runs under the shim's exclusive file guard.
-        let mut mb = match file.meta_cache.lock().remove(&segment) {
-            Some(mb) => mb,
-            None => self.load_meta(file, segment)?,
-        };
+        let mut mb = self.take_meta(file, segment)?;
         let mut sealed = self.blocks.take();
         mutate(&mut mb)?;
         self.seal_and_write(file, segment, &mb, &mut sealed)?;
         // Re-insert only after the write landed; on any error above the
         // entry stays absent and a later read refetches the on-disk truth.
-        let mut cache = file.meta_cache.lock();
-        if cache.len() >= META_CACHE_CAP {
-            cache.clear();
-        }
-        cache.insert(segment, mb);
+        file.cache_meta(segment, mb);
         Ok(())
     }
 
@@ -1219,8 +1274,8 @@ impl Engine {
     // Write path
     // ------------------------------------------------------------------
 
-    /// Buffers the gather list `bufs` at `offset`, committing batches of `R`
-    /// blocks as they accumulate (paper §2.4). Returns the number of bytes
+    /// Buffers the gather list `bufs` at `offset`, committing the pending set
+    /// once it holds `R` blocks (paper §2.4). Returns the number of bytes
     /// written. Staging blocks come from the mount pool; the sorted pending
     /// vector reuses its capacity, so steady aligned rewriting allocates
     /// nothing.
@@ -1269,55 +1324,55 @@ impl Engine {
 
     /// Commits every buffered block and persists the logical size.
     ///
-    /// Pending blocks are drained in order (already sorted by logical index,
-    /// which is also segment order), staged contiguously into the reusable
-    /// `commit_buf`, and handed to [`Engine::commit_chunk`] at most `R` at a
-    /// time per segment. The pooled staging buffers return to the pool the
-    /// moment their plaintext is copied out.
+    /// The whole pending set goes through [`Engine::commit_batch`] (the
+    /// per-block oracle: [`Engine::commit_chunk`], one chunk at a time).
+    ///
+    /// A failed flush has one rule: **no block of it stays half-pending**.
+    /// Everything still buffered is dropped with it — the caller got the
+    /// error instead of an acknowledgement — and the metadata-cache entry of
+    /// every segment the failed commit touched is gone (the pipeline holds
+    /// them outside the cache and only re-inserts them on success), so later
+    /// reads refetch the on-disk truth, which [`Engine::recover`] repairs.
     pub(crate) fn flush(&self, file: &mut LamassuFile) -> Result<()> {
-        let bs = self.geometry.block_size();
-        let r = self.geometry.reserved_slots();
-        let mut commit_buf = std::mem::take(&mut file.commit_buf);
-        let mut ids = std::mem::take(&mut file.chunk_ids);
-        let result = (|| {
-            while !file.pending.is_empty() {
-                let segment = self.geometry.locate_block(file.pending[0].0).segment;
-                ids.clear();
-                let mut k = 0;
-                while k < file.pending.len() && k < r {
-                    let block = file.pending[k].0;
-                    if self.geometry.locate_block(block).segment != segment {
-                        break;
-                    }
-                    ids.push(block);
-                    k += 1;
-                }
-                if commit_buf.len() < k * bs {
-                    commit_buf.resize(k * bs, 0);
-                }
-                for (i, (_, plain)) in file.pending[..k].iter().enumerate() {
-                    commit_buf[i * bs..(i + 1) * bs].copy_from_slice(plain);
-                }
-                // The staged buffers return to the pool here; a commit error
-                // below drops the affected blocks exactly like the previous
-                // take-then-fail behaviour (recovery re-resolves them).
-                file.pending.drain(..k);
-                self.commit_chunk(file, segment, &ids, &mut commit_buf[..k * bs])?;
-            }
-            if file.size_dirty {
-                let final_segment = self.final_segment(file);
-                let size = file.logical_size;
-                self.update_meta(file, final_segment, |mb| {
-                    mb.logical_size = size;
-                    Ok(())
-                })?;
-                file.size_dirty = false;
-            }
-            Ok(())
-        })();
-        file.commit_buf = commit_buf;
-        file.chunk_ids = ids;
+        let result = self
+            .commit_pending(file)
+            .and_then(|()| self.persist_size(file));
+        if result.is_err() {
+            file.pending.clear();
+        }
+        // Bounded staging: a large write must not leave a span-sized buffer
+        // pinned to every open file it touched.
+        let keep = 2 * self.geometry.reserved_slots() * self.geometry.block_size();
+        file.commit_buf.clear();
+        if file.commit_buf.capacity() > keep {
+            file.commit_buf.shrink_to(keep);
+        }
         result
+    }
+
+    fn commit_pending(&self, file: &mut LamassuFile) -> Result<()> {
+        while !file.pending.is_empty() {
+            match self.span.policy {
+                SpanPolicy::Batched => self.commit_batch(file)?,
+                SpanPolicy::PerBlock => self.commit_chunk(file)?,
+            }
+        }
+        Ok(())
+    }
+
+    /// Writes the logical size into the final segment's metadata block if no
+    /// commit carried it there already.
+    fn persist_size(&self, file: &mut LamassuFile) -> Result<()> {
+        if file.size_dirty {
+            let final_segment = self.final_segment(file);
+            let size = file.logical_size;
+            self.update_meta(file, final_segment, |mb| {
+                mb.logical_size = size;
+                Ok(())
+            })?;
+            file.size_dirty = false;
+        }
+        Ok(())
     }
 
     /// Index of the segment holding the authoritative logical size.
@@ -1325,57 +1380,281 @@ impl Engine {
         self.geometry.segments_for_len(file.logical_size).max(1) - 1
     }
 
-    /// The multiphase commit of §2.4 for up to `R` dirty blocks of one
-    /// segment, staged contiguously (in block order) in `data`:
-    ///
-    /// 1. park the previous keys in the transient area, install the new keys
-    ///    (derived as one contiguous batch under [`SpanPolicy::Batched`]),
-    ///    mark the segment mid-update, write the metadata block — updated
-    ///    in place in the per-file cache and sealed into a pooled block;
-    /// 2. encrypt the staged span in place (one parallel batch) and write
-    ///    every run of adjacent blocks with a single backend write;
-    /// 3. clear the mid-update mark and the transient area, write the
-    ///    metadata block again.
-    fn commit_chunk(
-        &self,
-        file: &mut LamassuFile,
-        segment: u64,
-        blocks: &[u64],
-        data: &mut [u8],
-    ) -> Result<()> {
+    /// Commits the first (up to) [`POOL_WRITE_BLOCKS`] pending blocks as one
+    /// pipeline: stage them contiguously, derive every key in one batch and
+    /// encrypt the staged span in one batch — so the wide kernels and the
+    /// worker pool see the whole set, not `R` blocks at a time — and only
+    /// then run the §2.4 protocol over them as pure sealing and I/O
+    /// ([`Engine::commit_rounds`]). The pooled staging buffers return to the
+    /// pool the moment their plaintext is copied out.
+    fn commit_batch(&self, file: &mut LamassuFile) -> Result<()> {
         let bs = self.geometry.block_size();
-        debug_assert!(blocks.len() <= self.geometry.reserved_slots());
-        debug_assert_eq!(data.len(), blocks.len() * bs);
-        let is_final = segment == self.final_segment(file);
-        let logical_size = file.logical_size;
+        let k = file.pending.len().min(POOL_WRITE_BLOCKS);
+        let mut data = std::mem::take(&mut file.commit_buf);
+        let mut ids = std::mem::take(&mut file.commit_ids);
+        let mut segs = std::mem::take(&mut file.commit_segs);
+        data.clear();
+        data.reserve(k * bs);
+        ids.clear();
+        for (block, plain) in file.pending.drain(..k) {
+            ids.push(block);
+            data.extend_from_slice(&plain);
+        }
+        let result = with_tls(&KEY_SCRATCH, |keys| {
+            keys.clear();
+            keys.resize(k, [0u8; 32]);
+            {
+                let crypto = self.crypto.read();
+                self.profiler.time(Category::GetCeKey, || {
+                    batch::derive_span_into(
+                        &self.pool,
+                        &crypto.kdf,
+                        &data,
+                        bs,
+                        keys,
+                        self.span.crypto,
+                    )
+                    .expect("batch is whole blocks")
+                });
+            }
+            self.profiler.time(Category::Encrypt, || {
+                batch::encrypt_span(&self.pool, keys, &FIXED_IV, &mut data, bs, self.span.crypto)
+                    .expect("batch is whole blocks")
+            });
+            self.commit_rounds(file, &ids, keys, &data, &mut segs)
+        });
+        // After an error this is what drops the touched segments' metadata.
+        segs.clear();
+        file.commit_buf = data;
+        file.commit_ids = ids;
+        file.commit_segs = segs;
+        if result? {
+            file.size_dirty = false;
+        }
+        Ok(())
+    }
 
-        with_tls(&KEY_SCRATCH, |new_keys| {
-            // Derive the convergent keys for the whole chunk (Equation 1).
-            new_keys.clear();
-            new_keys.resize(blocks.len(), [0u8; 32]);
-            match self.span.policy {
-                SpanPolicy::Batched => {
-                    let crypto = self.crypto.read();
-                    self.profiler.time(Category::GetCeKey, || {
-                        batch::derive_span_into(
-                            &self.pool,
-                            &crypto.kdf,
-                            data,
-                            bs,
-                            new_keys,
-                            self.span.crypto,
-                        )
-                        .expect("chunk is whole blocks")
-                    });
+    /// The multiphase commit of §2.4 for one staged batch: `ids` ascending,
+    /// `keys` and the ciphertext in `data` parallel to it. Returns whether
+    /// the batch wrote the authoritative logical size.
+    ///
+    /// Each touched segment's blocks are cut into rounds of at most `R` (the
+    /// transient area holds `R` previous keys). Round *j* of **every**
+    /// segment runs in the same pair of phases, each closed by one barrier:
+    ///
+    /// 1. *metadata*: park the previous keys of the round's blocks in the
+    ///    transient area, install the new keys, mark the segment mid-update,
+    ///    seal and write the metadata block — merged with the closing write
+    ///    of round *j − 1* (clear that round's transient entries), so a
+    ///    segment with `n` rounds is sealed `n + 1` times, not `2n`;
+    /// 2. *data*: write the round's ciphertext, one backend write per run of
+    ///    adjacent blocks.
+    ///
+    /// A final metadata phase clears the last transient entries and the
+    /// mid-update mark. Every segment still sees the order the recovery
+    /// rules assume — metadata, barrier, its data, barrier, metadata — so
+    /// [`Engine::recover`] is unchanged: whatever a crash leaves behind, each
+    /// segment is either clean or mid-update with the previous key of every
+    /// block whose data write may not have landed. What is new is that
+    /// *several* segments can be mid-update at once; recovery already scans
+    /// them all.
+    ///
+    /// Under [`IoMode::Async`] a phase's writes are submitted back to back
+    /// and overlap on the channel's queue-depth lanes; under
+    /// [`IoMode::Blocking`] the same pipeline issues them one by one.
+    fn commit_rounds(
+        &self,
+        file: &LamassuFile,
+        ids: &[u64],
+        keys: &[Key256],
+        data: &[u8],
+        segs: &mut Vec<SegCommit>,
+    ) -> Result<bool> {
+        let bs = self.geometry.block_size();
+        let r = self.geometry.reserved_slots();
+        let final_segment = self.final_segment(file);
+
+        // The metadata block of every touched segment leaves the cache for
+        // the duration; they go back only once the commit is whole.
+        segs.clear();
+        let mut first = 0;
+        while first < ids.len() {
+            let segment = self.geometry.locate_block(ids[first]).segment;
+            let len = ids[first..]
+                .iter()
+                .take_while(|b| self.geometry.locate_block(**b).segment == segment)
+                .count();
+            segs.push(SegCommit {
+                segment,
+                mb: self.take_meta(file, segment)?,
+                blocks: first..first + len,
+            });
+            first += len;
+        }
+        let rounds = segs.iter().map(|seg| seg.rounds(r)).max().unwrap_or(0);
+
+        let mut sealed = self.blocks.take();
+        with_tls(&ASYNC_SCRATCH, |io| -> Result<()> {
+            io.queue.reset();
+            io.completions.clear();
+            for round in 0..=rounds {
+                // Metadata phase. A segment with `n` rounds writes its
+                // metadata block in phases `0..=n`: closing round `j - 1`
+                // and opening round `j` in one write. Every block is updated
+                // before any is submitted, so an update that cannot be made
+                // (a segment an unrecovered crash left mid-update has no
+                // transient room) fails with nothing in flight.
+                for seg in segs.iter_mut().filter(|seg| round <= seg.rounds(r)) {
+                    if round > 0 {
+                        seg.mb.clear_transient();
+                    }
+                    let opening = seg.round(round, r);
+                    seg.mb.flags.set_mid_update(!opening.is_empty());
+                    for i in opening {
+                        let slot = self.geometry.locate_block(ids[i]).slot;
+                        let old_key = seg.mb.key(slot).copied().unwrap_or([0u8; 32]);
+                        seg.mb.push_transient(
+                            &self.geometry,
+                            TransientEntry {
+                                slot: slot as u16,
+                                old_key,
+                            },
+                        )?;
+                        seg.mb.set_key(slot, keys[i])?;
+                    }
+                    // Only the final segment's copy is authoritative, but
+                    // a crash can leave any touched segment as the last one
+                    // on the media, which is where the size is read from.
+                    seg.mb.logical_size = file.logical_size;
                 }
-                SpanPolicy::PerBlock => {
-                    for (key, plain) in new_keys.iter_mut().zip(data.chunks_exact(bs)) {
-                        *key = self.derive_key(plain);
+                for seg in segs.iter().filter(|seg| round <= seg.rounds(r)) {
+                    self.seal_meta(seg.segment, &seg.mb, &mut sealed);
+                    let offset = self.geometry.metadata_block_offset(seg.segment);
+                    self.commit_write(file, io, offset, &sealed)?;
+                }
+                self.commit_barrier(io)?;
+
+                // Data phase: the round's ciphertext, one write per run of
+                // adjacent blocks (`ids` is ascending, and consecutive blocks
+                // of one segment are physically contiguous, so each run is
+                // one slice of the staging buffer).
+                for seg in segs.iter() {
+                    let Range { start: mut i, end } = seg.round(round, r);
+                    while i < end {
+                        let mut j = i + 1;
+                        while j < end && ids[j] == ids[j - 1] + 1 {
+                            j += 1;
+                        }
+                        let offset = self.geometry.locate_block(ids[i]).physical_offset;
+                        self.commit_write(file, io, offset, &data[i * bs..j * bs])?;
+                        i = j;
                     }
                 }
+                self.commit_barrier(io)?;
             }
+            Ok(())
+        })?;
 
-            // Phase 1: stage old + new keys and flag the segment.
+        let wrote_size = segs.iter().any(|seg| seg.segment == final_segment);
+        for seg in segs.drain(..) {
+            file.cache_meta(seg.segment, seg.mb);
+        }
+        Ok(wrote_size)
+    }
+
+    /// Issues one write of a commit phase: submitted to the completion queue
+    /// under [`IoMode::Async`] (its result surfaces at the phase's barrier),
+    /// a blocking call otherwise.
+    fn commit_write(
+        &self,
+        file: &LamassuFile,
+        io: &mut AsyncScratch,
+        offset: u64,
+        buf: &[u8],
+    ) -> Result<()> {
+        match self.span.io {
+            IoMode::Async => {
+                self.io_meter(Category::Io, || {
+                    self.store.submit_write_vectored(
+                        &mut io.queue,
+                        &file.name,
+                        offset,
+                        &[IoSlice::new(buf)],
+                    )
+                });
+                self.profiler.ops_submitted(1);
+                Ok(())
+            }
+            IoMode::Blocking => self.io(|| self.store.write_at(&file.name, offset, buf)),
+        }
+    }
+
+    /// Closes a commit phase: drains every write submitted since the last
+    /// barrier with one [`ObjectStore::wait_completions`]. Write results —
+    /// including injected faults — surface only here, in whatever order the
+    /// store releases them; on multiple failures the earliest submission's
+    /// error wins (tickets are issued in increasing order), mirroring the
+    /// blocking loop. Nothing is left in flight either way, and since an
+    /// async [`Engine::commit_write`] cannot itself fail, a pipeline never
+    /// stops between a submission and its barrier.
+    fn commit_barrier(&self, io: &mut AsyncScratch) -> Result<()> {
+        if io.queue.in_flight() == 0 {
+            return Ok(());
+        }
+        self.io_meter(Category::Queue, || {
+            self.store
+                .wait_completions(&mut io.queue, &mut io.completions)
+        });
+        self.profiler.ops_completed(io.completions.len() as u64);
+        let first_err = io
+            .completions
+            .iter()
+            .filter(|c| c.result.is_err())
+            .min_by_key(|c| c.ticket)
+            .map(|c| c.result.clone().unwrap_err());
+        io.completions.clear();
+        match first_err {
+            Some(e) => Err(FsError::from(e)),
+            None => Ok(()),
+        }
+    }
+
+    /// The per-block oracle's flush step ([`SpanPolicy::PerBlock`]): the
+    /// multiphase commit of §2.4 for the leading run of at most `R` pending
+    /// blocks of one segment, one block at a time, as the original prototype
+    /// did it — the chunk-at-a-time commit the differential tests replay the
+    /// pipeline against:
+    ///
+    /// 1. derive each key, park the previous keys in the transient area,
+    ///    install the new keys, mark the segment mid-update, write the
+    ///    metadata block;
+    /// 2. encrypt and write each data block with its own backend operation;
+    /// 3. clear the mid-update mark and the transient area, write the
+    ///    metadata block again.
+    fn commit_chunk(&self, file: &mut LamassuFile) -> Result<()> {
+        let bs = self.geometry.block_size();
+        let segment = self.geometry.locate_block(file.pending[0].0).segment;
+        let k = file
+            .pending
+            .iter()
+            .take(self.geometry.reserved_slots())
+            .take_while(|(b, _)| self.geometry.locate_block(*b).segment == segment)
+            .count();
+        let is_final = segment == self.final_segment(file);
+        let logical_size = file.logical_size;
+        let mut data = std::mem::take(&mut file.commit_buf);
+        let mut blocks = std::mem::take(&mut file.commit_ids);
+        data.clear();
+        blocks.clear();
+        for (block, plain) in file.pending.drain(..k) {
+            blocks.push(block);
+            data.extend_from_slice(&plain);
+        }
+
+        let result = with_tls(&KEY_SCRATCH, |new_keys| {
+            new_keys.clear();
+            new_keys.extend(data.chunks_exact(bs).map(|plain| self.derive_key(plain)));
+
             self.update_meta(file, segment, |mb| {
                 for (block, key) in blocks.iter().zip(new_keys.iter()) {
                     let slot = self.geometry.locate_block(*block).slot;
@@ -1396,137 +1675,29 @@ impl Engine {
                 Ok(())
             })?;
 
-            // Phase 2: encrypt the staged span in place and write the data
-            // blocks, one backend write per run of adjacent blocks (`blocks`
-            // is sorted, and consecutive logical blocks of one segment are
-            // physically contiguous — so each run is one contiguous slice of
-            // the staging buffer).
-            match self.span.policy {
-                SpanPolicy::Batched => {
-                    self.profiler.time(Category::Encrypt, || {
-                        batch::encrypt_span(
-                            &self.pool,
-                            new_keys,
-                            &FIXED_IV,
-                            data,
-                            bs,
-                            self.span.crypto,
-                        )
-                        .expect("chunk is whole blocks")
-                    });
-                }
-                SpanPolicy::PerBlock => {
-                    for (key, plain) in new_keys.iter().zip(data.chunks_exact_mut(bs)) {
-                        self.encrypt_in_place(plain, key);
-                    }
-                }
-            }
-            if matches!(
-                (self.span.policy, self.span.io),
-                (SpanPolicy::Batched, IoMode::Async)
-            ) {
-                // The async pipeline submits every run back to back and waits
-                // once, so the chunk's data writes overlap on the channel's
-                // queue-depth lanes instead of paying one serial round trip
-                // per run.
-                self.write_chunk_runs_async(file, blocks, data)?;
-            } else {
-                let mut i = 0;
-                while i < blocks.len() {
-                    let mut j = i + 1;
-                    while j < blocks.len() && blocks[j] == blocks[j - 1] + 1 {
-                        j += 1;
-                    }
-                    let offset = self.geometry.locate_block(blocks[i]).physical_offset;
-                    match self.span.policy {
-                        SpanPolicy::Batched => {
-                            let run = &data[i * bs..j * bs];
-                            self.io(|| self.store.write_at(&file.name, offset, run))?;
-                        }
-                        SpanPolicy::PerBlock => {
-                            // The oracle pipeline writes one block per backend
-                            // operation, as the original prototype did.
-                            for (k, block) in data[i * bs..j * bs].chunks_exact(bs).enumerate() {
-                                let off = self.geometry.locate_block(blocks[i + k]).physical_offset;
-                                self.io(|| self.store.write_at(&file.name, off, block))?;
-                            }
-                        }
-                    }
-                    i = j;
-                }
+            for ((block, key), cipher) in blocks
+                .iter()
+                .zip(new_keys.iter())
+                .zip(data.chunks_exact_mut(bs))
+            {
+                self.encrypt_in_place(cipher, key);
+                let offset = self.geometry.locate_block(*block).physical_offset;
+                self.io(|| self.store.write_at(&file.name, offset, cipher))?;
             }
 
-            // Phase 3: the segment is consistent again.
             self.update_meta(file, segment, |mb| {
                 mb.clear_transient();
                 mb.flags.set_mid_update(false);
                 Ok(())
             })
-        })?;
-
+        });
+        file.commit_buf = data;
+        file.commit_ids = blocks;
+        result?;
         if is_final {
             file.size_dirty = false;
         }
         Ok(())
-    }
-
-    /// Commit phase 2 under [`IoMode::Async`]: submits one vectored write per
-    /// run of adjacent blocks, then drains every completion with one
-    /// [`ObjectStore::wait_completions`] barrier. Write results — including
-    /// injected faults — surface only at the barrier; on multiple failures
-    /// the earliest submission's error wins, mirroring the blocking loop.
-    fn write_chunk_runs_async(
-        &self,
-        file: &LamassuFile,
-        blocks: &[u64],
-        data: &[u8],
-    ) -> Result<()> {
-        let bs = self.geometry.block_size();
-        with_tls(&ASYNC_SCRATCH, |scratch| {
-            let AsyncScratch {
-                queue: q,
-                completions,
-                ..
-            } = scratch;
-            q.reset();
-            completions.clear();
-
-            let mut tickets_in_order: u64 = 0;
-            let mut i = 0;
-            while i < blocks.len() {
-                let mut j = i + 1;
-                while j < blocks.len() && blocks[j] == blocks[j - 1] + 1 {
-                    j += 1;
-                }
-                let offset = self.geometry.locate_block(blocks[i]).physical_offset;
-                let run = &data[i * bs..j * bs];
-                self.io_meter(Category::Io, || {
-                    self.store
-                        .submit_write_vectored(q, &file.name, offset, &[IoSlice::new(run)])
-                });
-                tickets_in_order += 1;
-                i = j;
-            }
-            self.profiler.ops_submitted(tickets_in_order);
-
-            self.io_meter(Category::Queue, || {
-                self.store.wait_completions(q, completions)
-            });
-            self.profiler.ops_completed(completions.len() as u64);
-
-            // Tickets are issued with monotonically increasing sequence
-            // numbers, so min-by-ticket is the earliest submission.
-            let first_err = completions
-                .iter()
-                .filter(|c| c.result.is_err())
-                .min_by_key(|c| c.ticket)
-                .map(|c| c.result.clone().unwrap_err());
-            completions.clear();
-            match first_err {
-                Some(e) => Err(FsError::from(e)),
-                None => Ok(()),
-            }
-        })
     }
 
     // ------------------------------------------------------------------
@@ -1549,8 +1720,9 @@ impl Engine {
                 let mut plain = self.blocks.take();
                 if self.read_block_into(file, last_block, &mut plain, false)? {
                     plain[(new_size % bs) as usize..].fill(0);
-                    let segment = self.geometry.locate_block(last_block).segment;
-                    self.commit_chunk(file, segment, &[last_block], &mut plain)?;
+                    // `pending` is empty after the flush above.
+                    file.pending.push((last_block, plain));
+                    self.flush(file)?;
                 }
             }
             // Drop keys for blocks past the new end.

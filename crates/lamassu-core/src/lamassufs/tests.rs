@@ -570,6 +570,121 @@ fn crash_on_brand_new_block_clears_the_slot() {
     assert!(fs.verify("/f").unwrap().is_clean());
 }
 
+/// What a reader sees of every block of `/f`: the bytes, or "unreadable".
+fn block_views(fs: &LamassuFs, blocks: usize) -> Vec<Option<Vec<u8>>> {
+    let fd = fs.open("/f", OpenFlags::default()).unwrap();
+    let views = (0..blocks)
+        .map(|b| fs.read(fd, (b * 4096) as u64, 4096).ok())
+        .collect();
+    fs.close(fd).unwrap();
+    views
+}
+
+#[test]
+fn failed_flush_leaves_nothing_half_pending_in_any_phase() {
+    // One write of 8 blocks across a segment boundary at R = 2 (N = 124):
+    // three blocks in segment 0 (two rounds), five in segment 1 (three
+    // rounds). The pipeline issues, in order, metadata x2, data x2,
+    // metadata x2 (merged), data x2, metadata x2 (segment 0 closing, segment
+    // 1 merged), data x1, metadata x1 (closing) = 12 writes. Fail each of
+    // them in turn — so the failure lands in an opening metadata phase, a
+    // data phase, a merged metadata phase and the closing metadata phase —
+    // under both I/O modes. Under Async the FaultyStore parks every
+    // completion and releases them newest-first at the barrier.
+    use crate::span::{IoMode, SpanConfig};
+    const BLOCKS: usize = 130;
+    const WRITES: u64 = 12;
+    let old = unique_data(BLOCKS * 4096, 300);
+    let new = unique_data(8 * 4096, 301);
+    let first = 121usize;
+    for io in [IoMode::Async, IoMode::Blocking] {
+        let config = LamassuConfig::with_reserved_slots(2)
+            .unwrap()
+            .span(SpanConfig::default().with_io(io));
+        for fail_at in 0..=WRITES {
+            let s = store();
+            {
+                let fs = LamassuFs::new(s.clone(), keys(1, 2), config);
+                let fd = fs.create("/f").unwrap();
+                fs.write(fd, 0, &old).unwrap();
+                fs.close(fd).unwrap();
+            }
+            let faulty = Arc::new(FaultyStore::new(s.clone()));
+            let fs = LamassuFs::new(faulty.clone(), keys(1, 2), config);
+            let fd = fs.open("/f", OpenFlags::default()).unwrap();
+            let before = s.io_counters().write_ops;
+            faulty.crash_after_writes(fail_at);
+            let outcome = fs.write(fd, (first * 4096) as u64, &new);
+            if fail_at == WRITES {
+                outcome.unwrap();
+                assert_eq!(s.io_counters().write_ops - before, WRITES, "{io:?}");
+                continue;
+            }
+            assert!(
+                outcome.is_err(),
+                "{io:?}: write {fail_at} must fail the flush"
+            );
+            faulty.disarm();
+
+            // The mount that saw the failure and a fresh mount over the same
+            // media must agree on every block: nothing of the failed flush is
+            // served from the write buffer or from a stale metadata cache.
+            let here = block_views(&fs, BLOCKS);
+            let fresh = block_views(&LamassuFs::new(s.clone(), keys(1, 2), config), BLOCKS);
+            assert_eq!(
+                here.iter().zip(&fresh).position(|(a, b)| a != b),
+                None,
+                "{io:?}: first block the two mounts disagree on after failing write {fail_at}"
+            );
+
+            // Recovery on the same mount settles every block to old or new,
+            // and the file takes writes again.
+            fs.recover("/f").unwrap();
+            let report = fs.verify("/f").unwrap();
+            assert!(report.is_clean() && report.mid_update_segments == 0);
+            for (b, view) in block_views(&fs, BLOCKS).into_iter().enumerate() {
+                let got = view.expect("readable after recovery");
+                let is_old = got == old[b * 4096..(b + 1) * 4096];
+                let is_new = (first..first + 8).contains(&b)
+                    && got == new[(b - first) * 4096..(b - first + 1) * 4096];
+                assert!(is_old || is_new, "{io:?}: block {b} after write {fail_at}");
+            }
+            fs.write(fd, 0, &new[..4096]).unwrap();
+            fs.fsync(fd).unwrap();
+            assert_eq!(fs.read(fd, 0, 4096).unwrap(), &new[..4096]);
+        }
+    }
+}
+
+#[test]
+fn failed_flush_drops_the_batches_it_never_reached() {
+    // 300 pending blocks are two crypto batches (256 + 44). Failing the very
+    // first backend write fails batch one; batch two was never attempted and
+    // must not linger in the write buffer either.
+    const BLOCKS: usize = 300;
+    let s = store();
+    let old = unique_data(BLOCKS * 4096, 310);
+    {
+        let fs = mount_on(s.clone());
+        let fd = fs.create("/f").unwrap();
+        fs.write(fd, 0, &old).unwrap();
+        fs.close(fd).unwrap();
+    }
+    let faulty = Arc::new(FaultyStore::new(s.clone()));
+    let fs = LamassuFs::new(faulty.clone(), keys(1, 2), LamassuConfig::default());
+    let fd = fs.open("/f", OpenFlags::default()).unwrap();
+    faulty.crash_after_writes(0);
+    assert!(fs.write(fd, 0, &unique_data(BLOCKS * 4096, 311)).is_err());
+    faulty.disarm();
+    let here = block_views(&fs, BLOCKS);
+    let fresh = block_views(&mount_on(s), BLOCKS);
+    assert_eq!(here.iter().zip(&fresh).position(|(a, b)| a != b), None);
+    assert!(here
+        .iter()
+        .enumerate()
+        .all(|(b, v)| v.as_deref() == Some(&old[b * 4096..(b + 1) * 4096])));
+}
+
 #[test]
 fn clean_file_recovery_is_a_no_op() {
     let (_s, fs) = mount();

@@ -25,13 +25,27 @@
 //! references. That shape is what the zero-allocation data path produces
 //! (aligned reads land in one caller-buffer region; commits stage through
 //! one reusable span buffer), and it frees the batch layer of work-vector
-//! building: the **inline path performs no allocation at all** (lazy chunk
-//! iterators), and the parallel path splits both the data and the key/IV
-//! slices by arithmetic, paying only the `O(workers)` thread-scope fan-out
-//! (which is why the zero-allocation guarantee is stated for the inline
-//! regime — see [`CryptoPool::runs_inline`]). The reference-slice APIs
-//! remain for heterogeneous batches and share the same property via
+//! building: the **inline path performs no allocation at all**, and the
+//! parallel path splits both the data and the key/IV slices by arithmetic,
+//! paying only the thread-scope fan-out (which is why the zero-allocation
+//! guarantee is stated for the inline regime — see
+//! [`CryptoPool::runs_inline`]). The reference-slice APIs remain for
+//! heterogeneous batches and share the same property via
 //! [`CryptoPool::zip_for_each`].
+//!
+//! # Fan-out
+//!
+//! Every function here splits its batch through
+//! [`CryptoPool::split_for_each`], so one rule decides inline versus
+//! parallel: shares are whole [`TILE_BLOCKS`](crate::pool::TILE_BLOCKS)-block
+//! tiles and a batch fans out only when every worker gets at least one.
+//! Because share boundaries are tile boundaries, fanning out never narrows a
+//! wide pass: a 256-block span on two workers is sixteen full 16-chain
+//! encrypt tiles and sixty-four 4-lane SHA groups, exactly as it would be
+//! inline, and an `R` = 8 block commit runs inline as one half-occupied wide
+//! pass instead of two scalar halves. A scoped spawn costs about 80 µs in
+//! the reference container (see [`crate::pool`]), which is what the tile
+//! minimum is there to repay.
 //!
 //! Every function validates block alignment up front and then runs the
 //! parallel section infallibly, so no error handling crosses threads.
@@ -204,15 +218,7 @@ pub fn derive_span_into(
             }
         }
     };
-    match pool.chunking(out.len()) {
-        None => derive_run(out, data),
-        Some(chunk) => std::thread::scope(|scope| {
-            let derive_run = &derive_run;
-            for (keys, span) in out.chunks_mut(chunk).zip(data.chunks(chunk * block_size)) {
-                scope.spawn(move || derive_run(keys, span));
-            }
-        }),
-    }
+    pool.split_for_each(out.len(), out, data, derive_run);
     Ok(())
 }
 
@@ -260,49 +266,11 @@ fn span_for_each<B: Sync>(
     ctx: &[B],
     f: impl Fn(&mut [u8], &B) + Sync,
 ) {
-    match pool.chunking(ctx.len()) {
-        None => {
-            for (block, c) in data.chunks_exact_mut(block_size).zip(ctx) {
-                f(block, c);
-            }
+    pool.split_for_each(ctx.len(), data, ctx, |span, cs| {
+        for (block, c) in span.chunks_exact_mut(block_size).zip(cs) {
+            f(block, c);
         }
-        Some(chunk) => {
-            let f = &f;
-            std::thread::scope(|scope| {
-                for (span, cs) in data.chunks_mut(chunk * block_size).zip(ctx.chunks(chunk)) {
-                    scope.spawn(move || {
-                        for (block, c) in span.chunks_exact_mut(block_size).zip(cs) {
-                            f(block, c);
-                        }
-                    });
-                }
-            })
-        }
-    }
-}
-
-/// Runs `f` over whole `(sub-span, context-chunk)` pairs of one contiguous
-/// span — inline (the full span at once) or fanned out across the pool —
-/// without allocating. The wide kernels consume whole runs, so they get the
-/// run, not single blocks.
-fn span_chunks<B: Sync>(
-    pool: &CryptoPool,
-    data: &mut [u8],
-    block_size: usize,
-    ctx: &[B],
-    f: impl Fn(&mut [u8], &[B]) + Sync,
-) {
-    match pool.chunking(ctx.len()) {
-        None => f(data, ctx),
-        Some(chunk) => {
-            let f = &f;
-            std::thread::scope(|scope| {
-                for (span, cs) in data.chunks_mut(chunk * block_size).zip(ctx.chunks(chunk)) {
-                    scope.spawn(move || f(span, cs));
-                }
-            })
-        }
-    }
+    });
 }
 
 /// Convergent encryption (Equation 2) of one contiguous span of whole
@@ -331,7 +299,7 @@ pub fn encrypt_span(
             });
         }
         CryptoBackend::Fixsliced => {
-            span_chunks(pool, data, block_size, keys, |span, ks| {
+            pool.split_for_each(keys.len(), data, keys, |span, ks| {
                 let groups = span
                     .chunks_mut(fixsliced::WIDE_BLOCKS * block_size)
                     .zip(ks.chunks(fixsliced::WIDE_BLOCKS));
@@ -378,7 +346,7 @@ pub fn decrypt_span(
             });
         }
         CryptoBackend::Fixsliced => {
-            span_chunks(pool, data, block_size, keys, |span, ks| {
+            pool.split_for_each(keys.len(), data, keys, |span, ks| {
                 stats::count_wide_blocks(span.len() / AES_BLOCK);
                 fixsliced::cbc_decrypt_chains(ks, iv, span, block_size);
             });
@@ -407,7 +375,7 @@ pub fn encrypt_span_with(
             });
         }
         CryptoBackend::Fixsliced => {
-            span_chunks(pool, data, block_size, ivs, |span, ivs| {
+            pool.split_for_each(ivs.len(), data, ivs, |span, ivs| {
                 let groups = span
                     .chunks_mut(fixsliced::WIDE_BLOCKS * block_size)
                     .zip(ivs.chunks(fixsliced::WIDE_BLOCKS));
@@ -449,7 +417,7 @@ pub fn decrypt_span_with(
             });
         }
         CryptoBackend::Fixsliced => {
-            span_chunks(pool, data, block_size, ivs, |span, ivs| {
+            pool.split_for_each(ivs.len(), data, ivs, |span, ivs| {
                 stats::count_wide_blocks(span.len() / AES_BLOCK);
                 fixsliced::cbc_decrypt_chains_shared(cipher.fix(), ivs, span, block_size);
             });
@@ -491,13 +459,18 @@ pub fn decrypt_blocks_with(
     Ok(())
 }
 
+/// The block size the fan-out rule's tile was costed at; a buffer with no
+/// block structure of its own ([`cbc_decrypt_parallel`]) is counted in these.
+const NOMINAL_BLOCK: usize = 4096;
+
 /// Decrypts one long CBC buffer in parallel chunks.
 ///
 /// CBC *encryption* is a strict chain, but decrypting AES block `i` only
 /// needs ciphertext blocks `i` and `i - 1`, so the buffer splits at any
 /// 16-byte boundary into chunks whose IV is the last ciphertext block of the
 /// preceding chunk. The chunk IVs are snapshotted before any decryption
-/// starts, then the chunks decrypt concurrently.
+/// starts, then the chunks decrypt concurrently — one per share the pool's
+/// fan-out rule grants a buffer of this many 4 KiB blocks.
 pub fn cbc_decrypt_parallel(
     pool: &CryptoPool,
     cipher: &SpanCipher,
@@ -511,25 +484,7 @@ pub fn cbc_decrypt_parallel(
             expected_multiple_of: AES_BLOCK,
         });
     }
-    if data.is_empty() {
-        return Ok(());
-    }
-    let aes_blocks = data.len() / AES_BLOCK;
-    let chunk_aes_blocks = aes_blocks.div_ceil(pool.workers()).max(1);
-    let chunk = chunk_aes_blocks * AES_BLOCK;
-    // Snapshot each chunk's IV (the previous chunk's final ciphertext block)
-    // before decryption overwrites it.
-    let mut ivs: Vec<Iv128> = Vec::with_capacity(aes_blocks.div_ceil(chunk_aes_blocks));
-    ivs.push(*iv);
-    let mut boundary = chunk;
-    while boundary < data.len() {
-        let mut prev = [0u8; AES_BLOCK];
-        prev.copy_from_slice(&data[boundary - AES_BLOCK..boundary]);
-        ivs.push(prev);
-        boundary += chunk;
-    }
-    let mut work: Vec<(&mut [u8], Iv128)> = data.chunks_mut(chunk).zip(ivs).collect();
-    pool.for_each(&mut work, |(part, part_iv)| match backend {
+    let decrypt = |part: &mut [u8], part_iv: &Iv128| match backend {
         CryptoBackend::TTable => {
             stats::count_scalar_blocks(part.len() / AES_BLOCK);
             cbc::decrypt_in_place(cipher.tt(), part_iv, part).expect("alignment checked above");
@@ -537,6 +492,28 @@ pub fn cbc_decrypt_parallel(
         CryptoBackend::Fixsliced => {
             stats::count_wide_blocks(part.len() / AES_BLOCK);
             fixsliced::cbc_decrypt(cipher.fix(), part_iv, part);
+        }
+    };
+    let shares = pool.shares(data.len() / NOMINAL_BLOCK);
+    if shares == 1 {
+        decrypt(data, iv);
+        return Ok(());
+    }
+    let chunk = (data.len() / AES_BLOCK).div_ceil(shares) * AES_BLOCK;
+    // Snapshot each chunk's IV (the previous chunk's final ciphertext block)
+    // before decryption overwrites it.
+    let mut ivs: Vec<Iv128> = vec![*iv];
+    for boundary in (chunk..data.len()).step_by(chunk) {
+        ivs.push(
+            data[boundary - AES_BLOCK..boundary]
+                .try_into()
+                .expect("one AES block"),
+        );
+    }
+    let decrypt = &decrypt;
+    std::thread::scope(|scope| {
+        for (part, part_iv) in data.chunks_mut(chunk).zip(&ivs) {
+            scope.spawn(move || decrypt(part, part_iv));
         }
     });
     Ok(())
@@ -621,7 +598,9 @@ mod tests {
     fn cbc_decrypt_parallel_matches_serial_for_odd_sizes() {
         let cipher = SpanCipher::new(&[0x44; 32]);
         for backend in BACKENDS {
-            for aes_blocks in [0usize, 1, 2, 3, 7, 64, 65, 255] {
+            // The last two are 32 and 53.x nominal 4 KiB blocks: enough tiles
+            // for two and three shares, with a ragged final chunk.
+            for aes_blocks in [0usize, 1, 2, 3, 7, 64, 65, 255, 8192, 13_571] {
                 let plain: Vec<u8> = (0..aes_blocks * 16).map(|i| (i % 253) as u8).collect();
                 let mut ct = plain.clone();
                 cbc::encrypt_in_place(cipher.tt(), &FIXED_IV, &mut ct).unwrap();
@@ -637,9 +616,10 @@ mod tests {
         let kdf = ConvergentKdf::new(&[0x55; 32]);
         let cipher = SpanCipher::new(&[0x66; 32]);
         // 7 straddles the SHA_LANES tail; 9 and 16 straddle WIDE_MIN_BLOCKS,
-        // so both sides of every wide/scalar dispatch run under each backend.
+        // so both sides of every wide/scalar dispatch run under each backend;
+        // 32 and 53 fan out (two and three shares, the last with a tail).
         for backend in BACKENDS {
-            for blocks in [1usize, 2, 3, 4, 7, 9, 16, 21] {
+            for blocks in [1usize, 2, 3, 4, 7, 9, 16, 21, 32, 53] {
                 let bs = 128;
                 let span: Vec<u8> = (0..blocks * bs).map(|i| (i % 251) as u8).collect();
 

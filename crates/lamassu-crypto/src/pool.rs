@@ -10,26 +10,48 @@
 //! The pool is *scoped*: workers are spawned with [`std::thread::scope`] for
 //! the duration of one batch call, so they can borrow the caller's block
 //! buffers directly (no channels, no `'static` bounds, no copies) and the
-//! crate stays free of unsafe code. Batches below [`MIN_PARALLEL_ITEMS`]
-//! items run inline on the caller's thread, so the single-block hot path
-//! never pays a thread spawn.
+//! crate stays free of unsafe code.
+//!
+//! # The fan-out rule
+//!
+//! One rule, fixed ahead of time from the kernel geometry, decides whether a
+//! batch fans out — nothing is tuned per I/O:
+//!
+//! * the unit of work is one **tile** of [`TILE_BLOCKS`] file blocks — what
+//!   one pass of the wide kernels consumes (16 interleaved CBC chains, four
+//!   4-lane SHA-256 groups);
+//! * a batch is split into `min(workers, items / TILE_BLOCKS)` **shares**,
+//!   so it fans out only when every share holds at least one full tile;
+//! * shares are whole tiles, balanced to within one tile; the last share
+//!   also takes the sub-tile tail, and runs on the **caller's thread** (a
+//!   two-worker batch costs one spawn, not two).
+//!
+//! A scoped spawn-and-join costs about 80 µs in the reference container —
+//! the price of deriving *and* encrypting two to three 4 KiB blocks — while
+//! one tile is 150–400 µs of kernel time (derivation at the low end,
+//! encryption at the high end), so a share below a tile cannot repay its
+//! spawn. An `R` = 8 block commit therefore runs inline, where its eight
+//! chains still fill half a wide pass ([`crate::batch::WIDE_MIN_BLOCKS`]);
+//! splitting it 4 + 4, as a per-item threshold would, pays two spawns to run
+//! both halves on the scalar kernel.
 //!
 //! # Sizing
 //!
 //! [`CryptoPool::new`] takes a worker count; `0` selects the default of
 //! `min(`[`DEFAULT_MAX_WORKERS`]`, available_parallelism)`. Crypto batches
-//! are short (tens of microseconds per 4 KiB block with these table-based
-//! implementations), so a small pool captures most of the win without
-//! oversubscribing the machine — the CLI exposes the knob as `--workers`.
+//! are short (a 256-block span is 1.5–3 ms on two workers), so a small pool
+//! captures most of the win without oversubscribing the machine — the CLI
+//! exposes the knob as `--workers`.
 
+use crate::fixsliced;
 use std::num::NonZeroUsize;
 
 /// Default upper bound on the worker count when auto-sizing (`workers == 0`).
 pub const DEFAULT_MAX_WORKERS: usize = 4;
 
-/// Batches smaller than this run inline: a thread spawn costs more than it
-/// saves on one or two blocks.
-pub const MIN_PARALLEL_ITEMS: usize = 4;
+/// The unit of fan-out: the number of file blocks one pass of the wide
+/// kernels consumes (see the module docs).
+pub const TILE_BLOCKS: usize = fixsliced::WIDE_BLOCKS;
 
 /// A fixed-width scoped worker pool (see the module docs).
 ///
@@ -40,7 +62,8 @@ pub const MIN_PARALLEL_ITEMS: usize = 4;
 ///
 /// let pool = CryptoPool::new(0); // auto-sized
 /// let mut items: Vec<u64> = (0..64).collect();
-/// pool.for_each(&mut items, |x| *x *= 2);
+/// let factors: Vec<u64> = vec![2; 64];
+/// pool.zip_for_each(&mut items, &factors, |x, f| *x *= f);
 /// assert_eq!(items[10], 20);
 /// ```
 #[derive(Debug, Clone)]
@@ -76,53 +99,77 @@ impl CryptoPool {
         self.workers
     }
 
-    /// How a batch of `items` items would be fanned out: `None` means it
-    /// runs inline on the caller's thread (one worker, or a batch under
-    /// [`MIN_PARALLEL_ITEMS`]), `Some(chunk)` means workers each take
-    /// `chunk` consecutive items.
-    pub fn chunking(&self, items: usize) -> Option<usize> {
-        let threads = self.workers.min(items);
-        if threads <= 1 || items < MIN_PARALLEL_ITEMS {
-            None
-        } else {
-            Some(items.div_ceil(threads))
-        }
+    /// How many shares a batch of `items` blocks is split into: `1` means it
+    /// runs inline on the caller's thread; more only when every share gets
+    /// at least one full tile (the module's fan-out rule).
+    pub fn shares(&self, items: usize) -> usize {
+        self.workers.min(items / TILE_BLOCKS).max(1)
     }
 
-    /// True if a batch of `items` items runs inline on the caller's thread —
+    /// True if a batch of `items` blocks runs inline on the caller's thread —
     /// the path that performs no allocation and no thread spawn (the
     /// zero-allocation guarantee of the steady-state data path is proven
     /// under this regime; see the crate-level docs of `lamassu-core::pool`).
     pub fn runs_inline(&self, items: usize) -> bool {
-        self.chunking(items).is_none()
+        self.shares(items) == 1
     }
 
-    /// Applies `f` to every item, fanning contiguous chunks of `items` out
-    /// across the pool's workers. Runs inline for one worker or for batches
-    /// under [`MIN_PARALLEL_ITEMS`].
-    pub fn for_each<T: Send>(&self, items: &mut [T], f: impl Fn(&mut T) + Sync) {
-        match self.chunking(items.len()) {
-            None => {
-                for item in items {
-                    f(item);
-                }
-            }
-            Some(chunk) => std::thread::scope(|scope| {
-                for slice in items.chunks_mut(chunk) {
-                    scope.spawn(|| {
-                        for item in slice {
-                            f(item);
-                        }
-                    });
-                }
-            }),
+    /// Index of the first item of share `i` of `shares`: whole tiles, spread
+    /// evenly; share `shares` (one past the last) ends at `items`, so the
+    /// last share absorbs the sub-tile tail.
+    fn share_start(items: usize, shares: usize, i: usize) -> usize {
+        if i == shares {
+            items
+        } else {
+            (items / TILE_BLOCKS) * i / shares * TILE_BLOCKS
         }
     }
 
-    /// Applies `f` to every `(item, context)` pair, fanning contiguous
-    /// chunks of both slices out in lockstep. The chunk iterators are lazy,
-    /// so the inline path performs **zero allocations** — this is the
+    /// Runs `f` once per share of a batch of `items` blocks laid out in two
+    /// parallel slices: `a` holds `a.len() / items` consecutive elements per
+    /// block and `b` holds `b.len() / items`. Inline, `f` gets both slices
+    /// whole; fanned out, each share gets its matching sub-slices, the last
+    /// on the caller's thread. No allocation of its own — this is the one
     /// primitive underneath every batch crypto API.
+    ///
+    /// Panics if either length is not a multiple of `items`.
+    pub fn split_for_each<A: Send, B: Sync>(
+        &self,
+        items: usize,
+        a: &mut [A],
+        b: &[B],
+        f: impl Fn(&mut [A], &[B]) + Sync,
+    ) {
+        let shares = self.shares(items);
+        if shares == 1 {
+            return f(a, b);
+        }
+        assert!(
+            a.len().is_multiple_of(items) && b.len().is_multiple_of(items),
+            "split_for_each slices must hold whole items"
+        );
+        let (a_stride, b_stride) = (a.len() / items, b.len() / items);
+        let f = &f;
+        std::thread::scope(|scope| {
+            let mut rest = a;
+            let mut start = 0;
+            for i in 1..=shares {
+                let end = Self::share_start(items, shares, i);
+                let (mine, tail) = rest.split_at_mut((end - start) * a_stride);
+                rest = tail;
+                let ctx = &b[start * b_stride..end * b_stride];
+                if i == shares {
+                    f(mine, ctx);
+                } else {
+                    scope.spawn(move || f(mine, ctx));
+                }
+                start = end;
+            }
+        });
+    }
+
+    /// Applies `f` to every `(item, context)` pair, fanning shares of both
+    /// slices out in lockstep (see [`CryptoPool::split_for_each`]).
     ///
     /// Panics if the slices differ in length.
     pub fn zip_for_each<A: Send, B: Sync>(
@@ -132,25 +179,11 @@ impl CryptoPool {
         f: impl Fn(&mut A, &B) + Sync,
     ) {
         assert_eq!(items.len(), ctx.len(), "zip_for_each slices must pair up");
-        match self.chunking(items.len()) {
-            None => {
-                for (a, b) in items.iter_mut().zip(ctx) {
-                    f(a, b);
-                }
+        self.split_for_each(items.len(), items, ctx, |a, b| {
+            for (x, c) in a.iter_mut().zip(b) {
+                f(x, c);
             }
-            Some(chunk) => {
-                let f = &f;
-                std::thread::scope(|scope| {
-                    for (ac, bc) in items.chunks_mut(chunk).zip(ctx.chunks(chunk)) {
-                        scope.spawn(move || {
-                            for (a, b) in ac.iter_mut().zip(bc) {
-                                f(a, b);
-                            }
-                        });
-                    }
-                })
-            }
-        }
+        });
     }
 }
 
@@ -172,27 +205,75 @@ mod tests {
     }
 
     #[test]
-    fn for_each_visits_every_item_exactly_once() {
+    fn fan_out_needs_a_full_tile_per_share() {
+        let pool = CryptoPool::new(4);
+        // An R = 8 commit, and anything short of two tiles, stays inline.
+        for items in [0, 1, 8, TILE_BLOCKS, 2 * TILE_BLOCKS - 1] {
+            assert!(pool.runs_inline(items), "{items} items");
+        }
+        assert_eq!(pool.shares(2 * TILE_BLOCKS), 2);
+        assert_eq!(pool.shares(3 * TILE_BLOCKS + 5), 3);
+        assert_eq!(pool.shares(256), 4);
+        assert!(CryptoPool::new(1).runs_inline(4096));
+    }
+
+    #[test]
+    fn shares_are_whole_tiles_and_the_last_takes_the_tail() {
+        for (items, workers) in [(256, 2), (100, 4), (40, 2), (33, 8), (1000, 3)] {
+            let shares = CryptoPool::new(workers).shares(items);
+            let bounds: Vec<usize> = (0..=shares)
+                .map(|i| CryptoPool::share_start(items, shares, i))
+                .collect();
+            assert_eq!((bounds[0], bounds[shares]), (0, items));
+            for w in bounds.windows(2) {
+                assert!(w[1] - w[0] >= TILE_BLOCKS, "{items}/{workers}: {bounds:?}");
+            }
+            for b in &bounds[..shares] {
+                assert_eq!(b % TILE_BLOCKS, 0, "{items}/{workers}: {bounds:?}");
+            }
+            let full: Vec<usize> = bounds[..shares].windows(2).map(|w| w[1] - w[0]).collect();
+            let (min, max) = (full.iter().min(), full.iter().max());
+            if let (Some(min), Some(max)) = (min, max) {
+                assert!(max - min <= TILE_BLOCKS, "{items}/{workers}: {bounds:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn zip_for_each_visits_every_item_exactly_once() {
         let pool = CryptoPool::new(4);
         let mut items: Vec<u32> = vec![0; 1000];
-        pool.for_each(&mut items, |x| *x += 1);
-        assert!(items.iter().all(|&x| x == 1));
+        let ctx: Vec<u32> = (0..1000).collect();
+        pool.zip_for_each(&mut items, &ctx, |x, c| *x += c + 1);
+        assert!(items.iter().zip(&ctx).all(|(x, c)| *x == c + 1));
     }
 
     #[test]
-    fn small_batches_run_inline() {
+    fn split_for_each_hands_out_matching_strided_shares() {
+        // 3 elements of `a` and 2 of `b` per item, as a span of blocks and
+        // its per-block context would be laid out.
+        let pool = CryptoPool::new(3);
+        let items = 5 * TILE_BLOCKS + 3;
+        let mut a: Vec<usize> = vec![0; items * 3];
+        let b: Vec<usize> = (0..items * 2).map(|i| i / 2).collect();
+        pool.split_for_each(items, &mut a, &b, |a, b| {
+            assert_eq!(a.len() / 3, b.len() / 2);
+            for (xs, item) in a.chunks_mut(3).zip(b.chunks(2)) {
+                xs.fill(item[0] + 1);
+            }
+        });
+        for (i, xs) in a.chunks(3).enumerate() {
+            assert_eq!(xs, [i + 1; 3]);
+        }
+    }
+
+    #[test]
+    fn small_and_empty_batches_run_inline() {
         let pool = CryptoPool::new(8);
         let mut items = [1u8, 2];
-        // Would deadlock nothing either way; this just checks correctness on
-        // the inline path.
-        pool.for_each(&mut items, |x| *x += 10);
+        pool.zip_for_each(&mut items, &[10, 10], |x, c| *x += c);
         assert_eq!(items, [11, 12]);
-    }
-
-    #[test]
-    fn empty_batch_is_a_no_op() {
-        let pool = CryptoPool::new(2);
-        let mut items: [u8; 0] = [];
-        pool.for_each(&mut items, |_| unreachable!());
+        let mut none: [u8; 0] = [];
+        pool.zip_for_each(&mut none, &[], |_, _: &u8| unreachable!());
     }
 }

@@ -58,6 +58,28 @@ fn op_strategy(max_file: u64) -> impl Strategy<Value = Op> {
     ]
 }
 
+/// [`op_strategy`] plus, one op in seven, a write that straddles the first
+/// segment boundary of the default geometry with more than `R` blocks on
+/// each side (aligned or not): a multi-segment flush with several rounds per
+/// segment — the shape the commit pipeline merges metadata writes and
+/// batches crypto across. The payload is synthesized from one seed byte so
+/// the large writes stay cheap to generate and shrink.
+fn lamassu_op_strategy(max_file: u64) -> impl Strategy<Value = Op> {
+    let g = Geometry::default();
+    let (bs, r) = (g.block_size() as u64, g.reserved_slots() as u64);
+    let boundary = g.keys_per_metadata_block() as u64 * bs;
+    let side = (r + 1) * bs..4 * r * bs;
+    prop_oneof![
+        6 => op_strategy(max_file),
+        1 => (side.clone(), side, any::<u8>()).prop_map(move |(before, after, seed)| Op::Write {
+            offset: boundary - before,
+            data: (0..before + after)
+                .map(|i| seed ^ (i / 509) as u8 ^ (i as u8).wrapping_mul(29))
+                .collect(),
+        }),
+    ]
+}
+
 /// How deeply two same-workload stores may be compared, given each shim's
 /// use of randomness (see `tests/prop_filesystem.rs`).
 enum StoreCheck {
@@ -242,7 +264,7 @@ proptest! {
 
     #[test]
     fn lamassufs_async_and_blocking_pipelines_are_byte_identical(
-        ops in prop::collection::vec(op_strategy(40_000), 1..16)
+        ops in prop::collection::vec(lamassu_op_strategy(40_000), 1..16)
     ) {
         check_async_vs_blocking(
             |store, io| Box::new(LamassuFs::new(

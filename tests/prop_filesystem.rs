@@ -42,6 +42,28 @@ fn op_strategy(max_file: u64) -> impl Strategy<Value = Op> {
     ]
 }
 
+/// [`op_strategy`] plus, one op in seven, a write that straddles the first
+/// segment boundary of the default geometry with more than `R` blocks on
+/// each side (aligned or not): a multi-segment flush with several rounds per
+/// segment — the shape the commit pipeline merges metadata writes and
+/// batches crypto across. The payload is synthesized from one seed byte so
+/// the large writes stay cheap to generate and shrink.
+fn lamassu_op_strategy(max_file: u64) -> impl Strategy<Value = Op> {
+    let g = Geometry::default();
+    let (bs, r) = (g.block_size() as u64, g.reserved_slots() as u64);
+    let boundary = g.keys_per_metadata_block() as u64 * bs;
+    let side = (r + 1) * bs..4 * r * bs;
+    prop_oneof![
+        6 => op_strategy(max_file),
+        1 => (side.clone(), side, any::<u8>()).prop_map(move |(before, after, seed)| Op::Write {
+            offset: boundary - before,
+            data: (0..before + after)
+                .map(|i| seed ^ (i / 509) as u8 ^ (i as u8).wrapping_mul(29))
+                .collect(),
+        }),
+    ]
+}
+
 /// Applies an op sequence to a shim and to a plain `Vec<u8>` model, checking
 /// every read against the model.
 fn check_against_model(fs: &dyn FileSystem, ops: &[Op]) {
@@ -219,7 +241,7 @@ proptest! {
     #![proptest_config(ProptestConfig { cases: 24, ..ProptestConfig::default() })]
 
     #[test]
-    fn lamassufs_matches_reference_model(ops in prop::collection::vec(op_strategy(40_000), 1..25)) {
+    fn lamassufs_matches_reference_model(ops in prop::collection::vec(lamassu_op_strategy(40_000), 1..25)) {
         let store = Arc::new(DedupStore::new(4096, StorageProfile::instant()));
         let fs = LamassuFs::new(store, zone_keys(), LamassuConfig::default());
         check_against_model(&fs, &ops);
@@ -252,7 +274,7 @@ proptest! {
 
     #[test]
     fn lamassufs_span_and_per_block_pipelines_are_byte_identical(
-        ops in prop::collection::vec(op_strategy(40_000), 1..16)
+        ops in prop::collection::vec(lamassu_op_strategy(40_000), 1..16)
     ) {
         check_span_vs_per_block(
             |store, span| Box::new(LamassuFs::new(
@@ -309,7 +331,7 @@ proptest! {
 
     #[test]
     fn lamassufs_crypto_backends_produce_identical_stores(
-        ops in prop::collection::vec(op_strategy(40_000), 1..16)
+        ops in prop::collection::vec(lamassu_op_strategy(40_000), 1..16)
     ) {
         check_fixsliced_vs_ttable(
             |store, span| Box::new(LamassuFs::new(
@@ -353,7 +375,7 @@ proptest! {
 
     #[test]
     fn lamassufs_pipelines_and_backends_compose_byte_identically(
-        ops in prop::collection::vec(op_strategy(40_000), 1..12)
+        ops in prop::collection::vec(lamassu_op_strategy(40_000), 1..12)
     ) {
         // The cross combination: a batched fixsliced mount against a
         // per-block T-table mount. Every write takes a different code path

@@ -35,9 +35,11 @@
 //! allocations.
 //!
 //! The loops run single-threaded with `workers: 1` (the inline crypto
-//! regime): with a wider worker pool the per-span thread fan-out allocates
-//! by design — that trade is documented in `lamassu-core::span` and the
-//! README's memory-model section.
+//! regime): with a wider worker pool a span of two or more 16-block tiles
+//! fans out, and the thread fan-out allocates by design — that trade is
+//! documented in `lamassu-core::span` and the README's memory-model section.
+//! The 4 KiB rewrite loop is also pinned on a default mount (`workers: 0`):
+//! its `R`-block commits stay under the fan-out rule whatever the pool size.
 
 use lamassu::core::{
     CryptoBackend, FileSystem, IntegrityMode, IoMode, LamassuConfig, LamassuFs, SpanConfig,
@@ -302,12 +304,11 @@ fn warm_blocking_oracle_reread_allocates_nothing() {
     assert_eq!(fs.profiler().in_flight_peak(), 0);
 }
 
-#[test]
-fn steady_rewrite_loop_allocates_nothing() {
-    let _serial = serialize();
-    let fs = mount();
+/// Warms and then measures the steady aligned 4 KiB rewrite loop (commits
+/// and `fsync` included) on `fs`.
+fn assert_steady_rewrite_allocates_nothing(fs: &LamassuFs) {
     let size = 1024 * 1024;
-    let fd = populate(&fs, "/rw.dat", size);
+    let fd = populate(fs, "/rw.dat", size);
 
     let block: Vec<u8> = (0..BS).map(|i| (i % 241) as u8).collect();
     let rewrite_pass = |fs: &LamassuFs| {
@@ -321,18 +322,38 @@ fn steady_rewrite_loop_allocates_nothing() {
 
     // Warm: commit staging buffer, pending-vector capacity, pooled blocks,
     // metadata cache, nonce RNG state, thread-local key scratch.
-    rewrite_pass(&fs);
-    rewrite_pass(&fs);
+    rewrite_pass(fs);
+    rewrite_pass(fs);
 
     let allocs = allocs_during(|| {
         for _ in 0..4 {
-            rewrite_pass(&fs);
+            rewrite_pass(fs);
         }
     });
     assert_eq!(
         allocs, 0,
         "steady aligned rewrite loop (incl. commits + fsync) must not allocate"
     );
+}
+
+#[test]
+fn steady_rewrite_loop_allocates_nothing() {
+    let _serial = serialize();
+    assert_steady_rewrite_allocates_nothing(&mount());
+}
+
+#[test]
+fn steady_rewrite_loop_on_a_default_mount_allocates_nothing() {
+    let _serial = serialize();
+    // `workers: 0`, the auto-sized pool every default mount gets: an R-block
+    // commit is below the pool's one-tile-per-worker fan-out rule, so it
+    // derives and encrypts inline and never pays a thread spawn.
+    let store = Arc::new(DedupStore::new(BS, StorageProfile::instant()));
+    let km = KeyManager::new();
+    let zone = km.create_zone(1).expect("fresh key manager");
+    let keys = km.fetch_zone_keys(zone).expect("zone just created");
+    assert_eq!(SpanConfig::default().workers, 0);
+    assert_steady_rewrite_allocates_nothing(&LamassuFs::new(store, keys, LamassuConfig::default()));
 }
 
 #[test]
