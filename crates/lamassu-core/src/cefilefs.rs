@@ -23,13 +23,13 @@
 //! outer key, holding the convergent file key and the logical size) followed
 //! by the CBC-encrypted body, padded to whole blocks.
 
-use crate::asyncio;
 use crate::fs::{FileAttr, FileSystem, OpenFlags};
 use crate::handles::{HandleTable, PathRegistry};
 use crate::iovec::{self, GatherCursor};
 use crate::pool::BlockPool;
 use crate::profiler::{Category, Profiler};
-use crate::span::{IoMode, SpanConfig, SpanPolicy};
+use crate::span::{SpanConfig, SpanPolicy};
+use crate::spanio::SpanIo;
 use crate::{Fd, FsError, Result};
 use lamassu_crypto::aes::Aes256;
 use lamassu_crypto::batch::SpanCipher;
@@ -45,7 +45,6 @@ use parking_lot::RwLock;
 use rand::RngCore;
 use std::io::{IoSlice, IoSliceMut};
 use std::sync::Arc;
-use std::time::Instant;
 
 /// Magic bytes identifying a per-file-CE header.
 const MAGIC: &[u8; 8] = b"CEFILEv1";
@@ -65,7 +64,7 @@ const CE_POOL_BLOCKS: usize = 8;
 
 /// Whole-file convergent encryption (Tahoe-LAFS-style) baseline.
 pub struct CeFileFs {
-    store: Arc<dyn ObjectStore>,
+    io: SpanIo,
     block_size: usize,
     span: SpanConfig,
     /// The mount's shared crypto worker pool (see [`crate::span`]).
@@ -99,7 +98,7 @@ impl CeFileFs {
         let profiler = Profiler::new();
         profiler.attach_pool(&blocks);
         CeFileFs {
-            store,
+            io: SpanIo::new(store, profiler.clone(), span.io),
             block_size,
             span,
             pool: span.pool(),
@@ -122,21 +121,12 @@ impl CeFileFs {
         self.profiler.clone()
     }
 
-    fn io<T>(&self, f: impl FnOnce() -> lamassu_storage::Result<T>) -> Result<T> {
-        let virt_before = self.store.io_time();
-        let start = Instant::now();
-        let out = f();
-        let elapsed = start.elapsed() + self.store.io_time().saturating_sub(virt_before);
-        self.profiler.add(Category::Io, elapsed);
-        out.map_err(FsError::from)
-    }
-
     /// Loads and decrypts the whole file from the store. Under the batched
     /// span policy the header and body arrive in one vectored backend read
     /// and the body's CBC chain decrypts in parallel chunks; the per-block
     /// fallback keeps the original two sequential reads and serial decrypt.
     fn load(&self, path: &str) -> Result<CeFileState> {
-        let physical = self.io(|| self.store.len(path))?;
+        let physical = self.io.call(|s| s.len(path))?;
         if physical == 0 {
             return Ok(CeFileState {
                 data: Vec::new(),
@@ -148,17 +138,10 @@ impl CeFileFs {
         let mut header = self.blocks.take();
         let mut body = if batched {
             // Header and body are physically contiguous: one round trip,
-            // header staged through a pooled block. The async mode routes
-            // the same vectored read through the store's submission queue.
+            // header staged through a pooled block.
             let mut body = vec![0u8; body_len];
             let bufs = &mut [IoSliceMut::new(&mut header), IoSliceMut::new(&mut body)];
-            let n = match self.span.io {
-                IoMode::Async => {
-                    asyncio::roundtrip_read(&self.profiler, &*self.store, path, 0, bufs)
-                        .map_err(FsError::from)?
-                }
-                IoMode::Blocking => self.io(|| self.store.read_into_vectored(path, 0, bufs))?,
-            };
+            let n = self.io.read_one(path, 0, bufs)?;
             if n < self.block_size {
                 // Too short to even hold a header: not a CeFile object.
                 return Err(FsError::Metadata(
@@ -167,14 +150,15 @@ impl CeFileFs {
             }
             body
         } else {
-            let n = self.io(|| self.store.read_into(path, 0, &mut header))?;
+            let n = self.io.call(|s| s.read_into(path, 0, &mut header))?;
             if n < self.block_size {
                 return Err(FsError::Metadata(
                     lamassu_format::FormatError::MetadataAuthFailure,
                 ));
             }
             if body_len > 0 {
-                self.io(|| self.store.read_at(path, self.block_size as u64, body_len))?
+                self.io
+                    .call(|s| s.read_at(path, self.block_size as u64, body_len))?
             } else {
                 Vec::new()
             }
@@ -280,25 +264,16 @@ impl CeFileFs {
         header[NONCE_LEN..NONCE_LEN + TAG_LEN].copy_from_slice(&tag);
         header[NONCE_LEN + TAG_LEN..NONCE_LEN + TAG_LEN + 48].copy_from_slice(&sealed);
 
-        self.io(|| self.store.truncate(path, 0))?;
+        self.io.call(|s| s.truncate(path, 0))?;
         if self.span.policy == SpanPolicy::Batched && !body.is_empty() {
-            // Header and body land in one vectored backend write; the async
-            // mode submits it and drains the completion (the write's result —
-            // including any injected fault — surfaces at the drain).
+            // Header and body land in one vectored backend write.
             let bufs = &[IoSlice::new(&header), IoSlice::new(&body)];
-            match self.span.io {
-                IoMode::Async => {
-                    asyncio::roundtrip_write(&self.profiler, &*self.store, path, 0, bufs)
-                        .map_err(FsError::from)?;
-                }
-                IoMode::Blocking => {
-                    self.io(|| self.store.write_at_vectored(path, 0, bufs))?;
-                }
-            }
+            self.io.write_one(path, 0, bufs)?;
         } else {
-            self.io(|| self.store.write_at(path, 0, &header))?;
+            self.io.call(|s| s.write_at(path, 0, &header))?;
             if !body.is_empty() {
-                self.io(|| self.store.write_at(path, self.block_size as u64, &body))?;
+                self.io
+                    .call(|s| s.write_at(path, self.block_size as u64, &body))?;
             }
         }
         state.dirty = false;
@@ -308,7 +283,7 @@ impl CeFileFs {
     /// Loads the per-file state for a path that must already exist (no
     /// registry interaction — callers go through [`PathRegistry`]).
     fn load_state(&self, path: &str) -> Result<SharedState> {
-        if !self.store.exists(path) {
+        if !self.io.exists(path) {
             return Err(FsError::NotFound {
                 path: path.to_string(),
             });
@@ -319,7 +294,7 @@ impl CeFileFs {
 
 impl FileSystem for CeFileFs {
     fn create(&self, path: &str) -> Result<Fd> {
-        self.io(|| self.store.create(path)).map_err(|e| match e {
+        self.io.call(|s| s.create(path)).map_err(|e| match e {
             FsError::Storage(lamassu_storage::StorageError::AlreadyExists { name }) => {
                 FsError::AlreadyExists { path: name }
             }
@@ -407,7 +382,7 @@ impl FileSystem for CeFileFs {
                 self.store_file(&path, &mut st)?;
             }
         }
-        self.io(|| self.store.flush(&path))
+        self.io.call(|s| s.flush(&path))
     }
 
     fn len(&self, fd: Fd) -> Result<u64> {
@@ -419,7 +394,7 @@ impl FileSystem for CeFileFs {
     fn stat(&self, path: &str) -> Result<FileAttr> {
         let state = self.files.lookup_with(path, || self.load_state(path))?;
         let logical = state.read().data.len() as u64;
-        let physical = self.io(|| self.store.len(path))?;
+        let physical = self.io.call(|s| s.len(path))?;
         Ok(FileAttr {
             logical_size: logical,
             physical_size: physical,
@@ -427,7 +402,7 @@ impl FileSystem for CeFileFs {
     }
 
     fn remove(&self, path: &str) -> Result<()> {
-        self.io(|| self.store.remove(path)).map_err(|e| match e {
+        self.io.call(|s| s.remove(path)).map_err(|e| match e {
             FsError::Storage(lamassu_storage::StorageError::NotFound { name }) => {
                 FsError::NotFound { path: name }
             }
@@ -439,7 +414,7 @@ impl FileSystem for CeFileFs {
     }
 
     fn rename(&self, from: &str, to: &str) -> Result<()> {
-        self.io(|| self.store.rename(from, to))?;
+        self.io.call(|s| s.rename(from, to))?;
         // The registry moves the entry under a single map lock, so no
         // concurrent open can observe (or resurrect) the old path's entry
         // mid-rename.
@@ -449,7 +424,7 @@ impl FileSystem for CeFileFs {
     }
 
     fn list(&self) -> Result<Vec<String>> {
-        Ok(self.store.list())
+        Ok(self.io.list())
     }
 
     fn kind(&self) -> &'static str {

@@ -25,27 +25,25 @@
 //! blocks in small per-call buffers), so concurrent readers of one file
 //! proceed in parallel and are excluded only by writers.
 
-use crate::asyncio;
 use crate::fs::{FileAttr, FileSystem, OpenFlags};
 use crate::handles::{HandleTable, PathRegistry};
 use crate::iovec::{self, GatherCursor};
-use crate::pool::{with_tls, BlockBuf, BlockPool};
+use crate::pool::{BlockBuf, BlockPool};
 use crate::profiler::{Category, Profiler};
-use crate::span::{IoMode, SpanConfig, SpanPlan, SpanPlanner, SpanPolicy};
+use crate::span::{SpanConfig, SpanPlanner, SpanPolicy};
+use crate::spanio::{Landed, Run, SpanIo};
 use crate::{Fd, FsError, Result};
 use lamassu_crypto::aes::Aes256;
 use lamassu_crypto::batch::{self, SpanCipher};
 use lamassu_crypto::pool::CryptoPool;
 use lamassu_crypto::{cbc, fixsliced, stats};
 use lamassu_crypto::{CryptoBackend, Iv128, Key256};
-use lamassu_storage::{Completion, ObjectStore, SubmitQueue, SubmitTicket};
+use lamassu_storage::ObjectStore;
 use parking_lot::RwLock;
 use rand::RngCore;
 use std::cell::RefCell;
 use std::io::IoSlice;
-use std::ops::Range;
 use std::sync::Arc;
-use std::time::Instant;
 
 thread_local! {
     /// Per-block IV scratch plus the indices of sparse-hole blocks within
@@ -53,31 +51,6 @@ thread_local! {
     /// shared borrow, reused so warm reads and writes allocate nothing.
     static IV_SCRATCH: RefCell<(Vec<Iv128>, Vec<usize>)> =
         const { RefCell::new((Vec::new(), Vec::new())) };
-    /// Async span-pipeline scratch: the thread's submission queue, drained
-    /// completion staging, and the in-flight chunk records of a span read.
-    static ENC_ASYNC_SCRATCH: RefCell<EncAsyncScratch> =
-        RefCell::new(EncAsyncScratch::default());
-}
-
-/// Reusable state of one thread's EncFS submission pipeline.
-#[derive(Default)]
-struct EncAsyncScratch {
-    queue: SubmitQueue,
-    completions: Vec<Completion>,
-    chunks: Vec<PendingChunk>,
-}
-
-/// One submitted span-read chunk awaiting its completion: the identifying
-/// ticket, the chunk's block range, and the staged edge buffers it owns
-/// until the completion lands.
-struct PendingChunk {
-    ticket: SubmitTicket,
-    chunk_first: u64,
-    chunk_last: u64,
-    head_stage: Option<BlockBuf>,
-    tail_stage: Option<BlockBuf>,
-    /// The contiguous middle region of the caller's buffer.
-    mid_range: Range<usize>,
 }
 
 /// Runs `f` with the thread's IV scratch (fresh fallback if re-entered).
@@ -141,7 +114,7 @@ const ENC_POOL_BLOCKS: usize = 16;
 
 /// The conventional (non-convergent) encrypted shim.
 pub struct EncFs {
-    store: Arc<dyn ObjectStore>,
+    io: SpanIo,
     volume_cipher: Aes256,
     config: EncFsConfig,
     /// The mount's shared crypto worker pool (see [`crate::span`]).
@@ -169,7 +142,7 @@ impl EncFs {
         let profiler = Profiler::new();
         profiler.attach_pool(&blocks);
         EncFs {
-            store,
+            io: SpanIo::new(store, profiler.clone(), config.span.io),
             volume_cipher: Aes256::new(&volume_key),
             pool: config.span.pool(),
             blocks,
@@ -208,15 +181,6 @@ impl EncFs {
         self.header_len() + block * self.config.block_size as u64
     }
 
-    fn io<T>(&self, f: impl FnOnce() -> lamassu_storage::Result<T>) -> Result<T> {
-        let virt_before = self.store.io_time();
-        let start = Instant::now();
-        let out = f();
-        let elapsed = start.elapsed() + self.store.io_time().saturating_sub(virt_before);
-        self.profiler.add(Category::Io, elapsed);
-        out.map_err(FsError::from)
-    }
-
     /// Derives the CBC IV for (file, logical block index).
     fn block_iv(cipher: &Aes256, file_iv: &[u8; 16], block: u64) -> [u8; 16] {
         let mut iv = *file_iv;
@@ -245,7 +209,7 @@ impl EncFs {
         let header = self.profiler.time(Category::Encrypt, || {
             self.serialize_header(state, &header_iv)
         });
-        self.io(|| self.store.write_at(path, 0, &header))?;
+        self.io.call(|s| s.write_at(path, 0, &header))?;
         state.header_dirty = false;
         Ok(())
     }
@@ -253,7 +217,7 @@ impl EncFs {
     /// Reads and unwraps a file's header into a fresh state (no registry
     /// interaction — callers go through [`PathRegistry`] for sharing).
     fn load_state(&self, path: &str) -> Result<SharedState> {
-        let header = self.io(|| self.store.read_at(path, 0, RAW_HEADER_LEN))?;
+        let header = self.io.call(|s| s.read_at(path, 0, RAW_HEADER_LEN))?;
         if &header[0..8] != MAGIC {
             return Err(FsError::Metadata(
                 lamassu_format::FormatError::MetadataAuthFailure,
@@ -279,8 +243,6 @@ impl EncFs {
         Ok(state)
     }
 
-    /// Reads and decrypts one full logical block into `dest` (zero-filled
-    /// for holes). `dest` must be exactly one block.
     /// Decrypts one whole block in place under the file cipher: the wide
     /// kernel on the fixsliced backend (CBC decryption is wide within a
     /// chain), the T-table oracle otherwise.
@@ -303,6 +265,33 @@ impl EncFs {
         }
     }
 
+    /// Turns one individually handled block — `filled` bytes of ciphertext
+    /// as the store delivered them — into plaintext in place: the unread
+    /// remainder is zeroed, and a block that is then all zero is a hole.
+    /// Sparse regions created by writes past the end of file are zero-filled
+    /// ciphertext, which must read back as zero plaintext (the same
+    /// convention real EncFS uses for holes).
+    fn decrypt_read_block(
+        &self,
+        cipher: &SpanCipher,
+        file_iv: &[u8; 16],
+        block: u64,
+        filled: usize,
+        dest: &mut [u8],
+    ) -> Result<()> {
+        dest[filled..].fill(0);
+        if dest.iter().all(|&b| b == 0) {
+            return Ok(());
+        }
+        let iv = Self::block_iv(cipher.tt(), file_iv, block);
+        self.profiler.time(Category::Decrypt, || {
+            self.decrypt_block_in_place(cipher, &iv, dest)
+        })?;
+        Ok(())
+    }
+
+    /// Reads and decrypts one full logical block into `dest` (zero-filled
+    /// for holes). `dest` must be exactly one block.
     fn read_block_into(
         &self,
         path: &str,
@@ -313,19 +302,8 @@ impl EncFs {
     ) -> Result<()> {
         debug_assert_eq!(dest.len(), self.config.block_size);
         let phys = self.data_offset(block);
-        let n = self.io(|| self.store.read_into(path, phys, dest))?;
-        dest[n..].fill(0);
-        // A hole: sparse regions created by writes past the end of file are
-        // zero-filled ciphertext, which must read back as zero plaintext
-        // (the same convention real EncFS uses for holes).
-        if dest.iter().all(|&b| b == 0) {
-            return Ok(());
-        }
-        let iv = Self::block_iv(cipher.tt(), file_iv, block);
-        self.profiler.time(Category::Decrypt, || {
-            self.decrypt_block_in_place(cipher, &iv, dest)
-        })?;
-        Ok(())
+        let n = self.io.call(|s| s.read_into(path, phys, dest))?;
+        self.decrypt_read_block(cipher, file_iv, block, n, dest)
     }
 
     /// Encrypts `block_buf` (one full block of plaintext, consumed in place)
@@ -346,313 +324,98 @@ impl EncFs {
             stats::count_scalar_blocks(block_buf.len() / 16);
             cbc::encrypt_in_place(cipher.tt(), &iv, block_buf)
         })?;
-        self.io(|| {
-            self.store
-                .write_at(path, self.data_offset(block), block_buf)
-        })
+        self.io
+            .call(|s| s.write_at(path, self.data_offset(block), block_buf))
     }
 
-    /// The span read pipeline: one backend round trip per
-    /// [`MAX_SPAN_BLOCKS`]-bounded chunk of the range, then one contiguous
-    /// batch decrypt per chunk.
+    /// The span read pipeline: the planned range is cut into
+    /// [`MAX_SPAN_BLOCKS`]-bounded chunks (data blocks are physically
+    /// contiguous, so each chunk is one run) and handed to the span-I/O
+    /// driver, which calls [`EncFs::finish_span_chunk`] on each chunk as it
+    /// lands — under the default async mode with the later chunks still in
+    /// flight.
     ///
     /// The steady-state aligned shape needs no staging at all — ciphertext
     /// lands straight in the caller's buffer and decrypts there, with the
-    /// per-block IVs built in thread-local scratch (zero allocation).
-    /// Partial edge blocks stage through pooled blocks and decrypt
-    /// individually around the contiguous middle. Takes only a shared borrow
-    /// of the file state (served under the shim's read guard).
+    /// per-block IVs built in thread-local scratch (zero allocation). Takes
+    /// only a shared borrow of the file state (served under the shim's read
+    /// guard).
     fn read_span(&self, path: &str, st: &EncFileState, offset: u64, buf: &mut [u8]) -> Result<()> {
-        let bs = self.config.block_size;
         let plan = self
             .profiler
             .time(Category::Plan, || self.planner.plan(offset, buf.len()));
-        if self.config.span.io == IoMode::Async {
-            return self.read_span_async(path, st, &plan, buf);
-        }
-        let mut chunk_first = plan.first_block;
-        while chunk_first <= plan.last_block {
-            let chunk_last = (chunk_first + MAX_SPAN_BLOCKS as u64 - 1).min(plan.last_block);
-            let head_staged = !plan.is_full(chunk_first);
-            let tail_staged = chunk_last != chunk_first && !plan.is_full(chunk_last);
-            let blocks = (chunk_last - chunk_first + 1) as usize;
-            let mid_count = blocks - head_staged as usize - tail_staged as usize;
-            let mid_range = if mid_count > 0 {
-                let start = plan.buf_range(chunk_first + head_staged as u64).start;
-                start..start + mid_count * bs
-            } else {
-                0..0
-            };
-            let mut head_stage = head_staged.then(|| self.blocks.take());
-            let mut tail_stage = tail_staged.then(|| self.blocks.take());
-
-            // One backend round trip for the chunk: straight into the
-            // caller's buffer when aligned, scattered over the pooled edge
-            // stages otherwise.
-            let n = if !head_staged && !tail_staged {
-                let mid_slice = &mut buf[mid_range.clone()];
-                self.io(|| {
-                    self.store
-                        .read_into(path, self.data_offset(chunk_first), mid_slice)
-                })?
-            } else {
-                let mid_slice = &mut buf[mid_range.clone()];
-                iovec::with_scatter3(
-                    head_stage.as_deref_mut(),
-                    mid_slice,
-                    tail_stage.as_deref_mut(),
-                    |io_bufs| {
-                        self.io(|| {
-                            self.store.read_into_vectored(
-                                path,
-                                self.data_offset(chunk_first),
-                                io_bufs,
-                            )
-                        })
-                    },
-                )?
-            };
-            self.finish_span_chunk(
-                st,
-                &plan,
-                chunk_first,
-                chunk_last,
-                &mut head_stage,
-                &mut tail_stage,
-                mid_range,
-                n,
-                buf,
-            )?;
-            chunk_first = chunk_last + 1;
-        }
-        Ok(())
-    }
-
-    /// The async span read ([`IoMode::Async`], the default): every
-    /// [`MAX_SPAN_BLOCKS`]-bounded chunk of the planned range is submitted to
-    /// the store's completion queue up front, and each chunk's batch decrypt
-    /// starts as its completion lands while later chunks are still in flight
-    /// — so a large read keeps up to `queue_depth` backend operations
-    /// overlapped instead of paying one serial round trip per chunk.
-    fn read_span_async(
-        &self,
-        path: &str,
-        st: &EncFileState,
-        plan: &SpanPlan,
-        buf: &mut [u8],
-    ) -> Result<()> {
-        let bs = self.config.block_size;
-        with_tls(&ENC_ASYNC_SCRATCH, |scratch| {
-            let EncAsyncScratch {
-                queue: q,
-                completions,
-                chunks,
-            } = scratch;
-            q.reset();
-            completions.clear();
-            chunks.clear();
-
-            // Submission phase: stage the (at most two) partial edge blocks
-            // and hand every chunk to the store back to back.
-            let mut chunk_first = plan.first_block;
-            while chunk_first <= plan.last_block {
-                let chunk_last = (chunk_first + MAX_SPAN_BLOCKS as u64 - 1).min(plan.last_block);
-                let head_staged = !plan.is_full(chunk_first);
-                let tail_staged = chunk_last != chunk_first && !plan.is_full(chunk_last);
-                let blocks = (chunk_last - chunk_first + 1) as usize;
-                let mid_count = blocks - head_staged as usize - tail_staged as usize;
-                let mid_range = if mid_count > 0 {
-                    let start = plan.buf_range(chunk_first + head_staged as u64).start;
-                    start..start + mid_count * bs
-                } else {
-                    0..0
-                };
-                let mut head_stage = head_staged.then(|| self.blocks.take());
-                let mut tail_stage = tail_staged.then(|| self.blocks.take());
-                let mid_slice = &mut buf[mid_range.clone()];
-                let ticket = iovec::with_scatter3(
-                    head_stage.as_deref_mut(),
-                    mid_slice,
-                    tail_stage.as_deref_mut(),
-                    |io_bufs| {
-                        asyncio::meter(&self.profiler, &*self.store, Category::Io, || {
-                            self.store.submit_read_vectored(
-                                q,
-                                path,
-                                self.data_offset(chunk_first),
-                                io_bufs,
-                            )
-                        })
-                    },
-                );
-                self.profiler.ops_submitted(1);
-                chunks.push(PendingChunk {
-                    ticket,
-                    chunk_first,
-                    chunk_last,
-                    head_stage,
-                    tail_stage,
-                    mid_range,
-                });
-                chunk_first = chunk_last + 1;
-            }
-
-            // Completion phase: finish chunks in whatever order the store
-            // releases them, matching by ticket. The blocking oracle stops
-            // at its first failing chunk, so the earliest chunk's error wins.
-            let mut first_err: Option<(u64, FsError)> = None;
-            let mut remaining = chunks.len();
-            while remaining > 0 {
-                completions.clear();
-                asyncio::meter(&self.profiler, &*self.store, Category::Queue, || {
-                    self.store.poll_completions(q, completions);
-                    if completions.is_empty() {
-                        self.store.wait_completions(q, completions);
-                    }
-                });
-                if completions.is_empty() {
-                    debug_assert!(false, "store dropped an in-flight completion");
-                    break;
-                }
-                self.profiler.ops_completed(completions.len() as u64);
-                remaining -= completions.len().min(remaining);
-                for c in completions.iter() {
-                    let p = chunks
-                        .iter_mut()
-                        .find(|p| p.ticket == c.ticket)
-                        .expect("every completion matches a submitted chunk");
-                    let finished = match &c.result {
-                        Ok(n) => self.finish_span_chunk(
-                            st,
-                            plan,
-                            p.chunk_first,
-                            p.chunk_last,
-                            &mut p.head_stage,
-                            &mut p.tail_stage,
-                            p.mid_range.clone(),
-                            *n,
-                            buf,
-                        ),
-                        Err(e) => Err(FsError::from(e.clone())),
-                    };
-                    p.head_stage = None;
-                    p.tail_stage = None;
-                    if let Err(e) = finished {
-                        match &first_err {
-                            Some((s, _)) if *s <= p.chunk_first => {}
-                            _ => first_err = Some((p.chunk_first, e)),
-                        }
-                    }
-                }
-            }
-            chunks.clear();
-
-            // Transport barrier: raise the channel's blocking frontier past
-            // the last in-flight submission.
-            completions.clear();
-            asyncio::meter(&self.profiler, &*self.store, Category::Queue, || {
-                self.store.wait_completions(q, completions)
+        let chunks = (plan.first_block..=plan.last_block)
+            .step_by(MAX_SPAN_BLOCKS)
+            .map(|first| Run {
+                first,
+                blocks: ((plan.last_block - first + 1) as usize).min(MAX_SPAN_BLOCKS),
+                offset: self.data_offset(first),
+                tag: 0,
             });
-            self.profiler.ops_completed(completions.len() as u64);
-
-            match first_err {
-                Some((_, e)) => Err(e),
-                None => Ok(()),
-            }
-        })
+        self.io
+            .read_runs(&self.blocks, path, &plan, chunks, buf, |chunk, landed| {
+                self.finish_span_chunk(st, chunk, landed)
+            })
     }
 
-    /// Post-transport half of one span-read chunk, shared between the
-    /// blocking pipeline (called right after its read returns) and the async
-    /// pipeline (called as the chunk's completion lands): zeroes the unread
-    /// tail of every block (the sparse-hole convention: zero ciphertext
-    /// reads back as zero plaintext), decrypts — edges individually, the
-    /// middle as one contiguous batch with per-block IVs from thread-local
-    /// scratch — and copies the requested fragments of the staged edges out.
-    /// Hole blocks inside the middle are decrypted along with the batch and
+    /// The codec half of one span-read chunk, called by the driver once the
+    /// chunk's read has landed: zeroes the unread tail of every block (the
+    /// sparse-hole convention: zero ciphertext reads back as zero plaintext)
+    /// and decrypts — the staged edge blocks individually, the middle as one
+    /// contiguous batch with per-block IVs from thread-local scratch. Hole
+    /// blocks inside the middle are decrypted along with the batch and
     /// re-zeroed after, which keeps the span contiguous (holes are rare;
     /// correctness is byte-identical to the skip-the-hole per-block path).
-    #[allow(clippy::too_many_arguments)]
-    fn finish_span_chunk(
-        &self,
-        st: &EncFileState,
-        plan: &SpanPlan,
-        chunk_first: u64,
-        chunk_last: u64,
-        head_stage: &mut Option<BlockBuf>,
-        tail_stage: &mut Option<BlockBuf>,
-        mid_range: Range<usize>,
-        n: usize,
-        buf: &mut [u8],
-    ) -> Result<()> {
+    fn finish_span_chunk(&self, st: &EncFileState, chunk: &Run, landed: Landed<'_>) -> Result<()> {
         let bs = self.config.block_size;
-        let head_staged = head_stage.is_some();
-        let blocks = (chunk_last - chunk_first + 1) as usize;
-        let mid_count = blocks - head_staged as usize - tail_stage.is_some() as usize;
-        with_iv_scratch(|ivs, holes| -> Result<()> {
-            ivs.clear();
-            holes.clear();
-            if let Some(head) = head_stage.as_deref_mut() {
-                let filled = n.min(bs);
-                head[filled..].fill(0);
-                if head.iter().any(|&b| b != 0) {
-                    let iv = Self::block_iv(st.cipher.tt(), &st.file_iv, chunk_first);
-                    self.profiler.time(Category::Decrypt, || {
-                        self.decrypt_block_in_place(&st.cipher, &iv, head)
-                    })?;
+        let Landed { n, head, mid, tail } = landed;
+        // Bytes of the chunk's `i`-th block that the store delivered.
+        let filled = |i: usize| n.saturating_sub(i * bs).min(bs);
+        let head_blocks = head.is_some() as usize;
+        if let Some(head) = head {
+            self.decrypt_read_block(&st.cipher, &st.file_iv, chunk.first, filled(0), head)?;
+        }
+        if !mid.is_empty() {
+            with_iv_scratch(|ivs, holes| {
+                ivs.clear();
+                holes.clear();
+                for (i, blk) in mid.chunks_exact_mut(bs).enumerate() {
+                    let chunk_idx = head_blocks + i;
+                    blk[filled(chunk_idx)..].fill(0);
+                    if blk.iter().all(|&b| b == 0) {
+                        holes.push(i);
+                    }
+                    ivs.push(Self::block_iv(
+                        st.cipher.tt(),
+                        &st.file_iv,
+                        chunk.first + chunk_idx as u64,
+                    ));
                 }
-            }
-            for i in 0..mid_count {
-                let chunk_idx = head_staged as usize + i;
-                let blk = &mut buf[mid_range.start + i * bs..mid_range.start + (i + 1) * bs];
-                let filled = n.saturating_sub(chunk_idx * bs).min(bs);
-                blk[filled..].fill(0);
-                if blk.iter().all(|&b| b == 0) {
-                    holes.push(i);
-                }
-                ivs.push(Self::block_iv(
-                    st.cipher.tt(),
-                    &st.file_iv,
-                    chunk_first + chunk_idx as u64,
-                ));
-            }
-            if mid_count > 0 {
-                let mid_slice = &mut buf[mid_range.clone()];
                 self.profiler.time(Category::Decrypt, || {
                     batch::decrypt_span_with(
                         &self.pool,
                         &st.cipher,
                         ivs,
-                        mid_slice,
+                        mid,
                         bs,
                         self.config.span.crypto,
                     )
                 })?;
                 for &i in holes.iter() {
-                    buf[mid_range.start + i * bs..mid_range.start + (i + 1) * bs].fill(0);
+                    mid[i * bs..(i + 1) * bs].fill(0);
                 }
-            }
-            if let Some(tail) = tail_stage.as_deref_mut() {
-                let filled = n.saturating_sub((blocks - 1) * bs).min(bs);
-                tail[filled..].fill(0);
-                if tail.iter().any(|&b| b != 0) {
-                    let iv = Self::block_iv(st.cipher.tt(), &st.file_iv, chunk_last);
-                    self.profiler.time(Category::Decrypt, || {
-                        self.decrypt_block_in_place(&st.cipher, &iv, tail)
-                    })?;
-                }
-            }
-            Ok(())
-        })?;
-
-        // Copy the requested fragments of the staged edges out.
-        if let Some(head) = head_stage.as_deref() {
-            let (in_block, take) = plan.span_of(chunk_first);
-            buf[plan.buf_range(chunk_first)].copy_from_slice(&head[in_block..in_block + take]);
+                Ok::<(), FsError>(())
+            })?;
         }
-        if let Some(tail) = tail_stage.as_deref() {
-            let (in_block, take) = plan.span_of(chunk_last);
-            buf[plan.buf_range(chunk_last)].copy_from_slice(&tail[in_block..in_block + take]);
+        if let Some(tail) = tail {
+            let last = chunk.blocks - 1;
+            self.decrypt_read_block(
+                &st.cipher,
+                &st.file_iv,
+                chunk.first + last as u64,
+                filled(last),
+                tail,
+            )?;
         }
         Ok(())
     }
@@ -660,13 +423,13 @@ impl EncFs {
     /// The span write pipeline: stages each [`MAX_SPAN_BLOCKS`]-bounded chunk
     /// of the range as plaintext (reading only the partial edge blocks back
     /// for the read-modify-write), encrypts the whole chunk as one parallel
-    /// batch, and writes it with a single backend operation. Under
-    /// [`IoMode::Async`] the chunk writes are submitted to the store's
-    /// completion queue as they are encrypted — chunk N+1's read-modify-write
-    /// and encrypt overlap chunk N's transport — with one wait barrier at the
-    /// end. (Reusing the staging buffer across submitted chunks is safe:
-    /// submissions execute eagerly, so the store has copied the bytes out by
-    /// the time submit returns.)
+    /// batch, and writes it with a single backend operation. The writes form
+    /// one [`SpanIo::write_batch`]: under the default async mode they are
+    /// submitted as they are encrypted — chunk N+1's read-modify-write and
+    /// encrypt overlap chunk N's transport — and the batch's closing barrier
+    /// drains them on every exit, a failed read-modify-write included.
+    /// (Reusing the staging buffer across chunks is safe: the store has
+    /// copied the bytes out by the time a write is issued.)
     fn write_span(
         &self,
         path: &str,
@@ -679,13 +442,8 @@ impl EncFs {
         let plan = self
             .profiler
             .time(Category::Plan, || self.planner.plan(offset, total));
-        let async_io = self.config.span.io == IoMode::Async;
         let mut span_buf = std::mem::take(&mut st.span_buf);
-        let result = (|| {
-            if async_io {
-                with_tls(&ENC_ASYNC_SCRATCH, |s| s.queue.reset());
-            }
-            let mut submitted: u64 = 0;
+        let result = self.io.write_batch(path, |io| {
             let mut chunk_first = plan.first_block;
             while chunk_first <= plan.last_block {
                 let chunk_last = (chunk_first + MAX_SPAN_BLOCKS as u64 - 1).min(plan.last_block);
@@ -727,7 +485,7 @@ impl EncFs {
                 // One parallel batch encrypt over the contiguous staging
                 // buffer (IVs from thread-local scratch — no allocation),
                 // one backend write for the span.
-                with_iv_scratch(|ivs, _| -> Result<()> {
+                with_iv_scratch(|ivs, _| {
                     ivs.clear();
                     ivs.extend(
                         (chunk_first..=chunk_last)
@@ -742,58 +500,13 @@ impl EncFs {
                             bs,
                             self.config.span.crypto,
                         )
-                    })?;
-                    Ok(())
+                    })
                 })?;
-                if async_io {
-                    with_tls(&ENC_ASYNC_SCRATCH, |s| {
-                        asyncio::meter(&self.profiler, &*self.store, Category::Io, || {
-                            self.store.submit_write_vectored(
-                                &mut s.queue,
-                                path,
-                                self.data_offset(chunk_first),
-                                &[IoSlice::new(chunk)],
-                            )
-                        })
-                    });
-                    submitted += 1;
-                } else {
-                    self.io(|| {
-                        self.store
-                            .write_at(path, self.data_offset(chunk_first), chunk)
-                    })?;
-                }
+                io.write(self.data_offset(chunk_first), &[IoSlice::new(chunk)])?;
                 chunk_first = chunk_last + 1;
             }
-            if async_io {
-                self.profiler.ops_submitted(submitted);
-                // Wait barrier: surface the earliest-submitted failure, as
-                // the blocking oracle would have stopped there.
-                with_tls(&ENC_ASYNC_SCRATCH, |s| -> Result<()> {
-                    let EncAsyncScratch {
-                        queue: q,
-                        completions,
-                        ..
-                    } = s;
-                    completions.clear();
-                    asyncio::meter(&self.profiler, &*self.store, Category::Queue, || {
-                        self.store.wait_completions(q, completions)
-                    });
-                    self.profiler.ops_completed(completions.len() as u64);
-                    let first_err = completions
-                        .iter()
-                        .filter(|c| c.result.is_err())
-                        .min_by_key(|c| c.ticket)
-                        .map(|c| c.result.clone().unwrap_err());
-                    completions.clear();
-                    match first_err {
-                        Some(e) => Err(FsError::from(e)),
-                        None => Ok(()),
-                    }
-                })?;
-            }
             Ok(())
-        })();
+        });
         st.span_buf = span_buf;
         result
     }
@@ -801,7 +514,7 @@ impl EncFs {
 
 impl FileSystem for EncFs {
     fn create(&self, path: &str) -> Result<Fd> {
-        self.io(|| self.store.create(path)).map_err(|e| match e {
+        self.io.call(|s| s.create(path)).map_err(|e| match e {
             FsError::Storage(lamassu_storage::StorageError::AlreadyExists { name }) => {
                 FsError::AlreadyExists { path: name }
             }
@@ -827,7 +540,7 @@ impl FileSystem for EncFs {
     }
 
     fn open(&self, path: &str, flags: OpenFlags) -> Result<Fd> {
-        if !self.store.exists(path) {
+        if !self.io.exists(path) {
             return Err(FsError::NotFound {
                 path: path.to_string(),
             });
@@ -837,7 +550,8 @@ impl FileSystem for EncFs {
             let mut st = state.write();
             st.logical_size = 0;
             let truncated = self
-                .io(|| self.store.truncate(path, self.header_len()))
+                .io
+                .call(|s| s.truncate(path, self.header_len()))
                 .and_then(|()| self.write_header(path, &mut st));
             if let Err(e) = truncated {
                 drop(st);
@@ -975,7 +689,8 @@ impl FileSystem for EncFs {
             result?;
         }
         let blocks = size.div_ceil(bs);
-        self.io(|| self.store.truncate(&path, self.header_len() + blocks * bs))?;
+        self.io
+            .call(|s| s.truncate(&path, self.header_len() + blocks * bs))?;
         st.logical_size = size;
         self.write_header(&path, &mut st)
     }
@@ -989,7 +704,7 @@ impl FileSystem for EncFs {
                 self.write_header(&path, &mut st)?;
             }
         }
-        self.io(|| self.store.flush(&path))
+        self.io.call(|s| s.flush(&path))
     }
 
     fn len(&self, fd: Fd) -> Result<u64> {
@@ -999,14 +714,14 @@ impl FileSystem for EncFs {
     }
 
     fn stat(&self, path: &str) -> Result<FileAttr> {
-        if !self.store.exists(path) {
+        if !self.io.exists(path) {
             return Err(FsError::NotFound {
                 path: path.to_string(),
             });
         }
         let state = self.files.lookup_with(path, || self.load_state(path))?;
         let logical = state.read().logical_size;
-        let physical = self.io(|| self.store.len(path))?;
+        let physical = self.io.call(|s| s.len(path))?;
         Ok(FileAttr {
             logical_size: logical,
             physical_size: physical,
@@ -1014,7 +729,7 @@ impl FileSystem for EncFs {
     }
 
     fn remove(&self, path: &str) -> Result<()> {
-        self.io(|| self.store.remove(path)).map_err(|e| match e {
+        self.io.call(|s| s.remove(path)).map_err(|e| match e {
             FsError::Storage(lamassu_storage::StorageError::NotFound { name }) => {
                 FsError::NotFound { path: name }
             }
@@ -1026,7 +741,7 @@ impl FileSystem for EncFs {
     }
 
     fn rename(&self, from: &str, to: &str) -> Result<()> {
-        self.io(|| self.store.rename(from, to))?;
+        self.io.call(|s| s.rename(from, to))?;
         // The registry moves the entry under a single map lock, so no
         // concurrent open can observe (or resurrect) the old path's entry
         // mid-rename.
@@ -1036,7 +751,7 @@ impl FileSystem for EncFs {
     }
 
     fn list(&self) -> Result<Vec<String>> {
-        Ok(self.store.list())
+        Ok(self.io.list())
     }
 
     fn kind(&self) -> &'static str {

@@ -62,7 +62,8 @@ use crate::iovec::{self, GatherCursor};
 use crate::lamassufs::{IntegrityMode, LamassuConfig};
 use crate::pool::{with_tls, BlockBuf, BlockPool};
 use crate::profiler::{Category, Profiler};
-use crate::span::{IoMode, SpanConfig, SpanPlan, SpanPlanner, SpanPolicy};
+use crate::span::{SpanConfig, SpanPlanner, SpanPolicy};
+use crate::spanio::{Landed, Run, SpanIo};
 use crate::{FsError, Result};
 use lamassu_crypto::aes::Aes256;
 use lamassu_crypto::gcm::Aes256Gcm;
@@ -72,7 +73,7 @@ use lamassu_crypto::{batch, cbc, fixsliced, stats};
 use lamassu_crypto::{CryptoBackend, Key256, FIXED_IV};
 use lamassu_format::{Geometry, MetadataBlock, TransientEntry};
 use lamassu_keymgr::ZoneKeys;
-use lamassu_storage::{Completion, ObjectStore, StorageError, SubmitQueue, SubmitTicket};
+use lamassu_storage::{ObjectStore, StorageError};
 use parking_lot::{Mutex, RwLock};
 use rand::RngCore;
 use std::cell::RefCell;
@@ -80,7 +81,6 @@ use std::collections::HashMap;
 use std::io::IoSlice;
 use std::ops::Range;
 use std::sync::Arc;
-use std::time::Instant;
 
 /// Maximum number of decrypted metadata blocks cached per open file.
 const META_CACHE_CAP: usize = 8192;
@@ -96,52 +96,17 @@ const POOL_SLACK_BLOCKS: usize = 16;
 /// stages contiguously.
 const POOL_WRITE_BLOCKS: usize = 256;
 
-/// One maximal run of consecutive disk-backed blocks within a span read:
-/// `(first block, index of its first key in the scratch key vec, length)`.
-type RunSpan = (u64, usize, usize);
-
 thread_local! {
-    /// Span-read planning scratch: run boundaries, the flat per-run key
-    /// copies, and the hole block indices of the current segment group.
-    /// Thread-local so the read path can use it under a *shared* file
+    /// Span-read planning scratch: the runs of consecutive disk-backed
+    /// blocks (each tagged with the index of its first key), the flat
+    /// per-run key copies, and the hole block indices of the current segment
+    /// group. Thread-local so the read path can use it under a *shared* file
     /// borrow, reused so the steady state allocates nothing.
-    static RUN_SCRATCH: RefCell<(Vec<RunSpan>, Vec<Key256>, Vec<u64>)> =
+    static RUN_SCRATCH: RefCell<(Vec<Run>, Vec<Key256>, Vec<u64>)> =
         const { RefCell::new((Vec::new(), Vec::new(), Vec::new())) };
     /// Derived/recomputed key scratch (integrity re-derivation, the keys of
     /// one commit batch).
     static KEY_SCRATCH: RefCell<Vec<Key256>> = const { RefCell::new(Vec::new()) };
-    /// Async-pipeline scratch: the thread's submission queue, the drained
-    /// completion staging, and the per-run in-flight records. Thread-local
-    /// for the same reason as [`RUN_SCRATCH`] — the read path holds only a
-    /// shared file borrow — and reused so the warm async path allocates
-    /// nothing.
-    static ASYNC_SCRATCH: RefCell<AsyncScratch> = RefCell::new(AsyncScratch::default());
-}
-
-/// Reusable state of one thread's submission/completion pipeline (span
-/// reads and commit phases).
-#[derive(Default)]
-struct AsyncScratch {
-    queue: SubmitQueue,
-    completions: Vec<Completion>,
-    reads: Vec<PendingRead>,
-}
-
-/// One submitted span-read run awaiting its completion: the ticket that
-/// identifies it, the geometry needed to finish it, and the staged edge
-/// buffers it owns until the completion lands (the pooled buffers return to
-/// the pool when the record is cleared).
-struct PendingRead {
-    ticket: SubmitTicket,
-    run_start: u64,
-    /// Index of the run's first key in the caller's flat key scratch.
-    key_idx: usize,
-    /// Number of blocks (= keys) in the run.
-    len: usize,
-    head_stage: Option<BlockBuf>,
-    tail_stage: Option<BlockBuf>,
-    /// The contiguous middle region of the caller's buffer.
-    mid_range: Range<usize>,
 }
 
 /// Outcome of a crash-recovery scan over one file (paper §2.4).
@@ -308,7 +273,8 @@ impl LamassuFile {
 
 /// Shared per-mount machinery.
 pub(crate) struct Engine {
-    store: Arc<dyn ObjectStore>,
+    /// The backing store, behind the span-I/O driver ([`crate::spanio`]).
+    io: SpanIo,
     geometry: Geometry,
     integrity: IntegrityMode,
     span: SpanConfig,
@@ -331,7 +297,7 @@ impl Engine {
         let profiler = Profiler::new();
         profiler.attach_pool(&blocks);
         Engine {
-            store,
+            io: SpanIo::new(store, profiler.clone(), config.span.io),
             geometry: config.geometry,
             integrity: config.integrity,
             span: config.span,
@@ -366,55 +332,35 @@ impl Engine {
     }
 
     pub(crate) fn object_exists(&self, name: &str) -> bool {
-        self.store.exists(name)
+        self.io.exists(name)
     }
 
     pub(crate) fn list_objects(&self) -> Vec<String> {
-        self.store.list()
+        self.io.list()
     }
 
     pub(crate) fn physical_size(&self, name: &str) -> Result<u64> {
-        self.io(|| self.store.len(name))
+        self.io.call(|s| s.len(name))
     }
 
     pub(crate) fn remove(&self, name: &str) -> Result<()> {
-        self.io(|| self.store.remove(name)).map_err(|e| match e {
+        self.io.call(|s| s.remove(name)).map_err(|e| match e {
             FsError::Storage(StorageError::NotFound { name }) => FsError::NotFound { path: name },
             other => other,
         })
     }
 
     pub(crate) fn rename(&self, from: &str, to: &str) -> Result<()> {
-        self.io(|| self.store.rename(from, to))
+        self.io.call(|s| s.rename(from, to))
     }
 
     pub(crate) fn sync_object(&self, name: &str) -> Result<()> {
-        self.io(|| self.store.flush(name))
+        self.io.call(|s| s.flush(name))
     }
 
     /// Replaces the mount's key pair (after a completed re-keying pass).
     pub(crate) fn switch_keys(&self, keys: ZoneKeys) {
         *self.crypto.write() = CryptoCtx::new(keys, self.span.crypto);
-    }
-
-    /// Charges a backing-store call to the I/O latency category.
-    fn io<T>(&self, f: impl FnOnce() -> lamassu_storage::Result<T>) -> Result<T> {
-        self.io_meter(Category::Io, f).map_err(FsError::from)
-    }
-
-    /// Charges a backing-store call — wall time plus the virtual transport
-    /// time it advanced — to `cat`. The async pipeline meters its submit
-    /// calls as [`Category::Io`] (the makespan growth each submission adds to
-    /// the channel) and its poll/wait calls as [`Category::Queue`] (the time
-    /// spent blocked on completions), so the Figure 9 breakdown separates
-    /// transport from submission-queue stalls.
-    fn io_meter<T>(&self, cat: Category, f: impl FnOnce() -> T) -> T {
-        let virt_before = self.store.io_time();
-        let start = Instant::now();
-        let out = f();
-        let elapsed = start.elapsed() + self.store.io_time().saturating_sub(virt_before);
-        self.profiler.add(cat, elapsed);
-        out
     }
 
     /// Additional authenticated data binding a metadata block to its segment
@@ -434,7 +380,7 @@ impl Engine {
     /// Creates a new empty Lamassu object: one sealed metadata block holding
     /// a logical size of zero.
     pub(crate) fn create(&self, name: &str) -> Result<LamassuFile> {
-        self.io(|| self.store.create(name)).map_err(|e| match e {
+        self.io.call(|s| s.create(name)).map_err(|e| match e {
             FsError::Storage(StorageError::AlreadyExists { name }) => {
                 FsError::AlreadyExists { path: name }
             }
@@ -458,7 +404,7 @@ impl Engine {
 
     /// Index of the last segment present in the physical object.
     fn last_physical_segment(&self, name: &str) -> Result<u64> {
-        let physical = self.io(|| self.store.len(name))?;
+        let physical = self.io.call(|s| s.len(name))?;
         let seg_bytes = self.geometry.segment_bytes();
         Ok(physical.div_ceil(seg_bytes).max(1) - 1)
     }
@@ -474,7 +420,9 @@ impl Engine {
         let offset = self.geometry.metadata_block_offset(segment);
         let bs = self.geometry.block_size();
         let mut staged = self.blocks.take();
-        let n = self.io(|| self.store.read_into(&file.name, offset, &mut staged))?;
+        let n = self
+            .io
+            .call(|s| s.read_into(&file.name, offset, &mut staged))?;
         if n < bs {
             return Ok(MetadataBlock::new(&self.geometry));
         }
@@ -552,7 +500,7 @@ impl Engine {
     ) -> Result<()> {
         self.seal_meta(segment, mb, sealed_out);
         let offset = self.geometry.metadata_block_offset(segment);
-        self.io(|| self.store.write_at(&file.name, offset, sealed_out))
+        self.io.call(|s| s.write_at(&file.name, offset, sealed_out))
     }
 
     /// Seals and writes the metadata block for `segment`, updating the cache
@@ -699,7 +647,9 @@ impl Engine {
                 return Ok(false);
             }
         };
-        let n = self.io(|| self.store.read_into(&file.name, loc.physical_offset, dest))?;
+        let n = self
+            .io
+            .call(|s| s.read_into(&file.name, loc.physical_offset, dest))?;
         if n < dest.len() {
             // Key present but data never reached disk (should only happen on
             // an unrecovered crash); treat as a hole.
@@ -735,16 +685,9 @@ impl Engine {
             return Ok(0);
         }
         let len = buf.len().min((file.logical_size - offset) as usize);
-        match (self.span.policy, self.span.io) {
-            (SpanPolicy::PerBlock, _) => {
-                self.read_range_per_block(file, offset, &mut buf[..len])?
-            }
-            (SpanPolicy::Batched, IoMode::Async) => {
-                self.read_range_async(file, offset, &mut buf[..len])?
-            }
-            (SpanPolicy::Batched, IoMode::Blocking) => {
-                self.read_range_batched(file, offset, &mut buf[..len])?
-            }
+        match self.span.policy {
+            SpanPolicy::PerBlock => self.read_range_per_block(file, offset, &mut buf[..len])?,
+            SpanPolicy::Batched => self.read_range_batched(file, offset, &mut buf[..len])?,
         }
         Ok(len)
     }
@@ -770,33 +713,33 @@ impl Engine {
         Ok(())
     }
 
-    /// The span read pipeline: plans the range, groups it by segment, and
-    /// serves every maximal run of consecutive disk-backed blocks with one
-    /// vectored backend read followed by one parallel batch decrypt (plus one
-    /// parallel batch re-derivation when full integrity checking is on).
-    /// Pending (buffered) blocks and holes are served without touching the
-    /// store. Run boundaries and key copies live in thread-local scratch, so
-    /// a warm aligned read allocates nothing.
+    /// The span read pipeline: plans the range, classifies every block from
+    /// the metadata into pending blocks, holes and maximal runs of
+    /// consecutive disk-backed blocks, and hands the runs of the **whole**
+    /// span — so that under the default async mode all of them are in flight
+    /// together — to the span-I/O driver, which calls [`Engine::finish_run`]
+    /// on each run as it lands. Pending (buffered) blocks and holes are
+    /// served without touching the store. Run boundaries and key copies live
+    /// in thread-local scratch, so a warm read allocates nothing.
     fn read_range_batched(&self, file: &LamassuFile, offset: u64, buf: &mut [u8]) -> Result<()> {
         let plan = self
             .profiler
             .time(Category::Plan, || self.planner.plan(offset, buf.len()));
         let n_per_seg = self.geometry.keys_per_metadata_block() as u64;
         with_tls(&RUN_SCRATCH, |(runs, keys, holes)| {
+            runs.clear();
+            keys.clear();
             let mut block = plan.first_block;
             while block <= plan.last_block {
                 let segment = block / n_per_seg;
                 let group_end = ((segment + 1) * n_per_seg - 1).min(plan.last_block);
-                runs.clear();
-                keys.clear();
                 holes.clear();
+                let group_first_run = runs.len();
                 // Classify every block of the segment group under one cache
                 // probe. The closure only copies keys out and records run /
                 // hole boundaries — all byte shuffling happens after the
                 // lock drops, so concurrent readers serialize on key copies
-                // only. Disk-backed blocks accumulate into maximal
-                // consecutive runs (consecutive logical blocks of one
-                // segment are physically contiguous).
+                // only.
                 self.with_meta(file, segment, |mb| {
                     for b in block..=group_end {
                         if file.pending_block(b).is_some() {
@@ -809,91 +752,20 @@ impl Engine {
                         match mb.key(slot) {
                             None => holes.push(b),
                             Some(key) => {
-                                match runs.last_mut() {
-                                    Some((start, _, len)) if *start + *len as u64 == b => *len += 1,
-                                    _ => runs.push((b, keys.len(), 1)),
-                                }
-                                keys.push(*key);
-                            }
-                        }
-                    }
-                })?;
-                for b in block..=group_end {
-                    if let Some(plain) = file.pending_block(b) {
-                        let (in_block, take) = plan.span_of(b);
-                        buf[plan.buf_range(b)].copy_from_slice(&plain[in_block..in_block + take]);
-                    }
-                }
-                for &b in holes.iter() {
-                    buf[plan.buf_range(b)].fill(0);
-                }
-                for &(run_start, key_idx, len) in runs.iter() {
-                    self.read_run_batched(
-                        file,
-                        &plan,
-                        run_start,
-                        &keys[key_idx..key_idx + len],
-                        buf,
-                    )?;
-                }
-                block = group_end + 1;
-            }
-            Ok(())
-        })
-    }
-
-    /// The async span read pipeline ([`IoMode::Async`], the default): same
-    /// plan and classification as [`Engine::read_range_batched`], but instead
-    /// of one blocking vectored read per run, **all** of the span's runs are
-    /// submitted to the store's completion queue up front and each run's
-    /// batch decrypt / integrity check starts as its completion lands while
-    /// later runs are still in flight. A single client thread therefore keeps
-    /// up to `StorageProfile.queue_depth` backend operations overlapped, and
-    /// crypto for early runs overlaps the transport of later ones.
-    ///
-    /// Completion-token ownership: each submitted run's staged edge buffers
-    /// live in the thread-local [`PendingRead`] record its ticket indexes, so
-    /// the borrow handed to the store ends at submit-return and the result —
-    /// byte count *or* deferred fault — surfaces only through the drained
-    /// [`Completion`]. Holes, pending blocks and classification are identical
-    /// to the blocking oracle; the differential tests replay workloads
-    /// through both modes and require byte-identical results.
-    fn read_range_async(&self, file: &LamassuFile, offset: u64, buf: &mut [u8]) -> Result<()> {
-        let plan = self
-            .profiler
-            .time(Category::Plan, || self.planner.plan(offset, buf.len()));
-        let n_per_seg = self.geometry.keys_per_metadata_block() as u64;
-        with_tls(&RUN_SCRATCH, |(runs, keys, holes)| {
-            runs.clear();
-            keys.clear();
-            // Accumulate the runs of *every* segment group before touching
-            // the store, so the submission batch covers the whole span.
-            let mut block = plan.first_block;
-            while block <= plan.last_block {
-                let segment = block / n_per_seg;
-                let group_end = ((segment + 1) * n_per_seg - 1).min(plan.last_block);
-                holes.clear();
-                let group_first_run = runs.len();
-                self.with_meta(file, segment, |mb| {
-                    for b in block..=group_end {
-                        if file.pending_block(b).is_some() {
-                            continue;
-                        }
-                        let slot = (b % n_per_seg) as usize;
-                        match mb.key(slot) {
-                            None => holes.push(b),
-                            Some(key) => {
-                                // Runs never merge across a segment boundary:
-                                // a metadata block sits between the groups on
-                                // disk.
-                                let can_merge = runs.len() > group_first_run;
-                                match runs.last_mut() {
-                                    Some((start, _, len))
-                                        if can_merge && *start + *len as u64 == b =>
-                                    {
-                                        *len += 1
+                                // Consecutive logical blocks of one segment
+                                // are physically contiguous; runs never merge
+                                // across a segment boundary, where a metadata
+                                // block sits between the groups on disk.
+                                match runs[group_first_run..].last_mut() {
+                                    Some(run) if run.first + run.blocks as u64 == b => {
+                                        run.blocks += 1
                                     }
-                                    _ => runs.push((b, keys.len(), 1)),
+                                    _ => runs.push(Run {
+                                        first: b,
+                                        blocks: 1,
+                                        offset: self.geometry.locate_block(b).physical_offset,
+                                        tag: keys.len(),
+                                    }),
                                 }
                                 keys.push(*key);
                             }
@@ -911,315 +783,72 @@ impl Engine {
                 }
                 block = group_end + 1;
             }
-            self.read_runs_async(file, &plan, runs, keys, buf)
+            self.io.read_runs(
+                &self.blocks,
+                &file.name,
+                &plan,
+                runs.iter().copied(),
+                buf,
+                |run, landed| {
+                    self.finish_run(file, run, &keys[run.tag..run.tag + run.blocks], landed)
+                },
+            )
         })
     }
 
-    /// Submits every run of a planned span to the store's completion queue,
-    /// then drains completions — decrypting and checking each run the moment
-    /// its completion lands — until all runs have finished. Ends with a
-    /// [`ObjectStore::wait_completions`] barrier so the channel's blocking
-    /// frontier catches up to the last in-flight submission.
-    fn read_runs_async(
-        &self,
-        file: &LamassuFile,
-        plan: &SpanPlan,
-        runs: &[RunSpan],
-        keys: &[Key256],
-        buf: &mut [u8],
-    ) -> Result<()> {
-        if runs.is_empty() {
-            return Ok(());
-        }
-        let bs = self.geometry.block_size();
-        with_tls(&ASYNC_SCRATCH, |scratch| {
-            let AsyncScratch {
-                queue: q,
-                completions,
-                reads,
-            } = scratch;
-            q.reset();
-            completions.clear();
-            reads.clear();
-
-            // Submission phase: stage the edge buffers of every run and hand
-            // the whole span to the store back to back. The store executes
-            // the data movement eagerly (the buffer borrows end here) but
-            // schedules the transport cost onto its queue-depth lanes, so the
-            // submissions overlap in virtual time.
-            for &(run_start, key_idx, len) in runs {
-                let run_last = run_start + len as u64 - 1;
-                let head_staged = !plan.is_full(run_start);
-                let tail_staged = run_last != run_start && !plan.is_full(run_last);
-                let mut head_stage = head_staged.then(|| self.blocks.take());
-                let mut tail_stage = tail_staged.then(|| self.blocks.take());
-                let mid_first = run_start + head_staged as u64;
-                let mid_count = len - head_staged as usize - tail_staged as usize;
-                let mid_range = if mid_count > 0 {
-                    let start = plan.buf_range(mid_first).start;
-                    start..start + mid_count * bs
-                } else {
-                    0..0
-                };
-                let phys = self.geometry.locate_block(run_start).physical_offset;
-                let mid_slice = &mut buf[mid_range.clone()];
-                let ticket = iovec::with_scatter3(
-                    head_stage.as_deref_mut(),
-                    mid_slice,
-                    tail_stage.as_deref_mut(),
-                    |io_bufs| {
-                        self.io_meter(Category::Io, || {
-                            self.store
-                                .submit_read_vectored(q, &file.name, phys, io_bufs)
-                        })
-                    },
-                );
-                self.profiler.ops_submitted(1);
-                reads.push(PendingRead {
-                    ticket,
-                    run_start,
-                    key_idx,
-                    len,
-                    head_stage,
-                    tail_stage,
-                    mid_range,
-                });
-            }
-
-            // Completion phase: serve completions in whatever order the store
-            // releases them — matching by ticket, never by position — and
-            // finish each run (zero-fill short reads, decrypt, integrity
-            // check, copy edges out) while later runs are still in flight.
-            // The blocking oracle stops at its first failing run, so on
-            // multiple failures the error of the earliest run wins.
-            let mut first_err: Option<(u64, FsError)> = None;
-            let mut remaining = reads.len();
-            while remaining > 0 {
-                completions.clear();
-                self.io_meter(Category::Queue, || {
-                    self.store.poll_completions(q, completions);
-                    if completions.is_empty() {
-                        self.store.wait_completions(q, completions);
-                    }
-                });
-                if completions.is_empty() {
-                    debug_assert!(false, "store dropped an in-flight completion");
-                    break;
-                }
-                self.profiler.ops_completed(completions.len() as u64);
-                remaining -= completions.len().min(remaining);
-                for c in completions.iter() {
-                    let p = reads
-                        .iter_mut()
-                        .find(|p| p.ticket == c.ticket)
-                        .expect("every completion matches a submitted run");
-                    let run_keys = &keys[p.key_idx..p.key_idx + p.len];
-                    let finished = match &c.result {
-                        Ok(n) => self.finish_run(
-                            file,
-                            plan,
-                            p.run_start,
-                            run_keys,
-                            buf,
-                            &mut p.head_stage,
-                            &mut p.tail_stage,
-                            p.mid_range.clone(),
-                            *n,
-                        ),
-                        Err(e) => Err(FsError::from(e.clone())),
-                    };
-                    // Return the staged edges to the pool promptly; a
-                    // drained ticket is dead either way.
-                    p.head_stage = None;
-                    p.tail_stage = None;
-                    if let Err(e) = finished {
-                        match &first_err {
-                            Some((s, _)) if *s <= p.run_start => {}
-                            _ => first_err = Some((p.run_start, e)),
-                        }
-                    }
-                }
-            }
-            reads.clear();
-
-            // Transport barrier: even when every completion arrived via
-            // poll, the channel's lanes may still run past its blocking
-            // frontier — wait_completions raises the floor so later blocking
-            // operations cannot start before the span's I/O finishes.
-            completions.clear();
-            self.io_meter(Category::Queue, || {
-                self.store.wait_completions(q, completions)
-            });
-            self.profiler.ops_completed(completions.len() as u64);
-            debug_assert!(completions.is_empty(), "barrier found undrained work");
-
-            match first_err {
-                Some((_, e)) => Err(e),
-                None => Ok(()),
-            }
-        })
-    }
-
-    /// Reads and decrypts one physically contiguous run of `keys.len()`
-    /// blocks starting at `run_start`.
-    ///
-    /// A fully aligned run — the steady-state shape — needs no staging at
-    /// all: one backend read lands the ciphertext in the caller's buffer and
-    /// one contiguous batch decrypt (plus, under full integrity, one
-    /// contiguous batch re-derivation into thread-local scratch) finishes
-    /// it, with zero allocation. Partial edge blocks stage through pooled
-    /// blocks and are handled individually around the contiguous middle.
-    fn read_run_batched(
-        &self,
-        file: &LamassuFile,
-        plan: &SpanPlan,
-        run_start: u64,
-        keys: &[Key256],
-        buf: &mut [u8],
-    ) -> Result<()> {
-        let bs = self.geometry.block_size();
-        let run_last = run_start + keys.len() as u64 - 1;
-        // Only the plan's edge blocks can be partially covered; they stage
-        // through a pooled block each.
-        let head_staged = !plan.is_full(run_start);
-        let tail_staged = run_last != run_start && !plan.is_full(run_last);
-        let mut head_stage = if head_staged {
-            Some(self.blocks.take())
-        } else {
-            None
-        };
-        let mut tail_stage = if tail_staged {
-            Some(self.blocks.take())
-        } else {
-            None
-        };
-
-        // The contiguous middle region of the caller's buffer.
-        let mid_first = run_start + head_staged as u64;
-        let mid_count = keys.len() - head_staged as usize - tail_staged as usize;
-        let mid_range = if mid_count > 0 {
-            let start = plan.buf_range(mid_first).start;
-            start..start + mid_count * bs
-        } else {
-            0..0
-        };
-        let phys = self.geometry.locate_block(run_start).physical_offset;
-
-        // One charged backend round trip for the whole run. The aligned case
-        // reads straight into the caller's buffer; edges scatter through the
-        // staging blocks.
-        let n = if !head_staged && !tail_staged {
-            let mid_slice = &mut buf[mid_range.clone()];
-            self.io(|| self.store.read_into(&file.name, phys, mid_slice))?
-        } else {
-            let mid_slice = &mut buf[mid_range.clone()];
-            iovec::with_scatter3(
-                head_stage.as_deref_mut(),
-                mid_slice,
-                tail_stage.as_deref_mut(),
-                |io_bufs| self.io(|| self.store.read_into_vectored(&file.name, phys, io_bufs)),
-            )?
-        };
-
-        self.finish_run(
-            file,
-            plan,
-            run_start,
-            keys,
-            buf,
-            &mut head_stage,
-            &mut tail_stage,
-            mid_range,
-            n,
-        )
-    }
-
-    /// Post-transport half of a span-read run, shared between the blocking
-    /// pipeline (called right after its vectored read returns) and the async
-    /// pipeline (called as the run's completion lands): zero-fills blocks a
-    /// short read could not produce, decrypts edges individually and the
-    /// middle as one contiguous batch, runs the §2.5 self-check under full
-    /// integrity, and copies the requested fragments of the staged edge
-    /// blocks out.
-    #[allow(clippy::too_many_arguments)]
+    /// The codec half of a span-read run, called by the driver once the
+    /// run's read has landed. Blocks a short read could not produce (a key
+    /// present but the data never on disk — only possible after an
+    /// unrecovered crash) read as holes, exactly like the per-block path; the
+    /// staged edge blocks decrypt individually and the middle as one
+    /// contiguous batch, each followed under full integrity by the §2.5
+    /// self-check (the middle as one batch re-derivation into thread-local
+    /// scratch). A fully aligned run — the steady-state shape — has no
+    /// edges: its ciphertext landed in the caller's buffer and is decrypted
+    /// and checked there, with zero allocation.
     fn finish_run(
         &self,
         file: &LamassuFile,
-        plan: &SpanPlan,
-        run_start: u64,
+        run: &Run,
         keys: &[Key256],
-        buf: &mut [u8],
-        head_stage: &mut Option<BlockBuf>,
-        tail_stage: &mut Option<BlockBuf>,
-        mid_range: Range<usize>,
-        n: usize,
+        landed: Landed<'_>,
     ) -> Result<()> {
         let bs = self.geometry.block_size();
-        let run_last = run_start + keys.len() as u64 - 1;
-        let head_staged = head_stage.is_some();
-        let tail_staged = tail_stage.is_some();
-        let mid_first = run_start + head_staged as u64;
-        let mid_count = keys.len() - head_staged as usize - tail_staged as usize;
-
-        // Blocks the store could not fully produce (a key present but the
-        // data never reached disk — only possible after an unrecovered
-        // crash) read as holes, exactly like the per-block path. Staged
-        // blocks that were not fully read never leak their (stale) bytes:
-        // the copy-out below is gated on the same `read_blocks` count.
+        let Landed { n, head, mid, tail } = landed;
+        let check = matches!(self.integrity, IntegrityMode::Full);
+        let violation = |logical_block| FsError::IntegrityViolation {
+            path: file.name.clone(),
+            logical_block,
+        };
         let read_blocks = (n / bs).min(keys.len());
-        for b in run_start + read_blocks as u64..=run_last {
-            buf[plan.buf_range(b)].fill(0);
-        }
-        if read_blocks == 0 {
-            return Ok(());
-        }
-        let head_read = head_staged; // read_blocks >= 1 covers the head
-        let mid_read = read_blocks
-            .saturating_sub(head_staged as usize)
-            .min(mid_count);
-        let tail_read = tail_staged && read_blocks == keys.len();
-
-        // Decrypt: edges individually, the middle as one contiguous batch.
-        if let Some(head) = head_stage.as_deref_mut() {
-            if head_read {
-                self.decrypt_in_place(head, &keys[0]);
-            }
-        }
-        if mid_read > 0 {
-            let mid_keys = &keys[head_staged as usize..head_staged as usize + mid_read];
-            let mid_slice = &mut buf[mid_range.start..mid_range.start + mid_read * bs];
-            self.profiler.time(Category::Decrypt, || {
-                batch::decrypt_span(
-                    &self.pool,
-                    mid_keys,
-                    &FIXED_IV,
-                    mid_slice,
-                    bs,
-                    self.span.crypto,
-                )
-                .expect("data blocks are 16-byte aligned")
-            });
-        }
-        if let Some(tail) = tail_stage.as_deref_mut() {
-            if tail_read {
-                self.decrypt_in_place(tail, &keys[keys.len() - 1]);
-            }
-        }
-
-        // The §2.5 self-check, batched: re-derive every read block's key in
-        // parallel into thread-local scratch and compare.
-        if matches!(self.integrity, IntegrityMode::Full) {
-            if let Some(head) = head_stage.as_deref() {
-                if head_read && !self.key_matches_plaintext(head, &keys[0]) {
-                    return Err(FsError::IntegrityViolation {
-                        path: file.name.clone(),
-                        logical_block: run_start,
-                    });
+        let edge = |stage: Option<&mut [u8]>, read: bool, key: &Key256, block: u64| {
+            match stage {
+                // Never leak the staging block's stale bytes.
+                Some(stage) if !read => stage.fill(0),
+                Some(stage) => {
+                    self.decrypt_in_place(stage, key);
+                    if check && !self.key_matches_plaintext(stage, key) {
+                        return Err(violation(block));
+                    }
                 }
+                None => {}
             }
-            if mid_read > 0 {
-                let mid_keys = &keys[head_staged as usize..head_staged as usize + mid_read];
-                let mid_slice = &buf[mid_range.start..mid_range.start + mid_read * bs];
+            Ok(())
+        };
+
+        let head_blocks = head.is_some() as usize;
+        edge(head, read_blocks >= 1, &keys[0], run.first)?;
+
+        let mid_read = read_blocks.saturating_sub(head_blocks).min(mid.len() / bs);
+        let (mid, unread) = mid.split_at_mut(mid_read * bs);
+        unread.fill(0);
+        if mid_read > 0 {
+            let mid_keys = &keys[head_blocks..head_blocks + mid_read];
+            self.profiler.time(Category::Decrypt, || {
+                batch::decrypt_span(&self.pool, mid_keys, &FIXED_IV, mid, bs, self.span.crypto)
+                    .expect("data blocks are 16-byte aligned")
+            });
+            if check {
                 let crypto = self.crypto.read();
                 with_tls(&KEY_SCRATCH, |derived| {
                     derived.clear();
@@ -1228,46 +857,32 @@ impl Engine {
                         batch::derive_span_into(
                             &self.pool,
                             &crypto.kdf,
-                            mid_slice,
+                            mid,
                             bs,
                             derived,
                             self.span.crypto,
                         )
                         .expect("span length matches key count")
                     });
-                    for (i, (got, expected)) in derived.iter().zip(mid_keys).enumerate() {
-                        if got != expected {
-                            return Err(FsError::IntegrityViolation {
-                                path: file.name.clone(),
-                                logical_block: mid_first + i as u64,
-                            });
-                        }
+                    match derived
+                        .iter()
+                        .zip(mid_keys)
+                        .position(|(got, want)| got != want)
+                    {
+                        Some(i) => Err(violation(run.first + (head_blocks + i) as u64)),
+                        None => Ok(()),
                     }
-                    Ok(())
                 })?;
-            }
-            if let Some(tail) = tail_stage.as_deref() {
-                if tail_read && !self.key_matches_plaintext(tail, &keys[keys.len() - 1]) {
-                    return Err(FsError::IntegrityViolation {
-                        path: file.name.clone(),
-                        logical_block: run_last,
-                    });
-                }
             }
         }
 
-        // Copy the requested fragments of the staged edge blocks out.
-        if head_read {
-            let (in_block, take) = plan.span_of(run_start);
-            let head = head_stage.as_deref().expect("head staged");
-            buf[plan.buf_range(run_start)].copy_from_slice(&head[in_block..in_block + take]);
-        }
-        if tail_read {
-            let (in_block, take) = plan.span_of(run_last);
-            let tail = tail_stage.as_deref().expect("tail staged");
-            buf[plan.buf_range(run_last)].copy_from_slice(&tail[in_block..in_block + take]);
-        }
-        Ok(())
+        let last = keys.len() - 1;
+        edge(
+            tail,
+            read_blocks == keys.len(),
+            &keys[last],
+            run.first + last as u64,
+        )
     }
 
     // ------------------------------------------------------------------
@@ -1459,9 +1074,11 @@ impl Engine {
     /// *several* segments can be mid-update at once; recovery already scans
     /// them all.
     ///
-    /// Under [`IoMode::Async`] a phase's writes are submitted back to back
-    /// and overlap on the channel's queue-depth lanes; under
-    /// [`IoMode::Blocking`] the same pipeline issues them one by one.
+    /// The writes go through one [`SpanIo::write_batch`]: under the default
+    /// async mode a phase's writes are submitted back to back and overlap on
+    /// the channel's queue-depth lanes, their results — injected faults
+    /// included — surfacing at the phase's barrier; the blocking mode runs
+    /// the same pipeline one write at a time.
     fn commit_rounds(
         &self,
         file: &LamassuFile,
@@ -1494,9 +1111,7 @@ impl Engine {
         let rounds = segs.iter().map(|seg| seg.rounds(r)).max().unwrap_or(0);
 
         let mut sealed = self.blocks.take();
-        with_tls(&ASYNC_SCRATCH, |io| -> Result<()> {
-            io.queue.reset();
-            io.completions.clear();
+        self.io.write_batch(&file.name, |io| {
             for round in 0..=rounds {
                 // Metadata phase. A segment with `n` rounds writes its
                 // metadata block in phases `0..=n`: closing round `j - 1`
@@ -1530,9 +1145,9 @@ impl Engine {
                 for seg in segs.iter().filter(|seg| round <= seg.rounds(r)) {
                     self.seal_meta(seg.segment, &seg.mb, &mut sealed);
                     let offset = self.geometry.metadata_block_offset(seg.segment);
-                    self.commit_write(file, io, offset, &sealed)?;
+                    io.write(offset, &[IoSlice::new(&sealed)])?;
                 }
-                self.commit_barrier(io)?;
+                io.barrier()?;
 
                 // Data phase: the round's ciphertext, one write per run of
                 // adjacent blocks (`ids` is ascending, and consecutive blocks
@@ -1546,11 +1161,11 @@ impl Engine {
                             j += 1;
                         }
                         let offset = self.geometry.locate_block(ids[i]).physical_offset;
-                        self.commit_write(file, io, offset, &data[i * bs..j * bs])?;
+                        io.write(offset, &[IoSlice::new(&data[i * bs..j * bs])])?;
                         i = j;
                     }
                 }
-                self.commit_barrier(io)?;
+                io.barrier()?;
             }
             Ok(())
         })?;
@@ -1560,63 +1175,6 @@ impl Engine {
             file.cache_meta(seg.segment, seg.mb);
         }
         Ok(wrote_size)
-    }
-
-    /// Issues one write of a commit phase: submitted to the completion queue
-    /// under [`IoMode::Async`] (its result surfaces at the phase's barrier),
-    /// a blocking call otherwise.
-    fn commit_write(
-        &self,
-        file: &LamassuFile,
-        io: &mut AsyncScratch,
-        offset: u64,
-        buf: &[u8],
-    ) -> Result<()> {
-        match self.span.io {
-            IoMode::Async => {
-                self.io_meter(Category::Io, || {
-                    self.store.submit_write_vectored(
-                        &mut io.queue,
-                        &file.name,
-                        offset,
-                        &[IoSlice::new(buf)],
-                    )
-                });
-                self.profiler.ops_submitted(1);
-                Ok(())
-            }
-            IoMode::Blocking => self.io(|| self.store.write_at(&file.name, offset, buf)),
-        }
-    }
-
-    /// Closes a commit phase: drains every write submitted since the last
-    /// barrier with one [`ObjectStore::wait_completions`]. Write results —
-    /// including injected faults — surface only here, in whatever order the
-    /// store releases them; on multiple failures the earliest submission's
-    /// error wins (tickets are issued in increasing order), mirroring the
-    /// blocking loop. Nothing is left in flight either way, and since an
-    /// async [`Engine::commit_write`] cannot itself fail, a pipeline never
-    /// stops between a submission and its barrier.
-    fn commit_barrier(&self, io: &mut AsyncScratch) -> Result<()> {
-        if io.queue.in_flight() == 0 {
-            return Ok(());
-        }
-        self.io_meter(Category::Queue, || {
-            self.store
-                .wait_completions(&mut io.queue, &mut io.completions)
-        });
-        self.profiler.ops_completed(io.completions.len() as u64);
-        let first_err = io
-            .completions
-            .iter()
-            .filter(|c| c.result.is_err())
-            .min_by_key(|c| c.ticket)
-            .map(|c| c.result.clone().unwrap_err());
-        io.completions.clear();
-        match first_err {
-            Some(e) => Err(FsError::from(e)),
-            None => Ok(()),
-        }
     }
 
     /// The per-block oracle's flush step ([`SpanPolicy::PerBlock`]): the
@@ -1682,7 +1240,7 @@ impl Engine {
             {
                 self.encrypt_in_place(cipher, key);
                 let offset = self.geometry.locate_block(*block).physical_offset;
-                self.io(|| self.store.write_at(&file.name, offset, cipher))?;
+                self.io.call(|s| s.write_at(&file.name, offset, cipher))?;
             }
 
             self.update_meta(file, segment, |mb| {
@@ -1753,7 +1311,7 @@ impl Engine {
             }
             // Shrink the physical object and drop stale cache entries.
             let physical = self.geometry.encrypted_size(new_size);
-            self.io(|| self.store.truncate(&file.name, physical))?;
+            self.io.call(|s| s.truncate(&file.name, physical))?;
             file.meta_cache.lock().retain(|seg, _| *seg < new_segments);
         }
 
@@ -1777,7 +1335,7 @@ impl Engine {
         file.pending.clear();
         let mut report = RecoveryReport::default();
         let last_segment = self.last_physical_segment(&file.name)?;
-        let physical = self.io(|| self.store.len(&file.name))?;
+        let physical = self.io.call(|s| s.len(&file.name))?;
         let bs = self.geometry.block_size();
 
         for segment in 0..=last_segment {
@@ -1795,7 +1353,10 @@ impl Engine {
                 let had_old = entry.old_key != [0u8; 32];
 
                 let on_disk = if loc.physical_offset + bs as u64 <= physical {
-                    Some(self.io(|| self.store.read_at(&file.name, loc.physical_offset, bs))?)
+                    Some(
+                        self.io
+                            .call(|s| s.read_at(&file.name, loc.physical_offset, bs))?,
+                    )
                 } else {
                     None
                 };
@@ -1925,7 +1486,7 @@ impl Engine {
                 )
             });
             let offset = self.geometry.metadata_block_offset(segment);
-            self.io(|| self.store.write_at(&file.name, offset, &sealed))?;
+            self.io.call(|s| s.write_at(&file.name, offset, &sealed))?;
             rewritten += 1;
         }
         Ok(rewritten)

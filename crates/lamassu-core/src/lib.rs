@@ -27,10 +27,10 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod asyncio;
 mod error;
 mod handles;
 mod iovec;
+mod spanio;
 
 pub mod cefilefs;
 pub mod encfs;

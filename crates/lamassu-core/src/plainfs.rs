@@ -17,22 +17,20 @@
 //! the upper bound the encrypted shims' shared-read locking is measured
 //! against in the `scaling` experiment.
 
-use crate::asyncio;
 use crate::fs::{FileAttr, FileSystem, OpenFlags};
 use crate::handles::HandleTable;
 use crate::iovec;
-use crate::profiler::{Category, Profiler};
+use crate::profiler::Profiler;
 use crate::span::IoMode;
+use crate::spanio::SpanIo;
 use crate::{Fd, FsError, Result};
 use lamassu_storage::ObjectStore;
 use std::io::{IoSlice, IoSliceMut};
 use std::sync::Arc;
-use std::time::Instant;
 
 /// The unencrypted pass-through shim.
 pub struct PlainFs {
-    store: Arc<dyn ObjectStore>,
-    io_mode: IoMode,
+    io: SpanIo,
     handles: HandleTable<()>,
     profiler: Arc<Profiler>,
 }
@@ -49,11 +47,11 @@ impl PlainFs {
     /// baseline at every queue depth); [`IoMode::Blocking`] keeps the direct
     /// store calls as the differential oracle.
     pub fn with_io(store: Arc<dyn ObjectStore>, io_mode: IoMode) -> Self {
+        let profiler = Profiler::new();
         PlainFs {
-            store,
-            io_mode,
+            io: SpanIo::new(store, profiler.clone(), io_mode),
             handles: HandleTable::new(),
-            profiler: Profiler::new(),
+            profiler,
         }
     }
 
@@ -61,21 +59,11 @@ impl PlainFs {
     pub fn profiler(&self) -> Arc<Profiler> {
         self.profiler.clone()
     }
-
-    /// Runs a backing-store call, charging real plus virtual time to `Io`.
-    fn io<T>(&self, f: impl FnOnce() -> lamassu_storage::Result<T>) -> Result<T> {
-        let virt_before = self.store.io_time();
-        let start = Instant::now();
-        let out = f();
-        let elapsed = start.elapsed() + self.store.io_time().saturating_sub(virt_before);
-        self.profiler.add(Category::Io, elapsed);
-        out.map_err(FsError::from)
-    }
 }
 
 impl FileSystem for PlainFs {
     fn create(&self, path: &str) -> Result<Fd> {
-        self.io(|| self.store.create(path)).map_err(|e| match e {
+        self.io.call(|s| s.create(path)).map_err(|e| match e {
             FsError::Storage(lamassu_storage::StorageError::AlreadyExists { name }) => {
                 FsError::AlreadyExists { path: name }
             }
@@ -85,13 +73,13 @@ impl FileSystem for PlainFs {
     }
 
     fn open(&self, path: &str, flags: OpenFlags) -> Result<Fd> {
-        if !self.store.exists(path) {
+        if !self.io.exists(path) {
             return Err(FsError::NotFound {
                 path: path.to_string(),
             });
         }
         if flags.truncate {
-            self.io(|| self.store.truncate(path, 0))?;
+            self.io.call(|s| s.truncate(path, 0))?;
         }
         Ok(self.handles.open(path, ()))
     }
@@ -103,59 +91,41 @@ impl FileSystem for PlainFs {
     fn read_into(&self, fd: Fd, offset: u64, buf: &mut [u8]) -> Result<usize> {
         let entry = self.handles.get(fd)?;
         let path = entry.path();
-        match self.io_mode {
-            IoMode::Async => asyncio::roundtrip_read(
-                &self.profiler,
-                &*self.store,
-                &path,
-                offset,
-                &mut [IoSliceMut::new(buf)],
-            )
-            .map_err(FsError::from),
-            IoMode::Blocking => self.io(|| self.store.read_into(&path, offset, buf)),
-        }
+        self.io.read_one(&path, offset, &mut [IoSliceMut::new(buf)])
     }
 
     fn write_vectored(&self, fd: Fd, offset: u64, bufs: &[IoSlice<'_>]) -> Result<usize> {
         let entry = self.handles.get(fd)?;
         let path = entry.path();
-        match self.io_mode {
-            IoMode::Async => {
-                asyncio::roundtrip_write(&self.profiler, &*self.store, &path, offset, bufs)
-                    .map_err(FsError::from)?;
-            }
-            IoMode::Blocking => {
-                self.io(|| self.store.write_at_vectored(&path, offset, bufs))?;
-            }
-        }
+        self.io.write_one(&path, offset, bufs)?;
         Ok(iovec::total_len(bufs))
     }
 
     fn truncate(&self, fd: Fd, size: u64) -> Result<()> {
         let entry = self.handles.get(fd)?;
         let path = entry.path();
-        self.io(|| self.store.truncate(&path, size))
+        self.io.call(|s| s.truncate(&path, size))
     }
 
     fn fsync(&self, fd: Fd) -> Result<()> {
         let entry = self.handles.get(fd)?;
         let path = entry.path();
-        self.io(|| self.store.flush(&path))
+        self.io.call(|s| s.flush(&path))
     }
 
     fn len(&self, fd: Fd) -> Result<u64> {
         let entry = self.handles.get(fd)?;
         let path = entry.path();
-        self.io(|| self.store.len(&path))
+        self.io.call(|s| s.len(&path))
     }
 
     fn stat(&self, path: &str) -> Result<FileAttr> {
-        if !self.store.exists(path) {
+        if !self.io.exists(path) {
             return Err(FsError::NotFound {
                 path: path.to_string(),
             });
         }
-        let size = self.io(|| self.store.len(path))?;
+        let size = self.io.call(|s| s.len(path))?;
         Ok(FileAttr {
             logical_size: size,
             physical_size: size,
@@ -163,7 +133,7 @@ impl FileSystem for PlainFs {
     }
 
     fn remove(&self, path: &str) -> Result<()> {
-        self.io(|| self.store.remove(path)).map_err(|e| match e {
+        self.io.call(|s| s.remove(path)).map_err(|e| match e {
             FsError::Storage(lamassu_storage::StorageError::NotFound { name }) => {
                 FsError::NotFound { path: name }
             }
@@ -174,13 +144,13 @@ impl FileSystem for PlainFs {
     }
 
     fn rename(&self, from: &str, to: &str) -> Result<()> {
-        self.io(|| self.store.rename(from, to))?;
+        self.io.call(|s| s.rename(from, to))?;
         self.handles.retarget(from, to);
         Ok(())
     }
 
     fn list(&self) -> Result<Vec<String>> {
-        Ok(self.store.list())
+        Ok(self.io.list())
     }
 
     fn kind(&self) -> &'static str {

@@ -17,9 +17,9 @@
 //! * [`SpanPolicy::Batched`] (the default) — whole-span backend I/O plus
 //!   parallel batch crypto;
 //! * [`SpanPolicy::PerBlock`] — the original one-block-at-a-time path, kept
-//!   as a verification oracle (the property tests replay every workload
-//!   through both pipelines and require byte-identical results) and as a
-//!   fallback for pathological geometries.
+//!   as a reference for tests only (the property tests replay every workload
+//!   through both pipelines and require byte-identical results); nothing
+//!   selects it automatically.
 //!
 //! `workers == 0` auto-sizes the pool to
 //! `min(`[`DEFAULT_MAX_WORKERS`](lamassu_crypto::pool::DEFAULT_MAX_WORKERS)`,
@@ -34,7 +34,7 @@ pub enum SpanPolicy {
     /// Whole-span backend I/O + parallel batch crypto (the default).
     #[default]
     Batched,
-    /// The original per-block pipeline (verification oracle / fallback).
+    /// The original per-block pipeline (test reference only).
     PerBlock,
 }
 
@@ -109,7 +109,7 @@ impl SpanConfig {
         SpanConfig::default()
     }
 
-    /// The per-block fallback pipeline.
+    /// The per-block reference pipeline.
     pub fn per_block() -> Self {
         SpanConfig {
             policy: SpanPolicy::PerBlock,

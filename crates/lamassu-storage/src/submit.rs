@@ -22,9 +22,10 @@
 //! only the modelled transport cost onto a queue-depth lane of the
 //! [`SimClock`](crate::profile::SimClock). The caller must treat submitted
 //! buffers as unreadable until the matching [`Completion`] is drained — the
-//! engine keeps each run's staging [`BlockBuf`](../../lamassu-core) parked in
-//! a pending table until its ticket completes. Results (byte counts *and*
-//! errors) surface exclusively through the completion, never from submit.
+//! one caller in the stack, `lamassu-core`'s span-I/O driver, keeps each
+//! run's staging blocks in a private pending table until its ticket
+//! completes. Results (byte counts *and* errors) surface exclusively through
+//! the completion, never from submit.
 //!
 //! # Lock hierarchy
 //!

@@ -11,6 +11,10 @@
 //! faults only through drained completions (released newest-first, so
 //! ticket matching is forced), and must fail exactly where the blocking
 //! oracle fails — and read back unharmed data identically once disarmed.
+//!
+//! A last test mounts the async shims over a store that parks a read's
+//! completion and never releases it: the read must fail, not hand back
+//! whatever the eager data movement left in the caller's buffer.
 
 use lamassu::core::{
     CeFileFs, EncFs, EncFsConfig, FileSystem, IoMode, LamassuConfig, LamassuFs, PlainFs,
@@ -18,9 +22,15 @@ use lamassu::core::{
 };
 use lamassu::format::Geometry;
 use lamassu::keymgr::ZoneKeys;
-use lamassu::storage::{DedupStore, FaultyStore, ObjectStore, StorageProfile};
+use lamassu::storage::{
+    Completion, DedupStore, FaultyStore, IoCounters, ObjectStore, StorageProfile, SubmitQueue,
+    SubmitTicket,
+};
 use proptest::prelude::*;
+use std::io::IoSliceMut;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
+use std::time::Duration;
 
 fn zone_keys() -> ZoneKeys {
     ZoneKeys {
@@ -180,22 +190,22 @@ fn check_async_vs_blocking(
 }
 
 /// Replays the same armed-fault read sequence through an async and a
-/// blocking LamassuFS mount, each over its own `FaultyStore`: the crash
+/// blocking mount of one shim, each over its own `FaultyStore`: the crash
 /// consumes read credits buffer-by-buffer in submission order on both
 /// paths, so the two mounts must fail on exactly the same reads — and,
 /// once disarmed, read back every unharmed byte identically.
-fn check_faulty_reads(file_size: usize, crash_after_reads: u64, reads: &[(u64, usize)]) {
-    let mounts: Vec<(Arc<FaultyStore>, LamassuFs)> = [IoMode::Async, IoMode::Blocking]
+fn check_faulty_reads(
+    make: impl Fn(Arc<FaultyStore>, IoMode) -> Box<dyn FileSystem>,
+    file_size: usize,
+    crash_after_reads: u64,
+    reads: &[(u64, usize)],
+) {
+    let mounts: Vec<(Arc<FaultyStore>, Box<dyn FileSystem>)> = [IoMode::Async, IoMode::Blocking]
         .into_iter()
         .map(|io| {
             let media = Arc::new(DedupStore::new(4096, StorageProfile::instant()));
             let faulty = Arc::new(FaultyStore::new(media));
-            let fs = LamassuFs::new(
-                faulty.clone(),
-                zone_keys(),
-                LamassuConfig::default().span(span(io)),
-            );
-            (faulty, fs)
+            (faulty.clone(), make(faulty, io))
         })
         .collect();
     let data: Vec<u8> = (0..file_size).map(|i| (i % 251) as u8).collect();
@@ -323,6 +333,133 @@ proptest! {
         // buffers, so a low crash point fires *mid-span* with earlier
         // buffers already filled — the partial-span failure the async
         // completion loop must surface without consuming partial data.
-        check_faulty_reads(192 * 1024, crash_after, &reads);
+        check_faulty_reads(
+            |store, io| Box::new(LamassuFs::new(
+                store,
+                zone_keys(),
+                LamassuConfig::default().span(span(io)),
+            )),
+            192 * 1024,
+            crash_after,
+            &reads,
+        );
+        check_faulty_reads(
+            |store, io| Box::new(EncFs::new(
+                store,
+                [9u8; 32],
+                EncFsConfig { span: span(io), ..EncFsConfig::default() },
+            )),
+            192 * 1024,
+            crash_after,
+            &reads,
+        );
+    }
+}
+
+/// A store whose submitted reads move their data eagerly, as the contract
+/// allows, but whose completions are parked and never released while
+/// `withhold` is set — a transport that lost the responses.
+struct LostCompletions {
+    inner: DedupStore,
+    withhold: AtomicBool,
+}
+
+impl ObjectStore for LostCompletions {
+    fn submit_read_vectored(
+        &self,
+        q: &mut SubmitQueue,
+        name: &str,
+        offset: u64,
+        bufs: &mut [IoSliceMut<'_>],
+    ) -> SubmitTicket {
+        let result = self.inner.read_into_vectored(name, offset, bufs);
+        if self.withhold.load(Ordering::SeqCst) {
+            q.complete_deferred(result)
+        } else {
+            q.complete_now(result)
+        }
+    }
+    fn wait_completions(&self, q: &mut SubmitQueue, out: &mut Vec<Completion>) {
+        q.drain_ready(out); // parked completions stay parked
+    }
+
+    fn create(&self, name: &str) -> lamassu::storage::Result<()> {
+        self.inner.create(name)
+    }
+    fn exists(&self, name: &str) -> bool {
+        self.inner.exists(name)
+    }
+    fn read_into(
+        &self,
+        name: &str,
+        offset: u64,
+        buf: &mut [u8],
+    ) -> lamassu::storage::Result<usize> {
+        self.inner.read_into(name, offset, buf)
+    }
+    fn write_at(&self, name: &str, offset: u64, data: &[u8]) -> lamassu::storage::Result<()> {
+        self.inner.write_at(name, offset, data)
+    }
+    fn len(&self, name: &str) -> lamassu::storage::Result<u64> {
+        self.inner.len(name)
+    }
+    fn truncate(&self, name: &str, len: u64) -> lamassu::storage::Result<()> {
+        self.inner.truncate(name, len)
+    }
+    fn remove(&self, name: &str) -> lamassu::storage::Result<()> {
+        self.inner.remove(name)
+    }
+    fn rename(&self, from: &str, to: &str) -> lamassu::storage::Result<()> {
+        self.inner.rename(from, to)
+    }
+    fn list(&self) -> Vec<String> {
+        self.inner.list()
+    }
+    fn flush(&self, name: &str) -> lamassu::storage::Result<()> {
+        self.inner.flush(name)
+    }
+    fn io_time(&self) -> Duration {
+        self.inner.io_time()
+    }
+    fn io_counters(&self) -> IoCounters {
+        self.inner.io_counters()
+    }
+    fn reset_io_accounting(&self) {
+        self.inner.reset_io_accounting()
+    }
+}
+
+/// A read whose completion never arrives must fail. (Before the span-I/O
+/// driver, a release build returned `Ok` here with the undecrypted
+/// ciphertext in the caller's buffer; a debug build hit a `debug_assert`.)
+#[test]
+fn read_whose_completion_is_lost_fails_instead_of_returning_ciphertext() {
+    for kind in ["LamassuFS", "EncFS"] {
+        let store = Arc::new(LostCompletions {
+            inner: DedupStore::new(4096, StorageProfile::instant()),
+            withhold: AtomicBool::new(false),
+        });
+        let fs: Box<dyn FileSystem> = match kind {
+            "EncFS" => Box::new(EncFs::new(store.clone(), [9u8; 32], EncFsConfig::default())),
+            _ => Box::new(LamassuFs::new(
+                store.clone(),
+                zone_keys(),
+                LamassuConfig::default(),
+            )),
+        };
+        let data: Vec<u8> = (0..64 * 1024).map(|i| (i % 251) as u8).collect();
+        let fd = fs.create("/lost.bin").unwrap();
+        fs.write(fd, 0, &data).unwrap();
+        fs.fsync(fd).unwrap();
+
+        store.withhold.store(true, Ordering::SeqCst);
+        for (offset, len) in [(0, data.len()), (100, 9000), (8192, 4096)] {
+            let got = fs.read(fd, offset, len).map(|bytes| bytes.len());
+            assert!(got.is_err(), "{kind}: read {offset}+{len} returned {got:?}");
+        }
+        // Nothing of the abandoned reads lingers: the transport is back, and
+        // so is every byte.
+        store.withhold.store(false, Ordering::SeqCst);
+        assert_eq!(fs.read(fd, 0, data.len()).unwrap(), data, "{kind}");
     }
 }

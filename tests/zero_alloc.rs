@@ -12,6 +12,10 @@
 //!   committed through the reusable span staging, metadata updated in place
 //!   and sealed into pooled blocks).
 //!
+//! EncFS — the benchmark's `core.encfs_ratio` baseline, on the same span-I/O
+//! driver — is held to the same bar for warm reads and 4 KiB rewrites,
+//! aligned and misaligned, in both I/O modes.
+//!
 //! Every re-read mount here runs [`IoMode::Async`] (the default): each
 //! measured read goes through the completion engine — submission queue,
 //! ticket-matched poll/complete, wait barrier — so the zero-allocation
@@ -42,8 +46,8 @@
 //! its `R`-block commits stay under the fan-out rule whatever the pool size.
 
 use lamassu::core::{
-    CryptoBackend, FileSystem, IntegrityMode, IoMode, LamassuConfig, LamassuFs, SpanConfig,
-    SpanPolicy,
+    CryptoBackend, EncFs, EncFsConfig, FileSystem, IntegrityMode, IoMode, LamassuConfig, LamassuFs,
+    SpanConfig, SpanPolicy,
 };
 use lamassu::dist::{DistConfig, Granularity, RoutedStore};
 use lamassu::keymgr::KeyManager;
@@ -354,6 +358,61 @@ fn steady_rewrite_loop_on_a_default_mount_allocates_nothing() {
     let keys = km.fetch_zone_keys(zone).expect("zone just created");
     assert_eq!(SpanConfig::default().workers, 0);
     assert_steady_rewrite_allocates_nothing(&LamassuFs::new(store, keys, LamassuConfig::default()));
+}
+
+#[test]
+fn encfs_warm_reads_and_rewrites_allocate_nothing() {
+    let _serial = serialize();
+    for io in [IoMode::Async, IoMode::Blocking] {
+        let store = Arc::new(DedupStore::new(BS, StorageProfile::instant()));
+        let span = SpanConfig {
+            io,
+            workers: 1,
+            ..SpanConfig::default()
+        };
+        let fs = EncFs::new(
+            store,
+            [7u8; 32],
+            EncFsConfig {
+                span,
+                ..EncFsConfig::default()
+            },
+        );
+        let size = 1024 * 1024;
+        let fd = populate(&fs, "/enc.dat", size);
+        let mut buf = vec![0u8; 64 * 1024];
+        let block: Vec<u8> = (0..BS).map(|i| (i % 241) as u8).collect();
+
+        // One sweep of `len`-byte reads, or of 4 KiB rewrites, at `skew`.
+        let mut sweep = |len: usize, skew: usize, write: bool| {
+            let mut off = skew;
+            while off + len <= size {
+                let n = if write {
+                    fs.write(fd, off as u64, &block).expect("rewrite")
+                } else {
+                    fs.read_into(fd, off as u64, &mut buf[..len]).expect("read")
+                };
+                assert_eq!(n, len);
+                off += len;
+            }
+        };
+        let cases = [
+            ("aligned 64 KiB reads", 64 * 1024, 0, false),
+            ("misaligned 64 KiB reads", 64 * 1024, BS / 2, false),
+            ("misaligned 4 KiB reads", BS, BS / 2, false),
+            ("aligned 4 KiB rewrites", BS, 0, true),
+            ("misaligned 4 KiB rewrites", BS, BS / 2, true),
+        ];
+        for _ in 0..2 {
+            for (_, len, skew, write) in cases {
+                sweep(len, skew, write);
+            }
+        }
+        for (what, len, skew, write) in cases {
+            let allocs = allocs_during(|| sweep(len, skew, write));
+            assert_eq!(allocs, 0, "EncFS {io:?}: warm {what} must not allocate");
+        }
+    }
 }
 
 #[test]
