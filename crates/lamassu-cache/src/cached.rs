@@ -19,7 +19,7 @@ use crate::config::{CacheConfig, CacheMode};
 use crate::stats::{AtomicStats, CacheStats};
 use lamassu_core::pool::{BlockBuf, BlockPool, PoolStats};
 use lamassu_core::{Category, Profiler};
-use lamassu_storage::{Completion, IoCounters, ObjectStore, Result, SubmitQueue, SubmitTicket};
+use lamassu_storage::{iovec, Completion, IoCounters, ObjectStore, Result, SubmitQueue};
 use parking_lot::{Mutex, MutexGuard, RwLock};
 use std::cell::RefCell;
 use std::collections::hash_map::DefaultHasher;
@@ -164,46 +164,6 @@ fn timed<T>(acc: &mut Duration, f: impl FnOnce() -> T) -> T {
     let out = f();
     *acc += t0.elapsed();
     out
-}
-
-/// Copies `dst.len()` bytes starting `src_off` bytes into the logical
-/// concatenation of `bufs` into `dst`.
-fn copy_bufs_range(bufs: &[IoSlice<'_>], mut src_off: usize, dst: &mut [u8]) {
-    let mut written = 0;
-    for b in bufs {
-        if src_off >= b.len() {
-            src_off -= b.len();
-            continue;
-        }
-        let take = (b.len() - src_off).min(dst.len() - written);
-        dst[written..written + take].copy_from_slice(&b[src_off..src_off + take]);
-        written += take;
-        src_off = 0;
-        if written == dst.len() {
-            break;
-        }
-    }
-    debug_assert_eq!(written, dst.len(), "scatter list shorter than span");
-}
-
-/// Copies `src` into the logical concatenation of `bufs` starting at byte
-/// `dst_off` (the mutable dual of [`copy_bufs_range`]).
-fn copy_to_bufs(bufs: &mut [IoSliceMut<'_>], mut dst_off: usize, src: &[u8]) {
-    let mut read = 0;
-    for b in bufs.iter_mut() {
-        if dst_off >= b.len() {
-            dst_off -= b.len();
-            continue;
-        }
-        let take = (b.len() - dst_off).min(src.len() - read);
-        b[dst_off..dst_off + take].copy_from_slice(&src[read..read + take]);
-        read += take;
-        dst_off = 0;
-        if read == src.len() {
-            break;
-        }
-    }
-    debug_assert_eq!(read, src.len(), "scatter list shorter than span");
 }
 
 impl<S: ObjectStore + ?Sized> CachedStore<S> {
@@ -476,7 +436,7 @@ impl<S: ObjectStore + ?Sized> CachedStore<S> {
             if let Some(idx) = sh.lookup(name, b) {
                 let slot = sh.slots[idx].as_mut().expect("mapped slot exists");
                 slot.referenced = true;
-                copy_to_bufs(bufs, dst_off, &slot.data[s..e]);
+                iovec::scatter(bufs, dst_off, &slot.data[s..e]);
                 AtomicStats::bump(&self.stats.hits);
             } else {
                 AtomicStats::bump(&self.stats.misses);
@@ -509,7 +469,7 @@ impl<S: ObjectStore + ?Sized> CachedStore<S> {
                     let blk = &content[(k * self.config.block_size).min(run_valid)
                         ..((k + 1) * self.config.block_size).min(run_valid)];
                     self.insert_clean_block(name, *b, blk, *tick_before, backend_time)?;
-                    copy_to_bufs(bufs, *dst_off, &blk[span.clone()]);
+                    iovec::scatter(bufs, *dst_off, &blk[span.clone()]);
                 }
                 Ok(())
             })?;
@@ -638,7 +598,7 @@ impl<S: ObjectStore + ?Sized> CachedStore<S> {
             })?,
         };
         let slot = sh.slots[idx].as_mut().expect("mapped slot exists");
-        copy_bufs_range(bufs, src_off, &mut slot.data[s..e]);
+        iovec::gather(bufs, src_off, &mut slot.data[s..e]);
         slot.dirty = true;
         slot.referenced = true;
         slot.valid = slot.valid.max(e);
@@ -799,10 +759,6 @@ impl<S: ObjectStore + ?Sized> ObjectStore for CachedStore<S> {
         self.inner.exists(name)
     }
 
-    fn read_into(&self, name: &str, offset: u64, buf: &mut [u8]) -> Result<usize> {
-        self.read_into_vectored(name, offset, &mut [IoSliceMut::new(buf)])
-    }
-
     fn read_into_vectored(
         &self,
         name: &str,
@@ -812,7 +768,7 @@ impl<S: ObjectStore + ?Sized> ObjectStore for CachedStore<S> {
         let op = self.op_start();
         let mut backend_time = Duration::ZERO;
         let (len, name_key) = self.object_meta(name, &mut backend_time)?;
-        let total: usize = bufs.iter().map(|b| b.len()).sum();
+        let total = iovec::total_len(bufs);
         let n = len.saturating_sub(offset).min(total as u64) as usize;
         let prefetch = self.note_read(name, offset, n);
         if n == 0 {
@@ -828,14 +784,10 @@ impl<S: ObjectStore + ?Sized> ObjectStore for CachedStore<S> {
         Ok(n)
     }
 
-    fn write_at(&self, name: &str, offset: u64, data: &[u8]) -> Result<()> {
-        self.write_at_vectored(name, offset, &[IoSlice::new(data)])
-    }
-
     fn write_at_vectored(&self, name: &str, offset: u64, bufs: &[IoSlice<'_>]) -> Result<()> {
         let op = self.op_start();
         let mut backend_time = Duration::ZERO;
-        let total: usize = bufs.iter().map(|b| b.len()).sum();
+        let total = iovec::total_len(bufs);
         let result = match self.config.mode {
             CacheMode::WriteThrough => {
                 timed(&mut backend_time, || {
@@ -862,7 +814,7 @@ impl<S: ObjectStore + ?Sized> ObjectStore for CachedStore<S> {
                         sh.tick += 1;
                         if let Some(idx) = sh.lookup(name, b) {
                             let slot = sh.slots[idx].as_mut().expect("mapped slot exists");
-                            copy_bufs_range(bufs, src_off, &mut slot.data[s..e]);
+                            iovec::gather(bufs, src_off, &mut slot.data[s..e]);
                             slot.valid = slot.valid.max(e);
                             slot.referenced = true;
                         }
@@ -906,32 +858,6 @@ impl<S: ObjectStore + ?Sized> ObjectStore for CachedStore<S> {
         };
         self.charge_cache(op, backend_time);
         result
-    }
-
-    fn submit_read_vectored(
-        &self,
-        q: &mut SubmitQueue,
-        name: &str,
-        offset: u64,
-        bufs: &mut [IoSliceMut<'_>],
-    ) -> SubmitTicket {
-        // Pass-through tier: the cache-aware read runs eagerly — hits never
-        // touch the backend transport, misses charge it through the normal
-        // blocking fill path — and the completion is immediately visible.
-        let result = self.read_into_vectored(name, offset, bufs);
-        q.complete_now(result)
-    }
-
-    fn submit_write_vectored(
-        &self,
-        q: &mut SubmitQueue,
-        name: &str,
-        offset: u64,
-        bufs: &[IoSlice<'_>],
-    ) -> SubmitTicket {
-        let total: usize = bufs.iter().map(|b| b.len()).sum();
-        let result = self.write_at_vectored(name, offset, bufs).map(|()| total);
-        q.complete_now(result)
     }
 
     fn poll_completions(&self, q: &mut SubmitQueue, out: &mut Vec<Completion>) {
@@ -992,6 +918,10 @@ impl<S: ObjectStore + ?Sized> ObjectStore for CachedStore<S> {
             self.flush_object(name, &mut backend_time)?;
         }
         timed(&mut backend_time, || self.inner.flush(name))
+    }
+
+    fn sleep_virtual(&self, d: Duration) {
+        self.inner.sleep_virtual(d);
     }
 
     fn io_time(&self) -> Duration {
@@ -1310,50 +1240,11 @@ mod tests {
     }
 
     #[test]
-    fn read_at_past_end_reports_exact_size() {
-        let (_inner, c) = cache(CacheMode::WriteBack, 16);
-        c.create("f").unwrap();
-        c.write_at("f", 0, &[1u8; 100]).unwrap();
-        match c.read_at("f", 40, 100) {
-            Err(lamassu_storage::StorageError::OutOfBounds { size, .. }) => assert_eq!(size, 100),
-            other => panic!("expected OutOfBounds, got {other:?}"),
-        }
-    }
-
-    #[test]
     fn works_behind_a_dyn_object_store() {
         let inner: Arc<dyn ObjectStore> = backend(StorageProfile::instant());
         let c: CachedStore = CachedStore::new(inner, CacheConfig::write_back(8));
         c.create("f").unwrap();
         c.write_at("f", 0, b"dyn").unwrap();
         assert_eq!(c.read_at("f", 0, 3).unwrap(), b"dyn");
-    }
-
-    #[test]
-    fn submitted_reads_hit_the_cache_without_backend_transport() {
-        let inner = backend(StorageProfile::nfs_1gbe());
-        let c = CachedStore::new(inner.clone(), CacheConfig::write_through(16));
-        c.create("f").unwrap();
-        c.write_at("f", 0, &vec![4u8; 4 * 4096]).unwrap();
-        // Warm the cache through the blocking path, then re-read via submit.
-        let mut warm = vec![0u8; 4 * 4096];
-        c.read_into("f", 0, &mut warm).unwrap();
-        let before = inner.io_time();
-        let hits_before = c.stats().hits;
-
-        let mut q = SubmitQueue::new();
-        let mut buf = [0u8; 4096];
-        let ticket = {
-            let mut iov = [IoSliceMut::new(&mut buf)];
-            c.submit_read_vectored(&mut q, "f", 4096, &mut iov)
-        };
-        let mut out = Vec::new();
-        c.wait_completions(&mut q, &mut out);
-        assert_eq!(out.len(), 1);
-        assert_eq!(out[0].ticket, ticket);
-        assert!(matches!(out[0].result, Ok(4096)));
-        assert_eq!(buf, [4u8; 4096]);
-        assert_eq!(inner.io_time(), before, "hit: no backend transport cost");
-        assert!(c.stats().hits > hits_before);
     }
 }

@@ -25,7 +25,7 @@
 
 use crate::fs::{FileAttr, FileSystem, OpenFlags};
 use crate::handles::{HandleTable, PathRegistry};
-use crate::iovec::{self, GatherCursor};
+use crate::iovec;
 use crate::pool::BlockPool;
 use crate::profiler::{Category, Profiler};
 use crate::span::{SpanConfig, SpanPolicy};
@@ -360,7 +360,7 @@ impl FileSystem for CeFileFs {
         if end > st.data.len() {
             st.data.resize(end, 0);
         }
-        GatherCursor::new(bufs).copy_to(&mut st.data[offset as usize..end]);
+        iovec::gather(bufs, 0, &mut st.data[offset as usize..end]);
         st.dirty = true;
         Ok(total)
     }

@@ -27,7 +27,7 @@
 
 use crate::fs::{FileAttr, FileSystem, OpenFlags};
 use crate::handles::{HandleTable, PathRegistry};
-use crate::iovec::{self, GatherCursor};
+use crate::iovec;
 use crate::pool::{BlockBuf, BlockPool};
 use crate::profiler::{Category, Profiler};
 use crate::span::{SpanConfig, SpanPlanner, SpanPolicy};
@@ -435,16 +435,17 @@ impl EncFs {
         path: &str,
         st: &mut EncFileState,
         offset: u64,
-        total: usize,
-        cursor: &mut GatherCursor<'_, '_>,
+        bufs: &[IoSlice<'_>],
     ) -> Result<()> {
         let bs = self.config.block_size;
-        let plan = self
-            .profiler
-            .time(Category::Plan, || self.planner.plan(offset, total));
+        let plan = self.profiler.time(Category::Plan, || {
+            self.planner.plan(offset, iovec::total_len(bufs))
+        });
         let mut span_buf = std::mem::take(&mut st.span_buf);
         let result = self.io.write_batch(path, |io| {
             let mut chunk_first = plan.first_block;
+            // Bytes of `bufs` already staged by earlier chunks.
+            let mut staged = 0;
             while chunk_first <= plan.last_block {
                 let chunk_last = (chunk_first + MAX_SPAN_BLOCKS as u64 - 1).min(plan.last_block);
                 let blocks = (chunk_last - chunk_first + 1) as usize;
@@ -480,7 +481,8 @@ impl EncFs {
                     let (_, tail_take) = plan.span_of(chunk_last);
                     head_take + (blocks - 2) * bs + tail_take
                 };
-                cursor.copy_to(&mut chunk[head_in..head_in + chunk_take]);
+                iovec::gather(bufs, staged, &mut chunk[head_in..head_in + chunk_take]);
+                staged += chunk_take;
 
                 // One parallel batch encrypt over the contiguous staging
                 // buffer (IVs from thread-local scratch — no allocation),
@@ -629,10 +631,9 @@ impl FileSystem for EncFs {
         let entry = self.handles.get(fd)?;
         let path = entry.path();
         let mut st = entry.state.write();
-        let mut cursor = GatherCursor::new(bufs);
         let end = offset + total as u64;
         if self.config.span.policy == SpanPolicy::Batched {
-            self.write_span(&path, &mut st, offset, total, &mut cursor)?;
+            self.write_span(&path, &mut st, offset, bufs)?;
         } else {
             let bs = self.config.block_size as u64;
             let mut scratch = std::mem::take(&mut st.scratch);
@@ -642,13 +643,12 @@ impl FileSystem for EncFs {
                     let block = cur / bs;
                     let in_block = (cur % bs) as usize;
                     let take = ((bs - in_block as u64).min(end - cur)) as usize;
-                    if in_block == 0 && take == bs as usize {
-                        cursor.copy_to(&mut scratch);
-                    } else {
+                    if in_block != 0 || take != bs as usize {
                         // Read-modify-write of a partially covered block.
                         self.read_block_into(&path, &st.cipher, &st.file_iv, block, &mut scratch)?;
-                        cursor.copy_to(&mut scratch[in_block..in_block + take]);
                     }
+                    let skip = (cur - offset) as usize;
+                    iovec::gather(bufs, skip, &mut scratch[in_block..in_block + take]);
                     self.encrypt_and_write_block(
                         &path,
                         &st.cipher,

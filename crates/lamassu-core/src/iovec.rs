@@ -1,11 +1,8 @@
-//! Gather/scatter-list helpers shared by the shims' vectored paths.
+//! Scatter-list helpers shared by the shims' vectored paths. The walk over
+//! a list is `lamassu_storage::iovec`, re-exported here.
 
-use std::io::{IoSlice, IoSliceMut};
-
-/// Total number of bytes in a scatter list.
-pub(crate) fn total_len(bufs: &[IoSlice<'_>]) -> usize {
-    bufs.iter().map(|b| b.len()).sum()
-}
+pub(crate) use lamassu_storage::iovec::{gather, total_len};
+use std::io::IoSliceMut;
 
 /// Runs `read` with a scatter list of up to three regions — optional head
 /// staging, the contiguous middle, optional tail staging — built **on the
@@ -31,62 +28,5 @@ pub(crate) fn with_scatter3<T>(
         (None, Some(m), None) => read(&mut [IoSliceMut::new(m)]),
         (None, None, Some(t)) => read(&mut [IoSliceMut::new(t)]),
         (None, None, None) => read(&mut []),
-    }
-}
-
-/// A forward-only cursor over a scatter list, used to peel block-sized
-/// chunks off an `&[IoSlice]` without first concatenating it.
-pub(crate) struct GatherCursor<'a, 'b> {
-    bufs: &'a [IoSlice<'b>],
-    /// Index of the slice the cursor is in.
-    idx: usize,
-    /// Byte position within that slice.
-    pos: usize,
-}
-
-impl<'a, 'b> GatherCursor<'a, 'b> {
-    pub(crate) fn new(bufs: &'a [IoSlice<'b>]) -> Self {
-        GatherCursor {
-            bufs,
-            idx: 0,
-            pos: 0,
-        }
-    }
-
-    /// Copies exactly `dest.len()` bytes from the list into `dest`, advancing
-    /// the cursor. Panics if the list is exhausted first (callers size their
-    /// chunks from [`total_len`]).
-    pub(crate) fn copy_to(&mut self, dest: &mut [u8]) {
-        let mut filled = 0;
-        while filled < dest.len() {
-            let src = &self.bufs[self.idx][self.pos..];
-            let take = src.len().min(dest.len() - filled);
-            dest[filled..filled + take].copy_from_slice(&src[..take]);
-            filled += take;
-            self.pos += take;
-            if self.pos == self.bufs[self.idx].len() {
-                self.idx += 1;
-                self.pos = 0;
-            }
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn gather_spans_slice_boundaries() {
-        let (a, b, c) = ([1u8, 2], [3u8], [4u8, 5, 6]);
-        let bufs = [IoSlice::new(&a), IoSlice::new(&b), IoSlice::new(&c)];
-        assert_eq!(total_len(&bufs), 6);
-        let mut cursor = GatherCursor::new(&bufs);
-        let mut head = [0u8; 4];
-        cursor.copy_to(&mut head);
-        assert_eq!(head, [1, 2, 3, 4]);
-        let mut tail = [0u8; 2];
-        cursor.copy_to(&mut tail);
-        assert_eq!(tail, [5, 6]);
     }
 }

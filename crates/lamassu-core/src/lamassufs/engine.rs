@@ -58,7 +58,7 @@
 //! therefore run under the shim's exclusive write guard, which is what keeps
 //! the multiphase commit invisible to concurrent readers.
 
-use crate::iovec::{self, GatherCursor};
+use crate::iovec;
 use crate::lamassufs::{IntegrityMode, LamassuConfig};
 use crate::pool::{with_tls, BlockBuf, BlockPool};
 use crate::profiler::{Category, Profiler};
@@ -905,26 +905,29 @@ impl Engine {
             return Ok(0);
         }
         let bs = self.geometry.block_size();
-        let mut cursor = GatherCursor::new(bufs);
+        // Bytes of `bufs` already staged by earlier blocks.
+        let mut staged = 0;
         for (block, in_block, take) in self.geometry.block_spans(offset, total) {
-            match file.pending.binary_search_by_key(&block, |(b, _)| *b) {
-                Ok(i) => {
-                    // The block is already staged: overlay in place.
-                    cursor.copy_to(&mut file.pending[i].1[in_block..in_block + take]);
-                }
+            let i = match file.pending.binary_search_by_key(&block, |(b, _)| *b) {
+                // The block is already staged: overlay in place.
+                Ok(i) => i,
                 Err(i) => {
                     let mut plain = self.blocks.take();
-                    if in_block == 0 && take == bs {
-                        cursor.copy_to(&mut plain);
-                    } else {
+                    if in_block != 0 || take != bs {
                         // Read-modify-write of a partially covered block
                         // (fills with zeros when the block is a hole).
                         self.read_block_into(file, block, &mut plain, false)?;
-                        cursor.copy_to(&mut plain[in_block..in_block + take]);
                     }
                     file.pending.insert(i, (block, plain));
+                    i
                 }
-            }
+            };
+            iovec::gather(
+                bufs,
+                staged,
+                &mut file.pending[i].1[in_block..in_block + take],
+            );
+            staged += take;
         }
         let end = offset + total as u64;
         if end > file.logical_size {

@@ -50,7 +50,7 @@ pub use lamassufs::{IntegrityMode, LamassuConfig, LamassuFs, RecoveryReport, Ver
 pub use plainfs::PlainFs;
 pub use pool::{BlockBuf, BlockPool, PoolStats};
 pub use profiler::{Category, LatencyBreakdown, Profiler};
-pub use span::{IoMode, ResilienceConfig, SpanConfig, SpanPolicy};
+pub use span::{IoMode, SpanConfig, SpanPolicy};
 
 /// Result alias for file-system operations.
 pub type Result<T> = std::result::Result<T, FsError>;

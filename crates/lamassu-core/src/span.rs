@@ -54,30 +54,6 @@ pub enum IoMode {
     Blocking,
 }
 
-/// Client-visible resilience knobs of one mount. Plain data only:
-/// `lamassu-core` does not depend on `lamassu-resilience` — mount builders
-/// (the CLI, the bench harness) translate these knobs into a
-/// `ResilientStore` wrapped around the backend before handing it to
-/// [`LamassuFs`](crate::LamassuFs). The CLI exposes them as
-/// `--resilience retries[:hedge-ms]`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct ResilienceConfig {
-    /// Transient-failure retries allowed per logical operation (`0`
-    /// disables the retry wrapper entirely; attempts = retries + 1).
-    pub retries: u32,
-    /// Hedged-read latency floor in milliseconds: `Some(ms)` enables
-    /// quantile-triggered read hedging with this floor, `None` leaves
-    /// hedging off (the zero-allocation read path).
-    pub hedge_ms: Option<u32>,
-}
-
-impl ResilienceConfig {
-    /// True when any resilience machinery should be mounted at all.
-    pub fn enabled(&self) -> bool {
-        self.retries > 0 || self.hedge_ms.is_some()
-    }
-}
-
 /// Span-pipeline configuration of one mount.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct SpanConfig {
@@ -98,9 +74,6 @@ pub struct SpanConfig {
     /// the wide constant-time fixsliced kernels (the default) or the
     /// T-table oracle. The CLI exposes the knob as `--crypto`.
     pub crypto: CryptoBackend,
-    /// Retry/hedge knobs the mount builder applies to the backend (see
-    /// [`ResilienceConfig`]); the default disables both.
-    pub resilience: ResilienceConfig,
 }
 
 impl SpanConfig {
@@ -143,13 +116,6 @@ impl SpanConfig {
     /// [`SpanConfig::crypto`]).
     pub fn with_crypto(mut self, crypto: CryptoBackend) -> Self {
         self.crypto = crypto;
-        self
-    }
-
-    /// Returns a copy with the given resilience knobs (see
-    /// [`ResilienceConfig`]).
-    pub fn with_resilience(mut self, resilience: ResilienceConfig) -> Self {
-        self.resilience = resilience;
         self
     }
 

@@ -49,11 +49,12 @@ use crate::stats::{AtomicDistStats, DistStats, ScrubReport};
 use lamassu_core::{Category, Profiler};
 use lamassu_crypto::sha256::{sha256, Digest};
 use lamassu_storage::{
-    Completion, IoCounters, ObjectStore, Result, StorageError, SubmitQueue, SubmitTicket,
+    iovec, Completion, IoCounters, ObjectStore, Result, StorageError, SubmitQueue,
 };
 use parking_lot::{Mutex, RwLock};
 use std::collections::{BTreeMap, HashMap};
 use std::io::{IoSlice, IoSliceMut};
+use std::ops::{Deref, Range};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -137,6 +138,88 @@ fn zero_fill_bufs(bufs: &mut [IoSliceMut<'_>], mut skip: usize) {
         }
         b[skip..].fill(0);
         skip = 0;
+    }
+}
+
+/// What the next member operation of a [`UnitWalk`] covers.
+enum Piece {
+    /// The whole buffers `bufs[range]`, all inside one placement unit.
+    Run(Range<usize>),
+    /// Bytes `range` of `bufs[index]`: a buffer straddling a unit boundary
+    /// (or clipped by the window) goes piecewise.
+    Part(usize, Range<usize>),
+}
+
+/// The one walk that cuts a scatter list into per-unit member operations,
+/// shared by the read and the write direction (it only looks at lengths).
+/// Each step is the longest run of whole buffers that fits in the current
+/// placement unit and the window — one member round trip — or, for a buffer
+/// that does not fit, the part of it that does.
+struct UnitWalk {
+    /// Object offset of the next byte.
+    pos: u64,
+    /// Bytes of the window still to cover.
+    left: u64,
+    /// The buffer the walk is in, and how far into it.
+    buf: usize,
+    buf_off: usize,
+}
+
+impl UnitWalk {
+    /// A walk over the first `window` bytes of a list placed at `offset`.
+    fn new(offset: u64, window: u64) -> Self {
+        UnitWalk {
+            pos: offset,
+            left: window,
+            buf: 0,
+            buf_off: 0,
+        }
+    }
+
+    /// The next operation's object offset and extent, or `None` once the
+    /// window is covered. `bufs` must be the same list on every call.
+    fn next<B: Deref<Target = [u8]>>(
+        &mut self,
+        config: &DistConfig,
+        bufs: &[B],
+    ) -> Option<(u64, Piece)> {
+        if self.left == 0 {
+            return None;
+        }
+        // An empty buffer rides along inside a run; only at the head of a
+        // step would it make an operation of no bytes.
+        while bufs[self.buf].is_empty() {
+            self.buf += 1;
+        }
+        let pos = self.pos;
+        let room = (config.unit_end(pos) - pos).min(self.left);
+        let first = self.buf;
+        let mut run = 0u64;
+        if self.buf_off == 0 {
+            while let Some(b) = bufs.get(self.buf) {
+                if run + b.len() as u64 > room {
+                    break;
+                }
+                run += b.len() as u64;
+                self.buf += 1;
+            }
+        }
+        let (piece, step) = if self.buf > first {
+            (Piece::Run(first..self.buf), run)
+        } else {
+            let bl = bufs[first].len();
+            let take = room.min((bl - self.buf_off) as u64) as usize;
+            let part = self.buf_off..self.buf_off + take;
+            self.buf_off += take;
+            if self.buf_off == bl {
+                self.buf += 1;
+                self.buf_off = 0;
+            }
+            (Piece::Part(first, part), take as u64)
+        };
+        self.pos += step;
+        self.left -= step;
+        Some((pos, piece))
     }
 }
 
@@ -582,30 +665,11 @@ impl<S: ObjectStore + ?Sized> RoutedStore<S> {
         self.finish_unit_write(ok, n, first_err, name)
     }
 
-    /// Reads `buf.len()` bytes at `pos` (all inside one placement unit and
-    /// the logical length) from the unit's replica chain, failing over down
-    /// the chain and zero-filling whatever a sparse member object cannot
-    /// produce. Allocation-free on success.
-    fn read_unit(
-        &self,
-        m: &Membership<S>,
-        name: &Arc<str>,
-        pos: u64,
-        buf: &mut [u8],
-        backend_time: &mut Duration,
-    ) -> Result<()> {
-        let mut chain: OwnerChain = [0; MAX_REPLICAS];
-        let n = self.owners_for(m, name, pos, &mut chain);
-        self.try_chain(m, name, &chain[..n], |mem| {
-            let got = timed(backend_time, || mem.store.read_into(name, pos, buf))?;
-            buf[got..].fill(0);
-            Ok(())
-        })
-    }
-
-    /// Vectored dual of [`RoutedStore::read_unit`]: `bufs` is a run of
-    /// whole scatter buffers that lies inside one placement unit and the
-    /// logical length; one charged member operation serves the run.
+    /// Reads the list `bufs` at `pos` — a run that lies inside one placement
+    /// unit and the logical length — from the unit's replica chain in one
+    /// charged member operation, failing over down the chain and
+    /// zero-filling whatever a sparse member object cannot produce.
+    /// Allocation-free on success.
     fn read_unit_vectored(
         &self,
         m: &Membership<S>,
@@ -625,25 +689,10 @@ impl<S: ObjectStore + ?Sized> RoutedStore<S> {
         })
     }
 
-    /// Writes `data` at `pos` (inside one placement unit) to every owner.
-    /// Succeeds when at least one owner took the write; missed owners are
-    /// marked suspect (a *degraded* write).
-    fn write_unit(
-        &self,
-        m: &Membership<S>,
-        name: &Arc<str>,
-        pos: u64,
-        data: &[u8],
-        backend_time: &mut Duration,
-    ) -> Result<()> {
-        let mut chain: OwnerChain = [0; MAX_REPLICAS];
-        let n = self.owners_for(m, name, pos, &mut chain);
-        self.write_chain(m, name, &chain[..n], |mem| {
-            timed(backend_time, || mem.store.write_at(name, pos, data))
-        })
-    }
-
-    /// Vectored dual of [`RoutedStore::write_unit`].
+    /// Writes the list `bufs` at `pos` (inside one placement unit) to every
+    /// owner, one charged operation each. Succeeds when at least one owner
+    /// took the write; missed owners are marked suspect (a *degraded*
+    /// write).
     fn write_unit_vectored(
         &self,
         m: &Membership<S>,
@@ -772,32 +821,6 @@ impl<S: ObjectStore + ?Sized> ObjectStore for RoutedStore<S> {
         self.object_len(&m, name, &mut backend_time).is_some()
     }
 
-    fn read_into(&self, name: &str, offset: u64, buf: &mut [u8]) -> Result<usize> {
-        let op = self.op_start();
-        let mut backend_time = Duration::ZERO;
-        let m = self.state.read();
-        let Some((iname, len)) = self.object_len(&m, name, &mut backend_time) else {
-            return Err(not_found(name));
-        };
-        let window = len.saturating_sub(offset).min(buf.len() as u64) as usize;
-        let mut pos = offset;
-        let mut done = 0usize;
-        while done < window {
-            let take = (self.config.unit_end(pos) - pos).min((window - done) as u64) as usize;
-            self.read_unit(
-                &m,
-                &iname,
-                pos,
-                &mut buf[done..done + take],
-                &mut backend_time,
-            )?;
-            done += take;
-            pos += take as u64;
-        }
-        self.charge_route(op, backend_time);
-        Ok(window)
-    }
-
     fn read_into_vectored(
         &self,
         name: &str,
@@ -810,83 +833,26 @@ impl<S: ObjectStore + ?Sized> ObjectStore for RoutedStore<S> {
         let Some((iname, len)) = self.object_len(&m, name, &mut backend_time) else {
             return Err(not_found(name));
         };
-        let total: u64 = bufs.iter().map(|b| b.len() as u64).sum();
-        let window = len.saturating_sub(offset).min(total);
-        let mut pos = offset;
-        let mut produced: u64 = 0;
-        let mut i = 0usize;
-        let mut buf_off = 0usize;
-        while produced < window {
-            if bufs[i].is_empty() {
-                i += 1;
-                continue;
-            }
-            let unit_end = self.config.unit_end(pos);
-            if buf_off == 0 {
-                // Fast path: the longest run of whole buffers that fits in
-                // the current unit and the window — one member round trip.
-                let mut j = i;
-                let mut run: u64 = 0;
-                while j < bufs.len() {
-                    let bl = bufs[j].len() as u64;
-                    if bl > 0 && pos + run + bl <= unit_end && produced + run + bl <= window {
-                        run += bl;
-                        j += 1;
-                    } else {
-                        break;
-                    }
+        let window = len
+            .saturating_sub(offset)
+            .min(iovec::total_len(bufs) as u64);
+        let mut walk = UnitWalk::new(offset, window);
+        while let Some((pos, piece)) = walk.next(&self.config, bufs) {
+            match piece {
+                Piece::Run(run) => {
+                    self.read_unit_vectored(&m, &iname, pos, &mut bufs[run], &mut backend_time)?
                 }
-                if j > i {
-                    self.read_unit_vectored(&m, &iname, pos, &mut bufs[i..j], &mut backend_time)?;
-                    pos += run;
-                    produced += run;
-                    i = j;
-                    continue;
-                }
-            }
-            // Slow path: a buffer straddling a unit boundary (or clipped by
-            // the window) is filled piecewise.
-            let bl = bufs[i].len();
-            let take = (unit_end - pos)
-                .min(window - produced)
-                .min((bl - buf_off) as u64) as usize;
-            self.read_unit(
-                &m,
-                &iname,
-                pos,
-                &mut bufs[i][buf_off..buf_off + take],
-                &mut backend_time,
-            )?;
-            pos += take as u64;
-            produced += take as u64;
-            buf_off += take;
-            if buf_off == bl {
-                i += 1;
-                buf_off = 0;
+                Piece::Part(i, part) => self.read_unit_vectored(
+                    &m,
+                    &iname,
+                    pos,
+                    &mut [IoSliceMut::new(&mut bufs[i][part])],
+                    &mut backend_time,
+                )?,
             }
         }
         self.charge_route(op, backend_time);
         Ok(window as usize)
-    }
-
-    fn write_at(&self, name: &str, offset: u64, data: &[u8]) -> Result<()> {
-        let op = self.op_start();
-        let mut backend_time = Duration::ZERO;
-        let m = self.state.read();
-        let Some((iname, _len)) = self.object_len(&m, name, &mut backend_time) else {
-            return Err(not_found(name));
-        };
-        let mut pos = offset;
-        let mut done = 0usize;
-        while done < data.len() {
-            let take = (self.config.unit_end(pos) - pos).min((data.len() - done) as u64) as usize;
-            self.write_unit(&m, &iname, pos, &data[done..done + take], &mut backend_time)?;
-            done += take;
-            pos += take as u64;
-        }
-        self.grow_len(&iname, offset + data.len() as u64);
-        self.charge_route(op, backend_time);
-        Ok(())
     }
 
     fn write_at_vectored(&self, name: &str, offset: u64, bufs: &[IoSlice<'_>]) -> Result<()> {
@@ -896,84 +862,25 @@ impl<S: ObjectStore + ?Sized> ObjectStore for RoutedStore<S> {
         let Some((iname, _len)) = self.object_len(&m, name, &mut backend_time) else {
             return Err(not_found(name));
         };
-        let total: u64 = bufs.iter().map(|b| b.len() as u64).sum();
-        let mut pos = offset;
-        let mut written: u64 = 0;
-        let mut i = 0usize;
-        let mut buf_off = 0usize;
-        while written < total {
-            if bufs[i].is_empty() {
-                i += 1;
-                continue;
-            }
-            let unit_end = self.config.unit_end(pos);
-            if buf_off == 0 {
-                let mut j = i;
-                let mut run: u64 = 0;
-                while j < bufs.len() {
-                    let bl = bufs[j].len() as u64;
-                    if bl > 0 && pos + run + bl <= unit_end {
-                        run += bl;
-                        j += 1;
-                    } else {
-                        break;
-                    }
+        let total = iovec::total_len(bufs) as u64;
+        let mut walk = UnitWalk::new(offset, total);
+        while let Some((pos, piece)) = walk.next(&self.config, bufs) {
+            match piece {
+                Piece::Run(run) => {
+                    self.write_unit_vectored(&m, &iname, pos, &bufs[run], &mut backend_time)?
                 }
-                if j > i {
-                    self.write_unit_vectored(&m, &iname, pos, &bufs[i..j], &mut backend_time)?;
-                    pos += run;
-                    written += run;
-                    i = j;
-                    continue;
-                }
-            }
-            let bl = bufs[i].len();
-            let take = (unit_end - pos).min((bl - buf_off) as u64) as usize;
-            self.write_unit(
-                &m,
-                &iname,
-                pos,
-                &bufs[i][buf_off..buf_off + take],
-                &mut backend_time,
-            )?;
-            pos += take as u64;
-            written += take as u64;
-            buf_off += take;
-            if buf_off == bl {
-                i += 1;
-                buf_off = 0;
+                Piece::Part(i, part) => self.write_unit_vectored(
+                    &m,
+                    &iname,
+                    pos,
+                    &[IoSlice::new(&bufs[i][part])],
+                    &mut backend_time,
+                )?,
             }
         }
         self.grow_len(&iname, offset + total);
         self.charge_route(op, backend_time);
         Ok(())
-    }
-
-    fn submit_read_vectored(
-        &self,
-        q: &mut SubmitQueue,
-        name: &str,
-        offset: u64,
-        bufs: &mut [IoSliceMut<'_>],
-    ) -> SubmitTicket {
-        // Pass-through tier: the routing-aware read (replica selection,
-        // failover, per-member accounting) runs eagerly and the completion
-        // is immediately visible; queue-depth overlap happens inside each
-        // member's own clock.
-        let result = self.read_into_vectored(name, offset, bufs);
-        q.complete_now(result)
-    }
-
-    fn submit_write_vectored(
-        &self,
-        q: &mut SubmitQueue,
-        name: &str,
-        offset: u64,
-        bufs: &[IoSlice<'_>],
-    ) -> SubmitTicket {
-        let total: usize = bufs.iter().map(|b| b.len()).sum();
-        let result = self.write_at_vectored(name, offset, bufs).map(|()| total);
-        q.complete_now(result)
     }
 
     fn wait_completions(&self, q: &mut SubmitQueue, out: &mut Vec<Completion>) {
@@ -1069,8 +976,10 @@ impl<S: ObjectStore + ?Sized> ObjectStore for RoutedStore<S> {
                 .min(len - pos)
                 .min(1 << 20) as usize;
             scratch.resize(chunk, 0);
-            self.read_unit(&m, &ifrom, pos, &mut scratch, &mut backend_time)?;
-            self.write_unit(&m, &ito, pos, &scratch, &mut backend_time)?;
+            let mut iov = [IoSliceMut::new(&mut scratch)];
+            self.read_unit_vectored(&m, &ifrom, pos, &mut iov, &mut backend_time)?;
+            let iov = [IoSlice::new(&scratch)];
+            self.write_unit_vectored(&m, &ito, pos, &iov, &mut backend_time)?;
             pos += chunk as u64;
         }
         self.meta.lock().insert(ito, len);
@@ -1590,8 +1499,9 @@ impl<S: ObjectStore + ?Sized> RoutedStore<S> {
                 scratch.resize(window, 0);
                 scratch.fill(0);
                 let mut backend_time = Duration::ZERO;
+                let mut iov = [IoSliceMut::new(scratch)];
                 have_data = self
-                    .read_unit(m, name, pos, scratch, &mut backend_time)
+                    .read_unit_vectored(m, name, pos, &mut iov, &mut backend_time)
                     .is_ok();
             }
             if have_data {
@@ -1712,40 +1622,6 @@ mod tests {
         assert_eq!(r.read_into("f", 3100, &mut tail).unwrap(), 0);
         assert!(r.exists("f"));
         assert_eq!(r.list(), vec!["f".to_string()]);
-    }
-
-    #[test]
-    fn vectored_io_roundtrips_and_clamps() {
-        let r = routed(3, 2, 200);
-        r.create("v").unwrap();
-        let (a, b, c) = (pattern(150, 1), pattern(180, 2), pattern(90, 3));
-        r.write_at_vectored(
-            "v",
-            30,
-            &[IoSlice::new(&a), IoSlice::new(&b), IoSlice::new(&c)],
-        )
-        .unwrap();
-        assert_eq!(r.len("v").unwrap(), 30 + 420);
-        let mut whole = [a.clone(), b.clone(), c.clone()].concat();
-        let mut x = vec![0u8; 100];
-        let mut y = vec![0u8; 250];
-        let mut z = vec![0u8; 200]; // extends past the end: short total
-        let n = r
-            .read_into_vectored(
-                "v",
-                30,
-                &mut [
-                    IoSliceMut::new(&mut x),
-                    IoSliceMut::new(&mut y),
-                    IoSliceMut::new(&mut z),
-                ],
-            )
-            .unwrap();
-        assert_eq!(n, 420);
-        whole.resize(550, 0);
-        assert_eq!(&x[..], &whole[..100]);
-        assert_eq!(&y[..], &whole[100..350]);
-        assert_eq!(&z[..70], &whole[350..420]);
     }
 
     #[test]
@@ -2066,31 +1942,6 @@ mod tests {
         r.create("f").unwrap();
         r.write_at("f", 0, b"both").unwrap();
         assert_eq!(members.iter().filter(|m| m.exists("f")).count(), 2);
-    }
-
-    #[test]
-    fn submitted_io_round_trips_through_the_routing_tier() {
-        let r = routed(3, 2, 128);
-        r.create("f").unwrap();
-        let data = pattern(512, 7);
-        let mut q = SubmitQueue::new();
-        let wt = r.submit_write_vectored(&mut q, "f", 0, &[IoSlice::new(&data)]);
-        let mut out = Vec::new();
-        r.wait_completions(&mut q, &mut out);
-        assert_eq!(out.len(), 1);
-        assert_eq!(out[0].ticket, wt);
-        assert!(matches!(out[0].result, Ok(512)));
-
-        let mut buf = vec![0u8; 512];
-        let rt = {
-            let mut iov = [IoSliceMut::new(&mut buf)];
-            r.submit_read_vectored(&mut q, "f", 0, &mut iov)
-        };
-        out.clear();
-        r.wait_completions(&mut q, &mut out);
-        assert_eq!(out[0].ticket, rt);
-        assert!(matches!(out[0].result, Ok(512)));
-        assert_eq!(buf, data);
     }
 
     /// Scriptable [`HealthGate`] for tests: deny-listed members are

@@ -35,7 +35,9 @@
 
 use crate::retry::{OpBudget, RetryPolicy};
 use crate::stats::{AtomicResilienceStats, ResilienceStats};
-use lamassu_storage::{Completion, IoCounters, ObjectStore, Result, StorageError, SubmitQueue};
+use lamassu_storage::{
+    iovec, Completion, IoCounters, ObjectStore, Result, StorageError, SubmitQueue,
+};
 use lamassu_telemetry::Histogram;
 use parking_lot::Mutex;
 use std::io::{IoSlice, IoSliceMut};
@@ -241,9 +243,8 @@ impl<S: ObjectStore + ?Sized> ResilientStore<S> {
         let mut hedge_ticket = None;
         if threshold.is_some_and(|th| primary_done > th) {
             AtomicResilienceStats::bump(&self.stats.hedged_reads);
-            let total: usize = bufs.iter().map(|b| b.len()).sum();
             let mut scratch = self.scratch.lock();
-            scratch.resize(total, 0);
+            scratch.resize(iovec::total_len(bufs), 0);
             let before = self.inner.io_time();
             let ticket = {
                 let mut iov = [IoSliceMut::new(&mut scratch[..])];
@@ -274,16 +275,7 @@ impl<S: ObjectStore + ?Sized> ResilientStore<S> {
                 // the attempt — copy its bytes out of the bounce buffer.
                 if let Some(Ok(n)) = hedge_ticket.and_then(take) {
                     AtomicResilienceStats::bump(&self.stats.hedge_wins);
-                    let scratch = self.scratch.lock();
-                    let mut copied = 0usize;
-                    for b in bufs.iter_mut() {
-                        if copied >= n {
-                            break;
-                        }
-                        let take_n = b.len().min(n - copied);
-                        b[..take_n].copy_from_slice(&scratch[copied..copied + take_n]);
-                        copied += take_n;
-                    }
+                    iovec::scatter(bufs, 0, &self.scratch.lock()[..n]);
                     Ok(n)
                 } else {
                     Err(primary_err)
@@ -302,19 +294,6 @@ impl<S: ObjectStore + ?Sized> ObjectStore for ResilientStore<S> {
         self.inner.exists(name)
     }
 
-    fn read_into(&self, name: &str, offset: u64, buf: &mut [u8]) -> Result<usize> {
-        if let Some(hedge) = self.hedge {
-            self.with_retries(|| {
-                let mut iov = [IoSliceMut::new(buf)];
-                self.hedged_attempt(&hedge, name, offset, &mut iov)
-            })
-        } else {
-            // No hedging: the plain blocking attempt keeps the warm path
-            // allocation-free.
-            self.with_retries(|| self.inner.read_into(name, offset, buf))
-        }
-    }
-
     fn read_into_vectored(
         &self,
         name: &str,
@@ -324,12 +303,10 @@ impl<S: ObjectStore + ?Sized> ObjectStore for ResilientStore<S> {
         if let Some(hedge) = self.hedge {
             self.with_retries(|| self.hedged_attempt(&hedge, name, offset, bufs))
         } else {
+            // No hedging: the plain blocking attempt keeps the warm path
+            // allocation-free.
             self.with_retries(|| self.inner.read_into_vectored(name, offset, bufs))
         }
-    }
-
-    fn write_at(&self, name: &str, offset: u64, data: &[u8]) -> Result<()> {
-        self.with_retries(|| self.inner.write_at(name, offset, data))
     }
 
     fn write_at_vectored(&self, name: &str, offset: u64, bufs: &[IoSlice<'_>]) -> Result<()> {

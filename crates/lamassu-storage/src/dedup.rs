@@ -14,7 +14,7 @@
 use crate::profile::{IoCounters, SimClock, StorageProfile};
 use crate::store::ObjectStore;
 use crate::submit::{Completion, SubmitQueue, SubmitTicket};
-use crate::{Result, StorageError};
+use crate::{iovec, Result, StorageError};
 use lamassu_crypto::sha256::sha256;
 use parking_lot::RwLock;
 use serde::Serialize;
@@ -241,24 +241,13 @@ impl DedupStore {
         offset: u64,
         bufs: &mut [std::io::IoSliceMut<'_>],
     ) -> Result<usize> {
-        let total: usize = bufs.iter().map(|b| b.len()).sum();
         let objects = self.shard(name).read();
         let data = objects.get(name).ok_or_else(|| StorageError::NotFound {
             name: name.to_string(),
         })?;
-        let n = (data.len() as u64).saturating_sub(offset).min(total as u64) as usize;
-        let mut pos = offset as usize;
-        let mut remaining = n;
-        for buf in bufs.iter_mut() {
-            if remaining == 0 {
-                break;
-            }
-            let take = buf.len().min(remaining);
-            buf[..take].copy_from_slice(&data[pos..pos + take]);
-            pos += take;
-            remaining -= take;
-        }
-        Ok(n)
+        // Clamped at end-of-object: a short count, not an error.
+        let from = offset.min(data.len() as u64) as usize;
+        Ok(iovec::scatter(bufs, 0, &data[from..]))
     }
 
     /// Applies a vectored span write to the object map, without touching the
@@ -269,7 +258,7 @@ impl DedupStore {
         offset: u64,
         bufs: &[std::io::IoSlice<'_>],
     ) -> Result<usize> {
-        let total: usize = bufs.iter().map(|b| b.len()).sum();
+        let total = iovec::total_len(bufs);
         let mut objects = self.shard(name).write();
         let data = objects
             .get_mut(name)
@@ -280,12 +269,7 @@ impl DedupStore {
         if end > data.len() {
             data.resize(end, 0);
         }
-        let mut pos = offset as usize;
-        for buf in bufs {
-            data[pos..pos + buf.len()].copy_from_slice(buf);
-            pos += buf.len();
-        }
-        Ok(total)
+        Ok(iovec::gather(bufs, 0, &mut data[offset as usize..end]))
     }
 }
 
@@ -306,21 +290,6 @@ impl ObjectStore for DedupStore {
         self.shard(name).read().contains_key(name)
     }
 
-    fn read_into(&self, name: &str, offset: u64, buf: &mut [u8]) -> Result<usize> {
-        let objects = self.shard(name).read();
-        let data = objects.get(name).ok_or_else(|| StorageError::NotFound {
-            name: name.to_string(),
-        })?;
-        let n = (data.len() as u64)
-            .saturating_sub(offset)
-            .min(buf.len() as u64) as usize;
-        self.clock.charge_read(&self.profile, n);
-        if n > 0 {
-            buf[..n].copy_from_slice(&data[offset as usize..offset as usize + n]);
-        }
-        Ok(n)
-    }
-
     fn read_into_vectored(
         &self,
         name: &str,
@@ -334,10 +303,6 @@ impl ObjectStore for DedupStore {
         Ok(n)
     }
 
-    fn write_at(&self, name: &str, offset: u64, buf: &[u8]) -> Result<()> {
-        self.write_at_vectored(name, offset, &[std::io::IoSlice::new(buf)])
-    }
-
     fn write_at_vectored(
         &self,
         name: &str,
@@ -346,8 +311,7 @@ impl ObjectStore for DedupStore {
     ) -> Result<()> {
         // One store operation covering the whole scatter list: charged as a
         // single contiguous write, applied under one lock acquisition.
-        let total: usize = bufs.iter().map(|b| b.len()).sum();
-        self.charge_write_span(offset, total);
+        self.charge_write_span(offset, iovec::total_len(bufs));
         self.vectored_write_uncharged(name, offset, bufs)?;
         Ok(())
     }
@@ -640,54 +604,6 @@ mod tests {
         assert!(s.io_time() > Duration::ZERO);
         s.reset_io_accounting();
         assert_eq!(s.io_time(), Duration::ZERO);
-    }
-
-    #[test]
-    fn failed_out_of_bounds_read_charges_only_clamped_bytes() {
-        // The old `read_at` override charged the full requested `len` before
-        // the bounds check; the trait default charges only what the clamped
-        // `read_into` actually produced.
-        let s = DedupStore::new(4096, StorageProfile::nfs_1gbe());
-        s.create("f").unwrap();
-        s.write_at("f", 0, b"abc").unwrap();
-        s.reset_io_accounting();
-        assert!(matches!(
-            s.read_at("f", 1, 4096),
-            Err(StorageError::OutOfBounds { size: 3, .. })
-        ));
-        let c = s.io_counters();
-        assert_eq!(c.read_ops, 1);
-        assert_eq!(c.bytes_read, 2, "only the clamped bytes are charged");
-        // A read entirely past the end learns the size from one charged
-        // metadata op, with zero bytes moved.
-        s.reset_io_accounting();
-        assert!(s.read_at("f", 10, 4).is_err());
-        assert_eq!(s.io_counters().bytes_read, 0);
-    }
-
-    #[test]
-    fn vectored_read_scatters_and_charges_one_op() {
-        let s = DedupStore::new(4096, StorageProfile::nfs_1gbe());
-        s.create("f").unwrap();
-        s.write_at("f", 0, &(0u8..=99).collect::<Vec<_>>()).unwrap();
-        s.reset_io_accounting();
-        let (mut a, mut b) = ([0u8; 10], [0u8; 200]);
-        let n = s
-            .read_into_vectored(
-                "f",
-                5,
-                &mut [
-                    std::io::IoSliceMut::new(&mut a),
-                    std::io::IoSliceMut::new(&mut b),
-                ],
-            )
-            .unwrap();
-        assert_eq!(n, 95); // clamped at end of object
-        assert_eq!(a[0], 5);
-        assert_eq!(b[84], 99);
-        let c = s.io_counters();
-        assert_eq!(c.read_ops, 1, "one round trip for the span");
-        assert_eq!(c.bytes_read, 95);
     }
 
     #[test]

@@ -14,7 +14,7 @@
 use crate::profile::{IoCounters, SimClock, StorageProfile};
 use crate::store::ObjectStore;
 use crate::submit::{Completion, SubmitQueue, SubmitTicket};
-use crate::{Result, StorageError};
+use crate::{iovec, Result, StorageError};
 use std::fs::{self, File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
@@ -96,7 +96,7 @@ impl DirStore {
         offset: u64,
         bufs: &mut [std::io::IoSliceMut<'_>],
     ) -> Result<usize> {
-        let total: usize = bufs.iter().map(|b| b.len()).sum();
+        let total = iovec::total_len(bufs);
         let path = self.path_for(name);
         let mut file = File::open(&path).map_err(|e| Self::io_err(name, e))?;
         let size = file.metadata().map_err(|e| Self::io_err(name, e))?.len();
@@ -127,7 +127,7 @@ impl DirStore {
         offset: u64,
         bufs: &[std::io::IoSlice<'_>],
     ) -> Result<usize> {
-        let total: usize = bufs.iter().map(|b| b.len()).sum();
+        let total = iovec::total_len(bufs);
         let path = self.path_for(name);
         let mut file = OpenOptions::new()
             .write(true)
@@ -162,22 +162,6 @@ impl ObjectStore for DirStore {
         self.path_for(name).exists()
     }
 
-    fn read_into(&self, name: &str, offset: u64, buf: &mut [u8]) -> Result<usize> {
-        let path = self.path_for(name);
-        let mut file = File::open(&path).map_err(|e| Self::io_err(name, e))?;
-        let size = file.metadata().map_err(|e| Self::io_err(name, e))?.len();
-        let n = size.saturating_sub(offset).min(buf.len() as u64) as usize;
-        self.clock.charge_read(&self.profile, n);
-        if n == 0 {
-            return Ok(0);
-        }
-        file.seek(SeekFrom::Start(offset))
-            .map_err(|e| Self::io_err(name, e))?;
-        file.read_exact(&mut buf[..n])
-            .map_err(|e| Self::io_err(name, e))?;
-        Ok(n)
-    }
-
     fn read_into_vectored(
         &self,
         name: &str,
@@ -191,27 +175,14 @@ impl ObjectStore for DirStore {
         Ok(n)
     }
 
-    fn write_at(&self, name: &str, offset: u64, data: &[u8]) -> Result<()> {
-        self.clock.charge_write(&self.profile, data.len());
-        let path = self.path_for(name);
-        let mut file = OpenOptions::new()
-            .write(true)
-            .open(&path)
-            .map_err(|e| Self::io_err(name, e))?;
-        file.seek(SeekFrom::Start(offset))
-            .map_err(|e| Self::io_err(name, e))?;
-        file.write_all(data).map_err(|e| Self::io_err(name, e))?;
-        Ok(())
-    }
-
     fn write_at_vectored(
         &self,
         name: &str,
         offset: u64,
         bufs: &[std::io::IoSlice<'_>],
     ) -> Result<()> {
-        let total: usize = bufs.iter().map(|b| b.len()).sum();
-        self.clock.charge_write(&self.profile, total);
+        self.clock
+            .charge_write(&self.profile, iovec::total_len(bufs));
         self.vectored_write_uncharged(name, offset, bufs)?;
         Ok(())
     }
@@ -382,58 +353,6 @@ mod tests {
         assert!(!s.exists("a"));
         s.remove("b").unwrap();
         assert!(s.list().is_empty());
-        fs::remove_dir_all(s.root()).unwrap();
-    }
-
-    #[test]
-    fn failed_out_of_bounds_read_charges_only_clamped_bytes() {
-        // The old `read_at` override charged the full requested `len` even
-        // when the bounds check failed; the trait default charges exactly the
-        // bytes the clamped `read_into` produced.
-        let dir = std::env::temp_dir().join(format!(
-            "lamassu-dirstore-oob-{}-{:?}",
-            std::process::id(),
-            std::thread::current().id()
-        ));
-        let _ = fs::remove_dir_all(&dir);
-        let s = DirStore::open(&dir, StorageProfile::nfs_1gbe()).unwrap();
-        s.create("f").unwrap();
-        s.write_at("f", 0, b"abc").unwrap();
-        s.reset_io_accounting();
-        assert!(matches!(
-            s.read_at("f", 0, 4096),
-            Err(StorageError::OutOfBounds { size: 3, .. })
-        ));
-        let c = s.io_counters();
-        assert_eq!(c.read_ops, 1);
-        assert_eq!(c.bytes_read, 3, "only the clamped bytes are charged");
-        fs::remove_dir_all(s.root()).unwrap();
-    }
-
-    #[test]
-    fn vectored_read_scatters_and_charges_one_op() {
-        let s = temp_store();
-        s.create("f").unwrap();
-        s.write_at("f", 0, b"abcdefghij").unwrap();
-        s.reset_io_accounting();
-        let (mut a, mut b, mut c) = ([0u8; 3], [0u8; 4], [0u8; 8]);
-        let n = s
-            .read_into_vectored(
-                "f",
-                1,
-                &mut [
-                    std::io::IoSliceMut::new(&mut a),
-                    std::io::IoSliceMut::new(&mut b),
-                    std::io::IoSliceMut::new(&mut c),
-                ],
-            )
-            .unwrap();
-        assert_eq!(n, 9); // clamped at end of object
-        assert_eq!(&a, b"bcd");
-        assert_eq!(&b, b"efgh");
-        assert_eq!(&c[..2], b"ij");
-        assert_eq!(s.io_counters().read_ops, 1, "one round trip for the span");
-        assert_eq!(s.io_counters().bytes_read, 9);
         fs::remove_dir_all(s.root()).unwrap();
     }
 

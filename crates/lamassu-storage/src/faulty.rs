@@ -479,18 +479,6 @@ impl ObjectStore for FaultyStore {
         self.inner.exists(name)
     }
 
-    fn read_into(&self, name: &str, offset: u64, buf: &mut [u8]) -> Result<usize> {
-        self.consume_read_credit()?;
-        self.maybe_transient(name)?;
-        self.inner.read_into(name, offset, buf)
-    }
-
-    fn read_at(&self, name: &str, offset: u64, len: usize) -> Result<Vec<u8>> {
-        self.consume_read_credit()?;
-        self.maybe_transient(name)?;
-        self.inner.read_at(name, offset, len)
-    }
-
     fn read_into_vectored(
         &self,
         name: &str,
@@ -518,12 +506,6 @@ impl ObjectStore for FaultyStore {
             }
         }
         Ok(total)
-    }
-
-    fn write_at(&self, name: &str, offset: u64, data: &[u8]) -> Result<()> {
-        self.consume_write_credit()?;
-        self.maybe_transient(name)?;
-        self.inner.write_at(name, offset, data)
     }
 
     fn submit_read_vectored(
@@ -1019,29 +1001,5 @@ mod tests {
             faulty.write_at("f", 0, &[2]),
             Err(StorageError::Crashed)
         ));
-    }
-
-    #[test]
-    fn unarmed_vectored_read_passes_span_through() {
-        let (inner, faulty) = setup();
-        faulty.write_at("f", 0, &[3u8; 32]).unwrap();
-        inner.reset_io_accounting();
-        let (mut a, mut b) = ([0u8; 16], [0u8; 16]);
-        let n = faulty
-            .read_into_vectored(
-                "f",
-                0,
-                &mut [
-                    std::io::IoSliceMut::new(&mut a),
-                    std::io::IoSliceMut::new(&mut b),
-                ],
-            )
-            .unwrap();
-        assert_eq!(n, 32);
-        assert_eq!(
-            inner.io_counters().read_ops,
-            1,
-            "unarmed span stays one round trip"
-        );
     }
 }

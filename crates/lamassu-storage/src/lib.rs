@@ -8,8 +8,10 @@
 //! (see DESIGN.md §3 for the substitution argument):
 //!
 //! * [`store`] — the [`ObjectStore`] trait: the byte-addressed, named-object
-//!   interface that the file-system shims (`PlainFs`, `EncFs`, `LamassuFs`)
-//!   use as their backing store, standing in for the NFS mount point.
+//!   interface that the file-system shims (`PlainFs`, `EncFs`, `CeFileFs`,
+//!   `LamassuFs`) use as their backing store, standing in for the NFS mount
+//!   point. Data moves as scatter lists only; [`iovec`] is the one walk over
+//!   such a list.
 //! * [`dedup`] — [`DedupStore`], an in-memory object store with fixed-block
 //!   content-addressed deduplication accounting (`run_dedup()` plays the role
 //!   of triggering dedup on the controller and reading `df`).
@@ -29,6 +31,7 @@
 pub mod dedup;
 pub mod dirstore;
 pub mod faulty;
+pub mod iovec;
 pub mod profile;
 pub mod store;
 pub mod submit;

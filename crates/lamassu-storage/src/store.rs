@@ -7,27 +7,142 @@
 //! captures exactly that contract: named byte objects with random-access
 //! reads and writes, plus the accounting hooks the benchmark harness needs.
 //!
-//! # Zero-copy I/O
-//!
-//! The primitive read operation is [`ObjectStore::read_into`], which fills a
-//! caller-owned buffer so the shims' hot paths perform no per-call
-//! allocation; [`ObjectStore::read_at`] is a convenience built on top of it.
-//! Writes take the data as a slice ([`ObjectStore::write_at`]) or as a
-//! scatter list ([`ObjectStore::write_at_vectored`]) so a shim can hand a
-//! header and payload — or several contiguous blocks — to the store in one
-//! operation without concatenating them first.
-//!
-//! # Span I/O
+//! # A scatter list is the only shape of data I/O
 //!
 //! The shims turn arbitrary byte ranges into runs of whole blocks, and the
 //! dominant cost over a remote transport is the per-operation round trip, not
-//! the bytes. [`ObjectStore::read_into_vectored`] is the read-side dual of
-//! [`ObjectStore::write_at_vectored`]: one contiguous range of the object is
-//! read in a *single* charged store operation and scattered across a list of
+//! the bytes. So the two data primitives take a list:
+//! [`ObjectStore::read_into_vectored`] reads one contiguous range of the
+//! object in a *single* charged store operation and scatters it across
 //! caller-owned buffers (typically one per block, or staging buffers for the
-//! partial edge blocks of a span). Stores with a real transport override it
-//! so a multi-block span costs one round trip instead of one per block.
+//! partial edge blocks of a span); [`ObjectStore::write_at_vectored`] is its
+//! dual, so a header and payload — or several contiguous blocks — reach the
+//! store in one operation without being concatenated first. Neither
+//! allocates. The scalar calls ([`ObjectStore::read_into`],
+//! [`ObjectStore::write_at`], [`ObjectStore::read_at`]) are the same
+//! operation on a one-slice list and are written once, here; the byte-moving
+//! walk over a list lives once too, in [`crate::iovec`].
+//!
+//! # Implementor's checklist
+//!
+//! **Required** (13): the namespace calls `create`, `exists`, `len`,
+//! `truncate`, `remove`, `rename`, `list`, `flush`; the two data primitives
+//! `read_into_vectored` and `write_at_vectored` — a store must serve the
+//! whole list as **one** charged operation, there is no per-buffer fallback
+//! to forget to override; and the accounting calls `io_time`, `io_counters`,
+//! `reset_io_accounting`.
+//!
+//! **Provided** (8): `read_into`, `write_at`, `read_at` (one-slice
+//! conveniences — do not override them, a wrapper that did would only
+//! re-spell its vectored body); `submit_read_vectored` /
+//! `submit_write_vectored` (run the blocking call, complete at once);
+//! `poll_completions` / `wait_completions`; `sleep_virtual` (no-op).
+//!
+//! Override a provided method only for what the tier adds:
+//!
+//! * a store with a virtual clock overrides `submit_*` to schedule the
+//!   transport cost on a queue-depth lane, `wait_completions` to run the
+//!   transport barrier, and `sleep_virtual` to advance the clock;
+//! * a wrapper **forwards** `sleep_virtual` and `wait_completions` (and
+//!   `poll_completions`, if it cares about release order) to the store(s)
+//!   below it, or the clock under it never sees a backoff or a barrier;
+//! * a tier that only forwards needs **no** `submit_*`: the defaults route a
+//!   submission through the tier's own blocking path, so its logic (cache
+//!   lookup, retries, routing) covers submitted I/O for free.
+//!
+//! The smallest complete store — it stops compiling if the required set
+//! ever grows:
+//!
+//! ```
+//! use lamassu_storage::{iovec, IoCounters, ObjectStore, Result, StorageError};
+//! use std::collections::HashMap;
+//! use std::io::{IoSlice, IoSliceMut};
+//! use std::sync::Mutex;
+//! use std::time::Duration;
+//!
+//! #[derive(Default)]
+//! struct MapStore(Mutex<HashMap<String, Vec<u8>>>);
+//!
+//! fn missing(name: &str) -> StorageError {
+//!     StorageError::NotFound { name: name.to_string() }
+//! }
+//!
+//! impl ObjectStore for MapStore {
+//!     fn create(&self, name: &str) -> Result<()> {
+//!         match self.0.lock().unwrap().insert(name.to_string(), Vec::new()) {
+//!             None => Ok(()),
+//!             Some(_) => Err(StorageError::AlreadyExists { name: name.to_string() }),
+//!         }
+//!     }
+//!     fn exists(&self, name: &str) -> bool {
+//!         self.0.lock().unwrap().contains_key(name)
+//!     }
+//!     fn read_into_vectored(
+//!         &self,
+//!         name: &str,
+//!         offset: u64,
+//!         bufs: &mut [IoSliceMut<'_>],
+//!     ) -> Result<usize> {
+//!         let map = self.0.lock().unwrap();
+//!         let data = map.get(name).ok_or_else(|| missing(name))?;
+//!         // Clamped at end-of-object: a short count, not an error.
+//!         let from = (offset as usize).min(data.len());
+//!         Ok(iovec::scatter(bufs, 0, &data[from..]))
+//!     }
+//!     fn write_at_vectored(&self, name: &str, offset: u64, bufs: &[IoSlice<'_>]) -> Result<()> {
+//!         let mut map = self.0.lock().unwrap();
+//!         let data = map.get_mut(name).ok_or_else(|| missing(name))?;
+//!         let end = offset as usize + iovec::total_len(bufs);
+//!         if end > data.len() {
+//!             data.resize(end, 0); // zero-fill extension
+//!         }
+//!         iovec::gather(bufs, 0, &mut data[offset as usize..end]);
+//!         Ok(())
+//!     }
+//!     fn len(&self, name: &str) -> Result<u64> {
+//!         let map = self.0.lock().unwrap();
+//!         map.get(name).map(|d| d.len() as u64).ok_or_else(|| missing(name))
+//!     }
+//!     fn truncate(&self, name: &str, len: u64) -> Result<()> {
+//!         let mut map = self.0.lock().unwrap();
+//!         map.get_mut(name).ok_or_else(|| missing(name))?.resize(len as usize, 0);
+//!         Ok(())
+//!     }
+//!     fn remove(&self, name: &str) -> Result<()> {
+//!         self.0.lock().unwrap().remove(name).map(|_| ()).ok_or_else(|| missing(name))
+//!     }
+//!     fn rename(&self, from: &str, to: &str) -> Result<()> {
+//!         let mut map = self.0.lock().unwrap();
+//!         let data = map.remove(from).ok_or_else(|| missing(from))?;
+//!         map.insert(to.to_string(), data);
+//!         Ok(())
+//!     }
+//!     fn list(&self) -> Vec<String> {
+//!         self.0.lock().unwrap().keys().cloned().collect()
+//!     }
+//!     fn flush(&self, _name: &str) -> Result<()> {
+//!         Ok(())
+//!     }
+//!     fn io_time(&self) -> Duration {
+//!         Duration::ZERO
+//!     }
+//!     fn io_counters(&self) -> IoCounters {
+//!         IoCounters::default()
+//!     }
+//!     fn reset_io_accounting(&self) {}
+//! }
+//!
+//! // Every provided method works on top of the thirteen above.
+//! let s = MapStore::default();
+//! s.create("f").unwrap();
+//! s.write_at("f", 2, b"abc").unwrap();
+//! assert_eq!(s.read_at("f", 0, 5).unwrap(), b"\0\0abc");
+//! let mut buf = [0u8; 8];
+//! assert_eq!(s.read_into("f", 3, &mut buf).unwrap(), 2);
+//! assert!(matches!(s.read_at("f", 3, 8), Err(StorageError::OutOfBounds { size: 5, .. })));
+//! ```
 
+use crate::iovec;
 use crate::profile::IoCounters;
 use crate::submit::{Completion, SubmitQueue, SubmitTicket};
 use crate::Result;
@@ -37,7 +152,9 @@ use std::time::Duration;
 /// A named-object byte store, the downstream "untrusted storage system".
 ///
 /// Implementations must be thread-safe: the FIO-style tester issues I/O from
-/// multiple client threads in some configurations.
+/// multiple client threads in some configurations. Methods without a body
+/// are the required set; see the [module docs](self) for the implementor's
+/// checklist.
 pub trait ObjectStore: Send + Sync {
     /// Creates an empty object. Fails with
     /// [`crate::StorageError::AlreadyExists`] if the name is taken.
@@ -46,11 +163,35 @@ pub trait ObjectStore: Send + Sync {
     /// Returns true if the object exists.
     fn exists(&self, name: &str) -> bool;
 
-    /// Reads up to `buf.len()` bytes at `offset` into `buf`, returning the
-    /// number of bytes read. Reads past the end of the object are clamped: a
-    /// short count (or `0` when `offset` is at or past the end) is returned,
-    /// not an error. This is the primitive read — it performs no allocation.
-    fn read_into(&self, name: &str, offset: u64, buf: &mut [u8]) -> Result<usize>;
+    /// Reads the contiguous range starting at `offset` into the scatter list
+    /// `bufs` (filled in order), returning the total number of bytes read.
+    /// Reads past the end of the object are clamped: buffers past the end
+    /// are left untouched and a short total (or `0` when `offset` is at or
+    /// past the end) is returned, not an error.
+    ///
+    /// This is the read primitive: the whole list is served by **one**
+    /// charged store operation, and the call performs no allocation.
+    fn read_into_vectored(
+        &self,
+        name: &str,
+        offset: u64,
+        bufs: &mut [IoSliceMut<'_>],
+    ) -> Result<usize>;
+
+    /// Writes the concatenation of `bufs` at `offset` as **one** charged
+    /// store operation, extending (and zero-filling) the object if needed.
+    /// This is the write primitive.
+    fn write_at_vectored(&self, name: &str, offset: u64, bufs: &[IoSlice<'_>]) -> Result<()>;
+
+    /// [`ObjectStore::read_into_vectored`] on the one-slice list `[buf]`.
+    fn read_into(&self, name: &str, offset: u64, buf: &mut [u8]) -> Result<usize> {
+        self.read_into_vectored(name, offset, &mut [IoSliceMut::new(buf)])
+    }
+
+    /// [`ObjectStore::write_at_vectored`] on the one-slice list `[data]`.
+    fn write_at(&self, name: &str, offset: u64, data: &[u8]) -> Result<()> {
+        self.write_at_vectored(name, offset, &[IoSlice::new(data)])
+    }
 
     /// Reads exactly `len` bytes at `offset` into a fresh vector. Reads past
     /// the end of the object return an [`crate::StorageError::OutOfBounds`]
@@ -60,8 +201,8 @@ pub trait ObjectStore: Send + Sync {
         let mut buf = vec![0u8; len];
         let n = self.read_into(name, offset, &mut buf)?;
         if n < len {
-            // A short read pins the object size at `offset + n` (read_into
-            // clamps at end-of-object), so the error carries the exact size
+            // A short read pins the object size at `offset + n` (reads clamp
+            // at end-of-object), so the error carries the exact size
             // without a second charged backend call. Only a read starting at
             // or past the end (`n == 0`) learns nothing from the clamp and
             // must ask the store.
@@ -78,54 +219,6 @@ pub trait ObjectStore: Send + Sync {
             });
         }
         Ok(buf)
-    }
-
-    /// Reads the contiguous range starting at `offset` into the scatter list
-    /// `bufs` (filled in order), returning the total number of bytes read.
-    /// Reads past the end of the object are clamped exactly like
-    /// [`ObjectStore::read_into`]: buffers past the end are left untouched
-    /// and a short total is returned, not an error.
-    ///
-    /// This is the span-read primitive: implementations with a modelled
-    /// transport override it so the whole scatter list is served by **one**
-    /// charged store operation. The default implementation issues one
-    /// [`ObjectStore::read_into`] per buffer (the per-block fallback path)
-    /// and therefore charges one operation per buffer.
-    fn read_into_vectored(
-        &self,
-        name: &str,
-        offset: u64,
-        bufs: &mut [IoSliceMut<'_>],
-    ) -> Result<usize> {
-        let mut pos = offset;
-        let mut total = 0usize;
-        for buf in bufs.iter_mut() {
-            let n = self.read_into(name, pos, buf)?;
-            total += n;
-            pos += n as u64;
-            if n < buf.len() {
-                break; // end of object
-            }
-        }
-        Ok(total)
-    }
-
-    /// Writes `data` at `offset`, extending (and zero-filling) the object if
-    /// needed.
-    fn write_at(&self, name: &str, offset: u64, data: &[u8]) -> Result<()>;
-
-    /// Writes the concatenation of `bufs` at `offset` as a single store
-    /// operation, extending the object if needed. The default implementation
-    /// issues one [`ObjectStore::write_at`] per slice; stores override it to
-    /// apply the scatter list in one pass (and charge one transport
-    /// operation).
-    fn write_at_vectored(&self, name: &str, offset: u64, bufs: &[IoSlice<'_>]) -> Result<()> {
-        let mut pos = offset;
-        for buf in bufs {
-            self.write_at(name, pos, buf)?;
-            pos += buf.len() as u64;
-        }
-        Ok(())
     }
 
     /// Submits the vectored read described by [`ObjectStore::read_into_vectored`]
@@ -160,8 +253,9 @@ pub trait ObjectStore: Send + Sync {
         offset: u64,
         bufs: &[IoSlice<'_>],
     ) -> SubmitTicket {
-        let total: usize = bufs.iter().map(|b| b.len()).sum();
-        let result = self.write_at_vectored(name, offset, bufs).map(|()| total);
+        let result = self
+            .write_at_vectored(name, offset, bufs)
+            .map(|()| iovec::total_len(bufs));
         q.complete_now(result)
     }
 

@@ -1,11 +1,12 @@
 //! Submission queues and completion tokens: the io_uring-shaped async face
 //! of [`ObjectStore`](crate::ObjectStore).
 //!
-//! The blocking span primitives (`read_into_vectored`, `write_at_vectored`)
+//! The two blocking data primitives (`read_into_vectored`,
+//! `write_at_vectored` — the scalar calls are these on a one-slice list)
 //! charge the virtual transport and return only when the round trip is over,
 //! so a single client thread can never keep a depth-N backend channel busy.
-//! The submit API decouples *issuing* an operation from *observing* its
-//! completion:
+//! The submit API decouples *issuing* the same list operation from
+//! *observing* its completion:
 //!
 //! * `submit_read_vectored` / `submit_write_vectored` enqueue an operation
 //!   and return a [`SubmitTicket`] immediately;

@@ -31,8 +31,9 @@
 //!   per-backend circuit breakers whose half-open probes trigger targeted
 //!   scrubs.
 //! * [`keymgr`] — KMIP-like key manager with isolation zones.
-//! * [`core`] — the [`core::FileSystem`] trait and the three shims:
-//!   [`core::PlainFs`], [`core::EncFs`] and [`core::LamassuFs`].
+//! * [`core`] — the [`core::FileSystem`] trait and the four shims:
+//!   [`core::PlainFs`], [`core::EncFs`], [`core::CeFileFs`] and
+//!   [`core::LamassuFs`].
 //! * [`telemetry`] — always-on metrics: lock-free latency histograms, the
 //!   counter/gauge registry, per-operation trace spans and the JSON /
 //!   Prometheus snapshot export every tier feeds.

@@ -27,7 +27,7 @@ use lamassu::storage::{
     SubmitTicket,
 };
 use proptest::prelude::*;
-use std::io::IoSliceMut;
+use std::io::{IoSlice, IoSliceMut};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -389,16 +389,21 @@ impl ObjectStore for LostCompletions {
     fn exists(&self, name: &str) -> bool {
         self.inner.exists(name)
     }
-    fn read_into(
+    fn read_into_vectored(
         &self,
         name: &str,
         offset: u64,
-        buf: &mut [u8],
+        bufs: &mut [IoSliceMut<'_>],
     ) -> lamassu::storage::Result<usize> {
-        self.inner.read_into(name, offset, buf)
+        self.inner.read_into_vectored(name, offset, bufs)
     }
-    fn write_at(&self, name: &str, offset: u64, data: &[u8]) -> lamassu::storage::Result<()> {
-        self.inner.write_at(name, offset, data)
+    fn write_at_vectored(
+        &self,
+        name: &str,
+        offset: u64,
+        bufs: &[IoSlice<'_>],
+    ) -> lamassu::storage::Result<()> {
+        self.inner.write_at_vectored(name, offset, bufs)
     }
     fn len(&self, name: &str) -> lamassu::storage::Result<u64> {
         self.inner.len(name)

@@ -125,7 +125,6 @@ fn mount_with_io(profile: StorageProfile, io: IoMode) -> LamassuFs {
             policy: SpanPolicy::Batched,
             io,
             workers: 1,
-            pool_blocks: None,
             crypto: CryptoBackend::Fixsliced,
             ..SpanConfig::default()
         });
