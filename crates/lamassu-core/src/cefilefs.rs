@@ -23,14 +23,13 @@
 //! outer key, holding the convergent file key and the logical size) followed
 //! by the CBC-encrypted body, padded to whole blocks.
 
-use crate::fs::{FileAttr, FileSystem, OpenFlags};
-use crate::handles::{HandleTable, PathRegistry};
 use crate::iovec;
+use crate::mount::{Mount, MountEngine, MountFile};
 use crate::pool::BlockPool;
 use crate::profiler::{Category, Profiler};
 use crate::span::{SpanConfig, SpanPolicy};
 use crate::spanio::SpanIo;
-use crate::{Fd, FsError, Result};
+use crate::{FsError, Result};
 use lamassu_crypto::aes::Aes256;
 use lamassu_crypto::batch::SpanCipher;
 use lamassu_crypto::gcm::{Aes256Gcm, NONCE_LEN, TAG_LEN};
@@ -41,7 +40,6 @@ use lamassu_crypto::{fixsliced, stats, CryptoBackend};
 use lamassu_crypto::{Key256, FIXED_IV};
 use lamassu_keymgr::ZoneKeys;
 use lamassu_storage::ObjectStore;
-use parking_lot::RwLock;
 use rand::RngCore;
 use std::io::{IoSlice, IoSliceMut};
 use std::sync::Arc;
@@ -49,21 +47,38 @@ use std::sync::Arc;
 /// Magic bytes identifying a per-file-CE header.
 const MAGIC: &[u8; 8] = b"CEFILEv1";
 
-struct CeFileState {
+/// Per-file state of the whole-file convergent engine.
+pub struct CeFile {
+    /// The object name this state currently refers to.
+    name: String,
     /// Decrypted file contents, kept in memory while the file is open (the
     /// whole file must be re-encrypted on every flush anyway).
     data: Vec<u8>,
     dirty: bool,
 }
 
-type SharedState = Arc<RwLock<CeFileState>>;
+impl MountFile for CeFile {
+    fn logical_size(&self) -> u64 {
+        self.data.len() as u64
+    }
+
+    fn renamed(&mut self, to: &str) {
+        self.name = to.to_string();
+    }
+}
 
 /// Idle header blocks the auto-sized CeFileFS pool keeps (one per
 /// concurrently loading/storing file is plenty).
 const CE_POOL_BLOCKS: usize = 8;
 
-/// Whole-file convergent encryption (Tahoe-LAFS-style) baseline.
-pub struct CeFileFs {
+/// Whole-file convergent encryption (Tahoe-LAFS-style) baseline: the
+/// [`Mount`] scaffold over the [`CeEngine`].
+pub type CeFileFs = Mount<CeEngine>;
+
+/// The whole-file convergent engine: one sealed header block plus the body,
+/// held decrypted in memory while open. Opaque outside the crate; used
+/// through [`CeFileFs`].
+pub struct CeEngine {
     io: SpanIo,
     block_size: usize,
     span: SpanConfig,
@@ -74,12 +89,10 @@ pub struct CeFileFs {
     blocks: BlockPool,
     kdf: ConvergentKdf,
     gcm: Aes256Gcm,
-    handles: HandleTable<SharedState>,
     profiler: Arc<Profiler>,
-    files: PathRegistry<SharedState>,
 }
 
-impl CeFileFs {
+impl Mount<CeEngine> {
     /// Mounts a per-file-CE file system over `store` with the zone's keys
     /// and the default span configuration.
     pub fn new(store: Arc<dyn ObjectStore>, keys: ZoneKeys, block_size: usize) -> Self {
@@ -97,7 +110,7 @@ impl CeFileFs {
         let blocks = BlockPool::new(block_size, span.pool_capacity(CE_POOL_BLOCKS));
         let profiler = Profiler::new();
         profiler.attach_pool(&blocks);
-        CeFileFs {
+        Mount::over(CeEngine {
             io: SpanIo::new(store, profiler.clone(), span.io),
             block_size,
             span,
@@ -105,33 +118,25 @@ impl CeFileFs {
             blocks,
             kdf: ConvergentKdf::new(&keys.inner),
             gcm: Aes256Gcm::with_backend(&keys.outer, span.crypto),
-            handles: HandleTable::new(),
             profiler,
-            files: PathRegistry::new(),
-        }
+        })
     }
 
     /// Counters of the mount's recycled header-block pool.
     pub fn pool_stats(&self) -> crate::pool::PoolStats {
-        self.blocks.stats()
+        self.engine().blocks.stats()
     }
+}
 
-    /// The latency profiler for this mount.
-    pub fn profiler(&self) -> Arc<Profiler> {
-        self.profiler.clone()
-    }
-
-    /// Loads and decrypts the whole file from the store. Under the batched
+impl CeEngine {
+    /// Loads and decrypts the whole body from the store. Under the batched
     /// span policy the header and body arrive in one vectored backend read
     /// and the body's CBC chain decrypts in parallel chunks; the per-block
     /// fallback keeps the original two sequential reads and serial decrypt.
-    fn load(&self, path: &str) -> Result<CeFileState> {
+    fn load_body(&self, path: &str) -> Result<Vec<u8>> {
         let physical = self.io.call(|s| s.len(path))?;
         if physical == 0 {
-            return Ok(CeFileState {
-                data: Vec::new(),
-                dirty: false,
-            });
+            return Ok(Vec::new());
         }
         let body_len = (physical as usize).saturating_sub(self.block_size);
         let batched = self.span.policy == SpanPolicy::Batched;
@@ -213,10 +218,7 @@ impl CeFileFs {
                 logical_block: 0,
             });
         }
-        Ok(CeFileState {
-            data: body,
-            dirty: false,
-        })
+        Ok(body)
     }
 
     /// Derives the whole-file convergent key on the mount's backend (the
@@ -231,7 +233,8 @@ impl CeFileFs {
     }
 
     /// Encrypts and writes the whole file back to the store.
-    fn store_file(&self, path: &str, state: &mut CeFileState) -> Result<()> {
+    fn store_file(&self, state: &mut CeFile) -> Result<()> {
+        let path = state.name.as_str();
         let file_key = self
             .profiler
             .time(Category::GetCeKey, || self.derive_file_key(&state.data));
@@ -279,152 +282,63 @@ impl CeFileFs {
         state.dirty = false;
         Ok(())
     }
-
-    /// Loads the per-file state for a path that must already exist (no
-    /// registry interaction — callers go through [`PathRegistry`]).
-    fn load_state(&self, path: &str) -> Result<SharedState> {
-        if !self.io.exists(path) {
-            return Err(FsError::NotFound {
-                path: path.to_string(),
-            });
-        }
-        Ok(Arc::new(RwLock::new(self.load(path)?)))
-    }
 }
 
-impl FileSystem for CeFileFs {
-    fn create(&self, path: &str) -> Result<Fd> {
-        self.io.call(|s| s.create(path)).map_err(|e| match e {
-            FsError::Storage(lamassu_storage::StorageError::AlreadyExists { name }) => {
-                FsError::AlreadyExists { path: name }
-            }
-            other => other,
-        })?;
-        let mut state = CeFileState {
+impl MountEngine for CeEngine {
+    type File = CeFile;
+
+    fn io(&self) -> &SpanIo {
+        &self.io
+    }
+
+    /// A new file is an empty body under a sealed header.
+    fn create(&self, path: &str) -> Result<CeFile> {
+        let mut state = CeFile {
+            name: path.to_string(),
             data: Vec::new(),
+            dirty: true,
+        };
+        self.flush(&mut state)?;
+        Ok(state)
+    }
+
+    fn load(&self, path: &str) -> Result<CeFile> {
+        Ok(CeFile {
+            name: path.to_string(),
+            data: self.load_body(path)?,
             dirty: false,
-        };
-        self.store_file(path, &mut state)?;
-        let state = Arc::new(RwLock::new(state));
-        self.files.insert_open(path, state.clone());
-        Ok(self.handles.open(path, state))
+        })
     }
 
-    fn open(&self, path: &str, flags: OpenFlags) -> Result<Fd> {
-        let state = self.files.open_with(path, || self.load_state(path))?;
-        if flags.truncate {
-            let mut st = state.write();
-            st.data.clear();
-            if let Err(e) = self.store_file(path, &mut st) {
-                drop(st);
-                self.files.release(path);
-                return Err(e);
-            }
-        }
-        Ok(self.handles.open(path, state))
+    /// Reads are pure in-memory copies under the shared guard, so any number
+    /// of readers proceed in parallel.
+    fn read(&self, st: &CeFile, offset: u64, buf: &mut [u8]) -> Result<()> {
+        let offset = offset as usize;
+        buf.copy_from_slice(&st.data[offset..offset + buf.len()]);
+        Ok(())
     }
 
-    fn close(&self, fd: Fd) -> Result<()> {
-        let entry = self.handles.close(fd)?;
-        let path = entry.path();
-        let flushed = {
-            let mut st = entry.state.write();
-            if st.dirty {
-                self.store_file(&path, &mut st)
-            } else {
-                Ok(())
-            }
-        };
-        self.files.release(&path);
-        flushed
-    }
-
-    fn read_into(&self, fd: Fd, offset: u64, buf: &mut [u8]) -> Result<usize> {
-        let entry = self.handles.get(fd)?;
-        // Reads are pure in-memory copies under the shared guard, so any
-        // number of readers proceed in parallel.
-        let st = entry.state.read();
-        if offset as usize >= st.data.len() {
-            return Ok(0);
-        }
-        let n = buf.len().min(st.data.len() - offset as usize);
-        buf[..n].copy_from_slice(&st.data[offset as usize..offset as usize + n]);
-        Ok(n)
-    }
-
-    fn write_vectored(&self, fd: Fd, offset: u64, bufs: &[IoSlice<'_>]) -> Result<usize> {
-        let total = iovec::total_len(bufs);
-        let entry = self.handles.get(fd)?;
-        let mut st = entry.state.write();
-        let end = offset as usize + total;
+    fn write(&self, st: &mut CeFile, offset: u64, bufs: &[IoSlice<'_>]) -> Result<()> {
+        let end = offset as usize + iovec::total_len(bufs);
         if end > st.data.len() {
             st.data.resize(end, 0);
         }
         iovec::gather(bufs, 0, &mut st.data[offset as usize..end]);
         st.dirty = true;
-        Ok(total)
+        Ok(())
     }
 
-    fn truncate(&self, fd: Fd, size: u64) -> Result<()> {
-        let entry = self.handles.get(fd)?;
-        let mut st = entry.state.write();
+    fn truncate(&self, st: &mut CeFile, size: u64) -> Result<()> {
         st.data.resize(size as usize, 0);
         st.dirty = true;
         Ok(())
     }
 
-    fn fsync(&self, fd: Fd) -> Result<()> {
-        let entry = self.handles.get(fd)?;
-        let path = entry.path();
-        {
-            let mut st = entry.state.write();
-            if st.dirty {
-                self.store_file(&path, &mut st)?;
-            }
+    fn flush(&self, st: &mut CeFile) -> Result<()> {
+        if st.dirty {
+            self.store_file(st)?;
         }
-        self.io.call(|s| s.flush(&path))
-    }
-
-    fn len(&self, fd: Fd) -> Result<u64> {
-        let entry = self.handles.get(fd)?;
-        let len = entry.state.read().data.len() as u64;
-        Ok(len)
-    }
-
-    fn stat(&self, path: &str) -> Result<FileAttr> {
-        let state = self.files.lookup_with(path, || self.load_state(path))?;
-        let logical = state.read().data.len() as u64;
-        let physical = self.io.call(|s| s.len(path))?;
-        Ok(FileAttr {
-            logical_size: logical,
-            physical_size: physical,
-        })
-    }
-
-    fn remove(&self, path: &str) -> Result<()> {
-        self.io.call(|s| s.remove(path)).map_err(|e| match e {
-            FsError::Storage(lamassu_storage::StorageError::NotFound { name }) => {
-                FsError::NotFound { path: name }
-            }
-            other => other,
-        })?;
-        self.files.remove(path);
-        self.handles.invalidate(path);
         Ok(())
-    }
-
-    fn rename(&self, from: &str, to: &str) -> Result<()> {
-        self.io.call(|s| s.rename(from, to))?;
-        // The registry moves the entry under a single map lock, so no
-        // concurrent open can observe (or resurrect) the old path's entry
-        // mid-rename.
-        self.files.rename(from, to);
-        self.handles.retarget(from, to);
-        Ok(())
-    }
-
-    fn list(&self) -> Result<Vec<String>> {
-        Ok(self.io.list())
     }
 
     fn kind(&self) -> &'static str {
@@ -435,6 +349,7 @@ impl FileSystem for CeFileFs {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fs::{FileSystem, OpenFlags};
     use lamassu_storage::{DedupStore, StorageProfile};
 
     fn keys(inner: u8) -> ZoneKeys {

@@ -18,28 +18,26 @@
 //!   block — the configuration the paper measured as "at least 10x slower"
 //!   over NFS, reproduced by the `ablation_unaligned` bench.
 //!
-//! The descriptor table hands every operation the file's state directly. The
-//! write path stages blocks in per-file scratch buffers under the exclusive
-//! guard, so steady-state writes allocate nothing; the read path takes only
-//! the **shared** guard of the per-file `RwLock` (staging any partial edge
-//! blocks in small per-call buffers), so concurrent readers of one file
-//! proceed in parallel and are excluded only by writers.
+//! Descriptors, locking and tracing are the [`Mount`] scaffold's; this module
+//! is the EncFS engine under it. The write path stages blocks in per-file
+//! scratch buffers under the exclusive guard, so steady-state writes allocate
+//! nothing; the read path takes only a shared borrow of the file state
+//! (staging any partial edge blocks in small per-call buffers), so concurrent
+//! readers of one file proceed in parallel and are excluded only by writers.
 
-use crate::fs::{FileAttr, FileSystem, OpenFlags};
-use crate::handles::{HandleTable, PathRegistry};
 use crate::iovec;
+use crate::mount::{Mount, MountEngine, MountFile};
 use crate::pool::{BlockBuf, BlockPool};
 use crate::profiler::{Category, Profiler};
 use crate::span::{SpanConfig, SpanPlanner, SpanPolicy};
 use crate::spanio::{Landed, Run, SpanIo};
-use crate::{Fd, FsError, Result};
+use crate::{FsError, Result};
 use lamassu_crypto::aes::Aes256;
 use lamassu_crypto::batch::{self, SpanCipher};
 use lamassu_crypto::pool::CryptoPool;
 use lamassu_crypto::{cbc, fixsliced, stats};
 use lamassu_crypto::{CryptoBackend, Iv128, Key256};
 use lamassu_storage::ObjectStore;
-use parking_lot::RwLock;
 use rand::RngCore;
 use std::cell::RefCell;
 use std::io::IoSlice;
@@ -89,7 +87,10 @@ impl Default for EncFsConfig {
     }
 }
 
-struct EncFileState {
+/// Per-file state of the EncFS engine.
+pub struct EncFile {
+    /// The object name this state currently refers to.
+    name: String,
     file_key: Key256,
     file_iv: [u8; 16],
     cipher: SpanCipher,
@@ -105,15 +106,43 @@ struct EncFileState {
     span_buf: Vec<u8>,
 }
 
-type SharedState = Arc<RwLock<EncFileState>>;
+impl EncFile {
+    fn new(name: &str, file_key: Key256, file_iv: [u8; 16], size: u64, block_size: usize) -> Self {
+        EncFile {
+            name: name.to_string(),
+            file_key,
+            file_iv,
+            cipher: SpanCipher::new(&file_key),
+            logical_size: size,
+            header_dirty: false,
+            scratch: vec![0u8; block_size],
+            span_buf: Vec::new(),
+        }
+    }
+}
+
+impl MountFile for EncFile {
+    fn logical_size(&self) -> u64 {
+        self.logical_size
+    }
+
+    fn renamed(&mut self, to: &str) {
+        self.name = to.to_string();
+    }
+}
 
 /// Idle blocks the auto-sized EncFS pool keeps: edge staging for a handful
 /// of concurrent readers (the bulk staging lives in per-file reused
 /// buffers).
 const ENC_POOL_BLOCKS: usize = 16;
 
-/// The conventional (non-convergent) encrypted shim.
-pub struct EncFs {
+/// The conventional (non-convergent) encrypted shim: the [`Mount`] scaffold
+/// over the [`EncEngine`].
+pub type EncFs = Mount<EncEngine>;
+
+/// The EncFS engine: header layout and the per-file-key block codec. Opaque
+/// outside the crate; used through [`EncFs`].
+pub struct EncEngine {
     io: SpanIo,
     volume_cipher: Aes256,
     config: EncFsConfig,
@@ -122,13 +151,10 @@ pub struct EncFs {
     /// Recycled edge-staging blocks (see [`crate::pool`]).
     blocks: BlockPool,
     planner: SpanPlanner,
-    handles: HandleTable<SharedState>,
     profiler: Arc<Profiler>,
-    /// Open-file states shared between descriptors on the same path.
-    files: PathRegistry<SharedState>,
 }
 
-impl EncFs {
+impl Mount<EncEngine> {
     /// Mounts an EncFS over `store`, protecting file keys with `volume_key`.
     pub fn new(store: Arc<dyn ObjectStore>, volume_key: Key256, config: EncFsConfig) -> Self {
         assert!(
@@ -141,34 +167,29 @@ impl EncFs {
         );
         let profiler = Profiler::new();
         profiler.attach_pool(&blocks);
-        EncFs {
+        Mount::over(EncEngine {
             io: SpanIo::new(store, profiler.clone(), config.span.io),
             volume_cipher: Aes256::new(&volume_key),
             pool: config.span.pool(),
             blocks,
             planner: SpanPlanner::new(config.block_size),
             config,
-            handles: HandleTable::new(),
             profiler,
-            files: PathRegistry::new(),
-        }
-    }
-
-    /// The latency profiler for this mount.
-    pub fn profiler(&self) -> Arc<Profiler> {
-        self.profiler.clone()
+        })
     }
 
     /// Counters of the mount's recycled block-buffer pool.
     pub fn pool_stats(&self) -> crate::pool::PoolStats {
-        self.blocks.stats()
+        self.engine().blocks.stats()
     }
 
     /// The configured block size.
     pub fn block_size(&self) -> usize {
-        self.config.block_size
+        self.engine().config.block_size
     }
+}
 
+impl EncEngine {
     fn header_len(&self) -> u64 {
         if self.config.aligned {
             self.config.block_size as u64
@@ -190,7 +211,7 @@ impl EncFs {
         cipher.encrypt_block(&iv)
     }
 
-    fn serialize_header(&self, state: &EncFileState, header_iv: &[u8; 16]) -> Vec<u8> {
+    fn serialize_header(&self, state: &EncFile, header_iv: &[u8; 16]) -> Vec<u8> {
         let mut wrapped = state.file_key.to_vec();
         cbc::encrypt_in_place(&self.volume_cipher, header_iv, &mut wrapped)
             .expect("32-byte key is block-aligned");
@@ -203,44 +224,15 @@ impl EncFs {
         header
     }
 
-    fn write_header(&self, path: &str, state: &mut EncFileState) -> Result<()> {
+    fn write_header(&self, state: &mut EncFile) -> Result<()> {
         let mut header_iv = [0u8; 16];
         rand::thread_rng().fill_bytes(&mut header_iv);
         let header = self.profiler.time(Category::Encrypt, || {
             self.serialize_header(state, &header_iv)
         });
-        self.io.call(|s| s.write_at(path, 0, &header))?;
+        self.io.call(|s| s.write_at(&state.name, 0, &header))?;
         state.header_dirty = false;
         Ok(())
-    }
-
-    /// Reads and unwraps a file's header into a fresh state (no registry
-    /// interaction — callers go through [`PathRegistry`] for sharing).
-    fn load_state(&self, path: &str) -> Result<SharedState> {
-        let header = self.io.call(|s| s.read_at(path, 0, RAW_HEADER_LEN))?;
-        if &header[0..8] != MAGIC {
-            return Err(FsError::Metadata(
-                lamassu_format::FormatError::MetadataAuthFailure,
-            ));
-        }
-        let logical_size = u64::from_le_bytes(header[8..16].try_into().expect("8 bytes"));
-        let header_iv: [u8; 16] = header[16..32].try_into().expect("16 bytes");
-        let mut wrapped = header[32..64].to_vec();
-        let file_iv: [u8; 16] = header[64..80].try_into().expect("16 bytes");
-        self.profiler.time(Category::Decrypt, || {
-            cbc::decrypt_in_place(&self.volume_cipher, &header_iv, &mut wrapped)
-        })?;
-        let file_key: Key256 = wrapped.try_into().expect("32 bytes");
-        let state = Arc::new(RwLock::new(EncFileState {
-            file_key,
-            file_iv,
-            cipher: SpanCipher::new(&file_key),
-            logical_size,
-            header_dirty: false,
-            scratch: vec![0u8; self.config.block_size],
-            span_buf: Vec::new(),
-        }));
-        Ok(state)
     }
 
     /// Decrypts one whole block in place under the file cipher: the wide
@@ -331,7 +323,7 @@ impl EncFs {
     /// The span read pipeline: the planned range is cut into
     /// [`MAX_SPAN_BLOCKS`]-bounded chunks (data blocks are physically
     /// contiguous, so each chunk is one run) and handed to the span-I/O
-    /// driver, which calls [`EncFs::finish_span_chunk`] on each chunk as it
+    /// driver, which calls [`EncEngine::finish_span_chunk`] on each chunk as it
     /// lands — under the default async mode with the later chunks still in
     /// flight.
     ///
@@ -340,7 +332,7 @@ impl EncFs {
     /// per-block IVs built in thread-local scratch (zero allocation). Takes
     /// only a shared borrow of the file state (served under the shim's read
     /// guard).
-    fn read_span(&self, path: &str, st: &EncFileState, offset: u64, buf: &mut [u8]) -> Result<()> {
+    fn read_span(&self, st: &EncFile, offset: u64, buf: &mut [u8]) -> Result<()> {
         let plan = self
             .profiler
             .time(Category::Plan, || self.planner.plan(offset, buf.len()));
@@ -352,10 +344,14 @@ impl EncFs {
                 offset: self.data_offset(first),
                 tag: 0,
             });
-        self.io
-            .read_runs(&self.blocks, path, &plan, chunks, buf, |chunk, landed| {
-                self.finish_span_chunk(st, chunk, landed)
-            })
+        self.io.read_runs(
+            &self.blocks,
+            &st.name,
+            &plan,
+            chunks,
+            buf,
+            |chunk, landed| self.finish_span_chunk(st, chunk, landed),
+        )
     }
 
     /// The codec half of one span-read chunk, called by the driver once the
@@ -366,7 +362,7 @@ impl EncFs {
     /// blocks inside the middle are decrypted along with the batch and
     /// re-zeroed after, which keeps the span contiguous (holes are rare;
     /// correctness is byte-identical to the skip-the-hole per-block path).
-    fn finish_span_chunk(&self, st: &EncFileState, chunk: &Run, landed: Landed<'_>) -> Result<()> {
+    fn finish_span_chunk(&self, st: &EncFile, chunk: &Run, landed: Landed<'_>) -> Result<()> {
         let bs = self.config.block_size;
         let Landed { n, head, mid, tail } = landed;
         // Bytes of the chunk's `i`-th block that the store delivered.
@@ -430,18 +426,13 @@ impl EncFs {
     /// drains them on every exit, a failed read-modify-write included.
     /// (Reusing the staging buffer across chunks is safe: the store has
     /// copied the bytes out by the time a write is issued.)
-    fn write_span(
-        &self,
-        path: &str,
-        st: &mut EncFileState,
-        offset: u64,
-        bufs: &[IoSlice<'_>],
-    ) -> Result<()> {
+    fn write_span(&self, st: &mut EncFile, offset: u64, bufs: &[IoSlice<'_>]) -> Result<()> {
         let bs = self.config.block_size;
         let plan = self.profiler.time(Category::Plan, || {
             self.planner.plan(offset, iovec::total_len(bufs))
         });
         let mut span_buf = std::mem::take(&mut st.span_buf);
+        let path = st.name.as_str();
         let result = self.io.write_batch(path, |io| {
             let mut chunk_first = plan.first_block;
             // Bytes of `bufs` already staged by earlier chunks.
@@ -514,91 +505,54 @@ impl EncFs {
     }
 }
 
-impl FileSystem for EncFs {
-    fn create(&self, path: &str) -> Result<Fd> {
-        self.io.call(|s| s.create(path)).map_err(|e| match e {
-            FsError::Storage(lamassu_storage::StorageError::AlreadyExists { name }) => {
-                FsError::AlreadyExists { path: name }
-            }
-            other => other,
-        })?;
+impl MountEngine for EncEngine {
+    type File = EncFile;
+
+    fn io(&self) -> &SpanIo {
+        &self.io
+    }
+
+    /// A new file gets a fresh random key and IV, wrapped in its header.
+    fn create(&self, path: &str) -> Result<EncFile> {
         let mut file_key = [0u8; 32];
         let mut file_iv = [0u8; 16];
         rand::thread_rng().fill_bytes(&mut file_key);
         rand::thread_rng().fill_bytes(&mut file_iv);
-        let mut state = EncFileState {
-            file_key,
-            file_iv,
-            cipher: SpanCipher::new(&file_key),
-            logical_size: 0,
-            header_dirty: false,
-            scratch: vec![0u8; self.config.block_size],
-            span_buf: Vec::new(),
-        };
-        self.write_header(path, &mut state)?;
-        let state = Arc::new(RwLock::new(state));
-        self.files.insert_open(path, state.clone());
-        Ok(self.handles.open(path, state))
+        let mut state = EncFile::new(path, file_key, file_iv, 0, self.config.block_size);
+        self.write_header(&mut state)?;
+        Ok(state)
     }
 
-    fn open(&self, path: &str, flags: OpenFlags) -> Result<Fd> {
-        if !self.io.exists(path) {
-            return Err(FsError::NotFound {
-                path: path.to_string(),
-            });
+    /// Reads and unwraps the file's header.
+    fn load(&self, path: &str) -> Result<EncFile> {
+        let header = self.io.call(|s| s.read_at(path, 0, RAW_HEADER_LEN))?;
+        if &header[0..8] != MAGIC {
+            return Err(FsError::Metadata(
+                lamassu_format::FormatError::MetadataAuthFailure,
+            ));
         }
-        let state = self.files.open_with(path, || self.load_state(path))?;
-        if flags.truncate {
-            let mut st = state.write();
-            st.logical_size = 0;
-            let truncated = self
-                .io
-                .call(|s| s.truncate(path, self.header_len()))
-                .and_then(|()| self.write_header(path, &mut st));
-            if let Err(e) = truncated {
-                drop(st);
-                self.files.release(path);
-                return Err(e);
-            }
-        }
-        Ok(self.handles.open(path, state))
+        let logical_size = u64::from_le_bytes(header[8..16].try_into().expect("8 bytes"));
+        let header_iv: [u8; 16] = header[16..32].try_into().expect("16 bytes");
+        let mut wrapped = header[32..64].to_vec();
+        let file_iv: [u8; 16] = header[64..80].try_into().expect("16 bytes");
+        self.profiler.time(Category::Decrypt, || {
+            cbc::decrypt_in_place(&self.volume_cipher, &header_iv, &mut wrapped)
+        })?;
+        let file_key: Key256 = wrapped.try_into().expect("32 bytes");
+        let bs = self.config.block_size;
+        Ok(EncFile::new(path, file_key, file_iv, logical_size, bs))
     }
 
-    fn close(&self, fd: Fd) -> Result<()> {
-        let entry = self.handles.close(fd)?;
-        let path = entry.path();
-        let flushed = {
-            let mut st = entry.state.write();
-            if st.header_dirty {
-                self.write_header(&path, &mut st)
-            } else {
-                Ok(())
-            }
-        };
-        self.files.release(&path);
-        flushed
-    }
-
-    fn read_into(&self, fd: Fd, offset: u64, buf: &mut [u8]) -> Result<usize> {
-        let entry = self.handles.get(fd)?;
-        let path = entry.path();
-        // Reads run under the shared guard: concurrent readers of one file
-        // proceed in parallel, excluded only by writers.
-        let st = entry.state.read();
-        if offset >= st.logical_size {
-            return Ok(0);
-        }
-        let len = buf.len().min((st.logical_size - offset) as usize);
+    fn read(&self, st: &EncFile, offset: u64, buf: &mut [u8]) -> Result<()> {
         if self.config.span.policy == SpanPolicy::Batched {
-            self.read_span(&path, &st, offset, &mut buf[..len])?;
-            return Ok(len);
+            return self.read_span(st, offset, buf);
         }
         let bs = self.config.block_size as u64;
         // Per-block fallback: a pooled staging block serves partial spans;
         // aligned full blocks are decrypted directly in the caller's buffer.
         let mut scratch: Option<BlockBuf> = None;
         let mut cur = offset;
-        let end = offset + len as u64;
+        let end = offset + buf.len() as u64;
         let mut out_pos = 0usize;
         while cur < end {
             let block = cur / bs;
@@ -606,7 +560,7 @@ impl FileSystem for EncFs {
             let take = ((bs - in_block as u64).min(end - cur)) as usize;
             if in_block == 0 && take == bs as usize {
                 self.read_block_into(
-                    &path,
+                    &st.name,
                     &st.cipher,
                     &st.file_iv,
                     block,
@@ -614,26 +568,19 @@ impl FileSystem for EncFs {
                 )?;
             } else {
                 let scratch = scratch.get_or_insert_with(|| self.blocks.take());
-                self.read_block_into(&path, &st.cipher, &st.file_iv, block, scratch)?;
+                self.read_block_into(&st.name, &st.cipher, &st.file_iv, block, scratch)?;
                 buf[out_pos..out_pos + take].copy_from_slice(&scratch[in_block..in_block + take]);
             }
             cur += take as u64;
             out_pos += take;
         }
-        Ok(len)
+        Ok(())
     }
 
-    fn write_vectored(&self, fd: Fd, offset: u64, bufs: &[IoSlice<'_>]) -> Result<usize> {
-        let total = iovec::total_len(bufs);
-        if total == 0 {
-            return Ok(0);
-        }
-        let entry = self.handles.get(fd)?;
-        let path = entry.path();
-        let mut st = entry.state.write();
-        let end = offset + total as u64;
+    fn write(&self, st: &mut EncFile, offset: u64, bufs: &[IoSlice<'_>]) -> Result<()> {
+        let end = offset + iovec::total_len(bufs) as u64;
         if self.config.span.policy == SpanPolicy::Batched {
-            self.write_span(&path, &mut st, offset, bufs)?;
+            self.write_span(st, offset, bufs)?;
         } else {
             let bs = self.config.block_size as u64;
             let mut scratch = std::mem::take(&mut st.scratch);
@@ -645,12 +592,18 @@ impl FileSystem for EncFs {
                     let take = ((bs - in_block as u64).min(end - cur)) as usize;
                     if in_block != 0 || take != bs as usize {
                         // Read-modify-write of a partially covered block.
-                        self.read_block_into(&path, &st.cipher, &st.file_iv, block, &mut scratch)?;
+                        self.read_block_into(
+                            &st.name,
+                            &st.cipher,
+                            &st.file_iv,
+                            block,
+                            &mut scratch,
+                        )?;
                     }
                     let skip = (cur - offset) as usize;
                     iovec::gather(bufs, skip, &mut scratch[in_block..in_block + take]);
                     self.encrypt_and_write_block(
-                        &path,
+                        &st.name,
                         &st.cipher,
                         &st.file_iv,
                         block,
@@ -667,13 +620,10 @@ impl FileSystem for EncFs {
             st.logical_size = end;
             st.header_dirty = true;
         }
-        Ok(total)
+        Ok(())
     }
 
-    fn truncate(&self, fd: Fd, size: u64) -> Result<()> {
-        let entry = self.handles.get(fd)?;
-        let path = entry.path();
-        let mut st = entry.state.write();
+    fn truncate(&self, st: &mut EncFile, size: u64) -> Result<()> {
         let bs = self.config.block_size as u64;
         // When shrinking to a mid-block size, zero the tail of the surviving
         // final block so stale bytes cannot reappear if the file grows again.
@@ -681,77 +631,26 @@ impl FileSystem for EncFs {
             let block = size / bs;
             let mut scratch = std::mem::take(&mut st.scratch);
             let result = (|| {
-                self.read_block_into(&path, &st.cipher, &st.file_iv, block, &mut scratch)?;
+                self.read_block_into(&st.name, &st.cipher, &st.file_iv, block, &mut scratch)?;
                 scratch[(size % bs) as usize..].fill(0);
-                self.encrypt_and_write_block(&path, &st.cipher, &st.file_iv, block, &mut scratch)
+                self.encrypt_and_write_block(&st.name, &st.cipher, &st.file_iv, block, &mut scratch)
             })();
             st.scratch = scratch;
             result?;
         }
         let blocks = size.div_ceil(bs);
         self.io
-            .call(|s| s.truncate(&path, self.header_len() + blocks * bs))?;
+            .call(|s| s.truncate(&st.name, self.header_len() + blocks * bs))?;
         st.logical_size = size;
-        self.write_header(&path, &mut st)
+        self.write_header(st)
     }
 
-    fn fsync(&self, fd: Fd) -> Result<()> {
-        let entry = self.handles.get(fd)?;
-        let path = entry.path();
-        {
-            let mut st = entry.state.write();
-            if st.header_dirty {
-                self.write_header(&path, &mut st)?;
-            }
+    /// The only buffered state is the logical size in the header.
+    fn flush(&self, st: &mut EncFile) -> Result<()> {
+        if st.header_dirty {
+            self.write_header(st)?;
         }
-        self.io.call(|s| s.flush(&path))
-    }
-
-    fn len(&self, fd: Fd) -> Result<u64> {
-        let entry = self.handles.get(fd)?;
-        let size = entry.state.read().logical_size;
-        Ok(size)
-    }
-
-    fn stat(&self, path: &str) -> Result<FileAttr> {
-        if !self.io.exists(path) {
-            return Err(FsError::NotFound {
-                path: path.to_string(),
-            });
-        }
-        let state = self.files.lookup_with(path, || self.load_state(path))?;
-        let logical = state.read().logical_size;
-        let physical = self.io.call(|s| s.len(path))?;
-        Ok(FileAttr {
-            logical_size: logical,
-            physical_size: physical,
-        })
-    }
-
-    fn remove(&self, path: &str) -> Result<()> {
-        self.io.call(|s| s.remove(path)).map_err(|e| match e {
-            FsError::Storage(lamassu_storage::StorageError::NotFound { name }) => {
-                FsError::NotFound { path: name }
-            }
-            other => other,
-        })?;
-        self.files.remove(path);
-        self.handles.invalidate(path);
         Ok(())
-    }
-
-    fn rename(&self, from: &str, to: &str) -> Result<()> {
-        self.io.call(|s| s.rename(from, to))?;
-        // The registry moves the entry under a single map lock, so no
-        // concurrent open can observe (or resurrect) the old path's entry
-        // mid-rename.
-        self.files.rename(from, to);
-        self.handles.retarget(from, to);
-        Ok(())
-    }
-
-    fn list(&self) -> Result<Vec<String>> {
-        Ok(self.io.list())
     }
 
     fn kind(&self) -> &'static str {
@@ -766,6 +665,7 @@ impl FileSystem for EncFs {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fs::{FileSystem, OpenFlags};
     use lamassu_storage::{DedupStore, StorageProfile};
 
     fn mount() -> (Arc<DedupStore>, EncFs) {

@@ -27,7 +27,7 @@
 //! state **once at `open`/`create` time**; per-operation work is a single
 //! descriptor-table lookup with no path strings cloned and no re-resolution.
 
-use crate::Result;
+use crate::{FsError, Result};
 use std::io::IoSlice;
 
 /// A file descriptor handed out by [`FileSystem::open`] / [`FileSystem::create`].
@@ -49,6 +49,14 @@ pub struct FileAttr {
     /// Physical size in bytes as stored on the backing store, including
     /// block padding and (for LamassuFS) embedded metadata blocks.
     pub physical_size: u64,
+}
+
+/// Rejects an I/O range whose end `offset + len` is not representable: every
+/// shim validates here, once, before any arithmetic on the range.
+pub(crate) fn check_range(offset: u64, len: usize) -> Result<()> {
+    let what = "I/O range ending past u64::MAX";
+    let end = offset.checked_add(len as u64);
+    end.map(drop).ok_or(FsError::Unsupported { what })
 }
 
 /// A mounted shim file system.

@@ -1,17 +1,12 @@
-//! Shared file-descriptor table and path-state registry used by all shims.
+//! The file-descriptor table used by all shims.
 //!
-//! [`HandleTable`] is generic over the shim's per-file state `S` (typically
-//! an `Arc<Mutex<…>>`): [`HandleTable::open`] captures the state once, and
-//! every subsequent operation resolves the descriptor to the same [`FdEntry`]
-//! with a single map lookup — no path re-resolution, no `String` clone, no
-//! secondary per-file-map lookup on the hot path.
-//!
-//! [`PathRegistry`] is the companion per-path side: it hands out *one* shared
-//! state per open path (so every descriptor on a path sees the same buffered
-//! writes) and garbage-collects it when the last descriptor closes. All of
-//! its transitions — get-or-load, pin, release, rename — run under a single
-//! map lock, so an `open` racing a last `close` can never end up with two
-//! divergent states for one file.
+//! [`HandleTable`] is generic over the shim's per-file state `S` (an
+//! `Arc<RwLock<…>>` under [`crate::mount::Mount`], `()` for PlainFS):
+//! [`HandleTable::open`] captures the state once, and every subsequent
+//! operation resolves the descriptor to the same [`FdEntry`] with a single
+//! map lookup — no path re-resolution, no `String` clone, no secondary
+//! per-file-map lookup on the hot path. The per-path side (one shared state
+//! per open path) is the mount scaffold's private registry.
 
 use crate::{Fd, FsError, Result};
 use parking_lot::RwLock;
@@ -76,7 +71,7 @@ impl<S> HandleTable<S> {
     }
 
     /// True if any open descriptor still refers to `path` (kept for tests;
-    /// shims track per-path lifetimes through [`PathRegistry`] instead).
+    /// the mount scaffold tracks per-path lifetimes in its registry).
     #[cfg(test)]
     pub(crate) fn is_open(&self, path: &str) -> bool {
         self.fds.read().values().any(|e| &**e.path.read() == path)
@@ -97,114 +92,6 @@ impl<S> HandleTable<S> {
     /// Invalidates all descriptors pointing at `path` (used by `remove`).
     pub(crate) fn invalidate(&self, path: &str) {
         self.fds.write().retain(|_, e| &**e.path.read() != path);
-    }
-}
-
-/// One path's shared state plus the number of descriptors pinning it.
-struct RegEntry<S> {
-    state: S,
-    open_handles: usize,
-}
-
-/// Per-path shared-state registry: the single source of truth for "which
-/// state object serves path P right now".
-///
-/// `open`/`create` **pin** an entry; `close` releases the pin and drops the
-/// entry when no descriptors remain. Path-level operations (`stat`,
-/// `verify`, …) look states up **without** pinning, mirroring the historical
-/// behaviour where such entries live until an open/close cycle or a
-/// remove/rename retires them.
-pub(crate) struct PathRegistry<S: Clone> {
-    entries: RwLock<HashMap<String, RegEntry<S>>>,
-}
-
-impl<S: Clone> PathRegistry<S> {
-    pub(crate) fn new() -> Self {
-        PathRegistry {
-            entries: RwLock::new(HashMap::new()),
-        }
-    }
-
-    /// Gets (or loads, via `load`) the state for `path` and pins it for a
-    /// new descriptor. The whole transition happens under the map lock, so a
-    /// concurrent last-`close` either runs before (and `load` produces a
-    /// fresh state) or after (and the pin keeps the entry alive) — never in
-    /// between.
-    pub(crate) fn open_with(&self, path: &str, load: impl FnOnce() -> Result<S>) -> Result<S> {
-        let mut entries = self.entries.write();
-        if let Some(entry) = entries.get_mut(path) {
-            entry.open_handles += 1;
-            return Ok(entry.state.clone());
-        }
-        let state = load()?;
-        entries.insert(
-            path.to_string(),
-            RegEntry {
-                state: state.clone(),
-                open_handles: 1,
-            },
-        );
-        Ok(state)
-    }
-
-    /// Registers a freshly created file's state, pinned for its descriptor.
-    pub(crate) fn insert_open(&self, path: &str, state: S) {
-        self.entries.write().insert(
-            path.to_string(),
-            RegEntry {
-                state,
-                open_handles: 1,
-            },
-        );
-    }
-
-    /// Gets (or loads) the state for `path` without pinning it — for
-    /// path-level operations that do not hand out a descriptor.
-    pub(crate) fn lookup_with(&self, path: &str, load: impl FnOnce() -> Result<S>) -> Result<S> {
-        let mut entries = self.entries.write();
-        if let Some(entry) = entries.get(path) {
-            return Ok(entry.state.clone());
-        }
-        let state = load()?;
-        entries.insert(
-            path.to_string(),
-            RegEntry {
-                state: state.clone(),
-                open_handles: 0,
-            },
-        );
-        Ok(state)
-    }
-
-    /// The state for `path`, if one is registered.
-    pub(crate) fn peek(&self, path: &str) -> Option<S> {
-        self.entries.read().get(path).map(|e| e.state.clone())
-    }
-
-    /// Releases one descriptor's pin; the entry is dropped when none remain.
-    pub(crate) fn release(&self, path: &str) {
-        let mut entries = self.entries.write();
-        if let Some(entry) = entries.get_mut(path) {
-            entry.open_handles = entry.open_handles.saturating_sub(1);
-            if entry.open_handles == 0 {
-                entries.remove(path);
-            }
-        }
-    }
-
-    /// Drops the entry for `path` (the file was removed).
-    pub(crate) fn remove(&self, path: &str) {
-        self.entries.write().remove(path);
-    }
-
-    /// Moves the entry (state and pins) from `from` to `to` in one critical
-    /// section, returning the moved state so the caller can re-point it.
-    pub(crate) fn rename(&self, from: &str, to: &str) -> Option<S> {
-        let mut entries = self.entries.write();
-        let entry = entries.remove(from)?;
-        let state = entry.state.clone();
-        entries.insert(to.to_string(), entry);
-        Some(state)
     }
 }
 
@@ -257,50 +144,5 @@ mod tests {
         let entry = t.get(fd).unwrap();
         t.close(fd).unwrap();
         assert_eq!(entry.state, 9);
-    }
-
-    #[test]
-    fn registry_pins_share_one_state_until_last_release() {
-        let r: PathRegistry<u32> = PathRegistry::new();
-        let a = r.open_with("/f", || Ok(1)).unwrap();
-        let b = r.open_with("/f", || Ok(2)).unwrap();
-        assert_eq!((a, b), (1, 1), "second open shares the first state");
-        r.release("/f");
-        assert_eq!(r.peek("/f"), Some(1), "still pinned by the other handle");
-        r.release("/f");
-        assert_eq!(r.peek("/f"), None, "dropped with the last pin");
-        let c = r.open_with("/f", || Ok(3)).unwrap();
-        assert_eq!(c, 3, "a fresh open reloads");
-    }
-
-    #[test]
-    fn registry_lookup_does_not_pin() {
-        let r: PathRegistry<u32> = PathRegistry::new();
-        assert_eq!(r.lookup_with("/f", || Ok(7)).unwrap(), 7);
-        // An open/close cycle retires the unpinned entry too.
-        assert_eq!(r.open_with("/f", || Ok(8)).unwrap(), 7);
-        r.release("/f");
-        assert_eq!(r.peek("/f"), None);
-    }
-
-    #[test]
-    fn registry_rename_moves_pins() {
-        let r: PathRegistry<u32> = PathRegistry::new();
-        r.insert_open("/a", 5);
-        assert_eq!(r.rename("/a", "/b"), Some(5));
-        assert_eq!(r.peek("/a"), None);
-        assert_eq!(r.peek("/b"), Some(5));
-        r.release("/b");
-        assert_eq!(r.peek("/b"), None);
-        assert_eq!(r.rename("/missing", "/x"), None);
-    }
-
-    #[test]
-    fn registry_failed_load_inserts_nothing() {
-        let r: PathRegistry<u32> = PathRegistry::new();
-        assert!(r
-            .open_with("/f", || Err(crate::FsError::BadFd { fd: 0 }))
-            .is_err());
-        assert_eq!(r.peek("/f"), None);
     }
 }

@@ -60,6 +60,7 @@
 
 use crate::iovec;
 use crate::lamassufs::{IntegrityMode, LamassuConfig};
+use crate::mount::{MountEngine, MountFile};
 use crate::pool::{with_tls, BlockBuf, BlockPool};
 use crate::profiler::{Category, Profiler};
 use crate::span::{SpanConfig, SpanPlanner, SpanPolicy};
@@ -69,11 +70,12 @@ use lamassu_crypto::aes::Aes256;
 use lamassu_crypto::gcm::Aes256Gcm;
 use lamassu_crypto::kdf::ConvergentKdf;
 use lamassu_crypto::pool::CryptoPool;
+use lamassu_crypto::util::constant_time_eq;
 use lamassu_crypto::{batch, cbc, fixsliced, stats};
 use lamassu_crypto::{CryptoBackend, Key256, FIXED_IV};
 use lamassu_format::{Geometry, MetadataBlock, TransientEntry};
 use lamassu_keymgr::ZoneKeys;
-use lamassu_storage::{ObjectStore, StorageError};
+use lamassu_storage::ObjectStore;
 use parking_lot::{Mutex, RwLock};
 use rand::RngCore;
 use std::cell::RefCell;
@@ -174,7 +176,7 @@ impl CryptoCtx {
 /// it. Everything else mutable (the write buffer, the commit staging, the
 /// size fields) is reached through `&mut self` under the shim's exclusive
 /// write guard.
-pub(crate) struct LamassuFile {
+pub struct LamassuFile {
     name: String,
     logical_size: u64,
     size_dirty: bool,
@@ -238,21 +240,6 @@ impl LamassuFile {
         }
     }
 
-    /// The file's logical (application-visible) size in bytes.
-    pub(crate) fn logical_size(&self) -> u64 {
-        self.logical_size
-    }
-
-    /// The object name this state currently refers to.
-    pub(crate) fn name(&self) -> &str {
-        &self.name
-    }
-
-    /// Points the state at a new object name after a rename.
-    pub(crate) fn set_name(&mut self, name: &str) {
-        self.name = name.to_string();
-    }
-
     /// Puts a decrypted metadata block (back) into the bounded cache.
     fn cache_meta(&self, segment: u64, mb: MetadataBlock) {
         let mut cache = self.meta_cache.lock();
@@ -271,17 +258,28 @@ impl LamassuFile {
     }
 }
 
-/// Shared per-mount machinery.
-pub(crate) struct Engine {
+impl MountFile for LamassuFile {
+    fn logical_size(&self) -> u64 {
+        self.logical_size
+    }
+
+    fn renamed(&mut self, to: &str) {
+        self.name = to.to_string();
+    }
+}
+
+/// Shared per-mount machinery: the convergent engine under
+/// [`LamassuFs`](crate::LamassuFs).
+pub struct Engine {
     /// The backing store, behind the span-I/O driver ([`crate::spanio`]).
     io: SpanIo,
-    geometry: Geometry,
-    integrity: IntegrityMode,
+    pub(super) geometry: Geometry,
+    pub(super) integrity: IntegrityMode,
     span: SpanConfig,
     /// The mount's shared crypto worker pool (see [`crate::span`]).
     pool: CryptoPool,
     /// The mount's recycled block-buffer pool (see [`crate::pool`]).
-    blocks: BlockPool,
+    pub(super) blocks: BlockPool,
     planner: SpanPlanner,
     crypto: RwLock<CryptoCtx>,
     profiler: Arc<Profiler>,
@@ -309,55 +307,6 @@ impl Engine {
         }
     }
 
-    pub(crate) fn profiler(&self) -> Arc<Profiler> {
-        self.profiler.clone()
-    }
-
-    /// Borrow of the profiler for the hot path (no refcount traffic).
-    pub(crate) fn profiler_ref(&self) -> &Profiler {
-        &self.profiler
-    }
-
-    pub(crate) fn geometry(&self) -> Geometry {
-        self.geometry
-    }
-
-    pub(crate) fn integrity_mode(&self) -> IntegrityMode {
-        self.integrity
-    }
-
-    /// The mount's block-buffer pool (stats surface through the shim).
-    pub(crate) fn block_pool(&self) -> &BlockPool {
-        &self.blocks
-    }
-
-    pub(crate) fn object_exists(&self, name: &str) -> bool {
-        self.io.exists(name)
-    }
-
-    pub(crate) fn list_objects(&self) -> Vec<String> {
-        self.io.list()
-    }
-
-    pub(crate) fn physical_size(&self, name: &str) -> Result<u64> {
-        self.io.call(|s| s.len(name))
-    }
-
-    pub(crate) fn remove(&self, name: &str) -> Result<()> {
-        self.io.call(|s| s.remove(name)).map_err(|e| match e {
-            FsError::Storage(StorageError::NotFound { name }) => FsError::NotFound { path: name },
-            other => other,
-        })
-    }
-
-    pub(crate) fn rename(&self, from: &str, to: &str) -> Result<()> {
-        self.io.call(|s| s.rename(from, to))
-    }
-
-    pub(crate) fn sync_object(&self, name: &str) -> Result<()> {
-        self.io.call(|s| s.flush(name))
-    }
-
     /// Replaces the mount's key pair (after a completed re-keying pass).
     pub(crate) fn switch_keys(&self, keys: ZoneKeys) {
         *self.crypto.write() = CryptoCtx::new(keys, self.span.crypto);
@@ -372,20 +321,18 @@ impl Engine {
         aad[15..].copy_from_slice(&segment.to_le_bytes());
         aad
     }
+}
 
-    // ------------------------------------------------------------------
-    // Object lifecycle
-    // ------------------------------------------------------------------
+impl MountEngine for Engine {
+    type File = LamassuFile;
 
-    /// Creates a new empty Lamassu object: one sealed metadata block holding
-    /// a logical size of zero.
-    pub(crate) fn create(&self, name: &str) -> Result<LamassuFile> {
-        self.io.call(|s| s.create(name)).map_err(|e| match e {
-            FsError::Storage(StorageError::AlreadyExists { name }) => {
-                FsError::AlreadyExists { path: name }
-            }
-            other => other,
-        })?;
+    fn io(&self) -> &SpanIo {
+        &self.io
+    }
+
+    /// A new empty Lamassu object is one sealed metadata block holding a
+    /// logical size of zero.
+    fn create(&self, name: &str) -> Result<LamassuFile> {
         let file = LamassuFile::new(name);
         let mb = MetadataBlock::new(&self.geometry);
         self.write_meta(&file, 0, mb)?;
@@ -394,7 +341,7 @@ impl Engine {
 
     /// Loads an existing object, reading its authoritative logical size from
     /// the final segment's metadata block (paper §2.3).
-    pub(crate) fn load(&self, name: &str) -> Result<LamassuFile> {
+    fn load(&self, name: &str) -> Result<LamassuFile> {
         let mut file = LamassuFile::new(name);
         let last = self.last_physical_segment(name)?;
         let size = self.with_meta(&file, last, |mb| mb.logical_size)?;
@@ -402,6 +349,160 @@ impl Engine {
         Ok(file)
     }
 
+    /// Under [`SpanPolicy::Batched`] the span pipeline fetches whole runs of
+    /// blocks per backend round trip and decrypts them in parallel;
+    /// [`SpanPolicy::PerBlock`] keeps the original one-block-at-a-time path.
+    ///
+    /// Takes only a shared borrow: the mount serves this under its read
+    /// guard, so any number of readers run concurrently on one file.
+    fn read(&self, file: &LamassuFile, offset: u64, buf: &mut [u8]) -> Result<()> {
+        match self.span.policy {
+            SpanPolicy::PerBlock => self.read_range_per_block(file, offset, buf),
+            SpanPolicy::Batched => self.read_range_batched(file, offset, buf),
+        }
+    }
+
+    /// Buffers the gather list `bufs` at `offset`, committing the pending set
+    /// once it holds `R` blocks (paper §2.4). Staging blocks come from the
+    /// mount pool; the sorted pending vector reuses its capacity, so steady
+    /// aligned rewriting allocates nothing.
+    fn write(&self, file: &mut LamassuFile, offset: u64, bufs: &[IoSlice<'_>]) -> Result<()> {
+        let total = iovec::total_len(bufs);
+        let bs = self.geometry.block_size();
+        // Bytes of `bufs` already staged by earlier blocks.
+        let mut staged = 0;
+        for (block, in_block, take) in self.geometry.block_spans(offset, total) {
+            let i = match file.pending.binary_search_by_key(&block, |(b, _)| *b) {
+                // The block is already staged: overlay in place.
+                Ok(i) => i,
+                Err(i) => {
+                    let mut plain = self.blocks.take();
+                    if in_block != 0 || take != bs {
+                        // Read-modify-write of a partially covered block
+                        // (fills with zeros when the block is a hole).
+                        self.read_block_into(file, block, &mut plain, false)?;
+                    }
+                    file.pending.insert(i, (block, plain));
+                    i
+                }
+            };
+            iovec::gather(
+                bufs,
+                staged,
+                &mut file.pending[i].1[in_block..in_block + take],
+            );
+            staged += take;
+        }
+        let end = offset + total as u64;
+        if end > file.logical_size {
+            file.logical_size = end;
+            file.size_dirty = true;
+        }
+        if file.pending.len() >= self.geometry.reserved_slots() {
+            self.flush(file)?;
+        }
+        Ok(())
+    }
+
+    /// Truncates (or extends) the file to `new_size` logical bytes.
+    fn truncate(&self, file: &mut LamassuFile, new_size: u64) -> Result<()> {
+        self.flush(file)?;
+        let old_size = file.logical_size;
+        file.logical_size = new_size;
+        file.size_dirty = true;
+
+        if new_size < old_size {
+            let bs = self.geometry.block_size() as u64;
+            // Zero the tail of the new final block so stale bytes cannot be
+            // resurrected by a later extension.
+            if !new_size.is_multiple_of(bs) {
+                let last_block = new_size / bs;
+                let mut plain = self.blocks.take();
+                if self.read_block_into(file, last_block, &mut plain, false)? {
+                    plain[(new_size % bs) as usize..].fill(0);
+                    // `pending` is empty after the flush above.
+                    file.pending.push((last_block, plain));
+                    self.flush(file)?;
+                }
+            }
+            // Drop keys for blocks past the new end.
+            let first_dropped = self.geometry.data_blocks_for_len(new_size);
+            let last_old = self.geometry.data_blocks_for_len(old_size);
+            let new_segments = self.geometry.segments_for_len(new_size);
+            let mut block = first_dropped;
+            while block < last_old {
+                let loc = self.geometry.locate_block(block);
+                if loc.segment >= new_segments {
+                    // The rest of the blocks live in segments that disappear
+                    // with the physical truncate.
+                    break;
+                }
+                // Clear every dropped slot of this segment with one metadata
+                // update.
+                let seg_end_block =
+                    (loc.segment + 1) * self.geometry.keys_per_metadata_block() as u64;
+                let clear_to = seg_end_block.min(last_old);
+                self.update_meta(file, loc.segment, |mb| {
+                    for b in block..clear_to {
+                        let slot = (b % self.geometry.keys_per_metadata_block() as u64) as usize;
+                        mb.clear_key(slot)?;
+                    }
+                    Ok(())
+                })?;
+                block = clear_to;
+            }
+            // Shrink the physical object and drop stale cache entries.
+            let physical = self.geometry.encrypted_size(new_size);
+            self.io.call(|s| s.truncate(&file.name, physical))?;
+            file.meta_cache.lock().retain(|seg, _| *seg < new_segments);
+        }
+
+        let final_segment = self.final_segment(file);
+        self.update_meta(file, final_segment, |mb| {
+            mb.logical_size = new_size;
+            Ok(())
+        })?;
+        file.size_dirty = false;
+        Ok(())
+    }
+
+    /// Commits every buffered block and persists the logical size.
+    ///
+    /// The whole pending set goes through [`Engine::commit_batch`] (the
+    /// per-block oracle: [`Engine::commit_chunk`], one chunk at a time).
+    ///
+    /// A failed flush has one rule: **no block of it stays half-pending**.
+    /// Everything still buffered is dropped with it — the caller got the
+    /// error instead of an acknowledgement — and the metadata-cache entry of
+    /// every segment the failed commit touched is gone (the pipeline holds
+    /// them outside the cache and only re-inserts them on success), so later
+    /// reads refetch the on-disk truth, which [`Engine::recover`] repairs.
+    fn flush(&self, file: &mut LamassuFile) -> Result<()> {
+        let result = self
+            .commit_pending(file)
+            .and_then(|()| self.persist_size(file));
+        if result.is_err() {
+            file.pending.clear();
+        }
+        // Bounded staging: a large write must not leave a span-sized buffer
+        // pinned to every open file it touched.
+        let keep = 2 * self.geometry.reserved_slots() * self.geometry.block_size();
+        file.commit_buf.clear();
+        if file.commit_buf.capacity() > keep {
+            file.commit_buf.shrink_to(keep);
+        }
+        result
+    }
+
+    fn kind(&self) -> &'static str {
+        match self.integrity {
+            IntegrityMode::Full => "LamassuFS",
+            IntegrityMode::MetaOnly => "LamassuFS(meta-only)",
+        }
+    }
+}
+
+impl Engine {
     /// Index of the last segment present in the physical object.
     fn last_physical_segment(&self, name: &str) -> Result<u64> {
         let physical = self.io.call(|s| s.len(name))?;
@@ -615,9 +716,10 @@ impl Engine {
     }
 
     /// The §2.5 integrity self-check: the hash of the decrypted block must
-    /// re-derive the key it was decrypted with.
+    /// re-derive the key it was decrypted with (compared in constant time —
+    /// both sides are key material).
     fn key_matches_plaintext(&self, plaintext: &[u8], key: &Key256) -> bool {
-        self.derive_key(plaintext) == *key
+        constant_time_eq(&self.derive_key(plaintext), key)
     }
 
     // ------------------------------------------------------------------
@@ -665,31 +767,6 @@ impl Engine {
             });
         }
         Ok(true)
-    }
-
-    /// Reads into `buf` at `offset`, clamped to the logical size; returns the
-    /// number of bytes read. Under [`SpanPolicy::Batched`] the span pipeline
-    /// fetches whole runs of blocks per backend round trip and decrypts them
-    /// in parallel; [`SpanPolicy::PerBlock`] keeps the original
-    /// one-block-at-a-time path as the verification oracle.
-    ///
-    /// Takes only a shared borrow: the shim serves this under its read
-    /// guard, so any number of readers run concurrently on one file.
-    pub(crate) fn read_range_into(
-        &self,
-        file: &LamassuFile,
-        offset: u64,
-        buf: &mut [u8],
-    ) -> Result<usize> {
-        if offset >= file.logical_size {
-            return Ok(0);
-        }
-        let len = buf.len().min((file.logical_size - offset) as usize);
-        match self.span.policy {
-            SpanPolicy::PerBlock => self.read_range_per_block(file, offset, &mut buf[..len])?,
-            SpanPolicy::Batched => self.read_range_batched(file, offset, &mut buf[..len])?,
-        }
-        Ok(len)
     }
 
     /// The per-block read pipeline: one backend read and one serial decrypt
@@ -867,7 +944,7 @@ impl Engine {
                     match derived
                         .iter()
                         .zip(mid_keys)
-                        .position(|(got, want)| got != want)
+                        .position(|(got, want)| !constant_time_eq(got, want))
                     {
                         Some(i) => Err(violation(run.first + (head_blocks + i) as u64)),
                         None => Ok(()),
@@ -888,85 +965,6 @@ impl Engine {
     // ------------------------------------------------------------------
     // Write path
     // ------------------------------------------------------------------
-
-    /// Buffers the gather list `bufs` at `offset`, committing the pending set
-    /// once it holds `R` blocks (paper §2.4). Returns the number of bytes
-    /// written. Staging blocks come from the mount pool; the sorted pending
-    /// vector reuses its capacity, so steady aligned rewriting allocates
-    /// nothing.
-    pub(crate) fn write_vectored_range(
-        &self,
-        file: &mut LamassuFile,
-        offset: u64,
-        bufs: &[IoSlice<'_>],
-    ) -> Result<usize> {
-        let total = iovec::total_len(bufs);
-        if total == 0 {
-            return Ok(0);
-        }
-        let bs = self.geometry.block_size();
-        // Bytes of `bufs` already staged by earlier blocks.
-        let mut staged = 0;
-        for (block, in_block, take) in self.geometry.block_spans(offset, total) {
-            let i = match file.pending.binary_search_by_key(&block, |(b, _)| *b) {
-                // The block is already staged: overlay in place.
-                Ok(i) => i,
-                Err(i) => {
-                    let mut plain = self.blocks.take();
-                    if in_block != 0 || take != bs {
-                        // Read-modify-write of a partially covered block
-                        // (fills with zeros when the block is a hole).
-                        self.read_block_into(file, block, &mut plain, false)?;
-                    }
-                    file.pending.insert(i, (block, plain));
-                    i
-                }
-            };
-            iovec::gather(
-                bufs,
-                staged,
-                &mut file.pending[i].1[in_block..in_block + take],
-            );
-            staged += take;
-        }
-        let end = offset + total as u64;
-        if end > file.logical_size {
-            file.logical_size = end;
-            file.size_dirty = true;
-        }
-        if file.pending.len() >= self.geometry.reserved_slots() {
-            self.flush(file)?;
-        }
-        Ok(total)
-    }
-
-    /// Commits every buffered block and persists the logical size.
-    ///
-    /// The whole pending set goes through [`Engine::commit_batch`] (the
-    /// per-block oracle: [`Engine::commit_chunk`], one chunk at a time).
-    ///
-    /// A failed flush has one rule: **no block of it stays half-pending**.
-    /// Everything still buffered is dropped with it — the caller got the
-    /// error instead of an acknowledgement — and the metadata-cache entry of
-    /// every segment the failed commit touched is gone (the pipeline holds
-    /// them outside the cache and only re-inserts them on success), so later
-    /// reads refetch the on-disk truth, which [`Engine::recover`] repairs.
-    pub(crate) fn flush(&self, file: &mut LamassuFile) -> Result<()> {
-        let result = self
-            .commit_pending(file)
-            .and_then(|()| self.persist_size(file));
-        if result.is_err() {
-            file.pending.clear();
-        }
-        // Bounded staging: a large write must not leave a span-sized buffer
-        // pinned to every open file it touched.
-        let keep = 2 * self.geometry.reserved_slots() * self.geometry.block_size();
-        file.commit_buf.clear();
-        if file.commit_buf.capacity() > keep {
-            file.commit_buf.shrink_to(keep);
-        }
-        result
-    }
 
     fn commit_pending(&self, file: &mut LamassuFile) -> Result<()> {
         while !file.pending.is_empty() {
@@ -1258,72 +1256,6 @@ impl Engine {
         if is_final {
             file.size_dirty = false;
         }
-        Ok(())
-    }
-
-    // ------------------------------------------------------------------
-    // Truncate
-    // ------------------------------------------------------------------
-
-    /// Truncates (or extends) the file to `new_size` logical bytes.
-    pub(crate) fn truncate(&self, file: &mut LamassuFile, new_size: u64) -> Result<()> {
-        self.flush(file)?;
-        let old_size = file.logical_size;
-        file.logical_size = new_size;
-        file.size_dirty = true;
-
-        if new_size < old_size {
-            let bs = self.geometry.block_size() as u64;
-            // Zero the tail of the new final block so stale bytes cannot be
-            // resurrected by a later extension.
-            if !new_size.is_multiple_of(bs) {
-                let last_block = new_size / bs;
-                let mut plain = self.blocks.take();
-                if self.read_block_into(file, last_block, &mut plain, false)? {
-                    plain[(new_size % bs) as usize..].fill(0);
-                    // `pending` is empty after the flush above.
-                    file.pending.push((last_block, plain));
-                    self.flush(file)?;
-                }
-            }
-            // Drop keys for blocks past the new end.
-            let first_dropped = self.geometry.data_blocks_for_len(new_size);
-            let last_old = self.geometry.data_blocks_for_len(old_size);
-            let new_segments = self.geometry.segments_for_len(new_size);
-            let mut block = first_dropped;
-            while block < last_old {
-                let loc = self.geometry.locate_block(block);
-                if loc.segment >= new_segments {
-                    // The rest of the blocks live in segments that disappear
-                    // with the physical truncate.
-                    break;
-                }
-                // Clear every dropped slot of this segment with one metadata
-                // update.
-                let seg_end_block =
-                    (loc.segment + 1) * self.geometry.keys_per_metadata_block() as u64;
-                let clear_to = seg_end_block.min(last_old);
-                self.update_meta(file, loc.segment, |mb| {
-                    for b in block..clear_to {
-                        let slot = (b % self.geometry.keys_per_metadata_block() as u64) as usize;
-                        mb.clear_key(slot)?;
-                    }
-                    Ok(())
-                })?;
-                block = clear_to;
-            }
-            // Shrink the physical object and drop stale cache entries.
-            let physical = self.geometry.encrypted_size(new_size);
-            self.io.call(|s| s.truncate(&file.name, physical))?;
-            file.meta_cache.lock().retain(|seg, _| *seg < new_segments);
-        }
-
-        let final_segment = self.final_segment(file);
-        self.update_meta(file, final_segment, |mb| {
-            mb.logical_size = new_size;
-            Ok(())
-        })?;
-        file.size_dirty = false;
         Ok(())
     }
 

@@ -22,35 +22,26 @@
 //!   ([`LamassuFs::verify`]) and partial re-keying of the outer key
 //!   ([`LamassuFs::rekey_outer`], the §2.2 "much faster partial re-keying").
 //!
-//! Descriptors returned by `open`/`create` carry an `Arc` of the per-file
-//! engine state, so the `read_into`/`write_vectored` hot path runs without
-//! path re-resolution or per-call allocation (see [`crate::fs`]).
-//!
-//! # Concurrency
-//!
-//! The per-file state sits behind an `RwLock`: the whole read path (span
-//! plan → vectored backend read → parallel batch decrypt → integrity check)
-//! runs under a **shared** read guard, so any number of threads read one
-//! file in parallel; writes, truncate, fsync/commit, recovery, verification
-//! and re-keying take the exclusive write guard. See the [`FileSystem`]
-//! trait docs for the full thread-safety contract and the README for the
-//! lock hierarchy.
+//! Descriptors, the per-path shared state, locking and tracing are the
+//! [`Mount`] scaffold's (its docs list the lifecycle rules); this module is the
+//! configuration, the convergent engine, and the maintenance calls — recovery,
+//! verification and re-keying — which run under the file's exclusive guard
+//! like any write. The whole read path (span plan → vectored backend read →
+//! parallel batch decrypt → integrity check) runs under the shared guard. See
+//! the [`FileSystem`] trait docs for the full thread-safety contract and the
+//! README for the lock hierarchy.
 
 mod engine;
 #[cfg(test)]
 mod tests;
 
-use crate::fs::{FileAttr, FileSystem, OpenFlags};
-use crate::handles::{FdEntry, HandleTable, PathRegistry};
-use crate::profiler::Profiler;
-use crate::{Fd, FsError, Result};
-use engine::{Engine, LamassuFile};
+use crate::fs::FileSystem;
+use crate::mount::Mount;
+use crate::{FsError, Result};
+use engine::Engine;
 use lamassu_format::Geometry;
 use lamassu_keymgr::ZoneKeys;
 use lamassu_storage::ObjectStore;
-use lamassu_telemetry::{OpGuard, OpKind};
-use parking_lot::RwLock;
-use std::io::IoSlice;
 use std::sync::Arc;
 
 pub use engine::{RecoveryReport, VerifyReport};
@@ -113,93 +104,46 @@ impl LamassuConfig {
     }
 }
 
-type SharedFile = Arc<RwLock<LamassuFile>>;
+/// The Lamassu shim file system: the [`Mount`] scaffold over the convergent
+/// [`engine`](self) (descriptor lifecycle, locking and tracing are the
+/// scaffold's; §2.2–§2.5 live in the engine).
+pub type LamassuFs = Mount<Engine>;
 
-/// The Lamassu shim file system.
-pub struct LamassuFs {
-    engine: Arc<Engine>,
-    handles: HandleTable<SharedFile>,
-    /// Open-file states shared between descriptors on the same path.
-    files: PathRegistry<SharedFile>,
-}
-
-impl LamassuFs {
+impl Mount<Engine> {
     /// Mounts a Lamassu file system over `store` with the key pair fetched
     /// from the key manager for this client's isolation zone.
     pub fn new(store: Arc<dyn ObjectStore>, keys: ZoneKeys, config: LamassuConfig) -> Self {
-        LamassuFs {
-            engine: Arc::new(Engine::new(store, keys, config)),
-            handles: HandleTable::new(),
-            files: PathRegistry::new(),
-        }
-    }
-
-    /// The latency profiler for this mount (drives Figure 9).
-    pub fn profiler(&self) -> Arc<Profiler> {
-        self.engine.profiler()
+        Mount::over(Engine::new(store, keys, config))
     }
 
     /// The mount's segment geometry.
     pub fn geometry(&self) -> Geometry {
-        self.engine.geometry()
+        self.engine().geometry
     }
 
     /// The mount's integrity mode.
     pub fn integrity_mode(&self) -> IntegrityMode {
-        self.engine.integrity_mode()
+        self.engine().integrity
     }
 
     /// Counters of the mount's recycled block-buffer pool (see
     /// [`crate::pool`]): hit rate ≈ 1 and a bounded `pooled` count are what
     /// the zero-allocation steady state looks like.
     pub fn pool_stats(&self) -> crate::pool::PoolStats {
-        self.engine.block_pool().stats()
-    }
-
-    /// Opens a telemetry op span when a tracer is attached to the mount's
-    /// profiler (see `Profiler::attach_tracer`). Allocation-free on the hot
-    /// path: the path tag is an `Arc<str>` refcount bump plus a
-    /// fixed-buffer copy, and the guard records into preallocated rings on
-    /// drop.
-    fn op_span(
-        &self,
-        kind: OpKind,
-        entry: &FdEntry<SharedFile>,
-        bytes: u64,
-    ) -> Option<OpGuard<'_>> {
-        let tracer = self.engine.profiler_ref().tracer()?;
-        let path = entry.path();
-        Some(tracer.op(kind, &path, bytes))
-    }
-
-    /// Loads the per-file state for a path that must already exist.
-    fn load_state(&self, path: &str) -> Result<SharedFile> {
-        if !self.engine.object_exists(path) {
-            return Err(FsError::NotFound {
-                path: path.to_string(),
-            });
-        }
-        Ok(Arc::new(RwLock::new(self.engine.load(path)?)))
-    }
-
-    /// Shared state for path-level operations (no descriptor pin).
-    fn file_state(&self, path: &str) -> Result<SharedFile> {
-        self.files.lookup_with(path, || self.load_state(path))
+        self.engine().blocks.stats()
     }
 
     /// Scans a file for segments left mid-update by a crash and repairs them
     /// using the transient keys parked in their metadata blocks (§2.4).
     pub fn recover(&self, path: &str) -> Result<RecoveryReport> {
-        let state = self.file_state(path)?;
-        let mut file = state.write();
-        self.engine.recover(&mut file)
+        self.with_file(path, |file| self.engine().recover(file))
     }
 
     /// Runs crash recovery over every object in the mount, as a freshly
     /// rebooted client would before serving I/O.
     pub fn recover_all(&self) -> Result<Vec<(String, RecoveryReport)>> {
         let mut reports = Vec::new();
-        for path in self.engine.list_objects() {
+        for path in self.list()? {
             reports.push((path.clone(), self.recover(&path)?));
         }
         Ok(reports)
@@ -208,9 +152,7 @@ impl LamassuFs {
     /// Verifies the integrity of every data and metadata block of a file,
     /// returning a report rather than failing on the first bad block.
     pub fn verify(&self, path: &str) -> Result<VerifyReport> {
-        let state = self.file_state(path)?;
-        let mut file = state.write();
-        self.engine.verify(&mut file)
+        self.with_file(path, |file| self.engine().verify(file))
     }
 
     /// Re-keys the *outer* key of a file: every metadata block is re-sealed
@@ -220,134 +162,17 @@ impl LamassuFs {
     /// then remount with the new keys; [`LamassuFs::rekey_outer_all`] does
     /// both steps.
     pub fn rekey_outer(&self, path: &str, new_keys: &ZoneKeys) -> Result<u64> {
-        let state = self.file_state(path)?;
-        let mut file = state.write();
-        self.engine.rekey_outer(&mut file, new_keys)
+        self.with_file(path, |file| self.engine().rekey_outer(file, new_keys))
     }
 
     /// Re-keys the outer key of every file in the mount and switches this
     /// mount to the new key pair.
     pub fn rekey_outer_all(&self, new_keys: ZoneKeys) -> Result<u64> {
         let mut total = 0;
-        for path in self.engine.list_objects() {
+        for path in self.list()? {
             total += self.rekey_outer(&path, &new_keys)?;
         }
-        self.engine.switch_keys(new_keys);
+        self.engine().switch_keys(new_keys);
         Ok(total)
-    }
-}
-
-impl FileSystem for LamassuFs {
-    fn create(&self, path: &str) -> Result<Fd> {
-        let file = Arc::new(RwLock::new(self.engine.create(path)?));
-        self.files.insert_open(path, file.clone());
-        Ok(self.handles.open(path, file))
-    }
-
-    fn open(&self, path: &str, flags: OpenFlags) -> Result<Fd> {
-        let state = self.files.open_with(path, || self.load_state(path))?;
-        if flags.truncate {
-            let mut file = state.write();
-            if let Err(e) = self.engine.truncate(&mut file, 0) {
-                drop(file);
-                self.files.release(path);
-                return Err(e);
-            }
-        }
-        Ok(self.handles.open(path, state))
-    }
-
-    fn close(&self, fd: Fd) -> Result<()> {
-        let entry = self.handles.close(fd)?;
-        let path = entry.path();
-        let flushed = {
-            let mut file = entry.state.write();
-            self.engine.flush(&mut file)
-        };
-        self.files.release(&path);
-        flushed
-    }
-
-    fn read_into(&self, fd: Fd, offset: u64, buf: &mut [u8]) -> Result<usize> {
-        let entry = self.handles.get(fd)?;
-        let _span = self.op_span(OpKind::Read, &entry, buf.len() as u64);
-        // The whole read pipeline runs under the shared guard: concurrent
-        // readers of one file proceed in parallel, excluded only by writers.
-        let file = entry.state.read();
-        self.engine.read_range_into(&file, offset, buf)
-    }
-
-    fn write_vectored(&self, fd: Fd, offset: u64, bufs: &[IoSlice<'_>]) -> Result<usize> {
-        let entry = self.handles.get(fd)?;
-        let bytes: usize = bufs.iter().map(|b| b.len()).sum();
-        let _span = self.op_span(OpKind::Write, &entry, bytes as u64);
-        let mut file = entry.state.write();
-        self.engine.write_vectored_range(&mut file, offset, bufs)
-    }
-
-    fn truncate(&self, fd: Fd, size: u64) -> Result<()> {
-        let entry = self.handles.get(fd)?;
-        let _span = self.op_span(OpKind::Truncate, &entry, 0);
-        let mut file = entry.state.write();
-        self.engine.truncate(&mut file, size)
-    }
-
-    fn fsync(&self, fd: Fd) -> Result<()> {
-        let entry = self.handles.get(fd)?;
-        let _span = self.op_span(OpKind::Fsync, &entry, 0);
-        let mut file = entry.state.write();
-        self.engine.flush(&mut file)?;
-        self.engine.sync_object(file.name())
-    }
-
-    fn len(&self, fd: Fd) -> Result<u64> {
-        let entry = self.handles.get(fd)?;
-        let len = entry.state.read().logical_size();
-        Ok(len)
-    }
-
-    fn stat(&self, path: &str) -> Result<FileAttr> {
-        let state = self.file_state(path)?;
-        let logical = state.read().logical_size();
-        let physical = self.engine.physical_size(path)?;
-        Ok(FileAttr {
-            logical_size: logical,
-            physical_size: physical,
-        })
-    }
-
-    fn remove(&self, path: &str) -> Result<()> {
-        self.engine.remove(path)?;
-        self.files.remove(path);
-        self.handles.invalidate(path);
-        Ok(())
-    }
-
-    fn rename(&self, from: &str, to: &str) -> Result<()> {
-        // Flush buffered writes under the old name first so nothing is lost.
-        if let Some(state) = self.files.peek(from) {
-            let mut file = state.write();
-            self.engine.flush(&mut file)?;
-        }
-        self.engine.rename(from, to)?;
-        // The registry moves the entry under a single map lock, so no
-        // concurrent open can observe (or resurrect) the old path's entry
-        // mid-rename.
-        if let Some(state) = self.files.rename(from, to) {
-            state.write().set_name(to);
-        }
-        self.handles.retarget(from, to);
-        Ok(())
-    }
-
-    fn list(&self) -> Result<Vec<String>> {
-        Ok(self.engine.list_objects())
-    }
-
-    fn kind(&self) -> &'static str {
-        match self.engine.integrity_mode() {
-            IntegrityMode::Full => "LamassuFS",
-            IntegrityMode::MetaOnly => "LamassuFS(meta-only)",
-        }
     }
 }

@@ -3,7 +3,7 @@
 //! This crate implements the paper's prototype architecture (§3): a shim that
 //! sits in the data path between the application and the backing store,
 //! exporting a file-system interface upward and reading/writing opaque
-//! objects downward. Three shims share the same [`FileSystem`] trait so the
+//! objects downward. The shims share the same [`FileSystem`] trait so the
 //! evaluation can compare them directly, exactly as the paper does:
 //!
 //! * [`PlainFs`] — a pass-through with no encryption (the paper's *PlainFS*
@@ -18,6 +18,11 @@
 //!   (§2.5), and batched metadata updates governed by the reserved-slot
 //!   parameter `R`.
 //!
+//! The stateful shims — [`EncFs`], [`LamassuFs`] and the whole-file
+//! convergent baseline [`CeFileFs`] — are one lifecycle scaffold, [`Mount`],
+//! over three engines that differ only in what they do to a block; [`PlainFs`]
+//! is deliberately stateless and stays its own type.
+//!
 //! The paper's prototype exports its interface through FUSE; here the shims
 //! are mounted in-process behind the [`FileSystem`] trait (see DESIGN.md §3
 //! for the substitution rationale). Everything below the trait — encryption,
@@ -30,6 +35,7 @@
 mod error;
 mod handles;
 mod iovec;
+mod mount;
 mod spanio;
 
 pub mod cefilefs;
@@ -47,6 +53,7 @@ pub use error::FsError;
 pub use fs::{Fd, FileAttr, FileSystem, OpenFlags};
 pub use lamassu_crypto::CryptoBackend;
 pub use lamassufs::{IntegrityMode, LamassuConfig, LamassuFs, RecoveryReport, VerifyReport};
+pub use mount::Mount;
 pub use plainfs::PlainFs;
 pub use pool::{BlockBuf, BlockPool, PoolStats};
 pub use profiler::{Category, LatencyBreakdown, Profiler};

@@ -17,7 +17,7 @@
 //! the upper bound the encrypted shims' shared-read locking is measured
 //! against in the `scaling` experiment.
 
-use crate::fs::{FileAttr, FileSystem, OpenFlags};
+use crate::fs::{check_range, FileAttr, FileSystem, OpenFlags};
 use crate::handles::HandleTable;
 use crate::iovec;
 use crate::profiler::Profiler;
@@ -25,6 +25,7 @@ use crate::span::IoMode;
 use crate::spanio::SpanIo;
 use crate::{Fd, FsError, Result};
 use lamassu_storage::ObjectStore;
+use lamassu_telemetry::OpKind;
 use std::io::{IoSlice, IoSliceMut};
 use std::sync::Arc;
 
@@ -63,12 +64,7 @@ impl PlainFs {
 
 impl FileSystem for PlainFs {
     fn create(&self, path: &str) -> Result<Fd> {
-        self.io.call(|s| s.create(path)).map_err(|e| match e {
-            FsError::Storage(lamassu_storage::StorageError::AlreadyExists { name }) => {
-                FsError::AlreadyExists { path: name }
-            }
-            other => other,
-        })?;
+        self.io.create(path)?;
         Ok(self.handles.open(path, ()))
     }
 
@@ -90,25 +86,32 @@ impl FileSystem for PlainFs {
 
     fn read_into(&self, fd: Fd, offset: u64, buf: &mut [u8]) -> Result<usize> {
         let entry = self.handles.get(fd)?;
+        check_range(offset, buf.len())?;
+        let _span = self.io.op_span(OpKind::Read, &entry, buf.len());
         let path = entry.path();
         self.io.read_one(&path, offset, &mut [IoSliceMut::new(buf)])
     }
 
     fn write_vectored(&self, fd: Fd, offset: u64, bufs: &[IoSlice<'_>]) -> Result<usize> {
         let entry = self.handles.get(fd)?;
+        let total = iovec::total_len(bufs);
+        check_range(offset, total)?;
+        let _span = self.io.op_span(OpKind::Write, &entry, total);
         let path = entry.path();
         self.io.write_one(&path, offset, bufs)?;
-        Ok(iovec::total_len(bufs))
+        Ok(total)
     }
 
     fn truncate(&self, fd: Fd, size: u64) -> Result<()> {
         let entry = self.handles.get(fd)?;
+        let _span = self.io.op_span(OpKind::Truncate, &entry, 0);
         let path = entry.path();
         self.io.call(|s| s.truncate(&path, size))
     }
 
     fn fsync(&self, fd: Fd) -> Result<()> {
         let entry = self.handles.get(fd)?;
+        let _span = self.io.op_span(OpKind::Fsync, &entry, 0);
         let path = entry.path();
         self.io.call(|s| s.flush(&path))
     }
@@ -133,12 +136,7 @@ impl FileSystem for PlainFs {
     }
 
     fn remove(&self, path: &str) -> Result<()> {
-        self.io.call(|s| s.remove(path)).map_err(|e| match e {
-            FsError::Storage(lamassu_storage::StorageError::NotFound { name }) => {
-                FsError::NotFound { path: name }
-            }
-            other => other,
-        })?;
+        self.io.remove(path)?;
         self.handles.invalidate(path);
         Ok(())
     }

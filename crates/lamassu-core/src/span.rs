@@ -16,10 +16,16 @@
 //!
 //! * [`SpanPolicy::Batched`] (the default) — whole-span backend I/O plus
 //!   parallel batch crypto;
-//! * [`SpanPolicy::PerBlock`] — the original one-block-at-a-time path, kept
-//!   as a reference for tests only (the property tests replay every workload
-//!   through both pipelines and require byte-identical results); nothing
-//!   selects it automatically.
+//! * [`SpanPolicy::PerBlock`] — the original one-block-at-a-time path;
+//!   nothing selects it automatically. It is the differential reference (the
+//!   property tests replay every workload through both pipelines and require
+//!   byte-identical results) **and** the paper-prototype pipeline the Figure
+//!   7/8 reproduction runs on: `lamassu-bench`'s `throughput.rs` mounts with
+//!   [`SpanConfig::per_block`], and with the default in its place Figure 7's
+//!   sequential write prints PlainFS 18.0 / EncFS 15.3 / LamassuFS 23.6 MiB/s
+//!   and `nfs_shape_writes_separate_reads_cluster` fails ("EncFS writes
+//!   faster than LamassuFS"). Deleting it therefore means re-deriving Figure
+//!   7 on the span pipeline first (ROADMAP item 3(a)).
 //!
 //! `workers == 0` auto-sizes the pool to
 //! `min(`[`DEFAULT_MAX_WORKERS`](lamassu_crypto::pool::DEFAULT_MAX_WORKERS)`,
@@ -34,7 +40,8 @@ pub enum SpanPolicy {
     /// Whole-span backend I/O + parallel batch crypto (the default).
     #[default]
     Batched,
-    /// The original per-block pipeline (test reference only).
+    /// The original per-block pipeline: the tests' reference and the
+    /// paper-prototype mode of the Figure 7/8 reproduction.
     PerBlock,
 }
 

@@ -31,12 +31,14 @@
 //! completion the store never delivers (or one that answers no submission)
 //! is an error, not a short read.
 
+use crate::handles::FdEntry;
 use crate::iovec;
 use crate::pool::{with_tls, BlockBuf, BlockPool};
 use crate::profiler::{Category, Profiler};
 use crate::span::{IoMode, SpanPlan};
 use crate::{FsError, Result};
 use lamassu_storage::{Completion, ObjectStore, StorageError, SubmitQueue, SubmitTicket};
+use lamassu_telemetry::{OpGuard, OpKind};
 use std::cell::RefCell;
 use std::io::{IoSlice, IoSliceMut};
 use std::ops::Range;
@@ -165,8 +167,10 @@ fn keep_earliest<K: Ord, E>(held: &mut Option<(K, E)>, key: K, e: E) {
 }
 
 /// One mount's handle on its backing store: metering, the I/O mode, and the
-/// span pipeline built on them (see the module docs).
-pub(crate) struct SpanIo {
+/// span pipeline built on them (see the module docs). Nominally `pub` only
+/// because the sealed engine trait of [`crate::mount`] names it; the module
+/// is private, so nothing outside the crate can.
+pub struct SpanIo {
     store: Arc<dyn ObjectStore>,
     profiler: Arc<Profiler>,
     mode: IoMode,
@@ -213,6 +217,45 @@ impl SpanIo {
 
     pub(crate) fn list(&self) -> Vec<String> {
         self.store.list()
+    }
+
+    /// Creates the object `name`; one that already exists is the file
+    /// system's [`FsError::AlreadyExists`], not a storage error.
+    pub(crate) fn create(&self, name: &str) -> Result<()> {
+        self.call(|s| s.create(name)).map_err(|e| match e {
+            FsError::Storage(StorageError::AlreadyExists { name }) => {
+                FsError::AlreadyExists { path: name }
+            }
+            other => other,
+        })
+    }
+
+    /// Removes the object `name`; a missing one is [`FsError::NotFound`].
+    pub(crate) fn remove(&self, name: &str) -> Result<()> {
+        self.call(|s| s.remove(name)).map_err(|e| match e {
+            FsError::Storage(StorageError::NotFound { name }) => FsError::NotFound { path: name },
+            other => other,
+        })
+    }
+
+    /// The mount's profiler.
+    pub(crate) fn profiler(&self) -> &Arc<Profiler> {
+        &self.profiler
+    }
+
+    /// Opens a telemetry op span on the descriptor's file when a tracer is
+    /// attached to the mount's profiler (see `Profiler::attach_tracer`).
+    /// Allocation-free on the hot path: the path tag is an `Arc<str>`
+    /// refcount bump plus a fixed-buffer copy, and the guard records into
+    /// preallocated rings on drop.
+    pub(crate) fn op_span<S>(
+        &self,
+        kind: OpKind,
+        entry: &FdEntry<S>,
+        bytes: usize,
+    ) -> Option<OpGuard<'_>> {
+        let tracer = self.profiler.tracer()?;
+        Some(tracer.op(kind, &entry.path(), bytes as u64))
     }
 
     fn issue(&self, q: &mut SubmitQueue, name: &str, offset: u64, op: Op<'_, '_>) -> Issued {

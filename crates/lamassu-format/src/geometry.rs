@@ -204,12 +204,13 @@ impl Geometry {
     /// `(logical_block, offset_in_block, len_in_block)` spans, one per data
     /// block touched, as an allocation-free iterator. Used by the read/write
     /// paths to turn arbitrary I/O into full-block operations without
-    /// putting the allocator on the hot path.
+    /// putting the allocator on the hot path. A range that would end past
+    /// `u64::MAX` is cut there (the shims reject it before planning).
     pub fn block_spans(&self, offset: u64, len: usize) -> BlockSpans {
         BlockSpans {
             block_size: self.block_size as u64,
             cur: offset,
-            end: offset + len as u64,
+            end: offset.saturating_add(len as u64),
         }
     }
 }
@@ -357,6 +358,13 @@ mod tests {
     fn block_spans_empty_range() {
         let g = Geometry::default();
         assert_eq!(g.block_spans(123, 0).count(), 0);
+    }
+
+    #[test]
+    fn block_spans_saturate_at_the_end_of_the_offset_space() {
+        let g = Geometry::default();
+        let spans: Vec<_> = g.block_spans(u64::MAX - 10, 100).collect();
+        assert_eq!(spans, vec![(u64::MAX / 4096, 4085, 10)]);
     }
 
     #[test]

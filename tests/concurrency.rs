@@ -242,8 +242,21 @@ fn stress_handle_paths(fs: Arc<dyn FileSystem>) {
 /// writes overwrite each other.
 #[test]
 fn open_close_churn_keeps_one_state_per_path() {
-    let store = Arc::new(DedupStore::new(4096, StorageProfile::instant()));
-    let fs = Arc::new(LamassuFs::new(store, keys(), LamassuConfig::default()));
+    // One scaffold serves the three stateful shims, so one churn covers the
+    // open-vs-last-close race for all of them.
+    let store = || Arc::new(DedupStore::new(4096, StorageProfile::instant()));
+    churn(Arc::new(EncFs::new(
+        store(),
+        [0x77; 32],
+        EncFsConfig::default(),
+    )));
+    churn(Arc::new(CeFileFs::new(store(), keys(), 4096)));
+    let fs = Arc::new(LamassuFs::new(store(), keys(), LamassuConfig::default()));
+    churn(fs.clone());
+    assert!(fs.verify("/churn.bin").unwrap().is_clean());
+}
+
+fn churn(fs: Arc<dyn FileSystem>) {
     let fd = fs.create("/churn.bin").unwrap();
     fs.write(fd, 0, &vec![0u8; 8 * 4096]).unwrap();
     fs.close(fd).unwrap();
@@ -271,14 +284,15 @@ fn open_close_churn_keeps_one_state_per_path() {
         t.join().expect("churn thread");
     }
 
-    // Every close flushed through one coherent state: the file verifies
-    // clean and each block holds some thread's final pattern.
-    assert!(fs.verify("/churn.bin").unwrap().is_clean());
+    // Every close flushed through one coherent state: each block holds its
+    // thread's final pattern.
+    let kind = fs.kind();
     let fd = fs.open("/churn.bin", OpenFlags::default()).unwrap();
     for t in 0..8u8 {
         let block = fs.read(fd, t as u64 * 4096, 4096).unwrap();
-        assert_eq!(block, vec![t ^ 39u8; 4096], "block {t}");
+        assert_eq!(block, vec![t ^ 39u8; 4096], "{kind} block {t}");
     }
+    fs.close(fd).unwrap();
 }
 
 #[test]
@@ -295,6 +309,12 @@ fn stress_encfs_handle_paths() {
         [0x77; 32],
         EncFsConfig::default(),
     )));
+}
+
+#[test]
+fn stress_cefilefs_handle_paths() {
+    let store = Arc::new(DedupStore::new(4096, StorageProfile::instant()));
+    stress_handle_paths(Arc::new(CeFileFs::new(store, keys(), 4096)));
 }
 
 #[test]
