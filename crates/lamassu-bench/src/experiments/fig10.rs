@@ -1,10 +1,15 @@
 //! Figure 10: single-file throughput as the reserved-slot count R varies.
 //!
-//! Increasing `R` lets Lamassu batch more data-block writes behind one pair
-//! of metadata writes, so write throughput improves (the paper measures a
-//! ~1.6x speedup at its peak around R = 48), while read throughput sags very
-//! slightly because a larger transient area means fewer keys per metadata
-//! block and therefore more metadata to read per unit of data.
+//! `R` is the round width of the §2.4 commit: how many data-block writes of
+//! one segment go behind one pair of metadata writes. Increasing it means
+//! fewer rounds — fewer metadata seals and writes — per committed segment, so
+//! write throughput improves (the paper measures a ~1.6x speedup at its peak
+//! around R = 48), while read throughput sags very slightly because a larger
+//! transient area means fewer keys per metadata block and therefore more
+//! metadata to read per unit of data. In the paper's prototype `R` was also
+//! the size of the write buffer; on the span pipeline this sweep runs on, a
+//! file commits a 256-block span at a time whatever `R` is, and the sweep's
+//! shape comes from the round count alone.
 
 use crate::report::{write_json, Table};
 use crate::setup::{mount, FsKind};
@@ -96,8 +101,9 @@ mod tests {
                 .unwrap()
                 .bandwidth_mib_s
         };
-        // R = 48 batches 48 blocks per commit vs 1: sequential writes must
-        // speed up noticeably (the paper reports ~1.6x).
+        // R = 48 puts 48 blocks of a segment behind each pair of metadata
+        // writes where R = 1 puts one: sequential writes must speed up
+        // noticeably (the paper reports ~1.6x).
         assert!(
             bw(48, "seq-write") > bw(1, "seq-write") * 1.1,
             "R=48 {} vs R=1 {}",

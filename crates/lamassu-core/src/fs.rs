@@ -113,6 +113,12 @@ pub trait FileSystem: Send + Sync {
     /// This is the primitive write operation: the scatter list lets callers
     /// submit multiple fragments in one call without building a contiguous
     /// copy first.
+    ///
+    /// `Ok` acknowledges the bytes — every later read on this mount returns
+    /// them — but a shim may buffer them (LamassuFS: up to 1 MiB per file):
+    /// they are durable only once [`FileSystem::fsync`] or
+    /// [`FileSystem::close`] has returned `Ok`, and a buffering shim reports
+    /// a failed write-out on whichever later call performs it.
     fn write_vectored(&self, fd: Fd, offset: u64, bufs: &[IoSlice<'_>]) -> Result<usize>;
 
     /// Reads up to `len` bytes at `offset` into a fresh vector. Reads past

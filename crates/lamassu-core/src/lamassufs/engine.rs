@@ -3,9 +3,21 @@
 //! [`Engine`] holds everything shared by all files of one mount (backing
 //! store, geometry, crypto contexts, the block-buffer pool, profiler);
 //! [`LamassuFile`] holds the per-object state (logical size, the in-memory
-//! write buffer that is committed once it holds `R` dirty blocks, a
-//! decrypted-metadata cache, and the reusable commit staging). All the
-//! mechanics described in §2.2–§2.5 of the paper live here.
+//! write buffer, a decrypted-metadata cache, and the reusable commit
+//! staging). All the mechanics described in §2.2–§2.5 of the paper live here.
+//!
+//! # The write buffer and its trigger
+//!
+//! A `write` is acknowledged into the file's write buffer. The buffer is
+//! committed when it holds one span (`SPAN_BLOCKS`, 256 blocks — the
+//! pipeline's own batch size), or when `fsync`, `close`, `truncate`,
+//! `rename`, `verify` or a re-keying flushes it; the data is durable only
+//! after `fsync`/`close`. `R` plays no part in that: it is §2.4's round
+//! width, the number of blocks of one segment in flight at once. Only the
+//! per-block prototype ([`SpanPolicy::PerBlock`]) commits every `R` blocks,
+//! as the paper's did. A failed flush drops the whole buffer; the error
+//! surfaces on the write that filled the span or on the forced flush.
+//! [`Engine::recover`] on an open file discards the buffer too.
 //!
 //! # The commit pipeline
 //!
@@ -31,8 +43,8 @@
 //! * the per-file dirty-block buffer is a sorted `Vec` whose capacity
 //!   persists across commits, and commits stage through one reusable
 //!   contiguous `commit_buf` so batch crypto runs on a span, not a
-//!   ref-vector (it is shrunk back to `2R` blocks after a large write, so
-//!   an `R`-block commit never regrows it);
+//!   ref-vector (it never holds more than one span and stays with the file,
+//!   so a span commit never regrows it);
 //! * metadata blocks are moved out of the per-file cache, updated **in
 //!   place** and sealed directly into a pooled block
 //!   ([`MetadataBlock::seal_into`]) — no clone, no fresh ciphertext vector;
@@ -41,10 +53,11 @@
 //!   that amortize to zero after first use.
 //!
 //! The remaining allocations are deliberate: cold metadata-cache misses,
-//! recovery/verify sweeps, the staging of a batch larger than `2R` blocks,
-//! and the `O(workers)` fan-out of a parallel crypto batch (absent when the
-//! span runs inline, as every batch short of one 16-block tile per worker
-//! does — see [`CryptoPool::runs_inline`]).
+//! recovery/verify sweeps, a file's first span-sized staging, and the
+//! `O(workers)` fan-out of a parallel crypto batch — which a span commit is
+//! on any mount with more than one worker (absent when the batch runs
+//! inline, as every batch short of one 16-block tile per worker does — see
+//! [`CryptoPool::runs_inline`]).
 //!
 //! # Concurrency
 //!
@@ -64,7 +77,7 @@ use crate::mount::{MountEngine, MountFile};
 use crate::pool::{with_tls, BlockBuf, BlockPool};
 use crate::profiler::{Category, Profiler};
 use crate::span::{SpanConfig, SpanPlanner, SpanPolicy};
-use crate::spanio::{Landed, Run, SpanIo};
+use crate::spanio::{Landed, Run, SpanIo, WriteBatch};
 use crate::{FsError, Result};
 use lamassu_crypto::aes::Aes256;
 use lamassu_crypto::gcm::Aes256Gcm;
@@ -92,11 +105,14 @@ const META_CACHE_CAP: usize = 8192;
 /// truncate/verify scratch block.
 const POOL_SLACK_BLOCKS: usize = 16;
 
-/// One span of dirty blocks: what the auto-sized pool keeps idle for the
-/// write path (large application writes stage this many blocks before the
-/// commit drains them back) and the most one crypto batch of a commit
-/// stages contiguously.
-const POOL_WRITE_BLOCKS: usize = 256;
+/// One span, in blocks — the one size of the write path. A file's write
+/// buffer commits when it holds this many dirty blocks, one crypto batch of
+/// a commit stages at most this many contiguously (sixteen full tiles of the
+/// wide kernels), the auto-sized pool keeps this many buffers idle for the
+/// writer to refill the buffer from, and a file's commit staging retains at
+/// most this much between commits. Fixed ahead of time from the kernel
+/// geometry; nothing about it is decided per I/O.
+const SPAN_BLOCKS: usize = 256;
 
 thread_local! {
     /// Span-read planning scratch: the runs of consecutive disk-backed
@@ -109,7 +125,16 @@ thread_local! {
     /// Derived/recomputed key scratch (integrity re-derivation, the keys of
     /// one commit batch).
     static KEY_SCRATCH: RefCell<Vec<Key256>> = const { RefCell::new(Vec::new()) };
+    /// One metadata phase of a commit: a pooled block per segment the phase
+    /// writes, and those segments (the blocks go back to the pool when the
+    /// phase has been submitted).
+    static SEAL_SCRATCH: RefCell<(Vec<BlockBuf>, Vec<PhaseSeg>)> =
+        const { RefCell::new((Vec::new(), Vec::new())) };
 }
+
+/// A segment that writes its metadata block in the current phase: its index
+/// in the batch's segment list, and the nonce it is sealed under.
+type PhaseSeg = (usize, [u8; 12]);
 
 /// Outcome of a crash-recovery scan over one file (paper §2.4).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -181,7 +206,7 @@ pub struct LamassuFile {
     logical_size: u64,
     size_dirty: bool,
     /// Dirty plaintext blocks not yet committed, sorted by logical block
-    /// index. Flushed as a batch once it holds `R` blocks (§2.4). The
+    /// index. Flushed once it holds one span ([`SPAN_BLOCKS`]). The
     /// buffers come from the mount's [`BlockPool`] and return to it when
     /// the flush drains them; the `Vec`'s own capacity persists across
     /// flushes, so steady-state writing allocates nothing.
@@ -191,10 +216,10 @@ pub struct LamassuFile {
     /// probe, insert or copy out — never across I/O) so the read path can
     /// populate it under a shared file guard.
     meta_cache: Mutex<HashMap<u64, MetadataBlock>>,
-    /// Contiguous staging for one commit batch (≤ [`POOL_WRITE_BLOCKS`]
+    /// Contiguous staging for one commit batch (≤ [`SPAN_BLOCKS`]
     /// blocks): plaintext is gathered here, encrypted in place as one span,
-    /// and written out run by run. Reused across commits; [`Engine::flush`]
-    /// shrinks it back to a few blocks after a large write.
+    /// and written out run by run. Reused across commits and never more than
+    /// one span.
     commit_buf: Vec<u8>,
     /// Block indices of the batch staged in `commit_buf`, ascending (reused).
     commit_ids: Vec<u64>,
@@ -281,13 +306,17 @@ pub struct Engine {
     /// The mount's recycled block-buffer pool (see [`crate::pool`]).
     pub(super) blocks: BlockPool,
     planner: SpanPlanner,
+    /// How many dirty blocks a file buffers before `write` commits them:
+    /// one span on the pipeline, `R` on the per-block prototype (whose write
+    /// buffer *was* its transient area — §4, Figure 10). Fixed at mount.
+    commit_trigger: usize,
     crypto: RwLock<CryptoCtx>,
     profiler: Arc<Profiler>,
 }
 
 impl Engine {
     pub(crate) fn new(store: Arc<dyn ObjectStore>, keys: ZoneKeys, config: LamassuConfig) -> Self {
-        let auto_cap = POOL_WRITE_BLOCKS + config.geometry.reserved_slots() + POOL_SLACK_BLOCKS;
+        let auto_cap = SPAN_BLOCKS + config.geometry.reserved_slots() + POOL_SLACK_BLOCKS;
         let blocks = BlockPool::new(
             config.geometry.block_size(),
             config.span.pool_capacity(auto_cap),
@@ -302,6 +331,10 @@ impl Engine {
             pool: config.span.pool(),
             blocks,
             planner: SpanPlanner::new(config.geometry.block_size()),
+            commit_trigger: match config.span.policy {
+                SpanPolicy::Batched => SPAN_BLOCKS,
+                SpanPolicy::PerBlock => config.geometry.reserved_slots(),
+            },
             crypto: RwLock::new(CryptoCtx::new(keys, config.span.crypto)),
             profiler,
         }
@@ -363,9 +396,15 @@ impl MountEngine for Engine {
     }
 
     /// Buffers the gather list `bufs` at `offset`, committing the pending set
-    /// once it holds `R` blocks (paper §2.4). Staging blocks come from the
-    /// mount pool; the sorted pending vector reuses its capacity, so steady
-    /// aligned rewriting allocates nothing.
+    /// once it holds one span of blocks (`R` on the per-block prototype).
+    /// Staging blocks come from the mount pool; the sorted pending vector
+    /// reuses its capacity, so steady aligned rewriting allocates nothing.
+    ///
+    /// `Ok` acknowledges the bytes into the write buffer, no more: they reach
+    /// the store when the span fills and are durable after `fsync`/`close`.
+    /// When this write is the one that fills the span, the commit's error is
+    /// this write's error and everything buffered is dropped with it (see
+    /// [`MountEngine::flush`]).
     fn write(&self, file: &mut LamassuFile, offset: u64, bufs: &[IoSlice<'_>]) -> Result<()> {
         let total = iovec::total_len(bufs);
         let bs = self.geometry.block_size();
@@ -398,7 +437,7 @@ impl MountEngine for Engine {
             file.logical_size = end;
             file.size_dirty = true;
         }
-        if file.pending.len() >= self.geometry.reserved_slots() {
+        if file.pending.len() >= self.commit_trigger {
             self.flush(file)?;
         }
         Ok(())
@@ -484,9 +523,10 @@ impl MountEngine for Engine {
         if result.is_err() {
             file.pending.clear();
         }
-        // Bounded staging: a large write must not leave a span-sized buffer
-        // pinned to every open file it touched.
-        let keep = 2 * self.geometry.reserved_slots() * self.geometry.block_size();
+        // Bounded staging: the next span commit reuses the buffer (it would
+        // otherwise reallocate a span per commit), and amortized growth never
+        // leaves more than one span pinned to an open file.
+        let keep = SPAN_BLOCKS * self.geometry.block_size();
         file.commit_buf.clear();
         if file.commit_buf.capacity() > keep {
             file.commit_buf.shrink_to(keep);
@@ -500,6 +540,13 @@ impl MountEngine for Engine {
             IntegrityMode::MetaOnly => "LamassuFS(meta-only)",
         }
     }
+}
+
+/// A random 96-bit GCM nonce from the calling thread's generator.
+fn fresh_nonce() -> [u8; 12] {
+    let mut nonce = [0u8; 12];
+    rand::thread_rng().fill_bytes(&mut nonce);
+    nonce
 }
 
 impl Engine {
@@ -577,8 +624,7 @@ impl Engine {
     /// Seals `mb` as `segment`'s metadata block into `sealed_out` under a
     /// fresh random nonce.
     fn seal_meta(&self, segment: u64, mb: &MetadataBlock, sealed_out: &mut [u8]) {
-        let mut nonce = [0u8; 12];
-        rand::thread_rng().fill_bytes(&mut nonce);
+        let nonce = fresh_nonce();
         let crypto = self.crypto.read();
         self.profiler.time(Category::Encrypt, || {
             mb.seal_into(
@@ -589,6 +635,7 @@ impl Engine {
                 sealed_out,
             )
         });
+        self.profiler.meta_sealed(1);
     }
 
     /// Seals `sealed_out` from `mb` and writes it at `segment`'s offset.
@@ -996,7 +1043,7 @@ impl Engine {
         self.geometry.segments_for_len(file.logical_size).max(1) - 1
     }
 
-    /// Commits the first (up to) [`POOL_WRITE_BLOCKS`] pending blocks as one
+    /// Commits the first (up to) [`SPAN_BLOCKS`] pending blocks as one
     /// pipeline: stage them contiguously, derive every key in one batch and
     /// encrypt the staged span in one batch — so the wide kernels and the
     /// worker pool see the whole set, not `R` blocks at a time — and only
@@ -1005,7 +1052,7 @@ impl Engine {
     /// pool the moment their plaintext is copied out.
     fn commit_batch(&self, file: &mut LamassuFile) -> Result<()> {
         let bs = self.geometry.block_size();
-        let k = file.pending.len().min(POOL_WRITE_BLOCKS);
+        let k = file.pending.len().min(SPAN_BLOCKS);
         let mut data = std::mem::take(&mut file.commit_buf);
         let mut ids = std::mem::take(&mut file.commit_ids);
         let mut segs = std::mem::take(&mut file.commit_segs);
@@ -1062,7 +1109,9 @@ impl Engine {
     ///    transient area, install the new keys, mark the segment mid-update,
     ///    seal and write the metadata block — merged with the closing write
     ///    of round *j − 1* (clear that round's transient entries), so a
-    ///    segment with `n` rounds is sealed `n + 1` times, not `2n`;
+    ///    segment with `n` rounds is sealed `n + 1` times, not `2n`; the
+    ///    phase's blocks are sealed as one batch ([`Engine::seal_and_submit_phase`]) and
+    ///    then submitted in segment order;
     /// 2. *data*: write the round's ciphertext, one backend write per run of
     ///    adjacent blocks.
     ///
@@ -1110,8 +1159,9 @@ impl Engine {
             first += len;
         }
         let rounds = segs.iter().map(|seg| seg.rounds(r)).max().unwrap_or(0);
+        self.profiler
+            .commit_recorded(ids.len() as u64, segs.len() as u64);
 
-        let mut sealed = self.blocks.take();
         self.io.write_batch(&file.name, |io| {
             for round in 0..=rounds {
                 // Metadata phase. A segment with `n` rounds writes its
@@ -1143,11 +1193,7 @@ impl Engine {
                     // on the media, which is where the size is read from.
                     seg.mb.logical_size = file.logical_size;
                 }
-                for seg in segs.iter().filter(|seg| round <= seg.rounds(r)) {
-                    self.seal_meta(seg.segment, &seg.mb, &mut sealed);
-                    let offset = self.geometry.metadata_block_offset(seg.segment);
-                    io.write(offset, &[IoSlice::new(&sealed)])?;
-                }
+                self.seal_and_submit_phase(io, segs, round)?;
                 io.barrier()?;
 
                 // Data phase: the round's ciphertext, one write per run of
@@ -1178,6 +1224,59 @@ impl Engine {
         Ok(wrote_size)
     }
 
+    /// Seals the metadata block of every segment that writes one in phase
+    /// `round` as one batch, into pooled blocks, then submits the writes in
+    /// segment order — the order, and so the backend schedule, of sealing
+    /// and submitting them one by one. The nonces are drawn here, on the
+    /// caller's thread; the seals (an AES-GCM pass over a block each, the
+    /// most expensive single kernel of the write path) fan out by the pool's
+    /// tile rule, so a phase of fewer than two tiles of segments — every
+    /// sequential commit — seals inline.
+    fn seal_and_submit_phase(
+        &self,
+        io: &mut WriteBatch<'_>,
+        segs: &[SegCommit],
+        round: usize,
+    ) -> Result<()> {
+        let r = self.geometry.reserved_slots();
+        with_tls(&SEAL_SCRATCH, |(sealed, phase)| {
+            sealed.clear();
+            phase.clear();
+            phase.extend(
+                (0..segs.len())
+                    .filter(|&i| round <= segs[i].rounds(r))
+                    .map(|i| (i, fresh_nonce())),
+            );
+            sealed.extend((0..phase.len()).map(|_| self.blocks.take()));
+            {
+                let crypto = self.crypto.read();
+                self.profiler.time(Category::Encrypt, || {
+                    self.pool.zip_for_each(sealed, phase, |out, (i, nonce)| {
+                        let seg = &segs[*i];
+                        seg.mb.seal_into(
+                            &self.geometry,
+                            &crypto.gcm,
+                            nonce,
+                            &Self::aad(seg.segment),
+                            out,
+                        )
+                    })
+                });
+            }
+            self.profiler.meta_sealed(phase.len() as u64);
+            let submitted = sealed
+                .iter()
+                .zip(phase.iter())
+                .try_for_each(|(block, (i, _))| {
+                    let offset = self.geometry.metadata_block_offset(segs[*i].segment);
+                    io.write(offset, &[IoSlice::new(block)])
+                });
+            // The store has copied the bytes out: back to the pool.
+            sealed.clear();
+            submitted
+        })
+    }
+
     /// The per-block oracle's flush step ([`SpanPolicy::PerBlock`]): the
     /// multiphase commit of §2.4 for the leading run of at most `R` pending
     /// blocks of one segment, one block at a time, as the original prototype
@@ -1201,6 +1300,7 @@ impl Engine {
             .count();
         let is_final = segment == self.final_segment(file);
         let logical_size = file.logical_size;
+        self.profiler.commit_recorded(k as u64, 1);
         let mut data = std::mem::take(&mut file.commit_buf);
         let mut blocks = std::mem::take(&mut file.commit_ids);
         data.clear();
@@ -1409,8 +1509,7 @@ impl Engine {
         let mut sealed = self.blocks.take();
         for segment in 0..=last_segment {
             let mb = self.read_meta(file, segment)?;
-            let mut nonce = [0u8; 12];
-            rand::thread_rng().fill_bytes(&mut nonce);
+            let nonce = fresh_nonce();
             self.profiler.time(Category::Encrypt, || {
                 mb.seal_into(
                     &self.geometry,

@@ -13,8 +13,9 @@
 //!   AES-256-GCM under the outer key;
 //! * keeps data and metadata consistent across crashes with a multiphase
 //!   commit protocol that parks the *previous* keys of in-flight blocks in a
-//!   reserved transient area of the metadata block (§2.4), batching up to `R`
-//!   block writes per commit;
+//!   reserved transient area of the metadata block (§2.4) — up to `R` blocks
+//!   of a segment per round — and commits a file's buffered writes a span
+//!   (256 blocks) at a time;
 //! * verifies data integrity on read by re-hashing decrypted blocks and
 //!   comparing against the stored convergent key (§2.5), with a cheaper
 //!   metadata-only mode that skips the per-block hash;

@@ -27,13 +27,19 @@
 //!
 //! The free list is split into a small fixed number of shards selected by the
 //! calling thread's id, so concurrent readers recycling staging buffers do
-//! not contend on one lock; a thread that keeps taking and dropping buffers
-//! effectively owns its shard — thread-local behaviour without thread-local
-//! storage. Capacity bounds the number of *idle* buffers kept per pool (not
-//! the number in flight): a drop into a full shard frees the buffer instead
-//! (counted as a discard), so a burst can never ratchet the pool's memory up
-//! permanently. The `tests/prop_pool.rs` churn tests pin this bound under
-//! multi-thread storms.
+//! not contend on one lock; a thread that takes and drops a few buffers at a
+//! time stays inside its home shard — thread-local behaviour without
+//! thread-local storage. A burst larger than a shard (one writer staging a
+//! 256-block span and the commit dropping it again) overflows in both
+//! directions: [`BlockPool::take`] steals from the other shards once the home
+//! shard is empty, and a drop **spills** to the next shard with room once the
+//! home shard is full, one shard lock at a time either way — so a single
+//! thread can drain and refill the whole pool, not just its eighth of it.
+//! Capacity bounds the number of *idle* buffers kept per pool (not the number
+//! in flight): a drop into a pool whose every shard is full frees the buffer
+//! instead (counted as a discard), so a burst can never ratchet the pool's
+//! memory up permanently. The `tests/prop_pool.rs` churn tests pin this bound
+//! under multi-thread storms.
 //!
 //! # Stats
 //!
@@ -80,7 +86,7 @@ pub struct PoolStats {
     pub misses: u64,
     /// Buffers returned to the free list on drop.
     pub recycled: u64,
-    /// Buffers freed on drop because their shard was at capacity.
+    /// Buffers freed on drop because the pool was at capacity.
     pub discarded: u64,
     /// Idle buffers currently held by the pool.
     pub pooled: usize,
@@ -317,24 +323,42 @@ impl PoolInner {
         buf
     }
 
-    fn put(&self, buf: Box<[u8]>) {
+    /// Pushes `buf` onto shard `idx` if it has room, handing it back if not;
+    /// the gauge moves under the shard lock (see [`PoolInner::pop_shard`]).
+    fn push_shard(&self, idx: usize, buf: Box<[u8]>) -> Option<Box<[u8]>> {
+        let mut free = self.shards[idx].lock();
+        if free.len() >= self.shard_cap {
+            return Some(buf);
+        }
+        free.push(buf);
+        self.pooled.fetch_add(1, Ordering::Relaxed);
+        None
+    }
+
+    fn put(&self, mut buf: Box<[u8]>) {
         debug_assert_eq!(buf.len(), self.block_size);
-        if self.shard_cap == 0 {
-            self.discarded.fetch_add(1, Ordering::Relaxed);
-            return; // `buf` drops: pooling disabled
+        // Home shard first, then the next shard with room — the mirror of
+        // `take`'s steal, one shard lock at a time for the same reason — so
+        // one thread dropping a burst larger than its shard refills the whole
+        // pool instead of freeing all but a shard's worth. A pool that is
+        // full (or disabled) frees the buffer without probing eight locks;
+        // the gauge read is racy, which can only cost a stray probe or an
+        // early discard, never the `pooled <= capacity` bound (that is each
+        // shard's own, checked under its lock).
+        if self.pooled.load(Ordering::Relaxed) < self.shard_cap * POOL_SHARDS {
+            let home = thread_shard_index();
+            for i in 0..POOL_SHARDS {
+                match self.push_shard((home + i) % POOL_SHARDS, buf) {
+                    None => {
+                        self.recycled.fetch_add(1, Ordering::Relaxed);
+                        return;
+                    }
+                    Some(back) => buf = back,
+                }
+            }
         }
-        let mut free = self.shards[thread_shard_index()].lock();
-        if free.len() < self.shard_cap {
-            free.push(buf);
-            // Incremented under the shard lock (see `pop_shard`).
-            self.pooled.fetch_add(1, Ordering::Relaxed);
-            drop(free);
-            self.recycled.fetch_add(1, Ordering::Relaxed);
-        } else {
-            drop(free);
-            self.discarded.fetch_add(1, Ordering::Relaxed);
-            // `buf` drops here: the one place a bounded pool frees memory.
-        }
+        // `buf` drops here: the one place a bounded pool frees memory.
+        self.discarded.fetch_add(1, Ordering::Relaxed);
     }
 }
 
@@ -433,6 +457,32 @@ mod tests {
             pool.capacity()
         );
         assert!(pool.stats().discarded > 0, "overflow must discard");
+    }
+
+    #[test]
+    fn one_thread_recycles_the_whole_capacity() {
+        // One writer stages a span and its commit drops it: the burst is
+        // eight times a shard, and all of it must come back.
+        let pool = BlockPool::new(128, 280);
+        let capacity = pool.capacity();
+        for pass in 0..2 {
+            let held: Vec<_> = (0..capacity).map(|_| pool.take()).collect();
+            drop(held);
+            let s = pool.stats();
+            assert_eq!(s.pooled, capacity, "pass {pass}: {s:?}");
+            assert_eq!(s.discarded, 0, "pass {pass}: {s:?}");
+        }
+        let s = pool.stats();
+        assert_eq!(
+            (s.misses, s.hits),
+            (capacity as u64, capacity as u64),
+            "the second pass is all hits: {s:?}"
+        );
+        // One buffer more than the pool holds is the one that is freed.
+        let held: Vec<_> = (0..=capacity).map(|_| pool.take()).collect();
+        drop(held);
+        let s = pool.stats();
+        assert_eq!((s.pooled, s.discarded), (capacity, 1), "{s:?}");
     }
 
     #[test]

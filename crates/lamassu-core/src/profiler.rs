@@ -154,6 +154,37 @@ impl LatencyBreakdown {
     }
 }
 
+/// What the write path's commits cost in metadata, since the mount (or the
+/// last [`Profiler::reset_all`]). `seals / blocks` is the write path's
+/// metadata amplification: each seal is one AES-GCM pass over a block plus
+/// one backend write, so 2.0 means every data block paid for two metadata
+/// blocks (random 4 KiB writes committed `R` at a time) and 0.5 that a span
+/// of random writes shared its segments' rounds.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
+pub struct CommitStats {
+    /// Commit batches run (at most one span of blocks each).
+    pub commits: u64,
+    /// Data blocks those batches committed.
+    pub blocks: u64,
+    /// Segments touched, summed over the batches.
+    pub segments: u64,
+    /// Metadata blocks sealed by the mount (commit rounds, size updates,
+    /// truncation, recovery).
+    pub seals: u64,
+}
+
+impl CommitStats {
+    /// Metadata blocks sealed per data block committed; `0` before any
+    /// commit.
+    pub fn seals_per_block(&self) -> f64 {
+        if self.blocks == 0 {
+            0.0
+        } else {
+            self.seals as f64 / self.blocks as f64
+        }
+    }
+}
+
 /// Thread-safe accumulator for per-category latencies.
 ///
 /// Beyond the Figure 9 durations, a profiler carries a preallocated latency
@@ -177,6 +208,11 @@ pub struct Profiler {
     /// High-water mark of `in_flight` since the last reset: how deep the
     /// engine actually filled the submission queues.
     in_flight_peak: AtomicU64,
+    /// [`CommitStats`], field by field (statistics only: relaxed).
+    commits: AtomicU64,
+    committed_blocks: AtomicU64,
+    committed_segments: AtomicU64,
+    seals: AtomicU64,
 }
 
 impl Profiler {
@@ -248,13 +284,21 @@ impl Profiler {
     }
 
     /// Full reset: everything [`Profiler::reset`] clears **plus** the
-    /// attached pools' traffic counters (hits/misses/recycled/discarded —
-    /// the `pooled` gauge and capacity describe live buffers and are
-    /// untouched).
+    /// commit counters and the attached pools' traffic counters
+    /// (hits/misses/recycled/discarded — the `pooled` gauge and capacity
+    /// describe live buffers and are untouched).
     pub fn reset_all(&self) {
         self.reset();
         for pool in self.pools.lock().iter() {
             pool.reset_stats();
+        }
+        for counter in [
+            &self.commits,
+            &self.committed_blocks,
+            &self.committed_segments,
+            &self.seals,
+        ] {
+            counter.store(0, Ordering::Relaxed);
         }
     }
 
@@ -277,6 +321,31 @@ impl Profiler {
             .lock()
             .iter()
             .fold(PoolStats::default(), |acc, p| acc.merge(&p.stats()))
+    }
+
+    /// Records one commit batch of `blocks` data blocks over `segments`
+    /// segments (the LamassuFS engine calls this once per batch).
+    pub fn commit_recorded(&self, blocks: u64, segments: u64) {
+        self.commits.fetch_add(1, Ordering::Relaxed);
+        self.committed_blocks.fetch_add(blocks, Ordering::Relaxed);
+        self.committed_segments
+            .fetch_add(segments, Ordering::Relaxed);
+    }
+
+    /// Records `n` metadata blocks sealed.
+    pub fn meta_sealed(&self, n: u64) {
+        self.seals.fetch_add(n, Ordering::Relaxed);
+    }
+
+    /// The write path's commit counters (all zeros on shims without a
+    /// multiphase commit).
+    pub fn commit_stats(&self) -> CommitStats {
+        CommitStats {
+            commits: self.commits.load(Ordering::Relaxed),
+            blocks: self.committed_blocks.load(Ordering::Relaxed),
+            segments: self.committed_segments.load(Ordering::Relaxed),
+            seals: self.seals.load(Ordering::Relaxed),
+        }
     }
 
     /// Attaches the mount's per-operation [`Tracer`]. The shims consult it
@@ -320,16 +389,20 @@ impl Profiler {
     }
 
     /// Dumps this profiler into `snap` under `section`: the Figure 9
-    /// breakdown (against `total_runtime`), the merged pool counters, and
-    /// one latency histogram per category that saw traffic.
+    /// breakdown (against `total_runtime`), the merged pool counters, the
+    /// commit counters, and one latency histogram per category that saw
+    /// traffic.
     pub fn export(&self, snap: &mut Snapshot, section: &str, total_runtime: Duration) {
         snap.section(section, &self.breakdown(total_runtime));
         snap.section_value(
             section,
-            serde::Value::Object(vec![(
-                "pool".to_string(),
-                Serialize::to_value(&self.pool_stats()),
-            )]),
+            serde::Value::Object(vec![
+                ("pool".to_string(), Serialize::to_value(&self.pool_stats())),
+                (
+                    "commit".to_string(),
+                    Serialize::to_value(&self.commit_stats()),
+                ),
+            ]),
         );
         snap.section_value(
             section,
@@ -512,7 +585,9 @@ mod tests {
         assert!(json.contains("\"pool\""), "{json}");
         assert!(json.contains("get_ce_key_ns"), "{json}");
         assert!(json.contains("\"in_flight_ops\""), "{json}");
+        assert!(json.contains("\"commit\""), "{json}");
         let prom = snap.to_prometheus();
+        assert!(prom.contains("lamassu_shim_commit_seals"), "{prom}");
         assert!(prom.contains("lamassu_shim_get_ce_key_seconds"), "{prom}");
         assert!(
             prom.contains("# TYPE lamassu_shim_get_ce_key_ns histogram"),

@@ -42,8 +42,8 @@
 //! Because share boundaries are tile boundaries, fanning out never narrows a
 //! wide pass: a 256-block span on two workers is sixteen full 16-chain
 //! encrypt tiles and sixty-four 4-lane SHA groups, exactly as it would be
-//! inline, and an `R` = 8 block commit runs inline as one half-occupied wide
-//! pass instead of two scalar halves. A scoped spawn costs about 80 µs in
+//! inline, and an 8-block commit (a few writes forced out by an `fsync`)
+//! runs inline as one half-occupied wide pass instead of two scalar halves. A scoped spawn costs about 80 µs in
 //! the reference container (see [`crate::pool`]), which is what the tile
 //! minimum is there to repay.
 //!

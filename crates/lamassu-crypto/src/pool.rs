@@ -30,10 +30,10 @@
 //! the price of deriving *and* encrypting two to three 4 KiB blocks — while
 //! one tile is 150–400 µs of kernel time (derivation at the low end,
 //! encryption at the high end), so a share below a tile cannot repay its
-//! spawn. An `R` = 8 block commit therefore runs inline, where its eight
-//! chains still fill half a wide pass ([`crate::batch::WIDE_MIN_BLOCKS`]);
-//! splitting it 4 + 4, as a per-item threshold would, pays two spawns to run
-//! both halves on the scalar kernel.
+//! spawn. An 8-block commit (a few writes forced out by an `fsync`)
+//! therefore runs inline, where its eight chains still fill half a wide pass
+//! ([`crate::batch::WIDE_MIN_BLOCKS`]); splitting it 4 + 4, as a per-item
+//! threshold would, pays two spawns to run both halves on the scalar kernel.
 //!
 //! # Sizing
 //!
@@ -207,7 +207,7 @@ mod tests {
     #[test]
     fn fan_out_needs_a_full_tile_per_share() {
         let pool = CryptoPool::new(4);
-        // An R = 8 commit, and anything short of two tiles, stays inline.
+        // An 8-block commit, and anything short of two tiles, stays inline.
         for items in [0, 1, 8, TILE_BLOCKS, 2 * TILE_BLOCKS - 1] {
             assert!(pool.runs_inline(items), "{items} items");
         }

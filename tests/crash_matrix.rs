@@ -136,16 +136,18 @@ fn build_base_at(r: usize, blocks: usize) -> Arc<DedupStore> {
 }
 
 /// Cuts power at every `step`-th backend write boundary of `update` — which
-/// rewrites exactly the blocks in `touched` to version 2 through one flush
-/// of a `base_blocks`-block version-1 file, growing it if `touched` reaches
-/// past its end — and checks the §2.4 guarantees after each: recovery
+/// rewrites exactly the blocks in `touched` to version 2 in a
+/// `base_blocks`-block version-1 file, growing it if `touched` reaches past
+/// its end — and checks the §2.4 guarantees after each: recovery
 /// succeeds, verification is clean with no segment left mid-update, the file
 /// is as long as it was or as long as the update makes it, every touched
 /// block is old or new (the old contents of an appended block being a
 /// hole), every other block is intact, and a whole-file span read equals the
 /// per-block reads. `expect_writes` pins the number of backend writes the
-/// update issues, i.e. the shape of the commit pipeline. Returns the most
-/// segments any single crash left mid-update.
+/// update issues, i.e. the shape of the commit pipeline. `pinned(crash_after,
+/// block)` narrows "old or new" where the caller knows more: `Some(version)`
+/// is the only version the block may read back as after that crash. Returns
+/// the most segments any single crash left mid-update.
 fn enumerate_crash_points(
     r: usize,
     base_blocks: usize,
@@ -153,6 +155,7 @@ fn enumerate_crash_points(
     expect_writes: u64,
     step: usize,
     update: impl Fn(&LamassuFs) -> lamassu::core::Result<()>,
+    pinned: impl Fn(u64, usize) -> Option<u8>,
 ) -> u64 {
     let config = LamassuConfig::with_reserved_slots(r).unwrap();
     let run = |media: Arc<DedupStore>, crash_after: u64| -> bool {
@@ -160,15 +163,33 @@ fn enumerate_crash_points(
         faulty.crash_after_writes(crash_after);
         update(&LamassuFs::new(faulty, keys(), config)).is_ok()
     };
-    let media = build_base_at(r, base_blocks);
+    // The base file is built once; every run starts from a byte copy of it.
+    let base = build_base_at(r, base_blocks);
+    let base_bytes = base
+        .read_at("/file", 0, base.len("/file").unwrap() as usize)
+        .unwrap();
+    let fresh_media = || {
+        let media = Arc::new(DedupStore::new(4096, StorageProfile::instant()));
+        media.create("/file").unwrap();
+        media.write_at("/file", 0, &base_bytes).unwrap();
+        media
+    };
+    let media = fresh_media();
     let before = media.io_counters().write_ops;
     assert!(run(media.clone(), u64::MAX));
     assert_eq!(media.io_counters().write_ops - before, expect_writes);
     let final_blocks = touched.iter().fold(base_blocks, |n, b| n.max(b + 1));
+    let image = |version| -> Vec<u8> {
+        (0..final_blocks)
+            .flat_map(|b| pattern(version, b))
+            .collect()
+    };
+    let images = [image(1), image(2)];
+    let expected = |version: u8, b: usize| &images[version as usize - 1][b * 4096..(b + 1) * 4096];
 
     let mut most_mid_update = 0;
     for crash_after in (0..expect_writes).step_by(step) {
-        let media = build_base_at(r, base_blocks);
+        let media = fresh_media();
         assert!(
             !run(media.clone(), crash_after),
             "crash point {crash_after} did not fire"
@@ -193,15 +214,21 @@ fn enumerate_crash_points(
         assert_eq!(whole.len(), blocks * 4096);
         for (b, got) in whole.chunks(4096).enumerate() {
             let is_old = if b < base_blocks {
-                got == pattern(1, b)
+                got == expected(1, b)
             } else {
                 got.iter().all(|&x| x == 0)
             };
-            let is_new = touched.contains(&b) && got == pattern(2, b);
+            let is_new = touched.contains(&b) && got == expected(2, b);
             assert!(
                 is_old || is_new,
                 "block {b} is neither old nor new after crash at write {crash_after}"
             );
+            if let Some(version) = pinned(crash_after, b) {
+                assert!(
+                    got == expected(version, b),
+                    "block {b} must be version {version} after crash at write {crash_after}"
+                );
+            }
             assert!(
                 got == fs.read(fd, (b * 4096) as u64, 4096).unwrap(),
                 "span read diverged from the read of block {b} after crash at write {crash_after}"
@@ -220,6 +247,35 @@ fn write_run(fs: &LamassuFs, blocks: std::ops::Range<usize>) -> lamassu::core::R
     fs.close(fd)
 }
 
+/// One single-block write of version 2 per entry of `blocks`, in that order,
+/// with an `fsync` after the first `sync_after` of them, then `fsync` and
+/// `close`.
+fn write_blocks(fs: &LamassuFs, blocks: &[usize], sync_after: usize) -> lamassu::core::Result<()> {
+    let fd = fs.open("/file", OpenFlags::default())?;
+    for (i, &b) in blocks.iter().enumerate() {
+        fs.write(fd, (b * 4096) as u64, &pattern(2, b))?;
+        if i + 1 == sync_after {
+            fs.fsync(fd)?;
+        }
+    }
+    fs.fsync(fd)?;
+    fs.close(fd)
+}
+
+/// `n` distinct values below `below` in a seeded pseudo-random order.
+fn seeded_sample(seed: u64, below: usize, n: usize) -> Vec<usize> {
+    let mut all: Vec<usize> = (0..below).collect();
+    let mut state = seed.wrapping_mul(0x9e3779b97f4a7c15) | 1;
+    for i in 0..n {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        all.swap(i, i + (state % (below - i) as u64) as usize);
+    }
+    all.truncate(n);
+    all
+}
+
 #[test]
 fn every_crash_point_of_a_multi_round_multi_segment_commit_recovers() {
     // R = 2 gives N = 124 blocks per segment. One write of blocks 121..=128
@@ -229,36 +285,207 @@ fn every_crash_point_of_a_multi_round_multi_segment_commit_recovers() {
     // metadata 2 (segment 0 closing, segment 1 merged) + data 1, closing
     // metadata 1 — 12 writes where the unmerged protocol would issue 15.
     let touched: Vec<usize> = (121..129).collect();
-    let most_mid_update =
-        enumerate_crash_points(2, 130, &touched, 12, 1, |fs| write_run(fs, 121..129));
+    let most_mid_update = enumerate_crash_points(
+        2,
+        130,
+        &touched,
+        12,
+        1,
+        |fs| write_run(fs, 121..129),
+        |_, _| None,
+    );
     assert_eq!(most_mid_update, 2, "both segments mid-update at one crash");
 }
 
 #[test]
 fn every_crash_point_with_four_segments_mid_update_at_once_recovers() {
     // Four single-block writes into four distinct segments, committed by one
-    // flush, so all four segments are mid-update together: 4 metadata + 4
-    // data + 4 metadata writes behind three barriers. This needs R = 4
-    // (N = 122): the commit trigger fires once R blocks are pending, so at
-    // R = 2 a flush can never hold more than two single-block writes.
+    // flush (the `fsync`: four blocks are far short of the span that makes a
+    // write commit on its own), so all four segments are mid-update together:
+    // 4 metadata + 4 data + 4 metadata writes behind three barriers. R = 4
+    // (N = 122) is just the geometry of this file; one block per segment is
+    // one round whatever R is.
     let touched = [5usize, 122 + 7, 2 * 122 + 9, 3 * 122 + 1];
-    let most_mid_update = enumerate_crash_points(4, 3 * 122 + 6, &touched, 12, 1, |fs| {
-        let fd = fs.open("/file", OpenFlags::default())?;
-        for b in touched {
-            fs.write(fd, (b * 4096) as u64, &pattern(2, b))?;
-        }
-        fs.fsync(fd)?;
-        fs.close(fd)
-    });
+    let most_mid_update = enumerate_crash_points(
+        4,
+        3 * 122 + 6,
+        &touched,
+        12,
+        1,
+        |fs| write_blocks(fs, &touched, usize::MAX),
+        |_, _| None,
+    );
     assert_eq!(
         most_mid_update, 4,
         "all four segments mid-update at one crash"
     );
 }
 
-// The two append matrices run at the default geometry (R = 8, N = 118) on a
-// 116-block file. The logical size is read from the last segment present on
-// the media, and a growing write makes a new segment the last one as soon as
+// From here on the matrices run at the default geometry: R = 8, N = 118 blocks
+// per segment, and a write buffer that commits on its own only once it holds
+// a span of 256 blocks.
+
+/// Backend writes of the many-segment flush below: 32 opening metadata writes,
+/// 64 data writes (no two touched blocks are adjacent), 32 closing.
+const MANY_SEGMENT_WRITES: u64 = 32 + 64 + 32;
+
+#[test]
+fn sampled_crash_points_of_one_flush_over_many_segments_recover() {
+    // What random 4 KiB writes do to a large file: 64 single-block overwrites
+    // in seeded random order, two at seeded slots of each of a 32-segment
+    // file's segments, all acknowledged into the write buffer and committed
+    // by one flush. Every segment opens its one round in the same phase, so
+    // for the whole data phase all 32 are mid-update at once: 32 metadata
+    // writes, the data writes, 32 metadata writes. Sampled at every third
+    // write boundary (each point rebuilds and rereads a 14 MiB file).
+    const SEGMENTS: usize = 32;
+    let base_blocks = (SEGMENTS - 1) * 118 + 20;
+    // Two distinct even slots per segment: never adjacent, so never one write.
+    let in_order: Vec<usize> = (0..SEGMENTS)
+        .flat_map(|seg| {
+            let even_slots = if seg + 1 == SEGMENTS { 10 } else { 59 };
+            seeded_sample(seg as u64 + 1, even_slots, 2)
+                .into_iter()
+                .map(move |slot| seg * 118 + 2 * slot)
+        })
+        .collect();
+    let touched: Vec<usize> = seeded_sample(7, in_order.len(), in_order.len())
+        .into_iter()
+        .map(|i| in_order[i])
+        .collect();
+    let most_mid_update = enumerate_crash_points(
+        8,
+        base_blocks,
+        &touched,
+        MANY_SEGMENT_WRITES,
+        3,
+        |fs| write_blocks(fs, &touched, usize::MAX),
+        |_, _| None,
+    );
+    assert_eq!(
+        most_mid_update, SEGMENTS as u64,
+        "every segment mid-update at one crash"
+    );
+}
+
+#[test]
+fn sampled_crash_points_across_three_span_commits_keep_what_was_committed() {
+    // 650 single-block overwrites of a 6-segment file in seeded random
+    // order: the first 50 followed by an `fsync`, then 600 more — the write
+    // buffer commits on its own when the 256th and the 512th of them fill the
+    // span, and the closing `fsync` commits the last 88. Four commits, one
+    // after the other on the media. Wherever the power fails: the blocks of
+    // a commit that completed — the fsynced one above all — read back new,
+    // the blocks of the commit the crash interrupted read back old or new,
+    // and the blocks of a commit that had not started read back old.
+    const BLOCKS: usize = 6 * 118;
+    const SYNCED: usize = 50;
+    let order = seeded_sample(3, BLOCKS, SYNCED + 600);
+    let commit_of = |block: usize| {
+        let i = order.iter().position(|&b| b == block)?;
+        Some(if i < SYNCED {
+            0
+        } else {
+            1 + (i - SYNCED) / 256
+        })
+    };
+
+    // Where each commit ends, in backend writes, from a run that records the
+    // store's write count after every user call.
+    let media = build_base_at(8, BLOCKS);
+    let before = media.io_counters().write_ops;
+    let fs = LamassuFs::new(media.clone(), keys(), LamassuConfig::default());
+    let fd = fs.open("/file", OpenFlags::default()).unwrap();
+    let mut ends: Vec<u64> = Vec::new();
+    let note = |ends: &mut Vec<u64>| {
+        let n = media.io_counters().write_ops - before;
+        if n > 0 && ends.last() != Some(&n) {
+            ends.push(n);
+        }
+    };
+    for (i, &b) in order.iter().enumerate() {
+        fs.write(fd, (b * 4096) as u64, &pattern(2, b)).unwrap();
+        note(&mut ends);
+        if i + 1 == SYNCED {
+            fs.fsync(fd).unwrap();
+            note(&mut ends);
+        }
+    }
+    fs.fsync(fd).unwrap();
+    note(&mut ends);
+    assert_eq!(
+        ends.len(),
+        4,
+        "an fsync, two span commits, an fsync: {ends:?}"
+    );
+
+    enumerate_crash_points(
+        8,
+        BLOCKS,
+        &order,
+        ends[3],
+        23,
+        |fs| write_blocks(fs, &order, SYNCED),
+        |crash_after, block| {
+            let commit = commit_of(block)?;
+            let start = if commit == 0 { 0 } else { ends[commit - 1] };
+            if crash_after >= ends[commit] {
+                Some(2)
+            } else if crash_after <= start {
+                Some(1)
+            } else {
+                None
+            }
+        },
+    );
+}
+
+#[test]
+fn a_power_cut_loses_the_unsynced_buffer_and_nothing_else() {
+    // A write is acknowledged into the file's buffer, reaches the store when
+    // the span fills, and is durable after `fsync`. 40 blocks written and
+    // fsynced, then 300 more written and acknowledged: 256 of those filled a
+    // span and were committed, 44 are still buffered when the client dies
+    // (the mount is dropped, not closed). After the restart the 40 and the
+    // 256 are new and the 44 are old — nothing half-way, nothing to repair.
+    const BLOCKS: usize = 6 * 118;
+    let order = seeded_sample(5, BLOCKS, 340);
+    let media = build_base_at(8, BLOCKS);
+    {
+        let fs = LamassuFs::new(media.clone(), keys(), LamassuConfig::default());
+        let fd = fs.open("/file", OpenFlags::default()).unwrap();
+        for (i, &b) in order.iter().enumerate() {
+            fs.write(fd, (b * 4096) as u64, &pattern(2, b)).unwrap();
+            if i + 1 == 40 {
+                fs.fsync(fd).unwrap();
+            }
+        }
+        // Every one of them reads back new while the mount lives.
+        let last = order[339];
+        assert_eq!(
+            fs.read(fd, (last * 4096) as u64, 4096).unwrap(),
+            pattern(2, last)
+        );
+    }
+    let fs = LamassuFs::new(media, keys(), LamassuConfig::default());
+    assert_eq!(fs.recover("/file").unwrap().segments_repaired, 0);
+    let report = fs.verify("/file").unwrap();
+    assert!(report.is_clean() && report.mid_update_segments == 0);
+    let fd = fs.open("/file", OpenFlags::default()).unwrap();
+    for b in 0..BLOCKS {
+        let version = match order.iter().position(|&x| x == b) {
+            Some(i) if i < 40 + 256 => 2,
+            _ => 1,
+        };
+        assert!(
+            fs.read(fd, (b * 4096) as u64, 4096).unwrap() == pattern(version, b),
+            "block {b} must be version {version} after the power cut"
+        );
+    }
+}
+
+// The two append matrices run on a 116-block file. The logical size is read
+// from the last segment present on the media, and a growing write makes a new segment the last one as soon as
 // its first metadata write lands — so every metadata block the pipeline
 // writes carries the new size, and at no crash point may the file read back
 // shorter than it was. Appended blocks that never landed read as holes.
@@ -269,7 +496,15 @@ fn every_crash_point_of_an_append_across_segments_keeps_the_old_file_visible() {
     // rounds) and four start segment 2, the new final segment. Metadata
     // writes 2 + 16 + 2, data writes 1 + 15 + 1.
     let touched: Vec<usize> = (116..240).collect();
-    enumerate_crash_points(8, 116, &touched, 37, 1, |fs| write_run(fs, 116..240));
+    enumerate_crash_points(
+        8,
+        116,
+        &touched,
+        37,
+        1,
+        |fs| write_run(fs, 116..240),
+        |_, _| None,
+    );
 }
 
 #[test]
@@ -280,7 +515,15 @@ fn sampled_crash_points_of_a_multi_batch_append_keep_the_old_file_visible() {
     // running batch has reached. Sampled: what matters is which batch the
     // crash lands in, not which of its rounds.
     let touched: Vec<usize> = (116..640).collect();
-    enumerate_crash_points(8, 116, &touched, 146, 5, |fs| write_run(fs, 116..640));
+    enumerate_crash_points(
+        8,
+        116,
+        &touched,
+        146,
+        5,
+        |fs| write_run(fs, 116..640),
+        |_, _| None,
+    );
 }
 
 #[test]
@@ -731,6 +974,17 @@ fn breaker_open_degrades_writes_then_probe_reclose_scrubs_clean() {
         fs.write(fd, (b * 4096) as u64, &pattern(2, b)).unwrap();
         let got = fs.read(fd, (b * 4096) as u64, 4096).unwrap();
         assert_eq!(got, pattern(2, b), "round {round} read-back diverged");
+        // The write only filled the file's span-sized buffer (and the
+        // read-back came from it); the `fsync` is what sends the cluster the
+        // traffic the breaker counts.
+        fs.fsync(fd).unwrap();
+        // A read that has to go to the cluster, and fail over while the
+        // member is gated out. It asks for a block no outage write touches:
+        // the healed member's copy of the others is stale until the scrub
+        // below, and the half-open probe that finds it healed may be a read.
+        let intact = b + 1;
+        let got = fs.read(fd, (intact * 4096) as u64, 4096).unwrap();
+        assert_eq!(got, pattern(1, intact), "round {round} failover read");
         if breakers.stats().recloses >= 1 {
             recovered = true;
             break;

@@ -43,12 +43,14 @@
 //! fans out, and the thread fan-out allocates by design — that trade is
 //! documented in `lamassu-core::span` and the README's memory-model section.
 //! The 4 KiB rewrite loop is also pinned on a default mount (`workers: 0`):
-//! its `R`-block commits stay under the fan-out rule whatever the pool size.
+//! its buffered writes allocate nothing, and its span commits nothing but
+//! the fan-out's spawns.
 
 use lamassu::core::{
     CryptoBackend, EncFs, EncFsConfig, FileSystem, IntegrityMode, IoMode, LamassuConfig, LamassuFs,
     SpanConfig, SpanPolicy,
 };
+use lamassu::crypto::pool::CryptoPool;
 use lamassu::dist::{DistConfig, Granularity, RoutedStore};
 use lamassu::keymgr::KeyManager;
 use lamassu::resilience::{OpBudget, ResilientStore, RetryPolicy};
@@ -348,15 +350,51 @@ fn steady_rewrite_loop_allocates_nothing() {
 #[test]
 fn steady_rewrite_loop_on_a_default_mount_allocates_nothing() {
     let _serial = serialize();
-    // `workers: 0`, the auto-sized pool every default mount gets: an R-block
-    // commit is below the pool's one-tile-per-worker fan-out rule, so it
-    // derives and encrypts inline and never pays a thread spawn.
+    // `workers: 0`, the auto-sized crypto pool every default mount gets. A
+    // buffered write allocates nothing on any mount. The write that fills the
+    // span commits 256 blocks, and a 256-block derive and encrypt fan out
+    // across the pool by design: one scoped spawn per extra share, twice per
+    // commit. Those spawns are the loop's only allocations — at most
+    // `ALLOCS_PER_SPAWN` each, none at all on a one-core machine — and the
+    // three metadata blocks a sequential span seals per phase stay inline.
+    const ALLOCS_PER_SPAWN: u64 = 6;
     let store = Arc::new(DedupStore::new(BS, StorageProfile::instant()));
     let km = KeyManager::new();
     let zone = km.create_zone(1).expect("fresh key manager");
     let keys = km.fetch_zone_keys(zone).expect("zone just created");
     assert_eq!(SpanConfig::default().workers, 0);
-    assert_steady_rewrite_allocates_nothing(&LamassuFs::new(store, keys, LamassuConfig::default()));
+    let fs = LamassuFs::new(store, keys, LamassuConfig::default());
+    let span = 256;
+    let spawns = 2 * (CryptoPool::new(0).shares(span) as u64 - 1);
+
+    let fd = populate(&fs, "/rw.dat", span * BS);
+    let block: Vec<u8> = (0..BS).map(|i| (i % 241) as u8).collect();
+    let rewrite = |blocks: std::ops::Range<usize>| {
+        for b in blocks {
+            fs.write(fd, (b * BS) as u64, &block).expect("rewrite");
+        }
+    };
+    for _ in 0..2 {
+        rewrite(0..span);
+        fs.fsync(fd).expect("warm-up fsync");
+    }
+    for pass in 0..4 {
+        let buffered = allocs_during(|| rewrite(0..span - 1));
+        assert_eq!(
+            buffered, 0,
+            "pass {pass}: buffered writes must not allocate"
+        );
+        let commit = allocs_during(|| {
+            rewrite(span - 1..span);
+            fs.fsync(fd).expect("rewrite fsync");
+        });
+        assert!(
+            commit <= spawns * ALLOCS_PER_SPAWN,
+            "pass {pass}: the span commit allocated {commit} times for {spawns} spawns"
+        );
+    }
+    let commits = fs.profiler().commit_stats().commits;
+    assert_eq!(commits, 1 + 2 + 4, "one span commit per pass");
 }
 
 #[test]
