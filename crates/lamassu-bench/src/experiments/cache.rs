@@ -17,7 +17,7 @@
 //!   the churn in dirty blocks and flushes coalesced runs on `fsync`.
 
 use crate::report::{write_json, Table};
-use crate::setup::{mount, mount_cached, FsKind};
+use crate::setup::{backends, mount, mount_on, FsKind, Mount};
 use lamassu_cache::CacheConfig;
 use lamassu_storage::StorageProfile;
 use lamassu_workloads::{FioConfig, FioResult, FioTester, Workload};
@@ -68,6 +68,12 @@ fn row_from(
         backend_write_ops: result.counters.write_ops,
         speedup_vs_uncached: uncached_total_ms.map_or(1.0, |u| u / total_ms.max(1e-9)),
     }
+}
+
+/// A default-pipeline mount with a block cache between shim and backend.
+fn mount_cached(kind: FsKind, profile: StorageProfile, config: CacheConfig) -> Mount {
+    let span = lamassu_core::SpanConfig::default();
+    mount_on(kind, backends(profile, 1).cache(config), 8, span)
 }
 
 /// A cache sized to hold the whole benchmark file, with read-ahead on.
@@ -130,14 +136,14 @@ pub fn run(file_size: u64) -> Vec<CacheRow> {
             None,
         ));
         for write_back in [false, true] {
-            let m = mount_cached(kind, profile, 8, cache_config(file_size, write_back));
+            let m = mount_cached(kind, profile, cache_config(file_size, write_back));
             tester
                 .populate(m.fs.as_ref(), "/fio.dat")
                 .expect("populate");
             let _warmup = tester
                 .run(
                     m.fs.as_ref(),
-                    m.cache.as_ref(),
+                    m.store.as_ref(),
                     "/fio.dat",
                     Workload::SeqRead,
                 )
@@ -145,7 +151,7 @@ pub fn run(file_size: u64) -> Vec<CacheRow> {
             let warm = tester
                 .run(
                     m.fs.as_ref(),
-                    m.cache.as_ref(),
+                    m.store.as_ref(),
                     "/fio.dat",
                     Workload::SeqRead,
                 )
@@ -192,14 +198,14 @@ pub fn run(file_size: u64) -> Vec<CacheRow> {
         ));
         // Write-through does not allocate on writes, so the cache is still
         // cold after populate and the measured pass exercises read-ahead.
-        let m = mount_cached(kind, profile, 8, cache_config(file_size, false));
+        let m = mount_cached(kind, profile, cache_config(file_size, false));
         tester
             .populate(m.fs.as_ref(), "/fio.dat")
             .expect("populate");
         let cold = tester
             .run(
                 m.fs.as_ref(),
-                m.cache.as_ref(),
+                m.store.as_ref(),
                 "/fio.dat",
                 Workload::SeqRead,
             )
@@ -232,14 +238,14 @@ pub fn run(file_size: u64) -> Vec<CacheRow> {
         };
         let uncached_ms = uncached.total_time.as_secs_f64() * 1e3;
         rows.push(row_from(kind.label(), "rmw", "uncached", uncached, None));
-        let m = mount_cached(kind, profile, 8, cache_config(file_size, true));
+        let m = mount_cached(kind, profile, cache_config(file_size, true));
         rmw_tester
             .populate(m.fs.as_ref(), "/fio.dat")
             .expect("populate");
         let cached = rmw_tester
             .run(
                 m.fs.as_ref(),
-                m.cache.as_ref(),
+                m.store.as_ref(),
                 "/fio.dat",
                 Workload::RandWrite,
             )

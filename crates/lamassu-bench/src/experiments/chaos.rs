@@ -5,9 +5,9 @@
 //! driven at the object-store level so per-op latency is pure modelled
 //! transport time plus the resilience layer's virtual backoff:
 //!
-//! 1. **control** — a fault-free NFS-profile backend under
-//!    [`ResilientStore`]: the latency baseline (and proof the wrapper adds
-//!    nothing when nothing fails).
+//! 1. **control** — a fault-free NFS-profile backend under a
+//!    [`lamassu_resilience::ResilientStore`]: the latency baseline (and
+//!    proof the wrapper adds nothing when nothing fails).
 //! 2. **transient faults** — the same backend behind a [`FaultyStore`]
 //!    refusing 5 % of ops. Retries with virtual-time backoff must absorb
 //!    every fault (zero client-visible errors) and quantile-triggered
@@ -15,17 +15,17 @@
 //!    the fault-free p99.
 //! 3. **routed burst** — a 4-backend, R = 2 routed cluster, every member
 //!    at 5 % transient faults, plus a hard crash of one member that heals
-//!    only after refusing a burst of ops. The [`BreakerSet`] gate must
-//!    open on the crashed member (degraded reads/writes keep the client
-//!    at zero errors), re-admit it through a half-open probe once it
-//!    heals, and the reclose's targeted scrub plus one full scrub must
-//!    leave a second full scrub with nothing to repair (convergence).
+//!    only after refusing a burst of ops. The
+//!    [`lamassu_resilience::BreakerSet`] gate must open on the crashed
+//!    member (degraded reads/writes keep the client at zero errors),
+//!    re-admit it through a half-open probe once it heals, and the
+//!    reclose's targeted scrub plus one full scrub must leave a second
+//!    full scrub with nothing to repair (convergence).
 
 use crate::report::{write_json, Table};
-use lamassu_dist::{DistConfig, Granularity, RoutedStore};
-use lamassu_resilience::{
-    BreakerConfig, BreakerSet, HedgeConfig, OpBudget, ResilientStore, RetryPolicy,
-};
+use lamassu::stack::{Resilience, StackBuilder};
+use lamassu_dist::{DistConfig, Granularity};
+use lamassu_resilience::{BreakerConfig, HedgeConfig};
 use lamassu_storage::{DedupStore, FaultyStore, ObjectStore, StorageProfile};
 use lamassu_telemetry::Histogram;
 use serde::Serialize;
@@ -133,20 +133,29 @@ fn hedge() -> HedgeConfig {
     }
 }
 
-fn single_backend(file_size: u64, fault_rate: f64, label: &str) -> ChaosRow {
-    let faulty = Arc::new(FaultyStore::new(Arc::new(DedupStore::new(
+/// A fresh NFS-profile backend behind a fault injector.
+fn faulty_backend() -> Arc<FaultyStore> {
+    Arc::new(FaultyStore::new(Arc::new(DedupStore::new(
         4096,
         StorageProfile::nfs_1gbe(),
-    ))));
-    let store = ResilientStore::new(faulty.clone(), RetryPolicy::default(), OpBudget::default())
-        .with_hedging(hedge());
-    populate(&store, "chaos.dat", file_size);
+    ))))
+}
+
+fn single_backend(file_size: u64, fault_rate: f64, label: &str) -> ChaosRow {
+    let stack = StackBuilder::new(vec![faulty_backend()])
+        .resilience(Resilience {
+            hedge: Some(hedge()),
+            ..Resilience::default()
+        })
+        .build();
+    let store = stack.store.as_ref();
+    populate(store, "chaos.dat", file_size);
     if fault_rate > 0.0 {
-        faulty.transient_fault_rate(0xc0ffee, fault_rate);
+        stack.members[0].transient_fault_rate(0xc0ffee, fault_rate);
     }
     let hist = Histogram::new();
-    let errors = drive(&store, "chaos.dat", file_size, 0xda7a, &hist);
-    let s = store.stats();
+    let errors = drive(store, "chaos.dat", file_size, 0xda7a, &hist);
+    let s = stack.resilient.as_ref().expect("retry tier").stats();
     ChaosRow {
         scenario: label.to_string(),
         ops: OPS as u64,
@@ -165,27 +174,21 @@ fn single_backend(file_size: u64, fault_rate: f64, label: &str) -> ChaosRow {
 }
 
 fn routed_burst(file_size: u64) -> ChaosRow {
-    let members: Vec<Arc<FaultyStore>> = (0..4)
-        .map(|_| {
-            Arc::new(FaultyStore::new(Arc::new(DedupStore::new(
-                4096,
-                StorageProfile::nfs_1gbe(),
-            ))))
+    // Retries and breakers only: the router already fans reads over
+    // replicas, so hedging is the single-backend scenarios' job.
+    let stack = StackBuilder::new((0..4).map(|_| faulty_backend()).collect())
+        .dist(DistConfig::new(2).granularity(Granularity::BlockRange(UNIT_BYTES)))
+        .resilience(Resilience {
+            breakers: Some(BreakerConfig {
+                cooldown: 4,
+                ..BreakerConfig::default()
+            }),
+            ..Resilience::default()
         })
-        .collect();
-    let router = Arc::new(RoutedStore::new(
-        members.clone(),
-        DistConfig::new(2).granularity(Granularity::BlockRange(UNIT_BYTES)),
-    ));
-    let breakers = Arc::new(BreakerSet::new(BreakerConfig {
-        cooldown: 4,
-        ..BreakerConfig::default()
-    }));
-    router.set_health_gate(breakers.clone());
-    // Retries only: the router already fans reads over replicas, so
-    // hedging is the single-backend scenarios' job.
-    let store = ResilientStore::new(router.clone(), RetryPolicy::default(), OpBudget::default());
-    populate(&store, "chaos.dat", file_size);
+        .build();
+    let (store, members) = (stack.store.as_ref(), &stack.members);
+    let router = stack.router.as_ref().expect("routed tier");
+    populate(store, "chaos.dat", file_size);
 
     // 5% transient refusals everywhere, plus a burst outage on member 0:
     // it hard-crashes now and heals only after refusing 16 ops — long
@@ -201,13 +204,10 @@ fn routed_burst(file_size: u64) -> ChaosRow {
     let mut errors = 0;
     let mut probe_scrubbed = 0u64;
     for round in 0..3 {
-        errors += drive(&store, "chaos.dat", file_size, 0xf00d ^ round, &hist);
+        errors += drive(store, "chaos.dat", file_size, 0xf00d ^ round, &hist);
         // A reclosed breaker queues its member for a targeted resync; the
-        // maintenance loop drains it between workload rounds.
-        for id in router.take_probe_scrub_requests() {
-            router.scrub_member(id);
-            probe_scrubbed += 1;
-        }
+        // maintenance pass runs it between workload rounds.
+        probe_scrubbed += stack.maintain().len() as u64;
     }
 
     // Convergence: one full scrub mops up the remaining suspects (missed
@@ -215,8 +215,8 @@ fn routed_burst(file_size: u64) -> ChaosRow {
     // every replica set identical.
     let repair_pass = router.scrub();
     let verify_pass = router.scrub();
-    let s = store.stats();
-    let b = breakers.stats();
+    let s = stack.resilient.as_ref().expect("retry tier").stats();
+    let b = stack.breakers.as_ref().expect("breaker set").stats();
     ChaosRow {
         scenario: "routed 4x R=2, 5% transient + burst outage".to_string(),
         ops: 3 * OPS as u64,

@@ -100,7 +100,7 @@ fn measure(r: usize, alpha: f64, file_size: u64) -> f64 {
     write_file(m.fs.as_ref(), "/dataset.bin", &data);
     let geometry = Geometry::new(4096, r).expect("valid geometry");
     let metadata_blocks = geometry.segments_for_len(data.len() as u64);
-    let unique_total = m.store.run_dedup().unique_blocks;
+    let unique_total = m.members[0].run_dedup().unique_blocks;
     let unique_data = unique_total.saturating_sub(metadata_blocks);
     unique_data as f64 / (unique_data + metadata_blocks) as f64 * 100.0
 }

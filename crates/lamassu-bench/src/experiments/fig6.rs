@@ -47,7 +47,7 @@ pub fn run(file_size: u64) -> Vec<Fig6Row> {
         {
             let m = mount(*kind, StorageProfile::instant(), 8);
             write_file(m.fs.as_ref(), "/dataset.bin", &data);
-            after[j] = m.store.usage().used_after_dedup as f64;
+            after[j] = m.members[0].usage().used_after_dedup as f64;
         }
         rows.push(Fig6Row {
             alpha: *alpha,

@@ -19,9 +19,9 @@
 //! [`IoMode::Async`]: lamassu_core::IoMode::Async
 
 use crate::report::{write_json, Table};
-use crate::setup::{mount_with_span, FsKind, Mount};
+use crate::setup::{backends, mount_on, FsKind, Mount};
 use lamassu_core::{OpenFlags, SpanConfig};
-use lamassu_storage::{ObjectStore, StorageProfile};
+use lamassu_storage::StorageProfile;
 use lamassu_workloads::{FioConfig, FioTester};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -86,7 +86,7 @@ pub fn run(file_size: u64) -> Vec<QdepthRow> {
     for kind in [FsKind::Lamassu, FsKind::Plain] {
         for qd in DEPTHS {
             let profile = StorageProfile::nfs_1gbe().with_queue_depth(qd);
-            let m = mount_with_span(kind, profile, 8, SpanConfig::default());
+            let m = mount_on(kind, backends(profile, 1), 8, SpanConfig::default());
             tester.populate(m.fs.as_ref(), "/qd.dat").expect("populate");
             for (workload, offsets) in [("seq-read", &chunks), ("rand-read", &shuffled)] {
                 let (read_ops, io_ms) = measured_read(&m, "/qd.dat", offsets);

@@ -17,9 +17,10 @@
 //! the ring spreads load.
 
 use crate::report::{write_json, Table};
-use crate::setup::{mount_routed, FsKind};
+use crate::setup::{backends, mount_on, FsKind};
+use lamassu_core::SpanConfig;
 use lamassu_dist::{DistConfig, Granularity};
-use lamassu_storage::{ObjectStore, StorageProfile};
+use lamassu_storage::StorageProfile;
 use lamassu_workloads::{FioConfig, FioTester, Workload};
 use serde::Serialize;
 
@@ -68,23 +69,20 @@ pub fn run(file_size: u64) -> Vec<ScaleoutRow> {
         for workload in [Workload::SeqRead, Workload::SeqWrite] {
             for &replicas in &REPLICAS {
                 let mut base_bw = None;
-                for &backends in &BACKEND_COUNTS {
+                for &members in &BACKEND_COUNTS {
                     let config =
                         DistConfig::new(replicas).granularity(Granularity::BlockRange(UNIT_BYTES));
-                    let m = mount_routed(kind, profile, 8, backends, config);
+                    let tiers = backends(profile, members).dist(config);
+                    let m = mount_on(kind, tiers, 8, SpanConfig::default());
+                    let router = m.router.as_ref().expect("routed mount");
                     tester
                         .populate(m.fs.as_ref(), "/scale.dat")
                         .expect("populate");
-                    m.router.reset_io_accounting();
+                    m.store.reset_io_accounting();
                     let result = tester
-                        .run(
-                            m.fs.as_ref(),
-                            m.router.as_ref() as &dyn lamassu_storage::ObjectStore,
-                            "/scale.dat",
-                            workload,
-                        )
+                        .run(m.fs.as_ref(), m.store.as_ref(), "/scale.dat", workload)
                         .expect("scaleout run");
-                    let per_member = m.router.member_io_counters();
+                    let per_member = router.member_io_counters();
                     let ops = |c: &lamassu_storage::IoCounters| c.read_ops + c.write_ops;
                     let total_ops: u64 = per_member.iter().map(|(_, c)| ops(c)).sum();
                     let max_ops = per_member.iter().map(|(_, c)| ops(c)).max().unwrap_or(0);
@@ -93,7 +91,7 @@ pub fn run(file_size: u64) -> Vec<ScaleoutRow> {
                     rows.push(ScaleoutRow {
                         fs: kind.label().to_string(),
                         workload: workload.label().to_string(),
-                        backends,
+                        backends: members,
                         replicas,
                         bandwidth_mib_s: bw,
                         io_ms: result.io_time.as_secs_f64() * 1e3,

@@ -15,9 +15,9 @@
 //! instead of one read per block.
 
 use crate::report::{write_json, Table};
-use crate::setup::{mount_with_span, FsKind, Mount};
+use crate::setup::{backends, mount_on, FsKind, Mount};
 use lamassu_core::{OpenFlags, SpanConfig};
-use lamassu_storage::{ObjectStore, StorageProfile};
+use lamassu_storage::StorageProfile;
 use lamassu_workloads::{FioConfig, FioTester};
 use serde::Serialize;
 
@@ -96,7 +96,7 @@ pub fn run(file_size: u64) -> Vec<SpanIoRow> {
     let mut rows = Vec::new();
     for kind in [FsKind::Lamassu, FsKind::Enc] {
         for pipeline in ["per-block", "span"] {
-            let m = mount_with_span(kind, profile, 8, span_config(pipeline));
+            let m = mount_on(kind, backends(profile, 1), 8, span_config(pipeline));
             tester
                 .populate(m.fs.as_ref(), "/span.dat")
                 .expect("populate");

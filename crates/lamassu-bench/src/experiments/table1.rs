@@ -47,7 +47,7 @@ pub fn run(scale: u64) -> Vec<Table1Row> {
         {
             let m = mount(*kind, StorageProfile::instant(), 8);
             write_file(m.fs.as_ref(), "/image.vdi", &data);
-            let usage = m.store.usage();
+            let usage = m.members[0].usage();
             dedup_pct[j] = usage.deduplicated_pct;
             after[j] = usage.used_after_dedup as f64;
         }

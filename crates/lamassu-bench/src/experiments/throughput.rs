@@ -19,7 +19,7 @@
 //! which is exactly the improvement the `span_io` experiment measures.)
 
 use crate::report::{write_json, Table};
-use crate::setup::{mount_with_span, FsKind};
+use crate::setup::{backends, mount_on, FsKind};
 use lamassu_core::SpanConfig;
 use lamassu_storage::StorageProfile;
 use lamassu_workloads::{FioConfig, FioTester, Workload};
@@ -53,7 +53,7 @@ pub fn run(figure: &str, profile: StorageProfile, file_size: u64) -> Vec<Through
     let mut cells = Vec::new();
 
     for kind in FsKind::ALL {
-        let m = mount_with_span(kind, profile, 8, SpanConfig::per_block());
+        let m = mount_on(kind, backends(profile, 1), 8, SpanConfig::per_block());
         tester
             .populate(m.fs.as_ref(), "/fio.dat")
             .expect("populate benchmark file");

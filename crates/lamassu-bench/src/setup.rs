@@ -1,10 +1,10 @@
 //! Shared mount construction for the experiments.
 
-use lamassu_cache::{CacheConfig, CachedStore};
+use lamassu::stack::{Stack, StackBuilder};
 use lamassu_core::{
-    EncFs, EncFsConfig, FileSystem, IntegrityMode, LamassuConfig, LamassuFs, PlainFs, SpanConfig,
+    EncFs, EncFsConfig, FileSystem, IntegrityMode, LamassuConfig, LamassuFs, PlainFs, Profiler,
+    SpanConfig,
 };
-use lamassu_dist::{DistConfig, RoutedStore};
 use lamassu_keymgr::{KeyManager, ZoneKeys};
 use lamassu_storage::{DedupStore, ObjectStore, StorageProfile};
 use std::sync::Arc;
@@ -42,17 +42,11 @@ impl FsKind {
     }
 }
 
-/// A mounted shim plus the backing store it sits on.
-pub struct Mount {
-    /// The mounted file system.
-    pub fs: Box<dyn FileSystem>,
-    /// The deduplicating backing store underneath it.
-    pub store: Arc<DedupStore>,
-    /// Which variant this is.
-    pub kind: FsKind,
-    /// The shim's latency profiler (drives the Figure 9 breakdown).
-    pub profiler: std::sync::Arc<lamassu_core::Profiler>,
-}
+/// A mounted shim with a handle on every tier under it: `store` is what
+/// [`lamassu_workloads::FioTester::run`] reads accounting from (the topmost
+/// tier), `members` the deduplicating backends, `profiler` the one the shim
+/// and every tier charge (Figure 9).
+pub type Mount = Stack<Box<dyn FileSystem>, DedupStore>;
 
 /// Fetches (or creates) the benchmark isolation zone's keys from a fresh key
 /// manager, mirroring the paper's KMIP fetch at start time.
@@ -62,218 +56,62 @@ pub fn bench_zone_keys() -> ZoneKeys {
     km.fetch_zone_keys(zone).expect("zone just created")
 }
 
-/// Builds a shim of the requested kind over an arbitrary (possibly cached)
-/// object store.
+/// Builds a shim of the requested kind over the stack's top store.
 fn shim_over(
     kind: FsKind,
     store: Arc<dyn ObjectStore>,
     reserved_slots: usize,
     span: SpanConfig,
-) -> (Box<dyn FileSystem>, std::sync::Arc<lamassu_core::Profiler>) {
+    profiler: Arc<Profiler>,
+) -> Box<dyn FileSystem> {
     let keys = bench_zone_keys();
-    let lamassu_config = |integrity| LamassuConfig {
-        geometry: lamassu_format::Geometry::new(4096, reserved_slots)
-            .expect("valid benchmark geometry"),
-        integrity,
-        span,
+    let lamassu = |integrity, store, profiler| -> Box<dyn FileSystem> {
+        let config = LamassuConfig {
+            geometry: lamassu_format::Geometry::new(4096, reserved_slots)
+                .expect("valid benchmark geometry"),
+            integrity,
+            span,
+        };
+        Box::new(LamassuFs::with_profiler(store, keys, config, profiler))
     };
     match kind {
-        FsKind::Plain => {
-            let fs = PlainFs::new(store);
-            let p = fs.profiler();
-            (Box::new(fs), p)
-        }
+        FsKind::Plain => Box::new(PlainFs::with_profiler(store, span.io, profiler)),
         FsKind::Enc => {
-            let fs = EncFs::new(
-                store,
-                keys.outer,
-                EncFsConfig {
-                    span,
-                    ..EncFsConfig::default()
-                },
-            );
-            let p = fs.profiler();
-            (Box::new(fs), p)
+            let config = EncFsConfig {
+                span,
+                ..EncFsConfig::default()
+            };
+            Box::new(EncFs::with_profiler(store, keys.outer, config, profiler))
         }
-        FsKind::Lamassu => {
-            let fs = LamassuFs::new(store, keys, lamassu_config(IntegrityMode::Full));
-            let p = fs.profiler();
-            (Box::new(fs), p)
-        }
-        FsKind::LamassuMetaOnly => {
-            let fs = LamassuFs::new(store, keys, lamassu_config(IntegrityMode::MetaOnly));
-            let p = fs.profiler();
-            (Box::new(fs), p)
-        }
+        FsKind::Lamassu => lamassu(IntegrityMode::Full, store, profiler),
+        FsKind::LamassuMetaOnly => lamassu(IntegrityMode::MetaOnly, store, profiler),
     }
 }
 
-/// Builds a fresh mount of the requested kind over its own backing store.
-pub fn mount(kind: FsKind, profile: StorageProfile, reserved_slots: usize) -> Mount {
-    mount_with_span(kind, profile, reserved_slots, SpanConfig::default())
+/// `n` fresh [`DedupStore`]s, each with its own transport profile instance
+/// (independent servers), ready to have tiers stacked on them.
+pub fn backends(profile: StorageProfile, n: usize) -> StackBuilder<DedupStore> {
+    StackBuilder::new(
+        (0..n)
+            .map(|_| Arc::new(DedupStore::new(4096, profile)))
+            .collect(),
+    )
 }
 
-/// Builds a fresh mount with an explicit span-pipeline configuration (the
-/// `span_io` experiment compares [`SpanConfig::batched`] against
-/// [`SpanConfig::per_block`] mounts).
-pub fn mount_with_span(
+/// Mounts a shim of the requested kind, with an explicit span-pipeline
+/// configuration, on whatever tiers the builder describes.
+pub fn mount_on(
     kind: FsKind,
-    profile: StorageProfile,
+    tiers: StackBuilder<DedupStore>,
     reserved_slots: usize,
     span: SpanConfig,
 ) -> Mount {
-    let store = Arc::new(DedupStore::new(4096, profile));
-    let (fs, profiler) = shim_over(kind, store.clone(), reserved_slots, span);
-    Mount {
-        fs,
-        store,
-        kind,
-        profiler,
-    }
+    tiers.mount(|store, profiler| shim_over(kind, store, reserved_slots, span, profiler))
 }
 
-/// A mount with a [`CachedStore`] slotted between the shim and the backend.
-pub struct CachedMount {
-    /// The mounted file system (shim over cache over backend).
-    pub fs: Box<dyn FileSystem>,
-    /// The cache tier. Pass this as the `store` argument of
-    /// [`lamassu_workloads::FioTester::run`] so accounting (backend time
-    /// plus cache counters) comes from one place.
-    pub cache: Arc<CachedStore<DedupStore>>,
-    /// The deduplicating backend underneath the cache.
-    pub backend: Arc<DedupStore>,
-    /// Which shim variant this is.
-    pub kind: FsKind,
-    /// The shim's latency profiler (also attached to the cache, so cache
-    /// management time lands in the `Cache` category of Figure 9).
-    pub profiler: std::sync::Arc<lamassu_core::Profiler>,
-}
-
-/// Builds a fresh cached mount: shim over [`CachedStore`] over a
-/// [`DedupStore`] with the given transport profile.
-pub fn mount_cached(
-    kind: FsKind,
-    profile: StorageProfile,
-    reserved_slots: usize,
-    cache_config: CacheConfig,
-) -> CachedMount {
-    let backend = Arc::new(DedupStore::new(4096, profile));
-    let cache = Arc::new(CachedStore::new(backend.clone(), cache_config));
-    let (fs, profiler) = shim_over(kind, cache.clone(), reserved_slots, SpanConfig::default());
-    cache.set_profiler(profiler.clone());
-    CachedMount {
-        fs,
-        cache,
-        backend,
-        kind,
-        profiler,
-    }
-}
-
-/// A mount with a [`RoutedStore`] distributing blocks over several
-/// [`DedupStore`] backends below the shim.
-pub struct RoutedMount {
-    /// The mounted file system (shim over router over the members).
-    pub fs: Box<dyn FileSystem>,
-    /// The distribution tier. Pass this as the `store` argument of
-    /// [`lamassu_workloads::FioTester::run`]: its `io_time` is the busiest
-    /// member's makespan and its counters are the cluster totals.
-    pub router: Arc<RoutedStore<DedupStore>>,
-    /// The member backends, in stable-id order at mount time.
-    pub members: Vec<Arc<DedupStore>>,
-    /// Which shim variant this is.
-    pub kind: FsKind,
-    /// The shim's latency profiler (also attached to the router, so routing
-    /// time lands in the `Route` category of Figure 9).
-    pub profiler: std::sync::Arc<lamassu_core::Profiler>,
-}
-
-/// Builds a fresh routed mount: shim over a [`RoutedStore`] spreading
-/// placement units across `backends` fresh [`DedupStore`]s, each with its
-/// own transport profile instance (independent servers).
-pub fn mount_routed(
-    kind: FsKind,
-    profile: StorageProfile,
-    reserved_slots: usize,
-    backends: usize,
-    config: DistConfig,
-) -> RoutedMount {
-    let members: Vec<Arc<DedupStore>> = (0..backends)
-        .map(|_| Arc::new(DedupStore::new(4096, profile)))
-        .collect();
-    let router = Arc::new(RoutedStore::new(members.clone(), config));
-    let (fs, profiler) = shim_over(
-        kind,
-        router.clone() as Arc<dyn ObjectStore>,
-        reserved_slots,
-        SpanConfig::default(),
-    );
-    router.set_profiler(profiler.clone());
-    RoutedMount {
-        fs,
-        router,
-        members,
-        kind,
-        profiler,
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn all_mounts_construct_and_label() {
-        for kind in FsKind::ALL {
-            let m = mount(kind, StorageProfile::instant(), 8);
-            assert_eq!(m.kind, kind);
-            assert!(!kind.label().is_empty());
-            let fd = m.fs.create("/t").unwrap();
-            m.fs.write(fd, 0, b"ok").unwrap();
-            assert_eq!(m.fs.read(fd, 0, 2).unwrap(), b"ok");
-        }
-    }
-
-    #[test]
-    fn routed_mounts_round_trip_and_stripe() {
-        use lamassu_dist::Granularity;
-        for kind in FsKind::ALL {
-            let m = mount_routed(
-                kind,
-                StorageProfile::instant(),
-                8,
-                3,
-                DistConfig::new(2).granularity(Granularity::BlockRange(8192)),
-            );
-            assert_eq!(m.members.len(), 3);
-            let fd = m.fs.create("/t").unwrap();
-            let data = vec![5u8; 64 * 1024];
-            m.fs.write(fd, 0, &data).unwrap();
-            m.fs.fsync(fd).unwrap();
-            assert_eq!(m.fs.read(fd, 0, data.len()).unwrap(), data);
-            let agg = m.router.io_counters();
-            assert!(agg.write_ops > 0, "{kind:?} never hit the members");
-        }
-    }
-
-    #[test]
-    fn all_cached_mounts_round_trip_and_count_cache_traffic() {
-        for kind in FsKind::ALL {
-            for config in [CacheConfig::write_through(64), CacheConfig::write_back(64)] {
-                let m = mount_cached(kind, StorageProfile::instant(), 8, config);
-                let fd = m.fs.create("/t").unwrap();
-                m.fs.write(fd, 0, &[7u8; 8192]).unwrap();
-                m.fs.fsync(fd).unwrap();
-                assert_eq!(m.fs.read(fd, 0, 8192).unwrap(), vec![7u8; 8192]);
-                assert_eq!(m.fs.read(fd, 0, 8192).unwrap(), vec![7u8; 8192]);
-                let counters = m.cache.io_counters();
-                assert!(
-                    counters.cache_hits > 0,
-                    "{:?} over {:?} never hit",
-                    kind,
-                    config.mode
-                );
-            }
-        }
-    }
+/// Builds a fresh default-pipeline mount of the requested kind directly over
+/// its own backing store.
+pub fn mount(kind: FsKind, profile: StorageProfile, reserved_slots: usize) -> Mount {
+    let span = SpanConfig::default();
+    mount_on(kind, backends(profile, 1), reserved_slots, span)
 }

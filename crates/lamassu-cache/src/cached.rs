@@ -20,7 +20,7 @@ use crate::stats::{AtomicStats, CacheStats};
 use lamassu_core::pool::{BlockBuf, BlockPool, PoolStats};
 use lamassu_core::{Category, Profiler};
 use lamassu_storage::{iovec, Completion, IoCounters, ObjectStore, Result, SubmitQueue};
-use parking_lot::{Mutex, MutexGuard, RwLock};
+use parking_lot::{Mutex, MutexGuard};
 use std::cell::RefCell;
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
@@ -72,7 +72,7 @@ struct Shard {
     hand: usize,
     cap: usize,
     /// Bumped by every mutation that can invalidate an in-flight, unlocked
-    /// backend fetch (write-through writes, truncation, invalidation). A
+    /// backend fetch (writes in either mode, truncation, invalidation). A
     /// fetcher snapshots the tick before releasing the lock and only
     /// installs its block if the tick is unchanged, so a racing mutation can
     /// never be shadowed by stale fetched bytes.
@@ -150,7 +150,8 @@ pub struct CachedStore<S: ObjectStore + ?Sized = dyn ObjectStore> {
     block_shards: Vec<Mutex<Shard>>,
     meta_shards: Vec<Mutex<HashMap<Arc<str>, ObjMeta>>>,
     stats: AtomicStats,
-    profiler: RwLock<Option<Arc<Profiler>>>,
+    /// The mount's Figure 9 profiler, fixed at construction.
+    profiler: Option<Arc<Profiler>>,
     /// Recycled slot storage: eviction hands a line's buffer straight back
     /// to the next fill instead of the allocator (see `lamassu-core::pool`).
     pool: BlockPool,
@@ -182,7 +183,7 @@ impl<S: ObjectStore + ?Sized> CachedStore<S> {
                 .collect(),
             meta_shards: (0..shards).map(|_| Mutex::new(HashMap::new())).collect(),
             stats: AtomicStats::default(),
-            profiler: RwLock::new(None),
+            profiler: None,
             pool,
             inner,
         }
@@ -210,14 +211,15 @@ impl<S: ObjectStore + ?Sized> CachedStore<S> {
         self.pool.stats()
     }
 
-    /// Attaches a Figure 9 [`Profiler`]: time spent in cache management on
-    /// the read/write path (lookups, copies, eviction bookkeeping — backend
-    /// call time excluded) is charged to [`Category::Cache`], and the
-    /// cache's block pool is attached for
+    /// Builds the cache with the mount's Figure 9 [`Profiler`]: time spent
+    /// in cache management on the read/write path (lookups, copies, eviction
+    /// bookkeeping — backend call time excluded) is charged to
+    /// [`Category::Cache`], and the cache's block pool is attached for
     /// [`Profiler::pool_stats`] reporting.
-    pub fn set_profiler(&self, profiler: Arc<Profiler>) {
+    pub fn with_profiler(mut self, profiler: Arc<Profiler>) -> Self {
         profiler.attach_pool(&self.pool);
-        *self.profiler.write() = Some(profiler);
+        self.profiler = Some(profiler);
+        self
     }
 
     /// Number of blocks currently cached (any state).
@@ -279,18 +281,12 @@ impl<S: ObjectStore + ?Sized> CachedStore<S> {
     }
 
     fn op_start(&self) -> Option<Instant> {
-        if self.profiler.read().is_some() {
-            Some(Instant::now())
-        } else {
-            None
-        }
+        self.profiler.as_ref().map(|_| Instant::now())
     }
 
     fn charge_cache(&self, start: Option<Instant>, backend_time: Duration) {
-        if let Some(t0) = start {
-            if let Some(p) = self.profiler.read().as_ref() {
-                p.add(Category::Cache, t0.elapsed().saturating_sub(backend_time));
-            }
+        if let (Some(t0), Some(p)) = (start, &self.profiler) {
+            p.add(Category::Cache, t0.elapsed().saturating_sub(backend_time));
         }
     }
 
@@ -481,8 +477,11 @@ impl<S: ObjectStore + ?Sized> CachedStore<S> {
     /// Installs fetched bytes as a clean block — but only if nothing raced
     /// the unlocked fetch: the block must still be absent (a concurrent
     /// writer may have installed a dirty one — never clobber it) and the
-    /// shard tick unchanged since `tick_before` (a write-through write,
-    /// truncate or invalidation in the window means the bytes may be stale).
+    /// shard tick unchanged since `tick_before` (a write, truncate or
+    /// invalidation in the window means the bytes may be stale — a
+    /// write-back write too: its block can be written back or flushed clean
+    /// and evicted again before the fetch returns, so "absent" proves
+    /// nothing).
     fn insert_clean_block(
         &self,
         name: &Arc<str>,
@@ -573,6 +572,10 @@ impl<S: ObjectStore + ?Sized> CachedStore<S> {
     ) -> Result<()> {
         let si = self.block_shard_idx(name, block);
         let mut sh = self.block_shards[si].lock();
+        // Veto in-flight fetches of this shard: one that read the backend
+        // before this write must not install its bytes after the block has
+        // been written back (or flushed clean) and evicted again.
+        sh.tick += 1;
         let idx = match sh.lookup(name, block) {
             Some(idx) => {
                 AtomicStats::bump(&self.stats.write_hits);
@@ -1153,9 +1156,10 @@ mod tests {
 
     #[test]
     fn profiler_receives_cache_category_time() {
-        let (_inner, c) = cache(CacheMode::WriteThrough, 16);
         let profiler = Profiler::new();
-        c.set_profiler(profiler.clone());
+        let c = cache(CacheMode::WriteThrough, 16)
+            .1
+            .with_profiler(profiler.clone());
         c.create("f").unwrap();
         c.write_at("f", 0, &[1u8; 4096]).unwrap();
         c.read_at("f", 0, 4096).unwrap();
@@ -1237,6 +1241,118 @@ mod tests {
         got.extend_from_slice(&b);
         assert_eq!(got, data);
         assert_eq!(inner.io_counters().read_ops, 3);
+    }
+
+    /// Forwards to a [`DedupStore`] and runs a one-shot hook right after its
+    /// first backend read returns — inside the window where a fetching cache
+    /// holds pre-hook bytes and no lock.
+    struct HookStore {
+        inner: DedupStore,
+        after_first_read: Mutex<Option<Box<dyn FnOnce() + Send>>>,
+    }
+
+    impl ObjectStore for HookStore {
+        fn create(&self, name: &str) -> Result<()> {
+            self.inner.create(name)
+        }
+        fn exists(&self, name: &str) -> bool {
+            self.inner.exists(name)
+        }
+        fn read_into_vectored(
+            &self,
+            name: &str,
+            offset: u64,
+            bufs: &mut [IoSliceMut<'_>],
+        ) -> Result<usize> {
+            let n = self.inner.read_into_vectored(name, offset, bufs)?;
+            let hook = self.after_first_read.lock().take();
+            if let Some(hook) = hook {
+                hook();
+            }
+            Ok(n)
+        }
+        fn write_at_vectored(&self, name: &str, offset: u64, bufs: &[IoSlice<'_>]) -> Result<()> {
+            self.inner.write_at_vectored(name, offset, bufs)
+        }
+        fn len(&self, name: &str) -> Result<u64> {
+            self.inner.len(name)
+        }
+        fn truncate(&self, name: &str, len: u64) -> Result<()> {
+            self.inner.truncate(name, len)
+        }
+        fn remove(&self, name: &str) -> Result<()> {
+            self.inner.remove(name)
+        }
+        fn rename(&self, from: &str, to: &str) -> Result<()> {
+            self.inner.rename(from, to)
+        }
+        fn list(&self) -> Vec<String> {
+            self.inner.list()
+        }
+        fn flush(&self, name: &str) -> Result<()> {
+            self.inner.flush(name)
+        }
+        fn io_time(&self) -> Duration {
+            self.inner.io_time()
+        }
+        fn io_counters(&self) -> IoCounters {
+            self.inner.io_counters()
+        }
+        fn reset_io_accounting(&self) {
+            self.inner.reset_io_accounting()
+        }
+    }
+
+    /// A miss fetch of block 0 races a write-back overwrite of block 0 that
+    /// is evicted again (by a write to block 1) before the fetch installs.
+    /// With `flush_between` the overwritten block is cleaned first, so it
+    /// leaves the cache without a write-back.
+    fn fetch_racing_a_write_back_write(flush_between: bool) {
+        let store = Arc::new(HookStore {
+            inner: DedupStore::new(4096, StorageProfile::instant()),
+            after_first_read: Mutex::new(None),
+        });
+        let config = CacheConfig {
+            capacity_blocks: 1,
+            shards: 1,
+            read_ahead_blocks: 0,
+            ..CacheConfig::write_back(1)
+        };
+        let c = Arc::new(CachedStore::new(store.clone(), config));
+        c.create("f").unwrap();
+        c.write_at("f", 0, &[1u8; 4096]).unwrap();
+        c.write_at("f", 4096, &[2u8; 4096]).unwrap();
+        c.flush("f").unwrap();
+
+        let racer = c.clone();
+        *store.after_first_read.lock() = Some(Box::new(move || {
+            racer.write_at("f", 0, &[9u8; 4096]).unwrap();
+            if flush_between {
+                racer.flush("f").unwrap();
+            }
+            racer.write_at("f", 4096, &[3u8; 4096]).unwrap();
+        }));
+        // The racing read began before the overwrite, so either version is a
+        // correct answer for it ...
+        let raced = c.read_at("f", 0, 4096).unwrap();
+        assert!(raced == [1u8; 4096] || raced == [9u8; 4096]);
+        assert!(store.after_first_read.lock().is_none(), "hook never ran");
+        // ... but the overwrite was acknowledged before this one started.
+        assert!(
+            c.read_at("f", 0, 4096).unwrap() == [9u8; 4096],
+            "a stale fetch was installed over an acknowledged write"
+        );
+        assert!(c.read_at("f", 4096, 4096).unwrap() == [3u8; 4096]);
+    }
+
+    #[test]
+    fn stale_fetch_is_vetoed_after_a_dirty_eviction() {
+        fetch_racing_a_write_back_write(false);
+    }
+
+    #[test]
+    fn stale_fetch_is_vetoed_after_a_clean_eviction() {
+        fetch_racing_a_write_back_write(true);
     }
 
     #[test]

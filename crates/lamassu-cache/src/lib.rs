@@ -76,8 +76,8 @@
 //! unchanged: a hit simply charges nothing. Hit/miss/eviction/write-back
 //! totals are surfaced both through [`CacheStats`] and the `cache_*` fields
 //! of [`lamassu_storage::IoCounters`], and a mount's Figure 9
-//! [`Profiler`](lamassu_core::Profiler) can be attached with
-//! [`CachedStore::set_profiler`] to charge cache-management time to the
+//! [`Profiler`](lamassu_core::Profiler) is handed over at construction
+//! ([`CachedStore::with_profiler`]) to charge cache-management time to the
 //! `Cache` latency category.
 
 #![forbid(unsafe_code)]

@@ -15,16 +15,15 @@
 //! lamassu rekey   --keys keys.json --zone 7 --volume /mnt/filer/vol
 //! ```
 
-use lamassu_cache::{CacheConfig, CacheMode, CachedStore};
+use lamassu::stack::{Resilience, Stack, StackBuilder};
+use lamassu_cache::{CacheConfig, CacheMode};
 use lamassu_core::{CryptoBackend, FileSystem, LamassuConfig, LamassuFs, OpenFlags};
-use lamassu_dist::{DistConfig, Granularity, RoutedStore};
+use lamassu_dist::{DistConfig, Granularity};
 use lamassu_keymgr::KeyManager;
-use lamassu_resilience::{
-    BreakerConfig, BreakerSet, HedgeConfig, OpBudget, ResilientStore, RetryPolicy,
-};
-use lamassu_storage::{DirStore, ObjectStore, StorageProfile};
+use lamassu_resilience::{BreakerConfig, HedgeConfig, OpBudget};
+use lamassu_storage::{DirStore, StorageProfile};
 use lamassu_telemetry::{Registry, Snapshot, TraceConfig, Tracer};
-use lamassu_workloads::{FioConfig, FioTester, JobLayout, Workload};
+use lamassu_workloads::{FioConfig, FioTester, JobLayout, MultiJobResult, Workload};
 use serde::Serialize;
 use std::collections::HashMap;
 use std::fs;
@@ -119,7 +118,7 @@ struct Options {
     bench_mb: u64,
     cache: Option<(CacheMode, usize)>,
     dist: Option<(usize, usize)>,
-    resilience: ResilienceConfig,
+    resilience: Option<Resilience>,
     format: StatsFormat,
     positional: Vec<String>,
 }
@@ -160,30 +159,12 @@ fn parse_dist_spec(value: &str) -> Result<(usize, usize), String> {
     Ok((backends, replicas))
 }
 
-/// `--resilience retries[:hedge-ms]`: what `mount` turns into a
-/// `ResilientStore` wrapped around the volume. The default mounts none.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-struct ResilienceConfig {
-    /// Transient-failure retries allowed per logical operation (`0`
-    /// disables the retry wrapper entirely; attempts = retries + 1).
-    retries: u32,
-    /// Hedged-read latency floor in milliseconds: `Some(ms)` enables
-    /// quantile-triggered read hedging with this floor, `None` leaves
-    /// hedging off (the zero-allocation read path).
-    hedge_ms: Option<u32>,
-}
-
-impl ResilienceConfig {
-    /// True when any resilience machinery should be mounted at all.
-    fn enabled(&self) -> bool {
-        self.retries > 0 || self.hedge_ms.is_some()
-    }
-}
-
 /// Parses `--resilience` values: `retries[:hedge-ms]` with `retries >= 1`
-/// transient retries per operation and an optional hedged-read floor in
-/// milliseconds (`>= 1`).
-fn parse_resilience_spec(value: &str) -> Result<ResilienceConfig, String> {
+/// transient retries per operation (attempts = retries + 1) and an optional
+/// hedged-read latency floor in milliseconds (`>= 1`; without it hedging
+/// stays off — the zero-allocation read path). Breakers are always asked
+/// for; the builder attaches them only under `--dist`.
+fn parse_resilience_spec(value: &str) -> Result<Resilience, String> {
     let (retries_str, hedge_str) = match value.split_once(':') {
         Some((r, h)) => (r, Some(h)),
         None => (value, None),
@@ -193,16 +174,27 @@ fn parse_resilience_spec(value: &str) -> Result<ResilienceConfig, String> {
         .ok()
         .filter(|&r| r >= 1)
         .ok_or_else(|| format!("bad retry count: {retries_str}"))?;
-    let hedge_ms = match hedge_str {
-        Some(h) => Some(
-            h.parse::<u32>()
+    let hedge = match hedge_str {
+        Some(h) => Some(HedgeConfig {
+            floor: h
+                .parse::<u32>()
                 .ok()
                 .filter(|&ms| ms >= 1)
+                .map(|ms| std::time::Duration::from_millis(u64::from(ms)))
                 .ok_or_else(|| format!("bad hedge floor: {h} (milliseconds, >= 1)"))?,
-        ),
+            ..HedgeConfig::default()
+        }),
         None => None,
     };
-    Ok(ResilienceConfig { retries, hedge_ms })
+    Ok(Resilience {
+        budget: OpBudget {
+            max_attempts: retries.saturating_add(1),
+            ..OpBudget::default()
+        },
+        hedge,
+        breakers: Some(BreakerConfig::default()),
+        ..Resilience::default()
+    })
 }
 
 /// Parses `--cache` values: `off`, `write-through[:blocks]`,
@@ -255,7 +247,7 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
         bench_mb: 8,
         cache: None,
         dist: None,
-        resilience: ResilienceConfig::default(),
+        resilience: None,
         format: StatsFormat::Both,
         positional: Vec::new(),
     };
@@ -338,7 +330,7 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
         Ok(())
     });
     flags.insert("--resilience", |o, v| {
-        o.resilience = parse_resilience_spec(&v)?;
+        o.resilience = Some(parse_resilience_spec(&v)?);
         Ok(())
     });
     flags.insert("--format", |o, v| {
@@ -376,48 +368,11 @@ fn load_key_manager(path: &str) -> Result<KeyManager, String> {
     KeyManager::import_snapshot(&body).map_err(|e| format!("bad key snapshot {path}: {e}"))
 }
 
-/// A mounted volume plus the cache tier, if one was requested.
-///
-/// `LamassuFs::fsync` already flushes the objects a command wrote, but a
-/// write-back cache may still hold dirty blocks from metadata rewrites;
-/// [`Mounted::finish`] drains them before the process exits.
-struct Mounted {
-    fs: LamassuFs,
-    cache: Option<Arc<CachedStore>>,
-    /// The routed tier, when `--dist` spread the volume over shards — `fsck`
-    /// runs its scrub/read-repair pass.
-    dist: Option<Arc<RoutedStore>>,
-    /// The self-healing tier, when `--resilience` wrapped the volume —
-    /// `stats` exports its retry/hedge counters.
-    resilience: Option<Arc<ResilientStore>>,
-    /// Per-shard circuit breakers, when `--resilience` composes with
-    /// `--dist` — `stats` exports their open/reclose counters.
-    breakers: Option<Arc<BreakerSet>>,
-    /// The store tier the shim sits on (the cache when one is configured,
-    /// then the resilience wrapper, the router, and the volume's `DirStore`)
-    /// — where `bench` reads accounting.
-    store: Arc<dyn ObjectStore>,
-}
-
-impl Mounted {
-    /// Flushes any dirty cached blocks back to the volume.
-    fn finish(&self) -> Result<(), String> {
-        if let Some(cache) = &self.cache {
-            cache
-                .flush_all()
-                .map_err(|e| format!("flushing cache: {e}"))?;
-        }
-        Ok(())
-    }
-}
-
-impl std::ops::Deref for Mounted {
-    type Target = LamassuFs;
-
-    fn deref(&self) -> &LamassuFs {
-        &self.fs
-    }
-}
+/// A mounted volume: LamassuFS over whichever tiers the flags asked for.
+/// `finish` flushes what a write-back cache still holds (metadata rewrites
+/// included) before the process exits; `maintain` runs the scrubs reclosed
+/// breakers queued.
+type Mounted = Stack<LamassuFs, DirStore>;
 
 fn mount(opts: &Options) -> Result<Mounted, String> {
     let volume = opts
@@ -428,109 +383,52 @@ fn mount(opts: &Options) -> Result<Mounted, String> {
     let keys = km
         .fetch_zone_keys(opts.zone)
         .map_err(|e| format!("zone {}: {e}", opts.zone))?;
-    let mut dist = None;
     // --qd overrides how many submitted operations each transport channel
     // keeps in flight; the instant profile's native depth is 1.
     let profile = match opts.qd {
         Some(qd) => StorageProfile::instant().with_queue_depth(qd),
         None => StorageProfile::instant(),
     };
-    let dir: Arc<dyn ObjectStore> = match opts.dist {
-        None => Arc::new(
-            DirStore::open(volume, profile)
-                .map_err(|e| format!("cannot open volume {volume}: {e}"))?,
-        ),
-        Some((backends, replicas)) => {
-            let members: Vec<Arc<dyn ObjectStore>> = (0..backends)
-                .map(|i| {
-                    let shard = format!("{volume}/shard-{i:02}");
-                    DirStore::open(&shard, profile)
-                        .map(|d| Arc::new(d) as Arc<dyn ObjectStore>)
-                        .map_err(|e| format!("cannot open shard {shard}: {e}"))
-                })
-                .collect::<Result<_, String>>()?;
-            let router = Arc::new(RoutedStore::new(
-                members,
-                DistConfig::new(replicas).granularity(Granularity::BlockRange(1024 * 1024)),
-            ));
-            dist = Some(router.clone());
-            router
-        }
+    let open = |dir: &str| {
+        DirStore::open(dir, profile)
+            .map(Arc::new)
+            .map_err(|e| format!("cannot open volume {dir}: {e}"))
     };
-    // The self-healing wrapper sits directly above the volume (or the
-    // routed tier), below any cache, so retried and hedged attempts hit the
-    // transport rather than the cache's fast path.
-    let mut resilience = None;
-    let mut breakers = None;
-    let dir: Arc<dyn ObjectStore> = if opts.resilience.enabled() {
-        if let Some(router) = &dist {
-            let set = Arc::new(BreakerSet::new(BreakerConfig::default()));
-            router.set_health_gate(set.clone());
-            breakers = Some(set);
-        }
-        let budget = OpBudget {
-            max_attempts: opts.resilience.retries.saturating_add(1),
-            ..OpBudget::default()
-        };
-        let mut wrapped = ResilientStore::new(dir, RetryPolicy::default(), budget);
-        if let Some(ms) = opts.resilience.hedge_ms {
-            wrapped = wrapped.with_hedging(HedgeConfig {
-                floor: std::time::Duration::from_millis(u64::from(ms)),
-                ..HedgeConfig::default()
-            });
-        }
-        let wrapped = Arc::new(wrapped);
-        resilience = Some(wrapped.clone());
-        wrapped
-    } else {
-        dir
-    };
-    let mut cache = None;
-    let store: Arc<dyn ObjectStore> = match opts.cache {
-        None => dir,
-        Some((mode, capacity_blocks)) => {
-            let config = CacheConfig {
-                block_size: opts.block_size,
-                capacity_blocks,
-                mode,
-                ..CacheConfig::default()
-            };
-            let cached = Arc::new(CachedStore::new(dir, config));
-            cache = Some(cached.clone());
-            cached
-        }
+    let members = match opts.dist {
+        None => vec![open(volume)?],
+        Some((backends, _)) => (0..backends)
+            .map(|i| open(&format!("{volume}/shard-{i:02}")))
+            .collect::<Result<_, _>>()?,
     };
     let geometry = lamassu_format::Geometry::new(opts.block_size, opts.reserved_slots)
         .map_err(|e| format!("invalid geometry: {e}"))?;
-    let fs = LamassuFs::new(
-        store.clone(),
-        keys,
-        LamassuConfig {
-            geometry,
-            integrity: lamassu_core::IntegrityMode::Full,
-            span: lamassu_core::SpanConfig {
-                policy: lamassu_core::SpanPolicy::Batched,
-                workers: opts.workers,
-                crypto: opts.crypto,
-                ..lamassu_core::SpanConfig::default()
-            },
+    let config = LamassuConfig {
+        geometry,
+        integrity: lamassu_core::IntegrityMode::Full,
+        span: lamassu_core::SpanConfig {
+            policy: lamassu_core::SpanPolicy::Batched,
+            workers: opts.workers,
+            crypto: opts.crypto,
+            ..lamassu_core::SpanConfig::default()
         },
-    );
-    // Tier time lands in its own Figure 9 category instead of I/O.
-    if let Some(cached) = &cache {
-        cached.set_profiler(fs.profiler());
-    }
-    if let Some(router) = &dist {
-        router.set_profiler(fs.profiler());
-    }
-    Ok(Mounted {
-        fs,
-        cache,
-        dist,
-        resilience,
-        breakers,
-        store,
-    })
+    };
+    Ok(StackBuilder::new(members)
+        .dist(opts.dist.map(|(_, replicas)| {
+            DistConfig::new(replicas).granularity(Granularity::BlockRange(1024 * 1024))
+        }))
+        .resilience(opts.resilience)
+        .cache(opts.cache.map(|(mode, capacity_blocks)| CacheConfig {
+            block_size: opts.block_size,
+            capacity_blocks,
+            mode,
+            ..CacheConfig::default()
+        }))
+        .mount(|store, profiler| LamassuFs::with_profiler(store, keys, config, profiler)))
+}
+
+/// Flushes any dirty cached blocks back to the volume.
+fn finish(mounted: &Mounted) -> Result<(), String> {
+    mounted.finish().map_err(|e| format!("flushing cache: {e}"))
 }
 
 fn cmd_keygen(opts: &Options) -> Result<(), String> {
@@ -552,22 +450,24 @@ fn cmd_put(opts: &Options) -> Result<(), String> {
     let [src, dest] = two_args(opts, "put <src> <dest>")?;
     let fs_mount = mount(opts)?;
     let data = fs::read(&src).map_err(|e| format!("cannot read {src}: {e}"))?;
-    let fd = if fs_mount.list().map_err(err)?.iter().any(|p| p == &dest) {
+    let fd = if fs_mount.fs.list().map_err(err)?.iter().any(|p| p == &dest) {
         fs_mount
+            .fs
             .open(&dest, OpenFlags { truncate: true })
             .map_err(err)?
     } else {
-        fs_mount.create(&dest).map_err(err)?
+        fs_mount.fs.create(&dest).map_err(err)?
     };
     for (i, chunk) in data.chunks(1024 * 1024).enumerate() {
         fs_mount
+            .fs
             .write(fd, (i * 1024 * 1024) as u64, chunk)
             .map_err(err)?;
     }
-    fs_mount.fsync(fd).map_err(err)?;
-    fs_mount.close(fd).map_err(err)?;
-    fs_mount.finish()?;
-    let attr = fs_mount.stat(&dest).map_err(err)?;
+    fs_mount.fs.fsync(fd).map_err(err)?;
+    fs_mount.fs.close(fd).map_err(err)?;
+    finish(&fs_mount)?;
+    let attr = fs_mount.fs.stat(&dest).map_err(err)?;
     println!(
         "stored {src} as {dest}: {} logical bytes, {} physical bytes ({:.2}% overhead)",
         attr.logical_size,
@@ -580,15 +480,15 @@ fn cmd_put(opts: &Options) -> Result<(), String> {
 fn cmd_get(opts: &Options) -> Result<(), String> {
     let [name, out] = two_args(opts, "get <name> <out>")?;
     let fs_mount = mount(opts)?;
-    let fd = fs_mount.open(&name, OpenFlags::default()).map_err(err)?;
-    let size = fs_mount.len(fd).map_err(err)?;
+    let fd = fs_mount.fs.open(&name, OpenFlags::default()).map_err(err)?;
+    let size = fs_mount.fs.len(fd).map_err(err)?;
     // Stream through one reused buffer via the zero-copy read primitive
     // instead of materializing the whole file in memory.
     let mut out_file = fs::File::create(&out).map_err(|e| format!("cannot create {out}: {e}"))?;
     let mut buf = vec![0u8; 1024 * 1024];
     let mut offset = 0u64;
     while offset < size {
-        let n = fs_mount.read_into(fd, offset, &mut buf).map_err(err)?;
+        let n = fs_mount.fs.read_into(fd, offset, &mut buf).map_err(err)?;
         if n == 0 {
             break;
         }
@@ -602,10 +502,10 @@ fn cmd_get(opts: &Options) -> Result<(), String> {
 
 fn cmd_ls(opts: &Options) -> Result<(), String> {
     let fs_mount = mount(opts)?;
-    let mut names = fs_mount.list().map_err(err)?;
+    let mut names = fs_mount.fs.list().map_err(err)?;
     names.sort();
     for name in names {
-        let attr = fs_mount.stat(&name).map_err(err)?;
+        let attr = fs_mount.fs.stat(&name).map_err(err)?;
         println!("{:>12}  {name}", attr.logical_size);
     }
     Ok(())
@@ -614,8 +514,8 @@ fn cmd_ls(opts: &Options) -> Result<(), String> {
 fn cmd_stat(opts: &Options) -> Result<(), String> {
     let [name] = one_arg(opts, "stat <name>")?;
     let fs_mount = mount(opts)?;
-    let attr = fs_mount.stat(&name).map_err(err)?;
-    let geometry = fs_mount.geometry();
+    let attr = fs_mount.fs.stat(&name).map_err(err)?;
+    let geometry = fs_mount.fs.geometry();
     println!("{name}");
     println!("  logical size:    {} bytes", attr.logical_size);
     println!("  physical size:   {} bytes", attr.physical_size);
@@ -633,8 +533,8 @@ fn cmd_stat(opts: &Options) -> Result<(), String> {
 fn cmd_rm(opts: &Options) -> Result<(), String> {
     let [name] = one_arg(opts, "rm <name>")?;
     let fs_mount = mount(opts)?;
-    fs_mount.remove(&name).map_err(err)?;
-    fs_mount.finish()?;
+    fs_mount.fs.remove(&name).map_err(err)?;
+    finish(&fs_mount)?;
     println!("removed {name}");
     Ok(())
 }
@@ -642,7 +542,7 @@ fn cmd_rm(opts: &Options) -> Result<(), String> {
 fn cmd_verify(opts: &Options) -> Result<(), String> {
     let [name] = one_arg(opts, "verify <name>")?;
     let fs_mount = mount(opts)?;
-    let report = fs_mount.verify(&name).map_err(err)?;
+    let report = fs_mount.fs.verify(&name).map_err(err)?;
     println!(
         "{name}: {} data blocks, {} metadata blocks checked",
         report.data_blocks_checked, report.metadata_blocks_checked
@@ -660,16 +560,15 @@ fn cmd_verify(opts: &Options) -> Result<(), String> {
 
 fn cmd_fsck(opts: &Options) -> Result<(), String> {
     let fs_mount = mount(opts)?;
-    if let Some(router) = &fs_mount.dist {
-        // A breaker that reclosed during this process queued its shard for
-        // a targeted resync; drain those before the full pass.
-        for id in router.take_probe_scrub_requests() {
-            let probe = router.scrub_member(id);
-            println!(
-                "probe scrub shard {id}: {} units checked, {} repaired",
-                probe.units, probe.repaired
-            );
-        }
+    // A breaker that reclosed during this process queued its shard for a
+    // targeted resync; run those before the full pass.
+    for (id, probe) in fs_mount.maintain() {
+        println!(
+            "probe scrub shard {id}: {} units checked, {} repaired",
+            probe.units, probe.repaired
+        );
+    }
+    if let Some(router) = &fs_mount.router {
         let scrub = router.scrub();
         println!(
             "scrub: {} objects, {} units checked; {} mismatches, {} repaired, \
@@ -686,7 +585,7 @@ fn cmd_fsck(opts: &Options) -> Result<(), String> {
             }
         );
     }
-    let reports = fs_mount.recover_all().map_err(err)?;
+    let reports = fs_mount.fs.recover_all().map_err(err)?;
     let mut dirty = 0;
     for (path, report) in &reports {
         if report.segments_repaired > 0 {
@@ -706,12 +605,12 @@ fn cmd_fsck(opts: &Options) -> Result<(), String> {
     );
     let mut corrupt = 0;
     for (path, _) in &reports {
-        if !fs_mount.verify(path).map_err(err)?.is_clean() {
+        if !fs_mount.fs.verify(path).map_err(err)?.is_clean() {
             println!("{path}: INTEGRITY FAILURE");
             corrupt += 1;
         }
     }
-    fs_mount.finish()?;
+    finish(&fs_mount)?;
     if corrupt > 0 {
         Err(format!("{corrupt} files failed verification"))
     } else {
@@ -730,38 +629,38 @@ fn parse_workload(name: &str) -> Result<Workload, String> {
         })
 }
 
-fn cmd_bench(opts: &Options) -> Result<(), String> {
+/// What `bench` and `stats` share before the run: parses `[workload]`,
+/// mounts the volume and refuses to touch it if it already holds real files
+/// under the scratch names the run overwrites and then deletes.
+fn workload_mount(opts: &Options, command: &str) -> Result<(Workload, Mounted), String> {
     let workload = match opts.positional.as_slice() {
         [] => Workload::RandRead,
         [w] => parse_workload(w)?,
-        _ => return Err("usage: lamassu bench [workload]".to_string()),
+        _ => return Err(format!("usage: lamassu {command} [workload]")),
     };
     let fs_mount = mount(opts)?;
-    // The bench overwrites and then deletes its scratch targets; refuse to
-    // run if the volume already holds real files under those names.
-    if let Some(clash) = fs_mount
-        .list()
-        .map_err(err)?
-        .iter()
-        .find(|p| is_bench_scratch(p))
-    {
+    let names = fs_mount.fs.list().map_err(err)?;
+    if let Some(clash) = names.iter().find(|p| is_bench_scratch(p)) {
         return Err(format!(
-            "volume already contains {clash}; bench would overwrite and delete it — \
+            "volume already contains {clash}; {command} would overwrite and delete it — \
              remove or rename that file first"
         ));
     }
+    Ok((workload, fs_mount))
+}
+
+/// ... and the run itself: drives the workload, then cleans the scratch
+/// files off the volume and flushes the cache whether the run succeeded or
+/// not. The cleanup's own outcome is returned for the caller to report last.
+fn drive_workload(
+    opts: &Options,
+    fs_mount: &Mounted,
+    workload: Workload,
+) -> Result<(MultiJobResult, Result<(), String>), String> {
     let tester = FioTester::new(FioConfig {
         file_size: opts.bench_mb * 1024 * 1024,
         ..FioConfig::default()
     });
-    println!(
-        "bench: {} x {} job(s), {} layout, {} MiB target, volume {}",
-        workload.label(),
-        opts.jobs,
-        opts.bench_layout.label(),
-        opts.bench_mb,
-        opts.volume.as_deref().unwrap_or("?"),
-    );
     let outcome = tester
         .run_jobs(
             &fs_mount.fs,
@@ -772,17 +671,28 @@ fn cmd_bench(opts: &Options) -> Result<(), String> {
             opts.bench_layout,
         )
         .map_err(err);
-    // Clean the scratch files off the volume and flush the cache whether
-    // the run succeeded or not.
     let cleanup = (|| {
-        for path in fs_mount.list().map_err(err)? {
+        for path in fs_mount.fs.list().map_err(err)? {
             if is_bench_scratch(&path) {
-                fs_mount.remove(&path).map_err(err)?;
+                fs_mount.fs.remove(&path).map_err(err)?;
             }
         }
-        fs_mount.finish()
+        finish(fs_mount)
     })();
-    let result = outcome?;
+    Ok((outcome?, cleanup))
+}
+
+fn cmd_bench(opts: &Options) -> Result<(), String> {
+    let (workload, fs_mount) = workload_mount(opts, "bench")?;
+    println!(
+        "bench: {} x {} job(s), {} layout, {} MiB target, volume {}",
+        workload.label(),
+        opts.jobs,
+        opts.bench_layout.label(),
+        opts.bench_mb,
+        opts.volume.as_deref().unwrap_or("?"),
+    );
+    let (result, cleanup) = drive_workload(opts, &fs_mount, workload)?;
     for (j, job) in result.per_job.iter().enumerate() {
         println!(
             "  job {j}: {:>8.1} MiB/s  (wall {:.1} ms)",
@@ -848,23 +758,7 @@ impl CryptoKernelStats {
 }
 
 fn cmd_stats(opts: &Options) -> Result<(), String> {
-    let workload = match opts.positional.as_slice() {
-        [] => Workload::RandRead,
-        [w] => parse_workload(w)?,
-        _ => return Err("usage: lamassu stats [workload]".to_string()),
-    };
-    let fs_mount = mount(opts)?;
-    if let Some(clash) = fs_mount
-        .list()
-        .map_err(err)?
-        .iter()
-        .find(|p| is_bench_scratch(p))
-    {
-        return Err(format!(
-            "volume already contains {clash}; stats would overwrite and delete it — \
-             remove or rename that file first"
-        ));
-    }
+    let (workload, fs_mount) = workload_mount(opts, "stats")?;
 
     // Attach the tracer before any measured traffic, so every operation of
     // the workload is spanned and phase-attributed.
@@ -872,29 +766,7 @@ fn cmd_stats(opts: &Options) -> Result<(), String> {
     let tracer = Tracer::new(&registry, TraceConfig::default());
     fs_mount.fs.profiler().attach_tracer(tracer.clone());
 
-    let tester = FioTester::new(FioConfig {
-        file_size: opts.bench_mb * 1024 * 1024,
-        ..FioConfig::default()
-    });
-    let outcome = tester
-        .run_jobs(
-            &fs_mount.fs,
-            fs_mount.store.as_ref(),
-            "/bench.fio",
-            workload,
-            opts.jobs,
-            opts.bench_layout,
-        )
-        .map_err(err);
-    let cleanup = (|| {
-        for path in fs_mount.list().map_err(err)? {
-            if is_bench_scratch(&path) {
-                fs_mount.remove(&path).map_err(err)?;
-            }
-        }
-        fs_mount.finish()
-    })();
-    let result = outcome?;
+    let (result, cleanup) = drive_workload(opts, &fs_mount, workload)?;
 
     let mut snap = Snapshot::new();
     fs_mount
@@ -906,16 +778,14 @@ fn cmd_stats(opts: &Options) -> Result<(), String> {
     if let Some(cache) = &fs_mount.cache {
         snap.section("cache", &cache.stats());
     }
-    if let Some(router) = &fs_mount.dist {
-        // Drain breaker-triggered resyncs so the scrub totals below include
-        // them (mirroring fsck's maintenance pass).
-        for id in router.take_probe_scrub_requests() {
-            router.scrub_member(id);
-        }
+    // Run breaker-triggered resyncs so the scrub totals below include them
+    // (mirroring fsck's maintenance pass).
+    fs_mount.maintain();
+    if let Some(router) = &fs_mount.router {
         snap.section("dist", &router.stats());
         snap.section("scrub", &router.scrub_totals());
     }
-    if let Some(resilient) = &fs_mount.resilience {
+    if let Some(resilient) = &fs_mount.resilient {
         snap.section("resilience", &resilient.stats());
     }
     if let Some(breakers) = &fs_mount.breakers {
@@ -940,8 +810,8 @@ fn cmd_rekey(opts: &Options) -> Result<(), String> {
     let new_keys = km
         .rotate_outer_key(opts.zone)
         .map_err(|e| format!("zone {}: {e}", opts.zone))?;
-    let rewritten = fs_mount.rekey_outer_all(new_keys).map_err(err)?;
-    fs_mount.finish()?;
+    let rewritten = fs_mount.fs.rekey_outer_all(new_keys).map_err(err)?;
+    finish(&fs_mount)?;
     fs::write(&opts.keys, km.export_snapshot())
         .map_err(|e| format!("cannot write {}: {e}", opts.keys))?;
     println!(
@@ -1040,15 +910,15 @@ mod tests {
         // single mount so both land in the profiler `stats` would export.
         let mounted = mount(&opts).unwrap();
         let data = vec![0x5au8; 64 * 1024];
-        let fd = mounted.create("/a.bin").unwrap();
-        mounted.write(fd, 0, &data).unwrap();
-        mounted.fsync(fd).unwrap();
+        let fd = mounted.fs.create("/a.bin").unwrap();
+        mounted.fs.write(fd, 0, &data).unwrap();
+        mounted.fs.fsync(fd).unwrap();
         mounted.finish().unwrap();
         let mut back = vec![0u8; data.len()];
-        assert_eq!(mounted.read_into(fd, 0, &mut back).unwrap(), data.len());
+        assert_eq!(mounted.fs.read_into(fd, 0, &mut back).unwrap(), data.len());
         assert_eq!(back, data);
 
-        let b = mounted.profiler().breakdown(Duration::from_secs(1));
+        let b = mounted.fs.profiler().breakdown(Duration::from_secs(1));
         assert!(b.cache > Duration::ZERO, "cache tier is dark: {b:?}");
         assert!(b.route > Duration::ZERO, "routed tier is dark: {b:?}");
         fs::remove_dir_all(&dir).unwrap();

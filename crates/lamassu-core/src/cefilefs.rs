@@ -106,9 +106,20 @@ impl Mount<CeEngine> {
         block_size: usize,
         span: SpanConfig,
     ) -> Self {
+        Self::with_profiler(store, keys, block_size, span, Profiler::new())
+    }
+
+    /// [`CeFileFs::with_config`] charging its time to `profiler` — the one
+    /// the tiers below the shim were built with (see `lamassu::stack`).
+    pub fn with_profiler(
+        store: Arc<dyn ObjectStore>,
+        keys: ZoneKeys,
+        block_size: usize,
+        span: SpanConfig,
+        profiler: Arc<Profiler>,
+    ) -> Self {
         assert!(block_size >= 64 && block_size.is_multiple_of(16));
         let blocks = BlockPool::new(block_size, span.pool_capacity(CE_POOL_BLOCKS));
-        let profiler = Profiler::new();
         profiler.attach_pool(&blocks);
         Mount::over(CeEngine {
             io: SpanIo::new(store, profiler.clone(), span.io),

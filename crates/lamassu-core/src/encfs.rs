@@ -157,6 +157,17 @@ pub struct EncEngine {
 impl Mount<EncEngine> {
     /// Mounts an EncFS over `store`, protecting file keys with `volume_key`.
     pub fn new(store: Arc<dyn ObjectStore>, volume_key: Key256, config: EncFsConfig) -> Self {
+        Self::with_profiler(store, volume_key, config, Profiler::new())
+    }
+
+    /// [`EncFs::new`] charging its time to `profiler` — the one the tiers
+    /// below the shim were built with (see `lamassu::stack`).
+    pub fn with_profiler(
+        store: Arc<dyn ObjectStore>,
+        volume_key: Key256,
+        config: EncFsConfig,
+        profiler: Arc<Profiler>,
+    ) -> Self {
         assert!(
             config.block_size >= RAW_HEADER_LEN && config.block_size.is_multiple_of(16),
             "EncFS block size must be a multiple of 16 and at least {RAW_HEADER_LEN}"
@@ -165,7 +176,6 @@ impl Mount<EncEngine> {
             config.block_size,
             config.span.pool_capacity(ENC_POOL_BLOCKS),
         );
-        let profiler = Profiler::new();
         profiler.attach_pool(&blocks);
         Mount::over(EncEngine {
             io: SpanIo::new(store, profiler.clone(), config.span.io),

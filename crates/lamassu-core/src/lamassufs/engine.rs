@@ -315,13 +315,17 @@ pub struct Engine {
 }
 
 impl Engine {
-    pub(crate) fn new(store: Arc<dyn ObjectStore>, keys: ZoneKeys, config: LamassuConfig) -> Self {
+    pub(crate) fn new(
+        store: Arc<dyn ObjectStore>,
+        keys: ZoneKeys,
+        config: LamassuConfig,
+        profiler: Arc<Profiler>,
+    ) -> Self {
         let auto_cap = SPAN_BLOCKS + config.geometry.reserved_slots() + POOL_SLACK_BLOCKS;
         let blocks = BlockPool::new(
             config.geometry.block_size(),
             config.span.pool_capacity(auto_cap),
         );
-        let profiler = Profiler::new();
         profiler.attach_pool(&blocks);
         Engine {
             io: SpanIo::new(store, profiler.clone(), config.span.io),

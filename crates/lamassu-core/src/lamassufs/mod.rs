@@ -38,7 +38,7 @@ mod tests;
 
 use crate::fs::FileSystem;
 use crate::mount::Mount;
-use crate::{FsError, Result};
+use crate::{FsError, Profiler, Result};
 use engine::Engine;
 use lamassu_format::Geometry;
 use lamassu_keymgr::ZoneKeys;
@@ -114,7 +114,18 @@ impl Mount<Engine> {
     /// Mounts a Lamassu file system over `store` with the key pair fetched
     /// from the key manager for this client's isolation zone.
     pub fn new(store: Arc<dyn ObjectStore>, keys: ZoneKeys, config: LamassuConfig) -> Self {
-        Mount::over(Engine::new(store, keys, config))
+        Self::with_profiler(store, keys, config, Profiler::new())
+    }
+
+    /// [`LamassuFs::new`] charging its time to `profiler` — the one the
+    /// tiers below the shim were built with (see `lamassu::stack`).
+    pub fn with_profiler(
+        store: Arc<dyn ObjectStore>,
+        keys: ZoneKeys,
+        config: LamassuConfig,
+        profiler: Arc<Profiler>,
+    ) -> Self {
+        Mount::over(Engine::new(store, keys, config, profiler))
     }
 
     /// The mount's segment geometry.

@@ -48,7 +48,16 @@ impl PlainFs {
     /// baseline at every queue depth); [`IoMode::Blocking`] keeps the direct
     /// store calls as the differential oracle.
     pub fn with_io(store: Arc<dyn ObjectStore>, io_mode: IoMode) -> Self {
-        let profiler = Profiler::new();
+        Self::with_profiler(store, io_mode, Profiler::new())
+    }
+
+    /// [`PlainFs::with_io`] charging its time to `profiler` — the one the
+    /// tiers below the shim were built with (see `lamassu::stack`).
+    pub fn with_profiler(
+        store: Arc<dyn ObjectStore>,
+        io_mode: IoMode,
+        profiler: Arc<Profiler>,
+    ) -> Self {
         PlainFs {
             io: SpanIo::new(store, profiler.clone(), io_mode),
             handles: HandleTable::new(),

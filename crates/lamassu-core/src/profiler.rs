@@ -18,10 +18,9 @@
 //!
 //! # Histogram-backed categories
 //!
-//! Since the telemetry PR every category is backed by a preallocated
-//! log-linear [`Histogram`] in addition to the Figure 9 sum: each
-//! [`Profiler::add`] records the charged duration into the category's
-//! histogram (lock-free, allocation-free), so
+//! Every category is one preallocated log-linear [`Histogram`] whose running
+//! sum is the Figure 9 total: each [`Profiler::add`] records the charged
+//! duration into the category's histogram (lock-free, allocation-free), so
 //! [`Profiler::category_histogram`] can report the *distribution* of
 //! per-batch charge times — p50/p95/p99/max — where Figure 9 only shows the
 //! total. The same `add` call also feeds the per-operation phase
@@ -195,8 +194,8 @@ impl CommitStats {
 /// per-operation [`Tracer`] (see [`Profiler::attach_tracer`]).
 #[derive(Default)]
 pub struct Profiler {
-    categories: Mutex<[Duration; NUM_CATEGORIES]>,
-    /// Per-category charge-time distributions, preallocated at construction.
+    /// Per-category charge-time distributions, preallocated at construction;
+    /// each histogram's running sum is the category's Figure 9 total.
     hists: [Histogram; NUM_CATEGORIES],
     /// Block pools attached by the owning mount, for stats surfacing only.
     pools: Mutex<Vec<BlockPool>>,
@@ -221,14 +220,10 @@ impl Profiler {
         Arc::new(Profiler::default())
     }
 
-    /// Adds `elapsed` to `category`: the Figure 9 sum, the category's
-    /// histogram, and — when an op span is open on this thread — the
+    /// Adds `elapsed` to `category`: the category's histogram (whose sum is
+    /// the Figure 9 total) and — when an op span is open on this thread — the
     /// tracer's per-operation phase accumulator.
     pub fn add(&self, category: Category, elapsed: Duration) {
-        {
-            let mut cats = self.categories.lock();
-            cats[category as usize] += elapsed;
-        }
         let ns = elapsed.as_nanos().min(u64::MAX as u128) as u64;
         self.hists[category as usize].record(ns);
         trace::phase_add(category as usize, ns);
@@ -247,7 +242,7 @@ impl Profiler {
     /// caller-measured end-to-end time (real compute plus virtual transport);
     /// the remainder after the four explicit categories becomes *Misc*.
     pub fn breakdown(&self, total_runtime: Duration) -> LatencyBreakdown {
-        let cats = self.categories.lock();
+        let cats = Category::ALL.map(|c| Duration::from_nanos(self.hists[c as usize].sum()));
         let explicit: Duration = cats.iter().sum();
         LatencyBreakdown {
             encrypt: cats[Category::Encrypt as usize],
@@ -273,7 +268,6 @@ impl Profiler {
     /// mount's lifetime, not a window; use [`Profiler::reset_all`] to clear
     /// those too.
     pub fn reset(&self) {
-        *self.categories.lock() = [Duration::ZERO; NUM_CATEGORIES];
         for h in &self.hists {
             h.reset();
         }
@@ -444,6 +438,42 @@ mod tests {
         assert_eq!(b.io, Duration::from_millis(40));
         assert_eq!(b.misc, Duration::from_millis(20));
         assert_eq!(b.total(), Duration::from_millis(120));
+    }
+
+    #[test]
+    fn breakdown_is_the_histogram_sums_and_zero_after_reset() {
+        let p = Profiler::new();
+        for (i, cat) in Category::ALL.into_iter().enumerate() {
+            p.add(cat, Duration::from_micros(i as u64 + 1));
+            p.add(cat, Duration::from_nanos(7));
+        }
+        let sums = Category::ALL.map(|c| Duration::from_nanos(p.category_histogram(c).sum));
+        let explicit: Duration = sums.iter().sum();
+        let total = explicit + Duration::from_millis(3);
+        let b = p.breakdown(total);
+        assert_eq!(
+            [
+                b.encrypt,
+                b.decrypt,
+                b.get_ce_key,
+                b.io,
+                b.cache,
+                b.plan,
+                b.route,
+                b.queue
+            ],
+            sums
+        );
+        assert_eq!(sums[2], Duration::from_nanos(3_007));
+        assert_eq!(b.misc, Duration::from_millis(3), "misc = total - explicit");
+        p.reset();
+        assert_eq!(
+            p.breakdown(total),
+            LatencyBreakdown {
+                misc: total,
+                ..LatencyBreakdown::default()
+            }
+        );
     }
 
     #[test]

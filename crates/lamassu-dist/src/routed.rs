@@ -252,9 +252,11 @@ pub struct RoutedStore<S: ObjectStore + ?Sized = dyn ObjectStore> {
     stats: AtomicDistStats,
     /// Running union of every scrub pass (see [`RoutedStore::scrub_totals`]).
     scrub_totals: Mutex<ScrubReport>,
-    profiler: RwLock<Option<Arc<Profiler>>>,
-    /// Optional per-member admission control (circuit breakers).
-    health: RwLock<Option<Arc<dyn HealthGate>>>,
+    /// The mount's Figure 9 profiler, fixed at construction.
+    profiler: Option<Arc<Profiler>>,
+    /// Optional per-member admission control (circuit breakers), fixed at
+    /// construction.
+    health: Option<Arc<dyn HealthGate>>,
     /// Member ids whose breaker just reclosed and who therefore await a
     /// targeted scrub (see [`RoutedStore::take_probe_scrub_requests`]).
     probe_scrubs: Mutex<Vec<u32>>,
@@ -286,8 +288,8 @@ impl<S: ObjectStore + ?Sized> RoutedStore<S> {
             suspects: Mutex::new(BTreeMap::new()),
             stats: AtomicDistStats::default(),
             scrub_totals: Mutex::new(ScrubReport::default()),
-            profiler: RwLock::new(None),
-            health: RwLock::new(None),
+            profiler: None,
+            health: None,
             probe_scrubs: Mutex::new(Vec::new()),
         }
     }
@@ -350,21 +352,25 @@ impl<S: ObjectStore + ?Sized> RoutedStore<S> {
         self.suspects.lock().len()
     }
 
-    /// Attaches a Figure 9 [`Profiler`]: time spent routing (ring lookups,
-    /// span splitting, fan-out bookkeeping — member-store call time
-    /// excluded) is charged to [`Category::Route`].
-    pub fn set_profiler(&self, profiler: Arc<Profiler>) {
-        *self.profiler.write() = Some(profiler);
+    /// Builds the router with the mount's Figure 9 [`Profiler`]: time spent
+    /// routing (ring lookups, span splitting, fan-out bookkeeping —
+    /// member-store call time excluded) is charged to [`Category::Route`].
+    pub fn with_profiler(mut self, profiler: Arc<Profiler>) -> Self {
+        self.profiler = Some(profiler);
+        self
     }
 
-    /// Attaches a per-member [`HealthGate`] (typically the resilience
-    /// layer's breaker set). Once attached, reads and writes skip members
-    /// the gate rejects — degrading to replica reads and suspect-marked
-    /// writes — unless no admitted member can serve the operation, and
-    /// every attempt's outcome is reported back to the gate. A member
-    /// whose gate recloses (recovers) is queued for a targeted scrub.
-    pub fn set_health_gate(&self, gate: Arc<dyn HealthGate>) {
-        *self.health.write() = Some(gate);
+    /// Builds the router with a per-member [`HealthGate`] (typically the
+    /// resilience layer's breaker set): reads and writes skip members the
+    /// gate rejects — degrading to replica reads and suspect-marked writes
+    /// — unless no admitted member can serve the operation, and every
+    /// attempt's outcome is reported back to the gate. A member whose gate
+    /// recloses (recovers) is queued for a targeted scrub, so whoever owns
+    /// a gated router owes it a drain loop
+    /// ([`RoutedStore::take_probe_scrub_requests`]).
+    pub fn with_health_gate(mut self, gate: Arc<dyn HealthGate>) -> Self {
+        self.health = Some(gate);
+        self
     }
 
     /// Drains the pending targeted-scrub requests: stable ids of members
@@ -381,18 +387,12 @@ impl<S: ObjectStore + ?Sized> RoutedStore<S> {
     // ---- internal helpers -------------------------------------------------
 
     fn op_start(&self) -> Option<Instant> {
-        if self.profiler.read().is_some() {
-            Some(Instant::now())
-        } else {
-            None
-        }
+        self.profiler.as_ref().map(|_| Instant::now())
     }
 
     fn charge_route(&self, start: Option<Instant>, backend_time: Duration) {
-        if let Some(t0) = start {
-            if let Some(p) = self.profiler.read().as_ref() {
-                p.add(Category::Route, t0.elapsed().saturating_sub(backend_time));
-            }
+        if let (Some(t0), Some(p)) = (start, &self.profiler) {
+            p.add(Category::Route, t0.elapsed().saturating_sub(backend_time));
         }
     }
 
@@ -549,7 +549,7 @@ impl<S: ObjectStore + ?Sized> RoutedStore<S> {
         chain: &[u32],
         mut attempt: impl FnMut(&Member<S>) -> Result<()>,
     ) -> Result<()> {
-        let gate = self.health.read().clone();
+        let gate = &self.health;
         let n = chain.len();
         let mut tried = [false; MAX_REPLICAS];
         let mut last_err: Option<StorageError> = None;
@@ -561,7 +561,7 @@ impl<S: ObjectStore + ?Sized> RoutedStore<S> {
                 }
                 let mem = &m.members[slot as usize];
                 if pass == 0 {
-                    if let Some(g) = &gate {
+                    if let Some(g) = gate {
                         if !g.allow(mem.id) {
                             skipped = true;
                             AtomicDistStats::bump(&self.stats.breaker_skips);
@@ -572,14 +572,14 @@ impl<S: ObjectStore + ?Sized> RoutedStore<S> {
                 tried[i] = true;
                 match attempt(mem) {
                     Ok(()) => {
-                        if let Some(g) = &gate {
+                        if let Some(g) = gate {
                             self.gate_event(mem.id, g.record(mem.id, true));
                         }
                         self.clear_probation(mem.id, name);
                         return Ok(());
                     }
                     Err(e) => {
-                        if let Some(g) = &gate {
+                        if let Some(g) = gate {
                             self.gate_event(mem.id, g.record(mem.id, false));
                         }
                         if i + 1 < n {
@@ -609,7 +609,7 @@ impl<S: ObjectStore + ?Sized> RoutedStore<S> {
         chain: &[u32],
         mut attempt: impl FnMut(&Member<S>) -> Result<()>,
     ) -> Result<()> {
-        let gate = self.health.read().clone();
+        let gate = &self.health;
         let n = chain.len();
         let mut tried = [false; MAX_REPLICAS];
         let mut ok = 0;
@@ -622,7 +622,7 @@ impl<S: ObjectStore + ?Sized> RoutedStore<S> {
                 }
                 let mem = &m.members[slot as usize];
                 if pass == 0 {
-                    if let Some(g) = &gate {
+                    if let Some(g) = gate {
                         if !g.allow(mem.id) {
                             skipped = true;
                             AtomicDistStats::bump(&self.stats.breaker_skips);
@@ -633,13 +633,13 @@ impl<S: ObjectStore + ?Sized> RoutedStore<S> {
                 tried[i] = true;
                 match attempt(mem) {
                     Ok(()) => {
-                        if let Some(g) = &gate {
+                        if let Some(g) = gate {
                             self.gate_event(mem.id, g.record(mem.id, true));
                         }
                         ok += 1;
                     }
                     Err(e) => {
-                        if let Some(g) = &gate {
+                        if let Some(g) = gate {
                             self.gate_event(mem.id, g.record(mem.id, false));
                         }
                         self.note_suspect(mem.id, name, SuspectKind::Resync);
@@ -1919,9 +1919,8 @@ mod tests {
 
     #[test]
     fn profiler_charges_route_category() {
-        let r = routed(2, 2, 256);
         let profiler = Profiler::new();
-        r.set_profiler(profiler.clone());
+        let r = routed(2, 2, 256).with_profiler(profiler.clone());
         r.create("f").unwrap();
         r.write_at("f", 0, &pattern(4096, 1)).unwrap();
         let _ = read_all(&r, "f");
@@ -1970,17 +1969,17 @@ mod tests {
     #[test]
     fn open_gate_skips_member_on_reads_and_writes() {
         let members = dedup_members(3);
+        let gate = Arc::new(TestGate::default());
         let r = RoutedStore::new(
             members.clone(),
             DistConfig::new(2).granularity(Granularity::BlockRange(64)),
-        );
+        )
+        .with_health_gate(gate.clone());
         r.create("f").unwrap();
         let data = pattern(64 * 24, 5);
         r.write_at("f", 0, &data).unwrap();
 
-        let gate = Arc::new(TestGate::default());
         gate.denied.lock().insert(0);
-        r.set_health_gate(gate.clone());
 
         // Reads skip member 0 wherever it is in a chain and serve off the
         // other replica instead — no client-visible error.
@@ -2007,13 +2006,12 @@ mod tests {
 
     #[test]
     fn gate_rejecting_everyone_falls_back_to_serving_anyway() {
-        let r = routed(2, 2, 128);
+        let gate = Arc::new(TestGate::default());
+        let r = routed(2, 2, 128).with_health_gate(gate.clone());
         r.create("f").unwrap();
         let data = pattern(512, 9);
         r.write_at("f", 0, &data).unwrap();
-        let gate = Arc::new(TestGate::default());
         gate.denied.lock().extend([0u32, 1]);
-        r.set_health_gate(gate);
         // Every owner's breaker is open, but refusing service would turn a
         // health precaution into an outage: the fallback pass serves it.
         assert_eq!(read_all(&r, "f"), data);
@@ -2026,16 +2024,16 @@ mod tests {
     #[test]
     fn reclosed_gate_queues_targeted_scrub_that_resyncs_the_member() {
         let members = dedup_members(2);
+        let gate = Arc::new(TestGate::default());
         let r = RoutedStore::new(
             members.clone(),
             DistConfig::new(2).granularity(Granularity::BlockRange(128)),
-        );
+        )
+        .with_health_gate(gate.clone());
         r.create("f").unwrap();
         r.write_at("f", 0, &pattern(1024, 1)).unwrap();
 
-        let gate = Arc::new(TestGate::default());
         gate.denied.lock().insert(1);
-        r.set_health_gate(gate.clone());
         let fresh = pattern(1024, 2);
         r.write_at("f", 0, &fresh).unwrap(); // member 1 skipped: degraded
         assert!(r.suspects_pending() > 0);

@@ -284,7 +284,7 @@ impl BreakerSetStats {
 /// assert!(set.allow(0));
 /// set.record(0, true);
 /// assert_eq!(set.stats().opens, 0);
-/// // router.set_health_gate(set.clone()) wires it into a RoutedStore.
+/// // RoutedStore::new(members, config).with_health_gate(set.clone()) wires it in.
 /// ```
 pub struct BreakerSet {
     config: BreakerConfig,

@@ -203,6 +203,11 @@ impl Histogram {
         self.inner.count.load(Ordering::Relaxed)
     }
 
+    /// Sum of the recorded values (allocation-free, wrapping).
+    pub fn sum(&self) -> u64 {
+        self.inner.sum.load(Ordering::Relaxed)
+    }
+
     /// Zeroes every bucket and counter (a measurement-window reset). Racing
     /// recorders are not lost wholesale — each atomic is cleared
     /// independently — but a record striding the reset may split across the

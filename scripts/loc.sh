@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# Non-test product lines under crates/*/src, per crate and in total.
+# Non-test product lines under crates/*/src and the facade's root src/, per
+# crate and in total.
 #
 # A line counts when it is not blank, not a `//` comment (doc comments
 # included), not in a file named `tests.rs`, and not inside a top-level
@@ -7,7 +8,7 @@
 # count, a gated one-line item (`mod tests;`) is skipped alone. Run it on two
 # commits to compare them:
 #
-#     scripts/loc.sh                 # every crate + total
+#     scripts/loc.sh                 # every crate + the facade + total
 #     scripts/loc.sh -v lamassu-core # that crate, with a per-file breakdown
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -32,7 +33,11 @@ count() {
 }
 
 total=0
-for dir in crates/${1:-*}/src; do
+dirs=(crates/${1:-*}/src)
+if [[ -z "${1:-}" ]]; then
+    dirs+=(src)
+fi
+for dir in "${dirs[@]}"; do
     mapfile -t files < <(find "$dir" -name '*.rs' ! -name 'tests.rs' | sort)
     n=$(count "${files[@]}")
     printf '%7d  %s\n' "$n" "$dir"

@@ -40,6 +40,9 @@
 //! * [`workloads`] — synthetic data generators and the FIO-style tester used
 //!   by the benchmark harness.
 //!
+//! and adds one module of its own: [`stack`], the [`stack::StackBuilder`]
+//! every mount in the workspace (CLI, harness, tests) is assembled by.
+//!
 //! ## Quickstart
 //!
 //! ```
@@ -75,3 +78,5 @@ pub use lamassu_resilience as resilience;
 pub use lamassu_storage as storage;
 pub use lamassu_telemetry as telemetry;
 pub use lamassu_workloads as workloads;
+
+pub mod stack;

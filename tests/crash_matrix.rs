@@ -7,7 +7,8 @@ use lamassu::cache::{CacheConfig, CacheMode, CachedStore};
 use lamassu::core::{FileSystem, LamassuConfig, LamassuFs, OpenFlags};
 use lamassu::dist::{DistConfig, Granularity, RoutedStore};
 use lamassu::keymgr::ZoneKeys;
-use lamassu::resilience::{BreakerConfig, BreakerSet};
+use lamassu::resilience::BreakerConfig;
+use lamassu::stack::{Resilience, StackBuilder};
 use lamassu::storage::{DedupStore, FaultyStore, ObjectStore, StorageError, StorageProfile};
 use std::sync::Arc;
 
@@ -597,19 +598,18 @@ fn partial_span_read_failure_is_never_served_from_partial_data() {
 /// FaultyStore under a write-back cache: builds `media <- faulty <- cache`.
 fn write_back_cache_over_faulty(
     capacity_blocks: usize,
-) -> (Arc<DedupStore>, Arc<FaultyStore>, CachedStore) {
+) -> (Arc<DedupStore>, Arc<FaultyStore>, Arc<CachedStore>) {
     let media = Arc::new(DedupStore::new(4096, StorageProfile::instant()));
     let faulty = Arc::new(FaultyStore::new(media.clone()));
-    let cache = CachedStore::new(
-        faulty.clone() as Arc<dyn ObjectStore>,
-        CacheConfig {
+    let stack = StackBuilder::new(vec![faulty.clone()])
+        .cache(CacheConfig {
             capacity_blocks,
             shards: 1,
             read_ahead_blocks: 0,
             ..CacheConfig::write_back(capacity_blocks)
-        },
-    );
-    (media, faulty, cache)
+        })
+        .build();
+    (media, faulty, stack.cache.expect("cache tier"))
 }
 
 #[test]
@@ -724,19 +724,17 @@ fn sampled_crash_matrix_with_write_through_cache_under_the_shim() {
 fn overwrite_with_crash_cached(media: Arc<DedupStore>, blocks: usize, crash_after: u64) -> bool {
     let faulty = Arc::new(FaultyStore::new(media));
     faulty.crash_after_writes(crash_after);
-    let cache = Arc::new(CachedStore::new(
-        faulty as Arc<dyn ObjectStore>,
-        CacheConfig {
+    let fs = StackBuilder::new(vec![faulty])
+        .cache(CacheConfig {
             capacity_blocks: 8,
             mode: CacheMode::WriteThrough,
             ..CacheConfig::default()
-        },
-    ));
-    let fs = LamassuFs::new(
-        cache,
-        keys(),
-        LamassuConfig::with_reserved_slots(2).unwrap(),
-    );
+        })
+        .mount(|store, profiler| {
+            let config = LamassuConfig::with_reserved_slots(2).unwrap();
+            LamassuFs::with_profiler(store, keys(), config, profiler)
+        })
+        .fs;
     let run = || -> lamassu::core::Result<()> {
         let fd = fs.open("/file", OpenFlags::default())?;
         for b in (0..blocks).step_by(2) {
@@ -753,7 +751,13 @@ fn overwrite_with_crash_cached(media: Arc<DedupStore>, blocks: usize, crash_afte
 /// unit size large enough that every container lives in a single placement
 /// unit owned by both members (full-copy replication).
 fn faulty_pair() -> (Vec<Arc<FaultyStore>>, Arc<RoutedStore<FaultyStore>>) {
-    let members: Vec<Arc<FaultyStore>> = (0..2)
+    let stack = faulty_pair_tiers().build();
+    (stack.members, stack.router.expect("routed tier"))
+}
+
+/// [`faulty_pair`] before it is built, for tests that stack more on it.
+fn faulty_pair_tiers() -> StackBuilder<FaultyStore> {
+    let members = (0..2)
         .map(|_| {
             Arc::new(FaultyStore::new(Arc::new(DedupStore::new(
                 4096,
@@ -761,11 +765,8 @@ fn faulty_pair() -> (Vec<Arc<FaultyStore>>, Arc<RoutedStore<FaultyStore>>) {
             ))))
         })
         .collect();
-    let routed = Arc::new(RoutedStore::new(
-        members.clone(),
-        DistConfig::new(2).granularity(Granularity::BlockRange(1 << 20)),
-    ));
-    (members, routed)
+    StackBuilder::new(members)
+        .dist(DistConfig::new(2).granularity(Granularity::BlockRange(1 << 20)))
 }
 
 /// Reads a member's full copy of `name` (physical length, then bytes).
@@ -940,20 +941,23 @@ fn breaker_open_degrades_writes_then_probe_reclose_scrubs_clean() {
     // recloses, and the requested targeted scrub resynchronizes everything
     // the member missed while it was gated out.
     let blocks = 24usize;
-    let (members, routed) = faulty_pair();
-    let breakers = Arc::new(BreakerSet::new(BreakerConfig {
-        window: 8,
-        min_samples: 2,
-        error_rate_pct: 50,
-        cooldown: 2,
-    }));
-    routed.set_health_gate(breakers.clone());
-
-    let fs = LamassuFs::new(
-        routed.clone(),
-        keys(),
-        LamassuConfig::with_reserved_slots(2).unwrap(),
-    );
+    let stack = faulty_pair_tiers()
+        .resilience(Resilience {
+            breakers: Some(BreakerConfig {
+                window: 8,
+                min_samples: 2,
+                error_rate_pct: 50,
+                cooldown: 2,
+            }),
+            ..Resilience::default()
+        })
+        .mount(|store, profiler| {
+            let config = LamassuConfig::with_reserved_slots(2).unwrap();
+            LamassuFs::with_profiler(store, keys(), config, profiler)
+        });
+    let (fs, members) = (&stack.fs, &stack.members);
+    let routed = stack.router.clone().expect("routed tier");
+    let breakers = stack.breakers.as_ref().expect("breaker set");
     let fd = fs.create("/file").unwrap();
     for b in 0..blocks {
         fs.write(fd, (b * 4096) as u64, &pattern(1, b)).unwrap();
@@ -1007,12 +1011,13 @@ fn breaker_open_degrades_writes_then_probe_reclose_scrubs_clean() {
         "the outage should have produced degraded writes"
     );
 
-    // The reclose queued a targeted scrub for the reclaimed member; running
-    // it repairs everything the member missed, and a full scrub afterwards
-    // finds nothing left.
-    let requests = routed.take_probe_scrub_requests();
-    assert_eq!(requests, vec![1], "reclose must request a targeted scrub");
-    let probe = routed.scrub_member(1);
+    // The reclose queued a targeted scrub for the reclaimed member; the
+    // stack's maintenance pass runs it, repairing everything the member
+    // missed, and a full scrub afterwards finds nothing left.
+    let ran = stack.maintain();
+    assert_eq!(ran.len(), 1, "reclose must request one targeted scrub");
+    let (id, probe) = ran[0];
+    assert_eq!(id, 1, "the reclaimed member is the one scrubbed");
     assert!(
         probe.repaired > 0,
         "targeted scrub repaired nothing: {probe:?}"

@@ -20,6 +20,9 @@
 //! 8. (stateful rows) a failing truncate-on-open and a failing close-time
 //!    flush both release the registry pin: the next open reloads from the
 //!    store instead of resurrecting the failed state.
+//! 9. (stateful rows) a backing object that is empty, shorter than a header
+//!    or non-magic garbage opens as an error or as an empty file — never a
+//!    panic, never bytes.
 
 use lamassu::core::{
     CeFileFs, EncFs, EncFsConfig, FileSystem, FsError, IntegrityMode, LamassuConfig, LamassuFs,
@@ -377,5 +380,37 @@ fn a_failed_truncate_on_open_or_close_flush_releases_the_pin() {
             fresh,
             "{name}: reopen after failed close"
         );
+    }
+}
+
+#[test]
+fn a_short_or_garbage_backing_object_is_an_error_or_an_empty_file_never_a_panic() {
+    // Decoder hardening (ROADMAP 4(c)): whatever the untrusted backend holds
+    // under a name, open/stat/read answer with an error or — where the bytes
+    // are what `create` itself leaves behind, or too few to hold a single
+    // metadata block — with an empty file. Never a panic, never bytes.
+    let garbage = pattern(2 * BLOCK as usize + 17, 0xab);
+    let cases: [(&str, Vec<u8>, [bool; 4]); 3] = [
+        // (what, bytes, is an error on EncFs / CeFileFs / LamassuFs / meta-only)
+        ("an empty object", Vec::new(), [true, false, false, false]),
+        ("79 bytes", pattern(79, 0x11), [true, true, false, false]),
+        ("non-magic garbage", garbage, [true, true, true, true]),
+    ];
+    for (what, bytes, is_err) in &cases {
+        for (row, &is_err) in ROWS.iter().filter(|r| r.stateful).zip(is_err) {
+            let name = row.name;
+            let store = media();
+            store.create("/g").unwrap();
+            store.write_at("/g", 0, bytes).unwrap();
+            let (fs, _) = (row.mount)(store);
+            let read = fs
+                .open("/g", OpenFlags::default())
+                .and_then(|fd| fs.read(fd, 0, 2 * BLOCK as usize));
+            match read {
+                Err(_) => assert!(is_err, "{name}: {what} should open as an empty file"),
+                Ok(got) => assert!(!is_err && got.is_empty(), "{name}: {what} read {got:?}"),
+            }
+            assert_eq!(fs.stat("/g").is_err(), is_err, "{name}: stat of {what}");
+        }
     }
 }
