@@ -128,12 +128,12 @@ pub fn run() -> Vec<WideCryptoRow> {
     // CTR keystream: the GCM body over one 32 KiB metadata span.
     {
         let key = [0x5au8; 32];
-        let fix_cipher = fixsliced::Aes256Fix::new(&key);
+        let fix_keys = fixsliced::Aes256Fix::new(&key).packed_enc_keys();
         let tt_cipher = Aes256::new(&key);
         let j = [0x17u8; 16];
         let mut buf = vec![0u8; 8 * BLOCK];
         let fix = best_of(ROUNDS, 8, || {
-            fixsliced::ctr32_xor(&fix_cipher, &j, &mut buf);
+            fixsliced::ctr32_xor(&fix_keys, &j, &mut buf);
         });
         let tt = best_of(ROUNDS, 8, || {
             ctr::ctr32_xor_in_place(&tt_cipher, &j, &mut buf);

@@ -33,7 +33,7 @@ use crate::{FsError, Result};
 use lamassu_crypto::aes::Aes256;
 use lamassu_crypto::batch::SpanCipher;
 use lamassu_crypto::gcm::{Aes256Gcm, NONCE_LEN, TAG_LEN};
-use lamassu_crypto::kdf::ConvergentKdf;
+use lamassu_crypto::kdf::{ConvergentKdf, HashVersion};
 use lamassu_crypto::pool::CryptoPool;
 use lamassu_crypto::{batch, cbc};
 use lamassu_crypto::{fixsliced, stats, CryptoBackend};
@@ -127,7 +127,9 @@ impl Mount<CeEngine> {
             span,
             pool: span.pool(),
             blocks,
-            kdf: ConvergentKdf::new(&keys.inner),
+            // The file key is `F(SHA-256(whole file))`: the tree hash is
+            // defined on blocks, so this format stays on v1's `H`.
+            kdf: ConvergentKdf::with_version(&keys.inner, HashVersion::V1),
             gcm: Aes256Gcm::with_backend(&keys.outer, span.crypto),
             profiler,
         })

@@ -31,6 +31,25 @@
 //! metadata → data → metadata order, so recovery is untouched; several
 //! segments can be mid-update at one crash.
 //!
+//! # Format versions
+//!
+//! A file's format version says which block hash its keys are derived with
+//! (`lamassu_crypto::kdf::HashVersion`: v1 SHA-256, v2 the tree hash). It is
+//! decided once, when the file is created, and stored in every metadata
+//! block; [`Engine::load`](MountEngine::load) takes it from segment 0, and
+//! every derivation and check of the file — a lone read's §2.5 check, a span
+//! read, a commit, recovery, verification — uses that version's KDF. Two
+//! rules, stated here once:
+//!
+//! * **a file keeps its version for life** — a v1 file stays v1 through every
+//!   rewrite, truncate and rename, and segments it grows later are v1 too (a
+//!   segment whose block disagrees with segment 0 is an error);
+//! * **new files are v2, unless the block size is not a multiple of 256
+//!   bytes** (four quarters of whole SHA-256 blocks), which stays v1
+//!   ([`HashVersion::for_block_size`], through [`MetadataBlock::new`]).
+//!
+//! Nothing about it is a mount option or decided per I/O.
+//!
 //! # Zero-allocation steady state
 //!
 //! Once a mount is warm, an aligned read or write performs **no heap
@@ -81,12 +100,12 @@ use crate::spanio::{Landed, Run, SpanIo, WriteBatch};
 use crate::{FsError, Result};
 use lamassu_crypto::aes::Aes256;
 use lamassu_crypto::gcm::Aes256Gcm;
-use lamassu_crypto::kdf::ConvergentKdf;
+use lamassu_crypto::kdf::{ConvergentKdf, HashVersion};
 use lamassu_crypto::pool::CryptoPool;
 use lamassu_crypto::util::constant_time_eq;
 use lamassu_crypto::{batch, cbc, fixsliced, stats};
 use lamassu_crypto::{CryptoBackend, Key256, FIXED_IV};
-use lamassu_format::{Geometry, MetadataBlock, TransientEntry};
+use lamassu_format::{FormatError, Geometry, MetadataBlock, TransientEntry};
 use lamassu_keymgr::ZoneKeys;
 use lamassu_storage::ObjectStore;
 use parking_lot::{Mutex, RwLock};
@@ -179,16 +198,27 @@ impl VerifyReport {
 /// Crypto material derived from the zone keys, rebuilt on re-keying.
 struct CryptoCtx {
     keys: ZoneKeys,
-    kdf: ConvergentKdf,
+    /// The inner key's KDF for each format version a file can have.
+    kdf_v1: ConvergentKdf,
+    kdf_v2: ConvergentKdf,
     gcm: Aes256Gcm,
 }
 
 impl CryptoCtx {
     fn new(keys: ZoneKeys, backend: CryptoBackend) -> Self {
         CryptoCtx {
-            kdf: ConvergentKdf::new(&keys.inner),
+            kdf_v1: ConvergentKdf::with_version(&keys.inner, HashVersion::V1),
+            kdf_v2: ConvergentKdf::with_version(&keys.inner, HashVersion::V2),
             gcm: Aes256Gcm::with_backend(&keys.outer, backend),
             keys,
+        }
+    }
+
+    /// The KDF a file of format `version` derives its keys with.
+    fn kdf(&self, version: HashVersion) -> &ConvergentKdf {
+        match version {
+            HashVersion::V1 => &self.kdf_v1,
+            HashVersion::V2 => &self.kdf_v2,
         }
     }
 }
@@ -203,6 +233,8 @@ impl CryptoCtx {
 /// write guard.
 pub struct LamassuFile {
     name: String,
+    /// The file's format version, fixed at creation (see the module docs).
+    version: HashVersion,
     logical_size: u64,
     size_dirty: bool,
     /// Dirty plaintext blocks not yet committed, sorted by logical block
@@ -252,9 +284,10 @@ impl SegCommit {
 }
 
 impl LamassuFile {
-    fn new(name: &str) -> Self {
+    fn new(name: &str, version: HashVersion) -> Self {
         LamassuFile {
             name: name.to_string(),
+            version,
             logical_size: 0,
             size_dirty: false,
             pending: Vec::new(),
@@ -263,6 +296,11 @@ impl LamassuFile {
             commit_ids: Vec::new(),
             commit_segs: Vec::new(),
         }
+    }
+
+    /// The file's format version.
+    pub(crate) fn version(&self) -> HashVersion {
+        self.version
     }
 
     /// Puts a decrypted metadata block (back) into the bounded cache.
@@ -368,18 +406,26 @@ impl MountEngine for Engine {
     }
 
     /// A new empty Lamassu object is one sealed metadata block holding a
-    /// logical size of zero.
+    /// logical size of zero — and the format version the file keeps for life
+    /// (the module docs' two rules).
     fn create(&self, name: &str) -> Result<LamassuFile> {
-        let file = LamassuFile::new(name);
         let mb = MetadataBlock::new(&self.geometry);
+        let file = LamassuFile::new(name, mb.version);
         self.write_meta(&file, 0, mb)?;
         Ok(file)
     }
 
-    /// Loads an existing object, reading its authoritative logical size from
-    /// the final segment's metadata block (paper §2.3).
+    /// Loads an existing object: its format version from segment 0's
+    /// metadata block, its authoritative logical size from the final
+    /// segment's (paper §2.3). An object shorter than one metadata block
+    /// opens as an empty file of the current version.
     fn load(&self, name: &str) -> Result<LamassuFile> {
-        let mut file = LamassuFile::new(name);
+        let current = HashVersion::for_block_size(self.geometry.block_size());
+        let mut file = LamassuFile::new(name, current);
+        if let Some(first) = self.fetch_meta(&file, 0)? {
+            file.version = first.version;
+            file.cache_meta(0, first);
+        }
         let last = self.last_physical_segment(name)?;
         let size = self.with_meta(&file, last, |mb| mb.logical_size)?;
         file.logical_size = size;
@@ -566,27 +612,44 @@ impl Engine {
     // ------------------------------------------------------------------
 
     /// Fetches and decrypts the metadata block for `segment` from the store
-    /// (no cache interaction). A segment that does not exist on disk yet —
-    /// or reads back as an all-zero sparse hole — means "empty".
-    fn load_meta(&self, file: &LamassuFile, segment: u64) -> Result<MetadataBlock> {
+    /// (no cache interaction); `None` for a segment that does not exist on
+    /// disk yet or reads back as an all-zero sparse hole.
+    fn fetch_meta(&self, file: &LamassuFile, segment: u64) -> Result<Option<MetadataBlock>> {
         let offset = self.geometry.metadata_block_offset(segment);
         let bs = self.geometry.block_size();
         let mut staged = self.blocks.take();
         let n = self
             .io
             .call(|s| s.read_into(&file.name, offset, &mut staged))?;
-        if n < bs {
-            return Ok(MetadataBlock::new(&self.geometry));
-        }
-        if staged.iter().all(|&b| b == 0) {
-            // A hole left by a sparse write: no metadata was ever stored.
-            return Ok(MetadataBlock::new(&self.geometry));
+        if n < bs || staged.iter().all(|&b| b == 0) {
+            // Never written, or a hole left by a sparse write.
+            return Ok(None);
         }
         let crypto = self.crypto.read();
         let mb = self.profiler.time(Category::Decrypt, || {
             MetadataBlock::unseal(&self.geometry, &crypto.gcm, &Self::aad(segment), &staged)
         })?;
-        Ok(mb)
+        Ok(Some(mb))
+    }
+
+    /// [`Engine::fetch_meta`] for a file whose version is known: a segment
+    /// never written is an empty block of the file's version, and a stored
+    /// block of another version is an error (a file keeps its version).
+    fn load_meta(&self, file: &LamassuFile, segment: u64) -> Result<MetadataBlock> {
+        match self.fetch_meta(file, segment)? {
+            None => {
+                let mut mb = MetadataBlock::new(&self.geometry);
+                mb.version = file.version;
+                Ok(mb)
+            }
+            Some(mb) if mb.version != file.version => {
+                Err(FsError::Metadata(FormatError::VersionMismatch {
+                    file: file.version.number(),
+                    segment: mb.version.number(),
+                }))
+            }
+            Some(mb) => Ok(mb),
+        }
     }
 
     /// Runs `f` against the (cached) metadata block for `segment`.
@@ -707,23 +770,25 @@ impl Engine {
     // Data-block crypto
     // ------------------------------------------------------------------
 
-    /// Derives the convergent key for a plaintext block (Equation 1),
-    /// charging the hash/KDF time to the `GetCEKey` category. On the
-    /// fixsliced backend the single-block derivation still runs the keying
-    /// step through the constant-time cipher.
-    fn derive_key(&self, plaintext: &[u8]) -> Key256 {
+    /// Derives the convergent key for one plaintext block of a file of
+    /// format `version` (Equation 1), charging the hash/KDF time to the
+    /// `GetCEKey` category. A one-block span: the fixsliced backend runs it
+    /// on the lane kernels (under v2 all four SHA-256 lanes).
+    fn derive_key(&self, version: HashVersion, plaintext: &[u8]) -> Key256 {
         let crypto = self.crypto.read();
-        self.profiler
-            .time(Category::GetCeKey, || match self.span.crypto {
-                CryptoBackend::Fixsliced => {
-                    stats::count_scalar_derives(1);
-                    crypto.kdf.derive_for_block_ct(plaintext)
-                }
-                CryptoBackend::TTable => {
-                    stats::count_scalar_derives(1);
-                    crypto.kdf.derive_for_block(plaintext)
-                }
-            })
+        let mut key = [[0u8; 32]];
+        self.profiler.time(Category::GetCeKey, || {
+            batch::derive_span_into(
+                &self.pool,
+                crypto.kdf(version),
+                plaintext,
+                plaintext.len(),
+                &mut key,
+                self.span.crypto,
+            )
+            .expect("one whole block")
+        });
+        key[0]
     }
 
     /// Convergent encryption of one data block in place (Equation 2).
@@ -769,8 +834,8 @@ impl Engine {
     /// The §2.5 integrity self-check: the hash of the decrypted block must
     /// re-derive the key it was decrypted with (compared in constant time —
     /// both sides are key material).
-    fn key_matches_plaintext(&self, plaintext: &[u8], key: &Key256) -> bool {
-        constant_time_eq(&self.derive_key(plaintext), key)
+    fn key_matches_plaintext(&self, version: HashVersion, plaintext: &[u8], key: &Key256) -> bool {
+        constant_time_eq(&self.derive_key(version, plaintext), key)
     }
 
     // ------------------------------------------------------------------
@@ -811,7 +876,7 @@ impl Engine {
         }
         self.decrypt_in_place(dest, &key);
         let check = force_integrity || matches!(self.integrity, IntegrityMode::Full);
-        if check && !self.key_matches_plaintext(dest, &key) {
+        if check && !self.key_matches_plaintext(file.version, dest, &key) {
             return Err(FsError::IntegrityViolation {
                 path: file.name.clone(),
                 logical_block,
@@ -955,7 +1020,7 @@ impl Engine {
                 Some(stage) if !read => stage.fill(0),
                 Some(stage) => {
                     self.decrypt_in_place(stage, key);
-                    if check && !self.key_matches_plaintext(stage, key) {
+                    if check && !self.key_matches_plaintext(file.version, stage, key) {
                         return Err(violation(block));
                     }
                 }
@@ -984,7 +1049,7 @@ impl Engine {
                     self.profiler.time(Category::GetCeKey, || {
                         batch::derive_span_into(
                             &self.pool,
-                            &crypto.kdf,
+                            crypto.kdf(file.version),
                             mid,
                             bs,
                             derived,
@@ -1075,7 +1140,7 @@ impl Engine {
                 self.profiler.time(Category::GetCeKey, || {
                     batch::derive_span_into(
                         &self.pool,
-                        &crypto.kdf,
+                        crypto.kdf(file.version),
                         &data,
                         bs,
                         keys,
@@ -1316,7 +1381,10 @@ impl Engine {
 
         let result = with_tls(&KEY_SCRATCH, |new_keys| {
             new_keys.clear();
-            new_keys.extend(data.chunks_exact(bs).map(|plain| self.derive_key(plain)));
+            new_keys.extend(
+                data.chunks_exact(bs)
+                    .map(|plain| self.derive_key(file.version, plain)),
+            );
 
             self.update_meta(file, segment, |mb| {
                 for (block, key) in blocks.iter().zip(new_keys.iter()) {
@@ -1403,7 +1471,7 @@ impl Engine {
                 let resolved = match (&on_disk, new_key) {
                     (Some(ct), Some(nk)) => {
                         let plain = self.decrypt_block(ct, &nk);
-                        if self.key_matches_plaintext(&plain, &nk) {
+                        if self.key_matches_plaintext(file.version, &plain, &nk) {
                             report.blocks_kept_new += 1;
                             true
                         } else {
@@ -1422,7 +1490,7 @@ impl Engine {
                     let consistent = match &on_disk {
                         Some(ct) => {
                             let plain = self.decrypt_block(ct, &entry.old_key);
-                            self.key_matches_plaintext(&plain, &entry.old_key)
+                            self.key_matches_plaintext(file.version, &plain, &entry.old_key)
                         }
                         None => false,
                     };

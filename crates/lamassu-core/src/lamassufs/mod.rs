@@ -4,10 +4,12 @@
 //! [`LamassuFs`]:
 //!
 //! * encrypts every fixed-size data block with AES-256-CBC under a
-//!   *convergent* key derived from the block's SHA-256 hash and the zone's
-//!   secret inner key (`CEKey = AES_ECB(SHA256(block), K_in)`, §2.2), using a
-//!   fixed IV so identical plaintext blocks produce identical ciphertext
-//!   blocks and therefore deduplicate downstream;
+//!   *convergent* key derived from the block's hash and the zone's secret
+//!   inner key (`CEKey = AES_ECB(H(block), K_in)`, §2.2; `H` is SHA-256 in
+//!   format v1 and the 4-leaf tree hash in v2, fixed per file — see
+//!   [`LamassuFs::format_version`]), using a fixed IV so identical plaintext
+//!   blocks produce identical ciphertext blocks and therefore deduplicate
+//!   downstream;
 //! * stores each block's key inside the file itself, in block-aligned
 //!   metadata blocks placed at the start of every segment (§2.3), sealed with
 //!   AES-256-GCM under the outer key;
@@ -40,6 +42,7 @@ use crate::fs::FileSystem;
 use crate::mount::Mount;
 use crate::{FsError, Profiler, Result};
 use engine::Engine;
+use lamassu_crypto::kdf::HashVersion;
 use lamassu_format::Geometry;
 use lamassu_keymgr::ZoneKeys;
 use lamassu_storage::ObjectStore;
@@ -143,6 +146,12 @@ impl Mount<Engine> {
     /// the zero-allocation steady state looks like.
     pub fn pool_stats(&self) -> crate::pool::PoolStats {
         self.engine().blocks.stats()
+    }
+
+    /// The format version of a file — which block hash its keys are derived
+    /// with — fixed when the file was created and read from its segment 0.
+    pub fn format_version(&self, path: &str) -> Result<HashVersion> {
+        self.with_file(path, |file| Ok(file.version()))
     }
 
     /// Scans a file for segments left mid-update by a crash and repairs them

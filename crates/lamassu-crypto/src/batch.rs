@@ -41,11 +41,11 @@
 //! tiles and a batch fans out only when every worker gets at least one.
 //! Because share boundaries are tile boundaries, fanning out never narrows a
 //! wide pass: a 256-block span on two workers is sixteen full 16-chain
-//! encrypt tiles and sixty-four 4-lane SHA groups, exactly as it would be
+//! encrypt tiles and sixty-four 4-block KDF groups, exactly as it would be
 //! inline, and an 8-block commit (a few writes forced out by an `fsync`)
-//! runs inline as one half-occupied wide pass instead of two scalar halves. A scoped spawn costs about 80 µs in
-//! the reference container (see [`crate::pool`]), which is what the tile
-//! minimum is there to repay.
+//! runs inline as one half-occupied wide pass instead of two scalar halves.
+//! A scoped spawn costs about 15 µs in the reference container (see
+//! [`crate::pool`]), which is what the tile minimum is there to repay.
 //!
 //! Every function validates block alignment up front and then runs the
 //! parallel section infallibly, so no error handling crosses threads.
@@ -64,8 +64,11 @@
 //!   [`WIDE_MIN_BLOCKS`] chains share a pass; narrower runs fall back to
 //!   the T-table path (and are counted as scalar dispatches in
 //!   [`crate::stats`]);
-//! * **key derivation** batches [`SHA_LANES`] blocks per multi-lane pass,
-//!   deriving the tail through the constant-time scalar path.
+//! * **key derivation** hashes [`SHA_LANES`] blocks per pass of the 4-lane
+//!   SHA-256 and keys [`F_BATCH`] per fixsliced `F` pass
+//!   ([`ConvergentKdf::derive_lanes`]); under the v2 tree hash a lone block
+//!   fills the four lanes too, under v1 a tail of fewer than four hashes
+//!   one block at a time.
 //!
 //! The reference-slice APIs ([`derive_keys`], [`encrypt_blocks`], ...)
 //! intentionally stay on the T-table cipher: they are the per-block oracle
@@ -74,7 +77,7 @@
 use crate::aes::Aes256;
 use crate::cbc;
 use crate::fixsliced::{self, Aes256Fix};
-use crate::kdf::ConvergentKdf;
+use crate::kdf::{ConvergentKdf, HashVersion, F_BATCH, TREE_ALIGN};
 use crate::pool::CryptoPool;
 use crate::sha256::SHA_LANES;
 use crate::{stats, CryptoBackend, CryptoError, Iv128, Key256, Result};
@@ -179,7 +182,8 @@ pub fn derive_keys(pool: &CryptoPool, kdf: &ConvergentKdf, blocks: &[&[u8]]) -> 
 /// `O(workers)` thread-scope fan-out (no work vectors).
 ///
 /// Returns [`CryptoError::InvalidLength`] unless
-/// `data.len() == out.len() * block_size`.
+/// `data.len() == out.len() * block_size` — and, for a v2 KDF, unless
+/// `block_size` is a multiple of [`TREE_ALIGN`].
 pub fn derive_span_into(
     pool: &CryptoPool,
     kdf: &ConvergentKdf,
@@ -194,6 +198,12 @@ pub fn derive_span_into(
             expected_multiple_of: block_size.max(1),
         });
     }
+    if kdf.version() == HashVersion::V2 && !block_size.is_multiple_of(TREE_ALIGN) {
+        return Err(CryptoError::InvalidLength {
+            len: block_size,
+            expected_multiple_of: TREE_ALIGN,
+        });
+    }
     let derive_run = |keys: &mut [Key256], span: &[u8]| match backend {
         CryptoBackend::TTable => {
             stats::count_scalar_derives(keys.len());
@@ -202,19 +212,21 @@ pub fn derive_span_into(
             }
         }
         CryptoBackend::Fixsliced => {
-            stats::count_wide_derives(keys.len() / SHA_LANES * SHA_LANES);
-            stats::count_scalar_derives(keys.len() % SHA_LANES);
+            // Every v2 derivation fills the four SHA-256 lanes, a lone
+            // block included; a v1 block only does in a group of four.
+            let wide = match kdf.version() {
+                HashVersion::V1 => keys.len() / SHA_LANES * SHA_LANES,
+                HashVersion::V2 => keys.len(),
+            };
+            stats::count_wide_derives(wide);
+            stats::count_scalar_derives(keys.len() - wide);
             let mut blocks = span.chunks_exact(block_size);
-            for group in keys.chunks_mut(SHA_LANES) {
-                if group.len() == SHA_LANES {
-                    let b: [&[u8]; SHA_LANES] =
-                        std::array::from_fn(|_| blocks.next().expect("span length checked"));
-                    group.copy_from_slice(&kdf.derive_x4(b));
-                } else {
-                    for key in group {
-                        *key = kdf.derive_for_block_ct(blocks.next().expect("span length checked"));
-                    }
+            for group in keys.chunks_mut(F_BATCH) {
+                let mut refs: [&[u8]; F_BATCH] = [&[]; F_BATCH];
+                for r in &mut refs[..group.len()] {
+                    *r = blocks.next().expect("span length checked");
                 }
+                kdf.derive_lanes(&refs[..group.len()], group);
             }
         }
     };
@@ -548,7 +560,7 @@ mod tests {
     #[test]
     fn encrypt_decrypt_blocks_round_trip_and_match_serial() {
         let kdf = ConvergentKdf::new(&[0x22; 32]);
-        let plain = sample_blocks(9, 128);
+        let plain = sample_blocks(9, 256);
         let refs: Vec<&[u8]> = plain.iter().map(|b| b.as_slice()).collect();
         let keys = derive_keys(&pool(), &kdf, &refs);
 
@@ -613,21 +625,27 @@ mod tests {
 
     #[test]
     fn span_apis_match_reference_slice_apis() {
-        let kdf = ConvergentKdf::new(&[0x55; 32]);
         let cipher = SpanCipher::new(&[0x66; 32]);
         // 7 straddles the SHA_LANES tail; 9 and 16 straddle WIDE_MIN_BLOCKS,
         // so both sides of every wide/scalar dispatch run under each backend;
         // 32 and 53 fan out (two and three shares, the last with a tail).
+        // Both hash versions, each at a block size it takes.
+        for (version, bs) in [(HashVersion::V1, 128), (HashVersion::V2, 256)] {
+            let kdf = ConvergentKdf::with_version(&[0x55; 32], version);
+            span_apis_match_at(&kdf, &cipher, bs);
+        }
+    }
+
+    fn span_apis_match_at(kdf: &ConvergentKdf, cipher: &SpanCipher, bs: usize) {
         for backend in BACKENDS {
             for blocks in [1usize, 2, 3, 4, 7, 9, 16, 21, 32, 53] {
-                let bs = 128;
                 let span: Vec<u8> = (0..blocks * bs).map(|i| (i % 251) as u8).collect();
 
                 // derive_span_into == derive_keys on the same blocks.
                 let refs: Vec<&[u8]> = span.chunks(bs).collect();
-                let expected_keys = derive_keys(&pool(), &kdf, &refs);
+                let expected_keys = derive_keys(&pool(), kdf, &refs);
                 let mut keys = vec![[0u8; 32]; blocks];
-                derive_span_into(&pool(), &kdf, &span, bs, &mut keys, backend).unwrap();
+                derive_span_into(&pool(), kdf, &span, bs, &mut keys, backend).unwrap();
                 assert_eq!(keys, expected_keys, "{blocks} blocks ({backend:?})");
 
                 // encrypt_span/decrypt_span == encrypt_blocks/decrypt_blocks.
@@ -645,14 +663,14 @@ mod tests {
                 // The shared-cipher per-IV variants agree too.
                 let ivs: Vec<Iv128> = (0..blocks as u8).map(|i| [i ^ 0x3c; 16]).collect();
                 let mut c = span.clone();
-                encrypt_span_with(&pool(), &cipher, &ivs, &mut c, bs, backend).unwrap();
+                encrypt_span_with(&pool(), cipher, &ivs, &mut c, bs, backend).unwrap();
                 let mut d = span.clone();
                 {
                     let mut refs: Vec<&mut [u8]> = d.chunks_mut(bs).collect();
                     encrypt_blocks_with(&pool(), cipher.tt(), &ivs, &mut refs).unwrap();
                 }
                 assert_eq!(c, d, "{blocks} blocks ({backend:?})");
-                decrypt_span_with(&pool(), &cipher, &ivs, &mut c, bs, backend).unwrap();
+                decrypt_span_with(&pool(), cipher, &ivs, &mut c, bs, backend).unwrap();
                 assert_eq!(c, span, "{blocks} blocks ({backend:?})");
             }
         }
@@ -726,6 +744,10 @@ mod tests {
         let backend = CryptoBackend::default();
         let mut keys = [[0u8; 32]; 2];
         assert!(derive_span_into(&pool(), &kdf, &[0u8; 100], 64, &mut keys, backend).is_err());
+        // Whole blocks, but too small to quarter: v2 refuses, v1 takes them.
+        assert!(derive_span_into(&pool(), &kdf, &[0u8; 128], 64, &mut keys, backend).is_err());
+        let v1 = ConvergentKdf::with_version(&[1; 32], HashVersion::V1);
+        assert!(derive_span_into(&pool(), &v1, &[0u8; 128], 64, &mut keys, backend).is_ok());
         let mut data = vec![0u8; 100];
         assert!(encrypt_span(&pool(), &[[0u8; 32]; 2], &FIXED_IV, &mut data, 64, backend).is_err());
         let mut aligned = vec![0u8; 128];

@@ -54,10 +54,19 @@
 //!
 //! # What stays table-driven
 //!
-//! GHASH keeps its Shoup nibble tables ([`crate::ghash`]): its table
-//! indices are derived from *ciphertext and AAD*, which the cache-timing
-//! threat model already hands to the attacker, not from key material. The
-//! T-table path itself survives as the differential oracle — see
+//! This kernel indexes nothing by secrets, but three callers on the default
+//! path still do, around it:
+//!
+//! * GHASH ([`crate::ghash`]) keeps Shoup's nibble tables, and they are
+//!   indexed by nibbles of the running accumulator — a product with the
+//!   subkey `H = E_K(0)`, so the indices depend on the outer key, not only
+//!   on ciphertext and AAD (ROADMAP item 2(b));
+//! * the span encrypt sends groups of fewer than
+//!   [`crate::batch::WIDE_MIN_BLOCKS`] chains to the T-table cipher, under
+//!   secret per-block convergent keys (ROADMAP item 2(e));
+//! * EncFS derives its per-block IVs through the T-table schedule (2(e)).
+//!
+//! The T-table path also survives as the differential oracle — see
 //! `CryptoBackend::TTable` and the `wide_crypto` bench.
 
 use crate::{Iv128, Key256};
@@ -154,6 +163,11 @@ pub type Planes = [W; 8];
 /// direction-specific: [`Aes256Fix::packed_enc_keys`] for
 /// [`encrypt_planes`], [`Aes256Fix::packed_dec_keys`] for
 /// [`decrypt_planes`].
+///
+/// Packing costs about as much as one wide pass, so a cipher used for many
+/// short calls (the KDF's inner key, a GCM key) packs once and keeps the
+/// result; the span entry points below take it pre-packed.
+#[derive(Clone)]
 pub struct PackedKeys {
     rks: [Planes; ROUNDS + 1],
     enc: bool,
@@ -928,28 +942,27 @@ fn decrypt_pass(rk: &PackedKeys, buf: &mut [u8; WIDE_BYTES]) {
     unpack(&p, buf);
 }
 
-/// ECB-encrypts `data` (a multiple of 16 bytes) under one cipher,
-/// 16 blocks per pass; the tail pass runs with idle lanes.
+/// ECB-encrypts `data` (a multiple of 16 bytes) under one packed encrypt
+/// schedule, 16 blocks per pass; the tail pass runs with idle lanes.
 ///
-/// This is the constant-time form of Equation 1's key mixing: the batch
-/// KDF stages whole runs of block hashes through here.
-pub fn ecb_encrypt(cipher: &Aes256Fix, data: &mut [u8]) {
+/// This is the constant-time form of Equation 1's key mixing: the KDF
+/// stages the block hashes of up to eight blocks through one pass here.
+pub fn ecb_encrypt(rk: &PackedKeys, data: &mut [u8]) {
     assert!(
         data.len().is_multiple_of(16),
         "ECB input must be block-aligned"
     );
-    let rk = cipher.packed_enc_keys();
-    ecb_passes(&rk, data, false);
+    ecb_passes(rk, data, false);
 }
 
-/// ECB-decrypts `data` (inverse of [`ecb_encrypt`]).
-pub fn ecb_decrypt(cipher: &Aes256Fix, data: &mut [u8]) {
+/// ECB-decrypts `data` under a packed decrypt schedule (inverse of
+/// [`ecb_encrypt`]).
+pub fn ecb_decrypt(rk: &PackedKeys, data: &mut [u8]) {
     assert!(
         data.len().is_multiple_of(16),
         "ECB input must be block-aligned"
     );
-    let rk = cipher.packed_dec_keys();
-    ecb_passes(&rk, data, true);
+    ecb_passes(rk, data, true);
 }
 
 fn ecb_passes(rk: &PackedKeys, data: &mut [u8], decrypt: bool) {
@@ -1159,18 +1172,54 @@ pub fn cbc_decrypt_chains_shared(
 /// XORs the GCM-style CTR keystream (counter blocks are public) into
 /// `data`, 16 counter blocks per pass; the final partial block of
 /// keystream is truncated. Wide form of [`crate::ctr::ctr32_xor_in_place`].
-pub fn ctr32_xor(cipher: &Aes256Fix, j: &[u8; 16], data: &mut [u8]) {
-    let rk = cipher.packed_enc_keys();
+pub fn ctr32_xor(rk: &PackedKeys, j: &[u8; 16], data: &mut [u8]) {
+    ctr_passes(rk, j, data, None);
+}
+
+/// [`ctr32_xor`] that also returns `E_K(extra)`, computed in the first idle
+/// lane of the last keystream pass — GCM's tag mask `E_K(J0)` rides along
+/// with the body for free unless the body's last pass is full (then it
+/// takes one more pass, as it would on its own).
+pub fn ctr32_xor_and_encrypt(
+    rk: &PackedKeys,
+    j: &[u8; 16],
+    data: &mut [u8],
+    extra: &[u8; 16],
+) -> [u8; 16] {
+    ctr_passes(rk, j, data, Some(extra)).expect("an extra block is always encrypted")
+}
+
+fn ctr_passes(
+    rk: &PackedKeys,
+    j: &[u8; 16],
+    data: &mut [u8],
+    extra: Option<&[u8; 16]>,
+) -> Option<[u8; 16]> {
     let mut counter = *j;
     let mut buf = [0u8; WIDE_BYTES];
-    for chunk in data.chunks_mut(WIDE_BYTES) {
-        for blk in 0..WIDE_BLOCKS.min(chunk.len().div_ceil(16)) {
+    let mut chunks = data.chunks_mut(WIDE_BYTES);
+    loop {
+        let chunk: &mut [u8] = match chunks.next() {
+            Some(chunk) => chunk,
+            // Every counter block is done; only `extra` is still owed.
+            None if extra.is_some() => &mut [],
+            None => return None,
+        };
+        let used = chunk.len().div_ceil(16);
+        for blk in 0..used {
             buf[blk * 16..(blk + 1) * 16].copy_from_slice(&counter);
             crate::ctr::inc32(&mut counter);
         }
-        encrypt_pass(&rk, &mut buf);
-        for (k, byte) in chunk.iter_mut().enumerate() {
-            *byte ^= buf[k];
+        let spare = extra.filter(|_| used < WIDE_BLOCKS);
+        if let Some(extra) = spare {
+            buf[used * 16..(used + 1) * 16].copy_from_slice(extra);
+        }
+        encrypt_pass(rk, &mut buf);
+        for (byte, key) in chunk.iter_mut().zip(&buf) {
+            *byte ^= key;
+        }
+        if spare.is_some() {
+            return Some(buf[used * 16..(used + 1) * 16].try_into().unwrap());
         }
     }
 }
@@ -1406,10 +1455,10 @@ mod tests {
             let mut seed = nblocks as u64;
             let mut data: Vec<u8> = (0..nblocks * 16).map(|_| prng(&mut seed)).collect();
             let mut oracle = data.clone();
-            ecb_encrypt(&fix, &mut data);
+            ecb_encrypt(&fix.packed_enc_keys(), &mut data);
             crate::aes::ecb_encrypt_in_place(&tt, &mut oracle);
             assert_eq!(data, oracle, "ECB parity at {nblocks} blocks");
-            ecb_decrypt(&fix, &mut data);
+            ecb_decrypt(&fix.packed_dec_keys(), &mut data);
             crate::aes::ecb_decrypt_in_place(&tt, &mut oracle);
             assert_eq!(data, oracle, "ECB decrypt parity at {nblocks} blocks");
         }
@@ -1501,10 +1550,31 @@ mod tests {
             let pt: Vec<u8> = (0..len).map(|_| prng(&mut seed)).collect();
             let j = [0x0fu8; 16];
             let mut data = pt.clone();
-            ctr32_xor(&fix, &j, &mut data);
+            ctr32_xor(&fix.packed_enc_keys(), &j, &mut data);
             let mut oracle = pt.clone();
             crate::ctr::ctr32_xor_in_place(&tt, &j, &mut oracle);
             assert_eq!(data, oracle, "CTR parity at {len} bytes");
+        }
+    }
+
+    #[test]
+    fn ctr_with_an_extra_block_matches_ctr_plus_a_separate_block() {
+        let key = [0x3du8; 32];
+        let fix = Aes256Fix::new(&key);
+        let rk = fix.packed_enc_keys();
+        let extra = [0xc4u8; 16];
+        // Empty, a spare lane in a partial pass (including the 254-block
+        // metadata region), and full last passes (the extra takes one more).
+        for len in [0usize, 1, 16, 240, 255, 256, 4064, 4096] {
+            let mut seed = 31 + len as u64;
+            let pt: Vec<u8> = (0..len).map(|_| prng(&mut seed)).collect();
+            let j = [0x0fu8; 16];
+            let mut data = pt.clone();
+            let got = ctr32_xor_and_encrypt(&rk, &j, &mut data, &extra);
+            let mut oracle = pt.clone();
+            ctr32_xor(&rk, &j, &mut oracle);
+            assert_eq!(data, oracle, "keystream at {len} bytes");
+            assert_eq!(got, fix.encrypt_block(&extra), "extra block at {len} bytes");
         }
     }
 
@@ -1618,11 +1688,11 @@ mod tests {
             for lane in bytes.chunks_exact_mut(16) {
                 lane.copy_from_slice(&pt);
             }
-            ecb_encrypt(&fix, &mut bytes);
+            ecb_encrypt(&fix.packed_enc_keys(), &mut bytes);
             for (blk, lane) in bytes.chunks_exact(16).enumerate() {
                 assert_eq!(lane, ct, "wide KAT lane {blk} key={key_hex}");
             }
-            ecb_decrypt(&fix, &mut bytes);
+            ecb_decrypt(&fix.packed_dec_keys(), &mut bytes);
             for (blk, lane) in bytes.chunks_exact(16).enumerate() {
                 assert_eq!(lane, pt, "wide KAT decrypt lane {blk} key={key_hex}");
             }

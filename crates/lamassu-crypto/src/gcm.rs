@@ -12,7 +12,7 @@
 
 use crate::aes::Aes256;
 use crate::ctr::{ctr32_xor_in_place, inc32};
-use crate::fixsliced::{self, Aes256Fix};
+use crate::fixsliced::{self, Aes256Fix, PackedKeys};
 use crate::ghash::{Ghash, GhashKey};
 use crate::util::constant_time_eq;
 use crate::{stats, CryptoBackend, CryptoError, Key256, Result};
@@ -38,14 +38,23 @@ pub const TAG_LEN: usize = 16;
 /// ```
 #[derive(Clone)]
 pub struct Aes256Gcm {
-    aes: Aes256,
-    /// The fixsliced schedule, present under [`CryptoBackend::Fixsliced`];
-    /// when set, the GHASH subkey, the CTR body and the tag mask all run
-    /// through the constant-time kernel.
-    fix: Option<Aes256Fix>,
+    cipher: Cipher,
     /// Precomputed GHASH nibble table for the subkey H = AES_K(0^128),
     /// built once per key (Shoup's 4-bit method — see [`crate::ghash`]).
     h: GhashKey,
+}
+
+/// The block cipher under the CTR half, per [`CryptoBackend`]. The size
+/// gap between the variants is one schedule per mount, not worth a box.
+#[derive(Clone)]
+#[allow(clippy::large_enum_variant)]
+enum Cipher {
+    /// The fixsliced encrypt schedule, packed once per key: the GHASH
+    /// subkey, the CTR body and the tag mask all run through the
+    /// constant-time kernel.
+    Fixsliced(PackedKeys),
+    /// The T-table schedule (the differential oracle).
+    TTable(Aes256),
 }
 
 impl Aes256Gcm {
@@ -56,30 +65,43 @@ impl Aes256Gcm {
 
     /// Creates a GCM instance bound to an explicit [`CryptoBackend`].
     pub fn with_backend(key: &Key256, backend: CryptoBackend) -> Self {
-        let aes = Aes256::new(key);
-        let fix = match backend {
-            CryptoBackend::Fixsliced => Some(Aes256Fix::new(key)),
-            CryptoBackend::TTable => None,
+        let mut h = [0u8; 16];
+        let cipher = match backend {
+            CryptoBackend::Fixsliced => {
+                let rk = Aes256Fix::new(key).packed_enc_keys();
+                fixsliced::ecb_encrypt(&rk, &mut h);
+                Cipher::Fixsliced(rk)
+            }
+            CryptoBackend::TTable => {
+                let aes = Aes256::new(key);
+                h = aes.encrypt_block(&h);
+                Cipher::TTable(aes)
+            }
         };
-        let h = match &fix {
-            Some(fix) => GhashKey::new(&fix.encrypt_block(&[0u8; 16])),
-            None => GhashKey::new(&aes.encrypt_block(&[0u8; 16])),
-        };
-        Aes256Gcm { aes, fix, h }
+        Aes256Gcm {
+            cipher,
+            h: GhashKey::new(&h),
+        }
     }
 
-    /// CTR keystream XOR starting at counter block `ctr`, dispatched to the
-    /// active backend. CTR blocks are independent, so the wide kernel
-    /// applies at any length.
-    fn ctr32(&self, ctr: &[u8; 16], data: &mut [u8]) {
-        match &self.fix {
-            Some(fix) => {
-                stats::count_wide_blocks(data.len().div_ceil(16));
-                fixsliced::ctr32_xor(fix, ctr, data);
+    /// XORs the CTR keystream that starts at `inc32(j0)` into `data` and
+    /// returns the tag mask `E_K(j0)`. On the fixsliced backend the mask
+    /// rides in an idle lane of the body's last pass (a metadata region's
+    /// 254 blocks leave two), so it costs no pass of its own. CTR blocks are
+    /// independent, so the wide kernel applies at any length.
+    fn ctr_and_mask(&self, j0: &[u8; 16], data: &mut [u8]) -> [u8; 16] {
+        let mut ctr = *j0;
+        inc32(&mut ctr);
+        let blocks = data.len().div_ceil(16) + 1;
+        match &self.cipher {
+            Cipher::Fixsliced(rk) => {
+                stats::count_wide_blocks(blocks);
+                fixsliced::ctr32_xor_and_encrypt(rk, &ctr, data, j0)
             }
-            None => {
-                stats::count_scalar_blocks(data.len().div_ceil(16));
-                ctr32_xor_in_place(&self.aes, ctr, data);
+            Cipher::TTable(aes) => {
+                stats::count_scalar_blocks(blocks);
+                ctr32_xor_in_place(aes, &ctr, data);
+                aes.encrypt_block(j0)
             }
         }
     }
@@ -104,11 +126,8 @@ impl Aes256Gcm {
         data: &mut [u8],
     ) -> [u8; TAG_LEN] {
         let j0 = Self::j0(nonce);
-        let mut ctr = j0;
-        inc32(&mut ctr);
-        self.ctr32(&ctr, data);
-
-        self.compute_tag(&j0, aad, data)
+        let mask = self.ctr_and_mask(&j0, data);
+        xor16(self.ghash(aad, data), &mask)
     }
 
     /// Verifies the tag and decrypts `data` in place.
@@ -123,27 +142,32 @@ impl Aes256Gcm {
         tag: &[u8; TAG_LEN],
     ) -> Result<()> {
         let j0 = Self::j0(nonce);
-        let expected = self.compute_tag(&j0, aad, data);
-        if !constant_time_eq(&expected, tag) {
+        let s = self.ghash(aad, data);
+        // The tag mask comes out of the same passes that decrypt the body,
+        // so the body is decrypted first and, on a mismatch, encrypted back
+        // (CTR is its own inverse) — nothing unauthenticated is returned.
+        let mask = self.ctr_and_mask(&j0, data);
+        if !constant_time_eq(&xor16(s, &mask), tag) {
+            self.ctr_and_mask(&j0, data);
             return Err(CryptoError::TagMismatch);
         }
-        let mut ctr = j0;
-        inc32(&mut ctr);
-        self.ctr32(&ctr, data);
         Ok(())
     }
 
-    /// Computes the GCM tag over (`aad`, ciphertext) with pre-counter `j0`.
-    fn compute_tag(&self, j0: &[u8; 16], aad: &[u8], ciphertext: &[u8]) -> [u8; TAG_LEN] {
+    /// GHASH over (`aad`, ciphertext): the tag before its mask.
+    fn ghash(&self, aad: &[u8], ciphertext: &[u8]) -> [u8; TAG_LEN] {
         let mut ghash = Ghash::with_key(&self.h);
         ghash.update_padded(aad);
         ghash.update_padded(ciphertext);
-        let s = ghash.finalize(aad.len(), ciphertext.len());
-
-        let mut tag = s;
-        self.ctr32(j0, &mut tag);
-        tag
+        ghash.finalize(aad.len(), ciphertext.len())
     }
+}
+
+fn xor16(mut a: [u8; 16], b: &[u8; 16]) -> [u8; 16] {
+    for (x, y) in a.iter_mut().zip(b) {
+        *x ^= y;
+    }
+    a
 }
 
 #[cfg(test)]

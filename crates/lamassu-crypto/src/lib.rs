@@ -31,8 +31,9 @@
 //!   AES-256 kernel that processes [`fixsliced::WIDE_BLOCKS`] blocks per
 //!   pass with zero secret-dependent table indexing or branches, paired
 //!   with the four-lane interleaved SHA-256
-//!   ([`sha256::digest_blocks_x4`]) for batched convergent key
-//!   derivation;
+//!   ([`sha256::digest_blocks_x4`]) for convergent key derivation — four
+//!   blocks at a time, or one format-v2 block's four leaves
+//!   ([`kdf::tree_hash`]);
 //! * [`aes`] — the classic T-table implementation, retained as the
 //!   **differential oracle** (the property tests replay every workload on
 //!   both backends and require byte-identical stores) and as the fallback

@@ -19,18 +19,20 @@
 //!
 //! * the unit of work is one **tile** of [`TILE_BLOCKS`] file blocks — what
 //!   one pass of the wide kernels consumes (16 interleaved CBC chains, four
-//!   4-lane SHA-256 groups);
+//!   4-block KDF groups);
 //! * a batch is split into `min(workers, items / TILE_BLOCKS)` **shares**,
 //!   so it fans out only when every share holds at least one full tile;
 //! * shares are whole tiles, balanced to within one tile; the last share
 //!   also takes the sub-tile tail, and runs on the **caller's thread** (a
 //!   two-worker batch costs one spawn, not two).
 //!
-//! A scoped spawn-and-join costs about 80 µs in the reference container —
-//! the price of deriving *and* encrypting two to three 4 KiB blocks — while
-//! one tile is 150–400 µs of kernel time (derivation at the low end,
-//! encryption at the high end), so a share below a tile cannot repay its
-//! spawn. An 8-block commit (a few writes forced out by an `fsync`)
+//! A scoped spawn-and-join costs about 15 µs in the reference container
+//! (2 000 `thread::scope` spawn+joins) — about what deriving and
+//! encrypting one 4 KiB block cost — while one tile is 150–400 µs of
+//! kernel time (derivation at the low end, encryption at the high end). A
+//! one-tile share pays at most a tenth of its work for the spawn; below a
+//! tile that share grows, and the split narrows the wide passes on both
+//! sides of it. An 8-block commit (a few writes forced out by an `fsync`)
 //! therefore runs inline, where its eight chains still fill half a wide pass
 //! ([`crate::batch::WIDE_MIN_BLOCKS`]); splitting it 4 + 4, as a per-item
 //! threshold would, pays two spawns to run both halves on the scalar kernel.

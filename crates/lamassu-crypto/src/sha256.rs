@@ -1,9 +1,11 @@
 //! SHA-256 (FIPS 180-4), implemented from scratch.
 //!
-//! Lamassu hashes every 4 KiB plaintext data block with SHA-256 to obtain the
-//! 32-byte value from which the convergent encryption key is derived
-//! (Equation 1 of the paper), and re-hashes decrypted blocks on the read path
-//! to perform the data-integrity self-check described in §2.5. That makes
+//! Lamassu hashes every 4 KiB plaintext data block with SHA-256 — the whole
+//! block in format v1, four quarter chains and a root in v2
+//! (`kdf::tree_hash`) — to obtain the 32-byte value from which the
+//! convergent encryption key is derived (Equation 1 of the paper), and
+//! re-hashes decrypted blocks on the read path to perform the
+//! data-integrity self-check described in §2.5. That makes
 //! this compression function the single hottest piece of CPU work in the
 //! whole stack (the paper's Figure 9 attributes up to 80 % of RAM-disk read
 //! latency to *GetCEKey*), so the implementation is tuned for it:
@@ -21,7 +23,7 @@
 //! long-message vector in the module tests.
 
 /// Initial hash values H(0) (FIPS 180-4 §5.3.3).
-const H0: [u32; 8] = [
+pub(crate) const H0: [u32; 8] = [
     0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a, 0x510e527f, 0x9b05688c, 0x1f83d9ab, 0x5be0cd19,
 ];
 
@@ -49,7 +51,7 @@ pub type Digest = [u8; 32];
 // The final eight schedule writes land after their last read — an artifact
 // of the unrolled ring that the optimizer erases.
 #[allow(unused_assignments)]
-fn compress(state: &mut [u32; 8], block: &[u8]) {
+pub(crate) fn compress(state: &mut [u32; 8], block: &[u8]) {
     debug_assert_eq!(block.len(), 64);
     let mut w = [0u32; 16];
     for (wi, chunk) in w.iter_mut().zip(block.chunks_exact(4)) {
@@ -274,6 +276,26 @@ pub fn digest_block(data: &[u8]) -> Digest {
     out
 }
 
+/// Compresses `data` — a whole number of 64-byte blocks — into `state` with
+/// no padding: the bare Merkle–Damgård chain. [`digest_block`] is this plus
+/// one padding block; a leaf of the v2 tree hash (`kdf::tree_hash`) is
+/// exactly this, from its own IV.
+pub(crate) fn chain(state: &mut [u32; 8], data: &[u8]) {
+    debug_assert!(data.len().is_multiple_of(64));
+    for block in data.chunks_exact(64) {
+        compress(state, block);
+    }
+}
+
+/// The big-endian digest bytes of a chaining state.
+pub(crate) fn digest_of(state: &[u32; 8]) -> Digest {
+    let mut out = [0u8; 32];
+    for (i, word) in state.iter().enumerate() {
+        out[i * 4..i * 4 + 4].copy_from_slice(&word.to_be_bytes());
+    }
+    out
+}
+
 /// One-shot SHA-256 of `data` (routes block-aligned messages through
 /// [`digest_block`]).
 ///
@@ -432,42 +454,31 @@ pub fn digest_blocks_x4(blocks: [&[u8]; SHA_LANES]) -> [Digest; SHA_LANES] {
     );
 
     let mut states = [H0; SHA_LANES];
-    let whole = len / 64;
-    for t in 0..whole {
-        compress_x4(
-            &mut states,
-            std::array::from_fn(|i| &blocks[i][t * 64..(t + 1) * 64]),
-        );
-    }
+    let whole = len / 64 * 64;
+    chain_x4(&mut states, std::array::from_fn(|i| &blocks[i][..whole]));
 
     // All lanes share one padding layout: terminator after the common
     // tail, zeros, 64-bit bit length — one or two final blocks.
-    let tail = len - whole * 64;
-    let bits = (len as u64).wrapping_mul(8).to_be_bytes();
+    let tail = len - whole;
+    let pad_len = if tail < 56 { 64 } else { 128 };
     let mut pads = [[0u8; 128]; SHA_LANES];
-    for (i, pad) in pads.iter_mut().enumerate() {
-        pad[..tail].copy_from_slice(&blocks[i][whole * 64..]);
+    for (pad, block) in pads.iter_mut().zip(blocks) {
+        pad[..tail].copy_from_slice(&block[whole..]);
         pad[tail] = 0x80;
+        pad[pad_len - 8..pad_len].copy_from_slice(&(len as u64).wrapping_mul(8).to_be_bytes());
     }
-    let pad_blocks = if tail < 56 { 1 } else { 2 };
-    for (i, pad) in pads.iter_mut().enumerate() {
-        pad[pad_blocks * 64 - 8..pad_blocks * 64].copy_from_slice(&bits);
-        let _ = i;
-    }
-    for t in 0..pad_blocks {
-        compress_x4(
-            &mut states,
-            std::array::from_fn(|i| &pads[i][t * 64..(t + 1) * 64]),
-        );
-    }
+    chain_x4(&mut states, std::array::from_fn(|i| &pads[i][..pad_len]));
+    std::array::from_fn(|i| digest_of(&states[i]))
+}
 
-    std::array::from_fn(|i| {
-        let mut out = [0u8; 32];
-        for (j, word) in states[i].iter().enumerate() {
-            out[j * 4..j * 4 + 4].copy_from_slice(&word.to_be_bytes());
-        }
-        out
-    })
+/// Four-lane [`chain`]: lane `i` compresses `data[i]` — all the same whole
+/// number of 64-byte blocks — into `states[i]`, with no padding.
+pub(crate) fn chain_x4(states: &mut [[u32; 8]; SHA_LANES], data: [&[u8]; SHA_LANES]) {
+    let len = data[0].len();
+    debug_assert!(len.is_multiple_of(64) && data.iter().all(|d| d.len() == len));
+    for t in (0..len).step_by(64) {
+        compress_x4(states, std::array::from_fn(|i| &data[i][t..t + 64]));
+    }
 }
 
 #[cfg(test)]

@@ -32,6 +32,20 @@ pub enum FormatError {
         /// The configured number of reserved transient slots.
         reserved_slots: usize,
     },
+    /// An authentic metadata block carries a format version this build
+    /// does not know.
+    UnknownVersion {
+        /// The stored version number.
+        number: u16,
+    },
+    /// A segment's metadata block carries a different format version from
+    /// its file's (which segment 0 fixed at creation).
+    VersionMismatch {
+        /// The file's version number.
+        file: u16,
+        /// The segment's version number.
+        segment: u16,
+    },
 }
 
 impl fmt::Display for FormatError {
@@ -57,6 +71,13 @@ impl fmt::Display for FormatError {
             FormatError::TransientAreaFull { reserved_slots } => {
                 write!(f, "transient area full ({reserved_slots} reserved slots)")
             }
+            FormatError::UnknownVersion { number } => {
+                write!(f, "metadata block has unknown format version {number}")
+            }
+            FormatError::VersionMismatch { file, segment } => write!(
+                f,
+                "metadata block has format version {segment}, its file is version {file}"
+            ),
         }
     }
 }

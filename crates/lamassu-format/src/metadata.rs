@@ -20,16 +20,26 @@
 //! §2.3 requires ("these encrypted metadata blocks are indistinguishable from
 //! random data").
 //!
-//! The *reserved* field stores a format version and the number of valid
-//! transient entries.
+//! The *reserved* field stores the format version (bytes 12..14 of the
+//! secure region) and the number of valid transient entries.
+//!
+//! # Format versions
+//!
+//! The version says which block hash the segment's data keys were derived
+//! with ([`HashVersion`]): v1 is the paper's SHA-256, v2 the tree hash. A
+//! file's version is fixed when the file is created, and every metadata
+//! block of the file carries it; the layout is the same in both. Parsing a
+//! version this build does not know is an error, never a guess.
 
 use crate::geometry::{Geometry, HEADER_SIZE, KEY_SLOT_SIZE, TRANSIENT_ENTRY_SIZE};
 use crate::FormatError;
 use lamassu_crypto::gcm::{Aes256Gcm, NONCE_LEN, TAG_LEN};
+use lamassu_crypto::kdf::HashVersion;
 use lamassu_crypto::Key256;
 
-/// Current on-disk format version.
-pub const FORMAT_VERSION: u16 = 1;
+/// Current on-disk format version: what new files are created at (unless
+/// their block size rules out the tree hash — [`HashVersion::for_block_size`]).
+pub const FORMAT_VERSION: u16 = HashVersion::CURRENT.number();
 
 /// Byte offset of the GCM tag within a sealed metadata block.
 const TAG_OFFSET: usize = 16;
@@ -91,6 +101,9 @@ pub struct TransientEntry {
 /// Decrypted, in-memory form of one segment's metadata block.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MetadataBlock {
+    /// The file's format version: which block hash its data keys are
+    /// derived with.
+    pub version: HashVersion,
     /// Logical (unpadded) size of the whole file in bytes. Only the value in
     /// the *final* segment's metadata block is authoritative (paper §2.3).
     pub logical_size: u64,
@@ -104,9 +117,11 @@ pub struct MetadataBlock {
 }
 
 impl MetadataBlock {
-    /// Creates an empty metadata block for the given geometry.
+    /// Creates an empty metadata block for the given geometry, at the
+    /// version a new file of that geometry is created at.
     pub fn new(geometry: &Geometry) -> Self {
         MetadataBlock {
+            version: HashVersion::for_block_size(geometry.block_size()),
             logical_size: 0,
             flags: SegmentFlags::empty(),
             key_table: vec![None; geometry.keys_per_metadata_block()],
@@ -186,7 +201,7 @@ impl MetadataBlock {
         out.fill(0);
         out[0..8].copy_from_slice(&self.logical_size.to_le_bytes());
         out[8..12].copy_from_slice(&self.flags.bits().to_le_bytes());
-        out[12..14].copy_from_slice(&FORMAT_VERSION.to_le_bytes());
+        out[12..14].copy_from_slice(&self.version.number().to_le_bytes());
         out[14..16].copy_from_slice(&(self.transient.len() as u16).to_le_bytes());
 
         let table_base = HEADER_SIZE - SECURE_OFFSET;
@@ -222,6 +237,9 @@ impl MetadataBlock {
         let flags = SegmentFlags::from_bits(u32::from_le_bytes(
             region[8..12].try_into().expect("4-byte slice"),
         ));
+        let number = u16::from_le_bytes(region[12..14].try_into().expect("2-byte slice"));
+        let version =
+            HashVersion::from_number(number).ok_or(FormatError::UnknownVersion { number })?;
         let transient_count =
             u16::from_le_bytes(region[14..16].try_into().expect("2-byte slice")) as usize;
         let transient_count = transient_count.min(geometry.reserved_slots());
@@ -253,6 +271,7 @@ impl MetadataBlock {
         }
 
         Ok(MetadataBlock {
+            version,
             logical_size,
             flags,
             key_table,
@@ -440,6 +459,59 @@ mod tests {
             assert!(
                 MetadataBlock::unseal(&g, &gcm(), b"aad", &bad).is_err(),
                 "corruption at byte {pos} must be detected"
+            );
+        }
+    }
+
+    #[test]
+    fn version_is_stored_and_read_back() {
+        let g = Geometry::default();
+        let mut mb = sample_block(&g);
+        assert_eq!(mb.version, HashVersion::V2);
+        assert_eq!(FORMAT_VERSION, 2);
+        mb.version = HashVersion::V1;
+        let sealed = mb.seal(&g, &gcm(), &[7u8; 12], b"aad");
+        let back = MetadataBlock::unseal(&g, &gcm(), b"aad", &sealed).unwrap();
+        assert_eq!(back.version, HashVersion::V1);
+        // A block size the tree hash cannot quarter starts on v1.
+        let odd = Geometry::new(528, 1).unwrap();
+        assert_eq!(MetadataBlock::new(&odd).version, HashVersion::V1);
+    }
+
+    /// Re-seals `sealed` (same nonce, same key) with bytes 12..14 of its
+    /// secure region — the version — replaced: a block only a holder of
+    /// the outer key can produce.
+    fn with_version_number(sealed: &[u8], aad: &[u8], number: u16) -> Vec<u8> {
+        let nonce: [u8; NONCE_LEN] = sealed[..NONCE_LEN].try_into().unwrap();
+        let tag: [u8; TAG_LEN] = sealed[TAG_OFFSET..SECURE_OFFSET].try_into().unwrap();
+        let mut region = sealed[SECURE_OFFSET..].to_vec();
+        gcm()
+            .decrypt_in_place(&nonce, aad, &mut region, &tag)
+            .unwrap();
+        region[12..14].copy_from_slice(&number.to_le_bytes());
+        let tag = gcm().encrypt_in_place(&nonce, aad, &mut region);
+        let mut out = sealed.to_vec();
+        out[TAG_OFFSET..SECURE_OFFSET].copy_from_slice(&tag);
+        out[SECURE_OFFSET..].copy_from_slice(&region);
+        out
+    }
+
+    #[test]
+    fn unknown_version_is_an_error() {
+        let g = Geometry::default();
+        let sealed = sample_block(&g).seal(&g, &gcm(), &[7u8; 12], b"aad");
+        let v1 = with_version_number(&sealed, b"aad", 1);
+        assert_eq!(
+            MetadataBlock::unseal(&g, &gcm(), b"aad", &v1)
+                .unwrap()
+                .version,
+            HashVersion::V1
+        );
+        for number in [0u16, 3, 0xffff] {
+            let doctored = with_version_number(&sealed, b"aad", number);
+            assert_eq!(
+                MetadataBlock::unseal(&g, &gcm(), b"aad", &doctored),
+                Err(FormatError::UnknownVersion { number })
             );
         }
     }

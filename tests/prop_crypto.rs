@@ -6,7 +6,7 @@
 
 use lamassu::crypto::aes::{ecb_decrypt_in_place, ecb_encrypt_in_place, Aes256};
 use lamassu::crypto::gcm::Aes256Gcm;
-use lamassu::crypto::kdf::ConvergentKdf;
+use lamassu::crypto::kdf::{tree_hash, ConvergentKdf, HashVersion};
 use lamassu::crypto::sha256::{digest_blocks_x4, sha256, Sha256, SHA_LANES};
 use lamassu::crypto::{cbc, ctr, fixsliced, CryptoBackend, CryptoError, FIXED_IV};
 use proptest::prelude::*;
@@ -140,11 +140,25 @@ proptest! {
         a in prop::collection::vec(any::<u8>(), 64..256),
         b in prop::collection::vec(any::<u8>(), 64..256)
     ) {
-        let kdf = ConvergentKdf::new(&inner);
-        let ka = kdf.derive_for_block(&a);
-        let kb = kdf.derive_for_block(&b);
-        prop_assert_eq!(ka == kb, a == b, "key equality must track plaintext equality");
-        prop_assert_eq!(kdf.invert(&ka), sha256(&a));
+        // v1 hashes any length; v2 blocks are quartered, so `a` and `b` are
+        // padded to 256 bytes with their own length (injective below 256).
+        let pad = |x: &Vec<u8>| {
+            let mut p = x.clone();
+            p.resize(256, x.len() as u8);
+            p
+        };
+        for version in [HashVersion::V1, HashVersion::V2] {
+            let kdf = ConvergentKdf::with_version(&inner, version);
+            let (pa, pb, hash) = match version {
+                HashVersion::V1 => (a.clone(), b.clone(), sha256(&a)),
+                HashVersion::V2 => (pad(&a), pad(&b), tree_hash(&pad(&a))),
+            };
+            let ka = kdf.derive_for_block(&pa);
+            let kb = kdf.derive_for_block(&pb);
+            prop_assert_eq!(ka == kb, a == b, "key equality must track plaintext equality");
+            prop_assert_eq!(kdf.invert(&ka), hash);
+            prop_assert_eq!(kdf.derive_for_block_ct(&pa), ka, "lane path == scalar path");
+        }
     }
 
     #[test]
@@ -158,10 +172,10 @@ proptest! {
         let original: Vec<u8> = (0..blocks * 16).map(|i| (i as u8).wrapping_mul(37).wrapping_add(seed)).collect();
         let mut wide = original.clone();
         let mut scalar = original.clone();
-        fixsliced::ecb_encrypt(&fix, &mut wide);
+        fixsliced::ecb_encrypt(&fix.packed_enc_keys(), &mut wide);
         ecb_encrypt_in_place(&aes, &mut scalar);
         prop_assert_eq!(&wide, &scalar, "ECB encrypt differs between backends");
-        fixsliced::ecb_decrypt(&fix, &mut wide);
+        fixsliced::ecb_decrypt(&fix.packed_dec_keys(), &mut wide);
         prop_assert_eq!(wide, original);
     }
 
@@ -218,10 +232,10 @@ proptest! {
         let aes = Aes256::new(&key);
         let mut wide = data.clone();
         let mut scalar = data.clone();
-        fixsliced::ctr32_xor(&fix, &counter, &mut wide);
+        fixsliced::ctr32_xor(&fix.packed_enc_keys(), &counter, &mut wide);
         ctr::ctr32_xor_in_place(&aes, &counter, &mut scalar);
         prop_assert_eq!(&wide, &scalar, "CTR keystream differs between backends");
-        fixsliced::ctr32_xor(&fix, &counter, &mut wide);
+        fixsliced::ctr32_xor(&fix.packed_enc_keys(), &counter, &mut wide);
         prop_assert_eq!(wide, data);
     }
 

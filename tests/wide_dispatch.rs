@@ -11,6 +11,11 @@
 //! kernels: every data-block AES block goes through the wide fixsliced
 //! kernel, and at least 94 % of key derivations through the 4-lane SHA-256
 //! (only a tail of fewer than four blocks per share may run scalar).
+//!
+//! The read side's lone block is the case the v2 tree hash exists for: a
+//! random 4 KiB read decrypts one block and re-derives one key for the §2.5
+//! check, and under v2 both run on the wide kernels — the derivation's four
+//! leaves fill the four SHA-256 lanes.
 
 use lamassu::core::{FileSystem, LamassuConfig, LamassuFs};
 use lamassu::crypto::stats;
@@ -70,4 +75,11 @@ fn default_mount_writes_run_on_the_wide_kernels() {
         derives >= 0.94,
         "R-block commit: wide derive share {derives}"
     );
+
+    let (aes, derives) = dispatch_shares(|| {
+        let block = fs.read(fd, (100 * BS) as u64, BS).unwrap();
+        assert_eq!(block, unique[100 * BS..101 * BS]);
+    });
+    assert_eq!(aes, 1.0, "lone 4 KiB read: decrypt on the wide kernel");
+    assert_eq!(derives, 1.0, "lone 4 KiB read: integrity check on 4 lanes");
 }

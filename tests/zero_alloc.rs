@@ -195,6 +195,17 @@ fn warm_reread_loop_allocates_nothing() {
         "warm re-reads must decrypt through the wide fixsliced kernels"
     );
 
+    // Lone aligned 4 KiB reads — the rand-read shape: one block decrypted
+    // and its key re-derived (the v2 tree hash's four lanes) per op.
+    let mut block = vec![0u8; BS];
+    let allocs = allocs_during(|| {
+        for b in (0..size / BS).step_by(7) {
+            let n = fs.read_into(fd, (b * BS) as u64, &mut block).expect("read");
+            assert_eq!(n, BS);
+        }
+    });
+    assert_eq!(allocs, 0, "lone aligned 4 KiB reads must not allocate");
+
     // Misaligned warm re-reads (head/tail blocks stage through the pool —
     // still zero allocations).
     let ops_before = tracer.ops();
