@@ -22,7 +22,6 @@ fn main() {
     experiments::scaling::run(fio.min(8 * 1024 * 1024));
     experiments::scaleout::run(fio.min(8 * 1024 * 1024));
     experiments::hot_path::run(8);
-    experiments::wide_crypto::run();
     experiments::chaos::run(fio.min(4 * 1024 * 1024));
     let telemetry = std::env::args().any(|a| a == "--telemetry");
     experiments::latency::run(fio.min(8 * 1024 * 1024), telemetry);

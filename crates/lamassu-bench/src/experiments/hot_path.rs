@@ -123,7 +123,6 @@ impl SpanReadSetup {
             // not thread-spawn jitter.
             workers: 1,
             pool_blocks,
-            ..SpanConfig::default()
         });
         let fs = LamassuFs::new(store, keys, config);
         let size = file_mb * 1024 * 1024;

@@ -18,7 +18,6 @@
 //! | [`scaleout`] | beyond the paper — routed-tier throughput vs backend count |
 //! | [`hot_path`] | beyond the paper — allocs/op and ns/block on the steady-state data path |
 //! | [`latency`] | beyond the paper — per-op latency percentiles and the telemetry overhead budget |
-//! | [`wide_crypto`] | beyond the paper — wide constant-time AES/SHA kernels vs the scalar T-table oracle |
 //! | [`chaos`] | beyond the paper — self-healing under transient faults and a burst outage |
 
 pub mod ablation;
@@ -38,7 +37,6 @@ pub mod scaling;
 pub mod span_io;
 pub mod table1;
 pub mod throughput;
-pub mod wide_crypto;
 
 use lamassu_core::FileSystem;
 

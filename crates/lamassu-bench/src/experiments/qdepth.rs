@@ -1,7 +1,7 @@
 //! Queue-depth experiment: what the completion-based I/O engine buys.
 //!
-//! The async pipelines (`lamassu-core::span`, [`IoMode::Async`] — the
-//! default) submit all of a span's contiguous runs before draining any
+//! The span pipelines (`lamassu-core::span`, over its submission/completion
+//! driver) submit all of a span's contiguous runs before draining any
 //! completion, so up to `queue_depth` backend operations from **one** client
 //! thread overlap on the modelled channel. This experiment sweeps the
 //! channel's queue depth over {1, 4, 8, 16} and reads the same file
@@ -15,8 +15,6 @@
 //! three ≤118-block segment runs, all in flight together once the channel is
 //! deep enough. PlainFS is the control: its reads are one submission each,
 //! so its row stays flat across depths.
-//!
-//! [`IoMode::Async`]: lamassu_core::IoMode::Async
 
 use crate::report::{write_json, Table};
 use crate::setup::{backends, mount_on, FsKind, Mount};

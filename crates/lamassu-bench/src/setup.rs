@@ -75,7 +75,7 @@ fn shim_over(
         Box::new(LamassuFs::with_profiler(store, keys, config, profiler))
     };
     match kind {
-        FsKind::Plain => Box::new(PlainFs::with_profiler(store, span.io, profiler)),
+        FsKind::Plain => Box::new(PlainFs::with_profiler(store, profiler)),
         FsKind::Enc => {
             let config = EncFsConfig {
                 span,

@@ -17,7 +17,7 @@
 
 use lamassu::stack::{Resilience, Stack, StackBuilder};
 use lamassu_cache::{CacheConfig, CacheMode};
-use lamassu_core::{CryptoBackend, FileSystem, LamassuConfig, LamassuFs, OpenFlags};
+use lamassu_core::{FileSystem, LamassuConfig, LamassuFs, OpenFlags};
 use lamassu_dist::{DistConfig, Granularity};
 use lamassu_keymgr::KeyManager;
 use lamassu_resilience::{BreakerConfig, HedgeConfig, OpBudget};
@@ -62,10 +62,6 @@ OPTIONS:
     --reserved-slots <R>       reserved transient key slots (default: 8)
     --workers <n>              crypto worker threads for span batches
                                (default: 0 = auto, min(4, CPU cores))
-    --crypto <backend>         AES/SHA kernel selection: fixsliced (wide
-                               constant-time kernels, the default) or ttable
-                               (the scalar lookup-table oracle used for
-                               differential testing)
     --qd <n>                   per-channel queue depth of the backing store:
                                how many submitted operations the async data
                                path keeps in flight per transport channel
@@ -111,7 +107,6 @@ struct Options {
     block_size: usize,
     reserved_slots: usize,
     workers: usize,
-    crypto: CryptoBackend,
     qd: Option<usize>,
     jobs: usize,
     bench_layout: JobLayout,
@@ -240,7 +235,6 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
         block_size: 4096,
         reserved_slots: 8,
         workers: 0,
-        crypto: CryptoBackend::default(),
         qd: None,
         jobs: 1,
         bench_layout: JobLayout::SharedFile,
@@ -274,18 +268,6 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
     });
     flags.insert("--workers", |o, v| {
         o.workers = v.parse().map_err(|_| format!("bad worker count: {v}"))?;
-        Ok(())
-    });
-    flags.insert("--crypto", |o, v| {
-        o.crypto = match v.as_str() {
-            "fixsliced" => CryptoBackend::Fixsliced,
-            "ttable" => CryptoBackend::TTable,
-            other => {
-                return Err(format!(
-                    "bad crypto backend '{other}' (fixsliced or ttable)"
-                ))
-            }
-        };
         Ok(())
     });
     flags.insert("--qd", |o, v| {
@@ -408,7 +390,6 @@ fn mount(opts: &Options) -> Result<Mounted, String> {
         span: lamassu_core::SpanConfig {
             policy: lamassu_core::SpanPolicy::Batched,
             workers: opts.workers,
-            crypto: opts.crypto,
             ..lamassu_core::SpanConfig::default()
         },
     };

@@ -27,7 +27,7 @@ use crate::iovec;
 use crate::mount::{Mount, MountEngine, MountFile};
 use crate::pool::BlockPool;
 use crate::profiler::{Category, Profiler};
-use crate::span::{SpanConfig, SpanPolicy};
+use crate::span::{SpanConfig, SpanPolicy, KERNELS};
 use crate::spanio::SpanIo;
 use crate::{FsError, Result};
 use lamassu_crypto::aes::Aes256;
@@ -36,7 +36,7 @@ use lamassu_crypto::gcm::{Aes256Gcm, NONCE_LEN, TAG_LEN};
 use lamassu_crypto::kdf::{ConvergentKdf, HashVersion};
 use lamassu_crypto::pool::CryptoPool;
 use lamassu_crypto::{batch, cbc};
-use lamassu_crypto::{fixsliced, stats, CryptoBackend};
+use lamassu_crypto::{fixsliced, stats};
 use lamassu_crypto::{Key256, FIXED_IV};
 use lamassu_keymgr::ZoneKeys;
 use lamassu_storage::ObjectStore;
@@ -67,6 +67,23 @@ impl MountFile for CeFile {
     }
 }
 
+/// Zero-extends (or shrinks) `data` to `len` bytes. The growth is reserved
+/// fallibly: the engine holds a whole file in memory, so a size this host
+/// cannot hold — asked for by the client, or claimed by the untrusted
+/// backend — is an error, never an abort.
+fn resize(data: &mut Vec<u8>, len: u64) -> Result<()> {
+    let reserved = usize::try_from(len)
+        .ok()
+        .filter(|&len| data.try_reserve(len.saturating_sub(data.len())).is_ok());
+    let Some(len) = reserved else {
+        return Err(FsError::Unsupported {
+            what: "a CeFileFS file larger than memory",
+        });
+    };
+    data.resize(len, 0);
+    Ok(())
+}
+
 /// Idle header blocks the auto-sized CeFileFS pool keeps (one per
 /// concurrently loading/storing file is plenty).
 const CE_POOL_BLOCKS: usize = 8;
@@ -81,7 +98,7 @@ pub type CeFileFs = Mount<CeEngine>;
 pub struct CeEngine {
     io: SpanIo,
     block_size: usize,
-    span: SpanConfig,
+    policy: SpanPolicy,
     /// The mount's shared crypto worker pool (see [`crate::span`]).
     pool: CryptoPool,
     /// Recycled header-block staging (see [`crate::pool`]); the variable
@@ -122,15 +139,15 @@ impl Mount<CeEngine> {
         let blocks = BlockPool::new(block_size, span.pool_capacity(CE_POOL_BLOCKS));
         profiler.attach_pool(&blocks);
         Mount::over(CeEngine {
-            io: SpanIo::new(store, profiler.clone(), span.io),
+            io: SpanIo::new(store, profiler.clone()),
             block_size,
-            span,
+            policy: span.policy,
             pool: span.pool(),
             blocks,
             // The file key is `F(SHA-256(whole file))`: the tree hash is
             // defined on blocks, so this format stays on v1's `H`.
             kdf: ConvergentKdf::with_version(&keys.inner, HashVersion::V1),
-            gcm: Aes256Gcm::with_backend(&keys.outer, span.crypto),
+            gcm: Aes256Gcm::new(&keys.outer),
             profiler,
         })
     }
@@ -151,36 +168,30 @@ impl CeEngine {
         if physical == 0 {
             return Ok(Vec::new());
         }
-        let body_len = (physical as usize).saturating_sub(self.block_size);
-        let batched = self.span.policy == SpanPolicy::Batched;
+        // The length is the backend's claim, so the body is sized fallibly.
+        let mut body = Vec::new();
+        resize(&mut body, physical.saturating_sub(self.block_size as u64))?;
+        let batched = self.policy == SpanPolicy::Batched;
         let mut header = self.blocks.take();
-        let mut body = if batched {
+        let n = if batched {
             // Header and body are physically contiguous: one round trip,
             // header staged through a pooled block.
-            let mut body = vec![0u8; body_len];
             let bufs = &mut [IoSliceMut::new(&mut header), IoSliceMut::new(&mut body)];
-            let n = self.io.read_one(path, 0, bufs)?;
-            if n < self.block_size {
-                // Too short to even hold a header: not a CeFile object.
-                return Err(FsError::Metadata(
-                    lamassu_format::FormatError::MetadataAuthFailure,
-                ));
-            }
-            body
+            self.io.read_one(path, 0, bufs)?
         } else {
             let n = self.io.call(|s| s.read_into(path, 0, &mut header))?;
-            if n < self.block_size {
-                return Err(FsError::Metadata(
-                    lamassu_format::FormatError::MetadataAuthFailure,
-                ));
+            if n == self.block_size && !body.is_empty() {
+                let at = self.block_size as u64;
+                self.io.call(|s| s.read_into(path, at, &mut body))?;
             }
-            if body_len > 0 {
-                self.io
-                    .call(|s| s.read_at(path, self.block_size as u64, body_len))?
-            } else {
-                Vec::new()
-            }
+            n
         };
+        if n < self.block_size {
+            // Too short to even hold a header: not a CeFile object.
+            return Err(FsError::Metadata(
+                lamassu_format::FormatError::MetadataAuthFailure,
+            ));
+        }
         // Header: nonce(12) | tag(16) | sealed[ magic(8) | size(8) | key(32) ].
         let nonce: [u8; NONCE_LEN] = header[..NONCE_LEN].try_into().expect("12 bytes");
         let tag: [u8; TAG_LEN] = header[NONCE_LEN..NONCE_LEN + TAG_LEN]
@@ -202,20 +213,11 @@ impl CeEngine {
         self.profiler.time(Category::Decrypt, || {
             if batched {
                 let cipher = SpanCipher::new(&file_key);
-                batch::cbc_decrypt_parallel(
-                    &self.pool,
-                    &cipher,
-                    &FIXED_IV,
-                    &mut body,
-                    self.span.crypto,
-                )
-            } else if self.span.crypto == CryptoBackend::Fixsliced {
+                batch::cbc_decrypt_parallel(&self.pool, &cipher, &FIXED_IV, &mut body, KERNELS)
+            } else {
                 stats::count_wide_blocks(body.len() / 16);
                 fixsliced::cbc_decrypt(&fixsliced::Aes256Fix::new(&file_key), &FIXED_IV, &mut body);
                 Ok(())
-            } else {
-                stats::count_scalar_blocks(body.len() / 16);
-                cbc::decrypt_in_place(&Aes256::new(&file_key), &FIXED_IV, &mut body)
             }
         })?;
         body.truncate(logical);
@@ -234,15 +236,11 @@ impl CeEngine {
         Ok(body)
     }
 
-    /// Derives the whole-file convergent key on the mount's backend (the
-    /// keying step runs through the constant-time cipher under
-    /// [`CryptoBackend::Fixsliced`]).
+    /// Derives the whole-file convergent key (the keying step runs through
+    /// the constant-time cipher).
     fn derive_file_key(&self, data: &[u8]) -> Key256 {
         stats::count_scalar_derives(1);
-        match self.span.crypto {
-            CryptoBackend::Fixsliced => self.kdf.derive_for_block_ct(data),
-            CryptoBackend::TTable => self.kdf.derive_for_block(data),
-        }
+        self.kdf.derive_for_block_ct(data)
     }
 
     /// Encrypts and writes the whole file back to the store.
@@ -258,7 +256,7 @@ impl CeEngine {
         self.profiler.time(Category::Encrypt, || {
             // Whole-file CBC encryption is one strict chain — below the wide
             // kernel's amortization width at any file size — so it stays on
-            // the T-table path under either backend.
+            // the T-table path.
             stats::count_scalar_blocks(body.len() / 16);
             cbc::encrypt_in_place(&Aes256::new(&file_key), &FIXED_IV, &mut body)
         })?;
@@ -281,7 +279,7 @@ impl CeEngine {
         header[NONCE_LEN + TAG_LEN..NONCE_LEN + TAG_LEN + 48].copy_from_slice(&sealed);
 
         self.io.call(|s| s.truncate(path, 0))?;
-        if self.span.policy == SpanPolicy::Batched && !body.is_empty() {
+        if self.policy == SpanPolicy::Batched && !body.is_empty() {
             // Header and body land in one vectored backend write.
             let bufs = &[IoSlice::new(&header), IoSlice::new(&body)];
             self.io.write_one(path, 0, bufs)?;
@@ -332,17 +330,17 @@ impl MountEngine for CeEngine {
     }
 
     fn write(&self, st: &mut CeFile, offset: u64, bufs: &[IoSlice<'_>]) -> Result<()> {
-        let end = offset as usize + iovec::total_len(bufs);
-        if end > st.data.len() {
-            st.data.resize(end, 0);
+        let end = offset + iovec::total_len(bufs) as u64;
+        if end > st.logical_size() {
+            resize(&mut st.data, end)?;
         }
-        iovec::gather(bufs, 0, &mut st.data[offset as usize..end]);
+        iovec::gather(bufs, 0, &mut st.data[offset as usize..end as usize]);
         st.dirty = true;
         Ok(())
     }
 
     fn truncate(&self, st: &mut CeFile, size: u64) -> Result<()> {
-        st.data.resize(size as usize, 0);
+        resize(&mut st.data, size)?;
         st.dirty = true;
         Ok(())
     }

@@ -29,14 +29,14 @@ use crate::iovec;
 use crate::mount::{Mount, MountEngine, MountFile};
 use crate::pool::{BlockBuf, BlockPool};
 use crate::profiler::{Category, Profiler};
-use crate::span::{SpanConfig, SpanPlanner, SpanPolicy};
+use crate::span::{SpanConfig, SpanPlanner, SpanPolicy, KERNELS};
 use crate::spanio::{Landed, Run, SpanIo};
 use crate::{FsError, Result};
 use lamassu_crypto::aes::Aes256;
 use lamassu_crypto::batch::{self, SpanCipher};
 use lamassu_crypto::pool::CryptoPool;
 use lamassu_crypto::{cbc, fixsliced, stats};
-use lamassu_crypto::{CryptoBackend, Iv128, Key256};
+use lamassu_crypto::{Iv128, Key256};
 use lamassu_storage::ObjectStore;
 use rand::RngCore;
 use std::cell::RefCell;
@@ -178,7 +178,7 @@ impl Mount<EncEngine> {
         );
         profiler.attach_pool(&blocks);
         Mount::over(EncEngine {
-            io: SpanIo::new(store, profiler.clone(), config.span.io),
+            io: SpanIo::new(store, profiler.clone()),
             volume_cipher: Aes256::new(&volume_key),
             pool: config.span.pool(),
             blocks,
@@ -245,28 +245,6 @@ impl EncEngine {
         Ok(())
     }
 
-    /// Decrypts one whole block in place under the file cipher: the wide
-    /// kernel on the fixsliced backend (CBC decryption is wide within a
-    /// chain), the T-table oracle otherwise.
-    fn decrypt_block_in_place(
-        &self,
-        cipher: &SpanCipher,
-        iv: &[u8; 16],
-        block: &mut [u8],
-    ) -> lamassu_crypto::Result<()> {
-        match self.config.span.crypto {
-            CryptoBackend::Fixsliced => {
-                stats::count_wide_blocks(block.len() / 16);
-                fixsliced::cbc_decrypt(cipher.fix(), iv, block);
-                Ok(())
-            }
-            CryptoBackend::TTable => {
-                stats::count_scalar_blocks(block.len() / 16);
-                cbc::decrypt_in_place(cipher.tt(), iv, block)
-            }
-        }
-    }
-
     /// Turns one individually handled block — `filled` bytes of ciphertext
     /// as the store delivered them — into plaintext in place: the unread
     /// remainder is zeroed, and a block that is then all zero is a hole.
@@ -280,16 +258,18 @@ impl EncEngine {
         block: u64,
         filled: usize,
         dest: &mut [u8],
-    ) -> Result<()> {
+    ) {
         dest[filled..].fill(0);
         if dest.iter().all(|&b| b == 0) {
-            return Ok(());
+            return;
         }
+        // One whole block under the file cipher: CBC decryption is wide
+        // within a chain, so it takes the wide kernel.
         let iv = Self::block_iv(cipher.tt(), file_iv, block);
         self.profiler.time(Category::Decrypt, || {
-            self.decrypt_block_in_place(cipher, &iv, dest)
-        })?;
-        Ok(())
+            stats::count_wide_blocks(dest.len() / 16);
+            fixsliced::cbc_decrypt(cipher.fix(), &iv, dest);
+        });
     }
 
     /// Reads and decrypts one full logical block into `dest` (zero-filled
@@ -305,7 +285,8 @@ impl EncEngine {
         debug_assert_eq!(dest.len(), self.config.block_size);
         let phys = self.data_offset(block);
         let n = self.io.call(|s| s.read_into(path, phys, dest))?;
-        self.decrypt_read_block(cipher, file_iv, block, n, dest)
+        self.decrypt_read_block(cipher, file_iv, block, n, dest);
+        Ok(())
     }
 
     /// Encrypts `block_buf` (one full block of plaintext, consumed in place)
@@ -334,8 +315,7 @@ impl EncEngine {
     /// [`MAX_SPAN_BLOCKS`]-bounded chunks (data blocks are physically
     /// contiguous, so each chunk is one run) and handed to the span-I/O
     /// driver, which calls [`EncEngine::finish_span_chunk`] on each chunk as it
-    /// lands — under the default async mode with the later chunks still in
-    /// flight.
+    /// lands, with the later chunks still in flight.
     ///
     /// The steady-state aligned shape needs no staging at all — ciphertext
     /// lands straight in the caller's buffer and decrypts there, with the
@@ -379,7 +359,7 @@ impl EncEngine {
         let filled = |i: usize| n.saturating_sub(i * bs).min(bs);
         let head_blocks = head.is_some() as usize;
         if let Some(head) = head {
-            self.decrypt_read_block(&st.cipher, &st.file_iv, chunk.first, filled(0), head)?;
+            self.decrypt_read_block(&st.cipher, &st.file_iv, chunk.first, filled(0), head);
         }
         if !mid.is_empty() {
             with_iv_scratch(|ivs, holes| {
@@ -398,14 +378,7 @@ impl EncEngine {
                     ));
                 }
                 self.profiler.time(Category::Decrypt, || {
-                    batch::decrypt_span_with(
-                        &self.pool,
-                        &st.cipher,
-                        ivs,
-                        mid,
-                        bs,
-                        self.config.span.crypto,
-                    )
+                    batch::decrypt_span_with(&self.pool, &st.cipher, ivs, mid, bs, KERNELS)
                 })?;
                 for &i in holes.iter() {
                     mid[i * bs..(i + 1) * bs].fill(0);
@@ -421,7 +394,7 @@ impl EncEngine {
                 chunk.first + last as u64,
                 filled(last),
                 tail,
-            )?;
+            );
         }
         Ok(())
     }
@@ -430,10 +403,10 @@ impl EncEngine {
     /// of the range as plaintext (reading only the partial edge blocks back
     /// for the read-modify-write), encrypts the whole chunk as one parallel
     /// batch, and writes it with a single backend operation. The writes form
-    /// one [`SpanIo::write_batch`]: under the default async mode they are
-    /// submitted as they are encrypted — chunk N+1's read-modify-write and
-    /// encrypt overlap chunk N's transport — and the batch's closing barrier
-    /// drains them on every exit, a failed read-modify-write included.
+    /// one [`SpanIo::write_batch`]: they are submitted as they are encrypted
+    /// — chunk N+1's read-modify-write and encrypt overlap chunk N's
+    /// transport — and the batch's closing barrier drains them on every
+    /// exit, a failed read-modify-write included.
     /// (Reusing the staging buffer across chunks is safe: the store has
     /// copied the bytes out by the time a write is issued.)
     fn write_span(&self, st: &mut EncFile, offset: u64, bufs: &[IoSlice<'_>]) -> Result<()> {
@@ -495,17 +468,10 @@ impl EncEngine {
                             .map(|b| Self::block_iv(st.cipher.tt(), &st.file_iv, b)),
                     );
                     self.profiler.time(Category::Encrypt, || {
-                        batch::encrypt_span_with(
-                            &self.pool,
-                            &st.cipher,
-                            ivs,
-                            chunk,
-                            bs,
-                            self.config.span.crypto,
-                        )
+                        batch::encrypt_span_with(&self.pool, &st.cipher, ivs, chunk, bs, KERNELS)
                     })
                 })?;
-                io.write(self.data_offset(chunk_first), &[IoSlice::new(chunk)])?;
+                io.write(self.data_offset(chunk_first), &[IoSlice::new(chunk)]);
                 chunk_first = chunk_last + 1;
             }
             Ok(())

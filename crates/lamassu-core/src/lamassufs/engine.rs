@@ -95,7 +95,7 @@ use crate::lamassufs::{IntegrityMode, LamassuConfig};
 use crate::mount::{MountEngine, MountFile};
 use crate::pool::{with_tls, BlockBuf, BlockPool};
 use crate::profiler::{Category, Profiler};
-use crate::span::{SpanConfig, SpanPlanner, SpanPolicy};
+use crate::span::{SpanPlanner, SpanPolicy, KERNELS};
 use crate::spanio::{Landed, Run, SpanIo, WriteBatch};
 use crate::{FsError, Result};
 use lamassu_crypto::aes::Aes256;
@@ -104,7 +104,7 @@ use lamassu_crypto::kdf::{ConvergentKdf, HashVersion};
 use lamassu_crypto::pool::CryptoPool;
 use lamassu_crypto::util::constant_time_eq;
 use lamassu_crypto::{batch, cbc, fixsliced, stats};
-use lamassu_crypto::{CryptoBackend, Key256, FIXED_IV};
+use lamassu_crypto::{Key256, FIXED_IV};
 use lamassu_format::{FormatError, Geometry, MetadataBlock, TransientEntry};
 use lamassu_keymgr::ZoneKeys;
 use lamassu_storage::ObjectStore;
@@ -205,11 +205,11 @@ struct CryptoCtx {
 }
 
 impl CryptoCtx {
-    fn new(keys: ZoneKeys, backend: CryptoBackend) -> Self {
+    fn new(keys: ZoneKeys) -> Self {
         CryptoCtx {
             kdf_v1: ConvergentKdf::with_version(&keys.inner, HashVersion::V1),
             kdf_v2: ConvergentKdf::with_version(&keys.inner, HashVersion::V2),
-            gcm: Aes256Gcm::with_backend(&keys.outer, backend),
+            gcm: Aes256Gcm::new(&keys.outer),
             keys,
         }
     }
@@ -338,7 +338,7 @@ pub struct Engine {
     io: SpanIo,
     pub(super) geometry: Geometry,
     pub(super) integrity: IntegrityMode,
-    span: SpanConfig,
+    policy: SpanPolicy,
     /// The mount's shared crypto worker pool (see [`crate::span`]).
     pool: CryptoPool,
     /// The mount's recycled block-buffer pool (see [`crate::pool`]).
@@ -366,10 +366,10 @@ impl Engine {
         );
         profiler.attach_pool(&blocks);
         Engine {
-            io: SpanIo::new(store, profiler.clone(), config.span.io),
+            io: SpanIo::new(store, profiler.clone()),
             geometry: config.geometry,
             integrity: config.integrity,
-            span: config.span,
+            policy: config.span.policy,
             pool: config.span.pool(),
             blocks,
             planner: SpanPlanner::new(config.geometry.block_size()),
@@ -377,14 +377,14 @@ impl Engine {
                 SpanPolicy::Batched => SPAN_BLOCKS,
                 SpanPolicy::PerBlock => config.geometry.reserved_slots(),
             },
-            crypto: RwLock::new(CryptoCtx::new(keys, config.span.crypto)),
+            crypto: RwLock::new(CryptoCtx::new(keys)),
             profiler,
         }
     }
 
     /// Replaces the mount's key pair (after a completed re-keying pass).
     pub(crate) fn switch_keys(&self, keys: ZoneKeys) {
-        *self.crypto.write() = CryptoCtx::new(keys, self.span.crypto);
+        *self.crypto.write() = CryptoCtx::new(keys);
     }
 
     /// Additional authenticated data binding a metadata block to its segment
@@ -439,7 +439,7 @@ impl MountEngine for Engine {
     /// Takes only a shared borrow: the mount serves this under its read
     /// guard, so any number of readers run concurrently on one file.
     fn read(&self, file: &LamassuFile, offset: u64, buf: &mut [u8]) -> Result<()> {
-        match self.span.policy {
+        match self.policy {
             SpanPolicy::PerBlock => self.read_range_per_block(file, offset, buf),
             SpanPolicy::Batched => self.read_range_batched(file, offset, buf),
         }
@@ -772,8 +772,8 @@ impl Engine {
 
     /// Derives the convergent key for one plaintext block of a file of
     /// format `version` (Equation 1), charging the hash/KDF time to the
-    /// `GetCEKey` category. A one-block span: the fixsliced backend runs it
-    /// on the lane kernels (under v2 all four SHA-256 lanes).
+    /// `GetCEKey` category. A one-block span: it runs on the lane kernels
+    /// (under v2 all four SHA-256 lanes).
     fn derive_key(&self, version: HashVersion, plaintext: &[u8]) -> Key256 {
         let crypto = self.crypto.read();
         let mut key = [[0u8; 32]];
@@ -784,7 +784,7 @@ impl Engine {
                 plaintext,
                 plaintext.len(),
                 &mut key,
-                self.span.crypto,
+                KERNELS,
             )
             .expect("one whole block")
         });
@@ -805,23 +805,13 @@ impl Engine {
     }
 
     /// Decryption of one data block in place. CBC decryption is wide
-    /// *within* a chain, so the fixsliced backend takes the wide kernel
-    /// even for one block.
+    /// *within* a chain, so even one block takes the wide kernel.
     fn decrypt_in_place(&self, buf: &mut [u8], key: &Key256) {
-        self.profiler
-            .time(Category::Decrypt, || match self.span.crypto {
-                CryptoBackend::Fixsliced => {
-                    stats::count_wide_blocks(buf.len() / 16);
-                    let cipher = fixsliced::Aes256Fix::new(key);
-                    fixsliced::cbc_decrypt(&cipher, &FIXED_IV, buf);
-                }
-                CryptoBackend::TTable => {
-                    stats::count_scalar_blocks(buf.len() / 16);
-                    let cipher = Aes256::new(key);
-                    cbc::decrypt_in_place(&cipher, &FIXED_IV, buf)
-                        .expect("data blocks are 16-byte aligned");
-                }
-            })
+        self.profiler.time(Category::Decrypt, || {
+            stats::count_wide_blocks(buf.len() / 16);
+            let cipher = fixsliced::Aes256Fix::new(key);
+            fixsliced::cbc_decrypt(&cipher, &FIXED_IV, buf);
+        })
     }
 
     /// Decryption of one data block into a fresh vector (recovery path).
@@ -1038,7 +1028,7 @@ impl Engine {
         if mid_read > 0 {
             let mid_keys = &keys[head_blocks..head_blocks + mid_read];
             self.profiler.time(Category::Decrypt, || {
-                batch::decrypt_span(&self.pool, mid_keys, &FIXED_IV, mid, bs, self.span.crypto)
+                batch::decrypt_span(&self.pool, mid_keys, &FIXED_IV, mid, bs, KERNELS)
                     .expect("data blocks are 16-byte aligned")
             });
             if check {
@@ -1053,7 +1043,7 @@ impl Engine {
                             mid,
                             bs,
                             derived,
-                            self.span.crypto,
+                            KERNELS,
                         )
                         .expect("span length matches key count")
                     });
@@ -1084,7 +1074,7 @@ impl Engine {
 
     fn commit_pending(&self, file: &mut LamassuFile) -> Result<()> {
         while !file.pending.is_empty() {
-            match self.span.policy {
+            match self.policy {
                 SpanPolicy::Batched => self.commit_batch(file)?,
                 SpanPolicy::PerBlock => self.commit_chunk(file)?,
             }
@@ -1144,13 +1134,13 @@ impl Engine {
                         &data,
                         bs,
                         keys,
-                        self.span.crypto,
+                        KERNELS,
                     )
                     .expect("batch is whole blocks")
                 });
             }
             self.profiler.time(Category::Encrypt, || {
-                batch::encrypt_span(&self.pool, keys, &FIXED_IV, &mut data, bs, self.span.crypto)
+                batch::encrypt_span(&self.pool, keys, &FIXED_IV, &mut data, bs, KERNELS)
                     .expect("batch is whole blocks")
             });
             self.commit_rounds(file, &ids, keys, &data, &mut segs)
@@ -1262,7 +1252,7 @@ impl Engine {
                     // on the media, which is where the size is read from.
                     seg.mb.logical_size = file.logical_size;
                 }
-                self.seal_and_submit_phase(io, segs, round)?;
+                self.seal_and_submit_phase(io, segs, round);
                 io.barrier()?;
 
                 // Data phase: the round's ciphertext, one write per run of
@@ -1277,7 +1267,7 @@ impl Engine {
                             j += 1;
                         }
                         let offset = self.geometry.locate_block(ids[i]).physical_offset;
-                        io.write(offset, &[IoSlice::new(&data[i * bs..j * bs])])?;
+                        io.write(offset, &[IoSlice::new(&data[i * bs..j * bs])]);
                         i = j;
                     }
                 }
@@ -1301,12 +1291,7 @@ impl Engine {
     /// most expensive single kernel of the write path) fan out by the pool's
     /// tile rule, so a phase of fewer than two tiles of segments — every
     /// sequential commit — seals inline.
-    fn seal_and_submit_phase(
-        &self,
-        io: &mut WriteBatch<'_>,
-        segs: &[SegCommit],
-        round: usize,
-    ) -> Result<()> {
+    fn seal_and_submit_phase(&self, io: &mut WriteBatch<'_>, segs: &[SegCommit], round: usize) {
         let r = self.geometry.reserved_slots();
         with_tls(&SEAL_SCRATCH, |(sealed, phase)| {
             sealed.clear();
@@ -1333,16 +1318,12 @@ impl Engine {
                 });
             }
             self.profiler.meta_sealed(phase.len() as u64);
-            let submitted = sealed
-                .iter()
-                .zip(phase.iter())
-                .try_for_each(|(block, (i, _))| {
-                    let offset = self.geometry.metadata_block_offset(segs[*i].segment);
-                    io.write(offset, &[IoSlice::new(block)])
-                });
+            for (block, (i, _)) in sealed.iter().zip(phase.iter()) {
+                let offset = self.geometry.metadata_block_offset(segs[*i].segment);
+                io.write(offset, &[IoSlice::new(block)]);
+            }
             // The store has copied the bytes out: back to the pool.
             sealed.clear();
-            submitted
         })
     }
 
@@ -1575,7 +1556,7 @@ impl Engine {
                 "outer re-keying must not change the inner key; use a full re-encryption instead"
             );
         }
-        let new_gcm = Aes256Gcm::with_backend(&new_keys.outer, self.span.crypto);
+        let new_gcm = Aes256Gcm::new(&new_keys.outer);
         let last_segment = self.last_physical_segment(&file.name)?;
         let mut rewritten = 0;
         let mut sealed = self.blocks.take();

@@ -51,13 +51,12 @@ pub use cefilefs::CeFileFs;
 pub use encfs::{EncFs, EncFsConfig};
 pub use error::FsError;
 pub use fs::{Fd, FileAttr, FileSystem, OpenFlags};
-pub use lamassu_crypto::CryptoBackend;
 pub use lamassufs::{IntegrityMode, LamassuConfig, LamassuFs, RecoveryReport, VerifyReport};
 pub use mount::Mount;
 pub use plainfs::PlainFs;
 pub use pool::{BlockBuf, BlockPool, PoolStats};
 pub use profiler::{Category, CommitStats, LatencyBreakdown, Profiler};
-pub use span::{IoMode, SpanConfig, SpanPolicy};
+pub use span::{SpanConfig, SpanPolicy};
 
 /// Result alias for file-system operations.
 pub type Result<T> = std::result::Result<T, FsError>;

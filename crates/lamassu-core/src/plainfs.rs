@@ -21,7 +21,6 @@ use crate::fs::{check_range, FileAttr, FileSystem, OpenFlags};
 use crate::handles::HandleTable;
 use crate::iovec;
 use crate::profiler::Profiler;
-use crate::span::IoMode;
 use crate::spanio::SpanIo;
 use crate::{Fd, FsError, Result};
 use lamassu_storage::ObjectStore;
@@ -37,29 +36,18 @@ pub struct PlainFs {
 }
 
 impl PlainFs {
-    /// Mounts a PlainFS over `store` with the default (async) I/O mode.
+    /// Mounts a PlainFS over `store`. Data reads and writes go through the
+    /// store's submission queue, one operation per call, so PlainFS stays
+    /// the flat single-round-trip baseline at every queue depth.
     pub fn new(store: Arc<dyn ObjectStore>) -> Self {
-        Self::with_io(store, IoMode::default())
+        Self::with_profiler(store, Profiler::new())
     }
 
-    /// Mounts a PlainFS with an explicit I/O mode. Data reads and writes
-    /// under [`IoMode::Async`] go through the store's submission queue (one
-    /// operation per call, so PlainFS stays the flat single-round-trip
-    /// baseline at every queue depth); [`IoMode::Blocking`] keeps the direct
-    /// store calls as the differential oracle.
-    pub fn with_io(store: Arc<dyn ObjectStore>, io_mode: IoMode) -> Self {
-        Self::with_profiler(store, io_mode, Profiler::new())
-    }
-
-    /// [`PlainFs::with_io`] charging its time to `profiler` — the one the
-    /// tiers below the shim were built with (see `lamassu::stack`).
-    pub fn with_profiler(
-        store: Arc<dyn ObjectStore>,
-        io_mode: IoMode,
-        profiler: Arc<Profiler>,
-    ) -> Self {
+    /// [`PlainFs::new`] charging its time to `profiler` — the one the tiers
+    /// below the shim were built with (see `lamassu::stack`).
+    pub fn with_profiler(store: Arc<dyn ObjectStore>, profiler: Arc<Profiler>) -> Self {
         PlainFs {
-            io: SpanIo::new(store, profiler.clone(), io_mode),
+            io: SpanIo::new(store, profiler.clone()),
             handles: HandleTable::new(),
             profiler,
         }

@@ -30,9 +30,22 @@
 //! `workers == 0` auto-sizes the pool to
 //! `min(`[`DEFAULT_MAX_WORKERS`](lamassu_crypto::pool::DEFAULT_MAX_WORKERS)`,
 //! available_parallelism)`; the CLI exposes the knob as `--workers`.
+//!
+//! # One I/O path, one kernel family
+//!
+//! Every mount issues its backend I/O through the submission/completion
+//! driver (`spanio`) and runs its crypto on the fixsliced kernels. Neither
+//! is a mount option. The blocking reference for the driver is a store whose
+//! provided `submit_*` complete at once (the `Unqueued` wrapper of the
+//! differential tests); the T-table reference for the kernels is checked
+//! inside `lamassu-crypto`.
 
 use lamassu_crypto::pool::CryptoPool;
 use lamassu_crypto::CryptoBackend;
+
+/// The kernel family every mount's batch crypto runs on: the wide
+/// constant-time fixsliced AES and the four-lane SHA-256.
+pub(crate) const KERNELS: CryptoBackend = CryptoBackend::Fixsliced;
 
 /// Which data-path pipeline a mount uses (see the module docs).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -45,29 +58,11 @@ pub enum SpanPolicy {
     PerBlock,
 }
 
-/// How the batched pipeline talks to the backend (ignored by
-/// [`SpanPolicy::PerBlock`], which is inherently blocking).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum IoMode {
-    /// Submission/completion pipelining (the default): all of a span's runs
-    /// are submitted up front, and each run's crypto starts as its
-    /// completion lands while later runs are still in flight, so a single
-    /// client thread keeps up to `StorageProfile.queue_depth` backend
-    /// operations overlapped.
-    #[default]
-    Async,
-    /// One blocking vectored call per run — the differential oracle for the
-    /// async pipeline, mirroring how PerBlock backs Batched.
-    Blocking,
-}
-
 /// Span-pipeline configuration of one mount.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct SpanConfig {
     /// Which pipeline to run.
     pub policy: SpanPolicy,
-    /// How the batched pipeline issues backend I/O.
-    pub io: IoMode,
     /// Crypto worker-pool size; `0` auto-sizes (see the module docs).
     pub workers: usize,
     /// Capacity of the mount's [`BlockPool`](crate::pool::BlockPool) in
@@ -77,10 +72,6 @@ pub struct SpanConfig {
     /// other value bounds the idle buffers kept (rounded up per shard; see
     /// [`BlockPool::new`](crate::pool::BlockPool::new)).
     pub pool_blocks: Option<usize>,
-    /// Which AES/SHA kernel family the mount's span crypto runs on:
-    /// the wide constant-time fixsliced kernels (the default) or the
-    /// T-table oracle. The CLI exposes the knob as `--crypto`.
-    pub crypto: CryptoBackend,
 }
 
 impl SpanConfig {
@@ -97,32 +88,10 @@ impl SpanConfig {
         }
     }
 
-    /// The batched pipeline with blocking vectored I/O (the async engine's
-    /// differential oracle).
-    pub fn blocking() -> Self {
-        SpanConfig {
-            io: IoMode::Blocking,
-            ..SpanConfig::default()
-        }
-    }
-
-    /// Returns a copy with the given I/O mode.
-    pub fn with_io(mut self, io: IoMode) -> Self {
-        self.io = io;
-        self
-    }
-
     /// Returns a copy with an explicit block-pool capacity (see
     /// [`SpanConfig::pool_blocks`]).
     pub fn with_pool_blocks(mut self, blocks: usize) -> Self {
         self.pool_blocks = Some(blocks);
-        self
-    }
-
-    /// Returns a copy with an explicit crypto backend (see
-    /// [`SpanConfig::crypto`]).
-    pub fn with_crypto(mut self, crypto: CryptoBackend) -> Self {
-        self.crypto = crypto;
         self
     }
 

@@ -9,13 +9,13 @@
 //! and a `finish` closure (its codec — decrypt, integrity check, hole
 //! convention) and gets each landed run back as a [`Landed`].
 //!
-//! **I/O modes.** Under [`IoMode::Async`] (the default) an operation is
-//! submitted to the store's completion queue and its result — byte count *or*
-//! deferred fault — surfaces only through the drained [`Completion`]; under
-//! [`IoMode::Blocking`] the same call site issues the blocking vectored call.
-//! [`SpanIo::issue`] is the only place in the crate that tells the two apart,
-//! so the blocking mode is what the differential tests need it to be: the
-//! same pipeline, minus the queue.
+//! **One I/O path.** Every operation is submitted to the store's completion
+//! queue, and its result — byte count *or* deferred fault — surfaces only
+//! through the drained [`Completion`]. There is no blocking mode: a store
+//! that implements only the required `ObjectStore` methods runs each
+//! submission as the blocking call and completes it at once (the trait's
+//! provided `submit_*`), and that is the reference the differential tests
+//! hold this driver to — the same pipeline, minus the queue.
 //!
 //! **Ownership of submitted buffers.** A store moves the data during submit,
 //! but a submitted buffer is unreadable until its completion has been
@@ -35,7 +35,7 @@ use crate::handles::FdEntry;
 use crate::iovec;
 use crate::pool::{with_tls, BlockBuf, BlockPool};
 use crate::profiler::{Category, Profiler};
-use crate::span::{IoMode, SpanPlan};
+use crate::span::SpanPlan;
 use crate::{FsError, Result};
 use lamassu_storage::{Completion, ObjectStore, StorageError, SubmitQueue, SubmitTicket};
 use lamassu_telemetry::{OpGuard, OpKind};
@@ -150,14 +150,6 @@ enum Op<'a, 'b> {
     Write(&'a [IoSlice<'b>]),
 }
 
-/// What [`SpanIo::issue`] made of an [`Op`].
-enum Issued {
-    /// Submitted; the result arrives with the ticket's completion.
-    InFlight(SubmitTicket),
-    /// Executed as a blocking call; bytes moved, or the error.
-    Done(lamassu_storage::Result<usize>),
-}
-
 /// Keeps `e` unless an error with an earlier key — a run's first block, a
 /// write's ticket — is already held.
 fn keep_earliest<K: Ord, E>(held: &mut Option<(K, E)>, key: K, e: E) {
@@ -166,23 +158,18 @@ fn keep_earliest<K: Ord, E>(held: &mut Option<(K, E)>, key: K, e: E) {
     }
 }
 
-/// One mount's handle on its backing store: metering, the I/O mode, and the
-/// span pipeline built on them (see the module docs). Nominally `pub` only
-/// because the sealed engine trait of [`crate::mount`] names it; the module
-/// is private, so nothing outside the crate can.
+/// One mount's handle on its backing store: metering, and the span pipeline
+/// built on it (see the module docs). Nominally `pub` only because the
+/// sealed engine trait of [`crate::mount`] names it; the module is private,
+/// so nothing outside the crate can.
 pub struct SpanIo {
     store: Arc<dyn ObjectStore>,
     profiler: Arc<Profiler>,
-    mode: IoMode,
 }
 
 impl SpanIo {
-    pub(crate) fn new(store: Arc<dyn ObjectStore>, profiler: Arc<Profiler>, mode: IoMode) -> Self {
-        SpanIo {
-            store,
-            profiler,
-            mode,
-        }
+    pub(crate) fn new(store: Arc<dyn ObjectStore>, profiler: Arc<Profiler>) -> Self {
+        SpanIo { store, profiler }
     }
 
     /// Charges a store call — wall time plus the virtual transport time it
@@ -258,26 +245,15 @@ impl SpanIo {
         Some(tracer.op(kind, &entry.path(), bytes as u64))
     }
 
-    fn issue(&self, q: &mut SubmitQueue, name: &str, offset: u64, op: Op<'_, '_>) -> Issued {
-        match self.mode {
-            IoMode::Async => {
-                let ticket = self.meter(Category::Io, || match op {
-                    Op::Read(bufs) => self.store.submit_read_vectored(q, name, offset, bufs),
-                    Op::Write(bufs) => self.store.submit_write_vectored(q, name, offset, bufs),
-                });
-                self.profiler.ops_submitted(1);
-                Issued::InFlight(ticket)
-            }
-            IoMode::Blocking => Issued::Done(self.meter(Category::Io, || {
-                match op {
-                    Op::Read(bufs) => self.store.read_into_vectored(name, offset, bufs),
-                    Op::Write(bufs) => self
-                        .store
-                        .write_at_vectored(name, offset, bufs)
-                        .map(|()| iovec::total_len(bufs)),
-                }
-            })),
-        }
+    /// Submits one operation; its result arrives with the ticket's
+    /// completion.
+    fn issue(&self, q: &mut SubmitQueue, name: &str, offset: u64, op: Op<'_, '_>) -> SubmitTicket {
+        let ticket = self.meter(Category::Io, || match op {
+            Op::Read(bufs) => self.store.submit_read_vectored(q, name, offset, bufs),
+            Op::Write(bufs) => self.store.submit_write_vectored(q, name, offset, bufs),
+        });
+        self.profiler.ops_submitted(1);
+        ticket
     }
 
     fn lost(name: &str, detail: &str) -> FsError {
@@ -319,8 +295,7 @@ impl SpanIo {
     /// Reads the `runs` of a planned span into `buf`, one vectored backend
     /// operation per run, and hands each landed run to `finish`.
     ///
-    /// Under [`IoMode::Async`] every run is submitted before any completion
-    /// is drained, so up to `StorageProfile.queue_depth` reads overlap and
+    /// Every run is submitted before any completion is drained, so up to `StorageProfile.queue_depth` reads overlap and
     /// `finish` (the crypto) of early runs overlaps the transport of later
     /// ones; completions are served in whatever order the store releases
     /// them, matched by ticket, never by position.
@@ -336,26 +311,18 @@ impl SpanIo {
         with_tls(&SCRATCH, |s| {
             s.queue.reset();
             s.pending.clear();
-            let mut failed: Option<(u64, FsError)> = None;
             for run in runs {
                 let mut staged = Staged::new(pool, plan, run);
-                let issued = iovec::with_scatter3(
+                let ticket = iovec::with_scatter3(
                     staged.head.as_deref_mut(),
                     &mut buf[staged.mid.clone()],
                     staged.tail.as_deref_mut(),
                     |bufs| self.issue(&mut s.queue, name, run.offset, Op::Read(bufs)),
                 );
-                match issued {
-                    Issued::InFlight(ticket) => s.pending.push((ticket, staged)),
-                    Issued::Done(result) => {
-                        if let Err(e) = staged.land(result, plan, buf, &mut finish) {
-                            failed = Some((run.first, e));
-                            break;
-                        }
-                    }
-                }
+                s.pending.push((ticket, staged));
             }
             let submitted = !s.pending.is_empty();
+            let mut failed: Option<(u64, FsError)> = None;
             while !s.pending.is_empty() {
                 let (q, landed) = (&mut s.queue, &mut s.completions);
                 self.meter(Category::Queue, || {
@@ -408,10 +375,8 @@ impl SpanIo {
     ) -> Result<usize> {
         with_tls(&SCRATCH, |s| {
             s.queue.reset();
-            match self.issue(&mut s.queue, name, offset, Op::Read(bufs)) {
-                Issued::InFlight(_) => self.barrier(s, name),
-                Issued::Done(result) => Ok(result?),
-            }
+            self.issue(&mut s.queue, name, offset, Op::Read(bufs));
+            self.barrier(s, name)
         })
     }
 
@@ -435,7 +400,10 @@ impl SpanIo {
 
     /// One vectored write as a single round trip (see [`SpanIo::read_one`]).
     pub(crate) fn write_one(&self, name: &str, offset: u64, bufs: &[IoSlice<'_>]) -> Result<()> {
-        self.write_batch(name, |w| w.write(offset, bufs))
+        self.write_batch(name, |w| {
+            w.write(offset, bufs);
+            Ok(())
+        })
     }
 }
 
@@ -448,18 +416,13 @@ pub(crate) struct WriteBatch<'a> {
 }
 
 impl WriteBatch<'_> {
-    /// Issues one vectored write. A submitted write cannot fail here — its
-    /// result, including an injected fault, surfaces at the next barrier; a
-    /// blocking write fails on the spot. The store has copied the bytes out
-    /// by the time this returns, so the caller may reuse `bufs`.
-    pub(crate) fn write(&mut self, offset: u64, bufs: &[IoSlice<'_>]) -> Result<()> {
-        match self
-            .io
-            .issue(&mut self.s.queue, self.name, offset, Op::Write(bufs))
-        {
-            Issued::InFlight(_) => Ok(()),
-            Issued::Done(result) => Ok(result.map(drop)?),
-        }
+    /// Issues one vectored write. It cannot fail here — its result,
+    /// including an injected fault, surfaces at the next barrier. The store
+    /// has copied the bytes out by the time this returns, so the caller may
+    /// reuse `bufs`.
+    pub(crate) fn write(&mut self, offset: u64, bufs: &[IoSlice<'_>]) {
+        self.io
+            .issue(&mut self.s.queue, self.name, offset, Op::Write(bufs));
     }
 
     /// Closes a phase: every write issued since the last barrier has landed
@@ -500,8 +463,8 @@ mod tests {
     }
 
     /// A store holding `blocks` XOR-encrypted blocks of [`plain`] under
-    /// [`NAME`] (block `b` at offset `b * BS`) and a driver in `mode`.
-    fn rig(blocks: usize, mode: IoMode) -> Rig {
+    /// [`NAME`] (block `b` at offset `b * BS`) and a driver over it.
+    fn rig(blocks: usize) -> Rig {
         let media = Arc::new(DedupStore::new(BS, StorageProfile::instant()));
         let mut cipher = plain(blocks * BS);
         xor(&mut cipher);
@@ -511,7 +474,7 @@ mod tests {
         let pool = BlockPool::new(BS, 8);
         drop([pool.take(), pool.take()]);
         let profiler = Profiler::new();
-        let io = SpanIo::new(store.clone(), profiler.clone(), mode);
+        let io = SpanIo::new(store.clone(), profiler.clone());
         Rig {
             store,
             pool,
@@ -555,86 +518,73 @@ mod tests {
         }
     }
 
-    const MODES: [IoMode; 2] = [IoMode::Async, IoMode::Blocking];
-
     #[test]
     fn misaligned_span_round_trips() {
-        for mode in MODES {
-            let buf = rig(12, mode).read3(|_, l| {
-                l.head
-                    .into_iter()
-                    .chain([l.mid])
-                    .chain(l.tail)
-                    .for_each(xor);
-                Ok(())
-            });
-            assert_eq!(buf.unwrap(), plain(12 * BS)[10..650], "{mode:?}");
-        }
+        let buf = rig(12).read3(|_, l| {
+            l.head
+                .into_iter()
+                .chain([l.mid])
+                .chain(l.tail)
+                .for_each(xor);
+            Ok(())
+        });
+        assert_eq!(buf.unwrap(), plain(12 * BS)[10..650]);
     }
 
     #[test]
     fn earliest_failing_run_wins_whatever_order_completions_land_in() {
-        for mode in MODES {
-            let mut order = Vec::new();
-            let out = rig(12, mode).read3(|run, _| {
-                order.push(run.first);
-                match run.first {
-                    0 => Ok(()),
-                    _ => Err(FsError::BadFd { fd: run.first }),
-                }
-            });
-            // Newest-first release: run 7's failure is seen before run 4's.
-            match mode {
-                IoMode::Async => assert_eq!(order, [7, 4, 0]),
-                IoMode::Blocking => assert_eq!(order, [0, 4]),
+        let mut order = Vec::new();
+        let out = rig(12).read3(|run, _| {
+            order.push(run.first);
+            match run.first {
+                0 => Ok(()),
+                _ => Err(FsError::BadFd { fd: run.first }),
             }
-            assert_eq!(out, Err(FsError::BadFd { fd: 4 }), "{mode:?}");
+        });
+        // Newest-first release: run 7's failure is seen before run 4's.
+        assert_eq!(order, [7, 4, 0]);
+        assert_eq!(out, Err(FsError::BadFd { fd: 4 }));
 
-            // A codec failure of run 0 also beats a store fault of a later
-            // run. Run 0 costs two read credits (head + middle), run 4 one;
-            // the store crashes inside run 7, whose completion lands first
-            // under Async. The blocking loop never gets that far.
-            let rig = rig(12, mode);
-            rig.store.crash_after_reads(3);
-            let out = rig.read3(|run, _| match run.first {
-                0 => Err(FsError::BadFd { fd: 0 }),
-                _ => Ok(()),
-            });
-            assert_eq!(out, Err(FsError::BadFd { fd: 0 }), "{mode:?}");
-            assert_eq!(rig.store.has_crashed(), mode == IoMode::Async);
-        }
+        // A codec failure of run 0 also beats a store fault of a later run.
+        // Run 0 costs two read credits (head + middle), run 4 one; the store
+        // crashes inside run 7, whose completion lands first.
+        let rig = rig(12);
+        rig.store.crash_after_reads(3);
+        let out = rig.read3(|run, _| match run.first {
+            0 => Err(FsError::BadFd { fd: 0 }),
+            _ => Ok(()),
+        });
+        assert_eq!(out, Err(FsError::BadFd { fd: 0 }));
+        assert!(rig.store.has_crashed());
     }
 
     #[test]
     fn short_read_reports_the_true_byte_count() {
-        for mode in MODES {
-            // The object ends after block 4; one run asks for blocks 2..=7
-            // (the last one staged), so 3 of its 6 blocks arrive.
-            let mut seen = None;
-            let (out, buf) =
-                rig(5, mode).read((2 * BS as u64, 5 * BS + 7), &[(2, 6)], |_, landed| {
-                    let Landed { n, mid, tail, .. } = landed;
-                    seen = Some((n, mid.len()));
-                    xor(&mut mid[..n]);
-                    mid[n..].fill(0);
-                    tail.expect("staged").fill(0);
-                    Ok(())
-                });
-            out.unwrap();
-            assert_eq!(seen, Some((3 * BS, 5 * BS)), "{mode:?}");
-            assert_eq!(buf[..3 * BS], plain(5 * BS)[2 * BS..], "{mode:?}");
-            assert!(buf[3 * BS..].iter().all(|&b| b == 0), "{mode:?}");
-        }
+        // The object ends after block 4; one run asks for blocks 2..=7 (the
+        // last one staged), so 3 of its 6 blocks arrive.
+        let mut seen = None;
+        let (out, buf) = rig(5).read((2 * BS as u64, 5 * BS + 7), &[(2, 6)], |_, landed| {
+            let Landed { n, mid, tail, .. } = landed;
+            seen = Some((n, mid.len()));
+            xor(&mut mid[..n]);
+            mid[n..].fill(0);
+            tail.expect("staged").fill(0);
+            Ok(())
+        });
+        out.unwrap();
+        assert_eq!(seen, Some((3 * BS, 5 * BS)));
+        assert_eq!(buf[..3 * BS], plain(5 * BS)[2 * BS..]);
+        assert!(buf[3 * BS..].iter().all(|&b| b == 0));
     }
 
     #[test]
     fn write_batch_drains_on_an_early_error_exit() {
-        let rig = rig(4, IoMode::Async);
+        let rig = rig(4);
         let block = [7u8; BS];
         // What a failed edge read-modify-write of EncFS's next chunk does:
         // leave with a write still submitted.
         let out = rig.io.write_batch(NAME, |w| {
-            w.write(0, &[IoSlice::new(&block)])?;
+            w.write(0, &[IoSlice::new(&block)]);
             Err::<(), _>(FsError::BadFd { fd: 1 })
         });
         assert_eq!(out, Err(FsError::BadFd { fd: 1 }));
@@ -648,8 +598,8 @@ mod tests {
         // the body fail, so its error is the one reported.
         rig.store.crash_after_writes(1);
         let out = rig.io.write_batch(NAME, |w| {
-            w.write(0, &[IoSlice::new(&block)])?;
-            w.write(BS as u64, &[IoSlice::new(&block)])?;
+            w.write(0, &[IoSlice::new(&block)]);
+            w.write(BS as u64, &[IoSlice::new(&block)]);
             Err::<(), _>(FsError::BadFd { fd: 2 })
         });
         assert_eq!(out, Err(FsError::Storage(StorageError::Crashed)));
@@ -658,17 +608,15 @@ mod tests {
 
     #[test]
     fn single_round_trips_surface_deferred_faults() {
-        for mode in MODES {
-            let rig = rig(4, mode);
-            let mut back = [0u8; 2 * BS];
-            let bufs = &mut [IoSliceMut::new(&mut back)];
-            assert_eq!(rig.io.read_one(NAME, BS as u64, bufs), Ok(2 * BS));
-            xor(&mut back);
-            assert_eq!(back, plain(4 * BS)[BS..3 * BS], "{mode:?}");
-            rig.store.crash_after_writes(0);
-            let out = rig.io.write_one(NAME, 0, &[IoSlice::new(&back)]);
-            assert_eq!(out, Err(StorageError::Crashed.into()), "{mode:?}");
-            assert_eq!(rig.profiler.in_flight_ops(), 0, "{mode:?}");
-        }
+        let rig = rig(4);
+        let mut back = [0u8; 2 * BS];
+        let bufs = &mut [IoSliceMut::new(&mut back)];
+        assert_eq!(rig.io.read_one(NAME, BS as u64, bufs), Ok(2 * BS));
+        xor(&mut back);
+        assert_eq!(back, plain(4 * BS)[BS..3 * BS]);
+        rig.store.crash_after_writes(0);
+        let out = rig.io.write_one(NAME, 0, &[IoSlice::new(&back)]);
+        assert_eq!(out, Err(StorageError::Crashed.into()));
+        assert_eq!(rig.profiler.in_flight_ops(), 0);
     }
 }

@@ -67,7 +67,7 @@
 //! * EncFS derives its per-block IVs through the T-table schedule (2(e)).
 //!
 //! The T-table path also survives as the differential oracle — see
-//! `CryptoBackend::TTable` and the `wide_crypto` bench.
+//! `CryptoBackend::TTable` and `tests/prop_crypto.rs`.
 
 use crate::{Iv128, Key256};
 use std::ops::{BitAnd, BitOr, BitXor, Not};

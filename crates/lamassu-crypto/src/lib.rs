@@ -24,8 +24,9 @@
 //!
 //! # Crypto kernels and backends
 //!
-//! Two AES implementations coexist, selected per mount by
-//! [`CryptoBackend`]:
+//! Two AES implementations coexist, named by [`CryptoBackend`]. The shims
+//! run every mount on the first; the second is this crate's reference for
+//! it:
 //!
 //! * [`fixsliced`] (the default) — a bitsliced, *fixsliced* constant-time
 //!   AES-256 kernel that processes [`fixsliced::WIDE_BLOCKS`] blocks per
@@ -35,9 +36,9 @@
 //!   blocks at a time, or one format-v2 block's four leaves
 //!   ([`kdf::tree_hash`]);
 //! * [`aes`] — the classic T-table implementation, retained as the
-//!   **differential oracle** (the property tests replay every workload on
-//!   both backends and require byte-identical stores) and as the fallback
-//!   for runs too narrow to amortize a wide pass.
+//!   **differential oracle** (the [`batch`] tests and `tests/prop_crypto.rs`
+//!   compare the fixsliced kernels against it at every batch shape) and as
+//!   the fallback for runs too narrow to amortize a wide pass.
 //!
 //! The batch layer dispatches between them by run width (see
 //! [`batch::WIDE_MIN_BLOCKS`]) and counts every dispatched block in
@@ -62,13 +63,13 @@ mod error;
 
 pub use error::CryptoError;
 
-/// Selects the AES/SHA kernel family used by the span layer and block modes.
+/// Selects the AES/SHA kernel family of a span-granular operation.
 ///
-/// The selection is made once per mount (via `SpanConfig` in the core crate
-/// or `--crypto` on the CLI) and threaded through every span-granular
-/// operation. Per-block reference APIs (`derive_keys`, `encrypt_blocks`,
-/// ...) always use the T-table cipher: they are the scalar oracle the
-/// differential tests compare against.
+/// Every [`batch`] span call takes one. The shims always pass
+/// [`CryptoBackend::Fixsliced`]; [`CryptoBackend::TTable`] is the reference
+/// this crate's differential tests compare it against. Per-block reference
+/// APIs (`derive_keys`, `encrypt_blocks`, ...) always use the T-table
+/// cipher: they are the scalar oracle too.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum CryptoBackend {
     /// Wide fixsliced constant-time kernels (the default).
@@ -83,7 +84,7 @@ pub enum CryptoBackend {
     /// The T-table implementation for every operation.
     ///
     /// Not constant-time with respect to cache timing; retained as the
-    /// differential oracle and for A/B benchmarking.
+    /// differential oracle.
     TTable,
 }
 

@@ -5,8 +5,11 @@
 # A line counts when it is not blank, not a `//` comment (doc comments
 # included), not in a file named `tests.rs`, and not inside a top-level
 # (column-0) `#[cfg(test)]` item: an inline `mod tests {` ends the file's
-# count, a gated one-line item (`mod tests;`) is skipped alone. Run it on two
-# commits to compare them:
+# count, a gated one-line item (`mod tests;`) is skipped alone. A last line
+# counts the lines that still name a product oracle path (`PerBlock`,
+# `IoMode::Blocking`, `TTable`) in the same crates' sources outside files
+# named `tests.rs`, inline test modules included; the pattern is fixed so
+# that any two commits compare. Run it on two commits to compare them:
 #
 #     scripts/loc.sh                 # every crate + the facade + total
 #     scripts/loc.sh -v lamassu-core # that crate, with a per-file breakdown
@@ -49,3 +52,6 @@ for dir in "${dirs[@]}"; do
     total=$((total + n))
 done
 printf '%7d  total\n' "$total"
+oracles=$(grep -rE --include='*.rs' --exclude='tests.rs' \
+    'PerBlock|IoMode::Blocking|TTable' crates/${1:-*}/src | wc -l)
+printf '%7d  oracle references (PerBlock|IoMode::Blocking|TTable)\n' "$oracles"

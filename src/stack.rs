@@ -19,7 +19,7 @@
 //!
 //! ```
 //! use lamassu::cache::CacheConfig;
-//! use lamassu::core::{FileSystem, PlainFs, SpanConfig};
+//! use lamassu::core::{FileSystem, PlainFs};
 //! use lamassu::dist::DistConfig;
 //! use lamassu::stack::{Resilience, StackBuilder};
 //! use lamassu::storage::{DedupStore, StorageProfile};
@@ -32,7 +32,7 @@
 //!     .dist(DistConfig::new(2))
 //!     .resilience(Resilience::default())
 //!     .cache(CacheConfig::write_back(64))
-//!     .mount(|store, profiler| PlainFs::with_profiler(store, SpanConfig::default().io, profiler));
+//!     .mount(|store, profiler| PlainFs::with_profiler(store, profiler));
 //! let fd = stack.fs.create("/f").unwrap();
 //! stack.fs.write(fd, 0, b"tiered").unwrap();
 //! stack.fs.fsync(fd).unwrap();

@@ -1,25 +1,28 @@
-//! Differential property tests for the completion-based I/O engine: random
-//! workloads replayed through the async pipeline (`IoMode::Async`, the
-//! default) and the blocking oracle (`IoMode::Blocking`) on all four shims
-//! must be observably identical — every read's plaintext, every reported
+//! Differential property tests for the completion-based I/O engine. Every
+//! mount runs the one span-I/O driver; the oracle is a *store*, not a mount
+//! option. Random workloads are replayed through a shim over a store with a
+//! real submission queue and through the same shim over
+//! [`Unqueued`](support::Unqueued) that store — whose submissions run the
+//! blocking call and complete at once, in order — on all four shims. The two
+//! must be observably identical: every read's plaintext, every reported
 //! length, and the resulting stores byte-for-byte as deeply as each shim's
 //! randomness allows (the same comparison depths as
 //! `tests/prop_filesystem.rs` uses for span-vs-per-block).
 //!
 //! A second harness replays read workloads against `FaultyStore` with a
-//! randomly drawn mid-span read crash: the async engine surfaces injected
-//! faults only through drained completions (released newest-first, so
-//! ticket matching is forced), and must fail exactly where the blocking
-//! oracle fails — and read back unharmed data identically once disarmed.
+//! randomly drawn mid-span read crash: over the bare `FaultyStore` the
+//! driver sees injected faults only through drained completions (released
+//! newest-first, so ticket matching is forced), and must fail exactly where
+//! the mount over `Unqueued<FaultyStore>` fails — and read back unharmed
+//! data identically once disarmed.
 //!
-//! A last test mounts the async shims over a store that parks a read's
-//! completion and never releases it: the read must fail, not hand back
-//! whatever the eager data movement left in the caller's buffer.
+//! A last test mounts the shims over a store that parks a read's completion
+//! and never releases it: the read must fail, not hand back whatever the
+//! eager data movement left in the caller's buffer.
 
-use lamassu::core::{
-    CeFileFs, EncFs, EncFsConfig, FileSystem, IoMode, LamassuConfig, LamassuFs, PlainFs,
-    SpanConfig, SpanPolicy,
-};
+mod support;
+
+use lamassu::core::{CeFileFs, EncFs, EncFsConfig, FileSystem, LamassuConfig, LamassuFs, PlainFs};
 use lamassu::format::Geometry;
 use lamassu::keymgr::ZoneKeys;
 use lamassu::storage::{
@@ -31,6 +34,7 @@ use std::io::{IoSlice, IoSliceMut};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
+use support::Unqueued;
 
 fn zone_keys() -> ZoneKeys {
     ZoneKeys {
@@ -41,12 +45,15 @@ fn zone_keys() -> ZoneKeys {
     }
 }
 
-fn span(io: IoMode) -> SpanConfig {
-    SpanConfig {
-        policy: SpanPolicy::Batched,
-        io,
-        ..SpanConfig::default()
-    }
+/// Builds one shim over the store it is given.
+type Make = fn(Arc<dyn ObjectStore>) -> Box<dyn FileSystem>;
+
+fn lamassu(store: Arc<dyn ObjectStore>) -> Box<dyn FileSystem> {
+    Box::new(LamassuFs::new(store, zone_keys(), LamassuConfig::default()))
+}
+
+fn encfs(store: Arc<dyn ObjectStore>) -> Box<dyn FileSystem> {
+    Box::new(EncFs::new(store, [9u8; 32], EncFsConfig::default()))
 }
 
 /// One step of the differential workload.
@@ -103,77 +110,77 @@ enum StoreCheck {
     LengthsOnly,
 }
 
-/// Replays one op sequence through an async mount and a blocking-oracle
-/// mount of the same shim over separate stores, requiring identical
-/// observable behaviour throughout and comparing the resulting stores as
-/// deeply as the shim's randomness allows.
-fn check_async_vs_blocking(
-    make: impl Fn(Arc<DedupStore>, IoMode) -> Box<dyn FileSystem>,
-    check: StoreCheck,
-    ops: &[Op],
-) {
-    let store_async = Arc::new(DedupStore::new(4096, StorageProfile::instant()));
-    let store_block = Arc::new(DedupStore::new(4096, StorageProfile::instant()));
-    let fs_async = make(store_async.clone(), IoMode::Async);
-    let fs_block = make(store_block.clone(), IoMode::Blocking);
-    let fd_async = fs_async.create("/dual.bin").unwrap();
-    let fd_block = fs_block.create("/dual.bin").unwrap();
+/// Replays one op sequence through a mount over a queued store and a mount
+/// of the same shim over an [`Unqueued`] one, each with its own media,
+/// requiring identical observable behaviour throughout and comparing the
+/// resulting media as deeply as the shim's randomness allows. The queued
+/// side is an unarmed `FaultyStore`, which parks every completion and
+/// releases them newest-first, so a span of several runs (a read across a
+/// segment boundary) only comes back right if the driver matches
+/// completions to runs by ticket.
+fn check_queued_vs_unqueued(make: Make, check: StoreCheck, ops: &[Op]) {
+    let store_queued = Arc::new(DedupStore::new(4096, StorageProfile::instant()));
+    let store_unqueued = Arc::new(DedupStore::new(4096, StorageProfile::instant()));
+    let fs_queued = make(Arc::new(FaultyStore::new(store_queued.clone())));
+    let fs_unqueued = make(Arc::new(Unqueued(store_unqueued.clone())));
+    let fd_queued = fs_queued.create("/dual.bin").unwrap();
+    let fd_unqueued = fs_unqueued.create("/dual.bin").unwrap();
     for op in ops {
         match op {
             Op::Write { offset, data } => {
                 assert_eq!(
-                    fs_async.write(fd_async, *offset, data).unwrap(),
-                    fs_block.write(fd_block, *offset, data).unwrap()
+                    fs_queued.write(fd_queued, *offset, data).unwrap(),
+                    fs_unqueued.write(fd_unqueued, *offset, data).unwrap()
                 );
             }
             Op::Read { offset, len } => {
                 assert_eq!(
-                    fs_async.read(fd_async, *offset, *len).unwrap(),
-                    fs_block.read(fd_block, *offset, *len).unwrap(),
-                    "read at {offset}+{len} diverged between async and blocking"
+                    fs_queued.read(fd_queued, *offset, *len).unwrap(),
+                    fs_unqueued.read(fd_unqueued, *offset, *len).unwrap(),
+                    "read at {offset}+{len} diverged between the queued and unqueued stores"
                 );
             }
             Op::Truncate { size } => {
-                fs_async.truncate(fd_async, *size).unwrap();
-                fs_block.truncate(fd_block, *size).unwrap();
+                fs_queued.truncate(fd_queued, *size).unwrap();
+                fs_unqueued.truncate(fd_unqueued, *size).unwrap();
             }
             Op::Fsync => {
-                fs_async.fsync(fd_async).unwrap();
-                fs_block.fsync(fd_block).unwrap();
+                fs_queued.fsync(fd_queued).unwrap();
+                fs_unqueued.fsync(fd_unqueued).unwrap();
             }
         }
         assert_eq!(
-            fs_async.len(fd_async).unwrap(),
-            fs_block.len(fd_block).unwrap()
+            fs_queued.len(fd_queued).unwrap(),
+            fs_unqueued.len(fd_unqueued).unwrap()
         );
     }
-    let size = fs_async.len(fd_async).unwrap() as usize;
+    let size = fs_queued.len(fd_queued).unwrap() as usize;
     assert_eq!(
-        fs_async.read(fd_async, 0, size.max(1)).unwrap(),
-        fs_block.read(fd_block, 0, size.max(1)).unwrap()
+        fs_queued.read(fd_queued, 0, size.max(1)).unwrap(),
+        fs_unqueued.read(fd_unqueued, 0, size.max(1)).unwrap()
     );
-    fs_async.close(fd_async).unwrap();
-    fs_block.close(fd_block).unwrap();
+    fs_queued.close(fd_queued).unwrap();
+    fs_unqueued.close(fd_unqueued).unwrap();
 
-    let len_async = store_async.len("/dual.bin").unwrap();
-    let len_block = store_block.len("/dual.bin").unwrap();
-    assert_eq!(len_async, len_block, "physical layouts diverged");
-    if len_async == 0 {
+    let len_queued = store_queued.len("/dual.bin").unwrap();
+    let len_unqueued = store_unqueued.len("/dual.bin").unwrap();
+    assert_eq!(len_queued, len_unqueued, "physical layouts diverged");
+    if len_queued == 0 {
         return;
     }
-    let bytes_async = store_async
-        .read_at("/dual.bin", 0, len_async as usize)
+    let bytes_queued = store_queued
+        .read_at("/dual.bin", 0, len_queued as usize)
         .unwrap();
-    let bytes_block = store_block
-        .read_at("/dual.bin", 0, len_block as usize)
+    let bytes_unqueued = store_unqueued
+        .read_at("/dual.bin", 0, len_unqueued as usize)
         .unwrap();
     match check {
-        StoreCheck::Exact => assert_eq!(bytes_async, bytes_block),
+        StoreCheck::Exact => assert_eq!(bytes_queued, bytes_unqueued),
         StoreCheck::LamassuDataBlocks => {
             let seg_blocks = Geometry::default().segment_blocks() as u64;
-            for (i, (a, b)) in bytes_async
+            for (i, (a, b)) in bytes_queued
                 .chunks(4096)
-                .zip(bytes_block.chunks(4096))
+                .zip(bytes_unqueued.chunks(4096))
                 .enumerate()
             {
                 if (i as u64).is_multiple_of(seg_blocks) {
@@ -183,31 +190,37 @@ fn check_async_vs_blocking(
             }
         }
         StoreCheck::CeFileBody => {
-            assert_eq!(bytes_async[4096..], bytes_block[4096..], "bodies diverged");
+            assert_eq!(
+                bytes_queued[4096..],
+                bytes_unqueued[4096..],
+                "bodies diverged"
+            );
         }
         StoreCheck::LengthsOnly => {}
     }
 }
 
-/// Replays the same armed-fault read sequence through an async and a
-/// blocking mount of one shim, each over its own `FaultyStore`: the crash
-/// consumes read credits buffer-by-buffer in submission order on both
-/// paths, so the two mounts must fail on exactly the same reads — and,
-/// once disarmed, read back every unharmed byte identically.
+/// Replays the same armed-fault read sequence through a mount of one shim
+/// over a `FaultyStore` and one over an [`Unqueued`] `FaultyStore`, each
+/// with its own media: the crash consumes read credits buffer-by-buffer in
+/// submission order on both, so the two mounts must fail on exactly the
+/// same reads — and, once disarmed, read back every unharmed byte
+/// identically.
 fn check_faulty_reads(
-    make: impl Fn(Arc<FaultyStore>, IoMode) -> Box<dyn FileSystem>,
+    make: Make,
     file_size: usize,
     crash_after_reads: u64,
     reads: &[(u64, usize)],
 ) {
-    let mounts: Vec<(Arc<FaultyStore>, Box<dyn FileSystem>)> = [IoMode::Async, IoMode::Blocking]
-        .into_iter()
-        .map(|io| {
-            let media = Arc::new(DedupStore::new(4096, StorageProfile::instant()));
-            let faulty = Arc::new(FaultyStore::new(media));
-            (faulty.clone(), make(faulty, io))
-        })
-        .collect();
+    let faulty = || {
+        let media = Arc::new(DedupStore::new(4096, StorageProfile::instant()));
+        Arc::new(FaultyStore::new(media))
+    };
+    let (queued, unqueued) = (faulty(), faulty());
+    let mounts: Vec<(Arc<FaultyStore>, Box<dyn FileSystem>)> = vec![
+        (queued.clone(), make(queued)),
+        (unqueued.clone(), make(Arc::new(Unqueued(unqueued)))),
+    ];
     let data: Vec<u8> = (0..file_size).map(|i| (i % 251) as u8).collect();
     let fds: Vec<_> = mounts
         .iter()
@@ -232,7 +245,7 @@ fn check_faulty_reads(
             (Ok(a), Ok(b)) => assert_eq!(a, b, "read at {offset}+{len} diverged"),
             (Err(_), Err(_)) => {}
             (a, b) => panic!(
-                "fault divergence at read {offset}+{len}: async {:?} vs blocking {:?}",
+                "fault divergence at read {offset}+{len}: queued {:?} vs unqueued {:?}",
                 a.as_ref().map(|v| v.len()),
                 b.as_ref().map(|v| v.len()),
             ),
@@ -255,8 +268,8 @@ fn check_faulty_reads(
     // The injected crash must actually have fired somewhere (the harness is
     // parameterized so it always can), and the media underneath is unharmed:
     // disarmed, both pipelines read every byte back identically.
-    assert!(mounts[0].0.has_crashed(), "async-side fault never fired");
-    assert!(mounts[1].0.has_crashed(), "blocking-side fault never fired");
+    assert!(mounts[0].0.has_crashed(), "queued-side fault never fired");
+    assert!(mounts[1].0.has_crashed(), "unqueued-side fault never fired");
     for (faulty, _) in &mounts {
         faulty.disarm();
     }
@@ -265,8 +278,8 @@ fn check_faulty_reads(
         .zip(&fds)
         .map(|((_, fs), &fd)| fs.read(fd, 0, file_size).unwrap())
         .collect();
-    assert_eq!(full[0], data, "async mount lost data to a read fault");
-    assert_eq!(full[1], data, "blocking mount lost data to a read fault");
+    assert_eq!(full[0], data, "queued mount lost data to a read fault");
+    assert_eq!(full[1], data, "unqueued mount lost data to a read fault");
 }
 
 proptest! {
@@ -276,38 +289,22 @@ proptest! {
     fn lamassufs_async_and_blocking_pipelines_are_byte_identical(
         ops in prop::collection::vec(lamassu_op_strategy(40_000), 1..16)
     ) {
-        check_async_vs_blocking(
-            |store, io| Box::new(LamassuFs::new(
-                store,
-                zone_keys(),
-                LamassuConfig::default().span(span(io)),
-            )),
-            StoreCheck::LamassuDataBlocks,
-            &ops,
-        );
+        check_queued_vs_unqueued(lamassu, StoreCheck::LamassuDataBlocks, &ops);
     }
 
     #[test]
     fn encfs_async_and_blocking_pipelines_agree(
         ops in prop::collection::vec(op_strategy(30_000), 1..16)
     ) {
-        check_async_vs_blocking(
-            |store, io| Box::new(EncFs::new(
-                store,
-                [9u8; 32],
-                EncFsConfig { span: span(io), ..EncFsConfig::default() },
-            )),
-            StoreCheck::LengthsOnly,
-            &ops,
-        );
+        check_queued_vs_unqueued(encfs, StoreCheck::LengthsOnly, &ops);
     }
 
     #[test]
     fn cefilefs_async_and_blocking_pipelines_are_byte_identical(
         ops in prop::collection::vec(op_strategy(20_000), 1..12)
     ) {
-        check_async_vs_blocking(
-            |store, io| Box::new(CeFileFs::with_config(store, zone_keys(), 4096, span(io))),
+        check_queued_vs_unqueued(
+            |store| Box::new(CeFileFs::new(store, zone_keys(), 4096)),
             StoreCheck::CeFileBody,
             &ops,
         );
@@ -317,11 +314,7 @@ proptest! {
     fn plainfs_async_and_blocking_pipelines_are_byte_identical(
         ops in prop::collection::vec(op_strategy(30_000), 1..16)
     ) {
-        check_async_vs_blocking(
-            |store, io| Box::new(PlainFs::with_io(store, io)),
-            StoreCheck::Exact,
-            &ops,
-        );
+        check_queued_vs_unqueued(|store| Box::new(PlainFs::new(store)), StoreCheck::Exact, &ops);
     }
 
     #[test]
@@ -333,26 +326,9 @@ proptest! {
         // buffers, so a low crash point fires *mid-span* with earlier
         // buffers already filled — the partial-span failure the async
         // completion loop must surface without consuming partial data.
-        check_faulty_reads(
-            |store, io| Box::new(LamassuFs::new(
-                store,
-                zone_keys(),
-                LamassuConfig::default().span(span(io)),
-            )),
-            192 * 1024,
-            crash_after,
-            &reads,
-        );
-        check_faulty_reads(
-            |store, io| Box::new(EncFs::new(
-                store,
-                [9u8; 32],
-                EncFsConfig { span: span(io), ..EncFsConfig::default() },
-            )),
-            192 * 1024,
-            crash_after,
-            &reads,
-        );
+        for make in [lamassu as Make, encfs] {
+            check_faulty_reads(make, 192 * 1024, crash_after, &reads);
+        }
     }
 }
 
@@ -444,13 +420,9 @@ fn read_whose_completion_is_lost_fails_instead_of_returning_ciphertext() {
             inner: DedupStore::new(4096, StorageProfile::instant()),
             withhold: AtomicBool::new(false),
         });
-        let fs: Box<dyn FileSystem> = match kind {
-            "EncFS" => Box::new(EncFs::new(store.clone(), [9u8; 32], EncFsConfig::default())),
-            _ => Box::new(LamassuFs::new(
-                store.clone(),
-                zone_keys(),
-                LamassuConfig::default(),
-            )),
+        let fs = match kind {
+            "EncFS" => encfs(store.clone()),
+            _ => lamassu(store.clone()),
         };
         let data: Vec<u8> = (0..64 * 1024).map(|i| (i % 251) as u8).collect();
         let fd = fs.create("/lost.bin").unwrap();

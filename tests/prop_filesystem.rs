@@ -3,8 +3,7 @@
 //! geometry invariants hold for arbitrary inputs.
 
 use lamassu::core::{
-    CeFileFs, CryptoBackend, EncFs, EncFsConfig, FileSystem, LamassuConfig, LamassuFs, PlainFs,
-    SpanConfig,
+    CeFileFs, EncFs, EncFsConfig, FileSystem, LamassuConfig, LamassuFs, PlainFs, SpanConfig,
 };
 use lamassu::crypto::kdf::ConvergentKdf;
 use lamassu::crypto::{aes::Aes256, cbc, FIXED_IV};
@@ -119,21 +118,19 @@ enum StoreCheck {
     LengthsOnly,
 }
 
-/// Replays one op sequence through two mounts of the same shim — one per
-/// span configuration — over separate stores, requiring identical observable
-/// behaviour throughout and comparing the resulting stores as deeply as the
-/// shim's randomness allows.
-fn check_dual_mounts(
+/// Replays one op sequence through two mounts of the same shim — the span
+/// pipeline and the per-block one — over separate stores, requiring
+/// identical observable behaviour throughout and comparing the resulting
+/// stores as deeply as the shim's randomness allows.
+fn check_span_vs_per_block(
     make: impl Fn(Arc<DedupStore>, SpanConfig) -> Box<dyn FileSystem>,
     check: StoreCheck,
     ops: &[Op],
-    span_a: SpanConfig,
-    span_b: SpanConfig,
 ) {
     let store_span = Arc::new(DedupStore::new(4096, StorageProfile::instant()));
     let store_pb = Arc::new(DedupStore::new(4096, StorageProfile::instant()));
-    let fs_span = make(store_span.clone(), span_a);
-    let fs_pb = make(store_pb.clone(), span_b);
+    let fs_span = make(store_span.clone(), SpanConfig::batched());
+    let fs_pb = make(store_pb.clone(), SpanConfig::per_block());
     let fd_span = fs_span.create("/dual.bin").unwrap();
     let fd_pb = fs_pb.create("/dual.bin").unwrap();
     for op in ops {
@@ -202,39 +199,6 @@ fn check_dual_mounts(
         }
         StoreCheck::LengthsOnly => {}
     }
-}
-
-/// Span pipeline vs per-block pipeline on the default crypto backend.
-fn check_span_vs_per_block(
-    make: impl Fn(Arc<DedupStore>, SpanConfig) -> Box<dyn FileSystem>,
-    check: StoreCheck,
-    ops: &[Op],
-) {
-    check_dual_mounts(
-        make,
-        check,
-        ops,
-        SpanConfig::batched(),
-        SpanConfig::per_block(),
-    );
-}
-
-/// Fixsliced mount vs T-table mount of the same shim on the same pipeline:
-/// the wide constant-time kernels must leave byte-identical stores, so any
-/// divergence between the AES/SHA implementations surfaces as a ciphertext
-/// mismatch at the filesystem level.
-fn check_fixsliced_vs_ttable(
-    make: impl Fn(Arc<DedupStore>, SpanConfig) -> Box<dyn FileSystem>,
-    check: StoreCheck,
-    ops: &[Op],
-) {
-    check_dual_mounts(
-        make,
-        check,
-        ops,
-        SpanConfig::batched().with_crypto(CryptoBackend::Fixsliced),
-        SpanConfig::batched().with_crypto(CryptoBackend::TTable),
-    );
 }
 
 proptest! {
@@ -326,71 +290,6 @@ proptest! {
             |store, _span| Box::new(PlainFs::new(store)),
             StoreCheck::Exact,
             &ops,
-        );
-    }
-
-    #[test]
-    fn lamassufs_crypto_backends_produce_identical_stores(
-        ops in prop::collection::vec(lamassu_op_strategy(40_000), 1..16)
-    ) {
-        check_fixsliced_vs_ttable(
-            |store, span| Box::new(LamassuFs::new(
-                store,
-                zone_keys(),
-                LamassuConfig::default().span(span),
-            )),
-            StoreCheck::LamassuDataBlocks,
-            &ops,
-        );
-    }
-
-    #[test]
-    fn encfs_crypto_backends_agree(
-        ops in prop::collection::vec(op_strategy(30_000), 1..16)
-    ) {
-        // Per-mount random file keys rule out ciphertext comparison, but
-        // plaintext behaviour and physical layout must not depend on the
-        // AES implementation.
-        check_fixsliced_vs_ttable(
-            |store, span| Box::new(EncFs::new(
-                store,
-                [9u8; 32],
-                EncFsConfig { span, ..EncFsConfig::default() },
-            )),
-            StoreCheck::LengthsOnly,
-            &ops,
-        );
-    }
-
-    #[test]
-    fn cefilefs_crypto_backends_produce_identical_stores(
-        ops in prop::collection::vec(op_strategy(20_000), 1..12)
-    ) {
-        check_fixsliced_vs_ttable(
-            |store, span| Box::new(CeFileFs::with_config(store, zone_keys(), 4096, span)),
-            StoreCheck::CeFileBody,
-            &ops,
-        );
-    }
-
-    #[test]
-    fn lamassufs_pipelines_and_backends_compose_byte_identically(
-        ops in prop::collection::vec(lamassu_op_strategy(40_000), 1..12)
-    ) {
-        // The cross combination: a batched fixsliced mount against a
-        // per-block T-table mount. Every write takes a different code path
-        // in each mount (wide span kernels vs scalar single-block calls),
-        // yet the convergent data ciphertext must still match.
-        check_dual_mounts(
-            |store, span| Box::new(LamassuFs::new(
-                store,
-                zone_keys(),
-                LamassuConfig::default().span(span),
-            )),
-            StoreCheck::LamassuDataBlocks,
-            &ops,
-            SpanConfig::batched().with_crypto(CryptoBackend::Fixsliced),
-            SpanConfig::per_block().with_crypto(CryptoBackend::TTable),
         );
     }
 

@@ -40,7 +40,6 @@ fn tiny_pooled() -> SpanConfig {
         policy: SpanPolicy::Batched,
         workers: 0,
         pool_blocks: Some(2),
-        ..SpanConfig::default()
     }
 }
 
@@ -198,7 +197,6 @@ fn pools_stay_bounded_under_storm() {
             policy: SpanPolicy::Batched,
             workers: 0,
             pool_blocks: Some(4),
-            ..SpanConfig::default()
         }),
     ));
     let size = 512 * 1024;

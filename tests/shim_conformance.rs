@@ -14,24 +14,30 @@
 //!    under the new name, also after a remount;
 //! 5. `stat` reports logical and physical size separately;
 //! 6. an I/O range ending past `u64::MAX` is an error — never a panic, never
-//!    `Ok`;
+//!    `Ok` — and one ending at a size no host can hold is an error or an
+//!    extension the store refuses, never an abort;
 //! 7. with a tracer attached, reads, writes, truncates and fsyncs are
 //!    recorded as op spans of the right kind;
 //! 8. (stateful rows) a failing truncate-on-open and a failing close-time
 //!    flush both release the registry pin: the next open reloads from the
 //!    store instead of resurrecting the failed state.
 //! 9. (stateful rows) a backing object that is empty, shorter than a header
-//!    or non-magic garbage opens as an error or as an empty file — never a
-//!    panic, never bytes.
+//!    or non-magic garbage, or that the backend claims is larger than any
+//!    host could hold, opens as an error or as an empty file — never a
+//!    panic or an abort, never bytes.
 
 use lamassu::core::{
     CeFileFs, EncFs, EncFsConfig, FileSystem, FsError, IntegrityMode, LamassuConfig, LamassuFs,
     OpenFlags, PlainFs, Profiler,
 };
 use lamassu::keymgr::ZoneKeys;
-use lamassu::storage::{DedupStore, FaultyStore, ObjectStore, StorageProfile};
+use lamassu::storage::{
+    iovec, DedupStore, FaultyStore, IoCounters, ObjectStore, StorageError, StorageProfile,
+};
 use lamassu::telemetry::{OpKind, Registry, TraceConfig, Tracer};
+use std::io::{IoSlice, IoSliceMut};
 use std::sync::Arc;
+use std::time::Duration;
 
 const BLOCK: u64 = 4096;
 const TRUNCATE: OpenFlags = OpenFlags { truncate: true };
@@ -105,6 +111,91 @@ const ROWS: &[Row] = &[
 
 fn media() -> Arc<DedupStore> {
     Arc::new(DedupStore::new(BLOCK as usize, StorageProfile::instant()))
+}
+
+/// A size no host can allocate: past the address space itself.
+const HUGE: u64 = 1 << 50;
+
+/// A backend with sizes of its own. It refuses to grow an object past 1 TiB
+/// (a file system's largest file) before the media sees the request, and
+/// with `claim` set it reports that length for every object, whatever it
+/// holds — an untrusted backend lying about sizes.
+struct SizeLimited {
+    media: DedupStore,
+    claim: Option<u64>,
+}
+
+impl SizeLimited {
+    fn new(claim: Option<u64>) -> Arc<SizeLimited> {
+        let media = DedupStore::new(BLOCK as usize, StorageProfile::instant());
+        Arc::new(SizeLimited { media, claim })
+    }
+
+    fn refuse_past_limit(name: &str, end: u64) -> lamassu::storage::Result<()> {
+        if end > 1 << 40 {
+            return Err(StorageError::Backend {
+                name: name.to_string(),
+                detail: "file too large".to_string(),
+            });
+        }
+        Ok(())
+    }
+}
+
+impl ObjectStore for SizeLimited {
+    fn create(&self, name: &str) -> lamassu::storage::Result<()> {
+        self.media.create(name)
+    }
+    fn exists(&self, name: &str) -> bool {
+        self.media.exists(name)
+    }
+    fn read_into_vectored(
+        &self,
+        name: &str,
+        offset: u64,
+        bufs: &mut [IoSliceMut<'_>],
+    ) -> lamassu::storage::Result<usize> {
+        self.media.read_into_vectored(name, offset, bufs)
+    }
+    fn write_at_vectored(
+        &self,
+        name: &str,
+        offset: u64,
+        bufs: &[IoSlice<'_>],
+    ) -> lamassu::storage::Result<()> {
+        let len = iovec::total_len(bufs) as u64;
+        Self::refuse_past_limit(name, offset.saturating_add(len))?;
+        self.media.write_at_vectored(name, offset, bufs)
+    }
+    fn len(&self, name: &str) -> lamassu::storage::Result<u64> {
+        let held = self.media.len(name)?;
+        Ok(self.claim.unwrap_or(held))
+    }
+    fn truncate(&self, name: &str, len: u64) -> lamassu::storage::Result<()> {
+        Self::refuse_past_limit(name, len)?;
+        self.media.truncate(name, len)
+    }
+    fn remove(&self, name: &str) -> lamassu::storage::Result<()> {
+        self.media.remove(name)
+    }
+    fn rename(&self, from: &str, to: &str) -> lamassu::storage::Result<()> {
+        self.media.rename(from, to)
+    }
+    fn list(&self) -> Vec<String> {
+        self.media.list()
+    }
+    fn flush(&self, name: &str) -> lamassu::storage::Result<()> {
+        self.media.flush(name)
+    }
+    fn io_time(&self) -> Duration {
+        self.media.io_time()
+    }
+    fn io_counters(&self) -> IoCounters {
+        self.media.io_counters()
+    }
+    fn reset_io_accounting(&self) {
+        self.media.reset_io_accounting()
+    }
 }
 
 fn pattern(len: usize, salt: u8) -> Vec<u8> {
@@ -286,7 +377,7 @@ fn stat_separates_logical_from_physical_size() {
 fn a_range_ending_past_u64_max_is_an_error() {
     for row in ROWS {
         let name = row.name;
-        let (fs, _) = (row.mount)(media());
+        let (fs, _) = (row.mount)(SizeLimited::new(None));
         let fd = fs.create("/wrap").unwrap();
         fs.write(fd, 0, b"contents").unwrap();
         for offset in [u64::MAX, u64::MAX - 10, u64::MAX - 99] {
@@ -303,6 +394,16 @@ fn a_range_ending_past_u64_max_is_an_error() {
         // The failed calls changed nothing.
         assert_eq!(fs.len(fd).unwrap(), 8, "{name}");
         assert_eq!(fs.read(fd, 0, 100).unwrap(), b"contents", "{name}");
+
+        // A size the client chose that no host can hold (ROADMAP 4(c)): an
+        // error, or a sparse extension the store then refuses — never an
+        // abort. A call that fails leaves the size as it was.
+        let grown = fs.write(fd, HUGE, b"x").map(drop);
+        let want = if grown.is_ok() { HUGE + 1 } else { 8 };
+        assert_eq!(fs.len(fd).unwrap(), want, "{name}: write at {HUGE}");
+        let grown = fs.truncate(fd, HUGE);
+        let want = if grown.is_ok() { HUGE } else { want };
+        assert_eq!(fs.len(fd).unwrap(), want, "{name}: truncate to {HUGE}");
     }
 }
 
@@ -390,16 +491,31 @@ fn a_short_or_garbage_backing_object_is_an_error_or_an_empty_file_never_a_panic(
     // are what `create` itself leaves behind, or too few to hold a single
     // metadata block — with an empty file. Never a panic, never bytes.
     let garbage = pattern(2 * BLOCK as usize + 17, 0xab);
-    let cases: [(&str, Vec<u8>, [bool; 4]); 3] = [
-        // (what, bytes, is an error on EncFs / CeFileFs / LamassuFs / meta-only)
-        ("an empty object", Vec::new(), [true, false, false, false]),
-        ("79 bytes", pattern(79, 0x11), [true, true, false, false]),
-        ("non-magic garbage", garbage, [true, true, true, true]),
+    // (what, bytes, claimed length,
+    //  is an error on EncFs / CeFileFs / LamassuFs / meta-only)
+    type Case = (&'static str, Vec<u8>, Option<u64>, [bool; 4]);
+    let cases: [Case; 4] = [
+        ("an empty object", vec![], None, [true, false, false, false]),
+        (
+            "79 bytes",
+            pattern(79, 0x11),
+            None,
+            [true, true, false, false],
+        ),
+        ("non-magic garbage", garbage, None, [true; 4]),
+        // A length the backend claims that no host could hold in memory:
+        // CeFileFS sizes its whole body from it.
+        (
+            "a 1 PiB claim",
+            vec![],
+            Some(HUGE),
+            [true, true, false, false],
+        ),
     ];
-    for (what, bytes, is_err) in &cases {
+    for (what, bytes, claim, is_err) in &cases {
         for (row, &is_err) in ROWS.iter().filter(|r| r.stateful).zip(is_err) {
             let name = row.name;
-            let store = media();
+            let store = SizeLimited::new(*claim);
             store.create("/g").unwrap();
             store.write_at("/g", 0, bytes).unwrap();
             let (fs, _) = (row.mount)(store);

@@ -16,8 +16,8 @@
 
 use lamassu::cache::CacheConfig;
 use lamassu::core::{
-    CeFileFs, EncFs, EncFsConfig, FileSystem, IntegrityMode, IoMode, LamassuConfig, LamassuFs,
-    OpenFlags, PlainFs, Profiler, SpanConfig,
+    CeFileFs, EncFs, EncFsConfig, FileSystem, IntegrityMode, LamassuConfig, LamassuFs, OpenFlags,
+    PlainFs, Profiler, SpanConfig,
 };
 use lamassu::dist::{DistConfig, Granularity};
 use lamassu::keymgr::ZoneKeys;
@@ -130,9 +130,7 @@ fn lamassu(store: Arc<dyn ObjectStore>, p: Arc<Profiler>, mode: IntegrityMode) -
 }
 
 const SHIMS: &[(&str, Shim)] = &[
-    ("PlainFs", |s, p| {
-        Box::new(PlainFs::with_profiler(s, IoMode::default(), p))
-    }),
+    ("PlainFs", |s, p| Box::new(PlainFs::with_profiler(s, p))),
     ("EncFs", |s, p| {
         Box::new(EncFs::with_profiler(
             s,

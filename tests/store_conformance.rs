@@ -18,6 +18,12 @@
 //! Stores are deterministic, so "the same call on the other form" is run on
 //! a second, identically built instance and the two are compared after
 //! every step.
+//!
+//! The [`Unqueued`] rows hold the async differential's reference store to
+//! the same statements: statement 4 is the property that differential rests
+//! on.
+
+mod support;
 
 use lamassu::cache::{CacheConfig, CacheMode, CachedStore};
 use lamassu::dist::{DistConfig, Granularity, RoutedStore};
@@ -31,6 +37,7 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
+use support::Unqueued;
 
 /// Cache line and backend block size; also half a placement unit, so the
 /// script's lists straddle both kinds of boundary.
@@ -97,6 +104,13 @@ fn faulty(arm: fn(&FaultyStore)) -> Built {
     built
 }
 
+/// [`faulty`], behind [`Unqueued`]: the credits are still the injector's.
+fn unqueued_faulty(arm: fn(&FaultyStore)) -> Built {
+    let mut built = faulty(arm);
+    built.store = Arc::new(Unqueued(built.store.clone()));
+    built
+}
+
 fn cached(mode: CacheMode) -> Built {
     // Far smaller than the script's object, so fills, evictions and (in
     // write-back mode) dirty write-backs all happen along the way.
@@ -154,6 +168,18 @@ const ROWS: &[Row] = &[
         build: |_| faulty(|f| f.crash_after_writes(10_000)),
         reads_per_list: Some(1),
         writes_per_list: Some(1),
+    },
+    Row {
+        name: "Unqueued DedupStore",
+        build: |_| Built::plain(Arc::new(Unqueued(dedup()))),
+        reads_per_list: Some(1),
+        writes_per_list: Some(1),
+    },
+    Row {
+        name: "Unqueued FaultyStore read-armed",
+        build: |_| unqueued_faulty(|f| f.crash_after_reads(10_000)),
+        reads_per_list: None,
+        writes_per_list: None,
     },
     Row {
         name: "CachedStore write-through",

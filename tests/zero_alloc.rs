@@ -14,16 +14,16 @@
 //!
 //! EncFS — the benchmark's `core.encfs_ratio` baseline, on the same span-I/O
 //! driver — is held to the same bar for warm reads and 4 KiB rewrites,
-//! aligned and misaligned, in both I/O modes.
+//! aligned and misaligned.
 //!
-//! Every re-read mount here runs [`IoMode::Async`] (the default): each
-//! measured read goes through the completion engine — submission queue,
-//! ticket-matched poll/complete, wait barrier — so the zero-allocation
-//! guarantee covers the async machinery itself (the queue's entry vectors,
-//! the pending-run table, and the completion staging are all warm
-//! thread-local state). The deep-pipeline test keeps several runs genuinely
-//! in flight at once over a depth-8 channel; the blocking-oracle test pins
-//! the same guarantee on the differential baseline.
+//! Every measured read goes through the completion engine — submission
+//! queue, ticket-matched poll/complete, wait barrier — so the
+//! zero-allocation guarantee covers the async machinery itself (the queue's
+//! entry vectors, the pending-run table, and the completion staging are all
+//! warm thread-local state). The deep-pipeline test keeps several runs
+//! genuinely in flight at once over a depth-8 channel; the blocking-oracle
+//! test pins the same guarantee on the differential baseline, a store whose
+//! submissions complete at once (`Unqueued`, in `tests/support`).
 //!
 //! The tests install a `#[global_allocator]` that counts every `alloc` and
 //! `realloc`, warm each loop (first-touch costs: pool fills, thread-local
@@ -46,20 +46,22 @@
 //! its buffered writes allocate nothing, and its span commits nothing but
 //! the fan-out's spawns.
 
+mod support;
+
 use lamassu::core::{
-    CryptoBackend, EncFs, EncFsConfig, FileSystem, IntegrityMode, IoMode, LamassuConfig, LamassuFs,
-    SpanConfig, SpanPolicy,
+    EncFs, EncFsConfig, FileSystem, IntegrityMode, LamassuConfig, LamassuFs, SpanConfig, SpanPolicy,
 };
 use lamassu::crypto::pool::CryptoPool;
 use lamassu::dist::{DistConfig, Granularity, RoutedStore};
 use lamassu::keymgr::KeyManager;
 use lamassu::resilience::{OpBudget, ResilientStore, RetryPolicy};
-use lamassu::storage::{DedupStore, StorageProfile};
+use lamassu::storage::{DedupStore, ObjectStore, StorageProfile};
 use lamassu::telemetry::{OpKind, Registry, TraceConfig, Tracer};
 use lamassu_cache::{CacheConfig, CachedStore};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+use support::Unqueued;
 
 /// Forwards to [`System`], counting every allocation and reallocation.
 struct CountingAlloc;
@@ -107,17 +109,17 @@ fn allocs_during(mut op: impl FnMut()) -> u64 {
 const BS: usize = 4096;
 
 /// A LamassuFS mount over an instant in-memory store, single crypto worker
-/// (the inline, allocation-free batch regime), full integrity, async I/O
-/// (the completion-engine default).
+/// (the inline, allocation-free batch regime), full integrity.
 fn mount() -> LamassuFs {
-    mount_with_io(StorageProfile::instant(), IoMode::Async)
+    mount_over(media(StorageProfile::instant()))
 }
 
-/// Same mount with an explicit transport profile and I/O mode. The crypto
-/// backend is pinned to the wide fixsliced kernels (the default) so every
-/// zero-allocation guarantee below is asserted for the constant-time path.
-fn mount_with_io(profile: StorageProfile, io: IoMode) -> LamassuFs {
-    let store = Arc::new(DedupStore::new(BS, profile));
+fn media(profile: StorageProfile) -> Arc<DedupStore> {
+    Arc::new(DedupStore::new(BS, profile))
+}
+
+/// Same mount over an explicit store.
+fn mount_over(store: Arc<dyn ObjectStore>) -> LamassuFs {
     let km = KeyManager::new();
     let zone = km.create_zone(1).expect("fresh key manager");
     let keys = km.fetch_zone_keys(zone).expect("zone just created");
@@ -125,9 +127,7 @@ fn mount_with_io(profile: StorageProfile, io: IoMode) -> LamassuFs {
         .integrity(IntegrityMode::Full)
         .span(SpanConfig {
             policy: SpanPolicy::Batched,
-            io,
             workers: 1,
-            crypto: CryptoBackend::Fixsliced,
             ..SpanConfig::default()
         });
     LamassuFs::new(store, keys, config)
@@ -239,7 +239,7 @@ fn warm_async_deep_pipeline_reread_allocates_nothing() {
     // pipeline depth — multiple submissions pending, out-of-order-capable
     // ticket matching, a wait barrier per call — and must still not
     // allocate once warm.
-    let fs = mount_with_io(StorageProfile::nfs_1gbe(), IoMode::Async);
+    let fs = mount_over(media(StorageProfile::nfs_1gbe()));
     let tracer = attach_tracer(&fs);
     let size = 2 * 1024 * 1024;
     let fd = populate(&fs, "/deep.dat", size);
@@ -287,9 +287,11 @@ fn warm_async_deep_pipeline_reread_allocates_nothing() {
 #[test]
 fn warm_blocking_oracle_reread_allocates_nothing() {
     let _serial = serialize();
-    // The differential oracle (`IoMode::Blocking`) is held to the same bar:
-    // comparisons against it must not be skewed by allocator traffic.
-    let fs = mount_with_io(StorageProfile::instant(), IoMode::Blocking);
+    // The differential oracle (the same mount over `Unqueued`, whose
+    // submissions run the blocking call and complete at once) is held to
+    // the same bar: comparisons against it must not be skewed by allocator
+    // traffic.
+    let fs = mount_over(Arc::new(Unqueued(media(StorageProfile::instant()))));
     let size = 1024 * 1024;
     let fd = populate(&fs, "/oracle.dat", size);
     let mut buf = vec![0u8; 64 * 1024];
@@ -316,8 +318,7 @@ fn warm_blocking_oracle_reread_allocates_nothing() {
         allocs, 0,
         "warm blocking-oracle re-read loop must not allocate"
     );
-    // The oracle never touches the submission queue.
-    assert_eq!(fs.profiler().in_flight_peak(), 0);
+    assert_eq!(fs.profiler().in_flight_ops(), 0);
 }
 
 /// Warms and then measures the steady aligned 4 KiB rewrite loop (commits
@@ -411,55 +412,52 @@ fn steady_rewrite_loop_on_a_default_mount_allocates_nothing() {
 #[test]
 fn encfs_warm_reads_and_rewrites_allocate_nothing() {
     let _serial = serialize();
-    for io in [IoMode::Async, IoMode::Blocking] {
-        let store = Arc::new(DedupStore::new(BS, StorageProfile::instant()));
-        let span = SpanConfig {
-            io,
-            workers: 1,
-            ..SpanConfig::default()
-        };
-        let fs = EncFs::new(
-            store,
-            [7u8; 32],
-            EncFsConfig {
-                span,
-                ..EncFsConfig::default()
-            },
-        );
-        let size = 1024 * 1024;
-        let fd = populate(&fs, "/enc.dat", size);
-        let mut buf = vec![0u8; 64 * 1024];
-        let block: Vec<u8> = (0..BS).map(|i| (i % 241) as u8).collect();
+    let store = Arc::new(DedupStore::new(BS, StorageProfile::instant()));
+    let span = SpanConfig {
+        workers: 1,
+        ..SpanConfig::default()
+    };
+    let fs = EncFs::new(
+        store,
+        [7u8; 32],
+        EncFsConfig {
+            span,
+            ..EncFsConfig::default()
+        },
+    );
+    let size = 1024 * 1024;
+    let fd = populate(&fs, "/enc.dat", size);
+    let mut buf = vec![0u8; 64 * 1024];
+    let block: Vec<u8> = (0..BS).map(|i| (i % 241) as u8).collect();
 
-        // One sweep of `len`-byte reads, or of 4 KiB rewrites, at `skew`.
-        let mut sweep = |len: usize, skew: usize, write: bool| {
-            let mut off = skew;
-            while off + len <= size {
-                let n = if write {
-                    fs.write(fd, off as u64, &block).expect("rewrite")
-                } else {
-                    fs.read_into(fd, off as u64, &mut buf[..len]).expect("read")
-                };
-                assert_eq!(n, len);
-                off += len;
-            }
-        };
-        let cases = [
-            ("aligned 64 KiB reads", 64 * 1024, 0, false),
-            ("misaligned 64 KiB reads", 64 * 1024, BS / 2, false),
-            ("misaligned 4 KiB reads", BS, BS / 2, false),
-            ("aligned 4 KiB rewrites", BS, 0, true),
-            ("misaligned 4 KiB rewrites", BS, BS / 2, true),
-        ];
-        for _ in 0..2 {
-            for (_, len, skew, write) in cases {
-                sweep(len, skew, write);
-            }
+    // One sweep of `len`-byte reads, or of 4 KiB rewrites, at `skew`.
+    let mut sweep = |len: usize, skew: usize, write: bool| {
+        let mut off = skew;
+        while off + len <= size {
+            let n = if write {
+                fs.write(fd, off as u64, &block).expect("rewrite")
+            } else {
+                fs.read_into(fd, off as u64, &mut buf[..len]).expect("read")
+            };
+            assert_eq!(n, len);
+            off += len;
         }
-        for (what, len, skew, write) in cases {
-            let allocs = allocs_during(|| sweep(len, skew, write));
-            assert_eq!(allocs, 0, "EncFS {io:?}: warm {what} must not allocate");
+    };
+    let cases = [
+        ("aligned 64 KiB reads", 64 * 1024, 0, false),
+        ("misaligned 64 KiB reads", 64 * 1024, BS / 2, false),
+        ("misaligned 4 KiB reads", BS, BS / 2, false),
+        ("aligned 4 KiB rewrites", BS, 0, true),
+        ("misaligned 4 KiB rewrites", BS, BS / 2, true),
+    ];
+    for _ in 0..2 {
+        for (_, len, skew, write) in cases {
+            sweep(len, skew, write);
         }
+    }
+    for (what, len, skew, write) in cases {
+        let allocs = allocs_during(|| sweep(len, skew, write));
+        assert_eq!(allocs, 0, "EncFS: warm {what} must not allocate");
     }
 }
 
@@ -486,7 +484,6 @@ fn warm_routed_reread_loop_allocates_nothing() {
             policy: SpanPolicy::Batched,
             workers: 1,
             pool_blocks: None,
-            ..SpanConfig::default()
         });
     let fs = LamassuFs::new(routed.clone(), keys, config);
     let tracer = attach_tracer(&fs);
@@ -557,7 +554,6 @@ fn warm_resilient_reread_loop_allocates_nothing() {
             policy: SpanPolicy::Batched,
             workers: 1,
             pool_blocks: None,
-            ..SpanConfig::default()
         });
     let fs = LamassuFs::new(resilient.clone(), keys, config);
     let tracer = attach_tracer(&fs);
@@ -622,7 +618,6 @@ fn warm_cached_reread_loop_allocates_nothing() {
             policy: SpanPolicy::Batched,
             workers: 1,
             pool_blocks: None,
-            ..SpanConfig::default()
         });
     let fs = LamassuFs::new(cache.clone(), keys, config);
     let tracer = attach_tracer(&fs);
