@@ -8,15 +8,14 @@
 //! path ("meta-only") removes most of the read-side cost.
 //!
 //! Absolute shares differ here because our software AES has no AES-NI (see
-//! EXPERIMENTS.md), but the structural findings — hashing is a top
-//! contributor on the write path, and the full-integrity read path pays a
-//! hash the meta-only path does not — are reproduced.
+//! README.md, "Crypto kernels"), but the structural findings — hashing is a
+//! top contributor on the write path, and the full-integrity read path pays
+//! a hash the meta-only path does not — are reproduced.
 //!
 //! This figure reports category *means* (total time / ops), matching the
 //! paper's bars. Since the profiler's categories are histogram-backed
 //! (`Profiler::category_histogram`), the same instrumented run also yields
-//! per-category percentiles — the [`super::latency`] experiment reports the
-//! distribution view this mean-based figure cannot show.
+//! the per-category percentiles this mean-based figure does not show.
 
 use crate::report::{write_json, Table};
 use crate::setup::{mount, FsKind};

@@ -11,30 +11,16 @@
 //! | [`ablation`] | §4.2 note — block-aligned vs unaligned EncFS over NFS |
 //! | [`ablation_ce_granularity`] | §5.2 — per-block vs per-file convergent encryption |
 //! | [`ablation_key_server`] | §1 — local KDF vs DupLESS-style server-aided keys |
-//! | [`cache`] | beyond the paper — cached vs uncached I/O over the NFS profile |
-//! | [`span_io`] | beyond the paper — span vs per-block pipeline round trips |
-//! | [`qdepth`] | beyond the paper — async-pipeline read makespan vs channel queue depth |
-//! | [`scaling`] | beyond the paper — multi-job throughput vs job count |
-//! | [`scaleout`] | beyond the paper — routed-tier throughput vs backend count |
-//! | [`hot_path`] | beyond the paper — allocs/op and ns/block on the steady-state data path |
-//! | [`latency`] | beyond the paper — per-op latency percentiles and the telemetry overhead budget |
 //! | [`chaos`] | beyond the paper — self-healing under transient faults and a burst outage |
 
 pub mod ablation;
 pub mod ablation_ce_granularity;
 pub mod ablation_key_server;
-pub mod cache;
 pub mod chaos;
 pub mod fig10;
 pub mod fig11;
 pub mod fig6;
 pub mod fig9;
-pub mod hot_path;
-pub mod latency;
-pub mod qdepth;
-pub mod scaleout;
-pub mod scaling;
-pub mod span_io;
 pub mod table1;
 pub mod throughput;
 

@@ -15,11 +15,11 @@
 //! These figures reproduce the *paper's prototype*, whose data path is
 //! per-block, so the mounts here pin [`SpanConfig::per_block`]. (With the
 //! default span pipeline the Figure 7 write ordering inverts — LamassuFS's
-//! coalesced commits issue ~3 round trips per R blocks and overtake EncFS —
-//! which is exactly the improvement the `span_io` experiment measures.)
+//! coalesced commits issue ~3 round trips per R blocks and overtake EncFS;
+//! `tests/write_amplification.rs` pins both pipelines' backend op counts.)
 
 use crate::report::{write_json, Table};
-use crate::setup::{backends, mount_on, FsKind};
+use crate::setup::{mount_on, FsKind};
 use lamassu_core::SpanConfig;
 use lamassu_storage::StorageProfile;
 use lamassu_workloads::{FioConfig, FioTester, Workload};
@@ -53,7 +53,7 @@ pub fn run(figure: &str, profile: StorageProfile, file_size: u64) -> Vec<Through
     let mut cells = Vec::new();
 
     for kind in FsKind::ALL {
-        let m = mount_on(kind, backends(profile, 1), 8, SpanConfig::per_block());
+        let m = mount_on(kind, profile, 8, SpanConfig::per_block());
         tester
             .populate(m.fs.as_ref(), "/fio.dat")
             .expect("populate benchmark file");

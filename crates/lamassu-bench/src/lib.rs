@@ -1,10 +1,12 @@
 //! Benchmark harness regenerating every table and figure of the paper.
 //!
-//! Each experiment lives in [`experiments`] as a callable function; the
-//! binaries in `src/bin/` are thin wrappers so the whole evaluation can also
-//! be rerun programmatically (`run_all`). Every experiment prints a
-//! human-readable table that mirrors the corresponding figure or table of the
-//! paper and writes a JSON report under `results/`.
+//! Each experiment of the paper's §4 — Figures 6–11, Table 1 and the three
+//! ablations — lives in [`experiments`] as a callable function, plus the
+//! `chaos` fault scenario; the binaries in `src/bin/` are thin wrappers, one
+//! per experiment. Every experiment prints a human-readable table that
+//! mirrors the corresponding figure or table of the paper and writes a JSON
+//! report under `results/`. Performance beyond the paper is measured by the
+//! `benchmark/` package, not here.
 //!
 //! Scaling: the paper uses 4 GiB synthetic files, multi-GiB VM images and a
 //! 256 MiB FIO target. Those sizes only affect precision, not the shape of
@@ -25,7 +27,7 @@ pub mod report;
 pub mod setup;
 
 /// Reads a `u64` configuration value from the environment with a default.
-pub fn env_u64(name: &str, default: u64) -> u64 {
+fn env_u64(name: &str, default: u64) -> u64 {
     std::env::var(name)
         .ok()
         .and_then(|v| v.parse().ok())

@@ -42,10 +42,9 @@ impl FsKind {
     }
 }
 
-/// A mounted shim with a handle on every tier under it: `store` is what
-/// [`lamassu_workloads::FioTester::run`] reads accounting from (the topmost
-/// tier), `members` the deduplicating backends, `profiler` the one the shim
-/// and every tier charge (Figure 9).
+/// A mounted shim over one deduplicating backend: `store` is what
+/// [`lamassu_workloads::FioTester::run`] reads accounting from, `profiler`
+/// the one the shim charges (Figure 9).
 pub type Mount = Stack<Box<dyn FileSystem>, DedupStore>;
 
 /// Fetches (or creates) the benchmark isolation zone's keys from a fresh key
@@ -88,30 +87,21 @@ fn shim_over(
     }
 }
 
-/// `n` fresh [`DedupStore`]s, each with its own transport profile instance
-/// (independent servers), ready to have tiers stacked on them.
-pub fn backends(profile: StorageProfile, n: usize) -> StackBuilder<DedupStore> {
-    StackBuilder::new(
-        (0..n)
-            .map(|_| Arc::new(DedupStore::new(4096, profile)))
-            .collect(),
-    )
-}
-
 /// Mounts a shim of the requested kind, with an explicit span-pipeline
-/// configuration, on whatever tiers the builder describes.
+/// configuration, over one fresh [`DedupStore`] with the given transport
+/// profile.
 pub fn mount_on(
     kind: FsKind,
-    tiers: StackBuilder<DedupStore>,
+    profile: StorageProfile,
     reserved_slots: usize,
     span: SpanConfig,
 ) -> Mount {
-    tiers.mount(|store, profiler| shim_over(kind, store, reserved_slots, span, profiler))
+    StackBuilder::new(vec![Arc::new(DedupStore::new(4096, profile))])
+        .mount(|store, profiler| shim_over(kind, store, reserved_slots, span, profiler))
 }
 
 /// Builds a fresh default-pipeline mount of the requested kind directly over
 /// its own backing store.
 pub fn mount(kind: FsKind, profile: StorageProfile, reserved_slots: usize) -> Mount {
-    let span = SpanConfig::default();
-    mount_on(kind, backends(profile, 1), reserved_slots, span)
+    mount_on(kind, profile, reserved_slots, SpanConfig::default())
 }

@@ -13,9 +13,7 @@
 //!
 //! PlainFS keeps **no per-file state at all**, so it is trivially the most
 //! concurrent shim: reads and writes alike go straight to the (internally
-//! sharded) store with nothing but the descriptor table's read lock taken —
-//! the upper bound the encrypted shims' shared-read locking is measured
-//! against in the `scaling` experiment.
+//! sharded) store with nothing but the descriptor table's read lock taken.
 
 use crate::fs::{check_range, FileAttr, FileSystem, OpenFlags};
 use crate::handles::HandleTable;

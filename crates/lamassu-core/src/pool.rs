@@ -170,8 +170,7 @@ impl BlockPool {
     /// shard** — the effective bound is [`BlockPool::capacity`] and can
     /// exceed the request by up to the shard count minus one (e.g. a
     /// request of 2 yields a bound of 8 with 8 shards). A capacity of `0`
-    /// disables pooling: every take allocates and every drop frees (the
-    /// "allocating" baseline the `hot_path` bench compares against).
+    /// disables pooling: every take allocates and every drop frees.
     pub fn new(block_size: usize, capacity_blocks: usize) -> Self {
         assert!(block_size > 0, "pool block size must be non-zero");
         // Distribute the capacity over the shards, rounding up so small caps

@@ -67,9 +67,8 @@ pub struct SpanConfig {
     pub workers: usize,
     /// Capacity of the mount's [`BlockPool`](crate::pool::BlockPool) in
     /// blocks: `None` auto-sizes to the mount's needs, `Some(0)` disables
-    /// buffer recycling entirely (every staging buffer is allocated fresh —
-    /// the baseline the `hot_path` bench measures the pool against), any
-    /// other value bounds the idle buffers kept (rounded up per shard; see
+    /// buffer recycling entirely (every staging buffer is allocated fresh),
+    /// any other value bounds the idle buffers kept (rounded up per shard; see
     /// [`BlockPool::new`](crate::pool::BlockPool::new)).
     pub pool_blocks: Option<usize>,
 }

@@ -1,6 +1,6 @@
 //! GHASH universal hash over GF(2^128), the authentication core of AES-GCM.
 //!
-//! Two implementations live here:
+//! Two implementations live here, one of them test-only:
 //!
 //! * [`Ghash`], the production path, multiplies with **Shoup's 4-bit
 //!   table-driven method**: a 16-entry table of nibble multiples of the hash
@@ -15,11 +15,11 @@
 //!   tables" from *On Fast and Provably Secure Message Authentication Based
 //!   on Universal Hashing*. This is what keeps metadata sealing off the
 //!   flame graph now that the data path batches everything else.
-//! * [`GhashBitSerial`], the straightforward bit-serial multiplication from
-//!   NIST SP 800-38D §6.3 Algorithm 1, kept as the verification oracle (the
-//!   tests require both to agree on random inputs and on the GCM spec
-//!   vectors) and as the baseline the `hot_path` bench measures the table
-//!   method against (≥ 5x is asserted in release).
+//! * `GhashBitSerial`, the straightforward bit-serial multiplication from
+//!   NIST SP 800-38D §6.3 Algorithm 1, lives in the test module as the
+//!   verification oracle: the tests require both to agree on random inputs
+//!   and on the GCM spec vectors. What the table method buys is measured by
+//!   `benchmark/`'s `crypto.gcm_seal_ns_per_4k`.
 //!
 //! Both operate on the SP 800-38D bit convention: bit 0 is the *most*
 //! significant bit of the block, and the field is reduced by
@@ -65,72 +65,6 @@ const fn build_reduce8() -> [u64; 256] {
     t
 }
 const REDUCE8: [u64; 256] = build_reduce8();
-
-/// A 128-bit field element stored as two big-endian 64-bit halves.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-struct Fe128 {
-    hi: u64,
-    lo: u64,
-}
-
-impl Fe128 {
-    fn from_bytes(b: &[u8; 16]) -> Self {
-        Fe128 {
-            hi: u64::from_be_bytes(b[0..8].try_into().unwrap()),
-            lo: u64::from_be_bytes(b[8..16].try_into().unwrap()),
-        }
-    }
-
-    fn to_bytes(self) -> [u8; 16] {
-        let mut out = [0u8; 16];
-        out[0..8].copy_from_slice(&self.hi.to_be_bytes());
-        out[8..16].copy_from_slice(&self.lo.to_be_bytes());
-        out
-    }
-
-    fn xor(self, other: Fe128) -> Fe128 {
-        Fe128 {
-            hi: self.hi ^ other.hi,
-            lo: self.lo ^ other.lo,
-        }
-    }
-
-    /// Tests bit `i` where bit 0 is the most significant bit of the block
-    /// (the convention used by SP 800-38D).
-    fn bit(self, i: usize) -> bool {
-        if i < 64 {
-            (self.hi >> (63 - i)) & 1 == 1
-        } else {
-            (self.lo >> (127 - i)) & 1 == 1
-        }
-    }
-
-    /// Right-shift by one bit (towards the least significant bit in the
-    /// SP 800-38D convention).
-    fn shr1(self) -> Fe128 {
-        Fe128 {
-            hi: self.hi >> 1,
-            lo: (self.lo >> 1) | (self.hi << 63),
-        }
-    }
-}
-
-/// Multiplies two field elements per SP 800-38D Algorithm 1 (bit-serial).
-fn gf_mul(x: Fe128, y: Fe128) -> Fe128 {
-    let mut z = Fe128::default();
-    let mut v = y;
-    for i in 0..128 {
-        if x.bit(i) {
-            z = z.xor(v);
-        }
-        let lsb = v.lo & 1 == 1;
-        v = v.shr1();
-        if lsb {
-            v.hi ^= R_HI;
-        }
-    }
-    z
-}
 
 /// Precomputed per-key state for the 4-bit table-driven multiply: the 16
 /// nibble multiples `i · H` for `i ∈ [0, 16)`, stored at two alignments so
@@ -281,51 +215,117 @@ impl Ghash {
     }
 }
 
-/// The SP 800-38D §6.3 bit-serial GHASH, kept as the verification oracle and
-/// the `hot_path` benchmark baseline. Same API as [`Ghash`].
-#[derive(Clone)]
-pub struct GhashBitSerial {
-    h: Fe128,
-    y: Fe128,
-}
-
-impl GhashBitSerial {
-    /// Creates a bit-serial GHASH instance from the 16-byte hash subkey.
-    pub fn new(h: &[u8; 16]) -> Self {
-        GhashBitSerial {
-            h: Fe128::from_bytes(h),
-            y: Fe128::default(),
-        }
-    }
-
-    /// Absorbs `data`, zero-padding the final partial block.
-    pub fn update_padded(&mut self, data: &[u8]) {
-        for chunk in data.chunks(16) {
-            let mut block = [0u8; 16];
-            block[..chunk.len()].copy_from_slice(chunk);
-            self.absorb_block(&block);
-        }
-    }
-
-    /// Absorbs a single full 16-byte block.
-    pub fn absorb_block(&mut self, block: &[u8; 16]) {
-        self.y = gf_mul(self.y.xor(Fe128::from_bytes(block)), self.h);
-    }
-
-    /// Finishes over the standard length block, returning the digest.
-    pub fn finalize(mut self, aad_len: usize, ct_len: usize) -> [u8; 16] {
-        let mut len_block = [0u8; 16];
-        len_block[0..8].copy_from_slice(&((aad_len as u64) * 8).to_be_bytes());
-        len_block[8..16].copy_from_slice(&((ct_len as u64) * 8).to_be_bytes());
-        self.absorb_block(&len_block);
-        self.y.to_bytes()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::util::from_hex;
+
+    /// A 128-bit field element stored as two big-endian 64-bit halves.
+    #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
+    struct Fe128 {
+        hi: u64,
+        lo: u64,
+    }
+
+    impl Fe128 {
+        fn from_bytes(b: &[u8; 16]) -> Self {
+            Fe128 {
+                hi: u64::from_be_bytes(b[0..8].try_into().unwrap()),
+                lo: u64::from_be_bytes(b[8..16].try_into().unwrap()),
+            }
+        }
+
+        fn to_bytes(self) -> [u8; 16] {
+            let mut out = [0u8; 16];
+            out[0..8].copy_from_slice(&self.hi.to_be_bytes());
+            out[8..16].copy_from_slice(&self.lo.to_be_bytes());
+            out
+        }
+
+        fn xor(self, other: Fe128) -> Fe128 {
+            Fe128 {
+                hi: self.hi ^ other.hi,
+                lo: self.lo ^ other.lo,
+            }
+        }
+
+        /// Tests bit `i` where bit 0 is the most significant bit of the block
+        /// (the convention used by SP 800-38D).
+        fn bit(self, i: usize) -> bool {
+            if i < 64 {
+                (self.hi >> (63 - i)) & 1 == 1
+            } else {
+                (self.lo >> (127 - i)) & 1 == 1
+            }
+        }
+
+        /// Right-shift by one bit (towards the least significant bit in the
+        /// SP 800-38D convention).
+        fn shr1(self) -> Fe128 {
+            Fe128 {
+                hi: self.hi >> 1,
+                lo: (self.lo >> 1) | (self.hi << 63),
+            }
+        }
+    }
+
+    /// Multiplies two field elements per SP 800-38D Algorithm 1 (bit-serial).
+    fn gf_mul(x: Fe128, y: Fe128) -> Fe128 {
+        let mut z = Fe128::default();
+        let mut v = y;
+        for i in 0..128 {
+            if x.bit(i) {
+                z = z.xor(v);
+            }
+            let lsb = v.lo & 1 == 1;
+            v = v.shr1();
+            if lsb {
+                v.hi ^= R_HI;
+            }
+        }
+        z
+    }
+
+    /// The SP 800-38D §6.3 bit-serial GHASH, the oracle the table method is
+    /// checked against. Same API as [`Ghash`].
+    #[derive(Clone)]
+    struct GhashBitSerial {
+        h: Fe128,
+        y: Fe128,
+    }
+
+    impl GhashBitSerial {
+        /// Creates a bit-serial GHASH instance from the 16-byte hash subkey.
+        fn new(h: &[u8; 16]) -> Self {
+            GhashBitSerial {
+                h: Fe128::from_bytes(h),
+                y: Fe128::default(),
+            }
+        }
+
+        /// Absorbs `data`, zero-padding the final partial block.
+        fn update_padded(&mut self, data: &[u8]) {
+            for chunk in data.chunks(16) {
+                let mut block = [0u8; 16];
+                block[..chunk.len()].copy_from_slice(chunk);
+                self.absorb_block(&block);
+            }
+        }
+
+        /// Absorbs a single full 16-byte block.
+        fn absorb_block(&mut self, block: &[u8; 16]) {
+            self.y = gf_mul(self.y.xor(Fe128::from_bytes(block)), self.h);
+        }
+
+        /// Finishes over the standard length block, returning the digest.
+        fn finalize(mut self, aad_len: usize, ct_len: usize) -> [u8; 16] {
+            let mut len_block = [0u8; 16];
+            len_block[0..8].copy_from_slice(&((aad_len as u64) * 8).to_be_bytes());
+            len_block[8..16].copy_from_slice(&((ct_len as u64) * 8).to_be_bytes());
+            self.absorb_block(&len_block);
+            self.y.to_bytes()
+        }
+    }
 
     #[test]
     fn gf_mul_identity() {

@@ -37,9 +37,8 @@
 //! the ring and migrate **only the ring-delta**: units whose owner chain
 //! changed are copied to their new owners (from any surviving old owner,
 //! falling back to the leaving member); everything else stays put. The
-//! `*_background` variants run the same migration on a spawned thread. The
-//! migration holds the membership lock exclusively, so concurrent
-//! operations serialize against it and always see the old or the new ring,
+//! migration holds the membership lock exclusively, so operations on other
+//! threads serialize against it and always see the old or the new ring,
 //! never a torn one.
 
 use crate::config::{DistConfig, Granularity};
@@ -317,17 +316,6 @@ impl<S: ObjectStore + ?Sized> RoutedStore<S> {
             .iter()
             .find(|m| m.id == id)
             .map(|m| m.store.clone())
-    }
-
-    /// Per-backend counter snapshots `(member id, counters)` — the
-    /// aggregation [`ObjectStore::io_counters`] sums.
-    pub fn member_io_counters(&self) -> Vec<(u32, IoCounters)> {
-        self.state
-            .read()
-            .members
-            .iter()
-            .map(|m| (m.id, m.store.io_counters()))
-            .collect()
     }
 
     /// Stable member ids owning the placement unit covering `offset` of
@@ -1352,7 +1340,8 @@ impl<S: ObjectStore + ?Sized> RoutedStore<S> {
     /// Adds a backend to the cluster and migrates the ring-delta onto it:
     /// only units whose owner chain now includes the new member are copied.
     /// Returns the new member's stable id. Blocks until the migration
-    /// completes (see [`RoutedStore::add_backend_background`]).
+    /// completes; operations issued meanwhile from other threads serialize
+    /// against it and see the old ring until the new one is committed.
     pub fn add_backend(&self, store: Arc<S>) -> u32 {
         let mut m = self.state.write();
         let id = m.next_id;
@@ -1533,26 +1522,6 @@ impl<S: ObjectStore + ?Sized> RoutedStore<S> {
             }
         }
         moved
-    }
-}
-
-impl<S: ObjectStore + ?Sized + 'static> RoutedStore<S> {
-    /// [`RoutedStore::add_backend`] on a background thread: the caller gets
-    /// the join handle immediately; operations issued meanwhile serialize
-    /// against the migration's exclusive membership lock, seeing the old
-    /// ring until the new one is committed.
-    pub fn add_backend_background(self: &Arc<Self>, store: Arc<S>) -> std::thread::JoinHandle<u32> {
-        let this = Arc::clone(self);
-        std::thread::spawn(move || this.add_backend(store))
-    }
-
-    /// [`RoutedStore::remove_backend`] on a background thread.
-    pub fn remove_backend_background(
-        self: &Arc<Self>,
-        id: u32,
-    ) -> std::thread::JoinHandle<Result<u64>> {
-        let this = Arc::clone(self);
-        std::thread::spawn(move || this.remove_backend(id))
     }
 }
 
@@ -1877,21 +1846,27 @@ mod tests {
         r.create("f").unwrap();
         let data = pattern(2048, 13);
         r.write_at("f", 0, &data).unwrap();
-        let id = r
-            .add_backend_background(Arc::new(DedupStore::new(512, StorageProfile::instant())))
-            .join()
-            .unwrap();
+        // Each change runs on its own thread while this one reads: a read
+        // meets the old ring or the new one, never a torn one.
+        let bg = Arc::clone(&r);
+        let adding = std::thread::spawn(move || {
+            bg.add_backend(Arc::new(DedupStore::new(512, StorageProfile::instant())))
+        });
+        assert_eq!(read_all(&*r, "f"), data);
+        let id = adding.join().unwrap();
         assert_eq!(r.backends(), 3);
         assert_eq!(read_all(&*r, "f"), data);
-        let moved = r.remove_backend_background(id).join().unwrap().unwrap();
+        let bg = Arc::clone(&r);
+        let removing = std::thread::spawn(move || bg.remove_backend(id));
+        assert_eq!(read_all(&*r, "f"), data);
+        removing.join().unwrap().unwrap();
         assert_eq!(r.backends(), 2);
         assert_eq!(read_all(&*r, "f"), data);
-        let _ = moved;
         assert_eq!(r.scrub().mismatches, 0);
     }
 
     #[test]
-    fn accounting_sums_counters_and_takes_makespan_io_time() {
+    fn accounting_sums_counters_and_takes_the_busiest_members_io_time() {
         let members: Vec<Arc<DedupStore>> = (0..2)
             .map(|_| Arc::new(DedupStore::new(512, StorageProfile::nfs_1gbe())))
             .collect();

@@ -246,8 +246,7 @@ impl StorageProfile {
 /// exclusive per-file write guard, yet still charge N distinct channels, so
 /// shared-file *write* makespans are an optimistic (up-to-width) lower
 /// bound. The read path has no such exclusion (shared guards), so
-/// multi-reader makespans — the `scaling` experiment's subject — are
-/// faithful.
+/// multi-reader makespans are faithful.
 pub struct SimClock {
     /// Per-channel virtual-time state (serial frontier + queue-depth lanes).
     channels: Vec<Mutex<ChannelState>>,

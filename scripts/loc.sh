@@ -52,6 +52,6 @@ for dir in "${dirs[@]}"; do
     total=$((total + n))
 done
 printf '%7d  total\n' "$total"
-oracles=$(grep -rE --include='*.rs' --exclude='tests.rs' \
-    'PerBlock|IoMode::Blocking|TTable' crates/${1:-*}/src | wc -l)
+oracles=$({ grep -rE --include='*.rs' --exclude='tests.rs' \
+    'PerBlock|IoMode::Blocking|TTable' crates/${1:-*}/src || true; } | wc -l)
 printf '%7d  oracle references (PerBlock|IoMode::Blocking|TTable)\n' "$oracles"

@@ -6,10 +6,11 @@ use lamassu::core::{
     CeFileFs, EncFs, EncFsConfig, FileSystem, LamassuConfig, LamassuFs, OpenFlags, PlainFs,
 };
 use lamassu::keymgr::ZoneKeys;
-use lamassu::storage::{DedupStore, ObjectStore, StorageProfile};
-use std::io::IoSlice;
-use std::sync::Arc;
+use lamassu::storage::{DedupStore, IoCounters, ObjectStore, Result, StorageProfile};
+use std::io::{IoSlice, IoSliceMut};
+use std::sync::{Arc, Condvar, Mutex};
 use std::thread;
+use std::time::Duration;
 
 fn keys() -> ZoneKeys {
     ZoneKeys {
@@ -85,6 +86,140 @@ fn parallel_readers_on_one_file() {
         .collect();
     for t in threads {
         t.join().expect("reader thread");
+    }
+}
+
+/// Who is inside [`Rendezvous`]'s reads.
+#[derive(Default)]
+struct Readers {
+    armed: bool,
+    inside: usize,
+    peak: usize,
+}
+
+/// A store that makes overlapping reads observable. It implements only the
+/// thirteen required methods, so every submitted read runs the blocking
+/// `read_into_vectored` on the caller's thread. Once armed, each read waits
+/// there (up to ten seconds) until a second read is inside at the same
+/// time; `peak` records how many were.
+struct Rendezvous {
+    store: DedupStore,
+    readers: Mutex<Readers>,
+    met: Condvar,
+}
+
+impl Rendezvous {
+    fn new() -> Self {
+        Rendezvous {
+            store: DedupStore::new(4096, StorageProfile::instant()),
+            readers: Mutex::new(Readers::default()),
+            met: Condvar::new(),
+        }
+    }
+
+    fn arm(&self) {
+        *self.readers.lock().unwrap() = Readers {
+            armed: true,
+            ..Readers::default()
+        };
+    }
+
+    fn peak(&self) -> usize {
+        self.readers.lock().unwrap().peak
+    }
+}
+
+impl ObjectStore for Rendezvous {
+    fn create(&self, name: &str) -> Result<()> {
+        self.store.create(name)
+    }
+    fn exists(&self, name: &str) -> bool {
+        self.store.exists(name)
+    }
+    fn read_into_vectored(
+        &self,
+        name: &str,
+        offset: u64,
+        bufs: &mut [IoSliceMut<'_>],
+    ) -> Result<usize> {
+        let mut readers = self.readers.lock().unwrap();
+        readers.inside += 1;
+        readers.peak = readers.peak.max(readers.inside);
+        self.met.notify_all();
+        let (mut readers, waited) = self
+            .met
+            .wait_timeout_while(readers, Duration::from_secs(10), |r| r.armed && r.peak < 2)
+            .unwrap();
+        if waited.timed_out() {
+            // Reads are serialized above the store: let the rest run.
+            readers.armed = false;
+        }
+        drop(readers);
+        let read = self.store.read_into_vectored(name, offset, bufs);
+        self.readers.lock().unwrap().inside -= 1;
+        read
+    }
+    fn write_at_vectored(&self, name: &str, offset: u64, bufs: &[IoSlice<'_>]) -> Result<()> {
+        self.store.write_at_vectored(name, offset, bufs)
+    }
+    fn len(&self, name: &str) -> Result<u64> {
+        self.store.len(name)
+    }
+    fn truncate(&self, name: &str, len: u64) -> Result<()> {
+        self.store.truncate(name, len)
+    }
+    fn remove(&self, name: &str) -> Result<()> {
+        self.store.remove(name)
+    }
+    fn rename(&self, from: &str, to: &str) -> Result<()> {
+        self.store.rename(from, to)
+    }
+    fn list(&self) -> Vec<String> {
+        self.store.list()
+    }
+    fn flush(&self, name: &str) -> Result<()> {
+        self.store.flush(name)
+    }
+    fn io_time(&self) -> Duration {
+        self.store.io_time()
+    }
+    fn io_counters(&self) -> IoCounters {
+        self.store.io_counters()
+    }
+    fn reset_io_accounting(&self) {
+        self.store.reset_io_accounting()
+    }
+}
+
+/// Two readers of one file are inside the backend at the same time: a
+/// stateful shim runs its whole read pipeline under the file's shared guard,
+/// so a reader never waits for another reader's I/O.
+#[test]
+fn readers_of_one_file_overlap_in_the_backend() {
+    // LamassuFS and EncFS; PlainFS takes no per-file guard at all.
+    for which in [3, 1] {
+        let store = Arc::new(Rendezvous::new());
+        let fs = shim(which, store.clone());
+        let payload: Vec<u8> = (0..8 * 4096u32).map(|i| (i % 251) as u8).collect();
+        let fd = fs.create("/overlap.bin").unwrap();
+        fs.write(fd, 0, &payload).unwrap();
+        fs.fsync(fd).unwrap();
+        // Warm the file so each reader's read is data I/O only.
+        assert_eq!(fs.read(fd, 0, payload.len()).unwrap(), payload);
+
+        store.arm();
+        let readers: Vec<_> = (0..2u64)
+            .map(|t| {
+                let fs = fs.clone();
+                let want = payload[t as usize * 4096..][..4096].to_vec();
+                thread::spawn(move || assert_eq!(fs.read(fd, t * 4096, 4096).unwrap(), want))
+            })
+            .collect();
+        for r in readers {
+            r.join().expect("reader thread");
+        }
+        assert_eq!(store.peak(), 2, "{}: readers never overlapped", fs.kind());
+        fs.close(fd).unwrap();
     }
 }
 
