@@ -24,7 +24,7 @@
 
 use crate::report::{write_json, Table};
 use lamassu::stack::{Resilience, StackBuilder};
-use lamassu_dist::{DistConfig, Granularity};
+use lamassu_dist::DistConfig;
 use lamassu_resilience::{BreakerConfig, HedgeConfig};
 use lamassu_storage::{DedupStore, FaultyStore, ObjectStore, StorageProfile};
 use lamassu_telemetry::Histogram;
@@ -177,7 +177,7 @@ fn routed_burst(file_size: u64) -> ChaosRow {
     // Retries and breakers only: the router already fans reads over
     // replicas, so hedging is the single-backend scenarios' job.
     let stack = StackBuilder::new((0..4).map(|_| faulty_backend()).collect())
-        .dist(DistConfig::new(2).granularity(Granularity::BlockRange(UNIT_BYTES)))
+        .dist(DistConfig::new(2).unit(UNIT_BYTES))
         .resilience(Resilience {
             breakers: Some(BreakerConfig {
                 cooldown: 4,

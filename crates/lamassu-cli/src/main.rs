@@ -18,7 +18,7 @@
 use lamassu::stack::{Resilience, Stack, StackBuilder};
 use lamassu_cache::{CacheConfig, CacheMode};
 use lamassu_core::{FileSystem, LamassuConfig, LamassuFs, OpenFlags};
-use lamassu_dist::{DistConfig, Granularity};
+use lamassu_dist::DistConfig;
 use lamassu_keymgr::KeyManager;
 use lamassu_resilience::{BreakerConfig, HedgeConfig, OpBudget};
 use lamassu_storage::{DirStore, StorageProfile};
@@ -394,9 +394,7 @@ fn mount(opts: &Options) -> Result<Mounted, String> {
         },
     };
     Ok(StackBuilder::new(members)
-        .dist(opts.dist.map(|(_, replicas)| {
-            DistConfig::new(replicas).granularity(Granularity::BlockRange(1024 * 1024))
-        }))
+        .dist(opts.dist.map(|(_, replicas)| DistConfig::new(replicas)))
         .resilience(opts.resilience)
         .cache(opts.cache.map(|(mode, capacity_blocks)| CacheConfig {
             block_size: opts.block_size,

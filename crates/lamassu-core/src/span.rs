@@ -87,13 +87,6 @@ impl SpanConfig {
         }
     }
 
-    /// Returns a copy with an explicit block-pool capacity (see
-    /// [`SpanConfig::pool_blocks`]).
-    pub fn with_pool_blocks(mut self, blocks: usize) -> Self {
-        self.pool_blocks = Some(blocks);
-        self
-    }
-
     /// Builds the mount's shared crypto pool.
     pub(crate) fn pool(&self) -> CryptoPool {
         CryptoPool::new(self.workers)

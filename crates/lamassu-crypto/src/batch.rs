@@ -1,37 +1,31 @@
-//! Batch (span-granular) cryptography over slices of blocks.
+//! Batch (span-granular) cryptography over contiguous spans of blocks.
 //!
 //! The shims' span pipeline hands whole runs of blocks to the crypto layer at
 //! once; the functions here fan that work out across a
 //! [`CryptoPool`] so convergent hashing and AES for
 //! a span run in parallel rather than serially per block:
 //!
-//! * [`derive_keys`] / [`derive_keys_into`] — Equation 1 for every block of
-//!   a span;
-//! * [`encrypt_blocks`] / [`decrypt_blocks`] — Equation 2 under per-block
+//! * [`derive_span_into`] — Equation 1 for every block of a span;
+//! * [`encrypt_span`] / [`decrypt_span`] — Equation 2 under per-block
 //!   convergent keys and the shared [`FIXED_IV`](crate::FIXED_IV)
 //!   (LamassuFS data blocks);
-//! * [`encrypt_blocks_with`] / [`decrypt_blocks_with`] — one shared cipher
+//! * [`encrypt_span_with`] / [`decrypt_span_with`] — one shared cipher
 //!   with per-block IVs (the EncFS baseline's layout);
 //! * [`cbc_decrypt_parallel`] — chunked CBC decryption of one large buffer
 //!   (CBC decryption only needs the *previous ciphertext block*, so a long
 //!   chain splits into independently decryptable chunks; used by the
 //!   whole-file CeFileFS baseline).
 //!
-//! # The contiguous-span fast path
+//! # Contiguous spans
 //!
-//! The `*_span*` variants ([`derive_span_into`], [`encrypt_span`],
-//! [`decrypt_span`], [`encrypt_span_with`], [`decrypt_span_with`]) operate
-//! on one **contiguous** buffer of whole blocks instead of a slice of block
-//! references. That shape is what the zero-allocation data path produces
+//! Every span function operates on one **contiguous** buffer of whole
+//! blocks. That shape is what the zero-allocation data path produces
 //! (aligned reads land in one caller-buffer region; commits stage through
-//! one reusable span buffer), and it frees the batch layer of work-vector
-//! building: the **inline path performs no allocation at all**, and the
-//! parallel path splits both the data and the key/IV slices by arithmetic,
-//! paying only the thread-scope fan-out (which is why the zero-allocation
-//! guarantee is stated for the inline regime — see
-//! [`CryptoPool::runs_inline`]). The reference-slice APIs remain for
-//! heterogeneous batches and share the same property via
-//! [`CryptoPool::zip_for_each`].
+//! one reusable span buffer): the **inline path performs no allocation at
+//! all**, and the parallel path splits both the data and the key/IV slices
+//! by arithmetic, paying only the thread-scope fan-out (which is why the
+//! zero-allocation guarantee is stated for the inline regime — see
+//! [`CryptoPool::runs_inline`]).
 //!
 //! # Fan-out
 //!
@@ -52,7 +46,7 @@
 //!
 //! # Backend dispatch
 //!
-//! The span variants take a [`CryptoBackend`] and dispatch each contiguous
+//! Every function takes a [`CryptoBackend`] and dispatches each contiguous
 //! run to the wide fixsliced kernel or the T-table oracle:
 //!
 //! * **decryption** always goes wide under
@@ -70,9 +64,9 @@
 //!   fills the four lanes too, under v1 a tail of fewer than four hashes
 //!   one block at a time.
 //!
-//! The reference-slice APIs ([`derive_keys`], [`encrypt_blocks`], ...)
-//! intentionally stay on the T-table cipher: they are the per-block oracle
-//! the differential property tests compare the wide kernels against.
+//! The tests below hold each span function, under both backends, to the
+//! per-block serial call it stands for: [`ConvergentKdf::derive_for_block`]
+//! and [`cbc::encrypt_in_place`] on the T-table cipher.
 
 use crate::aes::Aes256;
 use crate::cbc;
@@ -126,18 +120,6 @@ impl SpanCipher {
     }
 }
 
-fn check_aligned(blocks: &[&mut [u8]]) -> Result<()> {
-    for block in blocks {
-        if !block.len().is_multiple_of(AES_BLOCK) {
-            return Err(CryptoError::InvalidLength {
-                len: block.len(),
-                expected_multiple_of: AES_BLOCK,
-            });
-        }
-    }
-    Ok(())
-}
-
 /// Validates that a contiguous span covers exactly `blocks` whole blocks of
 /// `block_size` bytes, each AES-aligned.
 fn check_span(data_len: usize, blocks: usize, block_size: usize) -> Result<()> {
@@ -154,26 +136,6 @@ fn check_span(data_len: usize, blocks: usize, block_size: usize) -> Result<()> {
         });
     }
     Ok(())
-}
-
-/// Derives the convergent key (Equation 1) for every block into
-/// caller-provided storage, in parallel. Allocation-free.
-///
-/// Panics if `blocks` and `out` differ in length.
-pub fn derive_keys_into(
-    pool: &CryptoPool,
-    kdf: &ConvergentKdf,
-    blocks: &[&[u8]],
-    out: &mut [Key256],
-) {
-    pool.zip_for_each(out, blocks, |key, block| *key = kdf.derive_for_block(block));
-}
-
-/// Derives the convergent key (Equation 1) for every block, in parallel.
-pub fn derive_keys(pool: &CryptoPool, kdf: &ConvergentKdf, blocks: &[&[u8]]) -> Vec<Key256> {
-    let mut keys = vec![[0u8; 32]; blocks.len()];
-    derive_keys_into(pool, kdf, blocks, &mut keys);
-    keys
 }
 
 /// Derives the convergent key for every `block_size`-byte block of one
@@ -234,41 +196,6 @@ pub fn derive_span_into(
     Ok(())
 }
 
-/// Convergent encryption (Equation 2) of every block in place, each under its
-/// own key and the shared fixed IV. `keys` and `blocks` must be parallel
-/// slices of equal length.
-pub fn encrypt_blocks(
-    pool: &CryptoPool,
-    keys: &[Key256],
-    iv: &Iv128,
-    blocks: &mut [&mut [u8]],
-) -> Result<()> {
-    assert_eq!(keys.len(), blocks.len(), "one key per block");
-    check_aligned(blocks)?;
-    pool.zip_for_each(blocks, keys, |block, key| {
-        let cipher = Aes256::new(key);
-        cbc::encrypt_in_place(&cipher, iv, block).expect("alignment checked above");
-    });
-    Ok(())
-}
-
-/// Decryption of every block in place, each under its own key and the shared
-/// fixed IV (inverse of [`encrypt_blocks`]).
-pub fn decrypt_blocks(
-    pool: &CryptoPool,
-    keys: &[Key256],
-    iv: &Iv128,
-    blocks: &mut [&mut [u8]],
-) -> Result<()> {
-    assert_eq!(keys.len(), blocks.len(), "one key per block");
-    check_aligned(blocks)?;
-    pool.zip_for_each(blocks, keys, |block, key| {
-        let cipher = Aes256::new(key);
-        cbc::decrypt_in_place(&cipher, iv, block).expect("alignment checked above");
-    });
-    Ok(())
-}
-
 /// Runs `f` over every `(block, context)` pair of one contiguous span —
 /// inline or fanned out across the pool — without allocating.
 fn span_for_each<B: Sync>(
@@ -287,7 +214,7 @@ fn span_for_each<B: Sync>(
 
 /// Convergent encryption (Equation 2) of one contiguous span of whole
 /// blocks in place, each block under its own key and the shared fixed IV.
-/// Allocation-free (the contiguous dual of [`encrypt_blocks`]).
+/// Allocation-free.
 ///
 /// Under [`CryptoBackend::Fixsliced`] the run is encrypted in groups of up
 /// to [`fixsliced::WIDE_BLOCKS`] interleaved chains; groups narrower than
@@ -438,39 +365,6 @@ pub fn decrypt_span_with(
     Ok(())
 }
 
-/// CBC encryption of every block in place under one shared cipher with a
-/// per-block IV (the EncFS layout). `ivs` and `blocks` must be parallel
-/// slices of equal length.
-pub fn encrypt_blocks_with(
-    pool: &CryptoPool,
-    cipher: &Aes256,
-    ivs: &[Iv128],
-    blocks: &mut [&mut [u8]],
-) -> Result<()> {
-    assert_eq!(ivs.len(), blocks.len(), "one IV per block");
-    check_aligned(blocks)?;
-    pool.zip_for_each(blocks, ivs, |block, iv| {
-        cbc::encrypt_in_place(cipher, iv, block).expect("alignment checked above");
-    });
-    Ok(())
-}
-
-/// CBC decryption of every block in place under one shared cipher with a
-/// per-block IV (inverse of [`encrypt_blocks_with`]).
-pub fn decrypt_blocks_with(
-    pool: &CryptoPool,
-    cipher: &Aes256,
-    ivs: &[Iv128],
-    blocks: &mut [&mut [u8]],
-) -> Result<()> {
-    assert_eq!(ivs.len(), blocks.len(), "one IV per block");
-    check_aligned(blocks)?;
-    pool.zip_for_each(blocks, ivs, |block, iv| {
-        cbc::decrypt_in_place(cipher, iv, block).expect("alignment checked above");
-    });
-    Ok(())
-}
-
 /// The block size the fan-out rule's tile was costed at; a buffer with no
 /// block structure of its own ([`cbc_decrypt_parallel`]) is counted in these.
 const NOMINAL_BLOCK: usize = 4096;
@@ -540,70 +434,6 @@ mod tests {
         CryptoPool::new(3)
     }
 
-    fn sample_blocks(n: usize, bs: usize) -> Vec<Vec<u8>> {
-        (0..n)
-            .map(|i| (0..bs).map(|j| (i * 31 + j) as u8).collect())
-            .collect()
-    }
-
-    #[test]
-    fn derive_keys_matches_serial_derivation() {
-        let kdf = ConvergentKdf::new(&[0x11; 32]);
-        let blocks = sample_blocks(17, 256);
-        let refs: Vec<&[u8]> = blocks.iter().map(|b| b.as_slice()).collect();
-        let keys = derive_keys(&pool(), &kdf, &refs);
-        for (block, key) in blocks.iter().zip(&keys) {
-            assert_eq!(*key, kdf.derive_for_block(block));
-        }
-    }
-
-    #[test]
-    fn encrypt_decrypt_blocks_round_trip_and_match_serial() {
-        let kdf = ConvergentKdf::new(&[0x22; 32]);
-        let plain = sample_blocks(9, 256);
-        let refs: Vec<&[u8]> = plain.iter().map(|b| b.as_slice()).collect();
-        let keys = derive_keys(&pool(), &kdf, &refs);
-
-        let mut batch = plain.clone();
-        {
-            let mut refs: Vec<&mut [u8]> = batch.iter_mut().map(|b| b.as_mut_slice()).collect();
-            encrypt_blocks(&pool(), &keys, &FIXED_IV, &mut refs).unwrap();
-        }
-        // Serial reference.
-        for (i, block) in plain.iter().enumerate() {
-            let mut serial = block.clone();
-            cbc::encrypt_in_place(&Aes256::new(&keys[i]), &FIXED_IV, &mut serial).unwrap();
-            assert_eq!(serial, batch[i], "block {i} diverged from serial CBC");
-        }
-        {
-            let mut refs: Vec<&mut [u8]> = batch.iter_mut().map(|b| b.as_mut_slice()).collect();
-            decrypt_blocks(&pool(), &keys, &FIXED_IV, &mut refs).unwrap();
-        }
-        assert_eq!(batch, plain);
-    }
-
-    #[test]
-    fn shared_cipher_per_block_ivs_round_trip() {
-        let cipher = Aes256::new(&[0x33; 32]);
-        let plain = sample_blocks(11, 64);
-        let ivs: Vec<Iv128> = (0..11u8).map(|i| [i; 16]).collect();
-        let mut batch = plain.clone();
-        {
-            let mut refs: Vec<&mut [u8]> = batch.iter_mut().map(|b| b.as_mut_slice()).collect();
-            encrypt_blocks_with(&pool(), &cipher, &ivs, &mut refs).unwrap();
-        }
-        for (i, block) in plain.iter().enumerate() {
-            let mut serial = block.clone();
-            cbc::encrypt_in_place(&cipher, &ivs[i], &mut serial).unwrap();
-            assert_eq!(serial, batch[i]);
-        }
-        {
-            let mut refs: Vec<&mut [u8]> = batch.iter_mut().map(|b| b.as_mut_slice()).collect();
-            decrypt_blocks_with(&pool(), &cipher, &ivs, &mut refs).unwrap();
-        }
-        assert_eq!(batch, plain);
-    }
-
     const BACKENDS: [CryptoBackend; 2] = [CryptoBackend::Fixsliced, CryptoBackend::TTable];
 
     #[test]
@@ -624,7 +454,7 @@ mod tests {
     }
 
     #[test]
-    fn span_apis_match_reference_slice_apis() {
+    fn span_apis_match_the_serial_per_block_calls() {
         let cipher = SpanCipher::new(&[0x66; 32]);
         // 7 straddles the SHA_LANES tail; 9 and 16 straddle WIDE_MIN_BLOCKS,
         // so both sides of every wide/scalar dispatch run under each backend;
@@ -636,42 +466,40 @@ mod tests {
         }
     }
 
+    /// Holds every span function to the per-block serial call it stands
+    /// for, block by block, and every decrypt to the inverse of its encrypt.
     fn span_apis_match_at(kdf: &ConvergentKdf, cipher: &SpanCipher, bs: usize) {
         for backend in BACKENDS {
             for blocks in [1usize, 2, 3, 4, 7, 9, 16, 21, 32, 53] {
                 let span: Vec<u8> = (0..blocks * bs).map(|i| (i % 251) as u8).collect();
+                let at = format!("{blocks} blocks ({backend:?})");
 
-                // derive_span_into == derive_keys on the same blocks.
-                let refs: Vec<&[u8]> = span.chunks(bs).collect();
-                let expected_keys = derive_keys(&pool(), kdf, &refs);
                 let mut keys = vec![[0u8; 32]; blocks];
                 derive_span_into(&pool(), kdf, &span, bs, &mut keys, backend).unwrap();
-                assert_eq!(keys, expected_keys, "{blocks} blocks ({backend:?})");
+                for (block, key) in span.chunks(bs).zip(&keys) {
+                    assert_eq!(*key, kdf.derive_for_block(block), "{at}");
+                }
 
-                // encrypt_span/decrypt_span == encrypt_blocks/decrypt_blocks.
                 let mut a = span.clone();
                 encrypt_span(&pool(), &keys, &FIXED_IV, &mut a, bs, backend).unwrap();
-                let mut b = span.clone();
-                {
-                    let mut refs: Vec<&mut [u8]> = b.chunks_mut(bs).collect();
-                    encrypt_blocks(&pool(), &keys, &FIXED_IV, &mut refs).unwrap();
+                for ((block, got), key) in span.chunks(bs).zip(a.chunks(bs)).zip(&keys) {
+                    let mut want = block.to_vec();
+                    cbc::encrypt_in_place(&Aes256::new(key), &FIXED_IV, &mut want).unwrap();
+                    assert_eq!(got, want, "{at}");
                 }
-                assert_eq!(a, b, "{blocks} blocks ({backend:?})");
                 decrypt_span(&pool(), &keys, &FIXED_IV, &mut a, bs, backend).unwrap();
-                assert_eq!(a, span, "{blocks} blocks ({backend:?})");
+                assert_eq!(a, span, "{at}");
 
-                // The shared-cipher per-IV variants agree too.
                 let ivs: Vec<Iv128> = (0..blocks as u8).map(|i| [i ^ 0x3c; 16]).collect();
                 let mut c = span.clone();
                 encrypt_span_with(&pool(), cipher, &ivs, &mut c, bs, backend).unwrap();
-                let mut d = span.clone();
-                {
-                    let mut refs: Vec<&mut [u8]> = d.chunks_mut(bs).collect();
-                    encrypt_blocks_with(&pool(), cipher.tt(), &ivs, &mut refs).unwrap();
+                for ((block, got), iv) in span.chunks(bs).zip(c.chunks(bs)).zip(&ivs) {
+                    let mut want = block.to_vec();
+                    cbc::encrypt_in_place(cipher.tt(), iv, &mut want).unwrap();
+                    assert_eq!(got, want, "{at}");
                 }
-                assert_eq!(c, d, "{blocks} blocks ({backend:?})");
                 decrypt_span_with(&pool(), cipher, &ivs, &mut c, bs, backend).unwrap();
-                assert_eq!(c, span, "{blocks} blocks ({backend:?})");
+                assert_eq!(c, span, "{at}");
             }
         }
     }
@@ -765,8 +593,6 @@ mod tests {
     #[test]
     fn misaligned_blocks_rejected() {
         let mut bad = vec![0u8; 17];
-        let mut refs: Vec<&mut [u8]> = vec![bad.as_mut_slice()];
-        assert!(encrypt_blocks(&pool(), &[[0u8; 32]], &FIXED_IV, &mut refs).is_err());
         let cipher = SpanCipher::new(&[0u8; 32]);
         for backend in BACKENDS {
             assert!(cbc_decrypt_parallel(&pool(), &cipher, &FIXED_IV, &mut bad, backend).is_err());

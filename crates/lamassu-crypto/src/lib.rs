@@ -67,9 +67,7 @@ pub use error::CryptoError;
 ///
 /// Every [`batch`] span call takes one. The shims always pass
 /// [`CryptoBackend::Fixsliced`]; [`CryptoBackend::TTable`] is the reference
-/// this crate's differential tests compare it against. Per-block reference
-/// APIs (`derive_keys`, `encrypt_blocks`, ...) always use the T-table
-/// cipher: they are the scalar oracle too.
+/// this crate's differential tests compare it against.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum CryptoBackend {
     /// Wide fixsliced constant-time kernels (the default).

@@ -1,23 +1,5 @@
 //! Placement configuration for the routed tier.
 
-/// What one placement unit is: the granularity at which the ring assigns
-/// data to owner chains.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Granularity {
-    /// Whole objects are placement units: an object lives, in its entirety,
-    /// on the R members owning its name. Simple, and removal/rename can
-    /// drop the object from exactly its owners — but one hot object cannot
-    /// spread across backends.
-    Object,
-    /// Fixed byte ranges of the given size are placement units: range `k`
-    /// of an object covers bytes `[k * n, (k + 1) * n)` and is owned by the
-    /// chain of `(name, k)`. A single large object then stripes across the
-    /// whole cluster, which is what makes sequential-read bandwidth scale
-    /// with backend count. The container object exists on *every* member
-    /// (sparse outside the member's own ranges).
-    BlockRange(u64),
-}
-
 /// Configuration of a [`crate::RoutedStore`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DistConfig {
@@ -26,15 +8,16 @@ pub struct DistConfig {
     /// (a 3-replica config over 2 backends keeps 2 copies) and to
     /// [`crate::ring::MAX_REPLICAS`].
     pub replicas: usize,
-    /// Virtual nodes per member on the ring.
-    pub vnodes: usize,
-    /// Placement-unit granularity.
-    pub granularity: Granularity,
+    /// Placement-unit size in bytes: unit `k` of an object covers bytes
+    /// `[k * unit, (k + 1) * unit)` and is owned by the chain of
+    /// `(name, k)`. A single large object therefore stripes across the
+    /// whole cluster. The container object exists on *every* member
+    /// (sparse outside the member's own units).
+    pub unit: u64,
 }
 
 impl DistConfig {
-    /// A config with the given replication factor, 64 virtual nodes and
-    /// 1 MiB block-range striping.
+    /// A config with the given replication factor and 1 MiB units.
     pub fn new(replicas: usize) -> Self {
         assert!(replicas >= 1, "replication factor must be at least 1");
         assert!(
@@ -43,42 +26,27 @@ impl DistConfig {
         );
         DistConfig {
             replicas,
-            vnodes: 64,
-            granularity: Granularity::BlockRange(1024 * 1024),
+            unit: 1024 * 1024,
         }
     }
 
-    /// Sets the placement granularity.
-    pub fn granularity(mut self, granularity: Granularity) -> Self {
-        if let Granularity::BlockRange(n) = granularity {
-            assert!(n > 0, "block-range granularity must be non-zero");
-        }
-        self.granularity = granularity;
-        self
-    }
-
-    /// Sets the virtual-node count per member.
-    pub fn vnodes(mut self, vnodes: usize) -> Self {
-        assert!(vnodes >= 1, "at least one virtual node per member");
-        self.vnodes = vnodes;
+    /// Sets the placement-unit size in bytes.
+    pub fn unit(mut self, bytes: u64) -> Self {
+        assert!(bytes > 0, "placement unit must be non-zero");
+        self.unit = bytes;
         self
     }
 
     /// The placement-unit index covering byte `offset`.
     pub(crate) fn unit_of(&self, offset: u64) -> u64 {
-        match self.granularity {
-            Granularity::Object => 0,
-            Granularity::BlockRange(n) => offset / n,
-        }
+        offset / self.unit
     }
 
-    /// First byte past the placement unit covering `offset` (`u64::MAX`
-    /// for whole-object units).
+    /// First byte past the placement unit covering `offset`.
     pub(crate) fn unit_end(&self, offset: u64) -> u64 {
-        match self.granularity {
-            Granularity::Object => u64::MAX,
-            Granularity::BlockRange(n) => (offset / n).saturating_add(1).saturating_mul(n),
-        }
+        (offset / self.unit)
+            .saturating_add(1)
+            .saturating_mul(self.unit)
     }
 }
 
@@ -94,20 +62,18 @@ mod tests {
 
     #[test]
     fn unit_geometry() {
-        let c = DistConfig::new(2).granularity(Granularity::BlockRange(100));
+        let c = DistConfig::new(2).unit(100);
         assert_eq!(c.unit_of(0), 0);
         assert_eq!(c.unit_of(99), 0);
         assert_eq!(c.unit_of(100), 1);
         assert_eq!(c.unit_end(0), 100);
         assert_eq!(c.unit_end(250), 300);
-        let o = DistConfig::new(1).granularity(Granularity::Object);
-        assert_eq!(o.unit_of(1 << 40), 0);
-        assert_eq!(o.unit_end(0), u64::MAX);
+        assert_eq!(DistConfig::new(1).unit, 1 << 20);
     }
 
     #[test]
     #[should_panic(expected = "non-zero")]
-    fn zero_block_range_is_rejected() {
-        let _ = DistConfig::new(1).granularity(Granularity::BlockRange(0));
+    fn zero_unit_is_rejected() {
+        let _ = DistConfig::new(1).unit(0);
     }
 }

@@ -43,7 +43,7 @@ pub enum HealthEvent {
 /// and `record` are called once per member per unit operation. The
 /// canonical implementation is the resilience layer's breaker set.
 pub trait HealthGate: Send + Sync {
-    /// Should the member with this stable id receive traffic right now?
+    /// Should the member with this id receive traffic right now?
     ///
     /// Called *before* an attempt. Implementations may use the call as a
     /// clock tick (e.g. counting down an open breaker's cooldown), so the

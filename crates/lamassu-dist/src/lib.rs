@@ -17,15 +17,14 @@
 //! ```
 //!
 //! Placement uses a consistent-hash [`HashRing`] with virtual nodes
-//! ([`ring`]): each placement unit — a whole object, or a fixed byte range
-//! of one ([`Granularity`]) — maps to an **owner chain** of R distinct
+//! ([`ring`]): each placement unit — a fixed byte range of one object
+//! ([`DistConfig::unit`]) — maps to an **owner chain** of R distinct
 //! members. Writes fan out to every owner; reads try the primary and fail
 //! over down the chain, marking missed replicas *suspect* so a later
 //! [`RoutedStore::scrub`] can repair them by SHA-256 digest comparison
 //! (convergent encryption above makes replica ciphertext deterministic, so
-//! equal plaintext implies equal digests). Membership changes migrate only
-//! the ring-delta ([`RoutedStore::add_backend`] /
-//! [`RoutedStore::remove_backend`]).
+//! equal plaintext implies equal digests). The members, the ring and the
+//! unit size are fixed when the store is built.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -36,7 +35,7 @@ pub mod ring;
 pub mod routed;
 pub mod stats;
 
-pub use config::{DistConfig, Granularity};
+pub use config::DistConfig;
 pub use health::{HealthEvent, HealthGate};
 pub use ring::{HashRing, MAX_REPLICAS};
 pub use routed::RoutedStore;

@@ -1,4 +1,4 @@
-//! Routing-tier statistics: failovers, degraded writes, repairs, rebalances.
+//! Routing-tier statistics: failovers, degraded writes, repairs.
 
 use serde::Serialize;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -10,7 +10,6 @@ pub(crate) struct AtomicDistStats {
     pub degraded_writes: AtomicU64,
     pub scrub_mismatches: AtomicU64,
     pub scrub_repairs: AtomicU64,
-    pub rebalanced_units: AtomicU64,
     pub breaker_skips: AtomicU64,
     pub probe_scrubs: AtomicU64,
     pub suspects_cleared_inline: AtomicU64,
@@ -31,7 +30,6 @@ impl AtomicDistStats {
             degraded_writes: self.degraded_writes.load(Ordering::Relaxed),
             scrub_mismatches: self.scrub_mismatches.load(Ordering::Relaxed),
             scrub_repairs: self.scrub_repairs.load(Ordering::Relaxed),
-            rebalanced_units: self.rebalanced_units.load(Ordering::Relaxed),
             breaker_skips: self.breaker_skips.load(Ordering::Relaxed),
             probe_scrubs: self.probe_scrubs.load(Ordering::Relaxed),
             suspects_cleared_inline: self.suspects_cleared_inline.load(Ordering::Relaxed),
@@ -52,8 +50,6 @@ pub struct DistStats {
     pub scrub_mismatches: u64,
     /// Replica units rewritten from a good copy by scrub.
     pub scrub_repairs: u64,
-    /// Unit copies performed by membership-change rebalancing.
-    pub rebalanced_units: u64,
     /// Replica attempts skipped because the member's health gate (circuit
     /// breaker) rejected it.
     pub breaker_skips: u64,
@@ -78,7 +74,6 @@ impl DistStats {
             degraded_writes: self.degraded_writes + other.degraded_writes,
             scrub_mismatches: self.scrub_mismatches + other.scrub_mismatches,
             scrub_repairs: self.scrub_repairs + other.scrub_repairs,
-            rebalanced_units: self.rebalanced_units + other.rebalanced_units,
             breaker_skips: self.breaker_skips + other.breaker_skips,
             probe_scrubs: self.probe_scrubs + other.probe_scrubs,
             suspects_cleared_inline: self.suspects_cleared_inline + other.suspects_cleared_inline,

@@ -4,8 +4,11 @@
 #
 # A line counts when it is not blank, not a `//` comment (doc comments
 # included), not in a file named `tests.rs`, and not inside a top-level
-# (column-0) `#[cfg(test)]` item: an inline `mod tests {` ends the file's
-# count, a gated one-line item (`mod tests;`) is skipped alone. A last line
+# (column-0) `#[cfg(test)]` item: a gated inline `mod … {` ends the file's
+# count, any other gated item that opens a block (a test-only `fn … {`) is
+# skipped through its column-0 `}`, and a gated one-line item (`mod tests;`)
+# is skipped alone. A file that ends inside a skipped item makes the script
+# exit 1, so a counting bug fails loudly instead of undercounting. A last line
 # counts the lines that still name a product oracle path (`PerBlock`,
 # `IoMode::Blocking`, `TTable`) in the same crates' sources outside files
 # named `tests.rs`, inline test modules included; the pattern is fixed so
@@ -24,14 +27,25 @@ fi
 
 count() {
     awk '
-        FNR == 1 { in_tests = 0; gated = 0 }
+        function unterminated() {
+            printf "loc.sh: %s ends inside a gated item\n", file > "/dev/stderr"
+            bad = 1
+        }
+        FNR == 1 { if (skipping) unterminated(); file = FILENAME; in_tests = 0; gated = 0; skipping = 0 }
         in_tests { next }
-        gated { gated = 0; if (/\{[[:space:]]*$/) in_tests = 1; next }
+        skipping { if (/^}/) skipping = 0; next }
+        gated && /^#\[/ { next }
+        gated {
+            gated = 0
+            if (/^(pub(\([a-z]+\))? )?mod [A-Za-z0-9_]+ *\{[[:space:]]*$/) in_tests = 1
+            else if (/\{[[:space:]]*$/) skipping = 1
+            next
+        }
         /^#\[cfg\(test\)\]/ { gated = 1; next }
         /^[[:space:]]*$/ { next }
         /^[[:space:]]*\/\// { next }
         { n++ }
-        END { print n + 0 }
+        END { if (skipping) unterminated(); print n + 0; exit bad }
     ' "$@"
 }
 

@@ -22,9 +22,8 @@
 //!   slots between the shims and any object store (write-through or
 //!   write-back, with sequential read-ahead).
 //! * [`dist`] — [`dist::RoutedStore`], a distributed backend tier:
-//!   consistent-hash placement over N child backends with R-way replication,
-//!   read failover, digest-based scrub/read-repair and delta-only
-//!   rebalancing on membership change.
+//!   consistent-hash placement over a fixed set of N child backends with
+//!   R-way replication, read failover and digest-based scrub/read-repair.
 //! * [`resilience`] — the self-healing layer: [`resilience::ResilientStore`]
 //!   retries with virtual-time backoff under deadline budgets and hedges
 //!   slow reads, while [`resilience::BreakerSet`] gives the routed tier

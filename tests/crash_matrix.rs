@@ -5,7 +5,7 @@
 
 use lamassu::cache::{CacheConfig, CacheMode, CachedStore};
 use lamassu::core::{FileSystem, LamassuConfig, LamassuFs, OpenFlags};
-use lamassu::dist::{DistConfig, Granularity, RoutedStore};
+use lamassu::dist::{DistConfig, RoutedStore};
 use lamassu::keymgr::ZoneKeys;
 use lamassu::resilience::BreakerConfig;
 use lamassu::stack::{Resilience, StackBuilder};
@@ -765,8 +765,7 @@ fn faulty_pair_tiers() -> StackBuilder<FaultyStore> {
             ))))
         })
         .collect();
-    StackBuilder::new(members)
-        .dist(DistConfig::new(2).granularity(Granularity::BlockRange(1 << 20)))
+    StackBuilder::new(members).dist(DistConfig::new(2))
 }
 
 /// Reads a member's full copy of `name` (physical length, then bytes).

@@ -1,16 +1,13 @@
 //! Property test: a `RoutedStore` over N `DirStore` shards driven by random
-//! op sequences — with random backend counts, replication factors and
-//! **mid-workload membership churn** — is byte-identical to a bare
-//! `DirStore`.
+//! op sequences — with random backend counts, replication factors and unit
+//! sizes — is byte-identical to a bare `DirStore`.
 //!
 //! Every operation is applied to the routed cluster and to an unrouted
 //! reference store; results (data, lengths, and error payloads) must match
-//! exactly. Membership changes (add/remove a shard) apply to the cluster
-//! only and must be invisible to the workload. At the end, listings, lengths
-//! and full contents are compared, and a scrub pass must find zero replica
-//! mismatches.
+//! exactly. At the end, listings, lengths and full contents are compared,
+//! and a scrub pass must find zero replica mismatches.
 
-use lamassu::dist::{DistConfig, Granularity, RoutedStore};
+use lamassu::dist::{DistConfig, RoutedStore};
 use lamassu::storage::{DirStore, ObjectStore, StorageProfile};
 use proptest::prelude::*;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -49,14 +46,6 @@ enum Op {
     },
     Remove(usize),
     Flush(usize),
-    /// Membership churn: join a fresh shard (cluster-only, must be
-    /// invisible to the workload).
-    AddBackend,
-    /// Membership churn: remove the `pick`-th member (ignored when it is
-    /// the last one).
-    RemoveBackend {
-        pick: usize,
-    },
 }
 
 fn op_strategy() -> impl Strategy<Value = Op> {
@@ -78,8 +67,6 @@ fn op_strategy() -> impl Strategy<Value = Op> {
         1 => (0usize..3, 0usize..3).prop_map(|(from, to)| Op::Rename { from, to }),
         1 => name.clone().prop_map(Op::Remove),
         1 => name.prop_map(Op::Flush),
-        1 => Just(Op::AddBackend),
-        1 => (0usize..8).prop_map(|pick| Op::RemoveBackend { pick }),
     ]
 }
 
@@ -90,35 +77,20 @@ fn fresh_base() -> std::path::PathBuf {
     std::env::temp_dir().join(format!("lamassu-prop-dist-{}-{case}", std::process::id()))
 }
 
-struct Shards {
-    base: std::path::PathBuf,
-    next: u64,
-}
-
-impl Shards {
-    fn fresh(&mut self) -> Arc<DirStore> {
-        let dir = self.base.join(format!("shard-{}", self.next));
-        self.next += 1;
-        Arc::new(DirStore::open(dir, StorageProfile::instant()).unwrap())
-    }
-}
-
 fn apply_and_compare(
     ops: &[Op],
-    initial_backends: usize,
+    backends: usize,
     replicas: usize,
     unit: u64,
 ) -> Result<(), TestCaseError> {
     let base = fresh_base();
-    let mut shards = Shards {
-        base: base.clone(),
-        next: 0,
-    };
-    let members: Vec<Arc<DirStore>> = (0..initial_backends).map(|_| shards.fresh()).collect();
-    let routed = RoutedStore::new(
-        members,
-        DistConfig::new(replicas).granularity(Granularity::BlockRange(unit)),
-    );
+    let members: Vec<Arc<DirStore>> = (0..backends)
+        .map(|i| {
+            let dir = base.join(format!("shard-{i}"));
+            Arc::new(DirStore::open(dir, StorageProfile::instant()).unwrap())
+        })
+        .collect();
+    let routed = RoutedStore::new(members, DistConfig::new(replicas).unit(unit));
     let reference = DirStore::open(base.join("reference"), StorageProfile::instant()).unwrap();
 
     for (step, op) in ops.iter().enumerate() {
@@ -203,16 +175,6 @@ fn apply_and_compare(
                     step
                 );
             }
-            Op::AddBackend => {
-                let store = shards.fresh();
-                routed.add_backend(store);
-            }
-            Op::RemoveBackend { pick } => {
-                let ids = routed.member_ids();
-                if ids.len() > 1 {
-                    routed.remove_backend(ids[pick % ids.len()]).unwrap();
-                }
-            }
         }
         prop_assert_eq!(routed.exists(NAMES[0]), reference.exists(NAMES[0]));
     }
@@ -244,14 +206,14 @@ proptest! {
     #![proptest_config(ProptestConfig { cases: 16, ..ProptestConfig::default() })]
 
     #[test]
-    fn routed_store_with_churn_is_transparent(
+    fn routed_store_is_transparent(
         ops in prop::collection::vec(op_strategy(), 1..40),
-        initial_backends in 1usize..4,
+        backends in 1usize..4,
         replicas in 1usize..3,
         // 96-byte units make every multi-hundred-byte op span several
         // placement units (and several shards).
         unit in prop_oneof![Just(96u64), Just(256u64), Just(4096u64)],
     ) {
-        apply_and_compare(&ops, initial_backends, replicas, unit)?;
+        apply_and_compare(&ops, backends, replicas, unit)?;
     }
 }

@@ -19,7 +19,7 @@ use lamassu::core::{
     CeFileFs, EncFs, EncFsConfig, FileSystem, IntegrityMode, LamassuConfig, LamassuFs, OpenFlags,
     PlainFs, Profiler, SpanConfig,
 };
-use lamassu::dist::{DistConfig, Granularity};
+use lamassu::dist::DistConfig;
 use lamassu::keymgr::ZoneKeys;
 use lamassu::resilience::BreakerConfig;
 use lamassu::stack::{Resilience, Stack, StackBuilder};
@@ -44,7 +44,7 @@ struct Composition {
 }
 
 fn routed(b: StackBuilder<FaultyStore>) -> StackBuilder<FaultyStore> {
-    b.dist(DistConfig::new(2).granularity(Granularity::BlockRange(64 * 1024)))
+    b.dist(DistConfig::new(2).unit(64 * 1024))
 }
 
 const COMPOSITIONS: &[Composition] = &[

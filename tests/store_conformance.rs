@@ -26,7 +26,7 @@
 mod support;
 
 use lamassu::cache::{CacheConfig, CacheMode, CachedStore};
-use lamassu::dist::{DistConfig, Granularity, RoutedStore};
+use lamassu::dist::{DistConfig, RoutedStore};
 use lamassu::resilience::{HedgeConfig, OpBudget, ResilientStore, RetryPolicy};
 use lamassu::storage::{
     DedupStore, DirStore, FaultyStore, IoCounters, ObjectStore, StorageError, StorageProfile,
@@ -132,9 +132,9 @@ fn resilient(hedge: Option<HedgeConfig>) -> Built {
     })
 }
 
-fn routed(granularity: Granularity) -> Built {
+fn routed() -> Built {
     let members: Vec<Arc<DedupStore>> = (0..3).map(|_| dedup()).collect();
-    let config = DistConfig::new(2).granularity(granularity);
+    let config = DistConfig::new(2).unit(UNIT);
     Built::plain(Arc::new(RoutedStore::new(members, config)))
 }
 
@@ -213,14 +213,8 @@ const ROWS: &[Row] = &[
         writes_per_list: None,
     },
     Row {
-        name: "RoutedStore Object",
-        build: |_| routed(Granularity::Object),
-        reads_per_list: None,
-        writes_per_list: Some(2),
-    },
-    Row {
-        name: "RoutedStore BlockRange",
-        build: |_| routed(Granularity::BlockRange(UNIT)),
+        name: "RoutedStore",
+        build: |_| routed(),
         reads_per_list: None,
         writes_per_list: None,
     },

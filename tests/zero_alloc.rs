@@ -52,7 +52,7 @@ use lamassu::core::{
     EncFs, EncFsConfig, FileSystem, IntegrityMode, LamassuConfig, LamassuFs, SpanConfig, SpanPolicy,
 };
 use lamassu::crypto::pool::CryptoPool;
-use lamassu::dist::{DistConfig, Granularity, RoutedStore};
+use lamassu::dist::{DistConfig, RoutedStore};
 use lamassu::keymgr::KeyManager;
 use lamassu::resilience::{OpBudget, ResilientStore, RetryPolicy};
 use lamassu::storage::{DedupStore, ObjectStore, StorageProfile};
@@ -473,7 +473,7 @@ fn warm_routed_reread_loop_allocates_nothing() {
         .collect();
     let routed = Arc::new(RoutedStore::new(
         members,
-        DistConfig::new(2).granularity(Granularity::BlockRange(256 * 1024)),
+        DistConfig::new(2).unit(256 * 1024),
     ));
     let km = KeyManager::new();
     let zone = km.create_zone(1).expect("fresh key manager");
