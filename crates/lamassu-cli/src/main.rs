@@ -51,8 +51,9 @@ COMMANDS:
                                rand-rw; default rand-read) with --jobs threads
     stats [workload]           run a workload with an op tracer attached and
                                dump the full telemetry snapshot — latency
-                               breakdown, per-op histograms, cache/dist/backend
-                               counters and the slow-op log (see --format)
+                               breakdown, read-memo hits, per-op histograms,
+                               cache/dist/backend counters and the slow-op log
+                               (see --format)
 
 OPTIONS:
     --volume <dir>             backing-store directory (required except keygen)
@@ -696,11 +697,6 @@ fn is_bench_scratch(path: &str) -> bool {
     path == "/bench.fio" || path.starts_with("/bench.fio.job")
 }
 
-/// `lamassu stats`: drives one workload with a full op tracer attached and
-/// dumps the telemetry snapshot of every tier in the mounted stack — the
-/// shim's latency breakdown and per-category histograms, the op/trace rings,
-/// cache and routed-tier counters, backend I/O counters and the workload's
-/// own per-request percentiles.
 /// The `crypto` section of the stats snapshot: how many AES blocks and key
 /// derivations the run dispatched to the wide constant-time kernels versus
 /// the scalar fallbacks (see `lamassu_crypto::stats`).
@@ -736,6 +732,12 @@ impl CryptoKernelStats {
     }
 }
 
+/// `lamassu stats`: drives one workload with a full op tracer attached and
+/// dumps the telemetry snapshot of every tier in the mounted stack — the
+/// shim's latency breakdown, pool, commit and read-memo counters and
+/// per-category histograms, the op/trace rings, cache and routed-tier
+/// counters, backend I/O counters and the workload's own per-request
+/// percentiles.
 fn cmd_stats(opts: &Options) -> Result<(), String> {
     let (workload, fs_mount) = workload_mount(opts, "stats")?;
 
@@ -900,6 +902,19 @@ mod tests {
         let b = mounted.fs.profiler().breakdown(Duration::from_secs(1));
         assert!(b.cache > Duration::ZERO, "cache tier is dark: {b:?}");
         assert!(b.route > Duration::ZERO, "routed tier is dark: {b:?}");
+
+        // The sixteen blocks are equal: the get saw one twice and admitted
+        // it, so a second get is served by the read memo, whose counters
+        // `stats` prints with the rest of the profiler.
+        mounted.fs.read_into(fd, 0, &mut back).unwrap();
+        let memo = mounted.fs.memo_stats();
+        assert_eq!((memo.hits, memo.misses, memo.admissions), (16, 16, 1));
+        let mut snap = Snapshot::new();
+        mounted
+            .fs
+            .profiler()
+            .export(&mut snap, "shim", Duration::from_secs(1));
+        assert!(snap.to_json().contains("\"memo\""));
         fs::remove_dir_all(&dir).unwrap();
     }
 }

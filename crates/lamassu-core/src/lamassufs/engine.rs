@@ -50,6 +50,19 @@
 //!
 //! Nothing about it is a mount option or decided per I/O.
 //!
+//! # The read memo
+//!
+//! Under full integrity the span read path keeps a bounded per-mount memo of
+//! plaintext that passed §2.5, keyed by (key, ciphertext, format version) —
+//! the three things that plaintext is a function of (the `memo` module says
+//! why that makes a hit exact, and how entries are indexed, admitted and
+//! bounded). [`Engine::open_blocks`] consults it for every landed block
+//! of a run, edges included: a hit is a copy; the misses decrypt and are
+//! checked as before, in place when the run had no hit and compacted into
+//! one batch when it had some. Only the span read path uses it. `verify`,
+//! `recover`, the write path's read-modify-write, truncate and the per-block
+//! prototype read the media through the full path, and re-keying clears it.
+//!
 //! # Zero-allocation steady state
 //!
 //! Once a mount is warm, an aligned read or write performs **no heap
@@ -68,8 +81,9 @@
 //!   place** and sealed directly into a pooled block
 //!   ([`MetadataBlock::seal_into`]) — no clone, no fresh ciphertext vector;
 //! * the variable-length bookkeeping a span read needs (run boundaries,
-//!   per-run keys, re-derived keys) lives in thread-local scratch vectors
-//!   that amortize to zero after first use.
+//!   per-run keys, re-derived keys, a run's memo misses) lives in
+//!   thread-local scratch vectors that amortize to zero after first use;
+//! * the read memo's arena is allocated once, at its first admission.
 //!
 //! The remaining allocations are deliberate: cold metadata-cache misses,
 //! recovery/verify sweeps, a file's first span-sized staging, and the
@@ -90,6 +104,7 @@
 //! therefore run under the shim's exclusive write guard, which is what keeps
 //! the multiphase commit invisible to concurrent readers.
 
+use super::memo::ReadMemo;
 use crate::iovec;
 use crate::lamassufs::{IntegrityMode, LamassuConfig};
 use crate::mount::{MountEngine, MountFile};
@@ -130,8 +145,9 @@ const POOL_SLACK_BLOCKS: usize = 16;
 /// wide kernels), the auto-sized pool keeps this many buffers idle for the
 /// writer to refill the buffer from, and a file's commit staging retains at
 /// most this much between commits. Fixed ahead of time from the kernel
-/// geometry; nothing about it is decided per I/O.
-const SPAN_BLOCKS: usize = 256;
+/// geometry; nothing about it is decided per I/O. The read memo holds four
+/// spans.
+pub(super) const SPAN_BLOCKS: usize = 256;
 
 thread_local! {
     /// Span-read planning scratch: the runs of consecutive disk-backed
@@ -149,11 +165,20 @@ thread_local! {
     /// phase has been submitted).
     static SEAL_SCRATCH: RefCell<(Vec<BlockBuf>, Vec<PhaseSeg>)> =
         const { RefCell::new((Vec::new(), Vec::new())) };
+    /// One run's read-memo misses, the staging their bytes batch through
+    /// (or, on a run decrypted in place, the candidates' saved ciphertext),
+    /// and their keys.
+    static MISS_SCRATCH: RefCell<(Vec<Miss>, Vec<u8>, Vec<Key256>)> =
+        const { RefCell::new((Vec::new(), Vec::new(), Vec::new())) };
 }
 
 /// A segment that writes its metadata block in the current phase: its index
 /// in the batch's segment list, and the nonce it is sealed under.
 type PhaseSeg = (usize, [u8; 12]);
+
+/// A block the read memo missed: its index in the run, and whether this is
+/// its second sighting (an admission candidate once it passes §2.5).
+type Miss = (usize, bool);
 
 /// Outcome of a crash-recovery scan over one file (paper §2.4).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -349,6 +374,10 @@ pub struct Engine {
     /// buffer *was* its transient area — §4, Figure 10). Fixed at mount.
     commit_trigger: usize,
     crypto: RwLock<CryptoCtx>,
+    /// Verified plaintext of recently read blocks: present on the span
+    /// pipeline under full integrity, the one mode that verifies what it
+    /// would admit.
+    memo: Option<ReadMemo>,
     profiler: Arc<Profiler>,
 }
 
@@ -378,13 +407,20 @@ impl Engine {
                 SpanPolicy::PerBlock => config.geometry.reserved_slots(),
             },
             crypto: RwLock::new(CryptoCtx::new(keys)),
+            memo: (config.span.policy == SpanPolicy::Batched
+                && config.integrity == IntegrityMode::Full)
+                .then(|| ReadMemo::new(config.geometry.block_size(), profiler.clone())),
             profiler,
         }
     }
 
-    /// Replaces the mount's key pair (after a completed re-keying pass).
+    /// Replaces the mount's key pair (after a completed re-keying pass) and
+    /// forgets what the read memo verified under the old one.
     pub(crate) fn switch_keys(&self, keys: ZoneKeys) {
         *self.crypto.write() = CryptoCtx::new(keys);
+        if let Some(memo) = &self.memo {
+            memo.clear();
+        }
     }
 
     /// Additional authenticated data binding a metadata block to its segment
@@ -980,15 +1016,15 @@ impl Engine {
     }
 
     /// The codec half of a span-read run, called by the driver once the
-    /// run's read has landed. Blocks a short read could not produce (a key
-    /// present but the data never on disk — only possible after an
-    /// unrecovered crash) read as holes, exactly like the per-block path; the
-    /// staged edge blocks decrypt individually and the middle as one
-    /// contiguous batch, each followed under full integrity by the §2.5
-    /// self-check (the middle as one batch re-derivation into thread-local
-    /// scratch). A fully aligned run — the steady-state shape — has no
-    /// edges: its ciphertext landed in the caller's buffer and is decrypted
-    /// and checked there, with zero allocation.
+    /// run's read has landed: the staged head block, the middle and the
+    /// staged tail block are each opened by [`Engine::open_blocks`], in that
+    /// order, so of several bad blocks the first is reported. Blocks a short
+    /// read could not produce (a key present but the data never on disk —
+    /// only possible after an unrecovered crash) read as holes, exactly like
+    /// the per-block path, and never leak a staging block's stale bytes. A
+    /// fully aligned run — the steady-state shape — has no edges: its
+    /// ciphertext landed in the caller's buffer and is opened there, with
+    /// zero allocation.
     fn finish_run(
         &self,
         file: &LamassuFile,
@@ -998,74 +1034,124 @@ impl Engine {
     ) -> Result<()> {
         let bs = self.geometry.block_size();
         let Landed { n, head, mid, tail } = landed;
-        let check = matches!(self.integrity, IntegrityMode::Full);
-        let violation = |logical_block| FsError::IntegrityViolation {
-            path: file.name.clone(),
-            logical_block,
-        };
         let read_blocks = (n / bs).min(keys.len());
-        let edge = |stage: Option<&mut [u8]>, read: bool, key: &Key256, block: u64| {
-            match stage {
-                // Never leak the staging block's stale bytes.
-                Some(stage) if !read => stage.fill(0),
-                Some(stage) => {
-                    self.decrypt_in_place(stage, key);
-                    if check && !self.key_matches_plaintext(file.version, stage, key) {
-                        return Err(violation(block));
-                    }
+        let head_blocks = head.is_some() as usize;
+        let tail_at = head_blocks + mid.len() / bs;
+        for (at, part) in [(0, head), (head_blocks, Some(mid)), (tail_at, tail)] {
+            let Some(part) = part else { continue };
+            let read = read_blocks.saturating_sub(at).min(part.len() / bs);
+            let (part, unread) = part.split_at_mut(read * bs);
+            unread.fill(0);
+            self.open_blocks(file, run.first + at as u64, &keys[at..at + read], part)?;
+        }
+        Ok(())
+    }
+
+    /// Opens `blocks` — the landed ciphertext of consecutive logical blocks
+    /// from `first`, one key each — into plaintext in place. Blocks the read
+    /// memo holds are copied out of it; the misses go through
+    /// [`Engine::open_batch`] — in place when nothing hit, so a cold run runs
+    /// exactly as it would without a memo, and otherwise compacted into
+    /// thread-local staging, so they still reach the wide kernels and the
+    /// pool's fan-out as one batch. A miss on its second sighting is admitted
+    /// once the batch has passed §2.5; its ciphertext is saved first when the
+    /// batch decrypts in place.
+    fn open_blocks(
+        &self,
+        file: &LamassuFile,
+        first: u64,
+        keys: &[Key256],
+        blocks: &mut [u8],
+    ) -> Result<()> {
+        let violation = |i: usize| FsError::IntegrityViolation {
+            path: file.name.clone(),
+            logical_block: first + i as u64,
+        };
+        let version = file.version;
+        let Some(memo) = self.memo.as_ref().filter(|_| !keys.is_empty()) else {
+            return self.open_batch(version, keys, blocks).map_err(violation);
+        };
+        let bs = self.geometry.block_size();
+        let at = |i: usize| i * bs..(i + 1) * bs;
+        with_tls(&MISS_SCRATCH, |(misses, stage, miss_keys)| {
+            misses.clear();
+            stage.clear();
+            miss_keys.clear();
+            let hits = memo.serve(version, keys, blocks, misses);
+            let candidates = || misses.iter().filter(|(_, candidate)| *candidate);
+            if hits == 0 {
+                for &(i, _) in candidates() {
+                    stage.extend_from_slice(&blocks[at(i)]);
                 }
-                None => {}
+                self.open_batch(version, keys, blocks).map_err(violation)?;
+                let saved = stage.chunks_exact(bs);
+                memo.admit(
+                    version,
+                    candidates()
+                        .zip(saved)
+                        .map(|(&(i, _), cipher)| (&keys[i], cipher, &blocks[at(i)])),
+                );
+            } else if !misses.is_empty() {
+                for &(i, _) in misses.iter() {
+                    stage.extend_from_slice(&blocks[at(i)]);
+                    miss_keys.push(keys[i]);
+                }
+                self.open_batch(version, miss_keys, stage)
+                    .map_err(|j| violation(misses[j].0))?;
+                memo.admit(
+                    version,
+                    misses
+                        .iter()
+                        .zip(stage.chunks_exact(bs))
+                        .filter(|((_, candidate), _)| *candidate)
+                        .map(|(&(i, _), plain)| (&keys[i], &blocks[at(i)], plain)),
+                );
+                for (&(i, _), plain) in misses.iter().zip(stage.chunks_exact(bs)) {
+                    blocks[at(i)].copy_from_slice(plain);
+                }
             }
             Ok(())
-        };
+        })
+    }
 
-        let head_blocks = head.is_some() as usize;
-        edge(head, read_blocks >= 1, &keys[0], run.first)?;
-
-        let mid_read = read_blocks.saturating_sub(head_blocks).min(mid.len() / bs);
-        let (mid, unread) = mid.split_at_mut(mid_read * bs);
-        unread.fill(0);
-        if mid_read > 0 {
-            let mid_keys = &keys[head_blocks..head_blocks + mid_read];
-            self.profiler.time(Category::Decrypt, || {
-                batch::decrypt_span(&self.pool, mid_keys, &FIXED_IV, mid, bs, KERNELS)
-                    .expect("data blocks are 16-byte aligned")
-            });
-            if check {
-                let crypto = self.crypto.read();
-                with_tls(&KEY_SCRATCH, |derived| {
-                    derived.clear();
-                    derived.resize(mid_read, [0u8; 32]);
-                    self.profiler.time(Category::GetCeKey, || {
-                        batch::derive_span_into(
-                            &self.pool,
-                            crypto.kdf(file.version),
-                            mid,
-                            bs,
-                            derived,
-                            KERNELS,
-                        )
-                        .expect("span length matches key count")
-                    });
-                    match derived
-                        .iter()
-                        .zip(mid_keys)
-                        .position(|(got, want)| !constant_time_eq(got, want))
-                    {
-                        Some(i) => Err(violation(run.first + (head_blocks + i) as u64)),
-                        None => Ok(()),
-                    }
-                })?;
-            }
+    /// Decrypts `data` — whole blocks, one key each — in place as one batch
+    /// and, under full integrity, re-derives every key as one batch into
+    /// thread-local scratch for the §2.5 check. `Err(i)`: block `i` is the
+    /// first whose plaintext does not re-derive its key.
+    fn open_batch(
+        &self,
+        version: HashVersion,
+        keys: &[Key256],
+        data: &mut [u8],
+    ) -> std::result::Result<(), usize> {
+        if keys.is_empty() {
+            return Ok(());
         }
-
-        let last = keys.len() - 1;
-        edge(
-            tail,
-            read_blocks == keys.len(),
-            &keys[last],
-            run.first + last as u64,
-        )
+        let bs = self.geometry.block_size();
+        self.profiler.time(Category::Decrypt, || {
+            batch::decrypt_span(&self.pool, keys, &FIXED_IV, data, bs, KERNELS)
+                .expect("data blocks are 16-byte aligned")
+        });
+        if self.integrity == IntegrityMode::MetaOnly {
+            return Ok(());
+        }
+        let crypto = self.crypto.read();
+        with_tls(&KEY_SCRATCH, |derived| {
+            derived.clear();
+            derived.resize(keys.len(), [0u8; 32]);
+            self.profiler.time(Category::GetCeKey, || {
+                batch::derive_span_into(&self.pool, crypto.kdf(version), data, bs, derived, KERNELS)
+                    .expect("span length matches key count")
+            });
+            match derived
+                .iter()
+                .zip(keys)
+                .position(|(got, want)| !constant_time_eq(got, want))
+            {
+                Some(i) => Err(i),
+                None => Ok(()),
+            }
+        })
     }
 
     // ------------------------------------------------------------------

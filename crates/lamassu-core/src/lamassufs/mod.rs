@@ -20,7 +20,9 @@
 //!   (256 blocks) at a time;
 //! * verifies data integrity on read by re-hashing decrypted blocks and
 //!   comparing against the stored convergent key (§2.5), with a cheaper
-//!   metadata-only mode that skips the per-block hash;
+//!   metadata-only mode that skips the per-block hash — and serves a block
+//!   whose key and ciphertext it has already verified from a bounded read
+//!   memo instead of checking it again ([`LamassuFs::memo_stats`]);
 //! * supports offline recovery ([`LamassuFs::recover`]), full verification
 //!   ([`LamassuFs::verify`]) and partial re-keying of the outer key
 //!   ([`LamassuFs::rekey_outer`], the §2.2 "much faster partial re-keying").
@@ -35,6 +37,7 @@
 //! README for the lock hierarchy.
 
 mod engine;
+mod memo;
 #[cfg(test)]
 mod tests;
 
@@ -146,6 +149,15 @@ impl Mount<Engine> {
     /// the zero-allocation steady state looks like.
     pub fn pool_stats(&self) -> crate::pool::PoolStats {
         self.engine().blocks.stats()
+    }
+
+    /// Counters of the mount's read memo — the bounded store of plaintext
+    /// the span read path has already verified, keyed by (key, ciphertext,
+    /// format version): hits, misses, admissions and evictions since the
+    /// mount, kept by its profiler. All zeros on a mount without one
+    /// (meta-only integrity, or the per-block prototype pipeline).
+    pub fn memo_stats(&self) -> crate::profiler::MemoStats {
+        self.profiler().memo_stats()
     }
 
     /// The format version of a file — which block hash its keys are derived

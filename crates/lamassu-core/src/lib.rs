@@ -55,7 +55,7 @@ pub use lamassufs::{IntegrityMode, LamassuConfig, LamassuFs, RecoveryReport, Ver
 pub use mount::Mount;
 pub use plainfs::PlainFs;
 pub use pool::{BlockBuf, BlockPool, PoolStats};
-pub use profiler::{Category, CommitStats, LatencyBreakdown, Profiler};
+pub use profiler::{Category, CommitStats, LatencyBreakdown, MemoStats, Profiler};
 pub use span::{SpanConfig, SpanPolicy};
 
 /// Result alias for file-system operations.

@@ -184,6 +184,33 @@ impl CommitStats {
     }
 }
 
+/// What the LamassuFS read memo did, since the mount (or the last
+/// [`Profiler::reset_all`]). Every block the span read path opens under full
+/// integrity is one hit or one miss, so `hits / (hits + misses)` is the
+/// share of those blocks that skipped the decrypt and the §2.5
+/// re-derivation.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
+pub struct MemoStats {
+    /// Blocks served from the memo.
+    pub hits: u64,
+    /// Blocks the memo did not hold, which took the decrypt-and-check path.
+    pub misses: u64,
+    /// Verified blocks admitted into the memo (each on its second sighting).
+    pub admissions: u64,
+    /// Entries an admission displaced.
+    pub evictions: u64,
+}
+
+impl MemoStats {
+    /// Share of looked-up blocks served from the memo; `0` before any read.
+    pub fn hit_rate(&self) -> f64 {
+        match self.hits + self.misses {
+            0 => 0.0,
+            n => self.hits as f64 / n as f64,
+        }
+    }
+}
+
 /// Thread-safe accumulator for per-category latencies.
 ///
 /// Beyond the Figure 9 durations, a profiler carries a preallocated latency
@@ -212,6 +239,8 @@ pub struct Profiler {
     committed_blocks: AtomicU64,
     committed_segments: AtomicU64,
     seals: AtomicU64,
+    /// [`MemoStats`], field by field (statistics only: relaxed).
+    memo: [AtomicU64; 4],
 }
 
 impl Profiler {
@@ -278,7 +307,7 @@ impl Profiler {
     }
 
     /// Full reset: everything [`Profiler::reset`] clears **plus** the
-    /// commit counters and the attached pools' traffic counters
+    /// commit and memo counters and the attached pools' traffic counters
     /// (hits/misses/recycled/discarded — the `pooled` gauge and capacity
     /// describe live buffers and are untouched).
     pub fn reset_all(&self) {
@@ -291,7 +320,10 @@ impl Profiler {
             &self.committed_blocks,
             &self.committed_segments,
             &self.seals,
-        ] {
+        ]
+        .into_iter()
+        .chain(&self.memo)
+        {
             counter.store(0, Ordering::Relaxed);
         }
     }
@@ -342,6 +374,34 @@ impl Profiler {
         }
     }
 
+    /// Adds `delta` to the read memo's counters (the LamassuFS engine calls
+    /// this once per lookup batch and once per admission batch).
+    pub fn memo_recorded(&self, delta: MemoStats) {
+        let MemoStats {
+            hits,
+            misses,
+            admissions,
+            evictions,
+        } = delta;
+        for (counter, n) in self.memo.iter().zip([hits, misses, admissions, evictions]) {
+            if n > 0 {
+                counter.fetch_add(n, Ordering::Relaxed);
+            }
+        }
+    }
+
+    /// The read memo's counters (all zeros on mounts without one).
+    pub fn memo_stats(&self) -> MemoStats {
+        let [hits, misses, admissions, evictions] =
+            self.memo.each_ref().map(|c| c.load(Ordering::Relaxed));
+        MemoStats {
+            hits,
+            misses,
+            admissions,
+            evictions,
+        }
+    }
+
     /// Attaches the mount's per-operation [`Tracer`]. The shims consult it
     /// at each entry point to open op spans; [`Profiler::add`] feeds its
     /// phase accumulator either way. First attachment wins; later calls are
@@ -384,8 +444,8 @@ impl Profiler {
 
     /// Dumps this profiler into `snap` under `section`: the Figure 9
     /// breakdown (against `total_runtime`), the merged pool counters, the
-    /// commit counters, and one latency histogram per category that saw
-    /// traffic.
+    /// commit and read-memo counters, and one latency histogram per category
+    /// that saw traffic.
     pub fn export(&self, snap: &mut Snapshot, section: &str, total_runtime: Duration) {
         snap.section(section, &self.breakdown(total_runtime));
         snap.section_value(
@@ -396,6 +456,7 @@ impl Profiler {
                     "commit".to_string(),
                     Serialize::to_value(&self.commit_stats()),
                 ),
+                ("memo".to_string(), Serialize::to_value(&self.memo_stats())),
             ]),
         );
         snap.section_value(
@@ -569,6 +630,27 @@ mod tests {
     }
 
     #[test]
+    fn memo_counters_accumulate_and_only_reset_all_clears_them() {
+        let p = Profiler::new();
+        let delta = MemoStats {
+            hits: 3,
+            misses: 1,
+            admissions: 1,
+            evictions: 0,
+        };
+        p.memo_recorded(delta);
+        p.memo_recorded(delta);
+        let stats = p.memo_stats();
+        assert_eq!((stats.hits, stats.misses, stats.admissions), (6, 2, 2));
+        assert_eq!(stats.hit_rate(), 0.75);
+        p.reset();
+        assert_eq!(p.memo_stats(), stats, "a window reset keeps them");
+        p.reset_all();
+        assert_eq!(p.memo_stats(), MemoStats::default());
+        assert_eq!(MemoStats::default().hit_rate(), 0.0);
+    }
+
+    #[test]
     fn add_feeds_an_open_trace_span() {
         use lamassu_telemetry::{OpKind, Registry, TraceConfig, Tracer};
         let p = Profiler::new();
@@ -616,8 +698,10 @@ mod tests {
         assert!(json.contains("get_ce_key_ns"), "{json}");
         assert!(json.contains("\"in_flight_ops\""), "{json}");
         assert!(json.contains("\"commit\""), "{json}");
+        assert!(json.contains("\"memo\""), "{json}");
         let prom = snap.to_prometheus();
         assert!(prom.contains("lamassu_shim_commit_seals"), "{prom}");
+        assert!(prom.contains("lamassu_shim_memo_hits"), "{prom}");
         assert!(prom.contains("lamassu_shim_get_ce_key_seconds"), "{prom}");
         assert!(
             prom.contains("# TYPE lamassu_shim_get_ce_key_ns histogram"),

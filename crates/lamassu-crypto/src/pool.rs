@@ -118,12 +118,15 @@ impl CryptoPool {
 
     /// Index of the first item of share `i` of `shares`: whole tiles, spread
     /// evenly; share `shares` (one past the last) ends at `items`, so the
-    /// last share absorbs the sub-tile tail.
+    /// last share absorbs the sub-tile tail. Boundaries round *up*, so the
+    /// spare tiles go to the early shares and the last share — the one that
+    /// also takes the tail — gets the fewest (a 118-block run on two
+    /// workers splits 64 | 54, not 48 | 70).
     fn share_start(items: usize, shares: usize, i: usize) -> usize {
         if i == shares {
             items
         } else {
-            (items / TILE_BLOCKS) * i / shares * TILE_BLOCKS
+            ((items / TILE_BLOCKS) * i).div_ceil(shares) * TILE_BLOCKS
         }
     }
 
@@ -219,13 +222,27 @@ mod tests {
         assert!(CryptoPool::new(1).runs_inline(4096));
     }
 
+    fn share_bounds(items: usize, shares: usize) -> Vec<usize> {
+        (0..=shares)
+            .map(|i| CryptoPool::share_start(items, shares, i))
+            .collect()
+    }
+
     #[test]
     fn shares_are_whole_tiles_and_the_last_takes_the_tail() {
-        for (items, workers) in [(256, 2), (100, 4), (40, 2), (33, 8), (1000, 3)] {
+        let cases = [
+            (256, 2),
+            (256, 4),
+            (118, 2),
+            (100, 4),
+            (40, 2),
+            (33, 8),
+            (1000, 3),
+            (58, 2),
+        ];
+        for (items, workers) in cases {
             let shares = CryptoPool::new(workers).shares(items);
-            let bounds: Vec<usize> = (0..=shares)
-                .map(|i| CryptoPool::share_start(items, shares, i))
-                .collect();
+            let bounds = share_bounds(items, shares);
             assert_eq!((bounds[0], bounds[shares]), (0, items));
             for w in bounds.windows(2) {
                 assert!(w[1] - w[0] >= TILE_BLOCKS, "{items}/{workers}: {bounds:?}");
@@ -238,7 +255,26 @@ mod tests {
             if let (Some(min), Some(max)) = (min, max) {
                 assert!(max - min <= TILE_BLOCKS, "{items}/{workers}: {bounds:?}");
             }
+            // No share exceeds the ideal share by more than one tile plus
+            // the tail, and the last — the one that takes the tail — not by
+            // more than the tail.
+            let (ideal, tail) = (items.div_ceil(shares), items % TILE_BLOCKS);
+            for w in bounds.windows(2) {
+                assert!(
+                    w[1] - w[0] <= ideal + TILE_BLOCKS + tail,
+                    "{items}/{workers}: {bounds:?}"
+                );
+            }
+            assert!(
+                items - bounds[shares - 1] <= ideal + tail,
+                "{items}/{workers}: {bounds:?}"
+            );
         }
+        // A 118-block segment run on two workers; a 256-block commit splits
+        // as it always did.
+        assert_eq!(share_bounds(118, 2), [0, 64, 118]);
+        assert_eq!(share_bounds(256, 2), [0, 128, 256]);
+        assert_eq!(share_bounds(256, 4), [0, 64, 128, 192, 256]);
     }
 
     #[test]

@@ -15,7 +15,8 @@
 //! The read side's lone block is the case the v2 tree hash exists for: a
 //! random 4 KiB read decrypts one block and re-derives one key for the §2.5
 //! check, and under v2 both run on the wide kernels — the derivation's four
-//! leaves fill the four SHA-256 lanes.
+//! leaves fill the four SHA-256 lanes. Once the read memo holds the block, a
+//! re-read runs no kernel at all.
 
 use lamassu::core::{FileSystem, LamassuConfig, LamassuFs};
 use lamassu::crypto::stats;
@@ -76,10 +77,19 @@ fn default_mount_writes_run_on_the_wide_kernels() {
         "R-block commit: wide derive share {derives}"
     );
 
-    let (aes, derives) = dispatch_shares(|| {
+    // The first two reads of a block miss the read memo (the second admits
+    // it); from the third on it is a copy that runs no kernel at all.
+    let read_block_100 = || {
         let block = fs.read(fd, (100 * BS) as u64, BS).unwrap();
         assert_eq!(block, unique[100 * BS..101 * BS]);
-    });
-    assert_eq!(aes, 1.0, "lone 4 KiB read: decrypt on the wide kernel");
-    assert_eq!(derives, 1.0, "lone 4 KiB read: integrity check on 4 lanes");
+    };
+    for _ in 0..2 {
+        let (aes, derives) = dispatch_shares(read_block_100);
+        assert_eq!(aes, 1.0, "lone 4 KiB read: decrypt on the wide kernel");
+        assert_eq!(derives, 1.0, "lone 4 KiB read: integrity check on 4 lanes");
+    }
+    let (before, hits) = (stats::snapshot(), fs.memo_stats().hits);
+    read_block_100();
+    assert_eq!(stats::snapshot(), before, "a memo hit runs no kernel");
+    assert_eq!(fs.memo_stats().hits, hits + 1);
 }

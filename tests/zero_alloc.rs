@@ -6,7 +6,10 @@
 //!
 //! * a warm re-read loop (every block already cached in the backend and all
 //!   metadata decrypted), aligned or misaligned, with full integrity
-//!   checking on;
+//!   checking on — served by the mount's read memo once warm;
+//! * warm re-reads that miss the read memo (unique blocks, more than it
+//!   holds), so every block decrypts, re-derives its key and is admitted
+//!   over an older entry: lone 4 KiB reads and 64 KiB reads;
 //! * a warm re-read loop through a `CachedStore` serving pure hits;
 //! * a steady aligned rewrite loop (dirty blocks staged in pooled buffers,
 //!   committed through the reusable span staging, metadata updated in place
@@ -174,47 +177,42 @@ fn warm_reread_loop_allocates_nothing() {
         }
     };
 
-    // Warm everything: metadata cache, buffer pool, thread-local scratch,
-    // the transport clock's channel pinning.
+    // The cold sweep must decrypt through the wide fixsliced kernels (not
+    // fall back to T-table). The file repeats sixteen distinct blocks, so
+    // from the second copy of each on, reads are served by the read memo.
+    let (wide_before, _, _, _) = lamassu::crypto::stats::snapshot();
     sweep(&fs, 0);
+    let (wide_after, _, _, _) = lamassu::crypto::stats::snapshot();
+    assert!(
+        wide_after > wide_before,
+        "a cold sweep must decrypt through the wide fixsliced kernels"
+    );
+    // Warm everything else: metadata cache, buffer pool, thread-local
+    // scratch, the memo's arena, the transport clock's channel pinning.
     sweep(&fs, BS / 2);
     sweep(&fs, 0);
 
-    // Aligned warm re-reads: zero allocations per op, and the reads must
-    // actually run the wide fixsliced kernels (not fall back to T-table).
-    let (wide_before, _, _, _) = lamassu::crypto::stats::snapshot();
+    // Aligned warm re-reads: zero allocations per op, served by the memo.
+    let hits_before = fs.memo_stats().hits;
     let allocs = allocs_during(|| {
         for _ in 0..8 {
             sweep(&fs, 0);
         }
     });
     assert_eq!(allocs, 0, "aligned warm re-read loop must not allocate");
-    let (wide_after, _, _, _) = lamassu::crypto::stats::snapshot();
-    assert!(
-        wide_after > wide_before,
-        "warm re-reads must decrypt through the wide fixsliced kernels"
-    );
-
-    // Lone aligned 4 KiB reads — the rand-read shape: one block decrypted
-    // and its key re-derived (the v2 tree hash's four lanes) per op.
-    let mut block = vec![0u8; BS];
-    let allocs = allocs_during(|| {
-        for b in (0..size / BS).step_by(7) {
-            let n = fs.read_into(fd, (b * BS) as u64, &mut block).expect("read");
-            assert_eq!(n, BS);
-        }
-    });
-    assert_eq!(allocs, 0, "lone aligned 4 KiB reads must not allocate");
+    assert!(fs.memo_stats().hits > hits_before, "{:?}", fs.memo_stats());
 
     // Misaligned warm re-reads (head/tail blocks stage through the pool —
     // still zero allocations).
     let ops_before = tracer.ops();
+    let hits_before = fs.memo_stats().hits;
     let allocs = allocs_during(|| {
         for _ in 0..8 {
             sweep(&fs, BS / 2);
         }
     });
     assert_eq!(allocs, 0, "misaligned warm re-read loop must not allocate");
+    assert!(fs.memo_stats().hits > hits_before, "{:?}", fs.memo_stats());
     // Telemetry was live the whole time: every measured read was spanned.
     assert!(
         tracer.ops() > ops_before,
@@ -228,6 +226,65 @@ fn warm_reread_loop_allocates_nothing() {
         stats.pooled <= stats.capacity,
         "idle buffers exceed the pool bound: {stats:?}"
     );
+}
+
+#[test]
+fn warm_rereads_that_miss_the_memo_allocate_nothing() {
+    let _serial = serialize();
+    // Unique blocks, twice as many as the read memo holds (2 048 against
+    // 1 024 entries): sequential sweeps thrash its LRU sets, so nearly every
+    // read misses, decrypts, re-derives its key and — on its second
+    // sighting — is admitted over an older entry. That path, for lone
+    // aligned 4 KiB reads (the rand-read shape) and for 64 KiB reads aligned
+    // and misaligned, must allocate nothing either.
+    let fs = mount();
+    let size = 8 * 1024 * 1024;
+    let mut data = vec![0u8; size];
+    for (b, block) in data.chunks_exact_mut(BS).enumerate() {
+        block.fill((b % 251) as u8);
+        block[..8].copy_from_slice(&(b as u64).to_le_bytes());
+    }
+    let fd = fs.create("/unique.dat").expect("fresh mount");
+    for (i, chunk) in data.chunks(64 * 1024).enumerate() {
+        fs.write(fd, (i * chunk.len()) as u64, chunk)
+            .expect("populate");
+    }
+    fs.fsync(fd).expect("populate fsync");
+
+    let mut buf = vec![0u8; 64 * 1024];
+    let mut sweep = |len: usize, skew: usize| {
+        let mut off = skew;
+        while off + len <= size {
+            let n = fs.read_into(fd, off as u64, &mut buf[..len]).expect("read");
+            assert_eq!(n, len);
+            assert_eq!(buf[..len], data[off..off + len]);
+            off += len;
+        }
+    };
+    let cases = [
+        ("lone aligned 4 KiB reads", BS, 0),
+        ("aligned 64 KiB reads", 64 * 1024, 0),
+        ("misaligned 64 KiB reads", 64 * 1024, BS / 2),
+    ];
+    for _ in 0..2 {
+        for (_, len, skew) in cases {
+            sweep(len, skew);
+        }
+    }
+    for (what, len, skew) in cases {
+        let before = fs.memo_stats();
+        let allocs = allocs_during(|| sweep(len, skew));
+        assert_eq!(
+            allocs, 0,
+            "warm {what} that miss the memo must not allocate"
+        );
+        let after = fs.memo_stats();
+        assert!(
+            after.misses - before.misses > (size / BS) as u64 / 2,
+            "{what}: {before:?} -> {after:?}"
+        );
+        assert!(after.evictions > before.evictions, "{what}: {after:?}");
+    }
 }
 
 #[test]
