@@ -58,11 +58,13 @@
 //!   [`WIDE_MIN_BLOCKS`] chains share a pass; narrower runs fall back to
 //!   the T-table path (and are counted as scalar dispatches in
 //!   [`crate::stats`]);
-//! * **key derivation** hashes [`SHA_LANES`] blocks per pass of the 4-lane
-//!   SHA-256 and keys [`F_BATCH`] per fixsliced `F` pass
-//!   ([`ConvergentKdf::derive_lanes`]); under the v2 tree hash a lone block
-//!   fills the four lanes too, under v1 a tail of fewer than four hashes
-//!   one block at a time.
+//! * **key derivation** keys [`F_BATCH`] blocks per fixsliced `F` pass
+//!   ([`ConvergentKdf::derive_lanes`]) and hashes them in groups of
+//!   [`SHA_LANES`]: under the v2 tree hash a group's sixteen leaves run as
+//!   one 16-lane SHA-256 pass and
+//!   its roots as one 4-lane pass, and a lone block fills the four lanes of
+//!   the 4-lane kernel with its leaves; under v1 four blocks share a 4-lane
+//!   pass and a tail of fewer than four hashes one block at a time.
 //!
 //! The tests below hold each span function, under both backends, to the
 //! per-block serial call it stands for: [`ConvergentKdf::derive_for_block`]

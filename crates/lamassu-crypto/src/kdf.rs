@@ -23,7 +23,8 @@
 //!   of quarter `i` from its own IV (`LEAF_IV[i]`), with no padding block;
 //!   the root is one SHA-256 over a domain tag, the block length and the
 //!   four leaves. The leaves are independent, so a lone block fills all four
-//!   lanes of [`digest_blocks_x4`]'s kernel. 64 leaf + 3 root compressions
+//!   lanes of [`digest_blocks_x4`]'s kernel, and four blocks of a span fill
+//!   the sixteen lanes of one wider pass. 64 leaf + 3 root compressions
 //!   per 4 KiB block, against v1's 65. Defined for blocks that are a
 //!   multiple of [`TREE_ALIGN`] bytes (whole SHA-256 blocks per quarter).
 //!
@@ -94,8 +95,14 @@ pub const TREE_ALIGN: usize = SHA_LANES * 64;
 
 /// Keys one fixsliced `F` pass derives: a pass encrypts 16 AES blocks, two
 /// digest halves per key — so the lane path hashes two groups of four
-/// before each pass ([`ConvergentKdf::derive_lanes`]).
+/// blocks, two 16-lane leaf passes, before each `F` pass
+/// ([`ConvergentKdf::derive_lanes`]).
 pub const F_BATCH: usize = fixsliced::WIDE_BLOCKS / 2;
+
+/// SHA-256 lanes of one v2 leaf pass over a group of blocks: all sixteen
+/// leaves of four blocks, one `[u32; 16]` per 512-bit register. A lone
+/// block keeps the 4-lane kernel, about half the time of a 16-lane pass.
+const LEAF_LANES: usize = 16;
 
 /// Leaf `i` starts from the state words of SHA-256(`"lamassu-v2-leaf"` ‖
 /// `i`) — distinct from each other and from SHA-256's own IV (a test
@@ -183,8 +190,31 @@ pub fn tree_hash(block: &[u8]) -> Digest {
 /// 4-lane pass.
 fn root_message_x4(block: &[u8]) -> [u8; ROOT_PADDED] {
     let mut leaves = LEAF_IV;
-    sha256::chain_x4(&mut leaves, quarters(block));
+    sha256::chain_lanes(&mut leaves, quarters(block));
     root_message(&leaves, block.len())
+}
+
+/// The padded root messages of two to four equal-length v2 blocks, all of
+/// their leaves hashed in one [`LEAF_LANES`] pass: lane `4g + i` is leaf
+/// `i` of block `g`. A group of two or three fills the idle lanes with
+/// block 0's quarters again; their states are never read.
+fn root_messages_x16(blocks: &[&[u8]]) -> [[u8; ROOT_PADDED]; SHA_LANES] {
+    let qs: [[&[u8]; SHA_LANES]; SHA_LANES] =
+        std::array::from_fn(|g| quarters(blocks.get(g).unwrap_or(&blocks[0])));
+    let mut leaves: [[u32; 8]; LEAF_LANES] = std::array::from_fn(|l| LEAF_IV[l % SHA_LANES]);
+    sha256::chain_lanes(
+        &mut leaves,
+        std::array::from_fn(|l| qs[l / SHA_LANES][l % SHA_LANES]),
+    );
+    let mut msgs = [[0u8; ROOT_PADDED]; SHA_LANES];
+    for ((msg, block), leaves) in msgs
+        .iter_mut()
+        .zip(blocks)
+        .zip(leaves.chunks_exact(SHA_LANES))
+    {
+        *msg = root_message(leaves.try_into().expect("four leaves"), block.len());
+    }
+    msgs
 }
 
 /// Derives convergent keys from plaintext blocks under an inner key, with
@@ -272,9 +302,10 @@ impl ConvergentKdf {
     /// [`derive_for_block`](Self::derive_for_block) per block, and
     /// constant-time throughout. The blocks hash in groups of four:
     ///
-    /// * v2 hashes each block's four leaves in one 4-lane pass, then the
-    ///   group's roots as one more (a lone block's root, three compressions,
-    ///   runs scalar);
+    /// * v2 hashes the sixteen leaves of a group of two to four blocks in
+    ///   one 16-lane pass, then the group's roots as one 4-lane pass;
+    ///   a lone block hashes its four leaves in one 4-lane pass and its
+    ///   root, three compressions, scalar;
     /// * v1 has one chain per block, so four blocks share a 4-lane pass and
     ///   fewer hash one by one;
     ///
@@ -284,8 +315,8 @@ impl ConvergentKdf {
     /// # Panics
     ///
     /// Panics if `out` and `blocks` differ in length or hold more than
-    /// [`F_BATCH`] blocks, and under v1 if four blocks of a group differ in
-    /// length (the span layer only batches uniform whole blocks).
+    /// [`F_BATCH`] blocks, and if blocks of a group that shares a lane pass
+    /// differ in length (the span layer only batches uniform whole blocks).
     pub fn derive_lanes(&self, blocks: &[&[u8]], out: &mut [Key256]) {
         let n = blocks.len();
         assert!(
@@ -302,7 +333,7 @@ impl ConvergentKdf {
         }
     }
 
-    /// The block hashes of up to [`SHA_LANES`] blocks on the 4-lane kernel,
+    /// The block hashes of up to [`SHA_LANES`] blocks on the lane kernels,
     /// into consecutive 32-byte slots of `out`.
     fn hash_group(&self, blocks: &[&[u8]], out: &mut [u8]) {
         let digests = out.chunks_exact_mut(32);
@@ -321,13 +352,11 @@ impl ConvergentKdf {
                 out[..32].copy_from_slice(&root(&root_message_x4(blocks[0])));
             }
             (HashVersion::V2, _) => {
-                // Idle lanes hash an all-zero message; lanes are independent.
-                let mut msgs = [[0u8; ROOT_PADDED]; SHA_LANES];
-                for (msg, block) in msgs.iter_mut().zip(blocks) {
-                    *msg = root_message_x4(block);
-                }
+                // Idle root lanes hash an all-zero message; lanes are
+                // independent.
+                let msgs = root_messages_x16(blocks);
                 let mut states = [sha256::H0; SHA_LANES];
-                sha256::chain_x4(&mut states, std::array::from_fn(|i| &msgs[i][..]));
+                sha256::chain_lanes(&mut states, std::array::from_fn(|i| &msgs[i][..]));
                 for (d, state) in digests.zip(&states[..blocks.len()]) {
                     d.copy_from_slice(&sha256::digest_of(state));
                 }
@@ -461,6 +490,29 @@ mod tests {
                     let mut got = vec![[0u8; 32]; group.len()];
                     kdf.derive_lanes(group, &mut got);
                     assert_eq!(got, keys, "group of {}, {n}x{bs}", group.len());
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn part_filled_leaf_passes_match_the_scalar_path() {
+        // Groups of two and three leave idle lanes in the 16-lane leaf pass;
+        // every block differs, so a root wired to an idle lane (a rehash of
+        // block 0) or to a neighbour's leaves gets the wrong key. At 4 KiB
+        // block 0 is the known-answer block, so its key is pinned too.
+        let kdf = ConvergentKdf::new(&[0x42u8; 32]);
+        for bs in [4096usize, 8192] {
+            for n in [2usize, 3] {
+                let span = sample(n, bs);
+                let blocks: Vec<&[u8]> = span.chunks(bs).collect();
+                let mut got = vec![[0u8; 32]; n];
+                kdf.derive_lanes(&blocks, &mut got);
+                for (g, (key, block)) in got.iter().zip(&blocks).enumerate() {
+                    assert_eq!(*key, kdf.derive_for_block(block), "block {g} of {n}x{bs}");
+                }
+                if bs == 4096 {
+                    assert_eq!(to_hex(&got[0]), V2_KEY_KAT, "known answer, group of {n}");
                 }
             }
         }

@@ -31,10 +31,10 @@
 //! * [`fixsliced`] (the default) — a bitsliced, *fixsliced* constant-time
 //!   AES-256 kernel that processes [`fixsliced::WIDE_BLOCKS`] blocks per
 //!   pass with zero secret-dependent table indexing or branches, paired
-//!   with the four-lane interleaved SHA-256
-//!   ([`sha256::digest_blocks_x4`]) for convergent key derivation — four
-//!   blocks at a time, or one format-v2 block's four leaves
-//!   ([`kdf::tree_hash`]);
+//!   with the lane-interleaved SHA-256 for convergent key derivation: 16
+//!   lanes for the leaves of four format-v2 blocks ([`kdf::tree_hash`]),
+//!   4 lanes ([`sha256::digest_blocks_x4`]'s kernel) for a lone v2 block's
+//!   leaves, v2 roots and four v1 blocks;
 //! * [`aes`] — the classic T-table implementation, retained as the
 //!   **differential oracle** (the [`batch`] tests and `tests/prop_crypto.rs`
 //!   compare the fixsliced kernels against it at every batch shape) and as
@@ -98,7 +98,7 @@ pub mod stats {
     pub static WIDE_BLOCKS: AtomicU64 = AtomicU64::new(0);
     /// AES blocks processed by the scalar T-table fallback.
     pub static SCALAR_BLOCKS: AtomicU64 = AtomicU64::new(0);
-    /// Convergent keys derived through the 4-lane SHA-256 + wide-ECB path.
+    /// Convergent keys derived through the lane SHA-256 + wide-ECB path.
     pub static WIDE_DERIVES: AtomicU64 = AtomicU64::new(0);
     /// Convergent keys derived through the scalar path.
     pub static SCALAR_DERIVES: AtomicU64 = AtomicU64::new(0);

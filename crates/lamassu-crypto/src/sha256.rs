@@ -19,6 +19,13 @@
 //!   the 4 KiB data blocks the CE key derivation and the read self-check
 //!   hash — that skips all streaming state and buffering.
 //!
+//! The lane kernels run one rolled compression body, generic over its lane
+//! count `N` (`compress_lanes`, `chain_lanes`), at two widths: 4 lanes for
+//! [`digest_blocks_x4`], v1 groups, a lone v2 block's leaves and the v2
+//! roots, and 16 lanes for the leaves of up to four v2 blocks of a span —
+//! one `[u32; 16]` per 512-bit register. A 16-lane compression costs about
+//! twice a 4-lane one, so a lone block stays on 4 lanes.
+//!
 //! Validated against the FIPS 180-4 example vectors and the NIST
 //! long-message vector in the module tests.
 
@@ -310,88 +317,89 @@ pub fn sha256(data: &[u8]) -> Digest {
 }
 
 // ---------------------------------------------------------------------------
-// Four-lane interleaved SHA-256.
+// Multi-lane interleaved SHA-256.
 // ---------------------------------------------------------------------------
 
 /// Number of independent messages hashed per [`digest_blocks_x4`] pass.
 pub const SHA_LANES: usize = 4;
 
-/// A four-lane SHA-256 word: lane `i` holds the working state of message
-/// `i`. Every operation is elementwise, so one compression pass carries
-/// four independent message schedules — the four 32-bit lanes pack into a
-/// single 128-bit vector register and the serial `t1`/`t2` dependency
-/// chain that bounds scalar SHA-256 throughput is paid once for four
-/// digests instead of once per digest.
+/// An `N`-lane SHA-256 word: lane `i` holds the working state of message
+/// `i`. Every operation is elementwise, so one compression pass carries `N`
+/// independent message schedules — the lanes pack into one vector register
+/// (128 bits at `N` = 4, 512 at `N` = 16) and the serial `t1`/`t2`
+/// dependency chain that bounds scalar SHA-256 throughput is paid once for
+/// `N` digests instead of once per digest.
 #[derive(Clone, Copy)]
-struct L([u32; SHA_LANES]);
+struct Lanes<const N: usize>([u32; N]);
 
-impl L {
-    const ZERO: L = L([0; SHA_LANES]);
+impl<const N: usize> Lanes<N> {
+    const ZERO: Self = Lanes([0; N]);
 
     #[inline(always)]
-    fn splat(v: u32) -> L {
-        L([v; SHA_LANES])
+    fn splat(v: u32) -> Self {
+        Lanes([v; N])
     }
 
     #[inline(always)]
-    fn add(self, o: L) -> L {
-        L(std::array::from_fn(|i| self.0[i].wrapping_add(o.0[i])))
+    fn add(self, o: Self) -> Self {
+        Lanes(std::array::from_fn(|i| self.0[i].wrapping_add(o.0[i])))
     }
 
     #[inline(always)]
-    fn xor(self, o: L) -> L {
-        L(std::array::from_fn(|i| self.0[i] ^ o.0[i]))
+    fn xor(self, o: Self) -> Self {
+        Lanes(std::array::from_fn(|i| self.0[i] ^ o.0[i]))
     }
 
     #[inline(always)]
-    fn and(self, o: L) -> L {
-        L(std::array::from_fn(|i| self.0[i] & o.0[i]))
+    fn and(self, o: Self) -> Self {
+        Lanes(std::array::from_fn(|i| self.0[i] & o.0[i]))
     }
 
     #[inline(always)]
-    fn andnot(self, o: L) -> L {
-        L(std::array::from_fn(|i| !self.0[i] & o.0[i]))
+    fn andnot(self, o: Self) -> Self {
+        Lanes(std::array::from_fn(|i| !self.0[i] & o.0[i]))
     }
 
     #[inline(always)]
-    fn rotr(self, n: u32) -> L {
-        L(std::array::from_fn(|i| self.0[i].rotate_right(n)))
+    fn rotr(self, n: u32) -> Self {
+        Lanes(std::array::from_fn(|i| self.0[i].rotate_right(n)))
     }
 
     #[inline(always)]
-    fn shr(self, n: u32) -> L {
-        L(std::array::from_fn(|i| self.0[i] >> n))
+    fn shr(self, n: u32) -> Self {
+        Lanes(std::array::from_fn(|i| self.0[i] >> n))
     }
 }
 
-/// One four-lane compression: `blocks[i]` is the next 64-byte block of
+/// One `N`-lane compression: `blocks[i]` is the next 64-byte block of
 /// message `i`, compressed into `states[i]`.
 #[allow(unused_assignments)]
-fn compress_x4(states: &mut [[u32; 8]; SHA_LANES], blocks: [&[u8]; SHA_LANES]) {
-    let mut w = [L::ZERO; 16];
+fn compress_lanes<const N: usize>(states: &mut [[u32; 8]; N], blocks: [&[u8]; N]) {
+    let mut w = [Lanes::<N>::ZERO; 16];
     for (t, wt) in w.iter_mut().enumerate() {
-        *wt = L(std::array::from_fn(|i| {
+        *wt = Lanes(std::array::from_fn(|i| {
             u32::from_be_bytes(blocks[i][t * 4..t * 4 + 4].try_into().expect("4-byte word"))
         }));
     }
 
-    let mut v: [L; 8] = std::array::from_fn(|j| L(std::array::from_fn(|i| states[i][j])));
+    let mut v: [Lanes<N>; 8] =
+        std::array::from_fn(|j| Lanes(std::array::from_fn(|i| states[i][j])));
     let init = v;
 
     // One round with the classic rotating-index renaming: at round `t` the
     // working variable playing role `r` (0 = a .. 7 = h) lives at
     // `v[(r + 64 - t) & 7]`. Kept as a *rolled* loop on purpose: the small
-    // body is a region the SLP vectorizer handles, so every `L` operation
-    // becomes one 128-bit vector instruction instead of four scalar ones
+    // body is a region the SLP vectorizer handles, so every `Lanes`
+    // operation becomes one vector instruction instead of `N` scalar ones
     // (the fully-unrolled form scalarizes).
     #[inline(always)]
-    fn round_t(v: &mut [L; 8], t: usize, wt: L) {
+    fn round_t<const N: usize>(v: &mut [Lanes<N>; 8], t: usize, wt: Lanes<N>) {
         let x = |r: usize| (r + 64 - t) & 7;
         let (a, b, c, d) = (v[x(0)], v[x(1)], v[x(2)], v[x(3)]);
         let (e, f, g, h) = (v[x(4)], v[x(5)], v[x(6)], v[x(7)]);
         let s1 = e.rotr(6).xor(e.rotr(11)).xor(e.rotr(25));
         let ch = e.and(f).xor(e.andnot(g));
-        let t1 = h.add(s1).add(ch).add(L::splat(K[t])).add(wt);
+        let t1 = h.add(s1).add(ch).add(Lanes::splat(K[t])).add(wt);
         let s0 = a.rotr(2).xor(a.rotr(13)).xor(a.rotr(22));
         let maj = a.and(b).xor(a.and(c)).xor(b.and(c));
         v[x(3)] = d.add(t1);
@@ -455,7 +463,7 @@ pub fn digest_blocks_x4(blocks: [&[u8]; SHA_LANES]) -> [Digest; SHA_LANES] {
 
     let mut states = [H0; SHA_LANES];
     let whole = len / 64 * 64;
-    chain_x4(&mut states, std::array::from_fn(|i| &blocks[i][..whole]));
+    chain_lanes(&mut states, std::array::from_fn(|i| &blocks[i][..whole]));
 
     // All lanes share one padding layout: terminator after the common
     // tail, zeros, 64-bit bit length — one or two final blocks.
@@ -467,17 +475,27 @@ pub fn digest_blocks_x4(blocks: [&[u8]; SHA_LANES]) -> [Digest; SHA_LANES] {
         pad[tail] = 0x80;
         pad[pad_len - 8..pad_len].copy_from_slice(&(len as u64).wrapping_mul(8).to_be_bytes());
     }
-    chain_x4(&mut states, std::array::from_fn(|i| &pads[i][..pad_len]));
+    chain_lanes(&mut states, std::array::from_fn(|i| &pads[i][..pad_len]));
     std::array::from_fn(|i| digest_of(&states[i]))
 }
 
-/// Four-lane [`chain`]: lane `i` compresses `data[i]` — all the same whole
-/// number of 64-byte blocks — into `states[i]`, with no padding.
-pub(crate) fn chain_x4(states: &mut [[u32; 8]; SHA_LANES], data: [&[u8]; SHA_LANES]) {
+/// `N`-lane [`chain`]: lane `i` compresses `data[i]` — all the same whole
+/// number of 64-byte blocks — into `states[i]`, with no padding. The crate
+/// runs it at `N` = [`SHA_LANES`] (a lone v2 block's leaves, v1 groups, v2
+/// roots) and at `N` = 16 (four v2 blocks' leaves, `kdf::LEAF_LANES`).
+///
+/// # Panics
+///
+/// Panics if the messages differ in length.
+pub(crate) fn chain_lanes<const N: usize>(states: &mut [[u32; 8]; N], data: [&[u8]; N]) {
     let len = data[0].len();
-    debug_assert!(len.is_multiple_of(64) && data.iter().all(|d| d.len() == len));
+    assert!(
+        data.iter().all(|d| d.len() == len),
+        "lockstep lanes need equal-length messages"
+    );
+    debug_assert!(len.is_multiple_of(64));
     for t in (0..len).step_by(64) {
-        compress_x4(states, std::array::from_fn(|i| &data[i][t..t + 64]));
+        compress_lanes(states, std::array::from_fn(|i| &data[i][t..t + 64]));
     }
 }
 
@@ -625,6 +643,48 @@ hijklmnoijklmnopjklmnopqklmnopqrlmnopqrsmnopqrstnopqrstu";
             let wide = digest_blocks_x4(refs);
             for (i, d) in wide.iter().enumerate() {
                 assert_eq!(*d, sha256(&lanes[i]), "lane {i} length {len}");
+            }
+        }
+    }
+
+    /// Fills `out` from a splitmix64 stream: reproducible test data.
+    fn random_bytes(seed: &mut u64, out: &mut [u8]) {
+        for chunk in out.chunks_mut(8) {
+            *seed = seed.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = *seed;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            chunk.copy_from_slice(&(z ^ (z >> 31)).to_le_bytes()[..chunk.len()]);
+        }
+    }
+
+    #[test]
+    fn sixteen_lanes_match_sixteen_scalar_chains() {
+        // Every lane starts from its own random IV and chains its own random
+        // message, at every whole-block length up to 4 KiB: a lane that
+        // reads another's words or state cannot match its scalar chain.
+        let mut seed = 0x5eed;
+        for len in (64..=4096).step_by(64) {
+            let ivs: [[u32; 8]; 16] = std::array::from_fn(|_| {
+                let mut bytes = [0u8; 32];
+                random_bytes(&mut seed, &mut bytes);
+                std::array::from_fn(|j| {
+                    u32::from_le_bytes(bytes[j * 4..j * 4 + 4].try_into().unwrap())
+                })
+            });
+            let msgs: Vec<Vec<u8>> = (0..16)
+                .map(|_| {
+                    let mut msg = vec![0u8; len];
+                    random_bytes(&mut seed, &mut msg);
+                    msg
+                })
+                .collect();
+            let mut wide = ivs;
+            chain_lanes(&mut wide, std::array::from_fn(|i| msgs[i].as_slice()));
+            for (i, (iv, msg)) in ivs.iter().zip(&msgs).enumerate() {
+                let mut want = *iv;
+                chain(&mut want, msg);
+                assert_eq!(wide[i], want, "lane {i}, {len} bytes");
             }
         }
     }

@@ -9,8 +9,8 @@
 //! 1 MiB write (256 blocks, split across the default pool's workers) nor an
 //! `R`-block 4 KiB commit (8 blocks, inline) may fall back to the scalar
 //! kernels: every data-block AES block goes through the wide fixsliced
-//! kernel, and at least 94 % of key derivations through the 4-lane SHA-256
-//! (only a tail of fewer than four blocks per share may run scalar).
+//! kernel, and every key derivation through the lane SHA-256 kernels: under
+//! format v2 a group of any width, a lone block included, runs on lanes.
 //!
 //! The read side's lone block is the case the v2 tree hash exists for: a
 //! random 4 KiB read decrypts one block and re-derives one key for the §2.5
@@ -58,7 +58,7 @@ fn default_mount_writes_run_on_the_wide_kernels() {
         fs.fsync(fd).unwrap();
     });
     assert_eq!(aes, 1.0, "1 MiB write: every AES block on the wide kernel");
-    assert!(derives >= 0.94, "1 MiB write: wide derive share {derives}");
+    assert_eq!(derives, 1.0, "1 MiB write: every derivation on lanes");
 
     let (aes, derives) = dispatch_shares(|| {
         for b in 0..r {
@@ -72,10 +72,7 @@ fn default_mount_writes_run_on_the_wide_kernels() {
         aes, 1.0,
         "R-block commit: every AES block on the wide kernel"
     );
-    assert!(
-        derives >= 0.94,
-        "R-block commit: wide derive share {derives}"
-    );
+    assert_eq!(derives, 1.0, "R-block commit: every derivation on lanes");
 
     // The first two reads of a block miss the read memo (the second admits
     // it); from the third on it is a copy that runs no kernel at all.
