@@ -31,6 +31,23 @@
 //! metadata → data → metadata order, so recovery is untouched; several
 //! segments can be mid-update at one crash.
 //!
+//! The same merge runs *across* commits. A commit that `write` runs because
+//! the span filled stops after its last data barrier and leaves every
+//! segment it wrote **open**: mid-update, with transient entries that name
+//! only blocks whose data has landed. The file keeps the sorted list of open
+//! segments, and its next commit closes them in its own first metadata
+//! phase — in the opening write of a segment it writes again, with a
+//! close-only write of one it does not. A forced flush (`fsync`, `close`,
+//! `truncate`, `rename`, `verify`, re-keying) commits what is pending and
+//! closes every open segment in its last phase (with nothing pending, that
+//! is one close-only phase), so after it the media holds no segment of the
+//! file mid-update. An open segment is exactly a segment between two rounds
+//! of one commit: a crash leaves nothing `recover` does not already handle,
+//! and `recover` keeps every new key of an open segment. A block the media
+//! holds mid-update that the file did *not* leave open — an unrecovered
+//! crash — is resolved by the recovery rule ([`Engine::recover_segment`])
+//! before a commit rewrites it.
+//!
 //! # Format versions
 //!
 //! A file's format version says which block hash its keys are derived with
@@ -73,7 +90,8 @@
 //!   staging, dirty-write staging — comes from the mount's
 //!   [`BlockPool`] and returns to it on drop;
 //! * the per-file dirty-block buffer is a sorted `Vec` whose capacity
-//!   persists across commits, and commits stage through one reusable
+//!   persists across commits (as do a commit's segment list and the file's
+//!   list of open segments), and commits stage through one reusable
 //!   contiguous `commit_buf` so batch crypto runs on a span, not a
 //!   ref-vector (it never holds more than one span and stays with the file,
 //!   so a span commit never regrows it);
@@ -280,8 +298,12 @@ pub struct LamassuFile {
     commit_buf: Vec<u8>,
     /// Block indices of the batch staged in `commit_buf`, ascending (reused).
     commit_ids: Vec<u64>,
-    /// The segments the staged batch touches (reused; empty between commits).
+    /// The segments the staged batch writes (reused; empty between commits).
     commit_segs: Vec<SegCommit>,
+    /// The segments the last commit left open, ascending (reused): still
+    /// mid-update, with transient entries that name only blocks whose data
+    /// has landed. The file's next commit closes them.
+    open: Vec<u64>,
 }
 
 /// One segment's share of a staged commit batch.
@@ -290,14 +312,28 @@ struct SegCommit {
     /// The segment's metadata block, held outside the per-file cache while
     /// the commit runs: re-inserted on success, dropped on error.
     mb: MetadataBlock,
-    /// The segment's blocks, as an index range into the batch.
+    /// The segment's blocks, as an index range into the batch — empty for a
+    /// segment the last commit left open that this one only closes.
     blocks: Range<usize>,
+    /// How many metadata phases, from the first, write the segment's block.
+    phases: usize,
 }
 
 impl SegCommit {
-    /// How many rounds of at most `r` blocks the segment's share takes.
-    fn rounds(&self, r: usize) -> usize {
-        self.blocks.len().div_ceil(r)
+    /// `segment`'s share `blocks`, in rounds of at most `r`: one metadata
+    /// write per round, plus a closing one if the commit `close`s its
+    /// segments. A close-only share is one write.
+    fn new(segment: u64, mb: MetadataBlock, blocks: Range<usize>, r: usize, close: bool) -> Self {
+        let phases = match blocks.len().div_ceil(r) {
+            0 => 1,
+            rounds => rounds + close as usize,
+        };
+        SegCommit {
+            segment,
+            mb,
+            blocks,
+            phases,
+        }
     }
 
     /// Batch indices of the segment's `round`-th group of at most `r` blocks
@@ -320,6 +356,7 @@ impl LamassuFile {
             commit_buf: Vec::new(),
             commit_ids: Vec::new(),
             commit_segs: Vec::new(),
+            open: Vec::new(),
         }
     }
 
@@ -490,7 +527,8 @@ impl MountEngine for Engine {
     /// the store when the span fills and are durable after `fsync`/`close`.
     /// When this write is the one that fills the span, the commit's error is
     /// this write's error and everything buffered is dropped with it (see
-    /// [`MountEngine::flush`]).
+    /// [`MountEngine::flush`]). That commit leaves its segments open for the
+    /// file's next commit to close (the module docs' commit pipeline).
     fn write(&self, file: &mut LamassuFile, offset: u64, bufs: &[IoSlice<'_>]) -> Result<()> {
         let total = iovec::total_len(bufs);
         let bs = self.geometry.block_size();
@@ -524,7 +562,7 @@ impl MountEngine for Engine {
             file.size_dirty = true;
         }
         if file.pending.len() >= self.commit_trigger {
-            self.flush(file)?;
+            self.commit_buffer(file, false)?;
         }
         Ok(())
     }
@@ -591,33 +629,12 @@ impl MountEngine for Engine {
         Ok(())
     }
 
-    /// Commits every buffered block and persists the logical size.
-    ///
-    /// The whole pending set goes through [`Engine::commit_batch`] (the
-    /// per-block oracle: [`Engine::commit_chunk`], one chunk at a time).
-    ///
-    /// A failed flush has one rule: **no block of it stays half-pending**.
-    /// Everything still buffered is dropped with it — the caller got the
-    /// error instead of an acknowledgement — and the metadata-cache entry of
-    /// every segment the failed commit touched is gone (the pipeline holds
-    /// them outside the cache and only re-inserts them on success), so later
-    /// reads refetch the on-disk truth, which [`Engine::recover`] repairs.
+    /// Commits every buffered block, closes every segment left open, and
+    /// persists the logical size — the forced flush of `fsync`, `close`,
+    /// `truncate`, `rename`, `verify` and re-keying, after which the media
+    /// holds no segment of the file mid-update.
     fn flush(&self, file: &mut LamassuFile) -> Result<()> {
-        let result = self
-            .commit_pending(file)
-            .and_then(|()| self.persist_size(file));
-        if result.is_err() {
-            file.pending.clear();
-        }
-        // Bounded staging: the next span commit reuses the buffer (it would
-        // otherwise reallocate a span per commit), and amortized growth never
-        // leaves more than one span pinned to an open file.
-        let keep = SPAN_BLOCKS * self.geometry.block_size();
-        file.commit_buf.clear();
-        if file.commit_buf.capacity() > keep {
-            file.commit_buf.shrink_to(keep);
-        }
-        result
+        self.commit_buffer(file, true)
     }
 
     fn kind(&self) -> &'static str {
@@ -1158,11 +1175,52 @@ impl Engine {
     // Write path
     // ------------------------------------------------------------------
 
-    fn commit_pending(&self, file: &mut LamassuFile) -> Result<()> {
-        while !file.pending.is_empty() {
-            match self.policy {
-                SpanPolicy::Batched => self.commit_batch(file)?,
-                SpanPolicy::PerBlock => self.commit_chunk(file)?,
+    /// Commits every buffered block and persists the logical size; `close`
+    /// also closes the segments the commit leaves open (a forced flush),
+    /// otherwise the next commit does (a `write` that fills the span).
+    ///
+    /// The whole pending set goes through [`Engine::commit_batch`] (the
+    /// per-block oracle: [`Engine::commit_chunk`], one chunk at a time).
+    ///
+    /// A failed flush has one rule: **no block of it stays half-pending**.
+    /// Everything still buffered is dropped with it — the caller got the
+    /// error instead of an acknowledgement — and the metadata-cache entry of
+    /// every segment the failed commit touched is gone (the pipeline holds
+    /// them outside the cache and only re-inserts them on success), so later
+    /// reads refetch the on-disk truth, which [`Engine::recover`] repairs.
+    fn commit_buffer(&self, file: &mut LamassuFile, close: bool) -> Result<()> {
+        let result = self
+            .commit_pending(file, close)
+            .and_then(|()| self.persist_size(file));
+        if result.is_err() {
+            file.pending.clear();
+        }
+        // Bounded staging: the next span commit reuses the buffer (it would
+        // otherwise reallocate a span per commit), and amortized growth never
+        // leaves more than one span pinned to an open file.
+        let keep = SPAN_BLOCKS * self.geometry.block_size();
+        file.commit_buf.clear();
+        if file.commit_buf.capacity() > keep {
+            file.commit_buf.shrink_to(keep);
+        }
+        result
+    }
+
+    /// Commits the pending set batch by batch. Every batch leaves its
+    /// segments open for the next to close, except the last of a `close`
+    /// flush — which, with nothing pending, is a batch that only closes.
+    fn commit_pending(&self, file: &mut LamassuFile, close: bool) -> Result<()> {
+        match self.policy {
+            SpanPolicy::Batched => {
+                while !file.pending.is_empty() || (close && !file.open.is_empty()) {
+                    let last = file.pending.len() <= SPAN_BLOCKS;
+                    self.commit_batch(file, close && last)?;
+                }
+            }
+            SpanPolicy::PerBlock => {
+                while !file.pending.is_empty() {
+                    self.commit_chunk(file)?;
+                }
             }
         }
         Ok(())
@@ -1194,8 +1252,9 @@ impl Engine {
     /// worker pool see the whole set, not `R` blocks at a time — and only
     /// then run the §2.4 protocol over them as pure sealing and I/O
     /// ([`Engine::commit_rounds`]). The pooled staging buffers return to the
-    /// pool the moment their plaintext is copied out.
-    fn commit_batch(&self, file: &mut LamassuFile) -> Result<()> {
+    /// pool the moment their plaintext is copied out. Unless the batch
+    /// `close`s, the segments it writes are the file's open set afterwards.
+    fn commit_batch(&self, file: &mut LamassuFile, close: bool) -> Result<()> {
         let bs = self.geometry.block_size();
         let k = file.pending.len().min(SPAN_BLOCKS);
         let mut data = std::mem::take(&mut file.commit_buf);
@@ -1211,7 +1270,7 @@ impl Engine {
         let result = with_tls(&KEY_SCRATCH, |keys| {
             keys.clear();
             keys.resize(k, [0u8; 32]);
-            {
+            if k > 0 {
                 let crypto = self.crypto.read();
                 self.profiler.time(Category::GetCeKey, || {
                     batch::derive_span_into(
@@ -1224,13 +1283,23 @@ impl Engine {
                     )
                     .expect("batch is whole blocks")
                 });
+                drop(crypto);
+                self.profiler.time(Category::Encrypt, || {
+                    batch::encrypt_span(&self.pool, keys, &FIXED_IV, &mut data, bs, KERNELS)
+                        .expect("batch is whole blocks")
+                });
             }
-            self.profiler.time(Category::Encrypt, || {
-                batch::encrypt_span(&self.pool, keys, &FIXED_IV, &mut data, bs, KERNELS)
-                    .expect("batch is whole blocks")
-            });
-            self.commit_rounds(file, &ids, keys, &data, &mut segs)
+            self.commit_rounds(file, &ids, keys, &data, &mut segs, close)
         });
+        file.open.clear();
+        if result.is_ok() {
+            for seg in segs.drain(..) {
+                if !close && !seg.blocks.is_empty() {
+                    file.open.push(seg.segment);
+                }
+                file.cache_meta(seg.segment, seg.mb);
+            }
+        }
         // After an error this is what drops the touched segments' metadata.
         segs.clear();
         file.commit_buf = data;
@@ -1260,14 +1329,22 @@ impl Engine {
     /// 2. *data*: write the round's ciphertext, one backend write per run of
     ///    adjacent blocks.
     ///
-    /// A final metadata phase clears the last transient entries and the
-    /// mid-update mark. Every segment still sees the order the recovery
-    /// rules assume — metadata, barrier, its data, barrier, metadata — so
+    /// A batch that `close`s ends with a metadata phase that clears the last
+    /// transient entries and the mid-update mark. Any other batch stops after
+    /// its last data barrier and leaves every segment it wrote **open**:
+    /// mid-update, with transient entries that name only blocks whose data
+    /// has landed. The file's next batch closes them in its first metadata
+    /// phase — merged with the opening write of a segment it writes again,
+    /// or as a close-only write of one it does not — so no phase or barrier
+    /// is added, and a segment stays open for at most one further commit.
+    ///
+    /// Every segment still sees the order the recovery rules assume —
+    /// metadata, barrier, its data, barrier, metadata — so
     /// [`Engine::recover`] is unchanged: whatever a crash leaves behind, each
     /// segment is either clean or mid-update with the previous key of every
-    /// block whose data write may not have landed. What is new is that
-    /// *several* segments can be mid-update at once; recovery already scans
-    /// them all.
+    /// block whose data write may not have landed. An open segment is
+    /// exactly a segment between two rounds of one commit. *Several* segments
+    /// can be mid-update at once; recovery already scans them all.
     ///
     /// The writes go through one [`SpanIo::write_batch`]: under the default
     /// async mode a phase's writes are submitted back to back and overlap on
@@ -1281,14 +1358,32 @@ impl Engine {
         keys: &[Key256],
         data: &[u8],
         segs: &mut Vec<SegCommit>,
+        close: bool,
     ) -> Result<bool> {
         let bs = self.geometry.block_size();
         let r = self.geometry.reserved_slots();
         let final_segment = self.final_segment(file);
 
-        // The metadata block of every touched segment leaves the cache for
-        // the duration; they go back only once the commit is whole.
+        // The metadata block of every segment the batch writes — the ones it
+        // touches and the ones the last batch left open, in segment order —
+        // leaves the cache for the duration; they go back only once the
+        // commit is whole. A segment mid-update that the file did not leave
+        // open is a commit the media holds interrupted (an unrecovered crash,
+        // or an unclean shutdown that left it open): it is resolved first
+        // ([`Engine::recover_segment`]), since the batch's first write of it
+        // replaces the transient area.
         segs.clear();
+        let mut push = |segment: u64, blocks: Range<usize>| -> Result<()> {
+            let mut mb = self.take_meta(file, segment)?;
+            if mb.flags.is_mid_update() && file.open.binary_search(&segment).is_err() {
+                let physical = self.io.call(|s| s.len(&file.name))?;
+                let mut report = RecoveryReport::default();
+                self.recover_segment(file, segment, &mut mb, physical, &mut report)?;
+            }
+            segs.push(SegCommit::new(segment, mb, blocks, r, close));
+            Ok(())
+        };
+        let mut open = file.open.iter().copied().peekable();
         let mut first = 0;
         while first < ids.len() {
             let segment = self.geometry.locate_block(ids[first]).segment;
@@ -1296,29 +1391,35 @@ impl Engine {
                 .iter()
                 .take_while(|b| self.geometry.locate_block(**b).segment == segment)
                 .count();
-            segs.push(SegCommit {
-                segment,
-                mb: self.take_meta(file, segment)?,
-                blocks: first..first + len,
-            });
+            while let Some(idle) = open.next_if(|&s| s < segment) {
+                push(idle, first..first)?;
+            }
+            open.next_if_eq(&segment);
+            push(segment, first..first + len)?;
             first += len;
         }
-        let rounds = segs.iter().map(|seg| seg.rounds(r)).max().unwrap_or(0);
-        self.profiler
-            .commit_recorded(ids.len() as u64, segs.len() as u64);
+        for idle in open {
+            push(idle, first..first)?;
+        }
+        let phases = segs.iter().map(|seg| seg.phases).max().unwrap_or(0);
+        if !ids.is_empty() {
+            let touched = segs.iter().filter(|seg| !seg.blocks.is_empty()).count();
+            self.profiler
+                .commit_recorded(ids.len() as u64, touched as u64);
+        }
 
         self.io.write_batch(&file.name, |io| {
-            for round in 0..=rounds {
-                // Metadata phase. A segment with `n` rounds writes its
-                // metadata block in phases `0..=n`: closing round `j - 1`
-                // and opening round `j` in one write. Every block is updated
-                // before any is submitted, so an update that cannot be made
-                // (a segment an unrecovered crash left mid-update has no
-                // transient room) fails with nothing in flight.
-                for seg in segs.iter_mut().filter(|seg| round <= seg.rounds(r)) {
-                    if round > 0 {
-                        seg.mb.clear_transient();
-                    }
+            for round in 0..phases {
+                // Metadata phase: round `round` of every segment that writes
+                // in it, opening that round's blocks and closing the round
+                // before in one write. Every write starts from an empty
+                // transient area: the entries a previous round or commit left
+                // name blocks whose data has landed, and a block the media
+                // held mid-update otherwise was resolved above. Every
+                // block is updated before any is submitted, so an update that
+                // cannot be made fails with nothing in flight.
+                for seg in segs.iter_mut().filter(|seg| round < seg.phases) {
+                    seg.mb.clear_transient();
                     let opening = seg.round(round, r);
                     seg.mb.flags.set_mid_update(!opening.is_empty());
                     for i in opening {
@@ -1361,12 +1462,7 @@ impl Engine {
             }
             Ok(())
         })?;
-
-        let wrote_size = segs.iter().any(|seg| seg.segment == final_segment);
-        for seg in segs.drain(..) {
-            file.cache_meta(seg.segment, seg.mb);
-        }
-        Ok(wrote_size)
+        Ok(segs.iter().any(|seg| seg.segment == final_segment))
     }
 
     /// Seals the metadata block of every segment that writes one in phase
@@ -1378,13 +1474,12 @@ impl Engine {
     /// tile rule, so a phase of fewer than two tiles of segments — every
     /// sequential commit — seals inline.
     fn seal_and_submit_phase(&self, io: &mut WriteBatch<'_>, segs: &[SegCommit], round: usize) {
-        let r = self.geometry.reserved_slots();
         with_tls(&SEAL_SCRATCH, |(sealed, phase)| {
             sealed.clear();
             phase.clear();
             phase.extend(
                 (0..segs.len())
-                    .filter(|&i| round <= segs[i].rounds(r))
+                    .filter(|&i| round < segs[i].phases)
                     .map(|i| (i, fresh_nonce())),
             );
             sealed.extend((0..phase.len()).map(|_| self.blocks.take()));
@@ -1507,85 +1602,103 @@ impl Engine {
     pub(crate) fn recover(&self, file: &mut LamassuFile) -> Result<RecoveryReport> {
         file.meta_cache.lock().clear();
         file.pending.clear();
+        file.open.clear();
         let mut report = RecoveryReport::default();
         let last_segment = self.last_physical_segment(&file.name)?;
         let physical = self.io.call(|s| s.len(&file.name))?;
-        let bs = self.geometry.block_size();
 
         for segment in 0..=last_segment {
             let mut mb = self.read_meta(file, segment)?;
             report.segments_scanned += 1;
-            if !mb.flags.is_mid_update() {
-                continue;
+            if mb.flags.is_mid_update() {
+                self.recover_segment(file, segment, &mut mb, physical, &mut report)?;
+                self.write_meta(file, segment, mb)?;
             }
-            for entry in mb.transient().to_vec() {
-                let slot = entry.slot as usize;
-                let logical_block =
-                    segment * self.geometry.keys_per_metadata_block() as u64 + slot as u64;
-                let loc = self.geometry.locate_block(logical_block);
-                let new_key = mb.key(slot).copied();
-                let had_old = entry.old_key != [0u8; 32];
-
-                let on_disk = if loc.physical_offset + bs as u64 <= physical {
-                    Some(
-                        self.io
-                            .call(|s| s.read_at(&file.name, loc.physical_offset, bs))?,
-                    )
-                } else {
-                    None
-                };
-
-                let resolved = match (&on_disk, new_key) {
-                    (Some(ct), Some(nk)) => {
-                        let plain = self.decrypt_block(ct, &nk);
-                        if self.key_matches_plaintext(file.version, &plain, &nk) {
-                            report.blocks_kept_new += 1;
-                            true
-                        } else {
-                            false
-                        }
-                    }
-                    _ => false,
-                };
-                if resolved {
-                    continue;
-                }
-                if had_old {
-                    // Either the data block still holds the old contents, or
-                    // it never existed; in both cases the old key is the
-                    // consistent one.
-                    let consistent = match &on_disk {
-                        Some(ct) => {
-                            let plain = self.decrypt_block(ct, &entry.old_key);
-                            self.key_matches_plaintext(file.version, &plain, &entry.old_key)
-                        }
-                        None => false,
-                    };
-                    if consistent {
-                        mb.set_key(slot, entry.old_key)?;
-                        report.blocks_restored_old += 1;
-                    } else {
-                        return Err(FsError::Unrecoverable {
-                            path: file.name.clone(),
-                            segment,
-                        });
-                    }
-                } else {
-                    // A brand-new block whose data never reached disk.
-                    mb.clear_key(slot)?;
-                    report.blocks_cleared += 1;
-                }
-            }
-            mb.clear_transient();
-            mb.flags.set_mid_update(false);
-            self.write_meta(file, segment, mb)?;
-            report.segments_repaired += 1;
         }
 
         // Reload the authoritative size after repairs.
         let last = self.last_physical_segment(&file.name)?;
         file.logical_size = self.with_meta(file, last, |mb| mb.logical_size)?;
         Ok(report)
+    }
+
+    /// Repairs `segment`'s metadata block `mb`, found mid-update, in memory
+    /// (the caller writes it): every block its transient area names keeps
+    /// its new key if the data on the media re-derives it, and otherwise gets
+    /// its previous key back — or none, if it had none and its data never
+    /// landed. The transient area and the mid-update mark are cleared.
+    /// `physical` is the object's length on the media.
+    fn recover_segment(
+        &self,
+        file: &LamassuFile,
+        segment: u64,
+        mb: &mut MetadataBlock,
+        physical: u64,
+        report: &mut RecoveryReport,
+    ) -> Result<()> {
+        let bs = self.geometry.block_size();
+        for entry in mb.transient().to_vec() {
+            let slot = entry.slot as usize;
+            let logical_block =
+                segment * self.geometry.keys_per_metadata_block() as u64 + slot as u64;
+            let loc = self.geometry.locate_block(logical_block);
+            let new_key = mb.key(slot).copied();
+            let had_old = entry.old_key != [0u8; 32];
+
+            let on_disk = if loc.physical_offset + bs as u64 <= physical {
+                Some(
+                    self.io
+                        .call(|s| s.read_at(&file.name, loc.physical_offset, bs))?,
+                )
+            } else {
+                None
+            };
+
+            let resolved = match (&on_disk, new_key) {
+                (Some(ct), Some(nk)) => {
+                    let plain = self.decrypt_block(ct, &nk);
+                    if self.key_matches_plaintext(file.version, &plain, &nk) {
+                        report.blocks_kept_new += 1;
+                        true
+                    } else {
+                        false
+                    }
+                }
+                _ => false,
+            };
+            if resolved {
+                continue;
+            }
+            if had_old {
+                // Either the data block still holds the old contents, or it
+                // never existed; in both cases the old key is the consistent
+                // one.
+                let consistent = match &on_disk {
+                    Some(ct) => {
+                        let plain = self.decrypt_block(ct, &entry.old_key);
+                        self.key_matches_plaintext(file.version, &plain, &entry.old_key)
+                    }
+                    None => false,
+                };
+                if consistent {
+                    mb.set_key(slot, entry.old_key)?;
+                    report.blocks_restored_old += 1;
+                } else {
+                    return Err(FsError::Unrecoverable {
+                        path: file.name.clone(),
+                        segment,
+                    });
+                }
+            } else {
+                // A brand-new block whose data never reached disk.
+                mb.clear_key(slot)?;
+                report.blocks_cleared += 1;
+            }
+        }
+        mb.clear_transient();
+        mb.flags.set_mid_update(false);
+        report.segments_repaired += 1;
+        Ok(())
     }
 
     /// Verifies every metadata and data block of the file (paper §2.5),

@@ -166,8 +166,10 @@ impl Mount<Engine> {
         self.with_file(path, |file| Ok(file.version()))
     }
 
-    /// Scans a file for segments left mid-update by a crash and repairs them
-    /// using the transient keys parked in their metadata blocks (§2.4).
+    /// Scans a file for segments left mid-update by a crash — or left open
+    /// by a span commit when the client died before its next commit or
+    /// flush — and repairs them using the transient keys parked in their
+    /// metadata blocks (§2.4).
     pub fn recover(&self, path: &str) -> Result<RecoveryReport> {
         self.with_file(path, |file| self.engine().recover(file))
     }

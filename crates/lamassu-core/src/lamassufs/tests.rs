@@ -366,6 +366,53 @@ fn commit_counters_match_a_hand_counted_two_segment_commit() {
 }
 
 #[test]
+fn a_span_commit_leaves_its_segments_open_until_the_next_commit_or_fsync() {
+    // Default geometry: N = 118, R = 8, on a three-segment file. A write
+    // that fills the span commits without closing: blocks 0..256 are 15 +
+    // 15 + 3 rounds in segments 0–2, one metadata and one data write each.
+    let (s, fs) = mount();
+    let fd = fs.create("/f").unwrap();
+    let mut image = unique_data(3 * 118 * 4096, 1);
+    fs.write(fd, 0, &image).unwrap();
+    fs.fsync(fd).unwrap();
+    let mid_update = |want: u64| {
+        let report = mount_on(s.clone()).verify("/f").unwrap();
+        assert!(report.is_clean(), "{report:?}");
+        assert_eq!(report.mid_update_segments, want, "{report:?}");
+    };
+    mid_update(0);
+
+    let mut overwrite = |at: usize, seed: u64| {
+        let data = unique_data(256 * 4096, seed);
+        fs.write(fd, (at * 4096) as u64, &data).unwrap();
+        image.resize(image.len().max((at + 256) * 4096), 0);
+        image[at * 4096..(at + 256) * 4096].copy_from_slice(&data);
+    };
+    s.reset_io_accounting();
+    overwrite(0, 2);
+    assert_eq!(s.io_counters().write_ops, 33 + 33);
+    mid_update(3);
+    // Blocks 118..374 reopen segments 1 and 2, whose opening writes close
+    // them, start segment 3 (3 rounds) and close segment 0 in the same
+    // first phase with one more write.
+    s.reset_io_accounting();
+    overwrite(118, 3);
+    assert_eq!(s.io_counters().write_ops, (33 + 1) + 33);
+    mid_update(3);
+    // The `fsync` has nothing to commit and closes segments 1–3; a second
+    // one has nothing to do.
+    s.reset_io_accounting();
+    fs.fsync(fd).unwrap();
+    assert_eq!(s.io_counters().write_ops, 3);
+    fs.fsync(fd).unwrap();
+    assert_eq!(s.io_counters().write_ops, 3);
+    mid_update(0);
+    let other = mount_on(s);
+    let back = other.open("/f", OpenFlags::default()).unwrap();
+    assert!(other.read(back, 0, image.len()).unwrap() == image);
+}
+
+#[test]
 fn span_and_per_block_reads_agree_on_random_content() {
     // The two pipelines must be observationally identical; spot-check a
     // multi-segment file at awkward offsets (the property tests cover the
@@ -407,7 +454,8 @@ fn r1_writes_three_ios_per_block() {
     // each block write: two for the metadata updates, and one for the data
     // block itself". That sentence describes the prototype, whose write
     // buffer is its R transient slots: the per-block pipeline commits every
-    // block on its own.
+    // block on its own. Neither pipeline reads the store: a segment the
+    // commit itself left mid-update is not a crash to resolve.
     let write_ten_blocks = |span: crate::span::SpanConfig| {
         let s = store();
         let fs = LamassuFs::new(
@@ -421,13 +469,20 @@ fn r1_writes_three_ios_per_block() {
             fs.write(fd, i * 4096, &unique_data(4096, i)).unwrap();
         }
         fs.fsync(fd).unwrap();
-        s.io_counters().write_ops
+        let io = s.io_counters();
+        (io.write_ops, io.read_ops)
     };
-    assert_eq!(write_ten_blocks(crate::span::SpanConfig::per_block()), 30);
+    assert_eq!(
+        write_ten_blocks(crate::span::SpanConfig::per_block()),
+        (30, 0)
+    );
     // The pipeline buffers the ten blocks and commits them together. R = 1
     // still makes every block its own round — that is all R means there —
     // but consecutive rounds share a metadata write: 11 metadata + 10 data.
-    assert_eq!(write_ten_blocks(crate::span::SpanConfig::default()), 21);
+    assert_eq!(
+        write_ten_blocks(crate::span::SpanConfig::default()),
+        (21, 0)
+    );
 }
 
 #[test]

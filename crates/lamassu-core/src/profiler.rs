@@ -157,8 +157,9 @@ impl LatencyBreakdown {
 /// last [`Profiler::reset_all`]). `seals / blocks` is the write path's
 /// metadata amplification: each seal is one AES-GCM pass over a block plus
 /// one backend write, so 2.0 means every data block paid for two metadata
-/// blocks (random 4 KiB writes committed `R` at a time) and 0.5 that a span
-/// of random writes shared its segments' rounds.
+/// blocks (random 4 KiB writes committed `R` at a time) and under 0.3 that
+/// spans of random writes share their segments' rounds, and each span's
+/// closing writes ride on the next span's opening ones.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
 pub struct CommitStats {
     /// Commit batches run (at most one span of blocks each).

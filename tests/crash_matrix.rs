@@ -327,7 +327,8 @@ fn every_crash_point_with_four_segments_mid_update_at_once_recovers() {
 // a span of 256 blocks.
 
 /// Backend writes of the many-segment flush below: 32 opening metadata writes,
-/// 64 data writes (no two touched blocks are adjacent), 32 closing.
+/// 64 data writes (no two touched blocks are adjacent), 32 closing — the
+/// flush is an `fsync`, which closes what it commits.
 const MANY_SEGMENT_WRITES: u64 = 32 + 64 + 32;
 
 #[test]
@@ -375,7 +376,10 @@ fn sampled_crash_points_across_three_span_commits_keep_what_was_committed() {
     // order: the first 50 followed by an `fsync`, then 600 more — the write
     // buffer commits on its own when the 256th and the 512th of them fill the
     // span, and the closing `fsync` commits the last 88. Four commits, one
-    // after the other on the media. Wherever the power fails: the blocks of
+    // after the other on the media; each span commit leaves its segments
+    // open, and the next commit's first metadata phase closes them, so a
+    // crash between two commits finds segments mid-update whose data has
+    // all landed. Wherever the power fails: the blocks of
     // a commit that completed — the fsynced one above all — read back new,
     // the blocks of the commit the crash interrupted read back old or new,
     // and the blocks of a commit that had not started read back old.
@@ -447,11 +451,17 @@ fn a_power_cut_loses_the_unsynced_buffer_and_nothing_else() {
     // the span fills, and is durable after `fsync`. 40 blocks written and
     // fsynced, then 300 more written and acknowledged: 256 of those filled a
     // span and were committed, 44 are still buffered when the client dies
-    // (the mount is dropped, not closed). After the restart the 40 and the
-    // 256 are new and the 44 are old — nothing half-way, nothing to repair.
+    // (the mount is dropped, not closed). That span commit left the segments
+    // it wrote open for the file's next commit to close — all six, for 256
+    // random blocks of a six-segment file — and none came. After the
+    // restart the 40 and the 256 are new and the 44 are old, before
+    // `recover` and after it. `recover` closes exactly the open segments and
+    // keeps every new key: an open segment's transient area names only the
+    // blocks of its last round, whose data has landed.
     const BLOCKS: usize = 6 * 118;
+    const R: usize = 8;
     let order = seeded_sample(5, BLOCKS, 340);
-    let media = build_base_at(8, BLOCKS);
+    let media = build_base_at(R, BLOCKS);
     {
         let fs = LamassuFs::new(media.clone(), keys(), LamassuConfig::default());
         let fd = fs.open("/file", OpenFlags::default()).unwrap();
@@ -469,18 +479,81 @@ fn a_power_cut_loses_the_unsynced_buffer_and_nothing_else() {
         );
     }
     let fs = LamassuFs::new(media, keys(), LamassuConfig::default());
-    assert_eq!(fs.recover("/file").unwrap().segments_repaired, 0);
+    let fd = fs.open("/file", OpenFlags::default()).unwrap();
+    let check = |when: &str| {
+        for b in 0..BLOCKS {
+            let version = match order.iter().position(|&x| x == b) {
+                Some(i) if i < 40 + 256 => 2,
+                _ => 1,
+            };
+            assert!(
+                fs.read(fd, (b * 4096) as u64, 4096).unwrap() == pattern(version, b),
+                "block {b} must be version {version} after the power cut, {when}"
+            );
+        }
+    };
+    check("before recovery");
+
+    // The span commit put `c` blocks into segment `s` in ceil(c / R)
+    // rounds; the transient area holds the last round's (c - 1) % R + 1.
+    let last_rounds: Vec<u64> = (0..6)
+        .map(|s| {
+            order[40..40 + 256]
+                .iter()
+                .filter(|&&b| b / 118 == s)
+                .count()
+        })
+        .filter(|&c| c > 0)
+        .map(|c| ((c - 1) % R + 1) as u64)
+        .collect();
+    assert_eq!(last_rounds.len(), 6, "the span touched every segment");
+    let recovered = fs.recover("/file").unwrap();
+    assert_eq!(
+        (
+            recovered.segments_repaired,
+            recovered.blocks_kept_new,
+            recovered.blocks_restored_old,
+            recovered.blocks_cleared
+        ),
+        (6, last_rounds.iter().sum(), 0, 0),
+        "{recovered:?}"
+    );
     let report = fs.verify("/file").unwrap();
     assert!(report.is_clean() && report.mid_update_segments == 0);
+    check("after recovery");
+}
+
+#[test]
+fn a_commit_resolves_a_segment_the_media_left_mid_update() {
+    // A crash right after the first metadata write of an `fsync`'s commit
+    // leaves segment 0 mid-update: blocks 0..4 hold new keys over old data,
+    // their previous keys parked in the transient area. The next mount does
+    // not run `recover`. It writes block 10 of the same segment and fsyncs,
+    // and that commit must resolve the interrupted one before it replaces
+    // the transient area — otherwise blocks 0..4 keep new keys over old
+    // bytes and no later `recover` can find their old keys again.
+    const BLOCKS: usize = 2 * 118;
+    let media = build_base_at(8, BLOCKS);
+    let faulty = Arc::new(FaultyStore::new(media.clone()));
+    faulty.crash_after_writes(1);
+    let fs = LamassuFs::new(faulty.clone(), keys(), LamassuConfig::default());
+    assert!(write_blocks(&fs, &[0, 1, 2, 3], usize::MAX).is_err());
+    assert!(faulty.has_crashed());
+
+    let fs = LamassuFs::new(media, keys(), LamassuConfig::default());
+    write_blocks(&fs, &[10], usize::MAX).unwrap();
+    let report = fs.verify("/file").unwrap();
+    assert!(
+        report.is_clean() && report.mid_update_segments == 0,
+        "{report:?}"
+    );
     let fd = fs.open("/file", OpenFlags::default()).unwrap();
-    for b in 0..BLOCKS {
-        let version = match order.iter().position(|&x| x == b) {
-            Some(i) if i < 40 + 256 => 2,
-            _ => 1,
-        };
+    let whole = fs.read(fd, 0, BLOCKS * 4096).unwrap();
+    for (b, got) in whole.chunks(4096).enumerate() {
+        let version = if b == 10 { 2 } else { 1 };
         assert!(
-            fs.read(fd, (b * 4096) as u64, 4096).unwrap() == pattern(version, b),
-            "block {b} must be version {version} after the power cut"
+            got == pattern(version, b),
+            "block {b} must be version {version}"
         );
     }
 }
@@ -510,17 +583,26 @@ fn every_crash_point_of_an_append_across_segments_keeps_the_old_file_visible() {
 
 #[test]
 fn sampled_crash_points_of_a_multi_batch_append_keep_the_old_file_visible() {
-    // To 640 blocks: 524 pending blocks are three crypto batches (256 + 256
-    // + 12, issuing 72 + 69 + 5 writes), and the first never touches the
-    // final segment (5) — the last segment on the media is whichever one the
-    // running batch has reached. Sampled: what matters is which batch the
-    // crash lands in, not which of its rounds.
+    // To 640 blocks: the one 524-block write fills the span, so its three
+    // crypto batches (256 + 256 + 12) each leave their segments open for
+    // the next, and the `fsync` closes the last. One metadata write per
+    // round, one data write per round:
+    // * 116..372: segments 0–3 take 1 + 15 + 15 + 3 rounds — 34 + 34;
+    // * 372..628: segments 3–5 take 13 + 15 + 5 rounds, and segments 0–2
+    //   are closed by one write each — 36 + 33 (segment 3's close merges
+    //   with its opening write);
+    // * 628..640: segment 5 takes 2 rounds, and 3 and 4 are closed — 4 + 2;
+    // * the `fsync` closes segment 5 — 1.
+    // The first batch never touches the final segment (5) — the last
+    // segment on the media is whichever one the running batch has reached.
+    // Sampled: what matters is which batch the crash lands in, not which of
+    // its rounds.
     let touched: Vec<usize> = (116..640).collect();
     enumerate_crash_points(
         8,
         116,
         &touched,
-        146,
+        68 + 69 + 6 + 1,
         5,
         |fs| write_run(fs, 116..640),
         |_, _| None,

@@ -71,8 +71,10 @@ fn four_kib_writes_pay_for_their_metadata_once_per_span() {
     }
     fs.fsync(fd).unwrap();
     let random = store.io_counters();
-    // Two span commits. Each puts about 51 blocks into every one of the five
-    // segments — seven rounds of R = 8, one seal more than rounds.
+    // Two span commits. Each puts blocks into every one of the five
+    // segments, one seal per round of R = 8, and leaves all five open: the
+    // second commit's opening writes close the first's, and the `fsync`
+    // closes the second's with one seal each.
     assert_eq!(
         (random.write_ops, random.bytes_written),
         RANDOM_PASS,
@@ -94,7 +96,8 @@ fn four_kib_writes_pay_for_their_metadata_once_per_span() {
     fs.fsync(fd).unwrap();
     let sequential = store.io_counters();
     // Two span commits of three segments each (118 + 118 + 20 blocks, then
-    // 98 + 118 + 40): every round of eight adjacent blocks is one data write.
+    // 98 + 118 + 40): every round of eight adjacent blocks is one data write
+    // and one metadata write.
     assert_eq!(
         (sequential.write_ops, sequential.bytes_written),
         SEQUENTIAL_PASS,
@@ -119,13 +122,17 @@ fn four_kib_writes_pay_for_their_metadata_once_per_span() {
 }
 
 /// `(write_ops, bytes_written)` of the random pass: 285 data writes (adjacent
-/// blocks of a round coalesce) and 78 metadata blocks, 1.152 bytes per user
-/// byte.
-const RANDOM_PASS: (u64, u64) = (285 + 78, (512 + 78) * 4096);
+/// blocks of a round coalesce) and 73 metadata blocks, 1.143 bytes per user
+/// byte. The metadata blocks are one per round of each segment in each commit
+/// (68 rounds over both), plus the 5 the `fsync` writes to close the second
+/// commit's segments. Closing every segment at the end of each commit wrote
+/// 10 instead of those 5.
+const RANDOM_PASS: (u64, u64) = (285 + 73, (512 + 73) * 4096);
 /// `(write_ops, bytes_written)` of the sequential pass: per commit 15 + 15 + 3
-/// and 13 + 15 + 5 data writes, and one metadata write more than rounds in
-/// each segment (36 + 36).
-const SEQUENTIAL_PASS: (u64, u64) = (66 + 72, (512 + 72) * 4096);
+/// and 13 + 15 + 5 data writes, and as many metadata writes (33 + 33), plus
+/// the closing ones: the second commit closes segments 0 and 1 (2; segment 2
+/// is closed by its own opening write), and the `fsync` segments 2–4 (3).
+const SEQUENTIAL_PASS: (u64, u64) = (66 + 71, (512 + 71) * 4096);
 
 /// One application I/O of the sequential cases: 1 MiB, a typical streaming
 /// size, which the pipelines split into blocks or runs.
@@ -229,12 +236,15 @@ fn sequential_spans_move_whole_runs_per_backend_op() {
 ///
 /// LamassuFS: both pipelines read the same 1031 blocks (1024 data, 7
 /// metadata), one per operation or in 19 vectored runs. The span pipeline
-/// writes 1169 blocks in 277 operations; the per-block one writes 1289 (its
-/// smaller commits seal more metadata blocks), one per operation. EncFS: one
-/// read or write per 1 MiB against 256, plus two header writes (at create and
-/// at the fsync that grew the file).
+/// writes 1166 blocks in 274 operations: the empty file's metadata block, and
+/// per 1 MiB commit 33 rounds over three segments, each one data and one
+/// metadata write (264); every segment is closed once by the next commit or
+/// the `fsync`, except the three a next commit opens again (9 of 12). The
+/// per-block one writes 1289 (its smaller commits seal more metadata blocks),
+/// one per operation. EncFS: one read or write per 1 MiB against 256, plus
+/// two header writes (at create and at the fsync that grew the file).
 const SEQUENTIAL_ROUND_TRIPS: [(&str, Ops, Ops); 2] = [
-    ("LamassuFS", (19, 277), (1024 + 7, 1024 + 265)),
+    ("LamassuFS", (19, 1 + 264 + 9), (1024 + 7, 1024 + 265)),
     ("EncFS", (4, 4 + 2), (1024, 1024 + 2)),
 ];
 
