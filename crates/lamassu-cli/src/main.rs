@@ -903,12 +903,12 @@ mod tests {
         assert!(b.cache > Duration::ZERO, "cache tier is dark: {b:?}");
         assert!(b.route > Duration::ZERO, "routed tier is dark: {b:?}");
 
-        // The sixteen blocks are equal: the get saw one twice and admitted
-        // it, so a second get is served by the read memo, whose counters
-        // `stats` prints with the rest of the profiler.
+        // The sixteen blocks are equal: the put's commit wrote one twice and
+        // admitted it, so both gets are served by the read memo, whose
+        // counters `stats` prints with the rest of the profiler.
         mounted.fs.read_into(fd, 0, &mut back).unwrap();
         let memo = mounted.fs.memo_stats();
-        assert_eq!((memo.hits, memo.misses, memo.admissions), (16, 16, 1));
+        assert_eq!((memo.hits, memo.misses, memo.commit_admissions), (32, 0, 1));
         let mut snap = Snapshot::new();
         mounted
             .fs

@@ -69,16 +69,26 @@
 //!
 //! # The read memo
 //!
-//! Under full integrity the span read path keeps a bounded per-mount memo of
-//! plaintext that passed §2.5, keyed by (key, ciphertext, format version) —
-//! the three things that plaintext is a function of (the `memo` module says
-//! why that makes a hit exact, and how entries are indexed, admitted and
-//! bounded). [`Engine::open_blocks`] consults it for every landed block
-//! of a run, edges included: a hit is a copy; the misses decrypt and are
-//! checked as before, in place when the run had no hit and compacted into
-//! one batch when it had some. Only the span read path uses it. `verify`,
-//! `recover`, the write path's read-modify-write, truncate and the per-block
-//! prototype read the media through the full path, and re-keying clears it.
+//! Under full integrity the span pipeline keeps a bounded per-mount memo of
+//! (key, ciphertext, plaintext) triples of a format version, found by a
+//! keyed PRF of the key (the `memo` module says why a hit is exact, and how
+//! entries are indexed, admitted and bounded). Both directions use it:
+//!
+//! * [`Engine::open_blocks`] consults it for every landed block of a run,
+//!   edges included. A hit — same key, byte-identical ciphertext — is a copy
+//!   of the plaintext; the misses decrypt and are checked as before, in
+//!   place when the run had no hit and compacted into one batch when it had
+//!   some. The backend read is issued either way.
+//! * A span commit ([`Engine::encrypt_reusing`]) consults it for every block
+//!   of the batch after the one batch derive. A hit — same key, equal
+//!   plaintext — takes the entry's ciphertext instead of being encrypted;
+//!   the misses are encrypted as one batch, the same way. Once the commit
+//!   has landed it admits its duplicates and its overwrites of memoized
+//!   blocks.
+//!
+//! `verify`, `recover`, the write path's read-modify-write, truncate and the
+//! per-block prototype go through the full path, and re-keying clears the
+//! memo.
 //!
 //! # Zero-allocation steady state
 //!
@@ -98,9 +108,10 @@
 //! * metadata blocks are moved out of the per-file cache, updated **in
 //!   place** and sealed directly into a pooled block
 //!   ([`MetadataBlock::seal_into`]) — no clone, no fresh ciphertext vector;
-//! * the variable-length bookkeeping a span read needs (run boundaries,
-//!   per-run keys, re-derived keys, a run's memo misses) lives in
-//!   thread-local scratch vectors that amortize to zero after first use;
+//! * the variable-length bookkeeping a span read or commit needs (run
+//!   boundaries, per-run keys, re-derived keys, a run's or a batch's memo
+//!   misses and their staging) lives in thread-local scratch vectors that
+//!   amortize to zero after first use;
 //! * the read memo's arena is allocated once, at its first admission.
 //!
 //! The remaining allocations are deliberate: cold metadata-cache misses,
@@ -122,7 +133,7 @@
 //! therefore run under the shim's exclusive write guard, which is what keeps
 //! the multiphase commit invisible to concurrent readers.
 
-use super::memo::ReadMemo;
+use super::memo::{Admit, ReadMemo};
 use crate::iovec;
 use crate::lamassufs::{IntegrityMode, LamassuConfig};
 use crate::mount::{MountEngine, MountFile};
@@ -183,9 +194,10 @@ thread_local! {
     /// phase has been submitted).
     static SEAL_SCRATCH: RefCell<(Vec<BlockBuf>, Vec<PhaseSeg>)> =
         const { RefCell::new((Vec::new(), Vec::new())) };
-    /// One run's read-memo misses, the staging their bytes batch through
-    /// (or, on a run decrypted in place, the candidates' saved ciphertext),
-    /// and their keys.
+    /// One read run's or commit batch's memo misses, the staging their
+    /// bytes batch through (or, on a batch run in place, the admission
+    /// candidates' saved ciphertext or plaintext), and their keys. At most a
+    /// span of blocks.
     static MISS_SCRATCH: RefCell<(Vec<Miss>, Vec<u8>, Vec<Key256>)> =
         const { RefCell::new((Vec::new(), Vec::new(), Vec::new())) };
 }
@@ -411,9 +423,9 @@ pub struct Engine {
     /// buffer *was* its transient area — §4, Figure 10). Fixed at mount.
     commit_trigger: usize,
     crypto: RwLock<CryptoCtx>,
-    /// Verified plaintext of recently read blocks: present on the span
-    /// pipeline under full integrity, the one mode that verifies what it
-    /// would admit.
+    /// Verified or written blocks, ciphertext and plaintext: present on the
+    /// span pipeline under full integrity, the one mode that checks what a
+    /// read admits.
     memo: Option<ReadMemo>,
     profiler: Arc<Profiler>,
 }
@@ -1104,6 +1116,7 @@ impl Engine {
                 let saved = stage.chunks_exact(bs);
                 memo.admit(
                     version,
+                    Admit::Read,
                     candidates()
                         .zip(saved)
                         .map(|(&(i, _), cipher)| (&keys[i], cipher, &blocks[at(i)])),
@@ -1117,6 +1130,7 @@ impl Engine {
                     .map_err(|j| violation(misses[j].0))?;
                 memo.admit(
                     version,
+                    Admit::Read,
                     misses
                         .iter()
                         .zip(stage.chunks_exact(bs))
@@ -1249,9 +1263,10 @@ impl Engine {
     /// Commits the first (up to) [`SPAN_BLOCKS`] pending blocks as one
     /// pipeline: stage them contiguously, derive every key in one batch and
     /// encrypt the staged span in one batch — so the wide kernels and the
-    /// worker pool see the whole set, not `R` blocks at a time — and only
-    /// then run the §2.4 protocol over them as pure sealing and I/O
-    /// ([`Engine::commit_rounds`]). The pooled staging buffers return to the
+    /// worker pool see the whole set, not `R` blocks at a time; with a read
+    /// memo, only the blocks it cannot give the ciphertext of
+    /// ([`Engine::encrypt_reusing`]) — and only then run the §2.4 protocol
+    /// over them as pure sealing and I/O ([`Engine::commit_rounds`]). The pooled staging buffers return to the
     /// pool the moment their plaintext is copied out. Unless the batch
     /// `close`s, the segments it writes are the file's open set afterwards.
     fn commit_batch(&self, file: &mut LamassuFile, close: bool) -> Result<()> {
@@ -1283,13 +1298,16 @@ impl Engine {
                     )
                     .expect("batch is whole blocks")
                 });
-                drop(crypto);
-                self.profiler.time(Category::Encrypt, || {
-                    batch::encrypt_span(&self.pool, keys, &FIXED_IV, &mut data, bs, KERNELS)
-                        .expect("batch is whole blocks")
-                });
             }
-            self.commit_rounds(file, &ids, keys, &data, &mut segs, close)
+            let mut commit =
+                |data: &[u8]| self.commit_rounds(file, &ids, keys, data, &mut segs, close);
+            match self.memo.as_ref().filter(|_| k > 0) {
+                Some(memo) => self.encrypt_reusing(memo, file, &ids, keys, &mut data, commit),
+                None => {
+                    self.encrypt_batch(keys, &mut data);
+                    commit(&data)
+                }
+            }
         });
         file.open.clear();
         if result.is_ok() {
@@ -1309,6 +1327,99 @@ impl Engine {
             file.size_dirty = false;
         }
         Ok(())
+    }
+
+    /// Encrypts `data` — whole blocks, one key each — in place as one batch.
+    fn encrypt_batch(&self, keys: &[Key256], data: &mut [u8]) {
+        if keys.is_empty() {
+            return;
+        }
+        let bs = self.geometry.block_size();
+        self.profiler.time(Category::Encrypt, || {
+            batch::encrypt_span(&self.pool, keys, &FIXED_IV, data, bs, KERNELS)
+                .expect("batch is whole blocks")
+        });
+    }
+
+    /// [`Engine::commit_batch`]'s encryption on a mount with a read memo:
+    /// turns the staged batch in `data` — plaintext, `keys` derived from it —
+    /// into its ciphertext, runs `commit` on it, and feeds the memo once the
+    /// commit has landed. A block the memo holds with equal plaintext takes
+    /// the entry's ciphertext ([`ReadMemo::reuse`]); only the misses are
+    /// encrypted — in place when nothing hit, so a batch of new data runs
+    /// exactly as it would without a memo, and otherwise compacted into
+    /// thread-local staging, padded with filler chains so that the group
+    /// never falls back to the T-table where the whole batch would not have
+    /// ([`batch::wide_padding`]). The
+    /// memo names the misses to admit; their plaintext is kept first — copied
+    /// out before an in-place encrypt, or swapped back out of `data` after a
+    /// compacted one.
+    fn encrypt_reusing(
+        &self,
+        memo: &ReadMemo,
+        file: &LamassuFile,
+        ids: &[u64],
+        keys: &[Key256],
+        data: &mut [u8],
+        commit: impl FnOnce(&[u8]) -> Result<bool>,
+    ) -> Result<bool> {
+        let bs = self.geometry.block_size();
+        let at = |i: usize| i * bs..(i + 1) * bs;
+        with_tls(&MISS_SCRATCH, |(misses, stage, miss_keys)| {
+            misses.clear();
+            stage.clear();
+            miss_keys.clear();
+            let hits = {
+                // The key each block replaces, from the metadata cache only.
+                let cache = file.meta_cache.lock();
+                let old_key = |i: usize| {
+                    let loc = self.geometry.locate_block(ids[i]);
+                    cache.get(&loc.segment)?.key(loc.slot).copied()
+                };
+                memo.reuse(file.version, keys, data, old_key, misses)
+            };
+            if hits == 0 {
+                for &(i, _) in misses.iter().filter(|(_, candidate)| *candidate) {
+                    stage.extend_from_slice(&data[at(i)]);
+                }
+                self.encrypt_batch(keys, data);
+            } else if !misses.is_empty() {
+                for &(i, _) in misses.iter() {
+                    stage.extend_from_slice(&data[at(i)]);
+                    miss_keys.push(keys[i]);
+                }
+                // Filler chains (copies of the last miss) keep the group's
+                // last tile off the T-table, unless the batch's was on it.
+                let fill = match batch::wide_padding(keys.len()) {
+                    0 => batch::wide_padding(misses.len()),
+                    _ => 0,
+                };
+                let last = stage.len() - bs;
+                for _ in 0..fill {
+                    stage.extend_from_within(last..last + bs);
+                    miss_keys.push(miss_keys[misses.len() - 1]);
+                }
+                self.encrypt_batch(miss_keys, stage);
+                for (&(i, _), block) in misses.iter().zip(stage.chunks_exact_mut(bs)) {
+                    data[at(i)].swap_with_slice(block);
+                }
+            }
+            let wrote_size = commit(data)?;
+            // The stage holds the candidates' plaintext, or every miss's.
+            let data = &*data;
+            let staged = misses
+                .iter()
+                .filter(|(_, candidate)| hits > 0 || *candidate);
+            memo.admit(
+                file.version,
+                Admit::Commit,
+                staged
+                    .zip(stage.chunks_exact(bs))
+                    .filter(|((_, candidate), _)| *candidate)
+                    .map(|(&(i, _), plain)| (&keys[i], &data[at(i)], plain)),
+            );
+            Ok(wrote_size)
+        })
     }
 
     /// The multiphase commit of §2.4 for one staged batch: `ids` ascending,

@@ -22,7 +22,9 @@
 //!   comparing against the stored convergent key (§2.5), with a cheaper
 //!   metadata-only mode that skips the per-block hash — and serves a block
 //!   whose key and ciphertext it has already verified from a bounded read
-//!   memo instead of checking it again ([`LamassuFs::memo_stats`]);
+//!   memo instead of checking it again, from which a span commit also takes
+//!   the ciphertext of a block it would otherwise encrypt
+//!   ([`LamassuFs::memo_stats`]);
 //! * supports offline recovery ([`LamassuFs::recover`]), full verification
 //!   ([`LamassuFs::verify`]) and partial re-keying of the outer key
 //!   ([`LamassuFs::rekey_outer`], the §2.2 "much faster partial re-keying").
@@ -151,11 +153,12 @@ impl Mount<Engine> {
         self.engine().blocks.stats()
     }
 
-    /// Counters of the mount's read memo — the bounded store of plaintext
-    /// the span read path has already verified, keyed by (key, ciphertext,
-    /// format version): hits, misses, admissions and evictions since the
-    /// mount, kept by its profiler. All zeros on a mount without one
-    /// (meta-only integrity, or the per-block prototype pipeline).
+    /// Counters of the mount's read memo — the bounded store of (key,
+    /// ciphertext, plaintext) the span pipeline has verified or written, of
+    /// a format version: read hits and misses, commit hits (encryptions
+    /// skipped), read and commit admissions, and evictions since the mount,
+    /// kept by its profiler. All zeros on a mount without one (meta-only
+    /// integrity, or the per-block prototype pipeline).
     pub fn memo_stats(&self) -> crate::profiler::MemoStats {
         self.profiler().memo_stats()
     }

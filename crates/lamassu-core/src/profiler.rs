@@ -189,15 +189,23 @@ impl CommitStats {
 /// [`Profiler::reset_all`]). Every block the span read path opens under full
 /// integrity is one hit or one miss, so `hits / (hits + misses)` is the
 /// share of those blocks that skipped the decrypt and the §2.5
-/// re-derivation.
+/// re-derivation; every block a span commit took from the memo is one
+/// commit hit, an encryption skipped.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
 pub struct MemoStats {
     /// Blocks served from the memo.
     pub hits: u64,
     /// Blocks the memo did not hold, which took the decrypt-and-check path.
     pub misses: u64,
-    /// Verified blocks admitted into the memo (each on its second sighting).
-    pub admissions: u64,
+    /// Blocks a commit took the ciphertext of from the memo instead of
+    /// encrypting them.
+    pub commit_hits: u64,
+    /// Verified read misses admitted into the memo (each on its second
+    /// sighting).
+    pub read_admissions: u64,
+    /// Committed blocks admitted into the memo (duplicates, and overwrites
+    /// of memoized blocks).
+    pub commit_admissions: u64,
     /// Entries an admission displaced.
     pub evictions: u64,
 }
@@ -241,7 +249,7 @@ pub struct Profiler {
     committed_segments: AtomicU64,
     seals: AtomicU64,
     /// [`MemoStats`], field by field (statistics only: relaxed).
-    memo: [AtomicU64; 4],
+    memo: [AtomicU64; 6],
 }
 
 impl Profiler {
@@ -381,10 +389,20 @@ impl Profiler {
         let MemoStats {
             hits,
             misses,
-            admissions,
+            commit_hits,
+            read_admissions,
+            commit_admissions,
             evictions,
         } = delta;
-        for (counter, n) in self.memo.iter().zip([hits, misses, admissions, evictions]) {
+        let deltas = [
+            hits,
+            misses,
+            commit_hits,
+            read_admissions,
+            commit_admissions,
+            evictions,
+        ];
+        for (counter, n) in self.memo.iter().zip(deltas) {
             if n > 0 {
                 counter.fetch_add(n, Ordering::Relaxed);
             }
@@ -393,12 +411,14 @@ impl Profiler {
 
     /// The read memo's counters (all zeros on mounts without one).
     pub fn memo_stats(&self) -> MemoStats {
-        let [hits, misses, admissions, evictions] =
+        let [hits, misses, commit_hits, read_admissions, commit_admissions, evictions] =
             self.memo.each_ref().map(|c| c.load(Ordering::Relaxed));
         MemoStats {
             hits,
             misses,
-            admissions,
+            commit_hits,
+            read_admissions,
+            commit_admissions,
             evictions,
         }
     }
@@ -636,13 +656,16 @@ mod tests {
         let delta = MemoStats {
             hits: 3,
             misses: 1,
-            admissions: 1,
+            commit_hits: 2,
+            read_admissions: 1,
+            commit_admissions: 1,
             evictions: 0,
         };
         p.memo_recorded(delta);
         p.memo_recorded(delta);
         let stats = p.memo_stats();
-        assert_eq!((stats.hits, stats.misses, stats.admissions), (6, 2, 2));
+        assert_eq!((stats.hits, stats.misses, stats.commit_hits), (6, 2, 4));
+        assert_eq!((stats.read_admissions, stats.commit_admissions), (2, 2));
         assert_eq!(stats.hit_rate(), 0.75);
         p.reset();
         assert_eq!(p.memo_stats(), stats, "a window reset keeps them");

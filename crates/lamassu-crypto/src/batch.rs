@@ -74,7 +74,7 @@ use crate::aes::Aes256;
 use crate::cbc;
 use crate::fixsliced::{self, Aes256Fix};
 use crate::kdf::{ConvergentKdf, HashVersion, F_BATCH, TREE_ALIGN};
-use crate::pool::CryptoPool;
+use crate::pool::{CryptoPool, TILE_BLOCKS};
 use crate::sha256::SHA_LANES;
 use crate::{stats, CryptoBackend, CryptoError, Iv128, Key256, Result};
 
@@ -91,6 +91,18 @@ const AES_BLOCK: usize = 16;
 /// eight chains. Decryption has no such threshold (it is wide within a
 /// single chain).
 pub const WIDE_MIN_BLOCKS: usize = 8;
+
+/// Filler chains that make an [`encrypt_span`] of `blocks` chains run
+/// wholly on the wide kernel: the pool splits a span at whole
+/// [`TILE_BLOCKS`] tiles, so only its last tile can be partial, and a
+/// partial tile narrower than [`WIDE_MIN_BLOCKS`] falls back to the T-table.
+/// Zero when none does.
+pub fn wide_padding(blocks: usize) -> usize {
+    match blocks % TILE_BLOCKS {
+        0 => 0,
+        tail => WIDE_MIN_BLOCKS.saturating_sub(tail),
+    }
+}
 
 /// A cipher pair for one key: the T-table schedule and the fixsliced
 /// schedule, expanded once so the span layer can dispatch per run without
@@ -599,5 +611,44 @@ mod tests {
         for backend in BACKENDS {
             assert!(cbc_decrypt_parallel(&pool(), &cipher, &FIXED_IV, &mut bad, backend).is_err());
         }
+    }
+
+    #[test]
+    fn padded_spans_run_wholly_wide() {
+        for blocks in 1..=4 * TILE_BLOCKS {
+            let pad = wide_padding(blocks);
+            let tail = (blocks + pad) % TILE_BLOCKS;
+            assert!(tail == 0 || tail >= WIDE_MIN_BLOCKS, "{blocks} + {pad}");
+            let wide = blocks % TILE_BLOCKS == 0 || blocks % TILE_BLOCKS >= WIDE_MIN_BLOCKS;
+            assert_eq!(pad == 0, wide, "{blocks}: pad only what would fall back");
+        }
+        let mut data = vec![0x3c; 3 * 64];
+        let keys = [[0x11; 32]; 3];
+        let mut padded = data.clone();
+        padded.resize(padded.len() + wide_padding(3) * 64, 0);
+        let padded_keys = vec![[0x11; 32]; 3 + wide_padding(3)];
+        encrypt_span(
+            &CryptoPool::new(1),
+            &keys,
+            &FIXED_IV,
+            &mut data,
+            64,
+            CryptoBackend::Fixsliced,
+        )
+        .unwrap();
+        encrypt_span(
+            &CryptoPool::new(1),
+            &padded_keys,
+            &FIXED_IV,
+            &mut padded,
+            64,
+            CryptoBackend::Fixsliced,
+        )
+        .unwrap();
+        assert_eq!(
+            data,
+            padded[..3 * 64],
+            "fillers leave the real chains alone"
+        );
     }
 }

@@ -2,18 +2,21 @@
 //!
 //! A LamassuFS mount under full integrity serves a block whose key,
 //! ciphertext and format version it has already verified from a bounded
-//! memo instead of decrypting and re-deriving it again. That is only sound
-//! if a hit returns exactly what the full path would have returned, so this
-//! file holds the memo to a cold mount over the same bytes:
+//! memo instead of decrypting and re-deriving it again, and a span commit
+//! takes the ciphertext of a block whose key and plaintext the memo holds
+//! from it instead of encrypting it. That is only sound if a hit returns
+//! exactly what the full path would have returned, so this file holds the
+//! memo to a mount without one over the same bytes:
 //!
 //! * exact hit / miss / admission counts on a deterministic duplicate image
-//!   read three times, with backend traffic identical to a mount that has no
-//!   memo (a hit saves crypto, never a read);
-//! * backend lies against a warm mount — a bit flip in a memoized block, a
-//!   rollback to an older memoized ciphertext, swaps of memoized blocks
-//!   within a file and across files — each return exactly what a fresh
-//!   mount over the same bytes returns: the same bytes, or the same
-//!   `IntegrityViolation` at the same block;
+//!   written once and read three times, with backend traffic — and the data
+//!   blocks the write leaves on the store — identical to a mount that has no
+//!   memo (a hit saves crypto, never an I/O);
+//! * backend lies against a warm mount — a bit flip in a memoized block,
+//!   read-admitted or commit-admitted, a rollback to an older memoized
+//!   ciphertext, swaps of memoized blocks within a file and across files —
+//!   each return exactly what a fresh mount over the same bytes returns: the
+//!   same bytes, or the same `IntegrityViolation` at the same block;
 //! * a format-v1 file and a v2 file holding equal plaintext never serve each
 //!   other's entries.
 
@@ -57,8 +60,11 @@ fn write_file(fs: &LamassuFs, path: &str, data: &[u8]) {
     fs.close(fd).unwrap();
 }
 
+/// `(hits, misses, read admissions, commit admissions)`; the tests below
+/// never evict.
 fn counts(s: MemoStats) -> (u64, u64, u64, u64) {
-    (s.hits, s.misses, s.admissions, s.evictions)
+    assert_eq!(s.evictions, 0);
+    (s.hits, s.misses, s.read_admissions, s.commit_admissions)
 }
 
 #[test]
@@ -67,13 +73,16 @@ fn a_duplicate_image_read_three_times_hits_exactly_as_counted() {
     // not (until the next pass).
     //   A = d0..d7  u0..u7     B = d0..d7 u8..u15
     //   C = d0..d7  d8..d15    D = d8..d15 u16..u23
-    // Pass 1: A misses (first sightings). B misses; d0..d7 are second
-    // sightings, admitted after the batch passes §2.5. C hits d0..d7 and
-    // misses d8..d15 (a run of hits and misses: the misses batch through
-    // staging). D misses, admitting d8..d15. 8 hits, 56 misses, 16
-    // admissions.
-    // Pass 2: every d hits (40 with C's sixteen); u0..u23 miss on their
-    // second sighting and are admitted: 40 hits, 24 misses, 24 admissions.
+    // The write is one commit of the 64 blocks, looked up before any is in
+    // the memo: no commit hit. Each key's first copy is its first written
+    // sighting; d0..d7 in B and d8..d15 in D are second ones, duplicates
+    // admitted once the commit lands (C's d0..d7 find theirs held): 16
+    // commit admissions.
+    // Pass 1: every d hits (40, C's sixteen included); u0..u23 miss on
+    // their first read sighting: 40 hits, 24 misses.
+    // Pass 2: every d hits again; u0..u23 miss on their second sighting and
+    // are admitted after their batch passes §2.5: 40 hits, 24 misses, 24
+    // read admissions.
     // Pass 3: 64 hits.
     let d = |n| content(0xd0, n);
     let u = |n| content(0x01, n);
@@ -90,14 +99,17 @@ fn a_duplicate_image_read_three_times_hits_exactly_as_counted() {
         "one segment"
     );
 
-    let store = store();
-    write_file(&mount(&store, IntegrityMode::Full), "/dup", &image);
-
-    // Three passes of 64 KiB reads; the backend traffic they cause.
-    let passes = |fs: &LamassuFs| {
-        let before = store.io_counters();
+    // The image written through a mount onto a store of its own, then read
+    // in three passes of 64 KiB reads: the memo counts after the write and
+    // after each pass, the backend counters, and the store.
+    let write_and_read = |integrity| {
+        let store = store();
+        let fs = mount(&store, integrity);
+        write_file(&fs, "/dup", &image);
+        let mut stats = vec![counts(fs.memo_stats())];
+        assert_eq!(fs.memo_stats().commit_hits, 0);
+        let written = store.io_counters();
         let fd = fs.open("/dup", Default::default()).unwrap();
-        let mut stats = Vec::new();
         for _ in 0..3 {
             for (i, want) in reads.iter().enumerate() {
                 let got = fs.read(fd, (i * 16 * BS) as u64, 16 * BS).unwrap();
@@ -106,26 +118,38 @@ fn a_duplicate_image_read_three_times_hits_exactly_as_counted() {
             stats.push(counts(fs.memo_stats()));
         }
         fs.close(fd).unwrap();
-        let after = store.io_counters();
-        (
-            stats,
-            after.read_ops - before.read_ops,
-            after.bytes_read - before.bytes_read,
-        )
+        let read = store.io_counters();
+        let data: Vec<Vec<u8>> = (0..blocks as u64)
+            .map(|b| data_block(&store, "/dup", b))
+            .collect();
+        let traffic = (
+            written.write_ops,
+            written.bytes_written,
+            read.read_ops - written.read_ops,
+            read.bytes_read - written.bytes_read,
+        );
+        (stats, traffic, data)
     };
 
-    let (stats, read_ops, bytes_read) = passes(&mount(&store, IntegrityMode::Full));
+    let (stats, traffic, data) = write_and_read(IntegrityMode::Full);
     assert_eq!(
         stats,
-        [(8, 56, 16, 0), (48, 80, 40, 0), (112, 80, 40, 0)],
-        "(hits, misses, admissions, evictions) after each pass"
+        [
+            (0, 0, 0, 16),
+            (40, 24, 0, 16),
+            (80, 48, 24, 16),
+            (144, 48, 24, 16)
+        ],
+        "(hits, misses, read admissions, commit admissions) after the write and each pass"
     );
-    // A mount with no memo reads the same bytes with the same operations.
-    let (cold, cold_ops, cold_bytes) = passes(&mount(&store, IntegrityMode::MetaOnly));
-    assert_eq!(cold, [(0, 0, 0, 0); 3], "meta-only mounts have no memo");
-    assert_eq!((read_ops, bytes_read), (cold_ops, cold_bytes));
+    // A mount with no memo writes the same data blocks with the same
+    // operations, and reads them back with the same operations.
+    let (cold, cold_traffic, cold_data) = write_and_read(IntegrityMode::MetaOnly);
+    assert_eq!(cold, [(0, 0, 0, 0); 4], "meta-only mounts have no memo");
+    assert_eq!(traffic, cold_traffic);
+    assert!(data == cold_data, "the stores hold different data blocks");
     assert_eq!(
-        read_ops,
+        traffic.2,
         1 + 3 * 4,
         "one metadata read, one per 64 KiB read"
     );
@@ -170,9 +194,8 @@ fn put_block(store: &DedupStore, path: &str, block: u64, bytes: &[u8]) {
 /// Builds two files, warms a mount until every one of their blocks is
 /// memoized, lets `lie` change the store behind it (given the warm mount,
 /// for the lies that need a rewrite through it first), and checks the warm
-/// mount answers every read exactly as a fresh one over the same bytes.
-/// Returns, for `/a` and `/b`, the block each failing read of [`outcomes`]
-/// named.
+/// mount answers every read exactly as a fresh one over the same bytes
+/// ([`compare_with_fresh`]).
 fn lie_and_compare(lie: impl FnOnce(&DedupStore, &LamassuFs)) -> [Vec<u64>; 2] {
     let store = store();
     let warm = mount(&store, IntegrityMode::Full);
@@ -190,9 +213,16 @@ fn lie_and_compare(lie: impl FnOnce(&DedupStore, &LamassuFs)) -> [Vec<u64>; 2] {
     assert_eq!(after.misses, before.misses, "every block is memoized");
 
     lie(&store, &warm);
-    let fresh = mount(&store, IntegrityMode::Full);
+    compare_with_fresh(&store, &warm)
+}
+
+/// Checks `warm` answers every read of `/a` and `/b` exactly as a fresh
+/// mount over `store` does. Returns, for each file, the block each failing
+/// read of [`outcomes`] named.
+fn compare_with_fresh(store: &Arc<DedupStore>, warm: &LamassuFs) -> [Vec<u64>; 2] {
+    let fresh = mount(store, IntegrityMode::Full);
     ["/a", "/b"].map(|path| {
-        let got = outcomes(&warm, path);
+        let got = outcomes(warm, path);
         assert!(
             got == outcomes(&fresh, path),
             "{path}: warm and fresh disagree"
@@ -222,10 +252,32 @@ fn a_flipped_bit_in_a_memoized_block_fails_as_on_a_fresh_mount() {
 }
 
 #[test]
+fn a_flipped_bit_in_a_commit_admitted_block_fails_as_on_a_fresh_mount() {
+    let store = store();
+    let warm = mount(&store, IntegrityMode::Full);
+    two_files(&warm);
+    // Each file writes eight contents three times: all sixteen are
+    // duplicates, admitted by the commits before any read.
+    assert_eq!(counts(warm.memo_stats()), (0, 0, 0, 16));
+    for block in [0, 9] {
+        let mut bytes = data_block(&store, "/a", block);
+        bytes[BS - 1] ^= 0x10;
+        put_block(&store, "/a", block, &bytes);
+    }
+    let got = compare_with_fresh(&store, &warm);
+    assert_eq!(got, [vec![0, 9, 0, 0], vec![]]);
+    assert!(
+        warm.memo_stats().hits > 0,
+        "the warm mount used the entries"
+    );
+}
+
+#[test]
 fn a_rollback_to_an_older_memoized_ciphertext_fails_as_on_a_fresh_mount() {
     let got = lie_and_compare(|store, warm| {
-        // Block 12 holds a4, memoized. Rewrite it through the warm mount,
-        // then put a4's ciphertext back under the new key.
+        // Block 12 holds a4, memoized. Rewrite it through the warm mount —
+        // the new block is admitted at commit, since it overwrites a
+        // memoized one — then put a4's ciphertext back under the new key.
         let old = data_block(store, "/a", 12);
         let fd = warm.open("/a", Default::default()).unwrap();
         warm.write(fd, (12 * BS) as u64, &content(0xa0, 99))
@@ -300,21 +352,25 @@ fn v1_and_v2_files_with_equal_plaintext_never_cross_hit() {
     assert_eq!(fs.format_version("/v1.dat").unwrap(), HashVersion::V1);
     assert_eq!(fs.format_version("/v2.dat").unwrap(), HashVersion::V2);
 
+    // Writing `/v2.dat` was one commit of nine blocks; block 3 repeats block
+    // 0, a duplicate admitted once it landed.
+    assert_eq!(counts(fs.memo_stats()), (0, 9, 1, 1));
     // Two more v1 passes: block 3 hits from pass 2 on, the rest from pass 3.
     for _ in 0..2 {
         assert_eq!(read_all("/v1.dat"), v1);
     }
-    assert_eq!(counts(fs.memo_stats()), (11, 16, 8, 0));
-    // The v2 file's first pass finds none of the v1 entries.
+    assert_eq!(counts(fs.memo_stats()), (11, 16, 8, 1));
+    // The v2 file's first pass finds none of the v1 entries: only blocks 0
+    // and 3 hit, on the entry its own commit admitted.
     assert_eq!(read_all("/v2.dat"), v1);
-    assert_eq!(counts(fs.memo_stats()), (11, 25, 9, 0));
-    // Its own entries come the same way the v1 file's did, and serve only
+    assert_eq!(counts(fs.memo_stats()), (13, 23, 8, 1));
+    // Its other entries come the same way the v1 file's did, and serve only
     // it: two more v2 passes, then one v1 pass that hits all nine.
     for _ in 0..2 {
         assert_eq!(read_all("/v2.dat"), v1);
     }
-    assert_eq!(counts(fs.memo_stats()), (22, 32, 16, 0));
+    assert_eq!(counts(fs.memo_stats()), (24, 30, 15, 1));
     assert_eq!(read_all("/v1.dat"), v1);
-    assert_eq!(counts(fs.memo_stats()), (31, 32, 16, 0));
+    assert_eq!(counts(fs.memo_stats()), (33, 30, 15, 1));
     std::fs::remove_dir_all(dir).unwrap();
 }

@@ -17,8 +17,14 @@
 //! check, and under v2 both run on the wide kernels — the derivation's four
 //! leaves fill the four SHA-256 lanes. Once the read memo holds the block, a
 //! re-read runs no kernel at all.
+//!
+//! A span commit encrypts only the blocks the memo cannot give it the
+//! ciphertext of, as one compacted group; a group whose last tile would be
+//! too narrow for the wide kernel is padded, so a half-duplicate 1 MiB
+//! commit still encrypts every block it encrypts on the wide kernel.
 
 use lamassu::core::{FileSystem, LamassuConfig, LamassuFs};
+use lamassu::crypto::batch::WIDE_MIN_BLOCKS;
 use lamassu::crypto::stats;
 use lamassu::keymgr::ZoneKeys;
 use lamassu::storage::{DedupStore, StorageProfile};
@@ -89,4 +95,47 @@ fn default_mount_writes_run_on_the_wide_kernels() {
     read_block_100();
     assert_eq!(stats::snapshot(), before, "a memo hit runs no kernel");
     assert_eq!(fs.memo_stats().hits, hits + 1);
+
+    // 125 contents, each written twice: the second copy of each is a
+    // duplicate, admitted to the memo once the commit lands.
+    let content = |n: usize| -> Vec<u8> {
+        let mut block: Vec<u8> = (0..BS).map(|i| (i % 253) as u8 ^ 0xd5).collect();
+        block[..8].copy_from_slice(&(n as u64).to_le_bytes());
+        block
+    };
+    let twice: Vec<u8> = (0..125)
+        .flat_map(|n| [content(n), content(n)])
+        .flatten()
+        .collect();
+    fs.write(fd, 1 << 21, &twice).unwrap();
+    fs.fsync(fd).unwrap();
+    // A half-duplicate 1 MiB commit: those 125 contents take their
+    // ciphertext from the memo, and the 131 new ones are encrypted as one
+    // group — whose last tile of 3 blocks is padded to WIDE_MIN_BLOCKS.
+    let span: Vec<u8> = (0..125).chain(1000..1131).flat_map(content).collect();
+    let commit_hits = fs.memo_stats().commit_hits;
+    let seals = fs.profiler().commit_stats().seals;
+    let (wb0, sb0, _, _) = stats::snapshot();
+    let (aes, derives) = dispatch_shares(|| {
+        fs.write(fd, 3 << 20, &span).unwrap();
+        fs.fsync(fd).unwrap();
+    });
+    let (wb1, sb1, _, _) = stats::snapshot();
+    assert_eq!(fs.memo_stats().commit_hits - commit_hits, 125);
+    assert_eq!(
+        aes, 1.0,
+        "half-duplicate commit: every AES block on the wide kernel"
+    );
+    assert_eq!(
+        derives, 1.0,
+        "half-duplicate commit: every derivation on lanes"
+    );
+    // Each metadata seal is 255 AES blocks: 254 of CTR and the tag mask.
+    let seals = fs.profiler().commit_stats().seals - seals;
+    assert_eq!(
+        (wb1 - wb0 - 255 * seals, sb1 - sb0),
+        (((131 + WIDE_MIN_BLOCKS - 3) * BS / 16) as u64, 0),
+        "the 131 new blocks and 5 fillers, nothing else"
+    );
+    assert_eq!(fs.read(fd, 3 << 20, span.len()).unwrap(), span);
 }

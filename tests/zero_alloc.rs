@@ -13,7 +13,10 @@
 //! * a warm re-read loop through a `CachedStore` serving pure hits;
 //! * a steady aligned rewrite loop (dirty blocks staged in pooled buffers,
 //!   committed through the reusable span staging, metadata updated in place
-//!   and sealed into pooled blocks).
+//!   and sealed into pooled blocks);
+//! * a steady duplicate-rewrite loop whose span commits take half their
+//!   blocks' ciphertext from the read memo and admit new duplicates into it,
+//!   with the memo's arena allocated exactly once.
 //!
 //! EncFS — the benchmark's `core.encfs_ratio` baseline, on the same span-I/O
 //! driver — is held to the same bar for warm reads and 4 KiB rewrites,
@@ -56,7 +59,7 @@ use lamassu::core::{
 };
 use lamassu::crypto::pool::CryptoPool;
 use lamassu::dist::{DistConfig, RoutedStore};
-use lamassu::keymgr::KeyManager;
+use lamassu::keymgr::{KeyManager, ZoneKeys};
 use lamassu::resilience::{OpBudget, ResilientStore, RetryPolicy};
 use lamassu::storage::{DedupStore, ObjectStore, StorageProfile};
 use lamassu::telemetry::{OpKind, Registry, TraceConfig, Tracer};
@@ -71,11 +74,21 @@ struct CountingAlloc;
 
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
 
+/// The size of a LamassuFS read memo's arena at 4 KiB blocks: 1 024 entries
+/// of ciphertext and plaintext.
+const ARENA_BYTES: usize = 2 * 1024 * BS;
+
+/// Allocations of exactly [`ARENA_BYTES`].
+static ARENAS: AtomicU64 = AtomicU64::new(0);
+
 // SAFETY: defers entirely to the system allocator; the counter has no
 // safety impact.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         ALLOCS.fetch_add(1, Ordering::Relaxed);
+        if layout.size() == ARENA_BYTES {
+            ARENAS.fetch_add(1, Ordering::Relaxed);
+        }
         unsafe { System.alloc(layout) }
     }
 
@@ -123,9 +136,17 @@ fn media(profile: StorageProfile) -> Arc<DedupStore> {
 
 /// Same mount over an explicit store.
 fn mount_over(store: Arc<dyn ObjectStore>) -> LamassuFs {
+    mount_keyed(store, fresh_keys())
+}
+
+fn fresh_keys() -> ZoneKeys {
     let km = KeyManager::new();
     let zone = km.create_zone(1).expect("fresh key manager");
-    let keys = km.fetch_zone_keys(zone).expect("zone just created");
+    km.fetch_zone_keys(zone).expect("zone just created")
+}
+
+/// Same mount over an explicit store, under `keys`.
+fn mount_keyed(store: Arc<dyn ObjectStore>, keys: ZoneKeys) -> LamassuFs {
     let config = LamassuConfig::default()
         .integrity(IntegrityMode::Full)
         .span(SpanConfig {
@@ -162,10 +183,17 @@ fn populate(fs: &dyn FileSystem, path: &str, size: usize) -> lamassu::core::Fd {
 #[test]
 fn warm_reread_loop_allocates_nothing() {
     let _serial = serialize();
-    let fs = mount();
-    let tracer = attach_tracer(&fs);
     let size = 2 * 1024 * 1024;
-    let fd = populate(&fs, "/zero.dat", size);
+    // Written through another mount: a commit admits the duplicates it
+    // writes, and the file repeats sixteen blocks, so the reading mount's
+    // memo would otherwise start warm.
+    let (store, keys) = (media(StorageProfile::instant()), fresh_keys());
+    let writer = mount_keyed(store.clone(), keys);
+    let wfd = populate(&writer, "/zero.dat", size);
+    writer.close(wfd).expect("close");
+    let fs = mount_keyed(store, keys);
+    let tracer = attach_tracer(&fs);
+    let fd = fs.open("/zero.dat", Default::default()).expect("open");
     let mut buf = vec![0u8; 64 * 1024];
 
     let mut sweep = |fs: &LamassuFs, offset_skew: usize| {
@@ -414,6 +442,65 @@ fn assert_steady_rewrite_allocates_nothing(fs: &LamassuFs) {
 fn steady_rewrite_loop_allocates_nothing() {
     let _serial = serialize();
     assert_steady_rewrite_allocates_nothing(&mount());
+}
+
+#[test]
+fn steady_duplicate_rewrite_loop_allocates_nothing() {
+    let _serial = serialize();
+    let arenas = ARENAS.load(Ordering::Relaxed);
+    let fs = mount();
+    let fd = fs.create("/dup.dat").expect("fresh mount");
+    // Every rewrite is one span, committed by the write that fills it. Its
+    // even blocks copy one of sixteen fixed blocks: memoized from the first
+    // commit on, they take their ciphertext from the memo. Its odd blocks
+    // hold 64 contents new to the rewrite, each twice (blocks 4j+1 and
+    // 4j+3): they are encrypted, and admitted once the commit lands — as
+    // duplicates, and as overwrites of the last rewrite's memoized blocks.
+    const SPAN: usize = 256;
+    let mut span = vec![0u8; SPAN * BS];
+    let mut rewrite = |n: u64| {
+        for (b, block) in span.chunks_exact_mut(BS).enumerate() {
+            let (id, version) = match b % 2 {
+                0 => (b / 2 % 16, 0),
+                _ => (16 + b / 4, n + 1),
+            };
+            for (i, byte) in block.iter_mut().enumerate() {
+                *byte = (i % 251) as u8 ^ id as u8;
+            }
+            block[..8].copy_from_slice(&(id as u64).to_le_bytes());
+            block[8..16].copy_from_slice(&version.to_le_bytes());
+        }
+        fs.write(fd, 0, &span).expect("rewrite");
+    };
+
+    // Warm: the memo's arena (at the first commit's admissions), the commit
+    // staging, the miss staging, pooled blocks, metadata cache.
+    for n in 0..3 {
+        rewrite(n);
+    }
+    let before = fs.memo_stats();
+    let rewrites = 16;
+    let allocs = allocs_during(|| {
+        for n in 3..3 + rewrites {
+            rewrite(n);
+        }
+    });
+    assert_eq!(allocs, 0, "steady duplicate rewrite loop must not allocate");
+    let after = fs.memo_stats();
+    assert_eq!(
+        (
+            after.commit_hits - before.commit_hits,
+            after.commit_admissions - before.commit_admissions,
+        ),
+        (SPAN as u64 / 2 * rewrites, SPAN as u64 / 4 * rewrites),
+        "every commit takes its even half from the memo and admits its odd contents"
+    );
+    fs.close(fd).expect("close");
+    assert_eq!(
+        ARENAS.load(Ordering::Relaxed) - arenas,
+        1,
+        "the memo's arena is allocated once"
+    );
 }
 
 #[test]
