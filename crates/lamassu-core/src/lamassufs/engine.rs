@@ -1350,7 +1350,8 @@ impl Engine {
     /// exactly as it would without a memo, and otherwise compacted into
     /// thread-local staging, padded with filler chains so that the group
     /// never falls back to the T-table where the whole batch would not have
-    /// ([`batch::wide_padding`]). The
+    /// ([`batch::wide_padding`]: only a group of fewer than
+    /// [`batch::WIDE_MIN_BLOCKS`] misses out of a wider batch). The
     /// memo names the misses to admit; their plaintext is kept first — copied
     /// out before an in-place encrypt, or swapped back out of `data` after a
     /// compacted one.
@@ -1388,8 +1389,8 @@ impl Engine {
                     stage.extend_from_slice(&data[at(i)]);
                     miss_keys.push(keys[i]);
                 }
-                // Filler chains (copies of the last miss) keep the group's
-                // last tile off the T-table, unless the batch's was on it.
+                // Filler chains (copies of the last miss) keep a narrow
+                // group off the T-table, unless the batch was on it too.
                 let fill = match batch::wide_padding(keys.len()) {
                     0 => batch::wide_padding(misses.len()),
                     _ => 0,

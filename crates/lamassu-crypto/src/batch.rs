@@ -34,8 +34,8 @@
 //! parallel: shares are whole [`TILE_BLOCKS`](crate::pool::TILE_BLOCKS)-block
 //! tiles and a batch fans out only when every worker gets at least one.
 //! Because share boundaries are tile boundaries, fanning out never narrows a
-//! wide pass: a 256-block span on two workers is sixteen full 16-chain
-//! encrypt tiles and sixty-four 4-block KDF groups, exactly as it would be
+//! wide pass: a 256-block span on two workers is eight paired 32-chain
+//! encrypt groups and sixty-four 4-block KDF groups, exactly as it would be
 //! inline, and an 8-block commit (a few writes forced out by an `fsync`)
 //! runs inline as one half-occupied wide pass instead of two scalar halves.
 //! A scoped spawn costs about 15 µs in the reference container (see
@@ -54,10 +54,13 @@
 //!   *within* a chain, so even a single 4 KiB block fills the
 //!   16-block slice;
 //! * **encryption** is a strict chain per block, so the wide kernel
-//!   interleaves whole chains and only wins once at least
-//!   [`WIDE_MIN_BLOCKS`] chains share a pass; narrower runs fall back to
-//!   the T-table path (and are counted as scalar dispatches in
-//!   [`crate::stats`]);
+//!   interleaves whole chains, up to 32 per paired pass
+//!   ([`fixsliced::cbc_encrypt_chains`]), and only wins once at least
+//!   [`WIDE_MIN_BLOCKS`] chains share a pass. A share of that many chains
+//!   runs wholly wide — the kernel's pass layout puts any partial tile in a
+//!   pair or, alone, in a pass of at least that width — so only a batch
+//!   narrower than [`WIDE_MIN_BLOCKS`] falls back to the T-table path (and
+//!   is counted as scalar dispatches in [`crate::stats`]);
 //! * **key derivation** keys [`F_BATCH`] blocks per fixsliced `F` pass
 //!   ([`ConvergentKdf::derive_lanes`]) and hashes them in groups of
 //!   [`SHA_LANES`]: under the v2 tree hash a group's sixteen leaves run as
@@ -74,7 +77,7 @@ use crate::aes::Aes256;
 use crate::cbc;
 use crate::fixsliced::{self, Aes256Fix};
 use crate::kdf::{ConvergentKdf, HashVersion, F_BATCH, TREE_ALIGN};
-use crate::pool::{CryptoPool, TILE_BLOCKS};
+use crate::pool::CryptoPool;
 use crate::sha256::SHA_LANES;
 use crate::{stats, CryptoBackend, CryptoError, Iv128, Key256, Result};
 
@@ -93,15 +96,21 @@ const AES_BLOCK: usize = 16;
 pub const WIDE_MIN_BLOCKS: usize = 8;
 
 /// Filler chains that make an [`encrypt_span`] of `blocks` chains run
-/// wholly on the wide kernel: the pool splits a span at whole
-/// [`TILE_BLOCKS`] tiles, so only its last tile can be partial, and a
-/// partial tile narrower than [`WIDE_MIN_BLOCKS`] falls back to the T-table.
-/// Zero when none does.
+/// wholly on the wide kernel. A share runs wide once it holds
+/// [`WIDE_MIN_BLOCKS`] chains, and the pool fans a span out
+/// only into shares of at least one
+/// [`TILE_BLOCKS`](crate::pool::TILE_BLOCKS) tile, so only a span of
+/// 1 to `WIDE_MIN_BLOCKS - 1` chains needs fillers. Zero for every other.
 pub fn wide_padding(blocks: usize) -> usize {
-    match blocks % TILE_BLOCKS {
+    match blocks {
         0 => 0,
-        tail => WIDE_MIN_BLOCKS.saturating_sub(tail),
+        _ => WIDE_MIN_BLOCKS.saturating_sub(blocks),
     }
+}
+
+/// Whether one share of `chains` CBC chains encrypts on the wide kernel.
+fn runs_wide(chains: usize) -> bool {
+    chains >= WIDE_MIN_BLOCKS
 }
 
 /// A cipher pair for one key: the T-table schedule and the fixsliced
@@ -230,10 +239,10 @@ fn span_for_each<B: Sync>(
 /// blocks in place, each block under its own key and the shared fixed IV.
 /// Allocation-free.
 ///
-/// Under [`CryptoBackend::Fixsliced`] the run is encrypted in groups of up
-/// to [`fixsliced::WIDE_BLOCKS`] interleaved chains; groups narrower than
-/// [`WIDE_MIN_BLOCKS`] fall back to the T-table path (below the wide
-/// kernel's amortization width).
+/// Under [`CryptoBackend::Fixsliced`] each share is encrypted in groups of
+/// up to 32 interleaved chains ([`fixsliced::cbc_encrypt_chains`]); a span
+/// narrower than [`WIDE_MIN_BLOCKS`] falls back to the T-table path (below
+/// the wide kernel's amortization width).
 pub fn encrypt_span(
     pool: &CryptoPool,
     keys: &[Key256],
@@ -253,20 +262,14 @@ pub fn encrypt_span(
         }
         CryptoBackend::Fixsliced => {
             pool.split_for_each(keys.len(), data, keys, |span, ks| {
-                let groups = span
-                    .chunks_mut(fixsliced::WIDE_BLOCKS * block_size)
-                    .zip(ks.chunks(fixsliced::WIDE_BLOCKS));
-                for (run, group) in groups {
-                    if group.len() >= WIDE_MIN_BLOCKS {
-                        stats::count_wide_blocks(run.len() / AES_BLOCK);
-                        fixsliced::cbc_encrypt_chains(group, iv, run, block_size);
-                    } else {
-                        stats::count_scalar_blocks(run.len() / AES_BLOCK);
-                        for (block, key) in run.chunks_exact_mut(block_size).zip(group) {
-                            let cipher = Aes256::new(key);
-                            cbc::encrypt_in_place(&cipher, iv, block)
-                                .expect("span alignment checked");
-                        }
+                if runs_wide(ks.len()) {
+                    stats::count_wide_blocks(span.len() / AES_BLOCK);
+                    fixsliced::cbc_encrypt_chains(ks, iv, span, block_size);
+                } else {
+                    stats::count_scalar_blocks(span.len() / AES_BLOCK);
+                    for (block, key) in span.chunks_exact_mut(block_size).zip(ks) {
+                        let cipher = Aes256::new(key);
+                        cbc::encrypt_in_place(&cipher, iv, block).expect("span alignment checked");
                     }
                 }
             });
@@ -329,19 +332,14 @@ pub fn encrypt_span_with(
         }
         CryptoBackend::Fixsliced => {
             pool.split_for_each(ivs.len(), data, ivs, |span, ivs| {
-                let groups = span
-                    .chunks_mut(fixsliced::WIDE_BLOCKS * block_size)
-                    .zip(ivs.chunks(fixsliced::WIDE_BLOCKS));
-                for (run, group) in groups {
-                    if group.len() >= WIDE_MIN_BLOCKS {
-                        stats::count_wide_blocks(run.len() / AES_BLOCK);
-                        fixsliced::cbc_encrypt_chains_shared(cipher.fix(), group, run, block_size);
-                    } else {
-                        stats::count_scalar_blocks(run.len() / AES_BLOCK);
-                        for (block, iv) in run.chunks_exact_mut(block_size).zip(group) {
-                            cbc::encrypt_in_place(cipher.tt(), iv, block)
-                                .expect("span alignment checked");
-                        }
+                if runs_wide(ivs.len()) {
+                    stats::count_wide_blocks(span.len() / AES_BLOCK);
+                    fixsliced::cbc_encrypt_chains_shared(cipher.fix(), ivs, span, block_size);
+                } else {
+                    stats::count_scalar_blocks(span.len() / AES_BLOCK);
+                    for (block, iv) in span.chunks_exact_mut(block_size).zip(ivs) {
+                        cbc::encrypt_in_place(cipher.tt(), iv, block)
+                            .expect("span alignment checked");
                     }
                 }
             });
@@ -472,7 +470,9 @@ mod tests {
         let cipher = SpanCipher::new(&[0x66; 32]);
         // 7 straddles the SHA_LANES tail; 9 and 16 straddle WIDE_MIN_BLOCKS,
         // so both sides of every wide/scalar dispatch run under each backend;
-        // 32 and 53 fan out (two and three shares, the last with a tail).
+        // 21 is one pair with a partial second tile, and 35 inline a lone
+        // tile and such a pair; 32, 35 and 53 fan out (two and three shares,
+        // the last with a tail).
         // Both hash versions, each at a block size it takes.
         for (version, bs) in [(HashVersion::V1, 128), (HashVersion::V2, 256)] {
             let kdf = ConvergentKdf::with_version(&[0x55; 32], version);
@@ -484,7 +484,7 @@ mod tests {
     /// for, block by block, and every decrypt to the inverse of its encrypt.
     fn span_apis_match_at(kdf: &ConvergentKdf, cipher: &SpanCipher, bs: usize) {
         for backend in BACKENDS {
-            for blocks in [1usize, 2, 3, 4, 7, 9, 16, 21, 32, 53] {
+            for blocks in [1usize, 2, 3, 4, 7, 9, 16, 21, 32, 35, 53] {
                 let span: Vec<u8> = (0..blocks * bs).map(|i| (i % 251) as u8).collect();
                 let at = format!("{blocks} blocks ({backend:?})");
 
@@ -615,12 +615,26 @@ mod tests {
 
     #[test]
     fn padded_spans_run_wholly_wide() {
-        for blocks in 1..=4 * TILE_BLOCKS {
-            let pad = wide_padding(blocks);
-            let tail = (blocks + pad) % TILE_BLOCKS;
-            assert!(tail == 0 || tail >= WIDE_MIN_BLOCKS, "{blocks} + {pad}");
-            let wide = blocks % TILE_BLOCKS == 0 || blocks % TILE_BLOCKS >= WIDE_MIN_BLOCKS;
-            assert_eq!(pad == 0, wide, "{blocks}: pad only what would fall back");
+        // Every shape up to five paired passes, on every pool width the
+        // default sizing picks: each share of the padded span runs wide, and
+        // only spans narrower than WIDE_MIN_BLOCKS are padded — 17 to 31
+        // chains (a pair with a partial tile) and the 1 to 7 past a whole
+        // tile or pair included.
+        for workers in 1..=4 {
+            let pool = CryptoPool::new(workers);
+            for blocks in 1..=5 * fixsliced::PAIR_BLOCKS + 7 {
+                let pad = wide_padding(blocks);
+                assert_eq!(pad > 0, blocks < WIDE_MIN_BLOCKS, "{blocks}");
+                let padded = blocks + pad;
+                let shares = std::sync::Mutex::new(Vec::new());
+                let mut items = vec![0u8; padded];
+                pool.split_for_each(padded, &mut items, &vec![0u8; padded], |share, _| {
+                    shares.lock().unwrap().push(share.len());
+                });
+                for share in shares.into_inner().unwrap() {
+                    assert!(runs_wide(share), "{blocks} + {pad} on {workers}: {share}");
+                }
+            }
         }
         let mut data = vec![0x3c; 3 * 64];
         let keys = [[0x11; 32]; 3];

@@ -13,7 +13,8 @@
 //! than slower: each bit-plane is a `[u64; 4]` vector whose 256 bits hold
 //! one bit position of **16 AES blocks**, so one pass over the round
 //! function encrypts or decrypts 16 blocks at once ([`WIDE_BLOCKS`]), and
-//! the fixed-shape array arithmetic autovectorizes to 256-bit SIMD. The
+//! the fixed-shape array arithmetic autovectorizes to 256-bit SIMD (an
+//! encrypt pass runs two such states at once; see "Pass width"). The
 //! span/batch layer (PR 3/5/8) already delivers crypto work in multi-block
 //! runs, which is exactly the regime where the wide kernel wins; see
 //! [`crate::batch`] for the dispatch.
@@ -38,6 +39,35 @@
 //! across rounds, compensating inside MixColumns, and paying the one
 //! residual `ShiftRows²` at the end of the pass.
 //!
+//! # Pass width
+//!
+//! The encrypt round body is one const-generic function over `N`
+//! independent 16-block states, each under its own [`PackedKeys`], and is
+//! instantiated at `N = 1` and `N = 2`. Every encrypt entry point with more
+//! than 16 blocks of work runs *paired* passes of [`PAIR_BLOCKS`] = 32
+//! blocks, in one layout (`passes`): when the work spans an odd number of
+//! 16-block tiles a single pass comes first, then pairs, so a partial tile
+//! is the second state of the last pair unless it is the only tile.
+//!
+//! | entry point | blocks per pass |
+//! |---|---|
+//! | [`cbc_encrypt_chains`], [`cbc_encrypt_chains_shared`] | 32 chains (two tiles, per-tile schedules) |
+//! | [`ctr32_xor`], [`ctr32_xor_and_encrypt`] (GCM seal and open) | 32 counter blocks |
+//! | [`ecb_encrypt`] | 32 |
+//! | decrypt, [`cbc_encrypt`] (one serial chain), [`Aes256Fix::encrypt_block`], and any run of at most 16 blocks | 16 |
+//!
+//! The pair is faster because the SLP vectorizer packs the two states'
+//! planes into 512-bit operations: on the 2-core AVX-512 host, under
+//! `.cargo/config.toml`'s flags, a paired round compiles to 397–464
+//! instructions (170–182 on `zmm`, no stack traffic) against 267–413 for a
+//! single-state round, and a paired pass costs 1.22 µs per 32 blocks where
+//! two single passes cost 1.41–1.55 µs. The layout is fragile; see
+//! `encrypt_states` for the two body shapes that spill. Decrypt stays
+//! single-state: the same two-state body over the inverse round spills at
+//! both widths (1 381–1 632 instructions and 448–697 stack references per
+//! round), so a paired decrypt costs 2.9 µs per 32 blocks and even two
+//! single passes 2.85 µs, against 1.41 µs for today's two.
+//!
 //! # The S-box circuit
 //!
 //! SubBytes evaluates the Boyar–Peralta 113-gate circuit for the AES S-box
@@ -61,7 +91,7 @@
 //!   indexed by nibbles of the running accumulator — a product with the
 //!   subkey `H = E_K(0)`, so the indices depend on the outer key, not only
 //!   on ciphertext and AAD (ROADMAP item 2(b));
-//! * the span encrypt sends groups of fewer than
+//! * the span encrypt sends a batch of fewer than
 //!   [`crate::batch::WIDE_MIN_BLOCKS`] chains to the T-table cipher, under
 //!   secret per-block convergent keys (ROADMAP item 2(e));
 //! * EncFS derives its per-block IVs through the T-table schedule (2(e)).
@@ -80,6 +110,10 @@ pub const WIDE_BLOCKS: usize = 4 * WIDE_LANES;
 
 /// Bytes consumed by one wide pass (16 AES blocks).
 pub const WIDE_BYTES: usize = 16 * WIDE_BLOCKS;
+
+/// AES blocks one paired encrypt pass advances: two states of
+/// [`WIDE_BLOCKS`] in one round body.
+pub const PAIR_BLOCKS: usize = 2 * WIDE_BLOCKS;
 
 /// Number of AES-256 rounds.
 const ROUNDS: usize = 14;
@@ -623,31 +657,70 @@ fn fold_sbox_const(rk: &mut Planes) {
 /// residual `SR²` is paid once at the end of the pass.
 #[inline]
 pub fn encrypt_planes(rk: &PackedKeys, p: &mut Planes) {
-    debug_assert!(rk.enc, "encrypt_planes needs packed_enc_keys");
+    encrypt_states([rk], std::array::from_mut(p));
+}
+
+/// [`encrypt_planes`] for `N` independent states in one round body, state
+/// `s` under `rks[s]`: instantiated at `N = 1` and, for passes of more than
+/// 16 blocks, at `N = 2` (see the module docs, "Pass width").
+///
+/// Each step runs over every state before the next step starts, by index,
+/// which is what lets the SLP vectorizer pair the two states' planes into
+/// 512-bit operations. A body that runs a whole round per state in turn, or
+/// that walks the states with `iter_mut().zip(..)`, compiles to spilling
+/// code 1.1–1.8× slower than two single passes.
+#[inline(always)]
+fn encrypt_states<const N: usize>(rks: [&PackedKeys; N], p: &mut [Planes; N]) {
+    debug_assert!(rks.iter().all(|rk| rk.enc), "encrypt needs packed_enc_keys");
     // One full middle round: SubBytes, fixsliced MixColumns, AddRoundKey.
     // The realignment amounts are const generics so every round body is
     // branch-free straight-line code the vectorizer can keep in registers;
     // they cycle with period 4 (`r mod 4`, `2r mod 4`).
+    // Index loops on purpose: the iterator forms spill (see above).
+    #[allow(clippy::needless_range_loop)]
     #[inline(never)]
-    fn round<const M1: usize, const M2: usize>(p: &mut Planes, rk: &Planes) {
-        field_inv(p);
-        *p = fwd_affine_linear(p);
-        mix_columns_cycled::<M1, M2>(p);
-        add_round_key(p, rk);
-    }
-    add_round_key(p, &rk.rks[0]);
-    for r in 1..ROUNDS {
-        match r & 3 {
-            1 => round::<1, 2>(p, &rk.rks[r]),
-            2 => round::<2, 0>(p, &rk.rks[r]),
-            3 => round::<3, 2>(p, &rk.rks[r]),
-            _ => round::<0, 0>(p, &rk.rks[r]),
+    fn round<const M1: usize, const M2: usize, const N: usize>(
+        p: &mut [Planes; N],
+        rk: [&Planes; N],
+    ) {
+        for s in 0..N {
+            field_inv(&mut p[s]);
+        }
+        for s in 0..N {
+            p[s] = fwd_affine_linear(&p[s]);
+        }
+        for s in 0..N {
+            mix_columns_cycled::<M1, M2>(&mut p[s]);
+            add_round_key(&mut p[s], rk[s]);
         }
     }
-    field_inv(p);
-    *p = fwd_affine_linear(p);
-    add_round_key(p, &rk.rks[ROUNDS]);
-    shift_rows_sq(p);
+    // The final round (no MixColumns) and the residual `SR²`; out of line
+    // too, or the paired pass spills around it.
+    #[allow(clippy::needless_range_loop)]
+    #[inline(never)]
+    fn last<const N: usize>(p: &mut [Planes; N], rk: [&Planes; N]) {
+        for s in 0..N {
+            field_inv(&mut p[s]);
+        }
+        for s in 0..N {
+            p[s] = fwd_affine_linear(&p[s]);
+            add_round_key(&mut p[s], rk[s]);
+            shift_rows_sq(&mut p[s]);
+        }
+    }
+    for (s, rk) in p.iter_mut().zip(rks) {
+        add_round_key(s, &rk.rks[0]);
+    }
+    for r in 1..ROUNDS {
+        let rk = rks.map(|rk| &rk.rks[r]);
+        match r & 3 {
+            1 => round::<1, 2, N>(p, rk),
+            2 => round::<2, 0, N>(p, rk),
+            3 => round::<3, 2, N>(p, rk),
+            _ => round::<0, 0, N>(p, rk),
+        }
+    }
+    last(p, rks.map(|rk| &rk.rks[ROUNDS]));
 }
 
 /// Decrypts 16 packed blocks (the straight inverse cipher — no
@@ -926,12 +999,40 @@ fn packed_keys_lanes(ciphers: &[Aes256Fix]) -> PackedKeys {
     PackedKeys { rks, enc: true }
 }
 
-/// Encrypts one staged pass worth of blocks in place.
+/// Encrypts `N` staged states in place, state `s` under `rks[s]`: the one
+/// encrypt pass, at `N = 1` (16 blocks) and `N = 2` (32 blocks).
 #[inline(never)]
-fn encrypt_pass(rk: &PackedKeys, buf: &mut [u8; WIDE_BYTES]) {
-    let mut p = pack(buf);
-    encrypt_planes(rk, &mut p);
-    unpack(&p, buf);
+fn encrypt_pass<const N: usize>(rks: [&PackedKeys; N], buf: &mut [[u8; WIDE_BYTES]; N]) {
+    let mut p = buf.each_ref().map(pack);
+    encrypt_states(rks, &mut p);
+    for (p, buf) in p.iter().zip(buf) {
+        unpack(p, buf);
+    }
+}
+
+/// The encrypt passes that cover `lanes` lanes of work, as lane ranges: a
+/// range of up to [`WIDE_BLOCKS`] lanes is a single pass, a longer one a
+/// pair. When the lanes span an odd number of 16-lane tiles the single
+/// pass comes first, so a partial tile rides as the second state of the
+/// last pair; only work of at most 16 lanes runs as a lone partial pass.
+fn passes(lanes: usize) -> impl Iterator<Item = std::ops::Range<usize>> {
+    let lone = match lanes.div_ceil(WIDE_BLOCKS) % 2 {
+        1 => lanes.min(WIDE_BLOCKS),
+        _ => 0,
+    };
+    let pairs = (lone..lanes)
+        .step_by(PAIR_BLOCKS)
+        .map(move |start| start..(start + PAIR_BLOCKS).min(lanes));
+    (lone > 0).then_some(0..lone).into_iter().chain(pairs)
+}
+
+/// Encrypts the 16-byte lanes of `run` (at most `N` states' worth) in place
+/// through one `N`-state pass under `rk`; idle lanes are zero.
+fn encrypt_run<const N: usize>(rk: &PackedKeys, run: &mut [u8]) {
+    let mut buf = [[0u8; WIDE_BYTES]; N];
+    buf.as_flattened_mut()[..run.len()].copy_from_slice(run);
+    encrypt_pass([rk; N], &mut buf);
+    run.copy_from_slice(&buf.as_flattened()[..run.len()]);
 }
 
 /// Decrypts one staged pass worth of blocks in place.
@@ -943,7 +1044,8 @@ fn decrypt_pass(rk: &PackedKeys, buf: &mut [u8; WIDE_BYTES]) {
 }
 
 /// ECB-encrypts `data` (a multiple of 16 bytes) under one packed encrypt
-/// schedule, 16 blocks per pass; the tail pass runs with idle lanes.
+/// schedule, up to 32 blocks per pass (`passes`); a partial pass runs with
+/// idle lanes.
 ///
 /// This is the constant-time form of Equation 1's key mixing: the KDF
 /// stages the block hashes of up to eight blocks through one pass here.
@@ -952,41 +1054,28 @@ pub fn ecb_encrypt(rk: &PackedKeys, data: &mut [u8]) {
         data.len().is_multiple_of(16),
         "ECB input must be block-aligned"
     );
-    ecb_passes(rk, data, false);
+    for lanes in passes(data.len() / 16) {
+        let run = &mut data[lanes.start * 16..lanes.end * 16];
+        if lanes.len() > WIDE_BLOCKS {
+            encrypt_run::<2>(rk, run);
+        } else {
+            encrypt_run::<1>(rk, run);
+        }
+    }
 }
 
 /// ECB-decrypts `data` under a packed decrypt schedule (inverse of
-/// [`ecb_encrypt`]).
+/// [`ecb_encrypt`]), 16 blocks per pass; the tail pass runs with idle lanes.
 pub fn ecb_decrypt(rk: &PackedKeys, data: &mut [u8]) {
     assert!(
         data.len().is_multiple_of(16),
         "ECB input must be block-aligned"
     );
-    ecb_passes(rk, data, true);
-}
-
-fn ecb_passes(rk: &PackedKeys, data: &mut [u8], decrypt: bool) {
-    let mut chunks = data.chunks_exact_mut(WIDE_BYTES);
-    let mut buf = [0u8; WIDE_BYTES];
-    for chunk in &mut chunks {
-        buf.copy_from_slice(chunk);
-        if decrypt {
-            decrypt_pass(rk, &mut buf);
-        } else {
-            encrypt_pass(rk, &mut buf);
-        }
-        chunk.copy_from_slice(&buf);
-    }
-    let tail = chunks.into_remainder();
-    if !tail.is_empty() {
+    for chunk in data.chunks_mut(WIDE_BYTES) {
         let mut buf = [0u8; WIDE_BYTES];
-        buf[..tail.len()].copy_from_slice(tail);
-        if decrypt {
-            decrypt_pass(rk, &mut buf);
-        } else {
-            encrypt_pass(rk, &mut buf);
-        }
-        tail.copy_from_slice(&buf[..tail.len()]);
+        buf[..chunk.len()].copy_from_slice(chunk);
+        decrypt_pass(rk, &mut buf);
+        chunk.copy_from_slice(&buf[..chunk.len()]);
     }
 }
 
@@ -1049,21 +1138,22 @@ pub fn cbc_encrypt(cipher: &Aes256Fix, iv: &Iv128, data: &mut [u8]) {
     );
     let rk = cipher.packed_enc_keys();
     let mut prev = *iv;
-    let mut buf = [0u8; WIDE_BYTES];
+    let mut buf = [[0u8; WIDE_BYTES]];
     for chunk in data.chunks_exact_mut(16) {
-        for (k, b) in buf[..16].iter_mut().enumerate() {
+        for (k, b) in buf[0][..16].iter_mut().enumerate() {
             *b = chunk[k] ^ prev[k];
         }
-        encrypt_pass(&rk, &mut buf);
-        chunk.copy_from_slice(&buf[..16]);
-        prev.copy_from_slice(&buf[..16]);
+        encrypt_pass([&rk], &mut buf);
+        chunk.copy_from_slice(&buf[0][..16]);
+        prev.copy_from_slice(&buf[0][..16]);
     }
 }
 
 /// CBC-encrypts `keys.len()` equal-length chains laid out consecutively in
 /// `data` — chain `i` under `keys[i]`, all sharing `iv`. This is the
 /// convergent span write: chains are independent, so pass `t` encrypts
-/// block `t` of up to 16 chains at once under per-lane round keys.
+/// block `t` of up to 32 chains at once under per-lane round keys — two
+/// 16-chain tiles, each with its own schedule, in the `passes` layout.
 ///
 /// `chain_len` must be a multiple of 16 and `data.len()` must equal
 /// `keys.len() * chain_len`.
@@ -1072,48 +1162,52 @@ pub fn cbc_encrypt_chains(keys: &[Key256], iv: &Iv128, data: &mut [u8], chain_le
     assert_eq!(data.len(), keys.len() * chain_len, "span shape mismatch");
     let mut ciphers: [Aes256Fix; WIDE_BLOCKS] =
         core::array::from_fn(|_| Aes256Fix { enc_keys: [0; 60] });
-    for (tile_idx, tile_keys) in keys.chunks(WIDE_BLOCKS).enumerate() {
-        expand_lanes(tile_keys, &mut ciphers);
-        let rk = packed_keys_lanes(&ciphers[..tile_keys.len()]);
-        let tile_off = tile_idx * WIDE_BLOCKS * chain_len;
-        cbc_encrypt_tile(&rk, &[*iv], data, tile_off, tile_keys.len(), chain_len);
+    let mut tile_keys = |keys: &[Key256]| {
+        expand_lanes(keys, &mut ciphers);
+        packed_keys_lanes(&ciphers[..keys.len()])
+    };
+    for group in passes(keys.len()) {
+        let run = &mut data[group.start * chain_len..group.end * chain_len];
+        let keys = &keys[group];
+        if keys.len() > WIDE_BLOCKS {
+            let (a, b) = keys.split_at(WIDE_BLOCKS);
+            let (a, b) = (tile_keys(a), tile_keys(b));
+            cbc_encrypt_tiles([&a, &b], &[*iv], run, chain_len);
+        } else {
+            cbc_encrypt_tiles([&tile_keys(keys)], &[*iv], run, chain_len);
+        }
     }
 }
 
-/// CBC-encrypts up to 16 chains of a tile: `ivs` holds either one shared
-/// IV or one IV per chain.
+/// CBC-encrypts the chains of `data` (up to `N` tiles of 16, the last
+/// possibly partial) in lockstep, tile `s` under `rks[s]`: `ivs` holds
+/// either one shared IV or one IV per chain.
 #[inline(never)]
-fn cbc_encrypt_tile(
-    rk: &PackedKeys,
+fn cbc_encrypt_tiles<const N: usize>(
+    rks: [&PackedKeys; N],
     ivs: &[Iv128],
     data: &mut [u8],
-    tile_off: usize,
-    nchains: usize,
     chain_len: usize,
 ) {
-    let mut buf = [0u8; WIDE_BYTES];
-    let nblocks = chain_len / 16;
-    for t in 0..nblocks {
-        for lane in 0..nchains {
-            let off = tile_off + lane * chain_len + t * 16;
-            let dst = &mut buf[lane * 16..(lane + 1) * 16];
-            dst.copy_from_slice(&data[off..off + 16]);
-            if t == 0 {
-                let iv = &ivs[lane % ivs.len()];
-                for (k, b) in dst.iter_mut().enumerate() {
-                    *b ^= iv[k];
-                }
-            } else {
-                let prev = off - 16;
-                for k in 0..16 {
-                    buf[lane * 16 + k] ^= data[prev + k];
-                }
+    let mut buf = [[0u8; WIDE_BYTES]; N];
+    let nchains = data.len() / chain_len;
+    for t in (0..chain_len).step_by(16) {
+        let lanes = buf.as_flattened_mut().chunks_exact_mut(16);
+        for (chain, lane) in lanes.take(nchains).enumerate() {
+            let off = chain * chain_len + t;
+            let prev = match t {
+                0 => &ivs[chain % ivs.len()],
+                _ => &data[off - 16..off],
+            };
+            for (k, b) in lane.iter_mut().enumerate() {
+                *b = data[off + k] ^ prev[k];
             }
         }
-        encrypt_pass(rk, &mut buf);
-        for lane in 0..nchains {
-            let off = tile_off + lane * chain_len + t * 16;
-            data[off..off + 16].copy_from_slice(&buf[lane * 16..(lane + 1) * 16]);
+        encrypt_pass(rks, &mut buf);
+        let lanes = buf.as_flattened().chunks_exact(16);
+        for (chain, lane) in lanes.take(nchains).enumerate() {
+            let off = chain * chain_len + t;
+            data[off..off + 16].copy_from_slice(lane);
         }
     }
 }
@@ -1137,7 +1231,8 @@ pub fn cbc_decrypt_chains(keys: &[Key256], iv: &Iv128, data: &mut [u8], chain_le
 }
 
 /// CBC-encrypts consecutive chains under one shared cipher with per-chain
-/// IVs (the volume-key shims): one broadcast schedule, chains in parallel.
+/// IVs (the volume-key shims): one broadcast schedule, chains in parallel,
+/// 32 per pass in the `passes` layout as in [`cbc_encrypt_chains`].
 pub fn cbc_encrypt_chains_shared(
     cipher: &Aes256Fix,
     ivs: &[Iv128],
@@ -1147,9 +1242,13 @@ pub fn cbc_encrypt_chains_shared(
     assert!(chain_len.is_multiple_of(16), "chains must be block-aligned");
     assert_eq!(data.len(), ivs.len() * chain_len, "span shape mismatch");
     let rk = cipher.packed_enc_keys();
-    for (tile_idx, tile_ivs) in ivs.chunks(WIDE_BLOCKS).enumerate() {
-        let tile_off = tile_idx * WIDE_BLOCKS * chain_len;
-        cbc_encrypt_tile(&rk, tile_ivs, data, tile_off, tile_ivs.len(), chain_len);
+    for group in passes(ivs.len()) {
+        let run = &mut data[group.start * chain_len..group.end * chain_len];
+        if group.len() > WIDE_BLOCKS {
+            cbc_encrypt_tiles([&rk, &rk], &ivs[group], run, chain_len);
+        } else {
+            cbc_encrypt_tiles([&rk], &ivs[group], run, chain_len);
+        }
     }
 }
 
@@ -1170,16 +1269,18 @@ pub fn cbc_decrypt_chains_shared(
 }
 
 /// XORs the GCM-style CTR keystream (counter blocks are public) into
-/// `data`, 16 counter blocks per pass; the final partial block of
-/// keystream is truncated. Wide form of [`crate::ctr::ctr32_xor_in_place`].
+/// `data`, up to 32 counter blocks per pass (`passes`); the final partial
+/// block of keystream is truncated. Wide form of
+/// [`crate::ctr::ctr32_xor_in_place`].
 pub fn ctr32_xor(rk: &PackedKeys, j: &[u8; 16], data: &mut [u8]) {
     ctr_passes(rk, j, data, None);
 }
 
-/// [`ctr32_xor`] that also returns `E_K(extra)`, computed in the first idle
-/// lane of the last keystream pass — GCM's tag mask `E_K(J0)` rides along
-/// with the body for free unless the body's last pass is full (then it
-/// takes one more pass, as it would on its own).
+/// [`ctr32_xor`] that also returns `E_K(extra)`, computed in the lane after
+/// the last counter block — an idle lane of the last pass. GCM's tag mask
+/// `E_K(J0)` rides along with the body: a metadata region's 254 blocks
+/// and the mask fill eight paired passes. It only adds a pass when the
+/// body's passes are full, as it would on its own.
 pub fn ctr32_xor_and_encrypt(
     rk: &PackedKeys,
     j: &[u8; 16],
@@ -1189,39 +1290,55 @@ pub fn ctr32_xor_and_encrypt(
     ctr_passes(rk, j, data, Some(extra)).expect("an extra block is always encrypted")
 }
 
+/// The CTR body of [`ctr32_xor`] over the lanes of [`passes`]: one lane per
+/// counter block, plus one for `extra` after them.
 fn ctr_passes(
     rk: &PackedKeys,
     j: &[u8; 16],
     data: &mut [u8],
     extra: Option<&[u8; 16]>,
 ) -> Option<[u8; 16]> {
+    let (len, blocks) = (data.len(), data.len().div_ceil(16));
     let mut counter = *j;
-    let mut buf = [0u8; WIDE_BYTES];
-    let mut chunks = data.chunks_mut(WIDE_BYTES);
-    loop {
-        let chunk: &mut [u8] = match chunks.next() {
-            Some(chunk) => chunk,
-            // Every counter block is done; only `extra` is still owed.
-            None if extra.is_some() => &mut [],
-            None => return None,
+    let mut out = None;
+    for lanes in passes(blocks + usize::from(extra.is_some())) {
+        let chunk = &mut data[(lanes.start * 16).min(len)..(lanes.end * 16).min(len)];
+        // `extra` takes the lane after the counter blocks, in the last pass.
+        let extra = extra.filter(|_| lanes.end > blocks);
+        let mask = if lanes.len() > WIDE_BLOCKS {
+            ctr_pass::<2>(rk, &mut counter, chunk, extra)
+        } else {
+            ctr_pass::<1>(rk, &mut counter, chunk, extra)
         };
-        let used = chunk.len().div_ceil(16);
-        for blk in 0..used {
-            buf[blk * 16..(blk + 1) * 16].copy_from_slice(&counter);
-            crate::ctr::inc32(&mut counter);
-        }
-        let spare = extra.filter(|_| used < WIDE_BLOCKS);
-        if let Some(extra) = spare {
-            buf[used * 16..(used + 1) * 16].copy_from_slice(extra);
-        }
-        encrypt_pass(rk, &mut buf);
-        for (byte, key) in chunk.iter_mut().zip(&buf) {
-            *byte ^= key;
-        }
-        if spare.is_some() {
-            return Some(buf[used * 16..(used + 1) * 16].try_into().unwrap());
-        }
+        out = out.or(mask);
     }
+    out
+}
+
+/// One `N`-state pass of [`ctr_passes`]: keystream for `chunk`'s blocks from
+/// `counter` on, and `E_K(extra)` from the lane after them.
+fn ctr_pass<const N: usize>(
+    rk: &PackedKeys,
+    counter: &mut [u8; 16],
+    chunk: &mut [u8],
+    extra: Option<&[u8; 16]>,
+) -> Option<[u8; 16]> {
+    let mut buf = [[0u8; WIDE_BYTES]; N];
+    let used = chunk.len().div_ceil(16);
+    let lanes = buf.as_flattened_mut();
+    for lane in lanes.chunks_exact_mut(16).take(used) {
+        lane.copy_from_slice(counter);
+        crate::ctr::inc32(counter);
+    }
+    if let Some(extra) = extra {
+        lanes[used * 16..(used + 1) * 16].copy_from_slice(extra);
+    }
+    encrypt_pass([rk; N], &mut buf);
+    let lanes = buf.as_flattened();
+    for (byte, key) in chunk.iter_mut().zip(lanes) {
+        *byte ^= key;
+    }
+    extra.map(|_| lanes[used * 16..(used + 1) * 16].try_into().unwrap())
 }
 
 #[cfg(test)]
@@ -1451,7 +1568,9 @@ mod tests {
         let key = [0x17u8; 32];
         let fix = Aes256Fix::new(&key);
         let tt = Aes256::new(&key);
-        for nblocks in [1usize, 4, 15, 16, 17, 33, 64] {
+        // Single passes, then the pair boundaries: 31 to 33 blocks and one or
+        // two past two pairs.
+        for nblocks in [1usize, 4, 15, 16, 17, 31, 32, 33, 64, 65] {
             let mut seed = nblocks as u64;
             let mut data: Vec<u8> = (0..nblocks * 16).map(|_| prng(&mut seed)).collect();
             let mut oracle = data.clone();
@@ -1486,7 +1605,9 @@ mod tests {
     #[test]
     fn cbc_chains_match_per_chain_ttable() {
         let chain_len = 768; // 48 AES blocks per chain: three wide passes
-        for nchains in [1usize, 3, 16, 21] {
+                             // Single tiles, then every pair boundary: a partial second tile
+                             // (17, 21, 24, 31), whole pairs, and a lone tile ahead of a pair (33, 48).
+        for nchains in [1usize, 3, 16, 17, 21, 24, 31, 32, 33, 48, 64] {
             let mut seed = 5 + nchains as u64;
             let keys: Vec<Key256> = (0..nchains)
                 .map(|_| core::array::from_fn(|_| prng(&mut seed)))
@@ -1517,7 +1638,7 @@ mod tests {
         let key = [0x61u8; 32];
         let fix = Aes256Fix::new(&key);
         let tt = Aes256::new(&key);
-        for nchains in [2usize, 16, 19] {
+        for nchains in [2usize, 16, 17, 19, 31, 32, 33, 48] {
             let mut seed = 100 + nchains as u64;
             let ivs: Vec<Iv128> = (0..nchains)
                 .map(|_| core::array::from_fn(|_| prng(&mut seed)))
@@ -1545,7 +1666,11 @@ mod tests {
         let key = [0x88u8; 32];
         let fix = Aes256Fix::new(&key);
         let tt = Aes256::new(&key);
-        for len in [1usize, 16, 100, 256, 300, 4096] {
+        // Within one pass, then around the pair: 511 to 513 bytes straddle
+        // 32 blocks, 4064 is a metadata region.
+        for len in [
+            0usize, 1, 16, 100, 256, 300, 511, 512, 513, 1024, 4064, 4096,
+        ] {
             let mut seed = len as u64;
             let pt: Vec<u8> = (0..len).map(|_| prng(&mut seed)).collect();
             let j = [0x0fu8; 16];
@@ -1561,20 +1686,77 @@ mod tests {
     fn ctr_with_an_extra_block_matches_ctr_plus_a_separate_block() {
         let key = [0x3du8; 32];
         let fix = Aes256Fix::new(&key);
+        let tt = Aes256::new(&key);
         let rk = fix.packed_enc_keys();
         let extra = [0xc4u8; 16];
-        // Empty, a spare lane in a partial pass (including the 254-block
-        // metadata region), and full last passes (the extra takes one more).
-        for len in [0usize, 1, 16, 240, 255, 256, 4064, 4096] {
+        // Empty, a spare lane in a single pass, in a pair's second state
+        // (the 254-block metadata region), and full passes (the extra takes
+        // the first lane of one more).
+        for len in [
+            0usize, 1, 16, 240, 255, 256, 511, 512, 513, 1024, 4064, 4096,
+        ] {
             let mut seed = 31 + len as u64;
             let pt: Vec<u8> = (0..len).map(|_| prng(&mut seed)).collect();
             let j = [0x0fu8; 16];
             let mut data = pt.clone();
             let got = ctr32_xor_and_encrypt(&rk, &j, &mut data, &extra);
             let mut oracle = pt.clone();
-            ctr32_xor(&rk, &j, &mut oracle);
+            crate::ctr::ctr32_xor_in_place(&tt, &j, &mut oracle);
             assert_eq!(data, oracle, "keystream at {len} bytes");
-            assert_eq!(got, fix.encrypt_block(&extra), "extra block at {len} bytes");
+            assert_eq!(got, tt.encrypt_block(&extra), "extra block at {len} bytes");
+        }
+    }
+
+    #[test]
+    fn pass_layout_pairs_every_tile_but_one() {
+        for lanes in 0..=5 * PAIR_BLOCKS {
+            let passes: Vec<_> = passes(lanes).collect();
+            let mut next = 0;
+            for (i, pass) in passes.iter().enumerate() {
+                assert_eq!(pass.start, next, "{lanes}: contiguous");
+                assert!(!pass.is_empty() && pass.len() <= PAIR_BLOCKS, "{lanes}");
+                // A single pass only leads, and is partial only when alone.
+                if pass.len() <= WIDE_BLOCKS {
+                    assert_eq!(i, 0, "{lanes}: the single pass leads");
+                    assert!(pass.len() == WIDE_BLOCKS || lanes <= WIDE_BLOCKS);
+                }
+                next = pass.end;
+            }
+            assert_eq!(next, lanes, "{lanes}: covered");
+            assert_eq!(passes.len(), lanes.div_ceil(WIDE_BLOCKS).div_ceil(2));
+        }
+        // A metadata region's 254 counter blocks and the tag mask.
+        assert!(passes(255).all(|pass| pass.len() > WIDE_BLOCKS));
+        assert_eq!(passes(255).count(), 8);
+    }
+
+    #[test]
+    fn a_paired_pass_is_two_single_passes_under_their_own_schedules() {
+        let mut seed = 0x5eed;
+        let a = Aes256Fix::new(&core::array::from_fn(|_| prng(&mut seed)));
+        let b = Aes256Fix::new(&core::array::from_fn(|_| prng(&mut seed)));
+        // Broadcast schedules, and per-lane ones as the chain encrypt packs.
+        let keys: Vec<Key256> = (0..WIDE_BLOCKS)
+            .map(|_| core::array::from_fn(|_| prng(&mut seed)))
+            .collect();
+        let mut ciphers: [Aes256Fix; WIDE_BLOCKS] = core::array::from_fn(|_| a.clone());
+        expand_lanes(&keys, &mut ciphers);
+        let lanes = packed_keys_lanes(&ciphers);
+        let schedules = [
+            (a.packed_enc_keys(), b.packed_enc_keys()),
+            (lanes.clone(), b.packed_enc_keys()),
+            (a.packed_enc_keys(), lanes),
+        ];
+        for (ka, kb) in &schedules {
+            let buf: [[u8; WIDE_BYTES]; 2] =
+                core::array::from_fn(|_| core::array::from_fn(|_| prng(&mut seed)));
+            let mut pair = buf;
+            encrypt_pass([ka, kb], &mut pair);
+            let [mut x, mut y] = buf.map(|b| [b]);
+            encrypt_pass([ka], &mut x);
+            encrypt_pass([kb], &mut y);
+            assert_eq!(pair, [x[0], y[0]]);
+            assert_ne!(pair[0], buf[0], "the pass encrypts");
         }
     }
 

@@ -87,8 +87,9 @@ impl Aes256Gcm {
     /// XORs the CTR keystream that starts at `inc32(j0)` into `data` and
     /// returns the tag mask `E_K(j0)`. On the fixsliced backend the mask
     /// rides in an idle lane of the body's last pass (a metadata region's
-    /// 254 blocks leave two), so it costs no pass of its own. CTR blocks are
-    /// independent, so the wide kernel applies at any length.
+    /// 254 blocks and the mask fill eight paired 32-block passes), so it
+    /// costs no pass of its own. CTR blocks are independent, so the wide
+    /// kernel applies at any length.
     fn ctr_and_mask(&self, j0: &[u8; 16], data: &mut [u8]) -> [u8; 16] {
         let mut ctr = *j0;
         inc32(&mut ctr);
@@ -308,14 +309,25 @@ mod tests {
 
     /// The spec-vector tests above run on the default (fixsliced) backend;
     /// this pins both backends to identical ciphertext and tags, and
-    /// round-trips across them.
+    /// round-trips across them (each opens the other's seal).
+    ///
+    /// The lengths put the tag mask at every pass boundary of the fixsliced
+    /// CTR body (counter blocks plus the mask's lane): alone, last in a
+    /// single pass (240 bytes), first past it (241, 256), in a pair's
+    /// second state (257, 496, and a metadata region's 4064), last in a
+    /// pair (497, 512), first past a pair (513), and a lone single pass
+    /// ahead of pairs (768, 4096).
     #[test]
     fn backends_interoperate() {
         let k = key("feffe9928665731c6d6a8f9467308308feffe9928665731c6d6a8f9467308308");
         let fix = Aes256Gcm::with_backend(&k, CryptoBackend::Fixsliced);
         let tt = Aes256Gcm::with_backend(&k, CryptoBackend::TTable);
         let n = nonce("cafebabefacedbaddecaf888");
-        for len in [0usize, 1, 15, 16, 17, 100, 4096] {
+        let lens = [
+            0usize, 1, 15, 16, 17, 100, 240, 241, 256, 257, 496, 497, 512, 513, 768, 1024, 4064,
+            4096,
+        ];
+        for len in lens {
             let plain: Vec<u8> = (0..len).map(|i| (i * 13 % 256) as u8).collect();
             let mut a = plain.clone();
             let tag_fix = fix.encrypt_in_place(&n, b"aad", &mut a);
@@ -325,6 +337,8 @@ mod tests {
             assert_eq!(tag_fix, tag_tt, "len {len}");
             tt.decrypt_in_place(&n, b"aad", &mut a, &tag_fix).unwrap();
             assert_eq!(a, plain, "len {len}");
+            fix.decrypt_in_place(&n, b"aad", &mut b, &tag_tt).unwrap();
+            assert_eq!(b, plain, "len {len}");
         }
     }
 

@@ -30,7 +30,8 @@
 //!
 //! * [`fixsliced`] (the default) — a bitsliced, *fixsliced* constant-time
 //!   AES-256 kernel that processes [`fixsliced::WIDE_BLOCKS`] blocks per
-//!   pass with zero secret-dependent table indexing or branches, paired
+//!   pass, and [`fixsliced::PAIR_BLOCKS`] per paired encrypt pass, with
+//!   zero secret-dependent table indexing or branches, paired
 //!   with the lane-interleaved SHA-256 for convergent key derivation: 16
 //!   lanes for the leaves of four format-v2 blocks ([`kdf::tree_hash`]),
 //!   4 lanes ([`sha256::digest_blocks_x4`]'s kernel) for a lone v2 block's
@@ -38,7 +39,7 @@
 //! * [`aes`] — the classic T-table implementation, retained as the
 //!   **differential oracle** (the [`batch`] tests and `tests/prop_crypto.rs`
 //!   compare the fixsliced kernels against it at every batch shape) and as
-//!   the fallback for runs too narrow to amortize a wide pass.
+//!   the encrypt fallback for a span too narrow to amortize a wide pass.
 //!
 //! The batch layer dispatches between them by run width (see
 //! [`batch::WIDE_MIN_BLOCKS`]) and counts every dispatched block in

@@ -164,7 +164,7 @@ proptest! {
     #[test]
     fn fixsliced_ecb_matches_ttable(
         key in any::<[u8; 32]>(),
-        blocks in 0usize..48,
+        blocks in 0usize..100,
         seed in any::<u8>()
     ) {
         let fix = fixsliced::Aes256Fix::new(&key);
@@ -200,13 +200,14 @@ proptest! {
 
     #[test]
     fn fixsliced_cbc_chains_match_per_chain_ttable(
-        keys in prop::collection::vec(any::<[u8; 32]>(), 1..24),
+        keys in prop::collection::vec(any::<[u8; 32]>(), 1..72),
         iv in any::<[u8; 16]>(),
         chain_blocks in 1usize..5,
         seed in any::<u8>()
     ) {
-        // Every chain count from below to well above the 16-chain slicing
-        // width, with chain lengths that are not multiples of the width.
+        // Every chain count from one single pass to past two paired passes
+        // (a lone tile ahead of pairs, a partial tile second in a pair), with
+        // chain lengths that are not multiples of the width.
         let chain_len = chain_blocks * 16;
         let original: Vec<u8> = (0..keys.len() * chain_len)
             .map(|i| (i as u8).wrapping_mul(101).wrapping_add(seed))
@@ -226,7 +227,7 @@ proptest! {
     fn fixsliced_ctr_matches_ttable(
         key in any::<[u8; 32]>(),
         counter in any::<[u8; 16]>(),
-        data in prop::collection::vec(any::<u8>(), 0..2000)
+        data in prop::collection::vec(any::<u8>(), 0..5000)
     ) {
         let fix = fixsliced::Aes256Fix::new(&key);
         let aes = Aes256::new(&key);
@@ -244,7 +245,7 @@ proptest! {
         key in any::<[u8; 32]>(),
         nonce in any::<[u8; 12]>(),
         aad in prop::collection::vec(any::<u8>(), 0..32),
-        data in prop::collection::vec(any::<u8>(), 0..1024)
+        data in prop::collection::vec(any::<u8>(), 0..5000)
     ) {
         let wide = Aes256Gcm::with_backend(&key, CryptoBackend::Fixsliced);
         let scalar = Aes256Gcm::with_backend(&key, CryptoBackend::TTable);

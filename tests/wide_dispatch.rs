@@ -6,8 +6,9 @@
 //!
 //! The commit pipeline derives and encrypts the whole pending set as one
 //! batch and the crypto pool fans out in whole 16-block tiles, so neither a
-//! 1 MiB write (256 blocks, split across the default pool's workers) nor an
-//! `R`-block 4 KiB commit (8 blocks, inline) may fall back to the scalar
+//! 1 MiB write (256 blocks, split across the default pool's workers), an
+//! `R`-block 4 KiB commit (8 blocks, inline) nor a 20-block commit (one
+//! paired pass: a whole tile and a partial one) may fall back to the scalar
 //! kernels: every data-block AES block goes through the wide fixsliced
 //! kernel, and every key derivation through the lane SHA-256 kernels: under
 //! format v2 a group of any width, a lone block included, runs on lanes.
@@ -19,12 +20,11 @@
 //! re-read runs no kernel at all.
 //!
 //! A span commit encrypts only the blocks the memo cannot give it the
-//! ciphertext of, as one compacted group; a group whose last tile would be
-//! too narrow for the wide kernel is padded, so a half-duplicate 1 MiB
-//! commit still encrypts every block it encrypts on the wide kernel.
+//! ciphertext of, as one compacted group. The kernel pairs a partial tile
+//! with a whole one, so a half-duplicate 1 MiB commit encrypts every block
+//! it encrypts on the wide kernel with no filler chains.
 
 use lamassu::core::{FileSystem, LamassuConfig, LamassuFs};
-use lamassu::crypto::batch::WIDE_MIN_BLOCKS;
 use lamassu::crypto::stats;
 use lamassu::keymgr::ZoneKeys;
 use lamassu::storage::{DedupStore, StorageProfile};
@@ -80,6 +80,30 @@ fn default_mount_writes_run_on_the_wide_kernels() {
     );
     assert_eq!(derives, 1.0, "R-block commit: every derivation on lanes");
 
+    // 20 blocks forced out by an fsync: one commit of 20 chains, inline.
+    let seals = fs.profiler().commit_stats().seals;
+    let (wb0, sb0, _, _) = stats::snapshot();
+    let (aes, derives) = dispatch_shares(|| {
+        for b in 0..20 {
+            let block: Vec<u8> = unique[b * BS..(b + 1) * BS].iter().map(|x| !x).collect();
+            fs.write(fd, (b * BS) as u64, &block).unwrap();
+        }
+        fs.fsync(fd).unwrap();
+    });
+    let (wb1, sb1, _, _) = stats::snapshot();
+    assert_eq!(
+        aes, 1.0,
+        "20-block commit: every AES block on the wide kernel"
+    );
+    assert_eq!(derives, 1.0, "20-block commit: every derivation on lanes");
+    // Each metadata seal is 255 AES blocks: 254 of CTR and the tag mask.
+    let seals = fs.profiler().commit_stats().seals - seals;
+    assert_eq!(
+        (wb1 - wb0 - 255 * seals, sb1 - sb0),
+        ((20 * BS / 16) as u64, 0),
+        "the 20 blocks, nothing else"
+    );
+
     // The first two reads of a block miss the read memo (the second admits
     // it); from the third on it is a copy that runs no kernel at all.
     let read_block_100 = || {
@@ -111,7 +135,7 @@ fn default_mount_writes_run_on_the_wide_kernels() {
     fs.fsync(fd).unwrap();
     // A half-duplicate 1 MiB commit: those 125 contents take their
     // ciphertext from the memo, and the 131 new ones are encrypted as one
-    // group — whose last tile of 3 blocks is padded to WIDE_MIN_BLOCKS.
+    // group, its partial tile of 3 blocks paired with a whole one.
     let span: Vec<u8> = (0..125).chain(1000..1131).flat_map(content).collect();
     let commit_hits = fs.memo_stats().commit_hits;
     let seals = fs.profiler().commit_stats().seals;
@@ -130,12 +154,11 @@ fn default_mount_writes_run_on_the_wide_kernels() {
         derives, 1.0,
         "half-duplicate commit: every derivation on lanes"
     );
-    // Each metadata seal is 255 AES blocks: 254 of CTR and the tag mask.
     let seals = fs.profiler().commit_stats().seals - seals;
     assert_eq!(
         (wb1 - wb0 - 255 * seals, sb1 - sb0),
-        (((131 + WIDE_MIN_BLOCKS - 3) * BS / 16) as u64, 0),
-        "the 131 new blocks and 5 fillers, nothing else"
+        ((131 * BS / 16) as u64, 0),
+        "the 131 new blocks, no fillers, nothing else"
     );
     assert_eq!(fs.read(fd, 3 << 20, span.len()).unwrap(), span);
 }
