@@ -10,9 +10,8 @@
 //!    proof the wrapper adds nothing when nothing fails).
 //! 2. **transient faults** — the same backend behind a [`FaultyStore`]
 //!    refusing 5 % of ops. Retries with virtual-time backoff must absorb
-//!    every fault (zero client-visible errors) and quantile-triggered
-//!    hedging must fire on the slow tail, while p99 stays within **3×**
-//!    the fault-free p99.
+//!    every fault (zero client-visible errors), and the backoff they add
+//!    to the tail must keep p99 within **3×** the fault-free p99.
 //! 3. **routed burst** — a 4-backend, R = 2 routed cluster, every member
 //!    at 5 % transient faults, plus a hard crash of one member that heals
 //!    only after refusing a burst of ops. The
@@ -25,12 +24,11 @@
 use crate::report::{write_json, Table};
 use lamassu::stack::{Resilience, StackBuilder};
 use lamassu_dist::DistConfig;
-use lamassu_resilience::{BreakerConfig, HedgeConfig};
+use lamassu_resilience::BreakerConfig;
 use lamassu_storage::{DedupStore, FaultyStore, ObjectStore, StorageProfile};
 use lamassu_telemetry::Histogram;
 use serde::Serialize;
 use std::sync::Arc;
-use std::time::Duration;
 
 /// Transient-fault probability of scenarios 2 and 3.
 pub const FAULT_RATE: f64 = 0.05;
@@ -57,10 +55,6 @@ pub struct ChaosRow {
     pub retries: u64,
     /// Operations that failed at least once but succeeded within budget.
     pub recoveries: u64,
-    /// Duplicate read attempts launched past the latency quantile.
-    pub hedged_reads: u64,
-    /// Hedges that completed no later than the primary (or rescued it).
-    pub hedge_wins: u64,
     /// Circuit-breaker Closed → Open transitions.
     pub breaker_opens: u64,
     /// Successful half-open probes (Open → Closed transitions).
@@ -121,18 +115,6 @@ fn drive(store: &dyn ObjectStore, name: &str, file_size: u64, seed: u64, hist: &
     errors
 }
 
-/// Hedge trigger used by the single-backend scenarios: p90 of the live
-/// attempt history, so the occasional 256 KiB read (1/13 of ops) sits
-/// above the threshold once the 4 KiB steady state establishes it.
-fn hedge() -> HedgeConfig {
-    HedgeConfig {
-        quantile: 0.90,
-        min_samples: 32,
-        refresh_every: 16,
-        floor: Duration::from_nanos(1),
-    }
-}
-
 /// A fresh NFS-profile backend behind a fault injector.
 fn faulty_backend() -> Arc<FaultyStore> {
     Arc::new(FaultyStore::new(Arc::new(DedupStore::new(
@@ -143,10 +125,7 @@ fn faulty_backend() -> Arc<FaultyStore> {
 
 fn single_backend(file_size: u64, fault_rate: f64, label: &str) -> ChaosRow {
     let stack = StackBuilder::new(vec![faulty_backend()])
-        .resilience(Resilience {
-            hedge: Some(hedge()),
-            ..Resilience::default()
-        })
+        .resilience(Resilience::default())
         .build();
     let store = stack.store.as_ref();
     populate(store, "chaos.dat", file_size);
@@ -163,8 +142,6 @@ fn single_backend(file_size: u64, fault_rate: f64, label: &str) -> ChaosRow {
         p99_ms: hist.quantile(0.99) as f64 / 1e6,
         retries: s.retries,
         recoveries: s.recoveries,
-        hedged_reads: s.hedged_reads,
-        hedge_wins: s.hedge_wins,
         breaker_opens: 0,
         breaker_recloses: 0,
         probe_scrubs: 0,
@@ -174,8 +151,6 @@ fn single_backend(file_size: u64, fault_rate: f64, label: &str) -> ChaosRow {
 }
 
 fn routed_burst(file_size: u64) -> ChaosRow {
-    // Retries and breakers only: the router already fans reads over
-    // replicas, so hedging is the single-backend scenarios' job.
     let stack = StackBuilder::new((0..4).map(|_| faulty_backend()).collect())
         .dist(DistConfig::new(2).unit(UNIT_BYTES))
         .resilience(Resilience {
@@ -224,8 +199,6 @@ fn routed_burst(file_size: u64) -> ChaosRow {
         p99_ms: hist.quantile(0.99) as f64 / 1e6,
         retries: s.retries,
         recoveries: s.recoveries,
-        hedged_reads: s.hedged_reads,
-        hedge_wins: s.hedge_wins,
         breaker_opens: b.opens,
         breaker_recloses: b.recloses,
         probe_scrubs: probe_scrubbed,
@@ -251,8 +224,6 @@ pub fn run(file_size: u64) -> Vec<ChaosRow> {
             "errors",
             "p99 ms",
             "retries",
-            "hedges",
-            "hedge wins",
             "brk open",
             "brk reclose",
             "scrubbed",
@@ -265,8 +236,6 @@ pub fn run(file_size: u64) -> Vec<ChaosRow> {
             format!("{}", r.client_errors),
             format!("{:.2}", r.p99_ms),
             format!("{}", r.retries),
-            format!("{}", r.hedged_reads),
-            format!("{}", r.hedge_wins),
             format!("{}", r.breaker_opens),
             format!("{}", r.breaker_recloses),
             format!("{}", r.probe_scrubs),
@@ -298,8 +267,6 @@ mod tests {
         // The injected faults were real and the recovery machinery ran.
         assert!(faulted.retries >= 1, "{faulted:?}");
         assert!(faulted.recoveries >= 1, "{faulted:?}");
-        assert!(faulted.hedged_reads >= 1, "{faulted:?}");
-        assert!(faulted.hedge_wins >= 1, "{faulted:?}");
         assert!(routed.retries >= 1, "{routed:?}");
 
         // Latency: riding out 5% faults may cost backoff on the tail but

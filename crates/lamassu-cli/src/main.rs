@@ -20,10 +20,10 @@ use lamassu_cache::{CacheConfig, CacheMode};
 use lamassu_core::{FileSystem, LamassuConfig, LamassuFs, OpenFlags};
 use lamassu_dist::DistConfig;
 use lamassu_keymgr::KeyManager;
-use lamassu_resilience::{BreakerConfig, HedgeConfig, OpBudget};
+use lamassu_resilience::{BreakerConfig, OpBudget};
 use lamassu_storage::{DirStore, StorageProfile};
 use lamassu_telemetry::{Registry, Snapshot, TraceConfig, Tracer};
-use lamassu_workloads::{FioConfig, FioTester, JobLayout, MultiJobResult, Workload};
+use lamassu_workloads::{FioConfig, FioResult, FioTester, Workload};
 use serde::Serialize;
 use std::collections::HashMap;
 use std::fs;
@@ -46,13 +46,13 @@ COMMANDS:
     verify <name>              run a full integrity check on one file
     fsck                       recover mid-update segments and verify every file
     rekey                      rotate the outer key and re-seal all metadata blocks
-    bench [workload]           drive an fio-style workload against the volume
-                               (seq-read | seq-write | rand-read | rand-write |
-                               rand-rw; default rand-read) with --jobs threads
-    stats [workload]           run a workload with an op tracer attached and
-                               dump the full telemetry snapshot — latency
-                               breakdown, read-memo hits, per-op histograms,
-                               cache/dist/backend counters and the slow-op log
+    stats [workload]           drive one fio-style job (seq-read | seq-write |
+                               rand-read | rand-write | rand-rw; default
+                               rand-read) over an 8 MiB scratch file with an
+                               op tracer attached and dump the full telemetry
+                               snapshot — latency breakdown, read-memo hits,
+                               per-op histograms, cache/dist/backend counters,
+                               the slow-op log and the job's own numbers
                                (see --format)
 
 OPTIONS:
@@ -63,16 +63,6 @@ OPTIONS:
     --reserved-slots <R>       reserved transient key slots (default: 8)
     --workers <n>              crypto worker threads for span batches
                                (default: 0 = auto, min(4, CPU cores))
-    --qd <n>                   per-channel queue depth of the backing store:
-                               how many submitted operations the async data
-                               path keeps in flight per transport channel
-                               (default: the profile's native depth). Applies
-                               to every tier, including bench volumes.
-    --jobs <n>                 concurrent bench jobs, each with its own
-                               descriptor (default: 1)
-    --bench-layout <l>         bench file layout: shared (all jobs on one
-                               file, the default) or private (one file each)
-    --bench-mb <MiB>           bench target file size per job file (default: 8)
     --cache <mode[:blocks]>    block cache between the shim and the volume:
                                off | write-through | write-back, optionally
                                with a capacity in blocks (default: off; 1024
@@ -84,14 +74,10 @@ OPTIONS:
                                block-range placement, read failover, and
                                scrub/read-repair during fsck. Composes with
                                --cache (cache above the routed tier).
-    --resilience <r[:ms]>      self-healing wrapper around the volume (or the
+    --resilience <r>           self-healing wrapper around the volume (or the
                                routed tier): retry transient failures up to
                                <r> times per operation with deterministic
-                               virtual-time backoff. An optional :<ms> also
-                               enables hedged reads — a read whose modelled
-                               latency crosses the live p95 (never below <ms>
-                               milliseconds) launches a duplicate attempt and
-                               the first completion wins. With --dist, also
+                               virtual-time backoff. With --dist, also
                                attaches per-shard circuit breakers: a failing
                                shard is skipped (degraded reads/writes) until
                                a half-open probe re-admits it, and a
@@ -108,10 +94,6 @@ struct Options {
     block_size: usize,
     reserved_slots: usize,
     workers: usize,
-    qd: Option<usize>,
-    jobs: usize,
-    bench_layout: JobLayout,
-    bench_mb: u64,
     cache: Option<(CacheMode, usize)>,
     dist: Option<(usize, usize)>,
     resilience: Option<Resilience>,
@@ -155,39 +137,26 @@ fn parse_dist_spec(value: &str) -> Result<(usize, usize), String> {
     Ok((backends, replicas))
 }
 
-/// Parses `--resilience` values: `retries[:hedge-ms]` with `retries >= 1`
-/// transient retries per operation (attempts = retries + 1) and an optional
-/// hedged-read latency floor in milliseconds (`>= 1`; without it hedging
-/// stays off — the zero-allocation read path). Breakers are always asked
-/// for; the builder attaches them only under `--dist`.
+/// Parses `--resilience` values: `retries >= 1` transient retries per
+/// operation (attempts = retries + 1). Breakers are always asked for; the
+/// builder attaches them only under `--dist`.
 fn parse_resilience_spec(value: &str) -> Result<Resilience, String> {
-    let (retries_str, hedge_str) = match value.split_once(':') {
-        Some((r, h)) => (r, Some(h)),
-        None => (value, None),
-    };
-    let retries = retries_str
+    if value.contains(':') {
+        return Err(format!(
+            "bad retry count: {value} (hedged reads are gone, and with them \
+             the :<ms> suffix; give a retry count only)"
+        ));
+    }
+    let retries = value
         .parse::<u32>()
         .ok()
         .filter(|&r| r >= 1)
-        .ok_or_else(|| format!("bad retry count: {retries_str}"))?;
-    let hedge = match hedge_str {
-        Some(h) => Some(HedgeConfig {
-            floor: h
-                .parse::<u32>()
-                .ok()
-                .filter(|&ms| ms >= 1)
-                .map(|ms| std::time::Duration::from_millis(u64::from(ms)))
-                .ok_or_else(|| format!("bad hedge floor: {h} (milliseconds, >= 1)"))?,
-            ..HedgeConfig::default()
-        }),
-        None => None,
-    };
+        .ok_or_else(|| format!("bad retry count: {value}"))?;
     Ok(Resilience {
         budget: OpBudget {
             max_attempts: retries.saturating_add(1),
             ..OpBudget::default()
         },
-        hedge,
         breakers: Some(BreakerConfig::default()),
         ..Resilience::default()
     })
@@ -236,10 +205,6 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
         block_size: 4096,
         reserved_slots: 8,
         workers: 0,
-        qd: None,
-        jobs: 1,
-        bench_layout: JobLayout::SharedFile,
-        bench_mb: 8,
         cache: None,
         dist: None,
         resilience: None,
@@ -269,39 +234,6 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
     });
     flags.insert("--workers", |o, v| {
         o.workers = v.parse().map_err(|_| format!("bad worker count: {v}"))?;
-        Ok(())
-    });
-    flags.insert("--qd", |o, v| {
-        o.qd = Some(
-            v.parse()
-                .ok()
-                .filter(|&n| n > 0)
-                .ok_or_else(|| format!("bad queue depth: {v}"))?,
-        );
-        Ok(())
-    });
-    flags.insert("--jobs", |o, v| {
-        o.jobs = v
-            .parse()
-            .ok()
-            .filter(|&n| n > 0)
-            .ok_or_else(|| format!("bad job count: {v}"))?;
-        Ok(())
-    });
-    flags.insert("--bench-layout", |o, v| {
-        o.bench_layout = match v.as_str() {
-            "shared" => JobLayout::SharedFile,
-            "private" => JobLayout::PrivateFiles,
-            other => return Err(format!("bad bench layout '{other}' (shared or private)")),
-        };
-        Ok(())
-    });
-    flags.insert("--bench-mb", |o, v| {
-        o.bench_mb = v
-            .parse()
-            .ok()
-            .filter(|&n| n > 0)
-            .ok_or_else(|| format!("bad bench size: {v}"))?;
         Ok(())
     });
     flags.insert("--cache", |o, v| {
@@ -366,14 +298,8 @@ fn mount(opts: &Options) -> Result<Mounted, String> {
     let keys = km
         .fetch_zone_keys(opts.zone)
         .map_err(|e| format!("zone {}: {e}", opts.zone))?;
-    // --qd overrides how many submitted operations each transport channel
-    // keeps in flight; the instant profile's native depth is 1.
-    let profile = match opts.qd {
-        Some(qd) => StorageProfile::instant().with_queue_depth(qd),
-        None => StorageProfile::instant(),
-    };
     let open = |dir: &str| {
-        DirStore::open(dir, profile)
+        DirStore::open(dir, StorageProfile::instant())
             .map(Arc::new)
             .map_err(|e| format!("cannot open volume {dir}: {e}"))
     };
@@ -430,7 +356,7 @@ fn cmd_put(opts: &Options) -> Result<(), String> {
     let [src, dest] = two_args(opts, "put <src> <dest>")?;
     let fs_mount = mount(opts)?;
     let data = fs::read(&src).map_err(|e| format!("cannot read {src}: {e}"))?;
-    let fd = if fs_mount.fs.list().map_err(err)?.iter().any(|p| p == &dest) {
+    let fd = if holds(&fs_mount.fs, &dest)? {
         fs_mount
             .fs
             .open(&dest, OpenFlags { truncate: true })
@@ -609,93 +535,11 @@ fn parse_workload(name: &str) -> Result<Workload, String> {
         })
 }
 
-/// What `bench` and `stats` share before the run: parses `[workload]`,
-/// mounts the volume and refuses to touch it if it already holds real files
-/// under the scratch names the run overwrites and then deletes.
-fn workload_mount(opts: &Options, command: &str) -> Result<(Workload, Mounted), String> {
-    let workload = match opts.positional.as_slice() {
-        [] => Workload::RandRead,
-        [w] => parse_workload(w)?,
-        _ => return Err(format!("usage: lamassu {command} [workload]")),
-    };
-    let fs_mount = mount(opts)?;
-    let names = fs_mount.fs.list().map_err(err)?;
-    if let Some(clash) = names.iter().find(|p| is_bench_scratch(p)) {
-        return Err(format!(
-            "volume already contains {clash}; {command} would overwrite and delete it — \
-             remove or rename that file first"
-        ));
-    }
-    Ok((workload, fs_mount))
-}
+/// The scratch file `stats` drives its job over, and deletes afterwards.
+const STATS_FILE: &str = "/bench.fio";
 
-/// ... and the run itself: drives the workload, then cleans the scratch
-/// files off the volume and flushes the cache whether the run succeeded or
-/// not. The cleanup's own outcome is returned for the caller to report last.
-fn drive_workload(
-    opts: &Options,
-    fs_mount: &Mounted,
-    workload: Workload,
-) -> Result<(MultiJobResult, Result<(), String>), String> {
-    let tester = FioTester::new(FioConfig {
-        file_size: opts.bench_mb * 1024 * 1024,
-        ..FioConfig::default()
-    });
-    let outcome = tester
-        .run_jobs(
-            &fs_mount.fs,
-            fs_mount.store.as_ref(),
-            "/bench.fio",
-            workload,
-            opts.jobs,
-            opts.bench_layout,
-        )
-        .map_err(err);
-    let cleanup = (|| {
-        for path in fs_mount.fs.list().map_err(err)? {
-            if is_bench_scratch(&path) {
-                fs_mount.fs.remove(&path).map_err(err)?;
-            }
-        }
-        finish(fs_mount)
-    })();
-    Ok((outcome?, cleanup))
-}
-
-fn cmd_bench(opts: &Options) -> Result<(), String> {
-    let (workload, fs_mount) = workload_mount(opts, "bench")?;
-    println!(
-        "bench: {} x {} job(s), {} layout, {} MiB target, volume {}",
-        workload.label(),
-        opts.jobs,
-        opts.bench_layout.label(),
-        opts.bench_mb,
-        opts.volume.as_deref().unwrap_or("?"),
-    );
-    let (result, cleanup) = drive_workload(opts, &fs_mount, workload)?;
-    for (j, job) in result.per_job.iter().enumerate() {
-        println!(
-            "  job {j}: {:>8.1} MiB/s  (wall {:.1} ms)",
-            job.bandwidth_mib_s,
-            job.compute_time.as_secs_f64() * 1e3
-        );
-    }
-    let agg = &result.aggregate;
-    println!(
-        "aggregate: {:.1} MiB/s over {} ops ({} backend round trips, wall {:.1} ms + modelled I/O {:.1} ms)",
-        agg.bandwidth_mib_s,
-        agg.ops,
-        agg.round_trips,
-        agg.compute_time.as_secs_f64() * 1e3,
-        agg.io_time.as_secs_f64() * 1e3,
-    );
-    cleanup
-}
-
-/// True for the scratch paths `bench` creates (and is allowed to delete).
-fn is_bench_scratch(path: &str) -> bool {
-    path == "/bench.fio" || path.starts_with("/bench.fio.job")
-}
+/// Size of [`STATS_FILE`].
+const STATS_FILE_BYTES: u64 = 8 * 1024 * 1024;
 
 /// The `crypto` section of the stats snapshot: how many AES blocks and key
 /// derivations the run dispatched to the wide constant-time kernels versus
@@ -732,14 +576,25 @@ impl CryptoKernelStats {
     }
 }
 
-/// `lamassu stats`: drives one workload with a full op tracer attached and
-/// dumps the telemetry snapshot of every tier in the mounted stack — the
-/// shim's latency breakdown, pool, commit and read-memo counters and
-/// per-category histograms, the op/trace rings, cache and routed-tier
-/// counters, backend I/O counters and the workload's own per-request
-/// percentiles.
-fn cmd_stats(opts: &Options) -> Result<(), String> {
-    let (workload, fs_mount) = workload_mount(opts, "stats")?;
+/// `lamassu stats`: drives one workload as a single job with a full op
+/// tracer attached and dumps the telemetry snapshot of every tier in the
+/// mounted stack — the shim's latency breakdown, pool, commit and read-memo
+/// counters and per-category histograms, the op/trace rings, cache and
+/// routed-tier counters, backend I/O counters and the job's own result
+/// (per-request percentiles included). Returns that result.
+fn cmd_stats(opts: &Options) -> Result<FioResult, String> {
+    let workload = match opts.positional.as_slice() {
+        [] => Workload::RandRead,
+        [w] => parse_workload(w)?,
+        _ => return Err("usage: lamassu stats [workload]".to_string()),
+    };
+    let fs_mount = mount(opts)?;
+    if holds(&fs_mount.fs, STATS_FILE)? {
+        return Err(format!(
+            "volume already contains {STATS_FILE}; stats would overwrite and delete it — \
+             remove or rename that file first"
+        ));
+    }
 
     // Attach the tracer before any measured traffic, so every operation of
     // the workload is spanned and phase-attributed.
@@ -747,13 +602,32 @@ fn cmd_stats(opts: &Options) -> Result<(), String> {
     let tracer = Tracer::new(&registry, TraceConfig::default());
     fs_mount.fs.profiler().attach_tracer(tracer.clone());
 
-    let (result, cleanup) = drive_workload(opts, &fs_mount, workload)?;
+    let tester = FioTester::new(FioConfig {
+        file_size: STATS_FILE_BYTES,
+        ..FioConfig::default()
+    });
+    let outcome = (|| {
+        if workload.needs_prepopulated_file() {
+            tester.populate(&fs_mount.fs, STATS_FILE)?;
+        }
+        tester.run(&fs_mount.fs, fs_mount.store.as_ref(), STATS_FILE, workload)
+    })()
+    .map_err(err);
+    // Clean the scratch file off the volume and flush the cache whether the
+    // run succeeded or not; the cleanup's own outcome is reported last.
+    let cleanup = (|| {
+        if holds(&fs_mount.fs, STATS_FILE)? {
+            fs_mount.fs.remove(STATS_FILE).map_err(err)?;
+        }
+        finish(&fs_mount)
+    })();
+    let result = outcome?;
 
     let mut snap = Snapshot::new();
     fs_mount
         .fs
         .profiler()
-        .export(&mut snap, "shim", result.aggregate.total_time);
+        .export(&mut snap, "shim", result.total_time);
     tracer.export(&mut snap, "trace");
     registry.export(&mut snap, "ops");
     if let Some(cache) = &fs_mount.cache {
@@ -773,7 +647,7 @@ fn cmd_stats(opts: &Options) -> Result<(), String> {
         snap.section("breakers", &breakers.stats());
     }
     snap.section("backend", &fs_mount.store.io_counters());
-    snap.section("fio", &result.aggregate);
+    snap.section("fio", &result);
     snap.section("crypto", &CryptoKernelStats::collect());
 
     if matches!(opts.format, StatsFormat::Json | StatsFormat::Both) {
@@ -782,7 +656,7 @@ fn cmd_stats(opts: &Options) -> Result<(), String> {
     if matches!(opts.format, StatsFormat::Prom | StatsFormat::Both) {
         print!("{}", snap.to_prometheus());
     }
-    cleanup
+    cleanup.map(|()| result)
 }
 
 fn cmd_rekey(opts: &Options) -> Result<(), String> {
@@ -816,6 +690,11 @@ fn two_args(opts: &Options, usage: &str) -> Result<[String; 2], String> {
     }
 }
 
+/// True if the volume holds a file at `path`.
+fn holds(fs: &LamassuFs, path: &str) -> Result<bool, String> {
+    Ok(fs.list().map_err(err)?.iter().any(|p| p == path))
+}
+
 fn err(e: lamassu_core::FsError) -> String {
     e.to_string()
 }
@@ -843,8 +722,7 @@ fn main() -> ExitCode {
         "verify" => cmd_verify(&opts),
         "fsck" => cmd_fsck(&opts),
         "rekey" => cmd_rekey(&opts),
-        "bench" => cmd_bench(&opts),
-        "stats" => cmd_stats(&opts),
+        "stats" => cmd_stats(&opts).map(drop),
         "help" | "--help" | "-h" => {
             print!("{USAGE}");
             Ok(())
@@ -915,6 +793,63 @@ mod tests {
             .profiler()
             .export(&mut snap, "shim", Duration::from_secs(1));
         assert!(snap.to_json().contains("\"memo\""));
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    fn strings(list: &[&str]) -> Vec<String> {
+        list.iter().map(|a| a.to_string()).collect()
+    }
+
+    #[test]
+    fn removed_flags_are_unknown_options() {
+        // The multi-job driver's three flags and the queue-depth knob,
+        // spelled in pieces so a search for them finds only history.
+        let names = ["jobs".to_string(), "qd".to_string()];
+        let bench = ["layout", "mb"].map(|s| format!("bench-{s}"));
+        for flag in names.iter().chain(&bench).map(|n| format!("--{n}")) {
+            let Err(e) = parse_args(&strings(&[&flag, "1"])) else {
+                panic!("{flag} was accepted");
+            };
+            assert_eq!(e, format!("unknown option: {flag}"));
+        }
+    }
+
+    #[test]
+    fn resilience_takes_a_retry_count_only() {
+        let Err(e) = parse_args(&strings(&["--resilience", "3:50"])) else {
+            panic!("the hedge suffix was accepted");
+        };
+        assert!(e.contains("hedged reads are gone"), "{e}");
+        let opts = parse_args(&strings(&["--resilience", "3"])).unwrap();
+        assert_eq!(opts.resilience.map(|r| r.budget.max_attempts), Some(4));
+    }
+
+    #[test]
+    fn stats_drives_one_job_and_leaves_the_volume_as_it_found_it() {
+        let dir = std::env::temp_dir().join(format!("lamassu-cli-stats-{}", std::process::id()));
+        let _ = fs::remove_dir_all(&dir);
+        fs::create_dir_all(&dir).unwrap();
+        let path = |leaf: &str| dir.join(leaf).display().to_string();
+        let (keys, volume) = (path("keys.json"), path("vol"));
+        let with = |extra: &[&str]| {
+            let mut args = vec!["--keys", &keys, "--volume", &volume];
+            args.extend_from_slice(extra);
+            parse_args(&strings(&args)).unwrap()
+        };
+        cmd_keygen(&with(&[])).unwrap();
+        let data: Vec<u8> = (0..100_000u32).map(|i| (i % 251) as u8).collect();
+        fs::write(path("in.bin"), &data).unwrap();
+        cmd_put(&with(&[&path("in.bin"), "/kept.bin"])).unwrap();
+
+        let result = cmd_stats(&with(&["--format", "json"])).unwrap();
+        assert_eq!(result.workload, Workload::RandRead);
+        // One pass of one job over the scratch file.
+        assert_eq!(result.ops, STATS_FILE_BYTES / 4096);
+        assert_eq!(result.read_lat.count, result.ops);
+
+        assert_eq!(mount(&with(&[])).unwrap().fs.list().unwrap(), ["/kept.bin"]);
+        cmd_get(&with(&["/kept.bin", &path("out.bin")])).unwrap();
+        assert_eq!(fs::read(path("out.bin")).unwrap(), data);
         fs::remove_dir_all(&dir).unwrap();
     }
 }

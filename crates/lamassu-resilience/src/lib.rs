@@ -1,10 +1,10 @@
 //! Self-healing layer for the Lamassu stack: retries with deadline
-//! budgets, hedged reads, and per-backend circuit breakers.
+//! budgets and per-backend circuit breakers.
 //!
 //! The paper's prototype treats the backing store as an unreliable remote
 //! filer: operations can fail transiently (a transport hiccup, a member
-//! mid-reboot) or straggle (a deep queue on one backend). This crate wraps
-//! any `ObjectStore` in a [`ResilientStore`] that absorbs both:
+//! mid-reboot). This crate wraps any `ObjectStore` in a [`ResilientStore`]
+//! that absorbs those failures:
 //!
 //! ```text
 //!                    LamassuFS / shims
@@ -12,7 +12,6 @@
 //!                    ResilientStore   ← this crate
 //!                    │  retries + backoff (virtual time)
 //!                    │  deadline budgets ([`OpBudget`])
-//!                    │  hedged reads (latency-quantile triggered)
 //!                          │
 //!                     RoutedStore ──── BreakerSet (HealthGate)
 //!                    ┌─────┼─────┐
@@ -29,13 +28,6 @@
 //! * **Deadline budgets** ([`OpBudget`]): every logical operation gets a
 //!   budget of attempts and of virtual elapsed time; when either runs out
 //!   the last transient error surfaces to the caller.
-//! * **Hedged reads**: read attempts are issued through the submission API
-//!   and their modelled completion times recorded in a live latency
-//!   histogram. When an attempt's modelled completion exceeds a
-//!   configurable quantile of that history ([`HedgeConfig`]), a duplicate
-//!   attempt is submitted on another queue-depth lane; whichever completes
-//!   first in virtual time wins, and the loser's completion token is
-//!   dropped (the model's cancellation).
 //! * **Circuit breakers** ([`CircuitBreaker`], [`BreakerSet`]): per-member
 //!   error-rate windows that stop routing to a failing backend
 //!   (implementing `lamassu-dist`'s `HealthGate`), let it cool down, and
@@ -54,7 +46,7 @@ pub mod store;
 pub use breaker::{BreakerConfig, BreakerSet, BreakerSetStats, BreakerState, CircuitBreaker};
 pub use retry::{OpBudget, RetryPolicy};
 pub use stats::ResilienceStats;
-pub use store::{HedgeConfig, ResilientStore};
+pub use store::ResilientStore;
 
 /// The workspace's standard splitmix64 mix — the deterministic jitter and
 /// fault-draw primitive (same constants as `lamassu-storage`'s fault

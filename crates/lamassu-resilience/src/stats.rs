@@ -1,4 +1,4 @@
-//! Resilience-layer statistics: retries, budgets, hedges.
+//! Resilience-layer statistics: retries and budgets.
 
 use serde::Serialize;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -11,8 +11,6 @@ pub(crate) struct AtomicResilienceStats {
     pub recoveries: AtomicU64,
     pub budget_exhausted: AtomicU64,
     pub terminal_errors: AtomicU64,
-    pub hedged_reads: AtomicU64,
-    pub hedge_wins: AtomicU64,
     pub backoff_ns: AtomicU64,
 }
 
@@ -27,8 +25,7 @@ impl AtomicResilienceStats {
             recoveries: self.recoveries.load(Ordering::Relaxed),
             budget_exhausted: self.budget_exhausted.load(Ordering::Relaxed),
             terminal_errors: self.terminal_errors.load(Ordering::Relaxed),
-            hedged_reads: self.hedged_reads.load(Ordering::Relaxed),
-            hedge_wins: self.hedge_wins.load(Ordering::Relaxed),
+            hedged_reads: 0,
             backoff_virtual_ns: self.backoff_ns.load(Ordering::Relaxed),
         }
     }
@@ -49,13 +46,10 @@ pub struct ResilienceStats {
     /// Terminal errors (`NotFound` and friends) passed straight through
     /// without burning retry budget.
     pub terminal_errors: u64,
-    /// Duplicate read attempts launched because the primary's modelled
-    /// completion crossed the hedge latency threshold.
+    /// Always 0: the store issues no duplicate reads. The field stays
+    /// because the benchmark's `resilience.hedged_reads` row reads it; the
+    /// two leave together.
     pub hedged_reads: u64,
-    /// Hedges whose modelled completion was no later than the primary's
-    /// (the duplicate would have answered first), or that rescued a failed
-    /// primary outright.
-    pub hedge_wins: u64,
     /// Total virtual time spent in backoff sleeps, in nanoseconds.
     pub backoff_virtual_ns: u64,
 }
@@ -70,7 +64,6 @@ impl ResilienceStats {
             budget_exhausted: self.budget_exhausted + other.budget_exhausted,
             terminal_errors: self.terminal_errors + other.terminal_errors,
             hedged_reads: self.hedged_reads + other.hedged_reads,
-            hedge_wins: self.hedge_wins + other.hedge_wins,
             backoff_virtual_ns: self.backoff_virtual_ns + other.backoff_virtual_ns,
         }
     }
@@ -89,13 +82,13 @@ mod tests {
     fn merge_sums_fieldwise_and_serializes() {
         let a = ResilienceStats {
             retries: 2,
-            hedge_wins: 1,
+            recoveries: 1,
             backoff_virtual_ns: 500,
             ..ResilienceStats::default()
         };
         let m = a.merge(&a);
         assert_eq!(m.retries, 4);
-        assert_eq!(m.hedge_wins, 2);
+        assert_eq!(m.recoveries, 2);
         assert_eq!(m.backoff_virtual(), Duration::from_nanos(1000));
         let json = serde_json::to_string(&a).unwrap();
         assert!(json.contains("\"retries\":2"), "{json}");

@@ -1,5 +1,4 @@
-//! [`ResilientStore`]: retries, deadlines and hedged reads over any
-//! `ObjectStore`.
+//! [`ResilientStore`]: retries and deadlines over any `ObjectStore`.
 //!
 //! # Virtual-time semantics
 //!
@@ -11,13 +10,6 @@
 //!   `io_time()` (so deadline budgets see it) but costs no real time.
 //! * Deadline budgets measure elapsed time as the `io_time()` delta since
 //!   the logical operation began.
-//! * Hedged reads issue attempts through the submission API, so the
-//!   attempt's modelled completion (queueing included) is observable as
-//!   the `io_time()` frontier. A duplicate submitted onto another
-//!   queue-depth lane that leaves the frontier unchanged would have
-//!   completed no later than the primary — a *hedge win*. The loser's
-//!   completion token is simply dropped; like a real NVMe/network cancel,
-//!   the transport work is already spent, only the answer is discarded.
 //!
 //! # What is (and is not) retried
 //!
@@ -27,60 +19,23 @@
 //! — describe namespace state, not transport luck: they surface
 //! immediately and never burn budget.
 //!
-//! The submission-API methods (`submit_read_vectored` & co.) are **not**
-//! overridden: the trait defaults route them through this store's retried
-//! blocking paths and complete eagerly, so a submitting caller still gets
-//! retry coverage, at the cost of losing cross-operation lane overlap
-//! above this layer (each member keeps its own overlap below).
+//! Every method is one retried blocking call on the wrapped store. The
+//! submission-API methods (`submit_read_vectored` & co.) are **not**
+//! overridden: the trait defaults route them through those retried blocking
+//! paths and complete eagerly, so a submitting caller still gets retry
+//! coverage, at the cost of losing cross-operation lane overlap above this
+//! layer (each member keeps its own overlap below).
 
 use crate::retry::{OpBudget, RetryPolicy};
 use crate::stats::{AtomicResilienceStats, ResilienceStats};
-use lamassu_storage::{
-    iovec, Completion, IoCounters, ObjectStore, Result, StorageError, SubmitQueue,
-};
-use lamassu_telemetry::Histogram;
-use parking_lot::Mutex;
+use lamassu_storage::{Completion, IoCounters, ObjectStore, Result, SubmitQueue};
 use std::io::{IoSlice, IoSliceMut};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-/// When and how to hedge a read.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct HedgeConfig {
-    /// Hedge when an attempt's modelled completion exceeds this quantile
-    /// of the live attempt-latency histogram.
-    pub quantile: f64,
-    /// Attempts observed before the quantile estimate is trusted (no
-    /// hedging until then).
-    pub min_samples: u64,
-    /// Recompute the cached quantile threshold every this many recorded
-    /// attempts (the threshold is cached in an atomic so the hot path
-    /// never walks histogram buckets).
-    pub refresh_every: u64,
-    /// Never hedge when the threshold estimate is below this floor —
-    /// guards against hedging every read on an instant (zero-cost)
-    /// profile where all quantiles are zero.
-    pub floor: Duration,
-}
-
-impl Default for HedgeConfig {
-    /// Hedge past the live p95, once 64 attempts are recorded, with a
-    /// 1 µs floor.
-    fn default() -> Self {
-        HedgeConfig {
-            quantile: 0.95,
-            min_samples: 64,
-            refresh_every: 32,
-            floor: Duration::from_micros(1),
-        }
-    }
-}
-
 /// A self-healing wrapper around any [`ObjectStore`]: transient failures
-/// are retried with virtual-time backoff under a per-operation budget,
-/// and (optionally) slow read attempts are hedged onto another
-/// queue-depth lane.
+/// are retried with virtual-time backoff under a per-operation budget.
 ///
 /// # Examples
 ///
@@ -104,44 +59,21 @@ pub struct ResilientStore<S: ObjectStore + ?Sized = dyn ObjectStore> {
     inner: Arc<S>,
     retry: RetryPolicy,
     budget: OpBudget,
-    hedge: Option<HedgeConfig>,
-    /// Modelled completion time (ns) of every read attempt issued while
-    /// hedging is enabled; feeds the hedge threshold.
-    attempt_hist: Histogram,
-    /// Cached hedge threshold in ns (0 = not yet established).
-    hedge_threshold_ns: AtomicU64,
-    /// Attempts recorded since the threshold was last refreshed.
-    since_refresh: AtomicU64,
     /// Logical-operation sequence number (jitter decorrelation).
     op_seq: AtomicU64,
-    /// Reusable bounce buffer for hedged duplicates (hedges are off the
-    /// zero-alloc path; reuse still keeps the steady state alloc-free).
-    scratch: Mutex<Vec<u8>>,
     stats: AtomicResilienceStats,
 }
 
 impl<S: ObjectStore + ?Sized> ResilientStore<S> {
-    /// Wraps `inner` with retries and deadlines; hedging starts disabled
-    /// (see [`ResilientStore::with_hedging`]).
+    /// Wraps `inner` with retries and deadlines.
     pub fn new(inner: Arc<S>, retry: RetryPolicy, budget: OpBudget) -> Self {
         ResilientStore {
             inner,
             retry,
             budget,
-            hedge: None,
-            attempt_hist: Histogram::new(),
-            hedge_threshold_ns: AtomicU64::new(0),
-            since_refresh: AtomicU64::new(0),
             op_seq: AtomicU64::new(0),
-            scratch: Mutex::new(Vec::new()),
             stats: AtomicResilienceStats::default(),
         }
-    }
-
-    /// Enables hedged reads with the given trigger configuration.
-    pub fn with_hedging(mut self, hedge: HedgeConfig) -> Self {
-        self.hedge = Some(hedge);
-        self
     }
 
     /// The wrapped store.
@@ -152,37 +84,6 @@ impl<S: ObjectStore + ?Sized> ResilientStore<S> {
     /// Recovery-activity counters.
     pub fn stats(&self) -> ResilienceStats {
         self.stats.snapshot()
-    }
-
-    /// Live histogram of read-attempt modelled completion times (ns).
-    /// Empty unless hedging is enabled.
-    pub fn latency_histogram(&self) -> &Histogram {
-        &self.attempt_hist
-    }
-
-    /// The hedge trigger currently in force, if hedging is enabled: reads
-    /// whose modelled completion exceeds this duration spawn a duplicate
-    /// attempt. `None` until `min_samples` attempts are recorded.
-    pub fn hedge_threshold(&self) -> Option<Duration> {
-        let ns = self.hedge_threshold_ns.load(Ordering::Relaxed);
-        (ns > 0).then(|| Duration::from_nanos(ns))
-    }
-
-    /// Records one attempt's modelled completion and refreshes the cached
-    /// threshold at the configured cadence.
-    fn observe_attempt(&self, hedge: &HedgeConfig, cost: Duration) {
-        self.attempt_hist
-            .record(cost.as_nanos().min(u64::MAX as u128) as u64);
-        let n = self.since_refresh.fetch_add(1, Ordering::Relaxed) + 1;
-        if self.attempt_hist.count() >= hedge.min_samples
-            && (n >= hedge.refresh_every || self.hedge_threshold_ns.load(Ordering::Relaxed) == 0)
-        {
-            self.since_refresh.store(0, Ordering::Relaxed);
-            let q = self.attempt_hist.quantile(hedge.quantile);
-            if Duration::from_nanos(q) >= hedge.floor {
-                self.hedge_threshold_ns.store(q, Ordering::Relaxed);
-            }
-        }
     }
 
     /// Runs one logical operation: `f` is attempted, transient failures
@@ -221,68 +122,6 @@ impl<S: ObjectStore + ?Sized> ResilientStore<S> {
             }
         }
     }
-
-    /// One read attempt through the submission API, hedging when the
-    /// modelled transport says the primary will finish late. Fills `bufs`
-    /// and returns the byte count, exactly like `read_into_vectored`.
-    fn hedged_attempt(
-        &self,
-        hedge: &HedgeConfig,
-        name: &str,
-        offset: u64,
-        bufs: &mut [IoSliceMut<'_>],
-    ) -> Result<usize> {
-        let t0 = self.inner.io_time();
-        let mut q = SubmitQueue::new();
-        let primary = self.inner.submit_read_vectored(&mut q, name, offset, bufs);
-        // The frontier now includes the primary's lane: its modelled
-        // completion (queueing included) is the io_time delta.
-        let primary_done = self.inner.io_time().saturating_sub(t0);
-        self.observe_attempt(hedge, primary_done);
-        let threshold = self.hedge_threshold();
-        let mut hedge_ticket = None;
-        if threshold.is_some_and(|th| primary_done > th) {
-            AtomicResilienceStats::bump(&self.stats.hedged_reads);
-            let mut scratch = self.scratch.lock();
-            scratch.resize(iovec::total_len(bufs), 0);
-            let before = self.inner.io_time();
-            let ticket = {
-                let mut iov = [IoSliceMut::new(&mut scratch[..])];
-                self.inner
-                    .submit_read_vectored(&mut q, name, offset, &mut iov)
-            };
-            // The duplicate landed on the earliest-free lane. If the
-            // frontier did not move, its modelled completion is no later
-            // than the primary's: the hedge would have answered first.
-            if self.inner.io_time() == before {
-                AtomicResilienceStats::bump(&self.stats.hedge_wins);
-            }
-            hedge_ticket = Some(ticket);
-        }
-        let mut out = Vec::new();
-        self.inner.wait_completions(&mut q, &mut out);
-        let take = |t| out.iter().find(|c| c.ticket == t).map(|c| c.result.clone());
-        let primary_result = take(primary).unwrap_or_else(|| {
-            Err(StorageError::Backend {
-                name: name.to_string(),
-                detail: "primary completion lost".to_string(),
-            })
-        });
-        match primary_result {
-            Ok(n) => Ok(n), // hedge loser's token dropped (cancelled)
-            Err(primary_err) => {
-                // The primary failed; if the duplicate succeeded it rescues
-                // the attempt — copy its bytes out of the bounce buffer.
-                if let Some(Ok(n)) = hedge_ticket.and_then(take) {
-                    AtomicResilienceStats::bump(&self.stats.hedge_wins);
-                    iovec::scatter(bufs, 0, &self.scratch.lock()[..n]);
-                    Ok(n)
-                } else {
-                    Err(primary_err)
-                }
-            }
-        }
-    }
 }
 
 impl<S: ObjectStore + ?Sized> ObjectStore for ResilientStore<S> {
@@ -300,13 +139,7 @@ impl<S: ObjectStore + ?Sized> ObjectStore for ResilientStore<S> {
         offset: u64,
         bufs: &mut [IoSliceMut<'_>],
     ) -> Result<usize> {
-        if let Some(hedge) = self.hedge {
-            self.with_retries(|| self.hedged_attempt(&hedge, name, offset, bufs))
-        } else {
-            // No hedging: the plain blocking attempt keeps the warm path
-            // allocation-free.
-            self.with_retries(|| self.inner.read_into_vectored(name, offset, bufs))
-        }
+        self.with_retries(|| self.inner.read_into_vectored(name, offset, bufs))
     }
 
     fn write_at_vectored(&self, name: &str, offset: u64, bufs: &[IoSlice<'_>]) -> Result<()> {
@@ -363,7 +196,7 @@ impl<S: ObjectStore + ?Sized> ObjectStore for ResilientStore<S> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lamassu_storage::{DirStore, FaultyStore, StorageProfile};
+    use lamassu_storage::{DirStore, FaultyStore, StorageError, StorageProfile};
 
     fn dir(tag: &str, profile: StorageProfile) -> Arc<DirStore> {
         let dir = std::env::temp_dir().join(format!(
@@ -512,69 +345,5 @@ mod tests {
         assert!(s.retries > 0, "{s:?}");
         assert!(s.recoveries == 1, "{s:?}");
         assert_eq!(inner.fault_stats().heals, 1);
-    }
-
-    #[test]
-    fn hedging_fires_on_slow_attempts_and_wins_on_a_free_lane() {
-        // NFS profile: multi-block reads cost real modelled time and the
-        // queue depth gives the hedge a second lane.
-        let inner = dir("hedge", StorageProfile::nfs_1gbe());
-        let store = ResilientStore::new(inner.clone(), RetryPolicy::default(), OpBudget::default())
-            .with_hedging(HedgeConfig {
-                quantile: 0.5,
-                min_samples: 8,
-                refresh_every: 4,
-                floor: Duration::from_nanos(1),
-            });
-        store.create("f").unwrap();
-        let data: Vec<u8> = (0..1 << 20).map(|i| (i % 241) as u8).collect();
-        store.write_at("f", 0, &data).unwrap();
-        // Mostly-small reads seed the histogram low; occasional huge reads
-        // then cross the median threshold and hedge.
-        let mut small = vec![0u8; 4096];
-        let mut large = vec![0u8; 1 << 19];
-        for round in 0..24 {
-            store.read_into("f", 0, &mut small).unwrap();
-            if round % 4 == 3 {
-                store.read_into("f", 0, &mut large).unwrap();
-            }
-        }
-        let s = store.stats();
-        assert!(s.hedged_reads > 0, "large reads must trip the p50: {s:?}");
-        assert!(s.hedge_wins > 0, "an idle lane should win ties: {s:?}");
-        assert!(store.latency_histogram().count() > 0);
-        assert!(store.hedge_threshold().is_some());
-        // Data integrity is untouched by hedging.
-        assert_eq!(&large[..4096], &data[..4096]);
-    }
-
-    #[test]
-    fn hedge_rescues_a_primary_that_fails_midway() {
-        let inner = Arc::new(FaultyStore::new(dir("rescue", StorageProfile::nfs_1gbe())));
-        let store = ResilientStore::new(inner.clone(), RetryPolicy::default(), OpBudget::default())
-            .with_hedging(HedgeConfig {
-                quantile: 0.5,
-                min_samples: 4,
-                refresh_every: 2,
-                floor: Duration::from_nanos(1),
-            });
-        store.create("f").unwrap();
-        let data: Vec<u8> = (0..1 << 18).map(|i| (i % 239) as u8).collect();
-        store.write_at("f", 0, &data).unwrap();
-        let mut small = vec![0u8; 4096];
-        for _ in 0..8 {
-            store.read_into("f", 0, &mut small).unwrap();
-        }
-        // A moderate transient rate: some primaries fail, and when the
-        // attempt also crossed the hedge threshold the duplicate rescues
-        // it without burning a retry.
-        inner.transient_fault_rate(9, 0.35);
-        let mut large = vec![0u8; 1 << 17];
-        for _ in 0..32 {
-            assert_eq!(store.read_into("f", 0, &mut large).unwrap(), large.len());
-            assert_eq!(&large[..256], &data[..256]);
-        }
-        let s = store.stats();
-        assert!(s.hedged_reads > 0, "{s:?}");
     }
 }

@@ -190,7 +190,7 @@ impl StorageProfile {
     }
 
     /// Returns a copy with the given per-channel submission queue depth
-    /// (the `--qd` knob; must be non-zero).
+    /// (must be non-zero).
     pub fn with_queue_depth(mut self, depth: usize) -> Self {
         assert!(depth > 0, "queue depth must be non-zero");
         self.queue_depth = depth;

@@ -173,8 +173,8 @@ impl Histogram {
     }
 
     /// Estimates the `q`-quantile directly from the live buckets, without
-    /// copying a snapshot out — **allocation-free**, so hot-path consumers
-    /// (e.g. a hedged-read threshold refresh) can call it per-op. Same
+    /// copying a snapshot out — **allocation-free**, so a hot-path consumer
+    /// can call it per-op. Same
     /// bucket-resolution estimate as [`HistSnapshot::quantile`]; under
     /// concurrent recording the walk sees each bucket once, so the estimate
     /// can trail in-flight records by at most those records. Returns 0 when

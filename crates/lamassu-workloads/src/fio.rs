@@ -1,4 +1,4 @@
-//! FIO-tester-style workloads (paper §4.2), single- and multi-job.
+//! FIO-tester-style workloads (paper §4.2).
 //!
 //! The paper drives PlainFS, EncFS and LamassuFS with five FIO workloads
 //! against a single 256 MiB file using 4 KiB synchronous I/O: sequential
@@ -7,29 +7,15 @@
 //! reproduces those workloads over any [`FileSystem`], and reports throughput
 //! as `bytes / (measured wall time + modelled backend I/O time)` so the NFS
 //! and RAM-disk transport profiles of Figures 7 and 8 both make sense.
-//!
-//! # Multi-job runs
-//!
-//! [`FioTester::run_jobs`] is the fio `numjobs` equivalent: `jobs` OS
-//! threads drive the mount simultaneously, either all against **one shared
-//! file** ([`JobLayout::SharedFile`] — exercising the shims' shared-read
-//! per-file locking) or each against **its own private file**
-//! ([`JobLayout::PrivateFiles`] — exercising cross-file scalability).
-//! Aggregate accounting is overlap-aware: wall time is the *slowest job's*
-//! wall (the jobs ran concurrently), and modelled backend time comes from
-//! the transport's per-channel makespan (concurrent round trips on a
-//! parallel backend overlap instead of summing) — never a serial
-//! per-job sum.
 
 use lamassu_core::{FileSystem, OpenFlags};
 use lamassu_storage::ObjectStore;
-use lamassu_telemetry::{HistSnapshot, Histogram, LatencySummary};
+use lamassu_telemetry::{Histogram, LatencySummary};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, RngCore, SeedableRng};
 use serde::Serialize;
 use std::io::IoSlice;
-use std::sync::Barrier;
 use std::time::{Duration, Instant};
 
 /// The five workloads of Figure 7 / Figure 8.
@@ -112,36 +98,11 @@ impl FioConfig {
     }
 }
 
-/// How the jobs of a multi-job run lay out their target files.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
-pub enum JobLayout {
-    /// Every job opens its own descriptor on **one shared file** — the
-    /// contended case that measures the per-file shared-read locking.
-    SharedFile,
-    /// Each job works a **private file** of the configured size — the
-    /// embarrassingly parallel case that measures cross-file scalability.
-    PrivateFiles,
-}
-
-impl JobLayout {
-    /// Short label used in reports ("shared" / "private").
-    pub fn label(&self) -> &'static str {
-        match self {
-            JobLayout::SharedFile => "shared",
-            JobLayout::PrivateFiles => "private",
-        }
-    }
-}
-
 /// The outcome of one workload run.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct FioResult {
     /// The workload that ran.
     pub workload: Workload,
-    /// Number of concurrent jobs that produced this result (`1` for the
-    /// classic single-job runs; for the per-job entries of a multi-job run
-    /// it is still the run's total job count).
-    pub jobs: usize,
     /// Bytes transferred by the measured phase.
     pub bytes: u64,
     /// Number of I/O requests issued.
@@ -216,14 +177,25 @@ impl FioTester {
         Ok(())
     }
 
-    /// Builds one job's precomputed op schedule (offsets, read/write mix and
-    /// the write payload), salted so every job of a multi-job run issues a
-    /// distinct sequence.
-    fn plan_ops(&self, workload: Workload, salt: u64) -> OpPlan {
+    /// Runs one workload against `path` on `fs`, charging backend time from
+    /// `store`'s virtual clock. The file must already exist (and be
+    /// populated, for read workloads); use [`FioTester::populate`] first.
+    ///
+    /// The store's I/O accounting is reset at the start of the measured
+    /// phase, mirroring the paper's cache flush between runs. Reads land in
+    /// one reused buffer through the zero-copy `read_into` path and the
+    /// latency histograms are preallocated lock-free buckets, so the
+    /// measured loop — like FIO itself — allocates nothing per operation.
+    pub fn run(
+        &self,
+        fs: &dyn FileSystem,
+        store: &dyn ObjectStore,
+        path: &str,
+        workload: Workload,
+    ) -> lamassu_core::Result<FioResult> {
         let ops = self.config.ops();
         let io = self.config.io_size;
-        let mut rng =
-            StdRng::seed_from_u64(self.config.seed ^ workload as u64 ^ salt.wrapping_mul(0x9e3b));
+        let mut rng = StdRng::seed_from_u64(self.config.seed ^ workload as u64);
 
         // Per-op offsets, precomputed so RNG time is not measured.
         let offsets: Vec<u64> = match workload {
@@ -247,69 +219,31 @@ impl FioTester {
         // charging RNG time to the measured path.
         let mut write_buf = vec![0u8; io];
         rng.fill_bytes(&mut write_buf);
-        let op_counter: u64 = rng.gen();
-        OpPlan {
-            offsets,
-            is_read,
-            write_buf,
-            op_counter,
-        }
-    }
+        let mut op_counter: u64 = rng.gen();
 
-    /// Executes one job's op schedule against an already-open descriptor and
-    /// returns its wall time, recording each request's latency into `lats`.
-    /// Reads land in one reused buffer through the zero-copy `read_into`
-    /// path and the histograms are preallocated lock-free buckets, so the
-    /// measured loop — like FIO itself — allocates nothing per operation.
-    fn execute_ops(
-        &self,
-        fs: &dyn FileSystem,
-        fd: lamassu_core::Fd,
-        plan: &mut OpPlan,
-        lats: &OpLatencies,
-    ) -> lamassu_core::Result<Duration> {
-        let mut read_buf = vec![0u8; self.config.io_size];
-        let start = Instant::now();
-        for i in 0..plan.offsets.len() {
-            let offset = plan.offsets[i];
-            let op_start = Instant::now();
-            if plan.is_read[i] {
-                let _ = fs.read_into(fd, offset, &mut read_buf)?;
-                lats.read.record_duration(op_start.elapsed());
-            } else {
-                plan.op_counter = plan.op_counter.wrapping_add(0x9e37_79b9_7f4a_7c15);
-                plan.write_buf[..8].copy_from_slice(&plan.op_counter.to_le_bytes());
-                fs.write_vectored(fd, offset, &[IoSlice::new(&plan.write_buf)])?;
-                lats.write.record_duration(op_start.elapsed());
-            }
-        }
-        fs.fsync(fd)?;
-        Ok(start.elapsed())
-    }
-
-    /// Runs one workload against `path` on `fs`, charging backend time from
-    /// `store`'s virtual clock. The file must already exist (and be
-    /// populated, for read workloads); use [`FioTester::populate`] first.
-    ///
-    /// The store's I/O accounting is reset at the start of the measured
-    /// phase, mirroring the paper's cache flush between runs.
-    pub fn run(
-        &self,
-        fs: &dyn FileSystem,
-        store: &dyn ObjectStore,
-        path: &str,
-        workload: Workload,
-    ) -> lamassu_core::Result<FioResult> {
-        let mut plan = self.plan_ops(workload, 0);
         let fd = if fs.list()?.iter().any(|p| p == path) {
             fs.open(path, OpenFlags::default())?
         } else {
             fs.create(path)?
         };
-
-        let lats = OpLatencies::default();
+        let (read_lat, write_lat) = (Histogram::new(), Histogram::new());
+        let mut read_buf = vec![0u8; io];
         store.reset_io_accounting();
-        let compute_time = self.execute_ops(fs, fd, &mut plan, &lats)?;
+        let start = Instant::now();
+        for (&offset, &read) in offsets.iter().zip(&is_read) {
+            let op_start = Instant::now();
+            if read {
+                let _ = fs.read_into(fd, offset, &mut read_buf)?;
+                read_lat.record_duration(op_start.elapsed());
+            } else {
+                op_counter = op_counter.wrapping_add(0x9e37_79b9_7f4a_7c15);
+                write_buf[..8].copy_from_slice(&op_counter.to_le_bytes());
+                fs.write_vectored(fd, offset, &[IoSlice::new(&write_buf)])?;
+                write_lat.record_duration(op_start.elapsed());
+            }
+        }
+        fs.fsync(fd)?;
+        let compute_time = start.elapsed();
         let io_time = store.io_time();
         let counters = store.io_counters();
         fs.close(fd)?;
@@ -318,12 +252,11 @@ impl FioTester {
         // (the store only accounts for it), so the end-to-end time under the
         // modelled transport is the sum of the two.
         let total_time = compute_time + io_time;
-        let bytes = self.config.ops() * self.config.io_size as u64;
+        let bytes = ops * io as u64;
         Ok(FioResult {
             workload,
-            jobs: 1,
             bytes,
-            ops: self.config.ops(),
+            ops,
             compute_time,
             io_time,
             total_time,
@@ -331,205 +264,10 @@ impl FioTester {
             counters,
             cache_hit_rate: counters.cache_hit_rate(),
             round_trips: counters.read_ops + counters.write_ops,
-            read_lat: lats.read.snapshot().summary(),
-            write_lat: lats.write.snapshot().summary(),
+            read_lat: read_lat.snapshot().summary(),
+            write_lat: write_lat.snapshot().summary(),
         })
     }
-
-    /// Runs `jobs` concurrent copies of `workload` — fio's `numjobs` — and
-    /// returns per-job plus aggregate results.
-    ///
-    /// Unlike [`FioTester::run`], this prepares the target file(s) itself:
-    /// under [`JobLayout::SharedFile`] all jobs drive `base_path`; under
-    /// [`JobLayout::PrivateFiles`] job *j* drives `{base_path}.job{j}`. Each
-    /// job performs one full pass of `file_size / io_size` operations
-    /// through its own descriptor, so total transferred bytes scale with the
-    /// job count.
-    ///
-    /// Aggregate accounting is overlap-aware: `compute_time` is the slowest
-    /// job's wall time (the jobs ran concurrently — never a per-job sum) and
-    /// `io_time` is the modelled transport's per-channel makespan, in which
-    /// round trips issued concurrently on a parallel backend overlap. The
-    /// per-job entries report each job's own wall time next to that shared
-    /// makespan; backend op counters are only meaningful for the whole run
-    /// and appear solely on the aggregate.
-    ///
-    /// One model caveat: the transport overlaps by *issuing thread*, so
-    /// workloads whose operations serialize above the store — N jobs
-    /// *writing* one [`JobLayout::SharedFile`] target all queue on the
-    /// shim's exclusive per-file write guard — report an optimistic
-    /// (up-to-width) modelled makespan. Shared-file *read* workloads and
-    /// [`JobLayout::PrivateFiles`] runs have no such exclusion and are
-    /// faithful.
-    pub fn run_jobs(
-        &self,
-        fs: &dyn FileSystem,
-        store: &dyn ObjectStore,
-        base_path: &str,
-        workload: Workload,
-        jobs: usize,
-        layout: JobLayout,
-    ) -> lamassu_core::Result<MultiJobResult> {
-        assert!(jobs >= 1, "at least one job");
-        let paths: Vec<String> = match layout {
-            JobLayout::SharedFile => vec![base_path.to_string(); jobs],
-            JobLayout::PrivateFiles => (0..jobs).map(|j| format!("{base_path}.job{j}")).collect(),
-        };
-
-        // Prepare every distinct target outside the measured phase.
-        let mut unique = paths.clone();
-        unique.sort();
-        unique.dedup();
-        for path in &unique {
-            if workload.needs_prepopulated_file() {
-                self.populate(fs, path)?;
-            } else if !fs.list()?.iter().any(|p| p == path) {
-                let fd = fs.create(path)?;
-                fs.close(fd)?;
-            }
-        }
-
-        // Per-job op schedules, precomputed so RNG time is not measured, and
-        // per-job latency histograms, preallocated for the same reason.
-        let mut plans: Vec<OpPlan> = (0..jobs)
-            .map(|j| self.plan_ops(workload, j as u64 + 1))
-            .collect();
-        let lat_pairs: Vec<OpLatencies> = (0..jobs).map(|_| OpLatencies::default()).collect();
-
-        // Every job gets its own descriptor, opened — like [`FioTester::run`]
-        // does — *before* the accounting reset, so open/load backend traffic
-        // is not charged to the measured phase.
-        let mut fds = Vec::with_capacity(jobs);
-        for path in &paths {
-            fds.push(fs.open(path, OpenFlags::default())?);
-        }
-
-        store.reset_io_accounting();
-        let barrier = Barrier::new(jobs);
-        let outcomes: Vec<lamassu_core::Result<Duration>> = std::thread::scope(|scope| {
-            let barrier = &barrier;
-            let handles: Vec<_> = plans
-                .iter_mut()
-                .zip(&fds)
-                .zip(&lat_pairs)
-                .map(|((plan, &fd), lats)| {
-                    scope.spawn(move || {
-                        // Start all jobs together so their round trips
-                        // genuinely overlap on the modelled transport.
-                        barrier.wait();
-                        self.execute_ops(fs, fd, plan, lats)
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("job thread panicked"))
-                .collect()
-        });
-        let io_time = store.io_time();
-        let counters = store.io_counters();
-        for fd in fds {
-            fs.close(fd)?;
-        }
-
-        let mut walls = Vec::with_capacity(jobs);
-        for outcome in outcomes {
-            walls.push(outcome?);
-        }
-        let bytes_per_job = self.config.ops() * self.config.io_size as u64;
-        let per_job: Vec<FioResult> = walls
-            .iter()
-            .zip(&lat_pairs)
-            .map(|(&wall, lats)| FioResult {
-                workload,
-                jobs,
-                bytes: bytes_per_job,
-                ops: self.config.ops(),
-                compute_time: wall,
-                io_time,
-                total_time: wall + io_time,
-                bandwidth_mib_s: bytes_per_job as f64
-                    / (1024.0 * 1024.0)
-                    / (wall + io_time).as_secs_f64().max(1e-9),
-                counters: lamassu_storage::IoCounters::default(),
-                cache_hit_rate: 0.0,
-                round_trips: 0,
-                read_lat: lats.read.snapshot().summary(),
-                write_lat: lats.write.snapshot().summary(),
-            })
-            .collect();
-
-        let compute_time = walls.iter().copied().max().unwrap_or_default();
-        let total_time = compute_time + io_time;
-        let total_bytes = bytes_per_job * jobs as u64;
-        // Aggregate latency is the *union* of the per-job histograms (bucket
-        // merge), not an average of summaries — percentiles don't average.
-        let merge_lats = |pick: fn(&OpLatencies) -> &Histogram| {
-            lat_pairs
-                .iter()
-                .map(|l| pick(l).snapshot())
-                .reduce(|a, b| a.merge(&b))
-                .expect("at least one job")
-        };
-        let read_union: HistSnapshot = merge_lats(|l| &l.read);
-        let write_union: HistSnapshot = merge_lats(|l| &l.write);
-        let aggregate = FioResult {
-            workload,
-            jobs,
-            bytes: total_bytes,
-            ops: self.config.ops() * jobs as u64,
-            compute_time,
-            io_time,
-            total_time,
-            bandwidth_mib_s: total_bytes as f64
-                / (1024.0 * 1024.0)
-                / total_time.as_secs_f64().max(1e-9),
-            counters,
-            cache_hit_rate: counters.cache_hit_rate(),
-            round_trips: counters.read_ops + counters.write_ops,
-            read_lat: read_union.summary(),
-            write_lat: write_union.summary(),
-        };
-        Ok(MultiJobResult {
-            workload,
-            layout,
-            jobs,
-            per_job,
-            aggregate,
-        })
-    }
-}
-
-/// One job's pair of per-request latency histograms, preallocated before the
-/// measured phase so recording is pure lock-free atomics.
-#[derive(Default)]
-struct OpLatencies {
-    read: Histogram,
-    write: Histogram,
-}
-
-/// One job's precomputed op schedule.
-struct OpPlan {
-    offsets: Vec<u64>,
-    is_read: Vec<bool>,
-    write_buf: Vec<u8>,
-    op_counter: u64,
-}
-
-/// The outcome of a [`FioTester::run_jobs`] multi-job run.
-#[derive(Debug, Clone, Serialize)]
-pub struct MultiJobResult {
-    /// The workload that ran.
-    pub workload: Workload,
-    /// How the jobs laid out their files.
-    pub layout: JobLayout,
-    /// Number of concurrent jobs.
-    pub jobs: usize,
-    /// One result per job: its own wall time beside the run's shared
-    /// transport makespan (backend counters appear only on the aggregate).
-    pub per_job: Vec<FioResult>,
-    /// The whole run, overlap-aware: slowest job wall + transport makespan.
-    pub aggregate: FioResult,
 }
 
 #[cfg(test)]
@@ -620,96 +358,6 @@ mod tests {
     }
 
     #[test]
-    fn multi_job_shared_file_aggregates_per_job_passes() {
-        let store = Arc::new(DedupStore::new(4096, StorageProfile::instant()));
-        let fs = LamassuFs::new(store.clone(), keys(), LamassuConfig::default());
-        let tester = FioTester::new(small_config());
-        let result = tester
-            .run_jobs(
-                &fs,
-                store.as_ref(),
-                "/bench",
-                Workload::RandRead,
-                3,
-                JobLayout::SharedFile,
-            )
-            .unwrap();
-        assert_eq!(result.jobs, 3);
-        assert_eq!(result.per_job.len(), 3);
-        // Each job makes a full pass, so aggregate bytes scale with jobs.
-        assert_eq!(result.aggregate.bytes, 3 * 1024 * 1024);
-        assert_eq!(result.aggregate.ops, 3 * 256);
-        assert_eq!(result.aggregate.jobs, 3);
-        for job in &result.per_job {
-            assert_eq!(job.bytes, 1024 * 1024);
-            assert_eq!(job.jobs, 3);
-        }
-        // One shared file only.
-        assert_eq!(store.object_count(), 1);
-    }
-
-    #[test]
-    fn multi_job_private_files_each_get_their_own_target() {
-        let store = Arc::new(DedupStore::new(4096, StorageProfile::instant()));
-        let fs = PlainFs::new(store.clone());
-        let tester = FioTester::new(small_config());
-        let result = tester
-            .run_jobs(
-                &fs,
-                store.as_ref(),
-                "/bench",
-                Workload::SeqWrite,
-                2,
-                JobLayout::PrivateFiles,
-            )
-            .unwrap();
-        assert_eq!(store.object_count(), 2);
-        assert_eq!(fs.stat("/bench.job0").unwrap().logical_size, 1024 * 1024);
-        assert_eq!(fs.stat("/bench.job1").unwrap().logical_size, 1024 * 1024);
-        assert_eq!(result.aggregate.bytes, 2 * 1024 * 1024);
-    }
-
-    #[test]
-    fn concurrent_jobs_overlap_on_a_parallel_transport() {
-        // 4 jobs over the 8-wide NFS transport: the aggregate modelled time
-        // is the channel makespan (about one job's worth), not the 4x serial
-        // sum a naive per-job summation would report.
-        let store = Arc::new(DedupStore::new(4096, StorageProfile::nfs_1gbe()));
-        let fs = PlainFs::new(store.clone());
-        let tester = FioTester::new(small_config());
-        let single = tester
-            .run_jobs(
-                &fs,
-                store.as_ref(),
-                "/bench",
-                Workload::RandRead,
-                1,
-                JobLayout::SharedFile,
-            )
-            .unwrap();
-        let multi = tester
-            .run_jobs(
-                &fs,
-                store.as_ref(),
-                "/bench",
-                Workload::RandRead,
-                4,
-                JobLayout::SharedFile,
-            )
-            .unwrap();
-        assert!(multi.aggregate.io_time > Duration::ZERO);
-        // Four full passes of modelled round trips overlapped into no more
-        // than ~2x one pass (exactly 1x when every job got its own channel).
-        assert!(
-            multi.aggregate.io_time < single.aggregate.io_time * 2,
-            "4-job makespan {:?} vs single-job {:?}",
-            multi.aggregate.io_time,
-            single.aggregate.io_time
-        );
-        assert_eq!(multi.aggregate.counters.read_ops, 4 * 256);
-    }
-
-    #[test]
     fn per_op_latency_percentiles_cover_the_measured_phase() {
         let store = Arc::new(DedupStore::new(4096, StorageProfile::instant()));
         let fs = LamassuFs::new(store.clone(), keys(), LamassuConfig::default());
@@ -733,34 +381,6 @@ mod tests {
             .unwrap();
         assert_eq!(result.read_lat.count, result.ops);
         assert_eq!(result.write_lat, LatencySummary::default());
-    }
-
-    #[test]
-    fn multi_job_aggregate_latency_is_the_union_of_jobs() {
-        let store = Arc::new(DedupStore::new(4096, StorageProfile::instant()));
-        let fs = LamassuFs::new(store.clone(), keys(), LamassuConfig::default());
-        let tester = FioTester::new(small_config());
-        let result = tester
-            .run_jobs(
-                &fs,
-                store.as_ref(),
-                "/bench",
-                Workload::RandRead,
-                3,
-                JobLayout::SharedFile,
-            )
-            .unwrap();
-        let per_job_reads: u64 = result.per_job.iter().map(|j| j.read_lat.count).sum();
-        assert_eq!(result.aggregate.read_lat.count, per_job_reads);
-        assert_eq!(result.aggregate.read_lat.count, 3 * 256);
-        // The union's max is the max over jobs.
-        let job_max = result
-            .per_job
-            .iter()
-            .map(|j| j.read_lat.max_ns)
-            .max()
-            .unwrap();
-        assert_eq!(result.aggregate.read_lat.max_ns, job_max);
     }
 
     #[test]

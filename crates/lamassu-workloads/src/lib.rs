@@ -19,6 +19,6 @@ pub mod fio;
 pub mod synthetic;
 pub mod vmimage;
 
-pub use fio::{FioConfig, FioResult, FioTester, JobLayout, MultiJobResult, Workload};
+pub use fio::{FioConfig, FioResult, FioTester, Workload};
 pub use synthetic::SyntheticSpec;
 pub use vmimage::{VmImageSpec, VM_IMAGES};

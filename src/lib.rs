@@ -25,10 +25,9 @@
 //!   consistent-hash placement over a fixed set of N child backends with
 //!   R-way replication, read failover and digest-based scrub/read-repair.
 //! * [`resilience`] — the self-healing layer: [`resilience::ResilientStore`]
-//!   retries with virtual-time backoff under deadline budgets and hedges
-//!   slow reads, while [`resilience::BreakerSet`] gives the routed tier
-//!   per-backend circuit breakers whose half-open probes trigger targeted
-//!   scrubs.
+//!   retries with virtual-time backoff under deadline budgets, while
+//!   [`resilience::BreakerSet`] gives the routed tier per-backend circuit
+//!   breakers whose half-open probes trigger targeted scrubs.
 //! * [`keymgr`] — KMIP-like key manager with isolation zones.
 //! * [`core`] — the [`core::FileSystem`] trait and the four shims:
 //!   [`core::PlainFs`], [`core::EncFs`], [`core::CeFileFs`] and

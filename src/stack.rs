@@ -8,9 +8,9 @@
 //! each tier *at construction*, so no tier can be left dark and nothing is
 //! looked up per I/O that was decided at mount time.
 //!
-//! Retries sit *below* the cache so a retried or hedged attempt hits the
-//! transport rather than the cache's fast path, and *above* the router so
-//! one retry covers whichever replica the router picks.
+//! Retries sit *below* the cache so a retried attempt hits the transport
+//! rather than the cache's fast path, and *above* the router so one retry
+//! covers whichever replica the router picks.
 //!
 //! The returned [`Stack`] owns typed handles to every tier present plus the
 //! two duties a hand-rolled assembler forgets: [`Stack::maintain`] (run the
@@ -43,9 +43,7 @@
 use crate::cache::{CacheConfig, CachedStore};
 use crate::core::Profiler;
 use crate::dist::{DistConfig, RoutedStore, ScrubReport};
-use crate::resilience::{
-    BreakerConfig, BreakerSet, HedgeConfig, OpBudget, ResilientStore, RetryPolicy,
-};
+use crate::resilience::{BreakerConfig, BreakerSet, OpBudget, ResilientStore, RetryPolicy};
 use crate::storage::ObjectStore;
 use std::sync::Arc;
 
@@ -56,8 +54,6 @@ pub struct Resilience {
     pub retry: RetryPolicy,
     /// Attempt and deadline budget per logical operation.
     pub budget: OpBudget,
-    /// Hedged reads, when set.
-    pub hedge: Option<HedgeConfig>,
     /// Per-member circuit breakers gating the router, when set. Ignored on a
     /// stack without a router (there is nobody to fail over to).
     pub breakers: Option<BreakerConfig>,
@@ -134,11 +130,7 @@ impl<S: ObjectStore + 'static> StackBuilder<S> {
             }
         };
         let resilient = self.resilience.map(|spec| {
-            let mut tier = ResilientStore::new(store.clone(), spec.retry, spec.budget);
-            if let Some(hedge) = spec.hedge {
-                tier = tier.with_hedging(hedge);
-            }
-            let tier = Arc::new(tier);
+            let tier = Arc::new(ResilientStore::new(store.clone(), spec.retry, spec.budget));
             store = tier.clone();
             tier
         });
@@ -178,7 +170,7 @@ pub struct Stack<F, S: ObjectStore + 'static> {
     pub router: Option<Arc<RoutedStore<S>>>,
     /// The router's per-member circuit breakers.
     pub breakers: Option<Arc<BreakerSet>>,
-    /// The retry/hedge tier.
+    /// The retry tier.
     pub resilient: Option<Arc<ResilientStore>>,
     /// The block cache.
     pub cache: Option<Arc<CachedStore>>,

@@ -4,12 +4,12 @@
 //!
 //! Every operation is applied to the self-healing stack and to an unwrapped
 //! reference store; results (data, lengths, and error payloads) must match
-//! exactly — the injected refusals, outages and hedged duplicates must be
-//! invisible to the client. Schedules are chosen so the store always heals
+//! exactly — the injected refusals and outages must be invisible to the
+//! client. Schedules are chosen so the store always heals
 //! within the (generous) retry budget: what the resilience layer promises is
 //! exactly "transient faults never surface".
 
-use lamassu::resilience::{HedgeConfig, OpBudget, ResilientStore, RetryPolicy};
+use lamassu::resilience::{OpBudget, ResilientStore, RetryPolicy};
 use lamassu::storage::{DirStore, FaultyStore, ObjectStore, StorageProfile};
 use proptest::prelude::*;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -124,12 +124,7 @@ fn fresh_base() -> std::path::PathBuf {
     ))
 }
 
-fn apply_and_compare(
-    ops: &[Op],
-    schedule: Schedule,
-    nfs: bool,
-    hedged: bool,
-) -> Result<(), TestCaseError> {
+fn apply_and_compare(ops: &[Op], schedule: Schedule, nfs: bool) -> Result<(), TestCaseError> {
     let base = fresh_base();
     let profile = if nfs {
         StorageProfile::nfs_1gbe()
@@ -151,16 +146,6 @@ fn apply_and_compare(
             max_elapsed: Duration::from_secs(60),
         },
     );
-    let store = if hedged {
-        store.with_hedging(HedgeConfig {
-            quantile: 0.75,
-            min_samples: 8,
-            refresh_every: 4,
-            floor: Duration::from_nanos(1),
-        })
-    } else {
-        store
-    };
     let reference = DirStore::open(base.join("reference"), StorageProfile::instant()).unwrap();
 
     match schedule {
@@ -300,8 +285,7 @@ proptest! {
         ops in prop::collection::vec(op_strategy(), 1..40),
         schedule in schedule_strategy(),
         nfs in any::<bool>(),
-        hedged in any::<bool>(),
     ) {
-        apply_and_compare(&ops, schedule, nfs, hedged)?;
+        apply_and_compare(&ops, schedule, nfs)?;
     }
 }

@@ -27,7 +27,7 @@ mod support;
 
 use lamassu::cache::{CacheConfig, CacheMode, CachedStore};
 use lamassu::dist::{DistConfig, RoutedStore};
-use lamassu::resilience::{HedgeConfig, OpBudget, ResilientStore, RetryPolicy};
+use lamassu::resilience::{OpBudget, ResilientStore, RetryPolicy};
 use lamassu::storage::{
     DedupStore, DirStore, FaultyStore, IoCounters, ObjectStore, StorageError, StorageProfile,
     SubmitQueue,
@@ -82,7 +82,7 @@ struct Row {
     build: fn(&Path) -> Built,
     /// Backend read / write operations one list of any shape costs, where
     /// that is a constant of the store; `None` where it depends on the list
-    /// (one credit-checked read per buffer, cache hits, a hedge, one op per
+    /// (one credit-checked read per buffer, cache hits, one op per
     /// placement unit, a read the router clips at the logical length).
     reads_per_list: Option<u64>,
     writes_per_list: Option<u64>,
@@ -122,14 +122,6 @@ fn cached(mode: CacheMode) -> Built {
         ..CacheConfig::default()
     };
     Built::plain(Arc::new(CachedStore::new(dedup(), config)))
-}
-
-fn resilient(hedge: Option<HedgeConfig>) -> Built {
-    let store = ResilientStore::new(dedup(), RetryPolicy::default(), OpBudget::default());
-    Built::plain(match hedge {
-        Some(h) => Arc::new(store.with_hedging(h)),
-        None => Arc::new(store),
-    })
 }
 
 fn routed() -> Built {
@@ -195,22 +187,15 @@ const ROWS: &[Row] = &[
     },
     Row {
         name: "ResilientStore",
-        build: |_| resilient(None),
+        build: |_| {
+            Built::plain(Arc::new(ResilientStore::new(
+                dedup(),
+                RetryPolicy::default(),
+                OpBudget::default(),
+            )))
+        },
         reads_per_list: Some(1),
         writes_per_list: Some(1),
-    },
-    Row {
-        name: "ResilientStore hedged",
-        build: |_| {
-            resilient(Some(HedgeConfig {
-                quantile: 0.5,
-                min_samples: 2,
-                refresh_every: 1,
-                floor: Duration::from_nanos(1),
-            }))
-        },
-        reads_per_list: None,
-        writes_per_list: None,
     },
     Row {
         name: "RoutedStore",
