@@ -27,7 +27,8 @@
 //!   ([`LamassuFs::memo_stats`]);
 //! * supports offline recovery ([`LamassuFs::recover`]), full verification
 //!   ([`LamassuFs::verify`]) and partial re-keying of the outer key
-//!   ([`LamassuFs::rekey_outer`], the §2.2 "much faster partial re-keying").
+//!   ([`LamassuFs::rekey_outer_all`], the §2.2 "much faster partial
+//!   re-keying").
 //!
 //! Descriptors, the per-path shared state, locking and tracing are the
 //! [`Mount`] scaffold's (its docs list the lifecycle rules); this module is the
@@ -37,9 +38,21 @@
 //! parallel batch decrypt → integrity check) runs under the shared guard. See
 //! the [`FileSystem`] trait docs for the full thread-safety contract and the
 //! README for the lock hierarchy.
+//!
+//! The engine is split along the paper's phases, one `impl Engine` block per
+//! module: `engine` (the per-mount and per-file state, the mount entry
+//! points, the metadata-cache and crypto helpers), `read` (the span read and
+//! the one way a block is opened, §2.5), `commit` (the multiphase commit,
+//! §2.4), `segment` (the segment life cycle: its states and one function per
+//! transition), `recover` (recovery, verification, re-keying) and `memo`
+//! (the read memo).
 
+mod commit;
 mod engine;
 mod memo;
+mod read;
+mod recover;
+mod segment;
 #[cfg(test)]
 mod tests;
 
@@ -53,7 +66,7 @@ use lamassu_keymgr::ZoneKeys;
 use lamassu_storage::ObjectStore;
 use std::sync::Arc;
 
-pub use engine::{RecoveryReport, VerifyReport};
+pub use recover::{RecoveryReport, VerifyReport};
 
 /// How much integrity checking the read path performs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -166,7 +179,7 @@ impl Mount<Engine> {
     /// The format version of a file — which block hash its keys are derived
     /// with — fixed when the file was created and read from its segment 0.
     pub fn format_version(&self, path: &str) -> Result<HashVersion> {
-        self.with_file(path, |file| Ok(file.version()))
+        self.with_file(path, |file| Ok(file.version))
     }
 
     /// Scans a file for segments left mid-update by a crash — or left open
@@ -193,22 +206,18 @@ impl Mount<Engine> {
         self.with_file(path, |file| self.engine().verify(file))
     }
 
-    /// Re-keys the *outer* key of a file: every metadata block is re-sealed
-    /// under `new_keys.outer`, while data blocks (and therefore deduplication
+    /// Re-keys the *outer* key of every file in the mount and switches this
+    /// mount to the new key pair: every metadata block is re-sealed under
+    /// `new_keys.outer`, while data blocks (and therefore deduplication
     /// relationships) stay untouched. This is the fast partial re-keying the
-    /// paper describes in §2.2. The caller must invoke it for every file and
-    /// then remount with the new keys; [`LamassuFs::rekey_outer_all`] does
-    /// both steps.
-    pub fn rekey_outer(&self, path: &str, new_keys: &ZoneKeys) -> Result<u64> {
-        self.with_file(path, |file| self.engine().rekey_outer(file, new_keys))
-    }
-
-    /// Re-keys the outer key of every file in the mount and switches this
-    /// mount to the new key pair.
+    /// paper describes in §2.2. Returns the number of metadata blocks
+    /// rewritten. A crash part-way leaves files sealed under both key
+    /// generations, which neither key pair opens (see the README's recovery
+    /// text).
     pub fn rekey_outer_all(&self, new_keys: ZoneKeys) -> Result<u64> {
         let mut total = 0;
         for path in self.list()? {
-            total += self.rekey_outer(&path, &new_keys)?;
+            total += self.with_file(&path, |file| self.engine().rekey(file, &new_keys))?;
         }
         self.engine().switch_keys(new_keys);
         Ok(total)

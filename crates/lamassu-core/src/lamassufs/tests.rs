@@ -556,12 +556,17 @@ fn verify_reports_corruption_without_failing() {
         data[0] ^= 0xaa;
         s.write_at("/f", offset, &data).unwrap();
     }
-    let fs = mount_on(s);
-    let report = fs.verify("/f").unwrap();
-    assert_eq!(report.data_blocks_checked, 10);
-    assert_eq!(report.metadata_blocks_checked, 1);
-    assert_eq!(report.corrupt_data_blocks, vec![1, 5]);
-    assert!(!report.is_clean());
+    // A meta-only mount skips the §2.5 check on reads, but `verify` forces
+    // it: both report exactly the two flipped blocks.
+    for integrity in [IntegrityMode::Full, IntegrityMode::MetaOnly] {
+        let config = LamassuConfig::default().integrity(integrity);
+        let fs = LamassuFs::new(s.clone(), keys(1, 2), config);
+        let report = fs.verify("/f").unwrap();
+        assert_eq!(report.data_blocks_checked, 10, "{integrity:?}");
+        assert_eq!(report.metadata_blocks_checked, 1, "{integrity:?}");
+        assert_eq!(report.corrupt_data_blocks, vec![1, 5], "{integrity:?}");
+        assert!(!report.is_clean(), "{integrity:?}");
+    }
 }
 
 #[test]

@@ -195,11 +195,6 @@ impl Geometry {
         segment * self.segment_bytes()
     }
 
-    /// Logical block index containing logical byte offset `off`.
-    pub fn logical_block_of_offset(&self, off: u64) -> u64 {
-        off / self.block_size as u64
-    }
-
     /// Splits the logical byte range `[offset, offset + len)` into
     /// `(logical_block, offset_in_block, len_in_block)` spans, one per data
     /// block touched, as an allocation-free iterator. Used by the read/write

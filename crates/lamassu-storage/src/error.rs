@@ -53,11 +53,6 @@ impl StorageError {
     pub fn is_transient(&self) -> bool {
         matches!(self, StorageError::Crashed | StorageError::Backend { .. })
     }
-
-    /// True when retrying can never help (see [`StorageError::is_transient`]).
-    pub fn is_terminal(&self) -> bool {
-        !self.is_transient()
-    }
 }
 
 impl fmt::Display for StorageError {

@@ -609,6 +609,159 @@ fn sampled_crash_points_of_a_multi_batch_append_keep_the_old_file_visible() {
     );
 }
 
+/// A byte copy of a base file of `blocks` version-1 blocks at reserved-slot
+/// count `r`, on fresh media, each time it is called.
+fn base_copies(r: usize, blocks: usize) -> impl Fn() -> Arc<DedupStore> {
+    let base = build_base_at(r, blocks);
+    let bytes = base
+        .read_at("/file", 0, base.len("/file").unwrap() as usize)
+        .unwrap();
+    move || {
+        let media = Arc::new(DedupStore::new(4096, StorageProfile::instant()));
+        media.create("/file").unwrap();
+        media.write_at("/file", 0, &bytes).unwrap();
+        media
+    }
+}
+
+/// Runs `op` on a mount over `media` whose store dies after `crash_after`
+/// writes; returns whether `op` got to finish.
+fn run_with_crash(
+    media: Arc<DedupStore>,
+    crash_after: u64,
+    op: impl Fn(&LamassuFs) -> lamassu::core::Result<()>,
+) -> bool {
+    let faulty = Arc::new(FaultyStore::new(media));
+    faulty.crash_after_writes(crash_after);
+    let fs = LamassuFs::new(
+        faulty,
+        keys(),
+        LamassuConfig::with_reserved_slots(2).unwrap(),
+    );
+    op(&fs).is_ok()
+}
+
+/// The backend writes `op` issues on a fresh copy from `fresh`.
+fn writes_of(
+    fresh: &impl Fn() -> Arc<DedupStore>,
+    op: impl Fn(&LamassuFs) -> lamassu::core::Result<()>,
+) -> u64 {
+    let media = fresh();
+    let before = media.io_counters().write_ops;
+    assert!(run_with_crash(media.clone(), u64::MAX, op));
+    media.io_counters().write_ops - before
+}
+
+// The truncate and re-key rows run at R = 2 (N = 124 blocks per segment) on
+// a 377-block file: four segments, the last one holding five blocks.
+
+#[test]
+fn every_crash_point_of_a_truncate_keeps_every_byte_below_the_new_size() {
+    // Shrinking to 124 blocks + 1 000 bytes: the read-modify-write that
+    // zeroes the new last block's tail commits it (metadata, data, metadata
+    // of segment 1), the dropped keys of segment 1 are cleared (one
+    // metadata write), and the size is written (one more). Segments 2 and
+    // 3 go with the physical truncate, which is not a write. Wherever the
+    // power fails, recovery succeeds, verification is clean, the file is
+    // as long as it was or as long as the truncate makes it, and every byte
+    // below the new size is the old one.
+    const BLOCKS: usize = 377;
+    let new_size = 124 * 4096 + 1000;
+    let shrink = |fs: &LamassuFs| {
+        let fd = fs.open("/file", OpenFlags::default())?;
+        fs.truncate(fd, new_size)?;
+        fs.close(fd)
+    };
+    let fresh = base_copies(2, BLOCKS);
+    let total_writes = writes_of(&fresh, shrink);
+    assert_eq!(total_writes, 5);
+    let image: Vec<u8> = (0..BLOCKS).flat_map(|b| pattern(1, b)).collect();
+    for crash_after in 0..total_writes {
+        let media = fresh();
+        assert!(
+            !run_with_crash(media.clone(), crash_after, shrink),
+            "crash point {crash_after} did not fire"
+        );
+        let fs = LamassuFs::new(
+            media,
+            keys(),
+            LamassuConfig::with_reserved_slots(2).unwrap(),
+        );
+        fs.recover("/file")
+            .unwrap_or_else(|e| panic!("recovery failed at crash point {crash_after}: {e}"));
+        let report = fs.verify("/file").unwrap();
+        assert!(
+            report.is_clean() && report.mid_update_segments == 0,
+            "after crash at write {crash_after}: {report:?}"
+        );
+        let fd = fs.open("/file", OpenFlags::default()).unwrap();
+        let len = fs.len(fd).unwrap();
+        assert!(
+            len == image.len() as u64 || len == new_size,
+            "{len} bytes long after crash at write {crash_after}"
+        );
+        let kept = fs.read(fd, 0, new_size as usize).unwrap();
+        assert!(
+            kept == image[..new_size as usize],
+            "a byte below the new size changed after crash at write {crash_after}"
+        );
+    }
+}
+
+#[test]
+fn a_crash_inside_a_rekey_never_reads_back_wrong_bytes() {
+    // `rekey_outer_all` re-seals the four metadata blocks in turn: four
+    // writes. A crash before the first leaves the file as it was, readable
+    // under the old keys. A crash after one to three of them leaves the
+    // file sealed under both key generations, which neither key pair opens
+    // (out of the recovery model: a resumable re-key would need both). At
+    // every crash point, under either key pair, every read returns the old
+    // bytes or an error — never other bytes, never a panic.
+    const BLOCKS: usize = 377;
+    let new_keys = ZoneKeys {
+        generation: 1,
+        outer: [0xc3; 32],
+        ..keys()
+    };
+    let rekey = |fs: &LamassuFs| fs.rekey_outer_all(new_keys).map(|_| ());
+    let fresh = base_copies(2, BLOCKS);
+    let total_writes = writes_of(&fresh, rekey);
+    assert_eq!(total_writes, 4);
+    let config = LamassuConfig::with_reserved_slots(2).unwrap();
+    for crash_after in 0..total_writes {
+        let media = fresh();
+        assert!(
+            !run_with_crash(media.clone(), crash_after, rekey),
+            "crash point {crash_after} did not fire"
+        );
+        for (generation, zone_keys) in [keys(), new_keys].into_iter().enumerate() {
+            let fs = LamassuFs::new(media.clone(), zone_keys, config);
+            let _ = fs.recover("/file");
+            let opened = fs.open("/file", OpenFlags::default());
+            match (crash_after, generation) {
+                (0, 0) => assert!(opened.is_ok(), "old keys must open the file"),
+                _ => {
+                    let err = opened.as_ref().err().map(|e| e.to_string());
+                    assert!(
+                        err.as_deref()
+                            .is_some_and(|e| e.contains("failed AES-GCM authentication")),
+                        "crash at write {crash_after}, generation {generation}: {err:?}"
+                    );
+                }
+            }
+            let Ok(fd) = opened else { continue };
+            for b in 0..BLOCKS {
+                if let Ok(got) = fs.read(fd, (b * 4096) as u64, 4096) {
+                    assert!(
+                        got == pattern(1, b),
+                        "block {b} read back wrong after crash at write {crash_after}"
+                    );
+                }
+            }
+        }
+    }
+}
+
 #[test]
 fn read_fault_mid_span_surfaces_and_reread_succeeds() {
     // Inject a read fault into the middle of a vectored span read: the
