@@ -499,9 +499,20 @@ impl MountEngine for EncEngine {
         Ok(state)
     }
 
-    /// Reads and unwraps the file's header.
+    /// Reads and unwraps the file's header. An object shorter than a header
+    /// — created but never initialised, or cut short by the backend — is a
+    /// metadata error, whatever the store returned.
     fn load(&self, path: &str) -> Result<EncFile> {
-        let header = self.io.call(|s| s.read_at(path, 0, RAW_HEADER_LEN))?;
+        let mut header = [0u8; RAW_HEADER_LEN];
+        let n = self.io.call(|s| s.read_into(path, 0, &mut header))?;
+        if n < RAW_HEADER_LEN {
+            return Err(FsError::Metadata(
+                lamassu_format::FormatError::BadMetadataLength {
+                    got: n,
+                    want: RAW_HEADER_LEN,
+                },
+            ));
+        }
         if &header[0..8] != MAGIC {
             return Err(FsError::Metadata(
                 lamassu_format::FormatError::MetadataAuthFailure,

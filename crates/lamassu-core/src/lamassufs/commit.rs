@@ -5,11 +5,18 @@
 //! ([`Engine::commit_batch`]): stage up to one span of blocks contiguously,
 //! derive every key and encrypt the span with one batch call each, then run
 //! the §2.4 protocol as pure sealing and I/O ([`Engine::commit_rounds`]) —
-//! rounds of at most `R` blocks per segment, round *j* of every touched
+//! rounds of at most `R` overwrites per segment, round *j* of every touched
 //! segment in the same pair of phases, the metadata write that closes one
-//! round merged with the one that opens the next. Each segment keeps its
-//! metadata → data → metadata order, so recovery is untouched; several
-//! segments can be mid-update at one crash.
+//! round merged with the one that opens the next. Each overwrite keeps its
+//! segment's metadata → data → metadata order, so recovery is untouched;
+//! several segments can be mid-update at one crash.
+//!
+//! A *fresh* block — one whose slot holds no key, so there is no previous
+//! key to park — takes no round: its data goes out in the first data phase
+//! and the install transition puts its key in the segment's next metadata
+//! write, after that phase's barrier. An appending batch is three phases:
+//! the metadata block of the segment its data makes the last one on the
+//! media, the data, the installs. The rules are the `segment` module's.
 //!
 //! The same merge runs *across* commits: a commit that `write` runs because
 //! the span filled leaves every segment it wrote open, and the file's next
@@ -114,6 +121,7 @@ impl Engine {
                 Ok(())
             })?;
             file.size_dirty = false;
+            file.media_segments = file.media_segments.max(final_segment + 1);
         }
         Ok(())
     }
@@ -131,8 +139,8 @@ impl Engine {
     /// ([`Engine::encrypt_reusing`]) — and only then run the §2.4 protocol
     /// over them as pure sealing and I/O ([`Engine::commit_rounds`]). The
     /// pooled staging buffers return to the pool the moment their plaintext
-    /// is copied out. Unless the batch `close`s, the segments it writes are
-    /// the file's open set afterwards.
+    /// is copied out. Unless the batch `close`s, the segments it opens rounds
+    /// in are the file's open set afterwards.
     fn commit_batch(&self, file: &mut LamassuFile, close: bool) -> Result<()> {
         let k = file.pending.len().min(SPAN_BLOCKS);
         let (mut data, ids) = self.stage(file, k);
@@ -153,8 +161,12 @@ impl Engine {
                 }
             }
         });
-        file.open.commit_ended(&segs, result.is_ok() && !close);
+        file.open.commit_ended(&segs, result.is_ok());
         if result.is_ok() {
+            if let Some(&last) = ids.last() {
+                let segments = self.geometry.locate_block(last).segment + 1;
+                file.media_segments = file.media_segments.max(segments);
+            }
             for seg in segs.drain(..) {
                 file.cache_meta(seg.segment, seg.mb);
             }
@@ -298,33 +310,45 @@ impl Engine {
     /// `keys` and the ciphertext in `data` parallel to it. Returns whether
     /// the batch wrote the authoritative logical size.
     ///
-    /// Each touched segment's blocks are cut into rounds of at most `R` (the
-    /// transient area holds `R` previous keys). Round *j* of **every**
-    /// segment runs in the same pair of phases, each closed by one barrier:
+    /// Each touched segment's overwrites — blocks whose slot holds a key —
+    /// are cut into rounds of at most `R` (the transient area holds `R`
+    /// previous keys); its fresh blocks take no round (the `segment` module's
+    /// rules). Phase *p* of **every** segment runs in the same pair of
+    /// phases, each closed by one barrier:
     ///
     /// 1. *metadata*: each segment that writes in the phase takes its
-    ///    open-a-round transition ([`segment::open_round`]) — merged with
-    ///    the close of round *j − 1*, so a segment with `n` rounds is sealed
-    ///    `n + 1` times, not `2n`; the phase's blocks are sealed as one batch
+    ///    transition ([`SegCommit::step`]): in phase *p* it opens its round
+    ///    *p* ([`segment::open_round`]) — merged with the close of round
+    ///    *p − 1*, so a segment with `n` rounds is sealed `n + 1` times, not
+    ///    `2n` — or closes; in phase 1 it also installs its fresh blocks'
+    ///    keys ([`segment::install`]). A segment whose data makes it the new
+    ///    last one on the media writes its block in phase 0 even with no
+    ///    round to open. The phase's blocks are sealed as one batch
     ///    ([`Engine::seal_and_submit_phase`]) and then submitted in segment
     ///    order;
-    /// 2. *data*: write the round's ciphertext, one backend write per run of
-    ///    adjacent blocks.
+    /// 2. *data*: in phase 0 every fresh block and round 0, in phase *p*
+    ///    round *p*; one backend write per run of adjacent blocks.
+    ///
+    /// So an appending batch is three phases — the new last segment's first
+    /// write, all the data, the installs — whatever `R` is, and a batch of
+    /// overwrites takes as many pairs as its longest segment has rounds.
     ///
     /// A batch that `close`s ends with a metadata phase of close transitions;
-    /// any other leaves every segment it wrote open, and the file's next
-    /// batch closes them in its first metadata phase — merged with the
-    /// opening write of a segment it writes again, or as a close-only write
-    /// of one it does not — so no phase or barrier is added. Every segment
-    /// the batch writes is taken through [`Engine::take_segment`] first,
-    /// which resolves one the media holds mid-update.
+    /// any other leaves every segment it opened rounds in open, and the
+    /// file's next batch closes them in its first write of the segment —
+    /// merged with the opening write of a segment it writes again, or as a
+    /// close-only write of one it does not — so no phase or barrier is added.
+    /// Every segment the batch writes is taken through
+    /// [`Engine::take_segment`] first, which resolves one the media holds
+    /// mid-update.
     ///
-    /// Every segment still sees the order the recovery rules assume —
-    /// metadata, barrier, its data, barrier, metadata — so whatever a crash
-    /// leaves behind, each segment is either clean or mid-update with the
-    /// previous key of every block whose data write may not have landed.
-    /// *Several* segments can be mid-update at once; recovery already scans
-    /// them all.
+    /// Every overwritten block still sees the order the recovery rules
+    /// assume — metadata, barrier, its data, barrier, metadata — so whatever
+    /// a crash leaves behind, each segment is either clean or mid-update with
+    /// the previous key of every overwrite whose data write may not have
+    /// landed, and a fresh block whose key is on the media has its data
+    /// there. *Several* segments can be mid-update at once; recovery already
+    /// scans them all.
     ///
     /// The writes go through one [`crate::spanio::SpanIo::write_batch`]: a
     /// phase's writes are submitted back to back and overlap on the
@@ -342,6 +366,15 @@ impl Engine {
         let bs = self.geometry.block_size();
         let r = self.geometry.reserved_slots();
         let final_segment = self.final_segment(file);
+        let segment_of = |block: u64| self.geometry.locate_block(block).segment;
+        // The segment the batch's data reaches last, if the media does not
+        // hold it yet.
+        let grown = ids
+            .last()
+            .map(|&b| segment_of(b))
+            .filter(|&last| last >= file.media_segments);
+        let mut fresh = [false; SPAN_BLOCKS];
+        let fresh = &mut fresh[..ids.len()];
 
         // The metadata block of every segment the batch writes — the ones it
         // touches and the ones the last batch left open, in segment order —
@@ -350,16 +383,27 @@ impl Engine {
         segs.clear();
         let mut push = |segment: u64, blocks: Range<usize>| -> Result<()> {
             let mb = self.take_segment(file, segment)?;
-            segs.push(SegCommit::new(segment, mb, blocks, r, close));
+            let grows = grown == Some(segment);
+            let seg = SegCommit::new(
+                &self.geometry,
+                segment,
+                mb,
+                blocks,
+                ids,
+                fresh,
+                close,
+                grows,
+            );
+            segs.push(seg);
             Ok(())
         };
         let mut open = file.open.iter().peekable();
         let mut first = 0;
         while first < ids.len() {
-            let segment = self.geometry.locate_block(ids[first]).segment;
+            let segment = segment_of(ids[first]);
             let len = ids[first..]
                 .iter()
-                .take_while(|b| self.geometry.locate_block(**b).segment == segment)
+                .take_while(|b| segment_of(**b) == segment)
                 .count();
             while let Some(idle) = open.next_if(|&s| s < segment) {
                 push(idle, first..first)?;
@@ -371,43 +415,52 @@ impl Engine {
         for idle in open {
             push(idle, first..first)?;
         }
+        let fresh = &*fresh;
         let phases = segs.iter().map(|seg| seg.phases).max().unwrap_or(0);
         if !ids.is_empty() {
             let touched = segs.iter().filter(|seg| !seg.blocks.is_empty()).count();
             self.profiler
                 .commit_recorded(ids.len() as u64, touched as u64);
         }
+        let media_size = match segs.iter().any(|seg| seg.initializes(0)) {
+            true => self.media_size(file, segs)?,
+            false => 0,
+        };
 
         self.io.write_batch(&file.name, |io| {
-            for round in 0..phases {
-                // Metadata phase: round `round` of every segment that writes
-                // in it. Every block is updated before any is submitted, so
-                // an update that cannot be made fails with nothing in flight.
-                for seg in segs.iter_mut().filter(|seg| round < seg.phases) {
-                    let opening = seg.round(round, r).map(|i| (ids[i], keys[i]));
-                    segment::open_round(&self.geometry, &mut seg.mb, opening)?;
-                    // Only the final segment's copy is authoritative, but
-                    // a crash can leave any touched segment as the last one
-                    // on the media, which is where the size is read from.
-                    seg.mb.logical_size = file.logical_size;
+            for phase in 0..phases {
+                // Metadata phase: every segment that writes in it. Every
+                // block is updated before any is submitted, so an update
+                // that cannot be made fails with nothing in flight.
+                for seg in segs.iter_mut().filter(|seg| seg.writes_in(phase)) {
+                    seg.step(&self.geometry, phase, ids, keys, fresh)?;
+                    // Only the final segment's copy is authoritative, but a
+                    // crash can leave any touched segment as the last one on
+                    // the media, which is where the size is read from.
+                    seg.mb.logical_size = match seg.initializes(phase) {
+                        true => media_size,
+                        false => file.logical_size,
+                    };
                 }
-                self.seal_and_submit_phase(io, segs, round);
+                self.seal_and_submit_phase(io, segs, phase);
                 io.barrier()?;
 
-                // Data phase: the round's ciphertext, one write per run of
-                // adjacent blocks (`ids` is ascending, and consecutive blocks
-                // of one segment are physically contiguous, so each run is
-                // one slice of the staging buffer).
+                // Data phase: one write per run of adjacent blocks (`ids` is
+                // ascending, and consecutive blocks of one segment are
+                // physically contiguous, so each run is one slice of the
+                // staging buffer).
                 for seg in segs.iter() {
-                    let Range { start: mut i, end } = seg.round(round, r);
-                    while i < end {
+                    let mut blocks = seg.data(phase, r, fresh).peekable();
+                    while let Some(i) = blocks.next() {
                         let mut j = i + 1;
-                        while j < end && ids[j] == ids[j - 1] + 1 {
+                        while blocks
+                            .next_if(|&k| k == j && ids[k] == ids[k - 1] + 1)
+                            .is_some()
+                        {
                             j += 1;
                         }
                         let offset = self.geometry.locate_block(ids[i]).physical_offset;
                         io.write(offset, &[IoSlice::new(&data[i * bs..j * bs])]);
-                        i = j;
                     }
                 }
                 io.barrier()?;
@@ -417,28 +470,41 @@ impl Engine {
         Ok(segs.iter().any(|seg| seg.segment == final_segment))
     }
 
+    /// The logical size the loader reads from the media now: the one its
+    /// last segment holds — from the batch's copy if the batch has taken
+    /// that segment, before any transition changed it.
+    fn media_size(&self, file: &LamassuFile, segs: &[SegCommit]) -> Result<u64> {
+        let Some(last) = file.media_segments.checked_sub(1) else {
+            return Ok(0);
+        };
+        match segs.iter().find(|seg| seg.segment == last) {
+            Some(seg) => Ok(seg.mb.logical_size),
+            None => self.with_meta(file, last, |mb| mb.logical_size),
+        }
+    }
+
     /// Seals the metadata block of every segment that writes one in phase
-    /// `round` as one batch, into pooled blocks, then submits the writes in
+    /// `phase` as one batch, into pooled blocks, then submits the writes in
     /// segment order — the order, and so the backend schedule, of sealing
     /// and submitting them one by one. The nonces are drawn here, on the
     /// caller's thread; the seals (an AES-GCM pass over a block each, the
     /// most expensive single kernel of the write path) fan out by the pool's
     /// tile rule, so a phase of fewer than two tiles of segments — every
     /// sequential commit — seals inline.
-    fn seal_and_submit_phase(&self, io: &mut WriteBatch<'_>, segs: &[SegCommit], round: usize) {
-        with_tls(&SEAL_SCRATCH, |(sealed, phase)| {
+    fn seal_and_submit_phase(&self, io: &mut WriteBatch<'_>, segs: &[SegCommit], phase: usize) {
+        with_tls(&SEAL_SCRATCH, |(sealed, writing)| {
             sealed.clear();
-            phase.clear();
-            phase.extend(
+            writing.clear();
+            writing.extend(
                 (0..segs.len())
-                    .filter(|&i| round < segs[i].phases)
+                    .filter(|&i| segs[i].writes_in(phase))
                     .map(|i| (i, fresh_nonce())),
             );
-            sealed.extend((0..phase.len()).map(|_| self.blocks.take()));
+            sealed.extend((0..writing.len()).map(|_| self.blocks.take()));
             {
                 let crypto = self.crypto.read();
                 self.profiler.time(Category::Encrypt, || {
-                    self.pool.zip_for_each(sealed, phase, |out, (i, nonce)| {
+                    self.pool.zip_for_each(sealed, writing, |out, (i, nonce)| {
                         let seg = &segs[*i];
                         seg.mb.seal_into(
                             &self.geometry,
@@ -450,8 +516,8 @@ impl Engine {
                     })
                 });
             }
-            self.profiler.meta_sealed(phase.len() as u64);
-            for (block, (i, _)) in sealed.iter().zip(phase.iter()) {
+            self.profiler.meta_sealed(writing.len() as u64);
+            for (block, (i, _)) in sealed.iter().zip(writing.iter()) {
                 let offset = self.geometry.metadata_block_offset(segs[*i].segment);
                 io.write(offset, &[IoSlice::new(block)]);
             }

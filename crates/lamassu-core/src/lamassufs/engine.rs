@@ -193,6 +193,13 @@ pub struct LamassuFile {
     pub(super) commit_segs: Vec<SegCommit>,
     /// The segments the last commit left open (see the `segment` module).
     pub(super) open: OpenSegments,
+    /// How many segments the media holds, as far as this mount knows: the
+    /// last one is where the loader reads the logical size from, and 0 is an
+    /// object shorter than a metadata block. Never more than the media
+    /// holds — a commit whose data reaches past them writes the new last
+    /// segment's metadata block first (the `segment` module's rules), which
+    /// an undercount after a failed commit only repeats.
+    pub(super) media_segments: u64,
 }
 
 impl LamassuFile {
@@ -208,6 +215,7 @@ impl LamassuFile {
             commit_ids: Vec::new(),
             commit_segs: Vec::new(),
             open: OpenSegments::default(),
+            media_segments: 0,
         }
     }
 
@@ -308,8 +316,9 @@ impl MountEngine for Engine {
     /// (the module docs' two rules).
     fn create(&self, name: &str) -> Result<LamassuFile> {
         let mb = MetadataBlock::new(&self.geometry);
-        let file = LamassuFile::new(name, mb.version);
+        let mut file = LamassuFile::new(name, mb.version);
         self.put_meta(&file, 0, mb)?;
+        file.media_segments = 1;
         Ok(file)
     }
 
@@ -320,13 +329,16 @@ impl MountEngine for Engine {
     fn load(&self, name: &str) -> Result<LamassuFile> {
         let current = HashVersion::for_block_size(self.geometry.block_size());
         let mut file = LamassuFile::new(name, current);
-        if let Some(first) = self.fetch_meta(&file, 0)? {
+        let first = self.fetch_meta(&file, 0)?;
+        let present = first.is_some();
+        if let Some(first) = first {
             file.version = first.version;
             file.cache_meta(0, first);
         }
         let last = self.last_physical_segment(name)?;
         let size = self.with_meta(&file, last, |mb| mb.logical_size)?;
         file.logical_size = size;
+        file.media_segments = if present { last + 1 } else { 0 };
         Ok(file)
     }
 
@@ -421,6 +433,7 @@ impl MountEngine for Engine {
             let physical = self.geometry.encrypted_size(new_size);
             self.io.call(|s| s.truncate(&file.name, physical))?;
             file.meta_cache.lock().retain(|seg, _| *seg < new_segments);
+            file.media_segments = file.media_segments.min(new_segments);
         }
         // The size is written even if a commit above already carried it.
         file.size_dirty = true;

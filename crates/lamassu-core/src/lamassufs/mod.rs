@@ -17,7 +17,8 @@
 //!   commit protocol that parks the *previous* keys of in-flight blocks in a
 //!   reserved transient area of the metadata block (§2.4) — up to `R` blocks
 //!   of a segment per round — and commits a file's buffered writes a span
-//!   (256 blocks) at a time;
+//!   (256 blocks) at a time; a block with no previous key (an append, a hole
+//!   fill) skips the rounds and commits data-first;
 //! * verifies data integrity on read by re-hashing decrypted blocks and
 //!   comparing against the stored convergent key (§2.5), with a cheaper
 //!   metadata-only mode that skips the per-block hash — and serves a block

@@ -12,7 +12,7 @@
 //!   segment is exactly a segment between two rounds of one commit: a crash
 //!   leaves nothing recovery does not already handle, and recovery keeps
 //!   every new key of it. The file's next commit closes it in its first
-//!   metadata phase ([`OpenSegments`] is the file's list);
+//!   metadata write of the segment ([`OpenSegments`] is the file's list);
 //! * **mid-update** — an interrupted commit this mount did not leave open:
 //!   an unrecovered crash, or an unclean shutdown that left it open. Its
 //!   entries may name blocks whose data never landed.
@@ -25,12 +25,45 @@
 //!   the round's data writes and behind a barrier;
 //! * [`close`] — clear the transient area and the mark (open → closed). One
 //!   write, after the last round's data barrier: a forced flush's last phase,
-//!   the next commit's first phase, or the per-block oracle's third step;
+//!   the next commit's first write of the segment, or the per-block oracle's
+//!   third step;
+//! * [`install`] — set the keys of a commit's *fresh* blocks (below). It
+//!   leaves the mark and the transient area as they are, so it merges with
+//!   whatever other transition the segment's write carries;
 //! * [`Engine::resolve`] — the recovery rule (mid-update → closed). It
 //!   changes the block in memory; `recover` writes it at once, and a writer
 //!   merges it into its own next write of the segment, which is why every
 //!   writer that replaces a transient area takes the segment through
 //!   [`Engine::take_segment`].
+//!
+//! # Fresh blocks
+//!
+//! The transient area exists to keep an overwritten block's previous key
+//! recoverable. A block whose slot holds no key once the segment has been
+//! taken for writing — an append, a hole fill, a slot a truncate cleared —
+//! has no previous key to keep, and the span pipeline commits it data-first
+//! instead, as ordered journaling commits a newly allocated block. The
+//! rules, kept by [`SegCommit`]:
+//!
+//! * **never before its data** — a fresh block's data goes out in the
+//!   commit's first data phase, and its key reaches the media in the
+//!   segment's next metadata write, after that phase's barrier (an
+//!   [`install`]). A fresh block never enters a transient area and no
+//!   round's `R` limit applies to it, so a segment's fresh blocks go out as
+//!   contiguous runs. A crash before the install leaves its slot empty:
+//!   the block reads as a hole, and recovery has nothing to do for it;
+//! * **never a never-written last segment** — the loader reads the logical
+//!   size from the last segment present on the media, and an all-zero
+//!   metadata block reads as empty (size 0). So the segment a commit's data
+//!   would make the last one present has its metadata block written first,
+//!   one barrier before that data: the block as it is, closed, carrying the
+//!   size the loader reads before the commit;
+//! * **installed before the commit returns** — a commit with fresh blocks
+//!   ends with the metadata phase that installs them and the logical size,
+//!   merged with an opening or a closing write where the segment has one.
+//!   A segment with overwrite rounds still stays open for the next commit
+//!   when the commit does not close; a segment with only fresh blocks ends
+//!   closed. A failed install leaves the fresh blocks as holes.
 
 use super::engine::{Engine, LamassuFile};
 use super::recover::RecoveryReport;
@@ -77,20 +110,23 @@ impl OpenSegments {
         self.0.clear();
     }
 
-    /// Records the end of a commit of `segs`: the segments it wrote blocks
-    /// to are open if it `left_open` them (it landed and did not close);
-    /// otherwise none is — after a failed commit the media is the truth, and
-    /// the next commit resolves what it finds mid-update.
-    pub(super) fn commit_ended(&mut self, segs: &[SegCommit], left_open: bool) {
+    /// Records the end of a commit of `segs`: if it `landed`, the segments
+    /// it opened rounds in and did not close are open; otherwise none is —
+    /// after a failed commit the media is the truth, and the next commit
+    /// resolves what it finds mid-update.
+    pub(super) fn commit_ended(&mut self, segs: &[SegCommit], landed: bool) {
         self.0.clear();
-        if left_open {
-            let wrote = segs.iter().filter(|seg| !seg.blocks.is_empty());
-            self.0.extend(wrote.map(|seg| seg.segment));
+        if landed {
+            let open = segs.iter().filter(|seg| seg.left_open());
+            self.0.extend(open.map(|seg| seg.segment));
         }
     }
 }
 
-/// One segment's share of a staged commit batch.
+/// One segment's share of a staged commit batch, and the order of its
+/// metadata writes: phase `p` of a commit is a metadata write of every
+/// segment that [`writes_in`](SegCommit::writes_in) it, a barrier, the
+/// segment's [`data`](SegCommit::data) of that phase, a barrier.
 pub(super) struct SegCommit {
     pub(super) segment: u64,
     /// The segment's metadata block, held outside the per-file cache while
@@ -99,22 +135,45 @@ pub(super) struct SegCommit {
     /// The segment's blocks, as an index range into the batch — empty for a
     /// segment the last commit left open that this one only closes.
     pub(super) blocks: Range<usize>,
-    /// How many metadata phases, from the first, write the segment's block.
+    /// Rounds of at most `R` of its overwrites (blocks that had a key).
+    rounds: usize,
+    /// Whether its phase-0 write is the one that keeps it from being a
+    /// never-written last segment (see the module docs).
+    initializes: bool,
+    /// Whether the commit closes it after its last round.
+    close: bool,
+    /// How many metadata phases, from the first, the segment takes part in.
     pub(super) phases: usize,
 }
 
 impl SegCommit {
-    /// `segment`'s share `blocks`, in rounds of at most `r`: one
-    /// [`open_round`] write per round, plus a [`close`] if the commit
-    /// `close`s its segments. A close-only share is one write.
+    /// `segment`'s share `blocks` of the batch `ids`, its metadata block `mb`
+    /// taken for writing: marks which of its blocks are `fresh` and plans its
+    /// writes — one [`open_round`] per round of at most `R` overwrites, an
+    /// [`install`] in phase 1 if it has fresh blocks, a [`close`] if the
+    /// commit `close`s, and a first write of its block in phase 0 if the
+    /// commit's data `grows` the object into it. A close-only share is one
+    /// write.
+    #[allow(clippy::too_many_arguments)]
     pub(super) fn new(
+        geometry: &Geometry,
         segment: u64,
         mb: MetadataBlock,
         blocks: Range<usize>,
-        r: usize,
+        ids: &[u64],
+        fresh: &mut [bool],
         close: bool,
+        grows: bool,
     ) -> Self {
-        let phases = match blocks.len().div_ceil(r) {
+        let mut overwrites = 0;
+        for i in blocks.clone() {
+            fresh[i] = mb.key(geometry.locate_block(ids[i]).slot).is_none();
+            overwrites += !fresh[i] as usize;
+        }
+        let rounds = overwrites.div_ceil(geometry.reserved_slots());
+        let has_fresh = overwrites < blocks.len();
+        let initializes = grows && has_fresh && rounds == 0;
+        let phases = match rounds {
             0 => 1,
             rounds => rounds + close as usize,
         };
@@ -122,15 +181,79 @@ impl SegCommit {
             segment,
             mb,
             blocks,
-            phases,
+            rounds,
+            initializes,
+            close,
+            phases: phases.max(1 + has_fresh as usize),
         }
     }
 
-    /// Batch indices of the segment's `round`-th group of at most `r` blocks
-    /// (empty once the segment has run out of blocks: its close).
-    pub(super) fn round(&self, round: usize, r: usize) -> Range<usize> {
-        let start = (self.blocks.start + round * r).min(self.blocks.end);
-        start..(start + r).min(self.blocks.end)
+    /// Whether the segment writes its metadata block in phase `phase`. One
+    /// with only fresh blocks first writes it with their install, in phase
+    /// 1, unless its block must go out before their data.
+    pub(super) fn writes_in(&self, phase: usize) -> bool {
+        let early = self.rounds > 0 || self.blocks.is_empty() || self.initializes;
+        phase < self.phases && (phase > 0 || early)
+    }
+
+    /// Whether the commit leaves the segment open: it opened rounds and does
+    /// not close them.
+    fn left_open(&self) -> bool {
+        self.rounds > 0 && !self.close
+    }
+
+    /// Applies the segment's phase-`phase` transition to its metadata block:
+    /// the round it opens (merged with the close of the round before, or of
+    /// what the last commit left open), or its close; the install of its
+    /// fresh blocks in phase 1.
+    pub(super) fn step(
+        &mut self,
+        geometry: &Geometry,
+        phase: usize,
+        ids: &[u64],
+        keys: &[Key256],
+        fresh: &[bool],
+    ) -> Result<()> {
+        if phase < self.rounds || self.close || self.rounds == 0 {
+            let round = self.data(phase, geometry.reserved_slots(), fresh);
+            let opening = round.filter(|&i| !fresh[i]).map(|i| (ids[i], keys[i]));
+            open_round(geometry, &mut self.mb, opening)?;
+        }
+        if phase == 1 {
+            let fresh_blocks = self.blocks.clone().filter(|&i| fresh[i]);
+            install(
+                geometry,
+                &mut self.mb,
+                fresh_blocks.map(|i| (ids[i], keys[i])),
+            )?;
+        }
+        Ok(())
+    }
+
+    /// Whether the segment's phase-`phase` write is the one that keeps it
+    /// from being a never-written last segment: it carries the size the
+    /// media held before the commit, not the new one.
+    pub(super) fn initializes(&self, phase: usize) -> bool {
+        phase == 0 && self.initializes
+    }
+
+    /// Batch indices of the blocks whose data goes out in data phase
+    /// `phase`, ascending: every fresh block in phase 0, and the
+    /// `phase`-th group of at most `r` overwrites.
+    pub(super) fn data<'a>(
+        &self,
+        phase: usize,
+        r: usize,
+        fresh: &'a [bool],
+    ) -> impl Iterator<Item = usize> + 'a {
+        let mut overwrites = 0;
+        self.blocks.clone().filter(move |&i| match fresh[i] {
+            true => phase == 0,
+            false => {
+                overwrites += 1;
+                (overwrites - 1) / r == phase
+            }
+        })
     }
 }
 
@@ -164,6 +287,21 @@ pub(super) fn open_round(
 pub(super) fn close(mb: &mut MetadataBlock) {
     mb.clear_transient();
     mb.flags.set_mid_update(false);
+}
+
+/// Install: for each `(logical block, new key)` of a fresh block — one whose
+/// slot holds no key — set its key. The transient area and the mark stay as
+/// they are. Needs one metadata write, after the data barrier of the blocks'
+/// data writes.
+pub(super) fn install(
+    geometry: &Geometry,
+    mb: &mut MetadataBlock,
+    blocks: impl Iterator<Item = (u64, Key256)>,
+) -> Result<()> {
+    for (block, key) in blocks {
+        mb.set_key(geometry.locate_block(block).slot, key)?;
+    }
+    Ok(())
 }
 
 impl Engine {

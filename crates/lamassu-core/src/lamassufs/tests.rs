@@ -309,11 +309,11 @@ fn batching_amortizes_metadata_writes() {
 #[test]
 fn commit_coalesces_adjacent_data_writes() {
     // 64 sequential 4 KiB writes are less than a span, so they are one
-    // commit (the `fsync`'s) of one segment in 64 / R = 8 rounds: every
-    // round's R adjacent blocks go out as one vectored store write, and the
-    // metadata write closing a round is merged with the one opening the next
-    // — 8 data writes + 9 metadata writes, where the per-block prototype
-    // above issues 64 + 16.
+    // commit (the `fsync`'s) of one segment. The blocks are fresh (their
+    // slots hold no key), so they take no round of R: their 64 adjacent
+    // blocks go out as one vectored store write, and one metadata write
+    // installs their keys and the size — 1 data write + 1 metadata write,
+    // where the per-block prototype above issues 64 + 16.
     let r = 8usize;
     let s = store();
     let fs = LamassuFs::new(
@@ -330,14 +330,10 @@ fn commit_coalesces_adjacent_data_writes() {
     }
     assert_eq!(s.io_counters().write_ops, 0, "buffered until the fsync");
     fs.fsync(fd).unwrap();
-    let rounds = (blocks / r) as u64;
-    assert_eq!(s.io_counters().write_ops, rounds + (rounds + 1));
+    assert_eq!(s.io_counters().write_ops, 1 + 1);
     // Coalescing saves round trips, not bytes: every data block is written
     // once, plus one metadata block per metadata write.
-    assert_eq!(
-        s.io_counters().bytes_written,
-        (blocks as u64 + rounds + 1) * 4096
-    );
+    assert_eq!(s.io_counters().bytes_written, (blocks as u64 + 1) * 4096);
 }
 
 #[test]
@@ -359,10 +355,11 @@ fn commit_counters_match_a_hand_counted_two_segment_commit() {
     assert_eq!(after.blocks - before.blocks, 20);
     assert_eq!(after.segments - before.segments, 2);
     assert_eq!(after.seals - before.seals, 3 + 2);
-    // Since the mount: the sealed empty file, then 130 blocks in one commit
-    // (15 + 1 and 2 + 1 seals).
-    assert_eq!(before.seals, 1 + 16 + 3);
-    assert_eq!(after.seals_per_block(), 25.0 / 150.0);
+    // Since the mount: the sealed empty file, then 130 fresh blocks in one
+    // commit: segment 1, which its data makes the last one on the media, is
+    // sealed first, then both segments once to install their keys (1 + 2).
+    assert_eq!(before.seals, 1 + 1 + 2);
+    assert_eq!(after.seals_per_block(), 9.0 / 150.0);
 }
 
 #[test]
@@ -393,19 +390,23 @@ fn a_span_commit_leaves_its_segments_open_until_the_next_commit_or_fsync() {
     assert_eq!(s.io_counters().write_ops, 33 + 33);
     mid_update(3);
     // Blocks 118..374 reopen segments 1 and 2, whose opening writes close
-    // them, start segment 3 (3 rounds) and close segment 0 in the same
-    // first phase with one more write.
+    // them (15 rounds each), and close segment 0 in the same first phase
+    // with one more write. Blocks 354..374 are fresh and start segment 3:
+    // its metadata block is written in that first phase too (the data makes
+    // it the last segment on the media), its 20 blocks are one data write,
+    // and one more metadata write installs their keys — which leaves it
+    // closed. Metadata 1 + 15 + 15 + 2, data 15 + 15 + 1.
     s.reset_io_accounting();
     overwrite(118, 3);
-    assert_eq!(s.io_counters().write_ops, (33 + 1) + 33);
-    mid_update(3);
-    // The `fsync` has nothing to commit and closes segments 1–3; a second
-    // one has nothing to do.
+    assert_eq!(s.io_counters().write_ops, (1 + 15 + 15 + 2) + (15 + 15 + 1));
+    mid_update(2);
+    // The `fsync` has nothing to commit and closes segments 1 and 2; a
+    // second one has nothing to do.
     s.reset_io_accounting();
     fs.fsync(fd).unwrap();
-    assert_eq!(s.io_counters().write_ops, 3);
+    assert_eq!(s.io_counters().write_ops, 2);
     fs.fsync(fd).unwrap();
-    assert_eq!(s.io_counters().write_ops, 3);
+    assert_eq!(s.io_counters().write_ops, 2);
     mid_update(0);
     let other = mount_on(s);
     let back = other.open("/f", OpenFlags::default()).unwrap();
@@ -476,12 +477,13 @@ fn r1_writes_three_ios_per_block() {
         write_ten_blocks(crate::span::SpanConfig::per_block()),
         (30, 0)
     );
-    // The pipeline buffers the ten blocks and commits them together. R = 1
-    // still makes every block its own round — that is all R means there —
-    // but consecutive rounds share a metadata write: 11 metadata + 10 data.
+    // The pipeline buffers the ten blocks and commits them together. They
+    // are fresh — appended, with no previous key to park — so R plays no
+    // part: one data write of the ten adjacent blocks, then one metadata
+    // write installing their keys.
     assert_eq!(
         write_ten_blocks(crate::span::SpanConfig::default()),
-        (21, 0)
+        (1 + 1, 0)
     );
 }
 
@@ -648,11 +650,14 @@ fn crash_after_data_write_recovers_new_contents() {
 fn crash_on_brand_new_block_clears_the_slot() {
     // A block written for the first time whose data never reached disk: the
     // transient entry records an all-zero old key, so recovery clears the
-    // slot and the block reads as a hole.
+    // slot and the block reads as a hole. Only the per-block prototype parks
+    // a brand-new block in the transient area; the span pipeline's case is
+    // the next test.
     let s = store();
     let faulty = Arc::new(FaultyStore::new(s.clone()));
+    let per_block = LamassuConfig::default().span(crate::span::SpanConfig::per_block());
     {
-        let fs = LamassuFs::new(faulty.clone(), keys(1, 2), LamassuConfig::default());
+        let fs = LamassuFs::new(faulty.clone(), keys(1, 2), per_block);
         let fd = fs.create("/f").unwrap();
         fs.write(fd, 0, &unique_data(4096, 55)).unwrap();
         faulty.crash_after_writes(1);
@@ -662,6 +667,43 @@ fn crash_on_brand_new_block_clears_the_slot() {
     let report = fs.recover("/f").unwrap();
     assert_eq!(report.blocks_cleared, 1);
     assert!(fs.verify("/f").unwrap().is_clean());
+}
+
+#[test]
+fn a_fresh_block_whose_keys_never_landed_is_a_hole_with_nothing_to_recover() {
+    // The span pipeline writes a fresh block's data first and installs its
+    // key after the barrier. A crash between the two leaves the slot empty
+    // and the file its old length: nothing names the block, so recovery has
+    // nothing to repair, and the block of a longer file reads as zeros.
+    let s = store();
+    let old = unique_data(3 * 4096, 56);
+    {
+        let fs = mount_on(s.clone());
+        let fd = fs.create("/f").unwrap();
+        fs.write(fd, 0, &old).unwrap();
+        fs.write(fd, 4 * 4096, &old[..4096]).unwrap();
+        fs.close(fd).unwrap();
+    }
+    let faulty = Arc::new(FaultyStore::new(s.clone()));
+    {
+        let fs = LamassuFs::new(faulty.clone(), keys(1, 2), LamassuConfig::default());
+        let fd = fs.open("/f", OpenFlags::default()).unwrap();
+        // Fill the hole at block 3 and append block 5.
+        fs.write(fd, 3 * 4096, &unique_data(4096, 57)).unwrap();
+        fs.write(fd, 5 * 4096, &unique_data(4096, 58)).unwrap();
+        faulty.crash_after_writes(2); // both data writes land, the install does not
+        assert!(fs.fsync(fd).is_err());
+    }
+    let fs = mount_on(s);
+    let report = fs.recover("/f").unwrap();
+    assert_eq!(report.segments_repaired, 0, "{report:?}");
+    assert!(fs.verify("/f").unwrap().is_clean());
+    let fd = fs.open("/f", OpenFlags::default()).unwrap();
+    assert_eq!(fs.len(fd).unwrap(), 5 * 4096);
+    let mut want = old.clone();
+    want.extend_from_slice(&[0; 4096]);
+    want.extend_from_slice(&old[..4096]);
+    assert_eq!(fs.read(fd, 0, 5 * 4096).unwrap(), want);
 }
 
 /// What a reader sees of every block of `/f`: the bytes, or "unreadable".

@@ -123,17 +123,62 @@ fn every_crash_point_recovers_to_a_consistent_state() {
 /// Builds a base file of `blocks` version-1 blocks on fresh media at
 /// reserved-slot count `r`, with one large write.
 fn build_base_at(r: usize, blocks: usize) -> Arc<DedupStore> {
-    let media = Arc::new(DedupStore::new(4096, StorageProfile::instant()));
-    let fs = LamassuFs::new(
-        media.clone(),
-        keys(),
-        LamassuConfig::with_reserved_slots(r).unwrap(),
-    );
-    let fd = fs.create("/file").unwrap();
-    let image: Vec<u8> = (0..blocks).flat_map(|b| pattern(1, b)).collect();
-    fs.write(fd, 0, &image).unwrap();
-    fs.close(fd).unwrap();
-    media
+    Base::new(r, blocks).build()
+}
+
+/// The version-1 file a crash matrix starts from.
+struct Base<'a> {
+    /// Reserved-slot count `R`.
+    r: usize,
+    /// Its length in blocks.
+    blocks: usize,
+    /// Blocks below `blocks` that were never written (they read as zeros).
+    holes: &'a [usize],
+    /// Built this many blocks long, then truncated to `blocks`.
+    shrunk_from: Option<usize>,
+}
+
+impl<'a> Base<'a> {
+    fn new(r: usize, blocks: usize) -> Self {
+        Base {
+            r,
+            blocks,
+            holes: &[],
+            shrunk_from: None,
+        }
+    }
+
+    /// Whether block `b` holds version-1 data.
+    fn holds(&self, b: usize) -> bool {
+        b < self.blocks && !self.holes.contains(&b)
+    }
+
+    /// Writes the file on fresh media: one write per run between holes
+    /// (one large write without holes), then the truncate, if any.
+    fn build(&self) -> Arc<DedupStore> {
+        let media = Arc::new(DedupStore::new(4096, StorageProfile::instant()));
+        let fs = LamassuFs::new(
+            media.clone(),
+            keys(),
+            LamassuConfig::with_reserved_slots(self.r).unwrap(),
+        );
+        let fd = fs.create("/file").unwrap();
+        let written = self.shrunk_from.unwrap_or(self.blocks);
+        let mut b = 0;
+        while b < written {
+            let end = (b..written)
+                .find(|x| self.holes.contains(x))
+                .unwrap_or(written);
+            let image: Vec<u8> = (b..end).flat_map(|b| pattern(1, b)).collect();
+            fs.write(fd, (b * 4096) as u64, &image).unwrap();
+            b = end + 1;
+        }
+        if self.shrunk_from.is_some() {
+            fs.truncate(fd, (self.blocks * 4096) as u64).unwrap();
+        }
+        fs.close(fd).unwrap();
+        media
+    }
 }
 
 /// Cuts power at every `step`-th backend write boundary of `update` — which
@@ -158,6 +203,21 @@ fn enumerate_crash_points(
     update: impl Fn(&LamassuFs) -> lamassu::core::Result<()>,
     pinned: impl Fn(u64, usize) -> Option<u8>,
 ) -> u64 {
+    let base = Base::new(r, base_blocks);
+    enumerate_crash_points_from(&base, touched, expect_writes, step, update, pinned)
+}
+
+/// [`enumerate_crash_points`] from any [`Base`]: the old contents of a block
+/// the base does not hold are a hole.
+fn enumerate_crash_points_from(
+    base: &Base<'_>,
+    touched: &[usize],
+    expect_writes: u64,
+    step: usize,
+    update: impl Fn(&LamassuFs) -> lamassu::core::Result<()>,
+    pinned: impl Fn(u64, usize) -> Option<u8>,
+) -> u64 {
+    let (r, base_blocks) = (base.r, base.blocks);
     let config = LamassuConfig::with_reserved_slots(r).unwrap();
     let run = |media: Arc<DedupStore>, crash_after: u64| -> bool {
         let faulty = Arc::new(FaultyStore::new(media));
@@ -165,9 +225,9 @@ fn enumerate_crash_points(
         update(&LamassuFs::new(faulty, keys(), config)).is_ok()
     };
     // The base file is built once; every run starts from a byte copy of it.
-    let base = build_base_at(r, base_blocks);
-    let base_bytes = base
-        .read_at("/file", 0, base.len("/file").unwrap() as usize)
+    let built = base.build();
+    let base_bytes = built
+        .read_at("/file", 0, built.len("/file").unwrap() as usize)
         .unwrap();
     let fresh_media = || {
         let media = Arc::new(DedupStore::new(4096, StorageProfile::instant()));
@@ -214,7 +274,7 @@ fn enumerate_crash_points(
         let whole = fs.read(fd, 0, blocks * 4096).unwrap();
         assert_eq!(whole.len(), blocks * 4096);
         for (b, got) in whole.chunks(4096).enumerate() {
-            let is_old = if b < base_blocks {
+            let is_old = if base.holds(b) {
                 got == expected(1, b)
             } else {
                 got.iter().all(|&x| x == 0)
@@ -558,23 +618,27 @@ fn a_commit_resolves_a_segment_the_media_left_mid_update() {
     }
 }
 
-// The two append matrices run on a 116-block file. The logical size is read
-// from the last segment present on the media, and a growing write makes a new segment the last one as soon as
-// its first metadata write lands — so every metadata block the pipeline
-// writes carries the new size, and at no crash point may the file read back
-// shorter than it was. Appended blocks that never landed read as holes.
+// The two append matrices run on a 116-block file. Appended blocks are fresh:
+// the span pipeline writes their data first and installs their keys after the
+// barrier. The logical size is read from the last segment present on the
+// media, and a growing write's data would make a new segment the last one —
+// so that segment's metadata block goes out first, closed and carrying the
+// old size, and at no crash point may the file read back shorter than it
+// was. The installs carry the new size. Appended blocks whose keys never
+// landed read as holes.
 
 #[test]
 fn every_crash_point_of_an_append_across_segments_keeps_the_old_file_visible() {
-    // To 240 blocks: two blocks finish segment 0, 118 fill segment 1 (15
-    // rounds) and four start segment 2, the new final segment. Metadata
-    // writes 2 + 16 + 2, data writes 1 + 15 + 1.
+    // To 240 blocks: two blocks finish segment 0, 118 fill segment 1 and
+    // four start segment 2, the new final segment. Segment 2's metadata
+    // block first (1), one data write per segment (3), then one metadata
+    // write per segment installs the keys, closed and with the new size (3).
     let touched: Vec<usize> = (116..240).collect();
     enumerate_crash_points(
         8,
         116,
         &touched,
-        37,
+        1 + 3 + 3,
         1,
         |fs| write_run(fs, 116..240),
         |_, _| None,
@@ -583,30 +647,161 @@ fn every_crash_point_of_an_append_across_segments_keeps_the_old_file_visible() {
 
 #[test]
 fn sampled_crash_points_of_a_multi_batch_append_keep_the_old_file_visible() {
-    // To 640 blocks: the one 524-block write fills the span, so its three
-    // crypto batches (256 + 256 + 12) each leave their segments open for
-    // the next, and the `fsync` closes the last. One metadata write per
-    // round, one data write per round:
-    // * 116..372: segments 0–3 take 1 + 15 + 15 + 3 rounds — 34 + 34;
-    // * 372..628: segments 3–5 take 13 + 15 + 5 rounds, and segments 0–2
-    //   are closed by one write each — 36 + 33 (segment 3's close merges
-    //   with its opening write);
-    // * 628..640: segment 5 takes 2 rounds, and 3 and 4 are closed — 4 + 2;
-    // * the `fsync` closes segment 5 — 1.
+    // To 640 blocks: the one 524-block write fills the span, so it commits
+    // as three crypto batches (256 + 256 + 12), every block fresh; a batch
+    // of fresh blocks leaves nothing open, so the `fsync` writes nothing.
+    // Per batch: the metadata block of the segment its data makes the last
+    // one on the media, one data write per segment, one install per segment:
+    // * 116..372: segments 0–3, segment 3 written first — 1 + 4 + 4;
+    // * 372..628: segments 3–5, segment 5 written first — 1 + 3 + 3;
+    // * 628..640: segment 5, already on the media — 0 + 1 + 1.
     // The first batch never touches the final segment (5) — the last
     // segment on the media is whichever one the running batch has reached.
-    // Sampled: what matters is which batch the crash lands in, not which of
-    // its rounds.
+    // Every write boundary: the 144 writes the §2.4 rounds took here had to
+    // be sampled, these 18 need not be.
     let touched: Vec<usize> = (116..640).collect();
     enumerate_crash_points(
         8,
         116,
         &touched,
-        68 + 69 + 6 + 1,
-        5,
+        (1 + 4 + 4) + (1 + 3 + 3) + 2,
+        1,
         |fs| write_run(fs, 116..640),
         |_, _| None,
     );
+}
+
+// The fresh-block rows: blocks whose slots hold no key when the commit takes
+// their segment — a hole, a block past the end, a slot a truncate cleared.
+
+#[test]
+fn every_crash_point_of_a_hole_fill_keeps_the_blocks_around_it() {
+    // A 286-block file (three segments) with a 16-block hole across the
+    // boundary of segments 0 and 1, whose later blocks are on the media.
+    // Filling it: one data write per segment (2), then one metadata write
+    // per segment installs the keys (2). Neither segment is new, so no
+    // metadata write comes first, and nothing enters a transient area.
+    let holes: Vec<usize> = (110..126).collect();
+    let base = Base {
+        holes: &holes,
+        ..Base::new(8, 286)
+    };
+    let most_mid_update = enumerate_crash_points_from(
+        &base,
+        &holes,
+        2 + 2,
+        1,
+        |fs| write_run(fs, 110..126),
+        |_, _| None,
+    );
+    assert_eq!(most_mid_update, 0, "fresh blocks leave nothing to recover");
+}
+
+#[test]
+fn every_crash_point_of_a_sparse_write_past_the_end_keeps_the_old_length() {
+    // A 116-block file (segment 0) and a write of blocks 246..256, in
+    // segment 2: the write skips segment 1 and makes segment 2 the last one
+    // on the media. Segment 2's metadata block goes out first, closed and
+    // with the old size (1), then the data (1), then the install with the
+    // new size (1). A crash after the first write finds segment 2 present
+    // and segment 1 a hole, and must still read 116 blocks.
+    let touched: Vec<usize> = (246..256).collect();
+    enumerate_crash_points(
+        8,
+        116,
+        &touched,
+        1 + 1 + 1,
+        1,
+        |fs| write_run(fs, 246..256),
+        |_, _| None,
+    );
+}
+
+#[test]
+fn every_crash_point_of_a_commit_mixing_overwrites_and_fresh_blocks_recovers() {
+    // R = 2, N = 124, a 130-block file with holes at 3, 5 and 6. One flush
+    // writes blocks 0..10 — seven overwrites in four rounds and the three
+    // holes — and 128..132: two overwrites in one round and two appends.
+    // Phase 0: both segments open round 0 (2); data: segment 0's fresh
+    // blocks with its round 0, {0, 1}, {3}, {5, 6}, and segment 1's 128..132
+    // as one run (4). Phase 1: segment 0 opens round 1 and installs 3, 5
+    // and 6, segment 1 closes and installs 130 and 131 (2); data {2}, {4}
+    // (2). Phases 2 and 3: segment 0's rounds {7, 8} and {9} (1 + 1 each).
+    // Phase 4: segment 0 closes (1). 15 writes.
+    let holes = [3, 5, 6];
+    let base = Base {
+        holes: &holes,
+        ..Base::new(2, 130)
+    };
+    let touched: Vec<usize> = (0..10).chain(128..132).collect();
+    let most_mid_update = enumerate_crash_points_from(
+        &base,
+        &touched,
+        (2 + 4) + (2 + 2) + (1 + 1) + (1 + 1) + 1,
+        1,
+        |fs| write_blocks(fs, &touched, usize::MAX),
+        |_, _| None,
+    );
+    assert_eq!(most_mid_update, 2, "both segments mid-update at one crash");
+}
+
+#[test]
+fn every_crash_point_of_a_re_extend_after_a_truncate_keeps_the_old_length() {
+    // R = 2, N = 124: a 377-block file truncated to 130 blocks — the keys
+    // of 130..248 cleared in segment 1, segments 2 and 3 gone with the
+    // physical truncate — then re-extended to 300 blocks over the cleared
+    // slots. Segment 2's metadata block first (1), one data write per
+    // segment (2), one install per segment (2).
+    let base = Base {
+        shrunk_from: Some(377),
+        ..Base::new(2, 130)
+    };
+    let touched: Vec<usize> = (130..300).collect();
+    enumerate_crash_points_from(
+        &base,
+        &touched,
+        1 + 2 + 2,
+        1,
+        |fs| write_run(fs, 130..300),
+        |_, _| None,
+    );
+}
+
+#[test]
+fn a_power_cut_after_a_span_filling_append_keeps_every_appended_block() {
+    // 300 single-block appends to a 100-block file, never fsynced: the 256th
+    // fills the span and its write commits blocks 100..356, the last 44 are
+    // still buffered when the client dies. Fresh blocks' keys are installed
+    // before the commit returns, so after the restart the file is 356 blocks
+    // long and every committed appended block reads new — before `recover`
+    // and after it — and recovery finds nothing to repair.
+    const BASE: usize = 100;
+    let media = build_base_at(8, BASE);
+    {
+        let fs = LamassuFs::new(media.clone(), keys(), LamassuConfig::default());
+        let fd = fs.open("/file", OpenFlags::default()).unwrap();
+        for b in BASE..BASE + 300 {
+            fs.write(fd, (b * 4096) as u64, &pattern(2, b)).unwrap();
+        }
+    }
+    let fs = LamassuFs::new(media, keys(), LamassuConfig::default());
+    let fd = fs.open("/file", OpenFlags::default()).unwrap();
+    let check = |when: &str| {
+        assert_eq!(fs.len(fd).unwrap(), ((BASE + 256) * 4096) as u64, "{when}");
+        for b in 0..BASE + 256 {
+            let version = if b < BASE { 1 } else { 2 };
+            assert!(
+                fs.read(fd, (b * 4096) as u64, 4096).unwrap() == pattern(version, b),
+                "block {b} must be version {version} after the power cut, {when}"
+            );
+        }
+    };
+    check("before recovery");
+    let recovered = fs.recover("/file").unwrap();
+    assert_eq!(recovered.segments_repaired, 0, "{recovered:?}");
+    let report = fs.verify("/file").unwrap();
+    assert!(report.is_clean() && report.mid_update_segments == 0);
+    check("after recovery");
 }
 
 /// A byte copy of a base file of `blocks` version-1 blocks at reserved-slot

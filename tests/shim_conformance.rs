@@ -119,16 +119,32 @@ const HUGE: u64 = 1 << 50;
 /// A backend with sizes of its own. It refuses to grow an object past 1 TiB
 /// (a file system's largest file) before the media sees the request, and
 /// with `claim` set it reports that length for every object, whatever it
-/// holds — an untrusted backend lying about sizes.
+/// holds — an untrusted backend lying about sizes. With `clamp_reads` set it
+/// answers a `read_at` past the end with the bytes there are instead of an
+/// error — a backend breaking the exact-length contract.
 struct SizeLimited {
     media: DedupStore,
     claim: Option<u64>,
+    clamp_reads: bool,
 }
 
 impl SizeLimited {
     fn new(claim: Option<u64>) -> Arc<SizeLimited> {
         let media = DedupStore::new(BLOCK as usize, StorageProfile::instant());
-        Arc::new(SizeLimited { media, claim })
+        Arc::new(SizeLimited {
+            media,
+            claim,
+            clamp_reads: false,
+        })
+    }
+
+    fn clamping() -> Arc<SizeLimited> {
+        let media = DedupStore::new(BLOCK as usize, StorageProfile::instant());
+        Arc::new(SizeLimited {
+            media,
+            claim: None,
+            clamp_reads: true,
+        })
     }
 
     fn refuse_past_limit(name: &str, end: u64) -> lamassu::storage::Result<()> {
@@ -156,6 +172,25 @@ impl ObjectStore for SizeLimited {
         bufs: &mut [IoSliceMut<'_>],
     ) -> lamassu::storage::Result<usize> {
         self.media.read_into_vectored(name, offset, bufs)
+    }
+    fn read_at(&self, name: &str, offset: u64, len: usize) -> lamassu::storage::Result<Vec<u8>> {
+        let mut buf = vec![0u8; len];
+        let n = self.read_into(name, offset, &mut buf)?;
+        if n < len && !self.clamp_reads {
+            let size = if n > 0 {
+                offset + n as u64
+            } else {
+                self.len(name)?
+            };
+            return Err(StorageError::OutOfBounds {
+                name: name.to_string(),
+                offset,
+                len,
+                size,
+            });
+        }
+        buf.truncate(n);
+        Ok(buf)
     }
     fn write_at_vectored(
         &self,
@@ -494,8 +529,14 @@ fn a_short_or_garbage_backing_object_is_an_error_or_an_empty_file_never_a_panic(
     // (what, bytes, claimed length,
     //  is an error on EncFs / CeFileFs / LamassuFs / meta-only)
     type Case = (&'static str, Vec<u8>, Option<u64>, [bool; 4]);
-    let cases: [Case; 4] = [
+    let cases: [Case; 5] = [
         ("an empty object", vec![], None, [true, false, false, false]),
+        (
+            "10 bytes",
+            pattern(10, 0x22),
+            None,
+            [true, true, false, false],
+        ),
         (
             "79 bytes",
             pattern(79, 0x11),
@@ -527,6 +568,24 @@ fn a_short_or_garbage_backing_object_is_an_error_or_an_empty_file_never_a_panic(
                 Ok(got) => assert!(!is_err && got.is_empty(), "{name}: {what} read {got:?}"),
             }
             assert_eq!(fs.stat("/g").is_err(), is_err, "{name}: stat of {what}");
+        }
+    }
+}
+
+#[test]
+fn an_encfs_object_shorter_than_its_header_is_a_metadata_error() {
+    // Decoder hardening (ROADMAP 4(c)): an EncFS object created but never
+    // initialised, or cut short by the backend, holds fewer bytes than the
+    // 80-byte header — here on a store that answers reads past the end with
+    // the bytes it has. Opening it is a metadata error, never a panic.
+    for len in [0, 10] {
+        let store = SizeLimited::clamping();
+        store.create("/h").unwrap();
+        store.write_at("/h", 0, &pattern(len, 0x33)).unwrap();
+        let fs = EncFs::new(store, [0x77; 32], EncFsConfig::default());
+        match fs.open("/h", OpenFlags::default()) {
+            Err(FsError::Metadata(_)) => {}
+            other => panic!("a {len}-byte object opened as {other:?}"),
         }
     }
 }

@@ -96,8 +96,9 @@ fn four_kib_writes_pay_for_their_metadata_once_per_span() {
     fs.fsync(fd).unwrap();
     let sequential = store.io_counters();
     // Two span commits of three segments each (118 + 118 + 20 blocks, then
-    // 98 + 118 + 40): every round of eight adjacent blocks is one data write
-    // and one metadata write.
+    // 98 + 118 + 40), all of them fresh blocks: each segment's blocks are one
+    // data write and one metadata write installs their keys, and the new
+    // last segment's metadata block goes out first.
     assert_eq!(
         (sequential.write_ops, sequential.bytes_written),
         SEQUENTIAL_PASS,
@@ -128,11 +129,13 @@ fn four_kib_writes_pay_for_their_metadata_once_per_span() {
 /// commit's segments. Closing every segment at the end of each commit wrote
 /// 10 instead of those 5.
 const RANDOM_PASS: (u64, u64) = (285 + 73, (512 + 73) * 4096);
-/// `(write_ops, bytes_written)` of the sequential pass: per commit 15 + 15 + 3
-/// and 13 + 15 + 5 data writes, and as many metadata writes (33 + 33), plus
-/// the closing ones: the second commit closes segments 0 and 1 (2; segment 2
-/// is closed by its own opening write), and the `fsync` segments 2–4 (3).
-const SEQUENTIAL_PASS: (u64, u64) = (66 + 71, (512 + 71) * 4096);
+/// `(write_ops, bytes_written)` of the sequential pass: every block is fresh,
+/// so each commit is three phases — the first metadata write of the segment
+/// its data makes the last one on the media (2, then 4), one data write per
+/// segment (3), one metadata write per segment installing its keys (3) — 7
+/// writes and 4 metadata blocks a commit. Nothing is left open, so the
+/// `fsync` writes nothing. The §2.4 rounds of R = 8 wrote 137 and 71.
+const SEQUENTIAL_PASS: (u64, u64) = (2 * (1 + 3 + 3), (512 + 2 * 4) * 4096);
 
 /// One application I/O of the sequential cases: 1 MiB, a typical streaming
 /// size, which the pipelines split into blocks or runs.
@@ -223,7 +226,7 @@ fn sequential_spans_move_whole_runs_per_backend_op() {
     }
     // The ratios the pinned counts must keep: a span read is one backend
     // read per segment run, not one per block, on both shims; a LamassuFS
-    // commit folds each round's adjacent data blocks into one write, and
+    // commit folds adjacent data blocks into one write, and
     // EncFS's contiguous data blocks make a 1 MiB write one round trip.
     let [(_, (lam_r, lam_w), (lam_pb_r, lam_pb_w)), (_, (enc_r, enc_w), (enc_pb_r, enc_pb_w))] =
         SEQUENTIAL_ROUND_TRIPS;
@@ -236,15 +239,20 @@ fn sequential_spans_move_whole_runs_per_backend_op() {
 ///
 /// LamassuFS: both pipelines read the same 1031 blocks (1024 data, 7
 /// metadata), one per operation or in 19 vectored runs. The span pipeline
-/// writes 1166 blocks in 274 operations: the empty file's metadata block, and
-/// per 1 MiB commit 33 rounds over three segments, each one data and one
-/// metadata write (264); every segment is closed once by the next commit or
-/// the `fsync`, except the three a next commit opens again (9 of 12). The
-/// per-block one writes 1289 (its smaller commits seal more metadata blocks),
-/// one per operation. EncFS: one read or write per 1 MiB against 256, plus
-/// two header writes (at create and at the fsync that grew the file).
+/// writes 1041 blocks in 29 operations: the empty file's metadata block, and
+/// per 1 MiB commit of fresh blocks over three segments one metadata write of
+/// the new last segment (2, 4, 6, 8), three data runs and three metadata
+/// writes installing the keys (4 × 7); nothing is left open for the `fsync`.
+/// The per-block one writes 1289 (its smaller commits seal more metadata
+/// blocks), one per operation. EncFS: one read or write per 1 MiB against
+/// 256, plus two header writes (at create and at the fsync that grew the
+/// file).
 const SEQUENTIAL_ROUND_TRIPS: [(&str, Ops, Ops); 2] = [
-    ("LamassuFS", (19, 1 + 264 + 9), (1024 + 7, 1024 + 265)),
+    (
+        "LamassuFS",
+        (19, 1 + 4 * (1 + 3 + 3)),
+        (1024 + 7, 1024 + 265),
+    ),
     ("EncFS", (4, 4 + 2), (1024, 1024 + 2)),
 ];
 
