@@ -19,13 +19,17 @@ use crate::config::{CacheConfig, CacheMode};
 use crate::stats::{AtomicStats, CacheStats};
 use lamassu_core::pool::{BlockBuf, BlockPool, PoolStats};
 use lamassu_core::{Category, Profiler};
-use lamassu_storage::{iovec, Completion, IoCounters, ObjectStore, Result, SubmitQueue};
+use lamassu_storage::{
+    iovec, with_thread_queue, Completion, IoCounters, ObjectStore, Result, StorageError,
+    SubmitQueue, SubmitTicket,
+};
 use parking_lot::{Mutex, MutexGuard};
 use std::cell::RefCell;
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 use std::io::{IoSlice, IoSliceMut};
+use std::ops::Range;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -640,9 +644,12 @@ impl<S: ObjectStore + ?Sized> CachedStore<S> {
     }
 
     /// Writes every dirty block of `name` back to the backend, coalescing
-    /// runs of adjacent blocks into single vectored writes. Blocks are
-    /// marked clean run by run, so a mid-flush backend failure leaves the
-    /// unflushed remainder dirty and surfaces the error.
+    /// runs of adjacent blocks into single vectored writes. Every run is
+    /// submitted before any completion is awaited, and one
+    /// `wait_completions` is the barrier, so the runs overlap on the
+    /// backend's queue-depth lanes. A run whose completion is `Ok` is marked
+    /// clean; a failed run stays dirty and the first failure (in object
+    /// order) surfaces. Runs after a failed one are still written.
     fn flush_object(&self, name: &str, backend_time: &mut Duration) -> Result<()> {
         let len = {
             let metas = self.meta_shards[self.meta_shard_idx(name)].lock();
@@ -662,47 +669,70 @@ impl<S: ObjectStore + ?Sized> CachedStore<S> {
                 }
             }
         }
+        if dirty.is_empty() {
+            return Ok(()); // nothing to write, so no barrier either
+        }
         dirty.sort_unstable();
         let bs = self.bs();
-        let mut i = 0;
-        while i < dirty.len() {
-            let mut j = i + 1;
-            while j < dirty.len() && dirty[j].0 == dirty[j - 1].0 + 1 {
-                j += 1;
+        with_thread_queue(|q, done| {
+            // `(ticket, run)`: the run is `dirty[run]`, in ticket order.
+            let mut runs: Vec<(SubmitTicket, Range<usize>)> = Vec::new();
+            let mut slices: Vec<IoSlice<'_>> = Vec::new();
+            let mut i = 0;
+            while i < dirty.len() {
+                let mut j = i + 1;
+                while j < dirty.len() && dirty[j].0 == dirty[j - 1].0 + 1 {
+                    j += 1;
+                }
+                let run_last = dirty[j - 1].0;
+                slices.clear();
+                slices.extend(dirty[i..j].iter().map(|&(b, si, idx)| {
+                    let slot = guards[si].slots[idx].as_ref().expect("dirty slot exists");
+                    // Interior blocks of a run are full (a dirty successor
+                    // implies the object extends past them); the run's last
+                    // block is clamped to the logical length.
+                    let take = if b == run_last {
+                        ((len - b * bs) as usize).min(self.config.block_size)
+                    } else {
+                        self.config.block_size
+                    };
+                    IoSlice::new(&slot.data[..take])
+                }));
+                let ticket = timed(backend_time, || {
+                    self.inner
+                        .submit_write_vectored(q, name, dirty[i].0 * bs, &slices)
+                });
+                runs.push((ticket, i..j));
+                i = j;
             }
-            let run = &dirty[i..j];
-            let run_last = run[run.len() - 1].0;
-            let start_off = run[0].0 * bs;
-            {
-                let slices: Vec<IoSlice<'_>> = run
-                    .iter()
-                    .map(|&(b, si, idx)| {
-                        let slot = guards[si].slots[idx].as_ref().expect("dirty slot exists");
-                        // Interior blocks of a run are full (a dirty successor
-                        // implies the object extends past them); the run's last
-                        // block is clamped to the logical length.
-                        let take = if b == run_last {
-                            ((len - b * bs) as usize).min(self.config.block_size)
-                        } else {
-                            self.config.block_size
-                        };
-                        IoSlice::new(&slot.data[..take])
-                    })
-                    .collect();
-                timed(backend_time, || {
-                    self.inner.write_at_vectored(name, start_off, &slices)
-                })?;
+            timed(backend_time, || self.inner.wait_completions(q, done));
+            done.sort_unstable_by_key(|c| c.ticket);
+            let mut first_err = None;
+            for (ticket, run) in runs {
+                let result = match done.binary_search_by_key(&ticket, |c| c.ticket) {
+                    Ok(k) => done[k].result.as_ref().map_err(Clone::clone),
+                    Err(_) => Err(StorageError::Backend {
+                        name: name.to_string(),
+                        detail: "store withheld a write-back completion".to_string(),
+                    }),
+                };
+                match result {
+                    Ok(_) => {
+                        for &(_, si, idx) in &dirty[run] {
+                            guards[si].slots[idx]
+                                .as_mut()
+                                .expect("dirty slot exists")
+                                .dirty = false;
+                            AtomicStats::bump(&self.stats.dirty_writebacks);
+                        }
+                    }
+                    Err(e) => {
+                        first_err.get_or_insert(e);
+                    }
+                }
             }
-            for &(_, si, idx) in run {
-                guards[si].slots[idx]
-                    .as_mut()
-                    .expect("dirty slot exists")
-                    .dirty = false;
-                AtomicStats::bump(&self.stats.dirty_writebacks);
-            }
-            i = j;
-        }
-        Ok(())
+            first_err.map_or(Ok(()), Err)
+        })
     }
 
     /// Post-`truncate` cache fix-ups: drop blocks past the boundary, zero

@@ -28,10 +28,13 @@
 //!   marked *dirty* and reach the backend only on [`CachedStore::flush_all`],
 //!   [`ObjectStore::flush`](lamassu_storage::ObjectStore::flush), eviction,
 //!   or just before a `truncate`/`rename` is passed through. Flushes coalesce
-//!   runs of adjacent dirty blocks into single vectored backend writes. A
+//!   runs of adjacent dirty blocks into single vectored backend writes,
+//!   submit every run and wait once, so the runs overlap on the backend's
+//!   queue-depth lanes; an eviction's write-back is one blocking write. A
 //!   backend failure during write-back (e.g. an injected `FaultyStore` crash)
 //!   surfaces as an error from the triggering operation and the affected
 //!   blocks stay dirty in the cache — dirty data is never silently dropped.
+//!   A flush still writes the runs after a failed one.
 //!
 //! # Sharding and concurrency
 //!

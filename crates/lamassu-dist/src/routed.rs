@@ -10,7 +10,10 @@
 //!
 //! * **Writes** fan out to every owner of each touched unit. A write that
 //!   reaches at least one owner succeeds; owners that missed it are marked
-//!   *suspect* and resynchronized by the next [`RoutedStore::scrub`].
+//!   *suspect* and resynchronized by the next [`RoutedStore::scrub`]. A
+//!   submitted write takes the same unit walk and fan-out and sends each
+//!   member write as a submission, so its cost lands on the member clock's
+//!   queue-depth lanes until the caller's `wait_completions`.
 //! * **Reads** try the unit's primary owner and fail over down the chain on
 //!   [`StorageError::Backend`], [`StorageError::Crashed`] or a lost replica
 //!   (`NotFound`); the failed member is marked suspect.
@@ -38,7 +41,8 @@ use crate::stats::{AtomicDistStats, DistStats, ScrubReport};
 use lamassu_core::{Category, Profiler};
 use lamassu_crypto::sha256::{sha256, Digest};
 use lamassu_storage::{
-    iovec, Completion, IoCounters, ObjectStore, Result, StorageError, SubmitQueue,
+    iovec, write_submitted, Completion, IoCounters, ObjectStore, Result, StorageError, SubmitQueue,
+    SubmitTicket,
 };
 use parking_lot::{Mutex, RwLock};
 use std::collections::{BTreeMap, HashMap};
@@ -116,6 +120,33 @@ fn zero_fill_bufs(bufs: &mut [IoSliceMut<'_>], mut skip: usize) {
         }
         b[skip..].fill(0);
         skip = 0;
+    }
+}
+
+/// How a member write is sent.
+#[derive(Clone, Copy)]
+enum WriteMode {
+    /// The member's blocking call: the transport cost advances the member
+    /// clock's serial frontier.
+    Blocking,
+    /// A submission run to completion ([`write_submitted`]): the cost lands
+    /// on one of the member clock's queue-depth lanes, and the caller's
+    /// `wait_completions` is the barrier.
+    Submitted,
+}
+
+impl WriteMode {
+    fn write<S: ObjectStore + ?Sized>(
+        self,
+        store: &S,
+        name: &str,
+        pos: u64,
+        bufs: &[IoSlice<'_>],
+    ) -> Result<()> {
+        match self {
+            WriteMode::Blocking => store.write_at_vectored(name, pos, bufs),
+            WriteMode::Submitted => write_submitted(store, name, pos, bufs).map(drop),
+        }
     }
 }
 
@@ -615,21 +646,59 @@ impl<S: ObjectStore + ?Sized> RoutedStore<S> {
     }
 
     /// Writes the list `bufs` at `pos` (inside one placement unit) to every
-    /// owner, one charged operation each. Succeeds when at least one owner
-    /// took the write; missed owners are marked suspect (a *degraded*
-    /// write).
+    /// owner, one charged operation each, sent as `mode` says. Succeeds
+    /// when at least one owner took the write; missed owners are marked
+    /// suspect (a *degraded* write).
     fn write_unit_vectored(
         &self,
         name: &Arc<str>,
         pos: u64,
         bufs: &[IoSlice<'_>],
+        mode: WriteMode,
         backend_time: &mut Duration,
     ) -> Result<()> {
         let mut chain: OwnerChain = [0; MAX_REPLICAS];
         let n = self.owners_for(name, pos, &mut chain);
         self.write_chain(name, &chain[..n], |store| {
-            timed(backend_time, || store.write_at_vectored(name, pos, bufs))
+            timed(backend_time, || mode.write(store, name, pos, bufs))
         })
+    }
+
+    /// [`ObjectStore::write_at_vectored`], each member write sent as
+    /// `mode` says: the list is cut into per-unit runs by the one
+    /// [`UnitWalk`], and every run fans out to its owners.
+    fn write_list(
+        &self,
+        name: &str,
+        offset: u64,
+        bufs: &[IoSlice<'_>],
+        mode: WriteMode,
+    ) -> Result<()> {
+        let op = self.op_start();
+        let mut backend_time = Duration::ZERO;
+        let _gate = self.scrub_gate.read();
+        let Some((iname, _len)) = self.object_len(name, &mut backend_time) else {
+            return Err(not_found(name));
+        };
+        let total = iovec::total_len(bufs) as u64;
+        let mut walk = UnitWalk::new(offset, total);
+        while let Some((pos, piece)) = walk.next(&self.config, bufs) {
+            match piece {
+                Piece::Run(run) => {
+                    self.write_unit_vectored(&iname, pos, &bufs[run], mode, &mut backend_time)?
+                }
+                Piece::Part(i, part) => self.write_unit_vectored(
+                    &iname,
+                    pos,
+                    &[IoSlice::new(&bufs[i][part])],
+                    mode,
+                    &mut backend_time,
+                )?,
+            }
+        }
+        self.grow_len(&iname, offset + total);
+        self.charge_route(op, backend_time);
+        Ok(())
     }
 
     fn finish_unit_write(
@@ -775,30 +844,20 @@ impl<S: ObjectStore + ?Sized> ObjectStore for RoutedStore<S> {
     }
 
     fn write_at_vectored(&self, name: &str, offset: u64, bufs: &[IoSlice<'_>]) -> Result<()> {
-        let op = self.op_start();
-        let mut backend_time = Duration::ZERO;
-        let _gate = self.scrub_gate.read();
-        let Some((iname, _len)) = self.object_len(name, &mut backend_time) else {
-            return Err(not_found(name));
-        };
-        let total = iovec::total_len(bufs) as u64;
-        let mut walk = UnitWalk::new(offset, total);
-        while let Some((pos, piece)) = walk.next(&self.config, bufs) {
-            match piece {
-                Piece::Run(run) => {
-                    self.write_unit_vectored(&iname, pos, &bufs[run], &mut backend_time)?
-                }
-                Piece::Part(i, part) => self.write_unit_vectored(
-                    &iname,
-                    pos,
-                    &[IoSlice::new(&bufs[i][part])],
-                    &mut backend_time,
-                )?,
-            }
-        }
-        self.grow_len(&iname, offset + total);
-        self.charge_route(op, backend_time);
-        Ok(())
+        self.write_list(name, offset, bufs, WriteMode::Blocking)
+    }
+
+    fn submit_write_vectored(
+        &self,
+        q: &mut SubmitQueue,
+        name: &str,
+        offset: u64,
+        bufs: &[IoSlice<'_>],
+    ) -> SubmitTicket {
+        let result = self
+            .write_list(name, offset, bufs, WriteMode::Submitted)
+            .map(|()| iovec::total_len(bufs));
+        q.complete_now(result)
     }
 
     fn wait_completions(&self, q: &mut SubmitQueue, out: &mut Vec<Completion>) {
@@ -896,7 +955,7 @@ impl<S: ObjectStore + ?Sized> ObjectStore for RoutedStore<S> {
             let mut iov = [IoSliceMut::new(&mut scratch)];
             self.read_unit_vectored(&ifrom, pos, &mut iov, &mut backend_time)?;
             let iov = [IoSlice::new(&scratch)];
-            self.write_unit_vectored(&ito, pos, &iov, &mut backend_time)?;
+            self.write_unit_vectored(&ito, pos, &iov, WriteMode::Blocking, &mut backend_time)?;
             pos += chunk as u64;
         }
         self.meta.lock().insert(ito, len);

@@ -19,16 +19,19 @@
 //! — describe namespace state, not transport luck: they surface
 //! immediately and never burn budget.
 //!
-//! Every method is one retried blocking call on the wrapped store. The
-//! submission-API methods (`submit_read_vectored` & co.) are **not**
-//! overridden: the trait defaults route them through those retried blocking
-//! paths and complete eagerly, so a submitting caller still gets retry
-//! coverage, at the cost of losing cross-operation lane overlap above this
-//! layer (each member keeps its own overlap below).
+//! Every method is one retried call on the wrapped store. A submitted
+//! write is retried the same way, attempt by attempt, but each attempt goes
+//! down as a submission (`lamassu_storage::write_submitted`), so its
+//! transport cost lands on the queue-depth lanes below and a caller that
+//! submits many writes before it waits (the write-back cache's flush)
+//! overlaps them. Submitted reads take the trait default: the retried
+//! blocking read, completed at once.
 
 use crate::retry::{OpBudget, RetryPolicy};
 use crate::stats::{AtomicResilienceStats, ResilienceStats};
-use lamassu_storage::{Completion, IoCounters, ObjectStore, Result, SubmitQueue};
+use lamassu_storage::{
+    write_submitted, Completion, IoCounters, ObjectStore, Result, SubmitQueue, SubmitTicket,
+};
 use std::io::{IoSlice, IoSliceMut};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -144,6 +147,17 @@ impl<S: ObjectStore + ?Sized> ObjectStore for ResilientStore<S> {
 
     fn write_at_vectored(&self, name: &str, offset: u64, bufs: &[IoSlice<'_>]) -> Result<()> {
         self.with_retries(|| self.inner.write_at_vectored(name, offset, bufs))
+    }
+
+    fn submit_write_vectored(
+        &self,
+        q: &mut SubmitQueue,
+        name: &str,
+        offset: u64,
+        bufs: &[IoSlice<'_>],
+    ) -> SubmitTicket {
+        let result = self.with_retries(|| write_submitted(&*self.inner, name, offset, bufs));
+        q.complete_now(result)
     }
 
     fn wait_completions(&self, q: &mut SubmitQueue, out: &mut Vec<Completion>) {

@@ -44,7 +44,7 @@ pub use error::StorageError;
 pub use faulty::{ArmedFaults, FaultSchedule, FaultStats, FaultyStore};
 pub use profile::{IoCounters, StorageProfile};
 pub use store::ObjectStore;
-pub use submit::{Completion, SubmitQueue, SubmitTicket};
+pub use submit::{with_thread_queue, write_submitted, Completion, SubmitQueue, SubmitTicket};
 
 /// Result alias for storage operations.
 pub type Result<T> = std::result::Result<T, StorageError>;

@@ -42,6 +42,15 @@
 //! next submission batch) cannot start before every drained submission has
 //! finished. `busy_time()` counts the charged cost of every op exactly once,
 //! submitted or blocking, in whatever order completions are observed.
+//!
+//! Every lane carries the profile's full bandwidth, so a bulk submission is
+//! an optimistic bound: `queue_depth` overlapping transfers each move at
+//! the link's rate, where a real link shares it. That is exact for round
+//! trips of small requests and optimistic for bytes. The final write-back
+//! flush of the benchmark's `tiered-zipf-4k` (seed 1) sends 992 dirty
+//! blocks to their two owners as 1 766 member writes, 7.75 MiB: at least
+//! 70 ms of wire time at this profile's 110 MiB/s through one client link,
+//! of which the model charges 18.5 ms.
 
 use parking_lot::{Mutex, RwLock};
 use serde::Serialize;

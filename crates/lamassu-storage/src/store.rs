@@ -48,7 +48,14 @@
 //!   below it, or the clock under it never sees a backoff or a barrier;
 //! * a tier that only forwards needs **no** `submit_*`: the defaults route a
 //!   submission through the tier's own blocking path, so its logic (cache
-//!   lookup, retries, routing) covers submitted I/O for free.
+//!   lookup) covers submitted I/O for free;
+//! * a tier that retries or fans out a write must see each attempt's
+//!   outcome before it goes on, yet should not turn a submission into a
+//!   blocking round trip below it: it overrides `submit_write_vectored` to
+//!   run its logic with every inner write issued through
+//!   [`write_submitted`](crate::write_submitted), which returns the inner
+//!   result while the cost stays on the inner store's lanes, and completes
+//!   the caller's ticket at once (`ResilientStore`, `RoutedStore`).
 //!
 //! The smallest complete store — it stops compiling if the required set
 //! ever grows:

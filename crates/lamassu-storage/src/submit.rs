@@ -1,5 +1,5 @@
 //! Submission queues and completion tokens: the io_uring-shaped async face
-//! of [`ObjectStore`](crate::ObjectStore).
+//! of [`ObjectStore`].
 //!
 //! The two blocking data primitives (`read_into_vectored`,
 //! `write_at_vectored` — the scalar calls are these on a one-slice list)
@@ -36,7 +36,9 @@
 //! clock's channel state) *inside* a submit/poll call, but must not hold
 //! them across calls; nothing in this module calls back into the store.
 
-use crate::Result;
+use crate::{iovec, ObjectStore, Result, StorageError};
+use std::cell::RefCell;
+use std::io::IoSlice;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Global id source so tickets from distinct queues never collide.
@@ -210,6 +212,64 @@ impl Default for SubmitQueue {
     }
 }
 
+thread_local! {
+    /// Idle queues of [`with_thread_queue`], one per nesting level in use: a
+    /// retry tier holds one while the router below it takes another.
+    static THREAD_QUEUES: RefCell<Vec<(SubmitQueue, Vec<Completion>)>> =
+        const { RefCell::new(Vec::new()) };
+}
+
+/// Runs `f` with an empty queue and completion buffer of the calling
+/// thread's. They are reused across calls — a nested call takes a second
+/// pair — so a tier that submits costs no allocation once its thread is
+/// warm. Whatever `f` leaves in them is discarded.
+pub fn with_thread_queue<T>(f: impl FnOnce(&mut SubmitQueue, &mut Vec<Completion>) -> T) -> T {
+    let (mut q, mut done) = THREAD_QUEUES
+        .with(|idle| idle.borrow_mut().pop())
+        .unwrap_or_default();
+    let out = f(&mut q, &mut done);
+    q.reset();
+    done.clear();
+    THREAD_QUEUES.with(|idle| idle.borrow_mut().push((q, done)));
+    out
+}
+
+/// Writes `bufs` at `offset` through `store`'s submission API and returns
+/// the write's result — the byte count, or the error — as soon as the store
+/// reports it: it polls first, and waits only if the store parks the
+/// completion (as `FaultyStore` may).
+///
+/// This is how a tier that must see each write's outcome before it goes on
+/// (a retry, a replica fan-out) still issues the write as a submission: the
+/// transport cost lands on a queue-depth lane of the store below rather than
+/// on its serial frontier, so the tier's caller overlaps consecutive writes
+/// and pays for them at its own `wait_completions`. A poll is no barrier; a
+/// fallback wait is one, on `store` only.
+pub fn write_submitted<S: ObjectStore + ?Sized>(
+    store: &S,
+    name: &str,
+    offset: u64,
+    bufs: &[IoSlice<'_>],
+) -> Result<usize> {
+    with_thread_queue(|q, done| {
+        let ticket = store.submit_write_vectored(q, name, offset, bufs);
+        store.poll_completions(q, done);
+        if !done.iter().any(|c| c.ticket == ticket) {
+            store.wait_completions(q, done);
+        }
+        match done.iter().position(|c| c.ticket == ticket) {
+            Some(i) => done.swap_remove(i).result,
+            None => Err(StorageError::Backend {
+                name: name.to_string(),
+                detail: format!(
+                    "store withheld the completion of a {}-byte write",
+                    iovec::total_len(bufs)
+                ),
+            }),
+        }
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -277,6 +337,160 @@ mod tests {
         let mut a = SubmitQueue::new();
         let mut b = SubmitQueue::new();
         assert_ne!(a.complete_now(Ok(0)), b.complete_now(Ok(0)));
+    }
+
+    use crate::profile::StorageProfile;
+    use crate::{DedupStore, IoCounters};
+    use std::io::IoSliceMut;
+    use std::sync::atomic::AtomicUsize;
+    use std::time::Duration;
+
+    /// A store that parks every completion and whose poll releases none of
+    /// them (the trait default), counting its `wait_completions` calls.
+    /// `withhold` makes it record no completion at all.
+    struct Parking {
+        inner: DedupStore,
+        waits: AtomicUsize,
+        withhold: bool,
+    }
+
+    impl Parking {
+        fn new(withhold: bool) -> Self {
+            let inner = DedupStore::new(4096, StorageProfile::nfs_1gbe());
+            inner.create("f").unwrap();
+            Parking {
+                inner,
+                waits: AtomicUsize::new(0),
+                withhold,
+            }
+        }
+    }
+
+    impl ObjectStore for Parking {
+        fn create(&self, name: &str) -> Result<()> {
+            self.inner.create(name)
+        }
+        fn exists(&self, name: &str) -> bool {
+            self.inner.exists(name)
+        }
+        fn read_into_vectored(
+            &self,
+            name: &str,
+            offset: u64,
+            bufs: &mut [IoSliceMut<'_>],
+        ) -> Result<usize> {
+            self.inner.read_into_vectored(name, offset, bufs)
+        }
+        fn write_at_vectored(&self, name: &str, offset: u64, bufs: &[IoSlice<'_>]) -> Result<()> {
+            self.inner.write_at_vectored(name, offset, bufs)
+        }
+        fn submit_write_vectored(
+            &self,
+            q: &mut SubmitQueue,
+            name: &str,
+            offset: u64,
+            bufs: &[IoSlice<'_>],
+        ) -> SubmitTicket {
+            let ticket = self.inner.submit_write_vectored(q, name, offset, bufs);
+            if self.withhold {
+                q.reset();
+            } else {
+                q.defer(ticket);
+            }
+            ticket
+        }
+        fn wait_completions(&self, q: &mut SubmitQueue, out: &mut Vec<Completion>) {
+            self.waits.fetch_add(1, Ordering::Relaxed);
+            q.release_all();
+            self.inner.wait_completions(q, out);
+        }
+        fn len(&self, name: &str) -> Result<u64> {
+            self.inner.len(name)
+        }
+        fn truncate(&self, name: &str, len: u64) -> Result<()> {
+            self.inner.truncate(name, len)
+        }
+        fn remove(&self, name: &str) -> Result<()> {
+            self.inner.remove(name)
+        }
+        fn rename(&self, from: &str, to: &str) -> Result<()> {
+            self.inner.rename(from, to)
+        }
+        fn list(&self) -> Vec<String> {
+            self.inner.list()
+        }
+        fn flush(&self, name: &str) -> Result<()> {
+            self.inner.flush(name)
+        }
+        fn io_time(&self) -> Duration {
+            self.inner.io_time()
+        }
+        fn io_counters(&self) -> IoCounters {
+            self.inner.io_counters()
+        }
+        fn reset_io_accounting(&self) {
+            self.inner.reset_io_accounting()
+        }
+    }
+
+    #[test]
+    fn submitted_writes_share_the_lanes_until_a_wait() {
+        let nfs = StorageProfile::nfs_1gbe();
+        let store = DedupStore::new(4096, nfs);
+        store.create("f").unwrap();
+        let start = store.io_time();
+        let block = [7u8; 4096];
+        // Nine 4 KiB writes on a depth-8 channel: two round trips of lanes,
+        // not nine serial ones, and no barrier until the caller waits.
+        for i in 0..9 {
+            let n = write_submitted(&store, "f", i * 4096, &[IoSlice::new(&block)]);
+            assert_eq!(n, Ok(4096));
+        }
+        assert_eq!(store.io_time() - start, nfs.write_cost(4096) * 2);
+        assert_eq!(store.io_counters().write_ops, 9);
+        assert_eq!(store.read_at("f", 8 * 4096, 4096).unwrap(), block);
+        // Errors come back as the result, not as a panic or a lost write.
+        assert!(matches!(
+            write_submitted(&store, "missing", 0, &[IoSlice::new(&block)]),
+            Err(StorageError::NotFound { .. })
+        ));
+    }
+
+    #[test]
+    fn a_parked_completion_is_awaited_and_a_withheld_one_is_an_error() {
+        let parked = Parking::new(false);
+        let data = [3u8; 100];
+        for i in 0..3 {
+            let n = write_submitted(&parked, "f", i * 100, &[IoSlice::new(&data)]);
+            assert_eq!(n, Ok(100));
+        }
+        assert_eq!(
+            parked.waits.load(Ordering::Relaxed),
+            3,
+            "one wait per parked write"
+        );
+        assert_eq!(parked.inner.read_at("f", 200, 100).unwrap(), data);
+
+        let withheld = Parking::new(true);
+        let err = write_submitted(&withheld, "f", 0, &[IoSlice::new(&data)]).unwrap_err();
+        assert!(matches!(err, StorageError::Backend { .. }), "{err}");
+    }
+
+    #[test]
+    fn thread_queues_nest_and_are_reused() {
+        let ids = |q: &mut SubmitQueue| q.complete_now(Ok(0)).queue;
+        let (outer, inner) = with_thread_queue(|q, _| (ids(q), with_thread_queue(|q, _| ids(q))));
+        assert_ne!(outer, inner, "a nested call takes a queue of its own");
+        // Warm: the same two queues come back, emptied.
+        let again = with_thread_queue(|q, done| {
+            assert_eq!((q.in_flight(), done.len()), (0, 0));
+            (ids(q), with_thread_queue(|q, _| ids(q)))
+        });
+        let mut warm = [again.0, again.1];
+        let mut first = [outer, inner];
+        warm.sort_unstable();
+        first.sort_unstable();
+        assert_eq!(warm, first);
     }
 
     #[test]

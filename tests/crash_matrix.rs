@@ -8,9 +8,16 @@ use lamassu::core::{FileSystem, LamassuConfig, LamassuFs, OpenFlags};
 use lamassu::dist::{DistConfig, RoutedStore};
 use lamassu::keymgr::ZoneKeys;
 use lamassu::resilience::BreakerConfig;
+use lamassu::stack::Stack;
 use lamassu::stack::{Resilience, StackBuilder};
-use lamassu::storage::{DedupStore, FaultyStore, ObjectStore, StorageError, StorageProfile};
+use lamassu::storage::{
+    Completion, DedupStore, FaultyStore, IoCounters, ObjectStore, StorageError, StorageProfile,
+    SubmitQueue, SubmitTicket,
+};
+use std::io::{IoSlice, IoSliceMut};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
+use std::time::Duration;
 
 fn keys() -> ZoneKeys {
     ZoneKeys {
@@ -1111,6 +1118,262 @@ fn flush_fault_never_acknowledges_lost_data() {
     faulty.disarm();
     cache.flush_all().unwrap();
     assert_eq!(media.read_at("f", 0, 8).unwrap(), b"precious");
+}
+
+/// A member of the submitted-write-back stack: a [`FaultyStore`] over its
+/// own media. With `park` set its poll releases nothing (the trait default
+/// instead of the fault injector's), so every completion stays parked until
+/// a `wait_completions`, which it counts.
+struct Member {
+    media: Arc<DedupStore>,
+    faulty: FaultyStore,
+    park: bool,
+    waits: AtomicUsize,
+}
+
+impl Member {
+    fn new(park: bool) -> Arc<Member> {
+        let media = Arc::new(DedupStore::new(4096, StorageProfile::instant()));
+        Arc::new(Member {
+            faulty: FaultyStore::new(media.clone()),
+            media,
+            park,
+            waits: AtomicUsize::new(0),
+        })
+    }
+}
+
+impl ObjectStore for Member {
+    fn create(&self, name: &str) -> lamassu::storage::Result<()> {
+        self.faulty.create(name)
+    }
+    fn exists(&self, name: &str) -> bool {
+        self.faulty.exists(name)
+    }
+    fn read_into_vectored(
+        &self,
+        name: &str,
+        offset: u64,
+        bufs: &mut [IoSliceMut<'_>],
+    ) -> lamassu::storage::Result<usize> {
+        self.faulty.read_into_vectored(name, offset, bufs)
+    }
+    fn write_at_vectored(
+        &self,
+        name: &str,
+        offset: u64,
+        bufs: &[IoSlice<'_>],
+    ) -> lamassu::storage::Result<()> {
+        self.faulty.write_at_vectored(name, offset, bufs)
+    }
+    fn submit_write_vectored(
+        &self,
+        q: &mut SubmitQueue,
+        name: &str,
+        offset: u64,
+        bufs: &[IoSlice<'_>],
+    ) -> SubmitTicket {
+        self.faulty.submit_write_vectored(q, name, offset, bufs)
+    }
+    fn poll_completions(&self, q: &mut SubmitQueue, out: &mut Vec<Completion>) {
+        if self.park {
+            q.drain_ready(out);
+        } else {
+            self.faulty.poll_completions(q, out);
+        }
+    }
+    fn wait_completions(&self, q: &mut SubmitQueue, out: &mut Vec<Completion>) {
+        self.waits.fetch_add(1, Ordering::Relaxed);
+        self.faulty.wait_completions(q, out);
+    }
+    fn len(&self, name: &str) -> lamassu::storage::Result<u64> {
+        self.faulty.len(name)
+    }
+    fn truncate(&self, name: &str, len: u64) -> lamassu::storage::Result<()> {
+        self.faulty.truncate(name, len)
+    }
+    fn remove(&self, name: &str) -> lamassu::storage::Result<()> {
+        self.faulty.remove(name)
+    }
+    fn rename(&self, from: &str, to: &str) -> lamassu::storage::Result<()> {
+        self.faulty.rename(from, to)
+    }
+    fn list(&self) -> Vec<String> {
+        self.faulty.list()
+    }
+    fn flush(&self, name: &str) -> lamassu::storage::Result<()> {
+        self.faulty.flush(name)
+    }
+    fn sleep_virtual(&self, d: Duration) {
+        self.faulty.sleep_virtual(d);
+    }
+    fn io_time(&self) -> Duration {
+        self.faulty.io_time()
+    }
+    fn io_counters(&self) -> IoCounters {
+        self.faulty.io_counters()
+    }
+    fn reset_io_accounting(&self) {
+        self.faulty.reset_io_accounting();
+    }
+}
+
+/// Blocks the submitted-write-back cases dirty: every other one, so each is
+/// a run of its own and the runs spread over every owner pair.
+const FLUSH_BLOCKS: [u64; 8] = [0, 2, 4, 6, 8, 10, 12, 14];
+
+/// The benchmark's tiers over three [`Member`]s — a write-back cache over
+/// retries over a router at R = 2 — with a one-block placement unit, and
+/// `f` holding [`FLUSH_BLOCKS`] dirty in the cache.
+fn dirty_tiered_stack(park: bool) -> Stack<(), Member> {
+    let stack = StackBuilder::new((0..3).map(|_| Member::new(park)).collect())
+        .dist(DistConfig::new(2).unit(4096))
+        .resilience(Resilience::default())
+        .cache(CacheConfig {
+            shards: 1,
+            read_ahead_blocks: 0,
+            ..CacheConfig::write_back(64)
+        })
+        .build();
+    stack.store.create("f").unwrap();
+    for &b in &FLUSH_BLOCKS {
+        stack
+            .store
+            .write_at("f", b * 4096, &pattern(5, b as usize))
+            .unwrap();
+    }
+    assert_eq!(
+        stack.cache.as_ref().unwrap().dirty_blocks(),
+        FLUSH_BLOCKS.len()
+    );
+    stack
+}
+
+/// The owners of block `b` of `f`.
+fn owners(stack: &Stack<(), Member>, b: u64) -> Vec<u32> {
+    stack.router.as_ref().unwrap().replica_ids("f", b * 4096)
+}
+
+/// Every owner's media holds every flushed block.
+fn assert_flushed_to_every_owner(stack: &Stack<(), Member>) {
+    for &b in &FLUSH_BLOCKS {
+        for id in owners(stack, b) {
+            let media = &stack.members[id as usize].media;
+            let got = media.read_at("f", b * 4096, 4096).unwrap();
+            assert!(
+                got == pattern(5, b as usize),
+                "block {b} missing on member {id}"
+            );
+        }
+    }
+}
+
+#[test]
+fn a_transient_fault_on_a_submitted_write_back_is_retried() {
+    let stack = dirty_tiered_stack(false);
+    // Both owners of the first run refuse one write and then heal: the
+    // router has no replica to degrade to, so the retry tier retries.
+    for id in owners(&stack, FLUSH_BLOCKS[0]) {
+        let faulty = &stack.members[id as usize].faulty;
+        faulty.crash_after_writes(0);
+        faulty.heal_after_refusals(0);
+    }
+    let retries = stack.resilient.as_ref().unwrap().stats().retries;
+    stack.store.flush("f").unwrap();
+    assert_eq!(
+        stack.resilient.as_ref().unwrap().stats().retries,
+        retries + 1
+    );
+    assert_eq!(stack.cache.as_ref().unwrap().dirty_blocks(), 0);
+    assert_flushed_to_every_owner(&stack);
+}
+
+#[test]
+fn a_crashed_member_makes_the_submitted_flush_degraded_and_scrub_repairs_it() {
+    let stack = dirty_tiered_stack(false);
+    let router = stack.router.as_ref().unwrap();
+    stack.members[1].faulty.crash_after_writes(0);
+    stack.store.flush("f").unwrap();
+    assert_eq!(stack.cache.as_ref().unwrap().dirty_blocks(), 0);
+    let stats = router.stats();
+    assert!(stats.degraded_writes > 0, "{stats:?}");
+    assert!(
+        router.suspects_pending() > 0,
+        "the crashed member awaits a resync"
+    );
+    assert_eq!(stack.resilient.as_ref().unwrap().stats().retries, 0);
+
+    stack.members[1].faulty.disarm();
+    let report = router.scrub();
+    assert!(report.repaired > 0, "{report:?}");
+    assert_eq!(router.suspects_pending(), 0);
+    assert_flushed_to_every_owner(&stack);
+}
+
+#[test]
+fn a_submitted_flush_with_every_owner_down_keeps_the_failed_runs_dirty() {
+    let stack = dirty_tiered_stack(false);
+    let cache = stack.cache.as_ref().unwrap();
+    // Both owners of the first run stay down: every run they alone own
+    // fails, and the runs after it (owned by the third member too) land.
+    let down = owners(&stack, FLUSH_BLOCKS[0]);
+    for &id in &down {
+        stack.members[id as usize].faulty.crash_after_writes(0);
+    }
+    let lost = FLUSH_BLOCKS
+        .iter()
+        .filter(|&&b| owners(&stack, b).iter().all(|id| down.contains(id)))
+        .count();
+    assert!(
+        lost >= 1 && lost < FLUSH_BLOCKS.len(),
+        "{lost} runs on {down:?}"
+    );
+    assert!(matches!(stack.store.flush("f"), Err(StorageError::Crashed)));
+    assert_eq!(
+        cache.dirty_blocks(),
+        lost,
+        "exactly the failed runs stay dirty"
+    );
+
+    for &id in &down {
+        stack.members[id as usize].faulty.disarm();
+    }
+    stack.store.flush("f").unwrap();
+    assert_eq!(cache.dirty_blocks(), 0);
+    let report = stack.router.as_ref().unwrap().scrub();
+    assert_eq!(report.unreadable_units, 0, "{report:?}");
+    assert_flushed_to_every_owner(&stack);
+}
+
+#[test]
+fn parked_completions_of_submitted_write_backs_are_awaited() {
+    let stack = dirty_tiered_stack(true);
+    // One refused-then-healed write on both owners of the first run: its
+    // error must come back through the awaited completion and be retried.
+    for id in owners(&stack, FLUSH_BLOCKS[0]) {
+        let faulty = &stack.members[id as usize].faulty;
+        faulty.crash_after_writes(0);
+        faulty.heal_after_refusals(0);
+    }
+    let waits = |s: &Stack<(), Member>| -> usize {
+        s.members
+            .iter()
+            .map(|m| m.waits.load(Ordering::Relaxed))
+            .sum()
+    };
+    let (writes, waited) = (stack.store.io_counters().write_ops, waits(&stack));
+    stack.store.flush("f").unwrap();
+    assert_eq!(stack.resilient.as_ref().unwrap().stats().retries, 1);
+    assert_eq!(stack.cache.as_ref().unwrap().dirty_blocks(), 0);
+    assert_flushed_to_every_owner(&stack);
+    // Each member write was awaited once, the refused two included; the
+    // flush's own barrier waits on every member once more.
+    let member_writes = (stack.store.io_counters().write_ops - writes) as usize;
+    assert_eq!(member_writes, 2 * FLUSH_BLOCKS.len());
+    assert_eq!(
+        waits(&stack) - waited,
+        member_writes + 2 + stack.members.len()
+    );
 }
 
 #[test]

@@ -12,8 +12,15 @@
 //!    placement-unit boundary, reads clamped at end-of-object — match a flat
 //!    `Vec<u8>` model;
 //! 3. where the row promises it, a whole list is one charged operation;
-//! 4. `submit` + `wait` returns what the blocking call returns, and charges
-//!    the same operations.
+//! 4. `submit` + `wait` returns what the blocking call returns, charges the
+//!    same operations and bytes, and moves the virtual clock exactly as the
+//!    transport model says: by the same time as the blocking call, except
+//!    where the submission is several member operations that overlap on the
+//!    queue-depth lanes. Only the router's submitted writes are (each placement
+//!    unit's run goes to its owners as a submission); there the test holds
+//!    every member clock to the serial sum of its operations' costs blocking
+//!    and to the lane arithmetic submitted, both computed from
+//!    [`StorageProfile::write_cost`] and [`StorageProfile::read_cost`].
 //!
 //! Stores are deterministic, so "the same call on the other form" is run on
 //! a second, identically built instance and the two are compared after
@@ -46,10 +53,12 @@ const UNIT: u64 = 2 * BLOCK as u64;
 const NAME: &str = "obj";
 
 /// One freshly built store, plus the fault injector inside it (if any) so
-/// its credits can be compared.
+/// its credits can be compared, and the router inside it (if any) so its
+/// member clocks can be.
 struct Built {
     store: Arc<dyn ObjectStore>,
     faulty: Option<Arc<FaultyStore>>,
+    routed: Option<Arc<RoutedStore<DedupStore>>>,
     /// The instance's own directory (only `DirStore` creates it).
     dir: PathBuf,
 }
@@ -65,6 +74,7 @@ impl Built {
         Built {
             store,
             faulty: None,
+            routed: None,
             dir: PathBuf::new(),
         }
     }
@@ -127,7 +137,18 @@ fn cached(mode: CacheMode) -> Built {
 fn routed() -> Built {
     let members: Vec<Arc<DedupStore>> = (0..3).map(|_| dedup()).collect();
     let config = DistConfig::new(2).unit(UNIT);
-    Built::plain(Arc::new(RoutedStore::new(members, config)))
+    let router = Arc::new(RoutedStore::new(members, config));
+    let mut built = Built::plain(router.clone());
+    built.routed = Some(router);
+    built
+}
+
+fn resilient(inner: Arc<dyn ObjectStore>) -> Arc<dyn ObjectStore> {
+    Arc::new(ResilientStore::new(
+        inner,
+        RetryPolicy::default(),
+        OpBudget::default(),
+    ))
 }
 
 const ROWS: &[Row] = &[
@@ -187,19 +208,24 @@ const ROWS: &[Row] = &[
     },
     Row {
         name: "ResilientStore",
-        build: |_| {
-            Built::plain(Arc::new(ResilientStore::new(
-                dedup(),
-                RetryPolicy::default(),
-                OpBudget::default(),
-            )))
-        },
+        build: |_| Built::plain(resilient(dedup())),
         reads_per_list: Some(1),
         writes_per_list: Some(1),
     },
     Row {
         name: "RoutedStore",
         build: |_| routed(),
+        reads_per_list: None,
+        writes_per_list: None,
+    },
+    Row {
+        // The benchmark's order of tiers below the cache.
+        name: "ResilientStore over RoutedStore",
+        build: |_| {
+            let mut built = routed();
+            built.store = resilient(built.store.clone());
+            built
+        },
         reads_per_list: None,
         writes_per_list: None,
     },
@@ -267,9 +293,14 @@ fn with_list<T>(lens: &[usize], read: impl FnOnce(&mut [IoSliceMut<'_>]) -> T) -
 }
 
 fn assert_in_step(row: &Row, step: &str, a: &Built, b: &Built) {
+    assert_same_effects(row, step, a, b);
+    assert_eq!(a.store.io_time(), b.store.io_time(), "{}: {step}", row.name);
+}
+
+/// Everything but the clock: counters and fault credits.
+fn assert_same_effects(row: &Row, step: &str, a: &Built, b: &Built) {
     let at = format!("{}: {step}", row.name);
     assert_eq!(a.store.io_counters(), b.store.io_counters(), "{at}");
-    assert_eq!(a.store.io_time(), b.store.io_time(), "{at}");
     assert_eq!(a.credits(), b.credits(), "{at}");
 }
 
@@ -367,6 +398,105 @@ const LIST_READS: &[(u64, &[usize])] = &[
     (7 * BLOCK as u64 + 200, &[0, 8]),              // at the end: nothing
 ];
 
+/// The pieces — `(object offset, length)` — the router's unit walk cuts
+/// each of [`LIST_WRITES`] into at [`UNIT`]: a run of whole slices inside
+/// one unit, or the part of a slice that straddles a unit boundary. Each
+/// piece is one member write per owner.
+const ROUTED_WRITE_PIECES: [&[(u64, usize)]; 4] = [
+    &[
+        (0, UNIT as usize),
+        (UNIT, UNIT as usize),
+        (2 * UNIT, UNIT as usize),
+    ],
+    &[(1000, 3000), (4000, 4192), (UNIT, 808), (UNIT + 808, 1)],
+    &[(UNIT - 6, 6), (UNIT, 4000)],
+    &[
+        (5 * BLOCK as u64 + 7, 4089),
+        (3 * UNIT, 4103),
+        (3 * UNIT + 4103, 100),
+    ],
+];
+
+/// The virtual cost of one `DedupStore` write of `len` bytes at `offset`:
+/// one write of every block it touches, plus a read-modify-write read of a
+/// partially covered first and last block.
+fn dedup_write_cost(offset: u64, len: usize) -> Duration {
+    let bs = BLOCK as u64;
+    let (first, end) = (offset / bs, offset + len as u64);
+    let touched = (end - 1) / bs - first + 1;
+    let head = !offset.is_multiple_of(bs);
+    let tail = !end.is_multiple_of(bs) && (touched > 1 || !head);
+    let rmw = u32::from(head) + u32::from(tail);
+    nfs().write_cost(touched as usize * BLOCK) + nfs().read_cost(BLOCK) * rmw
+}
+
+/// The time a channel takes for `costs` submitted together onto idle
+/// queue-depth lanes: each goes to the earliest-free lane, and the last
+/// lane to finish ends it.
+fn lane_makespan(costs: &[Duration]) -> Duration {
+    let mut lanes = vec![Duration::ZERO; nfs().queue_depth];
+    for &c in costs {
+        *lanes.iter_mut().min().expect("depth >= 1") += c;
+    }
+    lanes.into_iter().max().unwrap_or_default()
+}
+
+/// Each member clock of a routed row, by member id.
+fn member_clocks(b: &Built) -> Vec<Duration> {
+    let router = b.routed.as_ref().expect("a routed row");
+    (0..router.backends() as u32)
+        .map(|id| router.member_store(id).unwrap().io_time())
+        .collect()
+}
+
+/// How far each member clock moved since `before`.
+fn advance(b: &Built, before: &[Duration]) -> Vec<Duration> {
+    let now = member_clocks(b);
+    now.iter().zip(before).map(|(n, b)| *n - *b).collect()
+}
+
+/// Statement 4 on a routed row, for the list write number `k` that the
+/// blocking `a` and the submitting `b` just made: each member pays the
+/// serial sum of its writes' costs blocking and their lane makespan
+/// submitted, and the tier's clock is its busiest member's.
+fn assert_routed_write(
+    row: &Row,
+    step: &str,
+    k: usize,
+    a: &Built,
+    b: &Built,
+    before: [&[Duration]; 2],
+    write_ops: u64,
+) {
+    let at = format!("{}: {step}", row.name);
+    let router = b.routed.as_ref().expect("a routed row");
+    let mut costs = vec![Vec::new(); router.backends()];
+    for &(offset, len) in ROUTED_WRITE_PIECES[k] {
+        for id in router.replica_ids(NAME, offset) {
+            costs[id as usize].push(dedup_write_cost(offset, len));
+        }
+    }
+    let member_ops: usize = costs.iter().map(Vec::len).sum();
+    assert_eq!(member_ops as u64, write_ops, "{at}: member writes");
+    let serial: Vec<Duration> = costs.iter().map(|c| c.iter().sum()).collect();
+    let lanes: Vec<Duration> = costs.iter().map(|c| lane_makespan(c)).collect();
+    assert_eq!(
+        advance(a, before[0]),
+        serial,
+        "{at}: blocking member clocks"
+    );
+    assert_eq!(
+        advance(b, before[1]),
+        lanes,
+        "{at}: submitted member clocks"
+    );
+    assert_eq!(
+        b.store.io_time(),
+        member_clocks(b).into_iter().max().unwrap(),
+        "{at}"
+    );
+}
+
 fn delta(after: IoCounters, before: IoCounters) -> (u64, u64, u64) {
     (
         after.read_ops - before.read_ops,
@@ -388,14 +518,18 @@ fn lists_match_the_model_blocking_and_submitted(row: &Row) {
         let data = pattern(lens.iter().sum(), 10 + k as u8);
         let list = cut(&data, lens);
         let before = a.store.io_counters();
+        let clocks = a
+            .routed
+            .is_some()
+            .then(|| [member_clocks(&a), member_clocks(&b)]);
         assert_eq!(
             a.store.write_at_vectored(NAME, *offset, &list),
             Ok(()),
             "{}: {step}",
             row.name
         );
+        let (_, writes, _) = delta(a.store.io_counters(), before);
         if let Some(write_ops) = row.writes_per_list {
-            let (_, writes, _) = delta(a.store.io_counters(), before);
             assert_eq!(writes, write_ops, "{}: {step}: write ops", row.name);
         }
         let ticket = b.store.submit_write_vectored(&mut q, NAME, *offset, &list);
@@ -405,7 +539,13 @@ fn lists_match_the_model_blocking_and_submitted(row: &Row) {
         assert_eq!(done[0].ticket, ticket, "{}: {step}", row.name);
         assert_eq!(done[0].result, Ok(data.len()), "{}: {step}", row.name);
         model_write(&mut model, *offset as usize, &data);
-        assert_in_step(row, &step, &a, &b);
+        match &clocks {
+            None => assert_in_step(row, &step, &a, &b),
+            Some([ca, cb]) => {
+                assert_same_effects(row, &step, &a, &b);
+                assert_routed_write(row, &step, k, &a, &b, [ca, cb], writes);
+            }
+        }
     }
     assert_eq!(a.store.len(NAME), Ok(model.len() as u64), "{}", row.name);
     assert_eq!(b.store.len(NAME), Ok(model.len() as u64), "{}", row.name);
@@ -414,6 +554,10 @@ fn lists_match_the_model_blocking_and_submitted(row: &Row) {
         let step = format!("list read {offset}+{lens:?}");
         let (n, want) = model_read(&model, *offset as usize, lens.iter().sum());
         let before = a.store.io_counters();
+        let clocks = a
+            .routed
+            .is_some()
+            .then(|| [member_clocks(&a), member_clocks(&b)]);
         let (ra, got_a) = with_list(lens, |l| a.store.read_into_vectored(NAME, *offset, l));
         assert_eq!(ra, Ok(n), "{}: {step}", row.name);
         assert_eq!(got_a, want, "{}: {step}", row.name);
@@ -430,7 +574,16 @@ fn lists_match_the_model_blocking_and_submitted(row: &Row) {
         assert_eq!(done[0].ticket, ticket, "{}: {step}", row.name);
         assert_eq!(done[0].result, ra, "{}: {step}", row.name);
         assert_eq!(got_b, want, "{}: {step}", row.name);
-        assert_in_step(row, &step, &a, &b);
+        match &clocks {
+            None => assert_in_step(row, &step, &a, &b),
+            // Submitted reads are the blocking read below a router: every
+            // member clock moves as far on both sides.
+            Some([ca, cb]) => {
+                assert_same_effects(row, &step, &a, &b);
+                let at = format!("{}: {step}", row.name);
+                assert_eq!(advance(&a, ca), advance(&b, cb), "{at}: member clocks");
+            }
+        }
     }
 }
 

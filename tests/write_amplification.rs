@@ -10,14 +10,20 @@
 //! metadata blocks each. With the trigger at `R` = 8 blocks the random pass
 //! below writes about 2.1 bytes per user byte; it has to stay under 1.25.
 //!
-//! The other two pin what the span pipeline and the completion engine buy
+//! The next two pin what the span pipeline and the completion engine buy
 //! for 1 MiB sequential I/O: whole runs per backend operation instead of one
-//! block each, and a span's runs overlapping on a deep channel.
+//! block each, and a span's runs overlapping on a deep channel. The last
+//! pins the same overlap for a write-back cache's flush through the retry
+//! and routing tiers: its runs are submitted, so each member clock pays for
+//! its k writes in ⌈k/8⌉ round trips instead of k.
 
+use lamassu::cache::CacheConfig;
 use lamassu::core::{
     EncFs, EncFsConfig, Fd, FileSystem, LamassuConfig, LamassuFs, PlainFs, SpanConfig,
 };
+use lamassu::dist::DistConfig;
 use lamassu::keymgr::ZoneKeys;
+use lamassu::stack::{Resilience, StackBuilder};
 use lamassu::storage::{DedupStore, ObjectStore, StorageProfile};
 use std::sync::Arc;
 use std::time::Duration;
@@ -286,4 +292,72 @@ fn a_deep_channel_overlaps_a_spans_runs() {
         lamassu[0]
     );
     assert_eq!(plain[0], plain[1], "PlainFS is the flat control");
+}
+
+/// Data blocks the flush case overwrites: every seventh of the first four
+/// segments' interior (positions 3, 10, …, 108 of 118), so each is a
+/// write-back run of its own and none touches a metadata block.
+fn scattered_blocks() -> impl Iterator<Item = usize> {
+    (0..4).flat_map(|segment| (0..16).map(move |i| segment * 118 + 3 + 7 * i))
+}
+
+/// Member writes of the flush case's `fsync`, by member id: its 64 data
+/// blocks and the 4 metadata blocks of their segments are 68 one-block
+/// runs, each written to the 2 owners of its 64 KiB placement unit.
+const FLUSH_MEMBER_WRITES: [u64; 3] = [55, 49, 32];
+
+#[test]
+fn a_write_back_flush_overlaps_its_member_writes_on_the_lanes() {
+    // The benchmark's tiers: a write-back cache holding the whole file, over
+    // retries, over a router at R = 2 across three NFS members.
+    let nfs = StorageProfile::nfs_1gbe();
+    let members: Vec<Arc<DedupStore>> =
+        (0..3).map(|_| Arc::new(DedupStore::new(BS, nfs))).collect();
+    let stack = StackBuilder::new(members)
+        .dist(DistConfig::new(2).unit(64 * 1024))
+        .resilience(Resilience::default())
+        .cache(CacheConfig::write_back(4096))
+        .mount(|store, profiler| {
+            LamassuFs::with_profiler(store, KEYS, LamassuConfig::default(), profiler)
+        });
+    let fs = &stack.fs;
+    let fd = fs.create("/flush").unwrap();
+    let image: Vec<u8> = (0..BLOCKS).flat_map(|b| block(1, b)).collect();
+    fs.write(fd, 0, &image).unwrap();
+    fs.fsync(fd).unwrap();
+
+    // The overwrites and their commit stay in the cache; the `fsync`'s flush
+    // is the only member traffic, plus one `flush` call per member.
+    for b in scattered_blocks() {
+        fs.write(fd, (b * BS) as u64, &block(2, b)).unwrap();
+    }
+    let before: Vec<_> = stack
+        .members
+        .iter()
+        .map(|m| (m.io_counters(), m.io_time()))
+        .collect();
+    fs.fsync(fd).unwrap();
+    for (id, (member, (counters, time))) in stack.members.iter().zip(before).enumerate() {
+        let now = member.io_counters();
+        let k = now.write_ops - counters.write_ops;
+        assert_eq!(k, FLUSH_MEMBER_WRITES[id], "member {id}: writes");
+        assert_eq!(now.bytes_written - counters.bytes_written, k * BS as u64);
+        assert_eq!(now.read_ops, counters.read_ops, "member {id}: reads");
+        // All k submitted before the one barrier: eight lanes take them in
+        // ⌈k/8⌉ rounds, where k blocking writes took k.
+        let flush = nfs.write_cost(BS) * k.div_ceil(8) as u32;
+        let flush_call = Duration::from_nanos(nfs.per_op_latency_ns);
+        assert_eq!(
+            member.io_time() - time,
+            flush + flush_call,
+            "member {id}: clock"
+        );
+    }
+    let fd2 = fs.open("/flush", Default::default()).unwrap();
+    for b in scattered_blocks() {
+        assert!(
+            fs.read(fd2, (b * BS) as u64, BS).unwrap() == block(2, b),
+            "block {b}"
+        );
+    }
 }
