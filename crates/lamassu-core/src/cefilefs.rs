@@ -164,7 +164,7 @@ impl CeEngine {
     /// and the body's CBC chain decrypts in parallel chunks; the per-block
     /// fallback keeps the original two sequential reads and serial decrypt.
     fn load_body(&self, path: &str) -> Result<Vec<u8>> {
-        let physical = self.io.call(|s| s.len(path))?;
+        let physical = self.io.len(path)?;
         if physical == 0 {
             return Ok(Vec::new());
         }
@@ -179,10 +179,12 @@ impl CeEngine {
             let bufs = &mut [IoSliceMut::new(&mut header), IoSliceMut::new(&mut body)];
             self.io.read_one(path, 0, bufs)?
         } else {
-            let n = self.io.call(|s| s.read_into(path, 0, &mut header))?;
+            let n = self
+                .io
+                .read_one(path, 0, &mut [IoSliceMut::new(&mut header)])?;
             if n == self.block_size && !body.is_empty() {
-                let at = self.block_size as u64;
-                self.io.call(|s| s.read_into(path, at, &mut body))?;
+                let bufs = &mut [IoSliceMut::new(&mut body)];
+                self.io.read_one(path, self.block_size as u64, bufs)?;
             }
             n
         };
@@ -278,16 +280,16 @@ impl CeEngine {
         header[NONCE_LEN..NONCE_LEN + TAG_LEN].copy_from_slice(&tag);
         header[NONCE_LEN + TAG_LEN..NONCE_LEN + TAG_LEN + 48].copy_from_slice(&sealed);
 
-        self.io.call(|s| s.truncate(path, 0))?;
+        self.io.truncate(path, 0)?;
         if self.policy == SpanPolicy::Batched && !body.is_empty() {
             // Header and body land in one vectored backend write.
             let bufs = &[IoSlice::new(&header), IoSlice::new(&body)];
             self.io.write_one(path, 0, bufs)?;
         } else {
-            self.io.call(|s| s.write_at(path, 0, &header))?;
+            self.io.write_one(path, 0, &[IoSlice::new(&header)])?;
             if !body.is_empty() {
-                self.io
-                    .call(|s| s.write_at(path, self.block_size as u64, &body))?;
+                let at = self.block_size as u64;
+                self.io.write_one(path, at, &[IoSlice::new(&body)])?;
             }
         }
         state.dirty = false;

@@ -40,7 +40,7 @@ use lamassu_crypto::{Iv128, Key256};
 use lamassu_storage::ObjectStore;
 use rand::RngCore;
 use std::cell::RefCell;
-use std::io::IoSlice;
+use std::io::{IoSlice, IoSliceMut};
 use std::sync::Arc;
 
 thread_local! {
@@ -240,7 +240,8 @@ impl EncEngine {
         let header = self.profiler.time(Category::Encrypt, || {
             self.serialize_header(state, &header_iv)
         });
-        self.io.call(|s| s.write_at(&state.name, 0, &header))?;
+        self.io
+            .write_one(&state.name, 0, &[IoSlice::new(&header)])?;
         state.header_dirty = false;
         Ok(())
     }
@@ -284,7 +285,7 @@ impl EncEngine {
     ) -> Result<()> {
         debug_assert_eq!(dest.len(), self.config.block_size);
         let phys = self.data_offset(block);
-        let n = self.io.call(|s| s.read_into(path, phys, dest))?;
+        let n = self.io.read_one(path, phys, &mut [IoSliceMut::new(dest)])?;
         self.decrypt_read_block(cipher, file_iv, block, n, dest);
         Ok(())
     }
@@ -307,8 +308,8 @@ impl EncEngine {
             stats::count_scalar_blocks(block_buf.len() / 16);
             cbc::encrypt_in_place(cipher.tt(), &iv, block_buf)
         })?;
-        self.io
-            .call(|s| s.write_at(path, self.data_offset(block), block_buf))
+        let at = self.data_offset(block);
+        self.io.write_one(path, at, &[IoSlice::new(block_buf)])
     }
 
     /// The span read pipeline: the planned range is cut into
@@ -400,22 +401,35 @@ impl EncEngine {
     }
 
     /// The span write pipeline: stages each [`MAX_SPAN_BLOCKS`]-bounded chunk
-    /// of the range as plaintext (reading only the partial edge blocks back
-    /// for the read-modify-write), encrypts the whole chunk as one parallel
-    /// batch, and writes it with a single backend operation. The writes form
-    /// one [`SpanIo::write_batch`]: they are submitted as they are encrypted
-    /// — chunk N+1's read-modify-write and encrypt overlap chunk N's
-    /// transport — and the batch's closing barrier drains them on every
-    /// exit, a failed read-modify-write included.
-    /// (Reusing the staging buffer across chunks is safe: the store has
+    /// of the range as plaintext, encrypts the whole chunk as one parallel
+    /// batch, and writes it with a single backend operation. Only the plan's
+    /// first and last block can be partially covered; their
+    /// read-modify-write reads run first, each a lone round trip, before any
+    /// write is issued. The writes form one [`SpanIo::write_batch`]: they are
+    /// submitted as they are encrypted — chunk N+1's encrypt overlaps chunk
+    /// N's transport — and the batch's closing barrier drains them on every
+    /// exit. (Reusing the staging buffer across chunks is safe: the store has
     /// copied the bytes out by the time a write is issued.)
     fn write_span(&self, st: &mut EncFile, offset: u64, bufs: &[IoSlice<'_>]) -> Result<()> {
         let bs = self.config.block_size;
         let plan = self.profiler.time(Category::Plan, || {
             self.planner.plan(offset, iovec::total_len(bufs))
         });
-        let mut span_buf = std::mem::take(&mut st.span_buf);
         let path = st.name.as_str();
+        let edge = |block: u64| -> Result<Option<(u64, BlockBuf)>> {
+            if plan.is_full(block) {
+                return Ok(None);
+            }
+            let mut plain = self.blocks.take();
+            self.read_block_into(path, &st.cipher, &st.file_iv, block, &mut plain)?;
+            Ok(Some((block, plain)))
+        };
+        let head = edge(plan.first_block)?;
+        let tail = match plan.last_block > plan.first_block {
+            true => edge(plan.last_block)?,
+            false => None,
+        };
+        let mut span_buf = std::mem::take(&mut st.span_buf);
         let result = self.io.write_batch(path, |io| {
             let mut chunk_first = plan.first_block;
             // Bytes of `bufs` already staged by earlier chunks.
@@ -428,21 +442,12 @@ impl EncEngine {
                 }
                 let chunk = &mut span_buf[..blocks * bs];
 
-                // Read-modify-write of the (at most two) partial edge blocks;
+                // The partial edge blocks start from their old plaintext;
                 // every full block is overwritten wholesale.
-                for b in [chunk_first, chunk_last] {
-                    if !plan.is_full(b) {
-                        let region = ((b - chunk_first) as usize) * bs;
-                        self.read_block_into(
-                            path,
-                            &st.cipher,
-                            &st.file_iv,
-                            b,
-                            &mut chunk[region..region + bs],
-                        )?;
-                    }
-                    if chunk_first == chunk_last {
-                        break;
+                for (block, plain) in head.iter().chain(&tail) {
+                    if (chunk_first..=chunk_last).contains(block) {
+                        let region = ((block - chunk_first) as usize) * bs;
+                        chunk[region..region + bs].copy_from_slice(plain);
                     }
                 }
                 // The chunk's plaintext fragments are contiguous in the
@@ -504,7 +509,9 @@ impl MountEngine for EncEngine {
     /// metadata error, whatever the store returned.
     fn load(&self, path: &str) -> Result<EncFile> {
         let mut header = [0u8; RAW_HEADER_LEN];
-        let n = self.io.call(|s| s.read_into(path, 0, &mut header))?;
+        let n = self
+            .io
+            .read_one(path, 0, &mut [IoSliceMut::new(&mut header)])?;
         if n < RAW_HEADER_LEN {
             return Err(FsError::Metadata(
                 lamassu_format::FormatError::BadMetadataLength {
@@ -627,7 +634,7 @@ impl MountEngine for EncEngine {
         }
         let blocks = size.div_ceil(bs);
         self.io
-            .call(|s| s.truncate(&st.name, self.header_len() + blocks * bs))?;
+            .truncate(&st.name, self.header_len() + blocks * bs)?;
         st.logical_size = size;
         self.write_header(st)
     }

@@ -573,7 +573,8 @@ impl Engine {
             {
                 self.encrypt_batch(std::slice::from_ref(key), cipher);
                 let offset = self.geometry.locate_block(*block).physical_offset;
-                self.io.call(|s| s.write_at(&file.name, offset, cipher))?;
+                self.io
+                    .write_one(&file.name, offset, &[IoSlice::new(cipher)])?;
             }
 
             self.update_meta(file, segment, |mb| {

@@ -108,7 +108,7 @@ use lamassu_storage::ObjectStore;
 use parking_lot::{Mutex, RwLock};
 use rand::RngCore;
 use std::collections::HashMap;
-use std::io::IoSlice;
+use std::io::{IoSlice, IoSliceMut};
 use std::sync::Arc;
 
 /// Maximum number of decrypted metadata blocks cached per open file.
@@ -431,7 +431,7 @@ impl MountEngine for Engine {
             self.drop_keys(file, first_dropped..dropped_end)?;
             // Shrink the physical object and drop stale cache entries.
             let physical = self.geometry.encrypted_size(new_size);
-            self.io.call(|s| s.truncate(&file.name, physical))?;
+            self.io.truncate(&file.name, physical)?;
             file.meta_cache.lock().retain(|seg, _| *seg < new_segments);
             file.media_segments = file.media_segments.min(new_segments);
         }
@@ -475,7 +475,7 @@ pub(super) fn fresh_nonce() -> [u8; 12] {
 impl Engine {
     /// Index of the last segment present in the physical object.
     pub(super) fn last_physical_segment(&self, name: &str) -> Result<u64> {
-        let physical = self.io.call(|s| s.len(name))?;
+        let physical = self.io.len(name)?;
         let seg_bytes = self.geometry.segment_bytes();
         Ok(physical.div_ceil(seg_bytes).max(1) - 1)
     }
@@ -493,7 +493,7 @@ impl Engine {
         let mut staged = self.blocks.take();
         let n = self
             .io
-            .call(|s| s.read_into(&file.name, offset, &mut staged))?;
+            .read_one(&file.name, offset, &mut [IoSliceMut::new(&mut staged)])?;
         if n < bs || staged.iter().all(|&b| b == 0) {
             // Never written, or a hole left by a sparse write.
             return Ok(None);
@@ -592,7 +592,8 @@ impl Engine {
         self.seal_meta(&self.crypto.read().gcm, seg, &mb, &mut sealed);
         self.profiler.meta_sealed(1);
         let offset = self.geometry.metadata_block_offset(seg);
-        self.io.call(|s| s.write_at(&file.name, offset, &sealed))?;
+        self.io
+            .write_one(&file.name, offset, &[IoSlice::new(&sealed)])?;
         file.cache_meta(seg, mb);
         Ok(())
     }

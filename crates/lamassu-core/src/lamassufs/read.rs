@@ -34,6 +34,7 @@ use lamassu_crypto::kdf::HashVersion;
 use lamassu_crypto::util::constant_time_eq;
 use lamassu_crypto::{batch, Key256, FIXED_IV};
 use std::cell::RefCell;
+use std::io::IoSliceMut;
 
 thread_local! {
     /// Span-read planning scratch: the runs of consecutive disk-backed
@@ -91,9 +92,8 @@ impl Engine {
             dest.fill(0);
             return Ok(false);
         };
-        let n = self
-            .io
-            .call(|s| s.read_into(&file.name, loc.physical_offset, dest))?;
+        let bufs = &mut [IoSliceMut::new(dest)];
+        let n = self.io.read_one(&file.name, loc.physical_offset, bufs)?;
         if n < dest.len() {
             // Key present but data never reached disk (should only happen on
             // an unrecovered crash); treat as a hole.

@@ -21,6 +21,7 @@ use crate::{FsError, Result};
 use lamassu_crypto::gcm::Aes256Gcm;
 use lamassu_format::MetadataBlock;
 use lamassu_keymgr::ZoneKeys;
+use std::io::IoSlice;
 
 /// Outcome of a crash-recovery scan over one file (paper §2.4).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -71,7 +72,7 @@ impl Engine {
         file.open.forget();
         let mut report = RecoveryReport::default();
         let last_segment = self.last_physical_segment(&file.name)?;
-        let physical = self.io.call(|s| s.len(&file.name))?;
+        let physical = self.io.len(&file.name)?;
 
         for segment in 0..=last_segment {
             let mut mb = self.read_meta(file, segment)?;
@@ -147,7 +148,8 @@ impl Engine {
             let mb = self.read_meta(file, segment)?;
             self.seal_meta(&gcm, segment, &mb, &mut sealed);
             let offset = self.geometry.metadata_block_offset(segment);
-            self.io.call(|s| s.write_at(&file.name, offset, &sealed))?;
+            self.io
+                .write_one(&file.name, offset, &[IoSlice::new(&sealed)])?;
         }
         Ok(segments)
     }

@@ -70,6 +70,7 @@ use super::recover::RecoveryReport;
 use crate::{FsError, Result};
 use lamassu_crypto::Key256;
 use lamassu_format::{Geometry, MetadataBlock, TransientEntry};
+use std::io::IoSliceMut;
 use std::ops::Range;
 
 /// What the media holds for one segment of a file, as far as this mount
@@ -313,7 +314,7 @@ impl Engine {
     pub(super) fn take_segment(&self, file: &LamassuFile, segment: u64) -> Result<MetadataBlock> {
         let mut mb = self.take_meta(file, segment)?;
         if file.open.state(segment, &mb) == Segment::MidUpdate {
-            let physical = self.io.call(|s| s.len(&file.name))?;
+            let physical = self.io.len(&file.name)?;
             let mut report = RecoveryReport::default();
             self.resolve(file, segment, &mut mb, physical, &mut report)?;
         }
@@ -367,8 +368,8 @@ impl Engine {
                 .physical_offset;
             let on_disk = offset + bs as u64 <= physical;
             if on_disk {
-                self.io
-                    .call(|s| s.read_into(&file.name, offset, &mut landed))?;
+                let bufs = &mut [IoSliceMut::new(&mut landed)];
+                self.io.read_one(&file.name, offset, bufs)?;
             }
             // One decrypt, one re-derivation, a constant-time compare.
             let mut opens = |key: &Key256| {

@@ -337,7 +337,7 @@ impl<E: MountEngine> FileSystem for Mount<E> {
         let _span = self.engine.io().op_span(OpKind::Fsync, &entry, 0);
         let mut file = entry.state.write();
         self.engine.flush(&mut file)?;
-        self.engine.io().call(|s| s.flush(&entry.path()))
+        self.engine.io().flush(&entry.path())
     }
 
     fn len(&self, fd: Fd) -> Result<u64> {
@@ -348,7 +348,7 @@ impl<E: MountEngine> FileSystem for Mount<E> {
 
     fn stat(&self, path: &str) -> Result<FileAttr> {
         let logical_size = self.file_state(path)?.read().logical_size();
-        let physical_size = self.engine.io().call(|s| s.len(path))?;
+        let physical_size = self.engine.io().len(path)?;
         Ok(FileAttr {
             logical_size,
             physical_size,
@@ -367,7 +367,7 @@ impl<E: MountEngine> FileSystem for Mount<E> {
         if let Some(state) = self.files.peek(from) {
             self.engine.flush(&mut state.write())?;
         }
-        self.engine.io().call(|s| s.rename(from, to))?;
+        self.engine.io().rename(from, to)?;
         // The registry moves the entry under a single map lock, so no
         // concurrent open can observe (or resurrect) the old path's entry
         // mid-rename.

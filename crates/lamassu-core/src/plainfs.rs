@@ -70,7 +70,7 @@ impl FileSystem for PlainFs {
             });
         }
         if flags.truncate {
-            self.io.call(|s| s.truncate(path, 0))?;
+            self.io.truncate(path, 0)?;
         }
         Ok(self.handles.open(path, ()))
     }
@@ -101,20 +101,20 @@ impl FileSystem for PlainFs {
         let entry = self.handles.get(fd)?;
         let _span = self.io.op_span(OpKind::Truncate, &entry, 0);
         let path = entry.path();
-        self.io.call(|s| s.truncate(&path, size))
+        self.io.truncate(&path, size)
     }
 
     fn fsync(&self, fd: Fd) -> Result<()> {
         let entry = self.handles.get(fd)?;
         let _span = self.io.op_span(OpKind::Fsync, &entry, 0);
         let path = entry.path();
-        self.io.call(|s| s.flush(&path))
+        self.io.flush(&path)
     }
 
     fn len(&self, fd: Fd) -> Result<u64> {
         let entry = self.handles.get(fd)?;
         let path = entry.path();
-        self.io.call(|s| s.len(&path))
+        self.io.len(&path)
     }
 
     fn stat(&self, path: &str) -> Result<FileAttr> {
@@ -123,7 +123,7 @@ impl FileSystem for PlainFs {
                 path: path.to_string(),
             });
         }
-        let size = self.io.call(|s| s.len(path))?;
+        let size = self.io.len(path)?;
         Ok(FileAttr {
             logical_size: size,
             physical_size: size,
@@ -137,7 +137,7 @@ impl FileSystem for PlainFs {
     }
 
     fn rename(&self, from: &str, to: &str) -> Result<()> {
-        self.io.call(|s| s.rename(from, to))?;
+        self.io.rename(from, to)?;
         self.handles.retarget(from, to);
         Ok(())
     }

@@ -17,6 +17,18 @@
 //! provided `submit_*`), and that is the reference the differential tests
 //! hold this driver to — the same pipeline, minus the queue.
 //!
+//! That holds for **every** byte a shim moves, not only a span's: a metadata
+//! block, a header, a re-key's re-seal and each block of the per-block paths
+//! is one [`SpanIo::read_one`] / [`SpanIo::write_one`], a round trip closed
+//! by its own barrier. [`SpanIo`] does not lend out its store. Outside this
+//! module a shim reaches it only through those calls, the span pipeline and
+//! the named namespace calls (`create`, `remove`, `exists`, `list`, `len`,
+//! `truncate`, `flush`, `rename`). The namespace calls are the only store
+//! calls that do not go through the completion queue. A lone round trip is
+//! issued on a quiescent channel: after the previous barrier and before a
+//! batch opens. There a submission followed by its barrier costs exactly
+//! what the blocking call would have cost.
+//!
 //! **Ownership of submitted buffers.** A store moves the data during submit,
 //! but a submitted buffer is unreadable until its completion has been
 //! drained. Nothing outside this module can break that rule: the staged edges
@@ -186,10 +198,9 @@ impl SpanIo {
         out
     }
 
-    /// Lends the store to `f` for one blocking call outside any span
-    /// (metadata, lifecycle, the per-block reference path), charged to the
-    /// I/O category.
-    pub(crate) fn call<T>(
+    /// One namespace call — the only store calls outside the driver's
+    /// submit/complete path — charged to the I/O category.
+    fn namespace<T>(
         &self,
         f: impl FnOnce(&dyn ObjectStore) -> lamassu_storage::Result<T>,
     ) -> Result<T> {
@@ -209,7 +220,7 @@ impl SpanIo {
     /// Creates the object `name`; one that already exists is the file
     /// system's [`FsError::AlreadyExists`], not a storage error.
     pub(crate) fn create(&self, name: &str) -> Result<()> {
-        self.call(|s| s.create(name)).map_err(|e| match e {
+        self.namespace(|s| s.create(name)).map_err(|e| match e {
             FsError::Storage(StorageError::AlreadyExists { name }) => {
                 FsError::AlreadyExists { path: name }
             }
@@ -219,10 +230,30 @@ impl SpanIo {
 
     /// Removes the object `name`; a missing one is [`FsError::NotFound`].
     pub(crate) fn remove(&self, name: &str) -> Result<()> {
-        self.call(|s| s.remove(name)).map_err(|e| match e {
+        self.namespace(|s| s.remove(name)).map_err(|e| match e {
             FsError::Storage(StorageError::NotFound { name }) => FsError::NotFound { path: name },
             other => other,
         })
+    }
+
+    /// The object's length on the media.
+    pub(crate) fn len(&self, name: &str) -> Result<u64> {
+        self.namespace(|s| s.len(name))
+    }
+
+    /// Cuts or extends the object to `len` bytes.
+    pub(crate) fn truncate(&self, name: &str, len: u64) -> Result<()> {
+        self.namespace(|s| s.truncate(name, len))
+    }
+
+    /// Asks the store to make the object durable.
+    pub(crate) fn flush(&self, name: &str) -> Result<()> {
+        self.namespace(|s| s.flush(name))
+    }
+
+    /// Renames an object, replacing any object at `to`.
+    pub(crate) fn rename(&self, from: &str, to: &str) -> Result<()> {
+        self.namespace(|s| s.rename(from, to))
     }
 
     /// The mount's profiler.
@@ -362,19 +393,21 @@ impl SpanIo {
         })
     }
 
-    /// One vectored read as a single round trip: the one-run span of a shim
-    /// with no blocks to stage (PlainFS, the CE-file loader). It goes through
-    /// the whole submit/complete contract — deferred faults, the queue-depth
-    /// lanes — at exactly one round trip, which keeps PlainFS flat across
-    /// queue depths.
+    /// One vectored read as a single round trip: a metadata block, a
+    /// header, one block of the per-block paths, or the one-run span of a
+    /// shim with no blocks to stage (PlainFS, the CE-file loader). It goes
+    /// through the whole submit/complete contract — deferred faults, the
+    /// queue-depth lanes — at exactly one round trip, which keeps PlainFS
+    /// flat across queue depths. Issued outside any open span or batch, so
+    /// its channel is quiescent and its modelled cost is the blocking
+    /// call's.
     pub(crate) fn read_one(
         &self,
         name: &str,
         offset: u64,
         bufs: &mut [IoSliceMut<'_>],
     ) -> Result<usize> {
-        with_tls(&SCRATCH, |s| {
-            s.queue.reset();
+        Self::alone(|s| {
             self.issue(&mut s.queue, name, offset, Op::Read(bufs));
             self.barrier(s, name)
         })
@@ -400,9 +433,23 @@ impl SpanIo {
 
     /// One vectored write as a single round trip (see [`SpanIo::read_one`]).
     pub(crate) fn write_one(&self, name: &str, offset: u64, bufs: &[IoSlice<'_>]) -> Result<()> {
-        self.write_batch(name, |w| {
-            w.write(offset, bufs);
-            Ok(())
+        Self::alone(|s| {
+            self.issue(&mut s.queue, name, offset, Op::Write(bufs));
+            self.barrier(s, name).map(drop)
+        })
+    }
+
+    /// Runs one round trip on the thread's scratch. A lone round trip inside
+    /// an open span or batch would run on a fresh queue — an allocation, and
+    /// a barrier that drains the batch's lanes — so that is a bug.
+    fn alone<T>(f: impl FnOnce(&mut Scratch) -> T) -> T {
+        debug_assert!(
+            SCRATCH.with(|c| c.try_borrow_mut().is_ok()),
+            "a lone round trip issued inside an open span or batch"
+        );
+        with_tls(&SCRATCH, |s| {
+            s.queue.reset();
+            f(s)
         })
     }
 }
@@ -581,7 +628,7 @@ mod tests {
     fn write_batch_drains_on_an_early_error_exit() {
         let rig = rig(4);
         let block = [7u8; BS];
-        // What a failed edge read-modify-write of EncFS's next chunk does:
+        // What a failed encrypt of EncFS's next chunk does:
         // leave with a write still submitted.
         let out = rig.io.write_batch(NAME, |w| {
             w.write(0, &[IoSlice::new(&block)]);
