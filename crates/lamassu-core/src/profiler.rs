@@ -54,7 +54,11 @@ pub enum Category {
     Decrypt,
     /// Convergent-key derivation: SHA-256 of the block plus the AES-ECB KDF.
     GetCeKey,
-    /// Backing-store I/O (real call time plus modelled transport time).
+    /// Issuing backing-store operations: for every data operation — a span
+    /// run, a commit phase's write, a lone `read_one`/`write_one` round trip
+    /// — the submit call (real call time plus the makespan growth it adds
+    /// to its channel), and the whole of each namespace call (create,
+    /// remove, len, truncate, flush, rename).
     Io,
     /// Block-cache management (lookup, copy, eviction bookkeeping) when a
     /// `lamassu-cache::CachedStore` with an attached profiler sits below the
@@ -69,10 +73,10 @@ pub enum Category {
     /// member backends' own time (which stays in `Io`). Zero on unrouted
     /// mounts.
     Route,
-    /// Submit-to-completion wait in the async I/O engine: the time between
-    /// issuing a batch of submissions and observing their completions
-    /// (poll/wait drains, including the residual virtual transport time the
-    /// barrier exposes). Zero on blocking-pipeline mounts.
+    /// Waiting for completions, for every data operation: the poll and wait
+    /// drains between issuing submissions and observing their completions,
+    /// and the barrier that closes each span, commit phase and lone round
+    /// trip (including the residual virtual transport time it exposes).
     Queue,
 }
 
@@ -278,7 +282,7 @@ impl Profiler {
 
     /// Snapshot of the accumulated categories. `total_runtime` is the
     /// caller-measured end-to-end time (real compute plus virtual transport);
-    /// the remainder after the four explicit categories becomes *Misc*.
+    /// the remainder after the eight explicit categories becomes *Misc*.
     pub fn breakdown(&self, total_runtime: Duration) -> LatencyBreakdown {
         let cats = Category::ALL.map(|c| Duration::from_nanos(self.hists[c as usize].sum()));
         let explicit: Duration = cats.iter().sum();

@@ -440,3 +440,136 @@ fn read_whose_completion_is_lost_fails_instead_of_returning_ciphertext() {
         assert_eq!(fs.read(fd, 0, data.len()).unwrap(), data, "{kind}");
     }
 }
+
+/// A store whose submitted writes at a LamassuFS metadata-block offset
+/// (default geometry; offset 0 is also an EncFS header) are applied eagerly
+/// but never complete while `withhold` is set — a transport that lost the
+/// acknowledgements of exactly the writes §2.4's ordering rests on. Every
+/// other operation completes at once.
+struct LostMetadataWrites {
+    inner: DedupStore,
+    withhold: AtomicBool,
+}
+
+impl ObjectStore for LostMetadataWrites {
+    fn submit_write_vectored(
+        &self,
+        q: &mut SubmitQueue,
+        name: &str,
+        offset: u64,
+        bufs: &[IoSlice<'_>],
+    ) -> SubmitTicket {
+        let result = self
+            .inner
+            .write_at_vectored(name, offset, bufs)
+            .map(|()| bufs.iter().map(|b| b.len()).sum());
+        let metadata = offset.is_multiple_of(Geometry::default().segment_bytes());
+        if metadata && self.withhold.load(Ordering::SeqCst) {
+            q.complete_deferred(result)
+        } else {
+            q.complete_now(result)
+        }
+    }
+    fn wait_completions(&self, q: &mut SubmitQueue, out: &mut Vec<Completion>) {
+        q.drain_ready(out); // parked completions stay parked
+    }
+
+    fn create(&self, name: &str) -> lamassu::storage::Result<()> {
+        self.inner.create(name)
+    }
+    fn exists(&self, name: &str) -> bool {
+        self.inner.exists(name)
+    }
+    fn read_into_vectored(
+        &self,
+        name: &str,
+        offset: u64,
+        bufs: &mut [IoSliceMut<'_>],
+    ) -> lamassu::storage::Result<usize> {
+        self.inner.read_into_vectored(name, offset, bufs)
+    }
+    fn write_at_vectored(
+        &self,
+        name: &str,
+        offset: u64,
+        bufs: &[IoSlice<'_>],
+    ) -> lamassu::storage::Result<()> {
+        self.inner.write_at_vectored(name, offset, bufs)
+    }
+    fn len(&self, name: &str) -> lamassu::storage::Result<u64> {
+        self.inner.len(name)
+    }
+    fn truncate(&self, name: &str, len: u64) -> lamassu::storage::Result<()> {
+        self.inner.truncate(name, len)
+    }
+    fn remove(&self, name: &str) -> lamassu::storage::Result<()> {
+        self.inner.remove(name)
+    }
+    fn rename(&self, from: &str, to: &str) -> lamassu::storage::Result<()> {
+        self.inner.rename(from, to)
+    }
+    fn list(&self) -> Vec<String> {
+        self.inner.list()
+    }
+    fn flush(&self, name: &str) -> lamassu::storage::Result<()> {
+        self.inner.flush(name)
+    }
+    fn io_time(&self) -> Duration {
+        self.inner.io_time()
+    }
+    fn io_counters(&self) -> IoCounters {
+        self.inner.io_counters()
+    }
+    fn reset_io_accounting(&self) {
+        self.inner.reset_io_accounting()
+    }
+}
+
+/// Every metadata and header write goes through the span-I/O driver, so a
+/// lost acknowledgement of one is an error wherever the shim issues it. Each
+/// row creates a file with the transport healthy, then loses every metadata
+/// acknowledgement from its write on, and its `fsync` must fail with
+/// `StorageError::Backend`: the size write of a LamassuFS `fsync` after a
+/// failed commit (the commit's own metadata phases were submitted all
+/// along), every write of the per-block oracle, and an EncFS header.
+#[test]
+fn fsync_whose_metadata_write_is_never_acknowledged_fails() {
+    let per_block = |store| -> Box<dyn FileSystem> {
+        let config = LamassuConfig {
+            span: lamassu::core::SpanConfig::per_block(),
+            ..LamassuConfig::default()
+        };
+        Box::new(LamassuFs::new(store, zone_keys(), config))
+    };
+    let rows: [(&str, Make, usize); 3] = [
+        (
+            "LamassuFS, the size write after a failed commit",
+            lamassu,
+            2,
+        ),
+        ("LamassuFS per-block oracle", per_block, 1),
+        ("EncFS header", encfs, 1),
+    ];
+    for (row, make, fsyncs) in rows {
+        let store = Arc::new(LostMetadataWrites {
+            inner: DedupStore::new(4096, StorageProfile::instant()),
+            withhold: AtomicBool::new(false),
+        });
+        let fs = make(store.clone());
+        let fd = fs.create("/meta.bin").unwrap();
+        store.withhold.store(true, Ordering::SeqCst);
+        fs.write(fd, 0, &[7u8; 3 * 4096]).unwrap();
+        for _ in 0..fsyncs {
+            let got = fs.fsync(fd);
+            assert!(
+                matches!(
+                    got,
+                    Err(lamassu::core::FsError::Storage(
+                        lamassu::storage::StorageError::Backend { .. }
+                    ))
+                ),
+                "{row}: fsync returned {got:?}"
+            );
+        }
+    }
+}
