@@ -31,7 +31,7 @@
 //! encrypted; the misses are encrypted as one batch. Once the commit has
 //! landed it admits its duplicates and its overwrites of memoized blocks.
 
-use super::engine::{fresh_nonce, Engine, LamassuFile, SPAN_BLOCKS};
+use super::engine::{fresh_nonce, Engine, LamassuFile, SPAN_BLOCKS, UNKNOWN_SEGMENTS};
 use super::memo::{Admit, ReadMemo};
 use super::read::{KEY_SCRATCH, MISS_SCRATCH};
 use super::segment::{self, SegCommit};
@@ -78,6 +78,7 @@ impl Engine {
             .and_then(|()| self.persist_size(file));
         if result.is_err() {
             file.pending.clear();
+            file.media_segments = UNKNOWN_SEGMENTS;
         }
         // Bounded staging: the next span commit reuses the buffer (it would
         // otherwise reallocate a span per commit), and amortized growth never
@@ -94,6 +95,9 @@ impl Engine {
     /// segments open for the next to close, except the last of a `close`
     /// flush — which, with nothing pending, is a batch that only closes.
     fn commit_pending(&self, file: &mut LamassuFile, close: bool) -> Result<()> {
+        if file.media_segments == UNKNOWN_SEGMENTS {
+            file.media_segments = self.media_segments(&file.name)?;
+        }
         match self.policy {
             SpanPolicy::Batched => {
                 while !file.pending.is_empty() || (close && !file.open.is_empty()) {
@@ -121,7 +125,6 @@ impl Engine {
                 Ok(())
             })?;
             file.size_dirty = false;
-            file.media_segments = file.media_segments.max(final_segment + 1);
         }
         Ok(())
     }

@@ -111,6 +111,9 @@ use std::collections::HashMap;
 use std::io::{IoSlice, IoSliceMut};
 use std::sync::Arc;
 
+/// [`LamassuFile::media_segments`] after a write whose outcome is unknown.
+pub(super) const UNKNOWN_SEGMENTS: u64 = u64::MAX;
+
 /// Maximum number of decrypted metadata blocks cached per open file.
 const META_CACHE_CAP: usize = 8192;
 
@@ -193,12 +196,17 @@ pub struct LamassuFile {
     pub(super) commit_segs: Vec<SegCommit>,
     /// The segments the last commit left open (see the `segment` module).
     pub(super) open: OpenSegments,
-    /// How many segments the media holds, as far as this mount knows: the
-    /// last one is where the loader reads the logical size from, and 0 is an
-    /// object shorter than a metadata block. Never more than the media
-    /// holds — a commit whose data reaches past them writes the new last
-    /// segment's metadata block first (the `segment` module's rules), which
-    /// an undercount after a failed commit only repeats.
+    /// How many segments the object reaches on the media: derived from its
+    /// length at load and recovery ([`Engine::media_segments`]), raised by
+    /// every metadata write ([`Engine::put_meta`]) and commit, cut by a
+    /// truncate. The last one is where the loader reads the logical size
+    /// from. [`Engine::fetch_meta`] takes a segment at or past it as empty
+    /// without reading it, and a commit whose data reaches past it writes the
+    /// new last segment's metadata block first (the `segment` module's
+    /// rules), so it must be exact: after a write whose outcome the mount
+    /// cannot know — a failed commit, metadata write or truncate — it is
+    /// [`UNKNOWN_SEGMENTS`], no read is skipped, and the next commit
+    /// re-derives it from the object's length.
     pub(super) media_segments: u64,
 }
 
@@ -317,8 +325,7 @@ impl MountEngine for Engine {
     fn create(&self, name: &str) -> Result<LamassuFile> {
         let mb = MetadataBlock::new(&self.geometry);
         let mut file = LamassuFile::new(name, mb.version);
-        self.put_meta(&file, 0, mb)?;
-        file.media_segments = 1;
+        self.put_meta(&mut file, 0, mb)?;
         Ok(file)
     }
 
@@ -329,16 +336,13 @@ impl MountEngine for Engine {
     fn load(&self, name: &str) -> Result<LamassuFile> {
         let current = HashVersion::for_block_size(self.geometry.block_size());
         let mut file = LamassuFile::new(name, current);
-        let first = self.fetch_meta(&file, 0)?;
-        let present = first.is_some();
-        if let Some(first) = first {
+        file.media_segments = self.media_segments(name)?;
+        if let Some(first) = self.fetch_meta(&file, 0)? {
             file.version = first.version;
             file.cache_meta(0, first);
         }
-        let last = self.last_physical_segment(name)?;
-        let size = self.with_meta(&file, last, |mb| mb.logical_size)?;
-        file.logical_size = size;
-        file.media_segments = if present { last + 1 } else { 0 };
+        let last = file.media_segments.max(1) - 1;
+        file.logical_size = self.with_meta(&file, last, |mb| mb.logical_size)?;
         Ok(file)
     }
 
@@ -431,9 +435,13 @@ impl MountEngine for Engine {
             self.drop_keys(file, first_dropped..dropped_end)?;
             // Shrink the physical object and drop stale cache entries.
             let physical = self.geometry.encrypted_size(new_size);
-            self.io.truncate(&file.name, physical)?;
+            let truncated = self.io.truncate(&file.name, physical);
+            file.media_segments = match truncated {
+                Ok(()) => file.media_segments.min(new_segments),
+                Err(_) => UNKNOWN_SEGMENTS,
+            };
+            truncated?;
             file.meta_cache.lock().retain(|seg, _| *seg < new_segments);
-            file.media_segments = file.media_segments.min(new_segments);
         }
         // The size is written even if a commit above already carried it.
         file.size_dirty = true;
@@ -473,11 +481,9 @@ pub(super) fn fresh_nonce() -> [u8; 12] {
 }
 
 impl Engine {
-    /// Index of the last segment present in the physical object.
-    pub(super) fn last_physical_segment(&self, name: &str) -> Result<u64> {
-        let physical = self.io.len(name)?;
-        let seg_bytes = self.geometry.segment_bytes();
-        Ok(physical.div_ceil(seg_bytes).max(1) - 1)
+    /// How many segments the object `name` reaches, from its length.
+    pub(super) fn media_segments(&self, name: &str) -> Result<u64> {
+        Ok(self.io.len(name)?.div_ceil(self.geometry.segment_bytes()))
     }
 
     // ------------------------------------------------------------------
@@ -485,9 +491,14 @@ impl Engine {
     // ------------------------------------------------------------------
 
     /// Fetches and decrypts the metadata block for `segment` from the store
-    /// (no cache interaction); `None` for a segment that does not exist on
-    /// disk yet or reads back as an all-zero sparse hole.
+    /// (no cache interaction) — the one metadata read; `None` for a segment
+    /// that does not exist on disk yet or reads back as an all-zero sparse
+    /// hole. A segment at or past [`LamassuFile::media_segments`] is not
+    /// read at all.
     fn fetch_meta(&self, file: &LamassuFile, segment: u64) -> Result<Option<MetadataBlock>> {
+        if segment >= file.media_segments {
+            return Ok(None);
+        }
         let offset = self.geometry.metadata_block_offset(segment);
         let bs = self.geometry.block_size();
         let mut staged = self.blocks.take();
@@ -586,14 +597,27 @@ impl Engine {
     /// at `segment`'s offset, and puts it (back) into the cache once the
     /// write has landed — the one metadata write outside the commit
     /// pipeline's phases (create, truncate, size persistence, recovery and
-    /// the per-block oracle).
-    pub(super) fn put_meta(&self, file: &LamassuFile, seg: u64, mb: MetadataBlock) -> Result<()> {
+    /// the per-block oracle). The write raises the file's
+    /// [`media_segments`](LamassuFile::media_segments); a failed one leaves
+    /// it unknown.
+    pub(super) fn put_meta(
+        &self,
+        file: &mut LamassuFile,
+        seg: u64,
+        mb: MetadataBlock,
+    ) -> Result<()> {
         let mut sealed = self.blocks.take();
         self.seal_meta(&self.crypto.read().gcm, seg, &mb, &mut sealed);
         self.profiler.meta_sealed(1);
         let offset = self.geometry.metadata_block_offset(seg);
-        self.io
-            .write_one(&file.name, offset, &[IoSlice::new(&sealed)])?;
+        let written = self
+            .io
+            .write_one(&file.name, offset, &[IoSlice::new(&sealed)]);
+        file.media_segments = match written {
+            Ok(()) => file.media_segments.max(seg + 1),
+            Err(_) => UNKNOWN_SEGMENTS,
+        };
+        written?;
         file.cache_meta(seg, mb);
         Ok(())
     }
@@ -604,7 +628,7 @@ impl Engine {
     /// the cache between the mutation and the write.
     pub(super) fn update_meta(
         &self,
-        file: &LamassuFile,
+        file: &mut LamassuFile,
         segment: u64,
         mutate: impl FnOnce(&mut MetadataBlock) -> Result<()>,
     ) -> Result<()> {

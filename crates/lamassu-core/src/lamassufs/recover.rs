@@ -71,8 +71,9 @@ impl Engine {
         file.pending.clear();
         file.open.forget();
         let mut report = RecoveryReport::default();
-        let last_segment = self.last_physical_segment(&file.name)?;
         let physical = self.io.len(&file.name)?;
+        file.media_segments = physical.div_ceil(self.geometry.segment_bytes());
+        let last_segment = file.media_segments.max(1) - 1;
 
         for segment in 0..=last_segment {
             let mut mb = self.read_meta(file, segment)?;
@@ -84,8 +85,7 @@ impl Engine {
         }
 
         // Reload the authoritative size after repairs.
-        let last = self.last_physical_segment(&file.name)?;
-        file.logical_size = self.with_meta(file, last, |mb| mb.logical_size)?;
+        file.logical_size = self.with_meta(file, last_segment, |mb| mb.logical_size)?;
         Ok(report)
     }
 
@@ -142,7 +142,7 @@ impl Engine {
             "outer re-keying must not change the inner key; use a full re-encryption instead"
         );
         let gcm = Aes256Gcm::new(&new_keys.outer);
-        let segments = self.last_physical_segment(&file.name)? + 1;
+        let segments = self.media_segments(&file.name)?.max(1);
         let mut sealed = self.blocks.take();
         for segment in 0..segments {
             let mb = self.read_meta(file, segment)?;

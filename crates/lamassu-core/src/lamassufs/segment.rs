@@ -325,7 +325,7 @@ impl Engine {
     /// metadata write per segment. Each segment is taken for writing
     /// ([`Engine::take_segment`]), so one the media holds mid-update is
     /// resolved before keys its transient area may name are cleared.
-    pub(super) fn drop_keys(&self, file: &LamassuFile, blocks: Range<u64>) -> Result<()> {
+    pub(super) fn drop_keys(&self, file: &mut LamassuFile, blocks: Range<u64>) -> Result<()> {
         let n = self.geometry.keys_per_metadata_block() as u64;
         let mut block = blocks.start;
         while block < blocks.end {

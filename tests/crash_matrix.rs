@@ -811,6 +811,48 @@ fn a_power_cut_after_a_span_filling_append_keeps_every_appended_block() {
     check("after recovery");
 }
 
+#[test]
+fn a_commit_after_one_that_failed_past_its_new_last_segment_write_keeps_every_block() {
+    // A 116-block file (segment 0) and a write of blocks 116..130, whose
+    // data would make segment 1 the last one on the media: segment 1's
+    // metadata block goes out first and lands, then the store fails the
+    // data write and the commit fails. The mount goes on once the store is
+    // back: its next commit writes blocks 120..124 into segment 1, and must
+    // take the segment the failed commit left on the media. After a remount
+    // every block reads old (version 1 below 116, a hole above) or new.
+    const BASE: usize = 116;
+    let media = build_base_at(8, BASE);
+    let faulty = Arc::new(FaultyStore::new(media.clone()));
+    let fs = LamassuFs::new(faulty.clone(), keys(), LamassuConfig::default());
+    let fd = fs.open("/file", OpenFlags::default()).unwrap();
+    let image: Vec<u8> = (BASE..130).flat_map(|b| pattern(2, b)).collect();
+    faulty.crash_after_writes(1);
+    fs.write(fd, (BASE * 4096) as u64, &image).unwrap();
+    assert!(fs.fsync(fd).is_err());
+    assert!(faulty.has_crashed());
+    faulty.disarm();
+    let image: Vec<u8> = (120..124).flat_map(|b| pattern(2, b)).collect();
+    fs.write(fd, 120 * 4096, &image).unwrap();
+    fs.fsync(fd).unwrap();
+    fs.close(fd).unwrap();
+
+    let fs = LamassuFs::new(media, keys(), LamassuConfig::default());
+    let report = fs.verify("/file").unwrap();
+    assert!(report.is_clean() && report.mid_update_segments == 0, "{report:?}");
+    let fd = fs.open("/file", OpenFlags::default()).unwrap();
+    assert_eq!(fs.len(fd).unwrap(), 130 * 4096);
+    let hole = vec![0u8; 4096];
+    for b in 0..130 {
+        let got = fs.read(fd, (b * 4096) as u64, 4096).unwrap();
+        let ok = match b {
+            _ if b < BASE => got == pattern(1, b),
+            120..124 => got == pattern(2, b),
+            _ => got == hole || got == pattern(2, b),
+        };
+        assert!(ok, "block {b} is neither old nor new");
+    }
+}
+
 /// A byte copy of a base file of `blocks` version-1 blocks at reserved-slot
 /// count `r`, on fresh media, each time it is called.
 fn base_copies(r: usize, blocks: usize) -> impl Fn() -> Arc<DedupStore> {
