@@ -16,9 +16,11 @@
 //! the mount over `Unqueued<FaultyStore>` fails — and read back unharmed
 //! data identically once disarmed.
 //!
-//! A last test mounts the shims over a store that parks a read's completion
-//! and never releases it: the read must fail, not hand back whatever the
-//! eager data movement left in the caller's buffer.
+//! The last two tests mount the shims over a store that parks a completion
+//! and never releases it. A read whose completion is lost must fail, not
+//! hand back whatever the eager data movement left in the caller's buffer;
+//! an `fsync` whose metadata or header write is never acknowledged must
+//! fail too.
 
 mod support;
 
@@ -332,12 +334,38 @@ proptest! {
     }
 }
 
-/// A store whose submitted reads move their data eagerly, as the contract
+/// A store whose submissions move their data eagerly, as the contract
 /// allows, but whose completions are parked and never released while
-/// `withhold` is set — a transport that lost the responses.
+/// `withhold` is set — a transport that lost the responses. What loses its
+/// completion: every read, or with `metadata_writes` every write at a
+/// LamassuFS metadata-block offset of the default geometry (offset 0 is
+/// also an EncFS header).
 struct LostCompletions {
     inner: DedupStore,
     withhold: AtomicBool,
+    metadata_writes: bool,
+}
+
+impl LostCompletions {
+    fn new(metadata_writes: bool) -> Arc<Self> {
+        Arc::new(LostCompletions {
+            inner: DedupStore::new(4096, StorageProfile::instant()),
+            withhold: AtomicBool::new(false),
+            metadata_writes,
+        })
+    }
+
+    fn complete(
+        &self,
+        q: &mut SubmitQueue,
+        lost: bool,
+        result: lamassu::storage::Result<usize>,
+    ) -> SubmitTicket {
+        match lost && self.withhold.load(Ordering::SeqCst) {
+            true => q.complete_deferred(result),
+            false => q.complete_now(result),
+        }
+    }
 }
 
 impl ObjectStore for LostCompletions {
@@ -349,11 +377,19 @@ impl ObjectStore for LostCompletions {
         bufs: &mut [IoSliceMut<'_>],
     ) -> SubmitTicket {
         let result = self.inner.read_into_vectored(name, offset, bufs);
-        if self.withhold.load(Ordering::SeqCst) {
-            q.complete_deferred(result)
-        } else {
-            q.complete_now(result)
-        }
+        self.complete(q, !self.metadata_writes, result)
+    }
+    fn submit_write_vectored(
+        &self,
+        q: &mut SubmitQueue,
+        name: &str,
+        offset: u64,
+        bufs: &[IoSlice<'_>],
+    ) -> SubmitTicket {
+        let result = self.inner.write_at_vectored(name, offset, bufs);
+        let result = result.map(|()| bufs.iter().map(|b| b.len()).sum());
+        let metadata = offset.is_multiple_of(Geometry::default().segment_bytes());
+        self.complete(q, self.metadata_writes && metadata, result)
     }
     fn wait_completions(&self, q: &mut SubmitQueue, out: &mut Vec<Completion>) {
         q.drain_ready(out); // parked completions stay parked
@@ -416,10 +452,7 @@ impl ObjectStore for LostCompletions {
 #[test]
 fn read_whose_completion_is_lost_fails_instead_of_returning_ciphertext() {
     for kind in ["LamassuFS", "EncFS"] {
-        let store = Arc::new(LostCompletions {
-            inner: DedupStore::new(4096, StorageProfile::instant()),
-            withhold: AtomicBool::new(false),
-        });
+        let store = LostCompletions::new(false);
         let fs = match kind {
             "EncFS" => encfs(store.clone()),
             _ => lamassu(store.clone()),
@@ -438,90 +471,6 @@ fn read_whose_completion_is_lost_fails_instead_of_returning_ciphertext() {
         // so is every byte.
         store.withhold.store(false, Ordering::SeqCst);
         assert_eq!(fs.read(fd, 0, data.len()).unwrap(), data, "{kind}");
-    }
-}
-
-/// A store whose submitted writes at a LamassuFS metadata-block offset
-/// (default geometry; offset 0 is also an EncFS header) are applied eagerly
-/// but never complete while `withhold` is set — a transport that lost the
-/// acknowledgements of exactly the writes §2.4's ordering rests on. Every
-/// other operation completes at once.
-struct LostMetadataWrites {
-    inner: DedupStore,
-    withhold: AtomicBool,
-}
-
-impl ObjectStore for LostMetadataWrites {
-    fn submit_write_vectored(
-        &self,
-        q: &mut SubmitQueue,
-        name: &str,
-        offset: u64,
-        bufs: &[IoSlice<'_>],
-    ) -> SubmitTicket {
-        let result = self
-            .inner
-            .write_at_vectored(name, offset, bufs)
-            .map(|()| bufs.iter().map(|b| b.len()).sum());
-        let metadata = offset.is_multiple_of(Geometry::default().segment_bytes());
-        if metadata && self.withhold.load(Ordering::SeqCst) {
-            q.complete_deferred(result)
-        } else {
-            q.complete_now(result)
-        }
-    }
-    fn wait_completions(&self, q: &mut SubmitQueue, out: &mut Vec<Completion>) {
-        q.drain_ready(out); // parked completions stay parked
-    }
-
-    fn create(&self, name: &str) -> lamassu::storage::Result<()> {
-        self.inner.create(name)
-    }
-    fn exists(&self, name: &str) -> bool {
-        self.inner.exists(name)
-    }
-    fn read_into_vectored(
-        &self,
-        name: &str,
-        offset: u64,
-        bufs: &mut [IoSliceMut<'_>],
-    ) -> lamassu::storage::Result<usize> {
-        self.inner.read_into_vectored(name, offset, bufs)
-    }
-    fn write_at_vectored(
-        &self,
-        name: &str,
-        offset: u64,
-        bufs: &[IoSlice<'_>],
-    ) -> lamassu::storage::Result<()> {
-        self.inner.write_at_vectored(name, offset, bufs)
-    }
-    fn len(&self, name: &str) -> lamassu::storage::Result<u64> {
-        self.inner.len(name)
-    }
-    fn truncate(&self, name: &str, len: u64) -> lamassu::storage::Result<()> {
-        self.inner.truncate(name, len)
-    }
-    fn remove(&self, name: &str) -> lamassu::storage::Result<()> {
-        self.inner.remove(name)
-    }
-    fn rename(&self, from: &str, to: &str) -> lamassu::storage::Result<()> {
-        self.inner.rename(from, to)
-    }
-    fn list(&self) -> Vec<String> {
-        self.inner.list()
-    }
-    fn flush(&self, name: &str) -> lamassu::storage::Result<()> {
-        self.inner.flush(name)
-    }
-    fn io_time(&self) -> Duration {
-        self.inner.io_time()
-    }
-    fn io_counters(&self) -> IoCounters {
-        self.inner.io_counters()
-    }
-    fn reset_io_accounting(&self) {
-        self.inner.reset_io_accounting()
     }
 }
 
@@ -551,10 +500,7 @@ fn fsync_whose_metadata_write_is_never_acknowledged_fails() {
         ("EncFS header", encfs, 1),
     ];
     for (row, make, fsyncs) in rows {
-        let store = Arc::new(LostMetadataWrites {
-            inner: DedupStore::new(4096, StorageProfile::instant()),
-            withhold: AtomicBool::new(false),
-        });
+        let store = LostCompletions::new(true);
         let fs = make(store.clone());
         let fd = fs.create("/meta.bin").unwrap();
         store.withhold.store(true, Ordering::SeqCst);
