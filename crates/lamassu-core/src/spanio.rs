@@ -398,19 +398,14 @@ impl SpanIo {
     /// shim with no blocks to stage (PlainFS, the CE-file loader). It goes
     /// through the whole submit/complete contract — deferred faults, the
     /// queue-depth lanes — at exactly one round trip, which keeps PlainFS
-    /// flat across queue depths. Issued outside any open span or batch, so
-    /// its channel is quiescent and its modelled cost is the blocking
-    /// call's.
+    /// flat across queue depths.
     pub(crate) fn read_one(
         &self,
         name: &str,
         offset: u64,
         bufs: &mut [IoSliceMut<'_>],
     ) -> Result<usize> {
-        Self::alone(|s| {
-            self.issue(&mut s.queue, name, offset, Op::Read(bufs));
-            self.barrier(s, name)
-        })
+        self.round_trip(name, offset, Op::Read(bufs))
     }
 
     /// Runs `f` with a [`WriteBatch`] on the object `name` and closes it with
@@ -433,23 +428,22 @@ impl SpanIo {
 
     /// One vectored write as a single round trip (see [`SpanIo::read_one`]).
     pub(crate) fn write_one(&self, name: &str, offset: u64, bufs: &[IoSlice<'_>]) -> Result<()> {
-        Self::alone(|s| {
-            self.issue(&mut s.queue, name, offset, Op::Write(bufs));
-            self.barrier(s, name).map(drop)
-        })
+        self.round_trip(name, offset, Op::Write(bufs)).map(drop)
     }
 
-    /// Runs one round trip on the thread's scratch. A lone round trip inside
-    /// an open span or batch would run on a fresh queue — an allocation, and
+    /// Issues `op` and waits for it. Only outside an open span or batch: its
+    /// channel is then quiescent, so its modelled cost is the blocking
+    /// call's. Inside one it would run on a fresh queue — an allocation, and
     /// a barrier that drains the batch's lanes — so that is a bug.
-    fn alone<T>(f: impl FnOnce(&mut Scratch) -> T) -> T {
+    fn round_trip(&self, name: &str, offset: u64, op: Op<'_, '_>) -> Result<usize> {
         debug_assert!(
             SCRATCH.with(|c| c.try_borrow_mut().is_ok()),
             "a lone round trip issued inside an open span or batch"
         );
         with_tls(&SCRATCH, |s| {
             s.queue.reset();
-            f(s)
+            self.issue(&mut s.queue, name, offset, op);
+            self.barrier(s, name)
         })
     }
 }
@@ -651,6 +645,17 @@ mod tests {
         });
         assert_eq!(out, Err(FsError::Storage(StorageError::Crashed)));
         assert_eq!(rig.profiler.in_flight_ops(), 0);
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "inside an open span or batch")]
+    fn a_lone_round_trip_inside_a_batch_is_a_bug() {
+        let rig = rig(1);
+        let block = [7u8; BS];
+        let _ = rig
+            .io
+            .write_batch(NAME, |_| rig.io.write_one(NAME, 0, &[IoSlice::new(&block)]));
     }
 
     #[test]

@@ -838,7 +838,10 @@ fn a_commit_after_one_that_failed_past_its_new_last_segment_write_keeps_every_bl
 
     let fs = LamassuFs::new(media, keys(), LamassuConfig::default());
     let report = fs.verify("/file").unwrap();
-    assert!(report.is_clean() && report.mid_update_segments == 0, "{report:?}");
+    assert!(
+        report.is_clean() && report.mid_update_segments == 0,
+        "{report:?}"
+    );
     let fd = fs.open("/file", OpenFlags::default()).unwrap();
     assert_eq!(fs.len(fd).unwrap(), 130 * 4096);
     let hole = vec![0u8; 4096];
